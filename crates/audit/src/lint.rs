@@ -7,7 +7,7 @@
 //! | id | rule |
 //! |----|------|
 //! | RIPS-L001 | no `HashMap`/`HashSet` in the deterministic-path crates (`sched`, `balancers`, `runtime`, `core`): their iteration order is seeded per process and leaks into results |
-//! | RIPS-L002 | no `Instant`/`SystemTime`/`thread_rng` outside the reasoned [`TIMING_PATHS`] allowlist (`crates/bench`, `shims`, `crates/live`): simulated runs must not observe wall-clock time or ambient randomness |
+//! | RIPS-L002 | no `Instant`/`SystemTime`/`thread_rng` outside the reasoned [`TIMING_PATHS`] allowlist (`crates/bench`, `shims`, `crates/live`, `benchmark`): simulated runs must not observe wall-clock time or ambient randomness |
 //! | RIPS-L003 | no `unwrap`/`expect`/`panic!`/`unreachable!` in the desim engine hot path (`crates/desim/src/engine.rs`) without a reasoned suppression |
 //! | RIPS-L004 | `unsafe` is forbidden outside the reasoned [`UNSAFE_ALLOWLIST`] (exactly two files: the live backend's SPSC ring and the runtime's RCU cell) |
 //! | RIPS-L005 | public items in `#![warn(missing_docs)]` crates must carry a doc comment |
@@ -147,10 +147,16 @@ pub const TIMING_PATHS: &[(&str, &str)] = &[
         "crates/live/",
         "the live backend's whole point is wall-clock execution: \
          Instant anchors its monotonic Clock (and the CycleClock the \
-         metrics histograms sample), park timeouts / recv_timeout \
+         metrics histograms sample), park timeouts \
          realise its timer-wheel deadlines, and the stall watchdog \
          sleeps real intervals between progress samples — a virtual \
          clock cannot detect a wedged OS thread",
+    ),
+    (
+        "benchmark/",
+        "the repo's benchmark (BENCHMARK.json) times the program from \
+         outside: Instant is how it measures wall_s, setup_s and its \
+         spans, and nothing under it runs inside a simulated machine",
     ),
 ];
 
@@ -697,8 +703,11 @@ mod tests {
         // sibling crate must not silently inherit the exemption.
         let src = "let t = std::time::Instant::now();\n";
         assert!(lint_one("crates/live/src/lib.rs", src).is_empty());
+        // The standalone benchmark package times runs from outside.
+        assert!(lint_one("benchmark/src/span.rs", src).is_empty());
         for flagged in [
             "crates/livex/src/lib.rs", // prefix must not over-match
+            "benchmarks/src/main.rs",
             "crates/runtime/src/driver.rs",
             "crates/core/src/program.rs",
             "crates/desim/src/engine.rs",
@@ -719,10 +728,12 @@ mod tests {
                 "TIMING_PATHS entry {path:?} must be a directory prefix"
             );
         }
-        assert!(
-            TIMING_PATHS.iter().any(|(p, _)| *p == "crates/live/"),
-            "live backend missing from the timing allowlist"
-        );
+        for pinned in ["crates/live/", "benchmark/"] {
+            assert!(
+                TIMING_PATHS.iter().any(|(p, _)| *p == pinned),
+                "{pinned} missing from the timing allowlist"
+            );
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Runs RIPS on real OS threads (1, 2, 4 per app) executing real
 //! application grains, and writes `BENCH_LIVE.json` with
-//! threads-vs-wall-clock rows per app, per grain mode, per transport:
+//! threads-vs-wall-clock rows per app, per grain mode:
 //!
 //! * `compute` — only the real application closures run; speedup then
 //!   reflects the host's physical parallelism (a 1-core container
@@ -12,17 +12,13 @@
 //!   the scheduler controls) is measurable on any host: sleeping
 //!   nodes overlap regardless of core count.
 //!
-//! The transport axis compares the sharded SPSC ring fabric (`ring`,
-//! the default fast path) against the `mpsc` fallback it replaced, so
-//! the fabric's cost shows up in the same table as the speedup it buys.
-//!
 //! Honesty fields: every series entry repeats the host's
-//! `available_parallelism` (`host_parallelism`) and its `transport`,
-//! so a number can never be quoted without the hardware and fabric
-//! that produced it. Every cell carries its parallelism ceiling
-//! (`tasks / threads`) — when that ratio is small (the 38-task
-//! 15-puzzle instance at 4 threads, for example) poor speedup is a
-//! property of the instance, not a scheduler regression.
+//! `available_parallelism` (`host_parallelism`), so a number can never
+//! be quoted without the hardware that produced it. Every cell carries
+//! its parallelism ceiling (`tasks / threads`) — when that ratio is
+//! small (the 38-task 15-puzzle instance at 4 threads, for example)
+//! poor speedup is a property of the instance, not a scheduler
+//! regression.
 //!
 //! Every run is cross-validated: solutions and execution checksum must
 //! equal the sequential reference, or the binary panics.
@@ -38,7 +34,6 @@
 //!
 //! ```text
 //! live_speedup [--out BENCH_LIVE.json] [--repeats 2] [--seed 1]
-//!              [--transport ring|mpsc|both]
 //! ```
 
 use std::sync::Arc;
@@ -49,7 +44,7 @@ use rips_apps::{
 };
 use rips_bench::live::{live_opts, live_run};
 use rips_bench::{arg_usize, registry};
-use rips_live::{GrainMode, TransportKind, WallClock};
+use rips_live::{GrainMode, WallClock};
 use rips_taskgraph::Workload;
 use rips_trace::metrics_rt::{Counter, CycleClock, Histo};
 use rips_trace::{with_metrics_clocked, with_sink_clocked, Clock, FlightRecorder, MetricsRegistry};
@@ -92,7 +87,6 @@ struct Series {
     tasks: usize,
     solutions: u64,
     mode: &'static str,
-    transport: &'static str,
     cells: Vec<Cell>,
     breakdown: Breakdown,
 }
@@ -134,14 +128,12 @@ fn apps() -> Vec<(String, Arc<Workload>, Arc<GrainTable>)> {
     ]
 }
 
-#[allow(clippy::too_many_arguments)]
 fn measure(
     name: &str,
     workload: &Arc<Workload>,
     table: &Arc<GrainTable>,
     mode: GrainMode,
     mode_label: &'static str,
-    transport: TransportKind,
     repeats: usize,
     seed: u64,
 ) -> Series {
@@ -154,8 +146,7 @@ fn measure(
         // fully cross-validated.
         let mut best = u64::MAX;
         for r in 0..repeats {
-            let mut opts = live_opts(table, mode, 1.0);
-            opts.transport = transport;
+            let opts = live_opts(table, mode, 1.0);
             let out = live_run("RIPS", workload, threads, 0.4, seed + r as u64, opts);
             assert_eq!(out.solutions, truth.solutions, "{name} at {threads}t");
             assert_eq!(out.checksum, truth.checksum, "{name} at {threads}t");
@@ -177,8 +168,7 @@ fn measure(
             String::new()
         };
         eprintln!(
-            "  {name} [{mode_label}/{}] {threads} threads: {:.3} s (speedup {:.2}){note}",
-            transport.name(),
+            "  {name} [{mode_label}] {threads} threads: {:.3} s (speedup {:.2}){note}",
             best as f64 / 1e6,
             base_us as f64 / best.max(1) as f64
         );
@@ -197,7 +187,6 @@ fn measure(
                 Arc::clone(&clock) as Arc<dyn Clock>,
                 || {
                     let mut opts = live_opts(table, mode, 1.0);
-                    opts.transport = transport;
                     opts.clock = Some(Arc::clone(&clock) as Arc<dyn Clock>);
                     live_run("RIPS", workload, pthreads, 0.4, seed, opts)
                 },
@@ -221,9 +210,8 @@ fn measure(
     let round = snap.histo(Histo::DispatchRoundNs);
     let setup = snap.histo(Histo::GrainSetupNs);
     eprintln!(
-        "  {name} [{mode_label}/{}] overhead at {pthreads}t: {} rounds, \
+        "  {name} [{mode_label}] overhead at {pthreads}t: {} rounds, \
          mean {:.0} ns/round ({:.0} ns setup)",
-        transport.name(),
         breakdown.dispatch_rounds,
         round.mean(),
         setup.mean()
@@ -234,20 +222,15 @@ fn measure(
         tasks,
         solutions: truth.solutions,
         mode: mode_label,
-        transport: transport.name(),
         cells,
         breakdown,
     }
 }
 
-fn best_at_4_threads<'a>(
-    series: &'a [Series],
-    mode: &str,
-    transport: &str,
-) -> Option<(&'a str, f64)> {
+fn best_at_4_threads<'a>(series: &'a [Series], mode: &str) -> Option<(&'a str, f64)> {
     series
         .iter()
-        .filter(|s| s.mode == mode && s.transport == transport)
+        .filter(|s| s.mode == mode)
         .filter_map(|s| {
             s.cells
                 .iter()
@@ -261,16 +244,6 @@ fn main() {
     let out_path = arg("--out").unwrap_or_else(|| "BENCH_LIVE.json".into());
     let repeats = arg_usize("--repeats", 2).max(1);
     let seed: u64 = arg("--seed").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let transports: Vec<TransportKind> = match arg("--transport").as_deref() {
-        None | Some("both") => vec![TransportKind::Ring, TransportKind::Mpsc],
-        Some(other) => match TransportKind::parse(other) {
-            Some(t) => vec![t],
-            None => {
-                eprintln!("unknown --transport '{other}' (ring|mpsc|both)");
-                std::process::exit(2);
-            }
-        },
-    };
     let host = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
@@ -278,31 +251,21 @@ fn main() {
     let mut series = Vec::new();
     for (name, workload, table) in apps() {
         eprintln!("{name}: {} tasks", workload.stats().tasks);
-        for &transport in &transports {
-            for (mode, label) in [(GrainMode::Compute, "compute"), (GrainMode::Timed, "timed")] {
-                series.push(measure(
-                    &name, &workload, &table, mode, label, transport, repeats, seed,
-                ));
-            }
+        for (mode, label) in [(GrainMode::Compute, "compute"), (GrainMode::Timed, "timed")] {
+            series.push(measure(
+                &name, &workload, &table, mode, label, repeats, seed,
+            ));
         }
     }
 
-    let best_timed_4t = best_at_4_threads(&series, "timed", transports[0].name());
-    let best_compute_ring_4t = best_at_4_threads(&series, "compute", "ring");
+    let best_timed_4t = best_at_4_threads(&series, "timed");
+    let best_compute_4t = best_at_4_threads(&series, "compute");
 
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"live_speedup\",\n");
     json.push_str("  \"scheduler\": \"RIPS\",\n");
     json.push_str(&format!("  \"host_parallelism\": {host},\n"));
-    json.push_str(&format!(
-        "  \"transports\": [{}],\n",
-        transports
-            .iter()
-            .map(|t| format!("{:?}", t.name()))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
     json.push_str(&format!("  \"repeats\": {repeats},\n"));
     json.push_str(&format!("  \"seed\": {seed},\n"));
     json.push_str(&format!("  \"roster\": {:?},\n", registry().names()));
@@ -311,18 +274,18 @@ fn main() {
             "  \"best_timed_speedup_at_4_threads\": {{\"app\": {app:?}, \"speedup\": {s:.3}}},\n"
         ));
     }
-    if let Some((app, s)) = best_compute_ring_4t {
+    if let Some((app, s)) = best_compute_4t {
         json.push_str(&format!(
-            "  \"best_compute_speedup_at_4_threads_ring\": \
+            "  \"best_compute_speedup_at_4_threads\": \
              {{\"app\": {app:?}, \"speedup\": {s:.3}}},\n"
         ));
     }
     json.push_str("  \"series\": [\n");
     for (i, s) in series.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"app\": {:?}, \"mode\": {:?}, \"transport\": {:?}, \
-             \"host_parallelism\": {host}, \"tasks\": {}, \"solutions\": {}, \"runs\": [",
-            s.app, s.mode, s.transport, s.tasks, s.solutions
+            "    {{\"app\": {:?}, \"mode\": {:?}, \"host_parallelism\": {host}, \
+             \"tasks\": {}, \"solutions\": {}, \"runs\": [",
+            s.app, s.mode, s.tasks, s.solutions
         ));
         for (j, c) in s.cells.iter().enumerate() {
             json.push_str(&format!(
@@ -361,8 +324,8 @@ fn main() {
     if let Some((app, s)) = best_timed_4t {
         println!("best timed speedup at 4 threads: {s:.2}x on {app}");
     }
-    if let Some((app, s)) = best_compute_ring_4t {
-        println!("best compute speedup at 4 threads (ring): {s:.2}x on {app} (host cores: {host})");
+    if let Some((app, s)) = best_compute_4t {
+        println!("best compute speedup at 4 threads: {s:.2}x on {app} (host cores: {host})");
     }
     println!("wrote {out_path}");
 }

@@ -73,14 +73,8 @@ pub fn live_opts(table: &Arc<GrainTable>, mode: GrainMode, timed_scale: f64) -> 
 }
 
 /// Runs one roster scheduler (by its [`registry`](crate::registry)
-/// name) on the live backend: `threads` OS threads over the same
-/// near-square mesh the simulator uses, default costs, paper-default
-/// tuning. For RIPS the outcome's `system_phases` is filled from the
-/// fleet.
-///
-/// # Panics
-/// If `scheduler` is not a roster name, or the run lost or duplicated
-/// tasks.
+/// name) on the live backend with paper-default tuning; see
+/// [`live_run_with`].
 pub fn live_run(
     scheduler: &str,
     workload: &Arc<Workload>,
@@ -90,7 +84,30 @@ pub fn live_run(
     opts: LiveOpts,
 ) -> LiveOutcome {
     let t = RegistryTuning::default();
-    let topo: Arc<dyn Topology> = Arc::new(Mesh2D::near_square(threads));
+    live_run_with(t, scheduler, workload, threads, rid_u, seed, opts)
+}
+
+/// Runs one roster scheduler on the live backend with explicit tuning
+/// (the live counterpart of [`registry_with`](crate::registry_with)):
+/// `threads` OS threads over the same near-square mesh the simulator
+/// uses, default costs. For RIPS and RIPS-H the outcome's
+/// `system_phases` is filled from the fleet; it stays 0 for the
+/// baselines, like the simulator's `RunOutcome`.
+///
+/// # Panics
+/// If `scheduler` is not a roster name, or the run lost or duplicated
+/// tasks.
+pub fn live_run_with(
+    t: RegistryTuning,
+    scheduler: &str,
+    workload: &Arc<Workload>,
+    threads: usize,
+    rid_u: f64,
+    seed: u64,
+    opts: LiveOpts,
+) -> LiveOutcome {
+    let mesh = Mesh2D::near_square(threads);
+    let topo: Arc<dyn Topology> = Arc::new(mesh.clone());
     let costs = Costs::default();
     let w = Arc::clone(workload);
     let out = match scheduler {
@@ -117,59 +134,30 @@ pub fn live_run(
             })
             .0
         }
-        "RIPS" => {
-            let fleet = RipsFleet::new(t.rips, Machine::Mesh(Mesh2D::near_square(threads)));
-            let ftopo = fleet.topology();
-            let (mut out, policies) = run_live(w, ftopo, costs, seed, opts, |me| fleet.make(me));
-            drop(policies);
-            let (phases, _logs) = fleet.finish();
-            out.system_phases = phases;
-            out
-        }
-        "RIPS-H" => {
-            let fleet = RipsFleet::new(t.rips, Machine::MeshHier(Mesh2D::near_square(threads)));
-            let ftopo = fleet.topology();
-            let (mut out, policies) = run_live(w, ftopo, costs, seed, opts, |me| fleet.make(me));
-            drop(policies);
-            let (phases, _logs) = fleet.finish();
-            out.system_phases = phases;
-            out
-        }
+        "RIPS" => live_rips(t.rips, Machine::Mesh(mesh), w, seed, opts),
+        "RIPS-H" => live_rips(t.rips, Machine::MeshHier(mesh), w, seed, opts),
         other => panic!("unknown scheduler {other:?}"),
     };
     out.verify_complete(workload)
         .unwrap_or_else(|e| panic!("{scheduler} live on {}: {e}", workload.name));
-    // `system_phases` stays 0 for the baselines, like the simulator's
-    // RunOutcome.
     out
 }
 
-/// Runs RIPS live with an explicit configuration (CLI support).
-pub fn live_run_rips(
-    workload: &Arc<Workload>,
-    threads: usize,
+/// RIPS on `machine`: one fleet shares the plan board between the
+/// per-node policies and counts the system phases they ran.
+fn live_rips(
     cfg: RipsConfig,
+    machine: Machine,
+    workload: Arc<Workload>,
     seed: u64,
     opts: LiveOpts,
 ) -> LiveOutcome {
-    let fleet = RipsFleet::new(cfg, Machine::Mesh(Mesh2D::near_square(threads)));
+    let fleet = RipsFleet::new(cfg, machine);
     let topo = fleet.topology();
-    let (mut out, policies) = run_live(
-        Arc::clone(workload),
-        topo,
-        costs_default(),
-        seed,
-        opts,
-        |me| fleet.make(me),
-    );
+    let (mut out, policies) = run_live(workload, topo, Costs::default(), seed, opts, |me| {
+        fleet.make(me)
+    });
     drop(policies);
-    let (phases, _logs) = fleet.finish();
-    out.system_phases = phases;
-    out.verify_complete(workload)
-        .unwrap_or_else(|e| panic!("RIPS live on {}: {e}", workload.name));
+    out.system_phases = fleet.finish().0;
     out
-}
-
-fn costs_default() -> Costs {
-    Costs::default()
 }

@@ -2,8 +2,7 @@
 //! simulator must agree on everything scheduling cannot change.
 //!
 //! For every scheduler in the roster, on N-Queens and a 15-puzzle
-//! instance, at 2 and 4 threads, on **both transports** (sharded SPSC
-//! rings and the mpsc fallback):
+//! instance, at 2 and 4 threads:
 //!
 //! * both backends execute every task exactly once (conservation —
 //!   `verify_complete` returns no `VerifyError`), and
@@ -13,17 +12,18 @@
 //!   exactly the answers the sequential reference finds, no matter how
 //!   the OS interleaved the threads.
 //!
-//! A separate property pins the batching layer: batched and unbatched
-//! delivery must produce identical checksums *and* identical invariant
-//! [`Auditor`] verdicts across the whole roster.
+//! A separate test streams every roster scheduler's live trace through
+//! the invariant [`Auditor`], and one more runs RIPS-H under a
+//! non-default tuning through [`live_run_with`].
 
 use std::sync::Arc;
 
 use rips_apps::{nqueens_with_grains, puzzle_with_grains, GrainTable, NQueensConfig, PuzzleConfig};
 use rips_audit::Auditor;
-use rips_bench::live::{live_opts, live_run};
-use rips_bench::{registry, run_cell};
-use rips_live::{GrainMode, TransportKind, WallClock};
+use rips_bench::live::{live_opts, live_run, live_run_with};
+use rips_bench::{registry, run_cell, RegistryTuning};
+use rips_core::{GlobalPolicy, RipsConfig};
+use rips_live::{GrainMode, WallClock};
 use rips_taskgraph::Workload;
 use rips_trace::Clock;
 
@@ -49,8 +49,8 @@ fn puzzle14() -> (Arc<Workload>, Arc<GrainTable>) {
     (Arc::new(w), Arc::new(t))
 }
 
-/// Runs the whole roster on both backends at `threads` nodes, on both
-/// live transports, and checks the cross-backend contract.
+/// Runs the whole roster on both backends at `threads` nodes and checks
+/// the cross-backend contract.
 fn cross_validate(workload: &Arc<Workload>, table: &Arc<GrainTable>, threads: usize) {
     let reg = registry();
     let expected_tasks = workload.stats().tasks as u64;
@@ -63,75 +63,68 @@ fn cross_validate(workload: &Arc<Workload>, table: &Arc<GrainTable>, threads: us
             expected_tasks,
             "{scheduler} sim executed-count at {threads} nodes"
         );
-        // Live side, once per fabric: live_run panics on any
-        // VerifyError; the contract must hold regardless of whether
-        // packets ride the SPSC rings or the mpsc fallback.
-        for transport in [TransportKind::Ring, TransportKind::Mpsc] {
-            let mut opts = live_opts(table, GrainMode::Compute, 0.0);
-            opts.transport = transport;
-            let live = live_run(scheduler, workload, threads, 0.4, 42, opts);
-            let tag = format!("{scheduler} live/{} at {threads} threads", transport.name());
-            assert_eq!(
-                live.total_executed(),
-                expected_tasks,
-                "{tag} executed-count"
-            );
-            assert_eq!(live.solutions, truth.solutions, "{tag} solutions");
-            assert_eq!(live.checksum, truth.checksum, "{tag} checksum");
-        }
+        // Live side: live_run panics on any VerifyError.
+        let opts = live_opts(table, GrainMode::Compute, 0.0);
+        let live = live_run(scheduler, workload, threads, 0.4, 42, opts);
+        let tag = format!("{scheduler} live at {threads} threads");
+        assert_eq!(
+            live.total_executed(),
+            expected_tasks,
+            "{tag} executed-count"
+        );
+        assert_eq!(live.solutions, truth.solutions, "{tag} solutions");
+        assert_eq!(live.checksum, truth.checksum, "{tag} checksum");
     }
 }
 
-/// Runs one scheduler live under the invariant [`Auditor`] and returns
-/// (solutions, checksum, audit verdict, error list).
-fn audited_live(
-    scheduler: &str,
-    workload: &Arc<Workload>,
-    table: &Arc<GrainTable>,
-    threads: usize,
-    batch: bool,
-) -> (u64, u64, bool, Vec<String>) {
-    let clock: Arc<WallClock> = Arc::new(WallClock::new());
-    let mut opts = live_opts(table, GrainMode::Compute, 0.0);
-    opts.batch = batch;
-    opts.clock = Some(Arc::clone(&clock) as Arc<dyn Clock>);
-    let (auditor, out) = rips_trace::with_sink_clocked(
-        Auditor::new(threads),
-        Arc::clone(&clock) as Arc<dyn Clock>,
-        || live_run(scheduler, workload, threads, 0.4, 42, opts),
-    );
-    let report = auditor.finish();
-    (out.solutions, out.checksum, report.is_ok(), report.errors)
-}
-
-/// The batching layer is pure plumbing: coalescing a dispatch round's
-/// messages into one packet per destination must not change what the
-/// application computes or whether the paper's invariants hold.
-///
-/// For every roster scheduler at 2 and 4 threads, batched and
-/// unbatched delivery must produce identical `static_totals()`
-/// checksums and identical [`Auditor`] verdicts.
+/// The only test that audits the live roster: for every roster
+/// scheduler at 2 and 4 threads, the live trace must satisfy every
+/// invariant the [`Auditor`] checks and the grains must compute what
+/// the sequential reference computes.
 #[test]
-fn batching_is_invisible_to_checksums_and_auditor() {
+fn live_roster_passes_the_auditor_and_matches_ground_truth() {
     let (w, t) = queens9();
     let truth = t.static_totals();
     let reg = registry();
     for threads in [2usize, 4] {
         for scheduler in reg.names() {
-            let (b_sol, b_sum, b_ok, b_err) = audited_live(scheduler, &w, &t, threads, true);
-            let (u_sol, u_sum, u_ok, u_err) = audited_live(scheduler, &w, &t, threads, false);
-            let tag = format!("{scheduler} at {threads} threads");
-            assert_eq!(b_sol, u_sol, "{tag}: batched vs unbatched solutions");
-            assert_eq!(b_sum, u_sum, "{tag}: batched vs unbatched checksum");
-            assert_eq!(b_sol, truth.solutions, "{tag}: solutions vs sequential");
-            assert_eq!(b_sum, truth.checksum, "{tag}: checksum vs sequential");
-            assert_eq!(
-                b_ok, u_ok,
-                "{tag}: audit verdicts diverge (batched: {b_err:?}, unbatched: {u_err:?})"
+            let clock: Arc<WallClock> = Arc::new(WallClock::new());
+            let mut opts = live_opts(&t, GrainMode::Compute, 0.0);
+            opts.clock = Some(Arc::clone(&clock) as Arc<dyn Clock>);
+            let (auditor, out) = rips_trace::with_sink_clocked(
+                Auditor::new(threads),
+                Arc::clone(&clock) as Arc<dyn Clock>,
+                || live_run(scheduler, &w, threads, 0.4, 42, opts),
             );
-            assert!(b_ok, "{tag}: audit must pass, got {b_err:?}");
+            let report = auditor.finish();
+            let tag = format!("{scheduler} at {threads} threads");
+            assert!(report.is_ok(), "{tag}: audit failed: {:?}", report.errors);
+            assert_eq!(out.solutions, truth.solutions, "{tag}: solutions");
+            assert_eq!(out.checksum, truth.checksum, "{tag}: checksum");
         }
     }
+}
+
+/// `live_run_with` must carry its tuning into RIPS-H too (the CLI's
+/// `--policy` used to reach plain RIPS only): under the ALL global
+/// policy the run still conserves tasks and matches the ground truth.
+#[test]
+fn rips_h_runs_live_under_the_all_policy() {
+    let (w, t) = queens9();
+    let truth = t.static_totals();
+    let tuning = RegistryTuning {
+        rips: RipsConfig {
+            global: GlobalPolicy::All,
+            ..RipsConfig::default()
+        },
+        ..RegistryTuning::default()
+    };
+    let opts = live_opts(&t, GrainMode::Compute, 0.0);
+    let out = live_run_with(tuning, "RIPS-H", &w, 4, 0.4, 42, opts);
+    assert_eq!(out.total_executed(), w.stats().tasks as u64);
+    assert_eq!(out.solutions, truth.solutions);
+    assert_eq!(out.checksum, truth.checksum);
+    assert!(out.system_phases >= 1, "RIPS-H opens with a system phase");
 }
 
 #[test]

@@ -21,11 +21,8 @@
 //! * **batching** ([`transport::Outbox`]): every message a dispatch
 //!   handler emits is binned per destination and flushed as one
 //!   [`Packet`] per touched edge when the handler returns;
-//! * **sharded SPSC rings** ([`ring`]): the default [`TransportKind::Ring`]
-//!   fabric gives each directed edge its own lock-free ring with
-//!   park/unpark wakeups; the original mpsc mailbox survives as
-//!   [`TransportKind::Mpsc`], a fallback and differential-testing
-//!   oracle;
+//! * **sharded SPSC rings** ([`ring`]): each directed edge has its own
+//!   lock-free ring with park/unpark wakeups ([`transport`]);
 //! * **a hashed timer wheel** ([`wheel::TimerWheel`]) per node thread,
 //!   checked only at dispatch boundaries — delay-0 EXEC self-kicks
 //!   never touch the clock or a heap;
@@ -48,12 +45,11 @@
 //!
 //! A live run is *not* deterministic: message interleaving follows the
 //! OS scheduler. What is invariant — and what the cross-backend tests
-//! pin on both transports, batched and unbatched — is everything the
-//! paper's Theorem 1 protects: every task executes exactly once
-//! (conservation), the solution count and the order-independent
-//! execution checksum equal the simulator's, and the audited trace
-//! invariants (barrier pairing, phase monotonicity) hold. Timings,
-//! migration patterns, and phase counts may differ run to run.
+//! pin — is everything the paper's Theorem 1 protects: every task
+//! executes exactly once (conservation), the solution count and the
+//! order-independent execution checksum equal the simulator's, and the
+//! audited trace invariants (barrier pairing, phase monotonicity) hold.
+//! Timings, migration patterns, and phase counts may differ run to run.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -79,7 +75,7 @@ use rips_topology::{NodeId, Topology};
 use rips_trace::metrics_rt::{Counter, CycleClock, Gauge, Histo};
 use rips_trace::{Clock, ClockKind, TraceEvent};
 
-pub use transport::{Outbox, Packet, TransportKind};
+pub use transport::{Outbox, Packet};
 pub use watchdog::{StallDetector, StallReport, Watchdog, WatchdogOpts};
 pub use wheel::TimerWheel;
 
@@ -189,15 +185,6 @@ pub struct LiveOpts {
     /// given to [`rips_trace::with_sink_clocked`] when tracing so both
     /// share one origin.
     pub clock: Option<Arc<dyn Clock>>,
-    /// Fabric carrying packets between node threads. Defaults to
-    /// [`TransportKind::Ring`]; [`TransportKind::Mpsc`] is the fallback
-    /// and differential-testing oracle.
-    pub transport: TransportKind,
-    /// Coalesce each dispatch round's messages into one packet per
-    /// destination (default). Disable only to differentially test the
-    /// batching layer — one message per packet, as the old backend
-    /// behaved.
-    pub batch: bool,
 }
 
 impl Default for LiveOpts {
@@ -207,8 +194,6 @@ impl Default for LiveOpts {
             timed_scale: 1.0,
             runner: Arc::new(NullRunner),
             clock: None,
-            transport: TransportKind::Ring,
-            batch: true,
         }
     }
 }
@@ -274,9 +259,7 @@ struct LiveCtx<'a, M> {
     me: NodeId,
     n: usize,
     rng: &'a mut SmallRng,
-    tx: &'a mut NodeTx<M>,
     outbox: &'a mut Outbox<M>,
-    batch: bool,
     wheel: &'a mut TimerWheel,
     halted: &'a mut bool,
     mode: GrainMode,
@@ -313,19 +296,7 @@ impl<M: Clone> ExecCtx<M> for LiveCtx<'_, M> {
     }
     fn send(&mut self, to: NodeId, msg: M, _bytes: usize) {
         self.meter.inc(Counter::MsgsSent);
-        if self.batch {
-            self.outbox.push(to, msg);
-        } else {
-            // Unbatched differential mode: one message per packet.
-            self.meter.inc(Counter::PacketsSent);
-            self.tx.send(
-                to,
-                Packet {
-                    from: self.me,
-                    msgs: vec![msg],
-                },
-            );
-        }
+        self.outbox.push(to, msg);
     }
     fn send_all(&mut self, msg: M, bytes: usize) {
         for to in 0..self.n {
@@ -397,7 +368,6 @@ fn node_loop<P: BalancerPolicy>(
     mode: GrainMode,
     timed_scale: f64,
     seed: u64,
-    batch: bool,
 ) -> NodeReport<P> {
     // Register for wakeups before anything can be sent to us; the
     // guard marks us exited (even on panic) so no peer spins forever.
@@ -429,9 +399,7 @@ fn node_loop<P: BalancerPolicy>(
                 me,
                 n,
                 rng: &mut rng,
-                tx: &mut tx,
                 outbox: &mut outbox,
-                batch,
                 wheel: &mut wheel,
                 halted: &mut halted,
                 mode,
@@ -547,13 +515,12 @@ fn node_loop<P: BalancerPolicy>(
             Step::Halt => break,
             Step::Pkt(p) => {
                 if traced || metered {
-                    if let Some(depth) = rx.occupancy() {
-                        meter.set_gauge(Gauge::RingDepth, depth);
-                        if traced {
-                            tracer.emit(clock.now_us(), me, || TraceEvent::RingDepth {
-                                depth: depth as u32,
-                            });
-                        }
+                    let depth = rx.occupancy();
+                    meter.set_gauge(Gauge::RingDepth, depth);
+                    if traced {
+                        tracer.emit(clock.now_us(), me, || TraceEvent::RingDepth {
+                            depth: depth as u32,
+                        });
                     }
                 }
                 let from = p.from;
@@ -626,7 +593,7 @@ where
         .unwrap_or_else(|| Arc::new(WallClock::new()));
     let oracle = Oracle::new(Arc::clone(&workload), Arc::clone(&topo), costs);
     let mut make = make;
-    let fabric = transport::build::<KernelMsg<P::Msg>>(opts.transport, n);
+    let fabric = transport::build::<KernelMsg<P::Msg>>(n);
     let started = clock.now_us();
     let mut reports: Vec<Option<NodeReport<P>>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
@@ -638,7 +605,7 @@ where
                 let policy = make(me);
                 let clock = Arc::clone(&clock);
                 let runner = Arc::clone(&opts.runner);
-                let (mode, timed_scale, batch) = (opts.mode, opts.timed_scale, opts.batch);
+                let (mode, timed_scale) = (opts.mode, opts.timed_scale);
                 scope.spawn(move || {
                     node_loop(
                         me,
@@ -652,7 +619,6 @@ where
                         mode,
                         timed_scale,
                         seed,
-                        batch,
                     )
                 })
             })
@@ -701,11 +667,9 @@ mod tests {
         })
     }
 
-    fn opts_for(transport: TransportKind, batch: bool) -> LiveOpts {
+    fn id_opts() -> LiveOpts {
         LiveOpts {
             runner: Arc::new(IdRunner),
-            transport,
-            batch,
             ..LiveOpts::default()
         }
     }
@@ -721,25 +685,20 @@ mod tests {
 
     #[test]
     fn random_policy_runs_live_and_conserves_tasks() {
-        // All four fabric configurations must agree with the workload.
-        for transport in [TransportKind::Ring, TransportKind::Mpsc] {
-            for batch in [true, false] {
-                let w = Arc::new(flat_uniform(40, 5, 10, 7));
-                let topo: Arc<dyn Topology> = Arc::new(Mesh2D::near_square(4));
-                let (out, _) = run_live(
-                    Arc::clone(&w),
-                    topo,
-                    Costs::default(),
-                    3,
-                    opts_for(transport, batch),
-                    rips_balancers::random_policy,
-                );
-                out.verify_complete(&w).expect("conservation");
-                assert_eq!(out.total_executed(), 40);
-                assert_eq!(out.solutions, 40);
-                assert_eq!(out.checksum, expected_checksum(40));
-            }
-        }
+        let w = Arc::new(flat_uniform(40, 5, 10, 7));
+        let topo: Arc<dyn Topology> = Arc::new(Mesh2D::near_square(4));
+        let (out, _) = run_live(
+            Arc::clone(&w),
+            topo,
+            Costs::default(),
+            3,
+            id_opts(),
+            rips_balancers::random_policy,
+        );
+        out.verify_complete(&w).expect("conservation");
+        assert_eq!(out.total_executed(), 40);
+        assert_eq!(out.solutions, 40);
+        assert_eq!(out.checksum, expected_checksum(40));
     }
 
     #[test]
@@ -763,24 +722,22 @@ mod tests {
 
     #[test]
     fn multi_round_workload_completes_live() {
-        for transport in [TransportKind::Ring, TransportKind::Mpsc] {
-            let one = flat_uniform(12, 2, 4, 1).rounds[0].clone();
-            let w = Arc::new(Workload {
-                name: "three-round".into(),
-                rounds: vec![one.clone(), one.clone(), one],
-            });
-            let topo: Arc<dyn Topology> = Arc::new(Mesh2D::near_square(4));
-            let (out, _) = run_live(
-                Arc::clone(&w),
-                topo,
-                Costs::default(),
-                5,
-                opts_for(transport, true),
-                rips_balancers::random_policy,
-            );
-            out.verify_complete(&w).expect("conservation over rounds");
-            assert_eq!(out.total_executed(), 36);
-        }
+        let one = flat_uniform(12, 2, 4, 1).rounds[0].clone();
+        let w = Arc::new(Workload {
+            name: "three-round".into(),
+            rounds: vec![one.clone(), one.clone(), one],
+        });
+        let topo: Arc<dyn Topology> = Arc::new(Mesh2D::near_square(4));
+        let (out, _) = run_live(
+            Arc::clone(&w),
+            topo,
+            Costs::default(),
+            5,
+            id_opts(),
+            rips_balancers::random_policy,
+        );
+        out.verify_complete(&w).expect("conservation over rounds");
+        assert_eq!(out.total_executed(), 36);
     }
 
     #[test]
@@ -801,24 +758,5 @@ mod tests {
         let (phases, _logs) = fleet.finish();
         out.verify_complete(&w).expect("conservation");
         assert!(phases >= 1, "RIPS opens with a system phase");
-    }
-
-    #[test]
-    fn rips_runs_live_on_mpsc_fallback() {
-        use rips_core::{Machine, RipsConfig, RipsFleet};
-        let w = Arc::new(flat_uniform(30, 5, 10, 2));
-        let fleet = RipsFleet::new(RipsConfig::default(), Machine::Mesh(Mesh2D::near_square(4)));
-        let topo = fleet.topology();
-        let opts = LiveOpts {
-            transport: TransportKind::Mpsc,
-            ..LiveOpts::default()
-        };
-        let (out, policies) = run_live(Arc::clone(&w), topo, Costs::default(), 1, opts, |me| {
-            fleet.make(me)
-        });
-        drop(policies);
-        let (phases, _logs) = fleet.finish();
-        out.verify_complete(&w).expect("conservation");
-        assert!(phases >= 1);
     }
 }

@@ -1,37 +1,26 @@
-//! The live fabric: batched packets over pluggable transports.
+//! The live fabric: batched packets over sharded SPSC rings.
 //!
 //! Every kernel message a node emits during one dispatch round is
 //! coalesced into a per-destination [`Packet`] and the packet — not the
 //! individual message — is what travels an edge. A system phase that
 //! sends dozens of protocol messages to the same peer therefore costs
-//! O(edges) transport operations instead of O(messages), on *either*
-//! transport.
+//! O(edges) transport operations instead of O(messages).
 //!
-//! Two fabrics implement delivery behind the crate-private
-//! `NodeTx`/`NodeRx` seam:
+//! Delivery is one SPSC ring per directed edge ([`crate::ring`]),
+//! polled round-robin, with park/unpark wakeups. An idle receiver
+//! advertises `parked = true`, issues a `SeqCst` fence, re-polls every
+//! ring, and only then parks; a sender publishes its push, issues the
+//! matching fence, and unparks the receiver iff it observed the parked
+//! flag. The fence pair makes a lost wakeup impossible: whichever fence
+//! comes first in the total order, either the receiver's re-poll sees
+//! the push or the sender's load sees the park.
 //!
-//! * [`TransportKind::Ring`] (default): one SPSC ring per directed
-//!   edge ([`crate::ring`]), polled round-robin, with park/unpark
-//!   wakeups. An idle receiver advertises `parked = true`, issues a
-//!   `SeqCst` fence, re-polls every ring, and only then parks; a
-//!   sender publishes its push, issues the matching fence, and unparks
-//!   the receiver iff it observed the parked flag. The fence pair
-//!   makes a lost wakeup impossible: whichever fence comes first in
-//!   the total order, either the receiver's re-poll sees the push or
-//!   the sender's load sees the park.
-//! * [`TransportKind::Mpsc`]: the original per-node
-//!   `std::sync::mpsc` mailbox with one cloned `Sender` per edge. Kept
-//!   as a fallback and as a differential-testing oracle for the ring
-//!   path (the cross-backend suite runs both).
-//!
-//! Shutdown differs per fabric: mpsc broadcasts a `Halt` marker
-//! message; the ring fabric raises a global halt flag and unparks
-//! everyone (a marker would have to out-race full rings). Both drop
-//! in-flight packets after halt — by then the workload is complete
-//! (halt is only decided once the final round's outstanding count hit
-//! zero), so only protocol chatter is lost.
+//! Shutdown raises a global halt flag and unparks everyone (a marker
+//! message would have to out-race full rings). In-flight packets are
+//! dropped after halt — by then the workload is complete (halt is only
+//! decided once the final round's outstanding count hit zero), so only
+//! protocol chatter is lost.
 
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -50,49 +39,14 @@ use crate::ring::{self, RingRx, RingTx};
 /// the sender spin-yield, so this only bounds memory, not correctness.
 const RING_CAP: usize = 256;
 
-/// Which fabric carries packets between live node threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportKind {
-    /// Sharded SPSC rings with park/unpark wakeups (the fast path).
-    Ring,
-    /// Per-node `std::sync::mpsc` mailboxes (fallback + oracle).
-    Mpsc,
-}
-
-impl TransportKind {
-    /// Stable lowercase name, used in CLI flags and bench JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            TransportKind::Ring => "ring",
-            TransportKind::Mpsc => "mpsc",
-        }
-    }
-
-    /// Parses a CLI value (`ring` / `mpsc`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "ring" => Some(TransportKind::Ring),
-            "mpsc" => Some(TransportKind::Mpsc),
-            _ => None,
-        }
-    }
-}
-
 /// One batch of kernel messages travelling a single directed edge.
 pub struct Packet<M> {
     /// Sending node.
     pub from: NodeId,
     /// Messages in emission order (per-edge FIFO is preserved
-    /// end-to-end: outbox order within a packet, ring/channel order
-    /// across packets).
+    /// end-to-end: outbox order within a packet, ring order across
+    /// packets).
     pub msgs: Vec<M>,
-}
-
-/// What actually travels on the wire.
-pub(crate) enum Delivery<M> {
-    Packet(Packet<M>),
-    /// mpsc-only shutdown marker (the ring fabric uses the halt flag).
-    Halt,
 }
 
 /// Result of one receive attempt.
@@ -102,7 +56,7 @@ pub(crate) enum Recv<M> {
     Empty,
 }
 
-/// Per-node wakeup state for the ring fabric.
+/// Per-node wakeup state.
 struct PeerCtl {
     /// Set by the node before parking; checked by senders after
     /// publishing (see module docs for the fence protocol).
@@ -114,9 +68,9 @@ struct PeerCtl {
     thread: Mutex<Option<Thread>>,
 }
 
-/// Run-global control block for the ring fabric.
+/// Run-global control block.
 pub(crate) struct RunCtl {
-    /// Global shutdown flag (the ring fabric's `Halt` broadcast).
+    /// Global shutdown flag.
     halt: AtomicBool,
     peers: Vec<PeerCtl>,
 }
@@ -152,177 +106,100 @@ impl RunCtl {
     }
 }
 
-/// A node's sending half: one handle per destination edge.
-pub(crate) enum NodeTx<M> {
-    Mpsc {
-        me: NodeId,
-        senders: Vec<Sender<Delivery<M>>>,
-    },
-    Ring {
-        txs: Vec<Option<RingTx<Delivery<M>>>>,
-        ctl: Arc<RunCtl>,
-    },
+/// A node's sending half: the producer end of one ring per destination.
+pub(crate) struct NodeTx<M> {
+    txs: Vec<RingTx<Packet<M>>>,
+    ctl: Arc<RunCtl>,
 }
 
 impl<M> NodeTx<M> {
-    /// Delivers one packet to `to`. Failure modes are deliberate
-    /// no-ops: after halt, in-flight packets are dropped on both
-    /// fabrics (see module docs).
-    pub fn send(&mut self, to: NodeId, packet: Packet<M>) {
-        match self {
-            NodeTx::Mpsc { senders, .. } => {
-                let _ = senders[to].send(Delivery::Packet(packet));
+    /// Delivers one packet to `to`, spin-yielding while its ring is
+    /// full. Once the machine has halted or `to` has exited the packet
+    /// is dropped instead (see module docs).
+    pub fn send(&mut self, to: NodeId, mut packet: Packet<M>) {
+        while let Err(back) = self.txs[to].push(packet) {
+            if self.ctl.halt.load(Ordering::Acquire)
+                || self.ctl.peers[to].exited.load(Ordering::Acquire)
+            {
+                return; // machine is shutting down: drop
             }
-            NodeTx::Ring { txs, ctl } => {
-                let tx = txs[to].as_mut().expect("ring edge exists");
-                let mut item = Delivery::Packet(packet);
-                loop {
-                    match tx.push(item) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            if ctl.halt.load(Ordering::Acquire)
-                                || ctl.peers[to].exited.load(Ordering::Acquire)
-                            {
-                                return; // machine is shutting down: drop
-                            }
-                            item = back;
-                            vthread::yield_now();
-                        }
-                    }
-                }
-                // Dekker-style wakeup: the push's Release store, then a
-                // SeqCst fence, then the parked check — pairs with the
-                // receiver's store-fence-repoll sequence in recv_wait.
-                fence_at("transport.wake.sender", Ordering::SeqCst);
-                if ctl.peers[to].parked.load(Ordering::Relaxed) {
-                    ctl.wake(to);
-                }
-            }
+            packet = back;
+            vthread::yield_now();
+        }
+        // Dekker-style wakeup: the push's Release store, then a
+        // SeqCst fence, then the parked check — pairs with the
+        // receiver's store-fence-repoll sequence in recv_wait.
+        fence_at("transport.wake.sender", Ordering::SeqCst);
+        if self.ctl.peers[to].parked.load(Ordering::Relaxed) {
+            self.ctl.wake(to);
         }
     }
 
     /// Announces global shutdown to every peer.
     pub fn broadcast_halt(&mut self) {
-        match self {
-            NodeTx::Mpsc { me, senders } => {
-                for (to, s) in senders.iter().enumerate() {
-                    if to != *me {
-                        let _ = s.send(Delivery::Halt);
-                    }
-                }
-            }
-            NodeTx::Ring { ctl, .. } => {
-                ctl.halt
-                    .store(true, ord("transport.halt.publish", Ordering::SeqCst));
-                ctl.wake_all();
-            }
-        }
+        self.ctl
+            .halt
+            .store(true, ord("transport.halt.publish", Ordering::SeqCst));
+        self.ctl.wake_all();
     }
 }
 
-/// A node's receiving half.
-pub(crate) enum NodeRx<M> {
-    Mpsc {
-        rx: Receiver<Delivery<M>>,
-    },
-    Ring {
-        me: NodeId,
-        rxs: Vec<Option<RingRx<Delivery<M>>>>,
-        ctl: Arc<RunCtl>,
-        /// Round-robin cursor over source rings, for fairness.
-        cursor: usize,
-    },
+/// A node's receiving half: the consumer end of one ring per source.
+pub(crate) struct NodeRx<M> {
+    me: NodeId,
+    rxs: Vec<RingRx<Packet<M>>>,
+    ctl: Arc<RunCtl>,
+    /// Round-robin cursor over source rings, for fairness.
+    cursor: usize,
 }
 
 impl<M> NodeRx<M> {
     /// Registers the calling thread for wakeups and arms the exit
     /// guard. Must be called on the node's own thread before its loop.
     pub fn register(&self) -> ExitGuard {
-        match self {
-            NodeRx::Mpsc { .. } => ExitGuard { ctl: None, me: 0 },
-            NodeRx::Ring { me, ctl, .. } => {
-                *ctl.peers[*me]
-                    .thread
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner()) = Some(vthread::current());
-                ExitGuard {
-                    ctl: Some(Arc::clone(ctl)),
-                    me: *me,
-                }
-            }
+        *self.ctl.peers[self.me]
+            .thread
+            .lock()
+            .unwrap_or_else(|p| p.into_inner()) = Some(vthread::current());
+        ExitGuard {
+            ctl: Arc::clone(&self.ctl),
+            me: self.me,
         }
+    }
+
+    /// This node's "about to park" advertisement.
+    fn parked(&self) -> &AtomicBool {
+        &self.ctl.peers[self.me].parked
     }
 
     /// Non-blocking poll.
     pub fn try_recv(&mut self) -> Recv<M> {
-        match self {
-            NodeRx::Mpsc { rx } => match rx.try_recv() {
-                Ok(Delivery::Packet(p)) => Recv::Packet(p),
-                Ok(Delivery::Halt) | Err(TryRecvError::Disconnected) => Recv::Halt,
-                Err(TryRecvError::Empty) => Recv::Empty,
-            },
-            NodeRx::Ring {
-                rxs, ctl, cursor, ..
-            } => {
-                if ctl.halt.load(Ordering::Acquire) {
-                    return Recv::Halt;
-                }
-                let n = rxs.len();
-                for i in 0..n {
-                    let idx = (*cursor + i) % n;
-                    if let Some(r) = rxs[idx].as_mut() {
-                        match r.pop() {
-                            Some(Delivery::Packet(p)) => {
-                                *cursor = (idx + 1) % n;
-                                return Recv::Packet(p);
-                            }
-                            Some(Delivery::Halt) => return Recv::Halt,
-                            None => {}
-                        }
-                    }
-                }
-                Recv::Empty
+        if self.ctl.halt.load(Ordering::Acquire) {
+            return Recv::Halt;
+        }
+        let n = self.rxs.len();
+        for i in 0..n {
+            let idx = (self.cursor + i) % n;
+            if let Some(p) = self.rxs[idx].pop() {
+                self.cursor = (idx + 1) % n;
+                return Recv::Packet(p);
             }
         }
+        Recv::Empty
     }
 
     /// Blocks until a message may be available or `deadline` (absolute
     /// µs on `clock`) passes. `Recv::Empty` means "re-poll and re-check
     /// timers" — the caller loops, so spurious wakeups are harmless.
     pub fn recv_wait(&mut self, deadline: Option<Time>, clock: &dyn Clock) -> Recv<M> {
-        // mpsc: the channel itself blocks.
-        if let NodeRx::Mpsc { rx } = self {
-            return match deadline {
-                Some(d) => {
-                    let now = clock.now_us();
-                    if d <= now {
-                        return Recv::Empty;
-                    }
-                    match rx.recv_timeout(Duration::from_micros(d - now)) {
-                        Ok(Delivery::Packet(p)) => Recv::Packet(p),
-                        Ok(Delivery::Halt) | Err(RecvTimeoutError::Disconnected) => Recv::Halt,
-                        Err(RecvTimeoutError::Timeout) => Recv::Empty,
-                    }
-                }
-                None => match rx.recv() {
-                    Ok(Delivery::Packet(p)) => Recv::Packet(p),
-                    Ok(Delivery::Halt) | Err(_) => Recv::Halt,
-                },
-            };
-        }
-        // Ring: advertise the park, fence, re-poll, then really park.
-        let (me, ctl) = match self {
-            NodeRx::Ring { me, ctl, .. } => (*me, Arc::clone(ctl)),
-            NodeRx::Mpsc { .. } => unreachable!("handled above"),
-        };
-        ctl.peers[me]
-            .parked
+        // Advertise the park, fence, re-poll, then really park.
+        self.parked()
             .store(true, ord("transport.park.advertise", Ordering::SeqCst));
         fence_at("transport.park.receiver", Ordering::SeqCst);
         match self.try_recv() {
             Recv::Empty => {}
             found => {
-                ctl.peers[me].parked.store(false, Ordering::Relaxed);
+                self.parked().store(false, Ordering::Relaxed);
                 return found;
             }
         }
@@ -335,18 +212,14 @@ impl<M> NodeRx<M> {
             }
             None => vthread::park(),
         }
-        ctl.peers[me].parked.store(false, Ordering::Relaxed);
+        self.parked().store(false, Ordering::Relaxed);
         Recv::Empty
     }
 
-    /// Total packets currently queued across this node's receive rings
-    /// (`None` on mpsc, whose queue depth is not observable). Feeds the
-    /// `RingDepth` trace counter.
-    pub fn occupancy(&self) -> Option<u64> {
-        match self {
-            NodeRx::Mpsc { .. } => None,
-            NodeRx::Ring { rxs, .. } => Some(rxs.iter().flatten().map(|r| r.len() as u64).sum()),
-        }
+    /// Total packets currently queued across this node's receive rings.
+    /// Feeds the `RingDepth` trace counter.
+    pub fn occupancy(&self) -> u64 {
+        self.rxs.iter().map(|r| r.len() as u64).sum()
     }
 }
 
@@ -354,82 +227,55 @@ impl<M> NodeRx<M> {
 /// no peer spins or parks forever waiting on a dead thread. Held by
 /// the node loop; `Drop` runs on unwind too.
 pub(crate) struct ExitGuard {
-    ctl: Option<Arc<RunCtl>>,
+    ctl: Arc<RunCtl>,
     me: NodeId,
 }
 
 impl Drop for ExitGuard {
     fn drop(&mut self) {
-        if let Some(ctl) = &self.ctl {
-            ctl.peers[self.me].exited.store(true, Ordering::SeqCst);
-            if std::thread::panicking() {
-                ctl.halt.store(true, Ordering::SeqCst);
-            }
-            ctl.wake_all();
+        self.ctl.peers[self.me].exited.store(true, Ordering::SeqCst);
+        if std::thread::panicking() {
+            self.ctl.halt.store(true, Ordering::SeqCst);
         }
+        self.ctl.wake_all();
     }
 }
 
 /// Builds the fabric for an `n`-node run: one `(tx, rx)` pair per
 /// node, to be moved into the node threads.
-pub(crate) fn build<M>(kind: TransportKind, n: usize) -> Vec<(NodeTx<M>, NodeRx<M>)> {
-    match kind {
-        TransportKind::Mpsc => {
-            let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
-            receivers
-                .into_iter()
-                .enumerate()
-                .map(|(me, rx)| {
-                    (
-                        NodeTx::Mpsc {
-                            me,
-                            senders: senders.clone(),
-                        },
-                        NodeRx::Mpsc { rx },
-                    )
-                })
-                .collect()
-        }
-        TransportKind::Ring => {
-            let ctl = Arc::new(RunCtl::new(n));
-            let mut tx_grid: Vec<Vec<Option<RingTx<Delivery<M>>>>> =
-                (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-            let mut rx_grid: Vec<Vec<Option<RingRx<Delivery<M>>>>> =
-                (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-            for src in 0..n {
-                for dst in 0..n {
+pub(crate) fn build<M>(n: usize) -> Vec<(NodeTx<M>, NodeRx<M>)> {
+    let ctl = Arc::new(RunCtl::new(n));
+    // Sources are visited in order, so `rxs[dst][src]` ends up the
+    // consumer end of the ring whose producer end is `txs[src][dst]`.
+    let mut rxs: Vec<Vec<_>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
+    let txs: Vec<Vec<_>> = (0..n)
+        .map(|_src| {
+            rxs.iter_mut()
+                .map(|into_dst| {
                     let (t, r) = ring::spsc(RING_CAP);
-                    tx_grid[src][dst] = Some(t);
-                    rx_grid[dst][src] = Some(r);
-                }
-            }
-            tx_grid
-                .into_iter()
-                .zip(rx_grid)
-                .map(|(txs, rxs)| {
-                    (
-                        NodeTx::Ring {
-                            txs,
-                            ctl: Arc::clone(&ctl),
-                        },
-                        NodeRx::Ring {
-                            me: 0, // patched below
-                            rxs,
-                            ctl: Arc::clone(&ctl),
-                            cursor: 0,
-                        },
-                    )
-                })
-                .enumerate()
-                .map(|(me, (tx, mut rx))| {
-                    if let NodeRx::Ring { me: m, .. } = &mut rx {
-                        *m = me;
-                    }
-                    (tx, rx)
+                    into_dst.push(r);
+                    t
                 })
                 .collect()
-        }
-    }
+        })
+        .collect();
+    txs.into_iter()
+        .zip(rxs)
+        .enumerate()
+        .map(|(me, (txs, rxs))| {
+            let tx = NodeTx {
+                txs,
+                ctl: Arc::clone(&ctl),
+            };
+            let rx = NodeRx {
+                me,
+                rxs,
+                ctl: Arc::clone(&ctl),
+                cursor: 0,
+            };
+            (tx, rx)
+        })
+        .collect()
 }
 
 /// Per-dispatch outgoing message batcher: every message the kernel
@@ -507,7 +353,7 @@ mod verify_model {
     /// the receiver against push-fence-check-wake on the sender.
     fn wakeup_model() -> impl Fn() + Send + Sync + 'static {
         || {
-            let mut fabric = build::<u32>(TransportKind::Ring, 2);
+            let mut fabric = build::<u32>(2);
             let (mut tx0, _rx0) = fabric.remove(0);
             let (_tx1, mut rx1) = fabric.remove(0);
             let h = vthread::spawn_named("receiver", move || {
@@ -535,7 +381,7 @@ mod verify_model {
     /// flag and unparks everyone.
     fn halt_model() -> impl Fn() + Send + Sync + 'static {
         || {
-            let mut fabric = build::<u32>(TransportKind::Ring, 2);
+            let mut fabric = build::<u32>(2);
             let (mut tx0, _rx0) = fabric.remove(0);
             let (_tx1, mut rx1) = fabric.remove(0);
             let h = vthread::spawn_named("receiver", move || {
@@ -614,10 +460,26 @@ mod tests {
         }
     }
 
+    /// A one-message packet from node 0.
+    fn pkt<M>(msg: M) -> Packet<M> {
+        Packet {
+            from: 0,
+            msgs: vec![msg],
+        }
+    }
+
+    /// Node 0's sending half and node 1's receiving half of a fresh
+    /// `n`-node fabric: the two ends of the edge 0 -> 1.
+    fn edge<M>(n: usize) -> (NodeTx<M>, NodeRx<M>) {
+        let mut fabric = build::<M>(n).into_iter();
+        let (tx0, _) = fabric.next().expect("node 0");
+        let (_, rx1) = fabric.next().expect("node 1");
+        (tx0, rx1)
+    }
+
     #[test]
     fn outbox_batches_per_destination_in_order() {
-        let mut fabric = build::<u32>(TransportKind::Ring, 3);
-        let (mut tx0, _rx0) = fabric.remove(0);
+        let (mut tx0, mut rx1) = edge::<u32>(3);
         let mut ob = Outbox::new(3);
         assert!(ob.is_empty());
         ob.push(1, 10);
@@ -627,55 +489,34 @@ mod tests {
         ob.flush(0, &mut tx0, |to, len| batches.push((to, len)));
         assert!(ob.is_empty());
         assert_eq!(batches, vec![(1, 2), (2, 1)]);
-        let (_tx1, mut rx1) = fabric.remove(0); // node 1
         let p = drain_one(&mut rx1).expect("packet for node 1");
         assert_eq!(p.from, 0);
         assert_eq!(p.msgs, vec![10, 11]);
     }
 
     #[test]
-    fn both_transports_deliver_fifo_per_edge() {
-        for kind in [TransportKind::Ring, TransportKind::Mpsc] {
-            let mut fabric = build::<u64>(kind, 2);
-            let (mut tx0, _rx0) = fabric.remove(0);
-            let (_tx1, mut rx1) = fabric.remove(0);
-            for i in 0..10u64 {
-                tx0.send(
-                    1,
-                    Packet {
-                        from: 0,
-                        msgs: vec![i],
-                    },
-                );
-            }
-            for i in 0..10u64 {
-                let p = drain_one(&mut rx1).unwrap_or_else(|| panic!("{} pkt {i}", kind.name()));
-                assert_eq!(p.msgs, vec![i]);
-            }
-            assert!(matches!(rx1.try_recv(), Recv::Empty));
+    fn delivers_fifo_per_edge() {
+        let (mut tx0, mut rx1) = edge::<u64>(2);
+        for i in 0..10u64 {
+            tx0.send(1, pkt(i));
         }
+        for i in 0..10u64 {
+            let p = drain_one(&mut rx1).unwrap_or_else(|| panic!("pkt {i}"));
+            assert_eq!(p.msgs, vec![i]);
+        }
+        assert!(matches!(rx1.try_recv(), Recv::Empty));
     }
 
     #[test]
     fn halt_broadcast_reaches_peers() {
-        for kind in [TransportKind::Ring, TransportKind::Mpsc] {
-            let mut fabric = build::<u8>(kind, 2);
-            let (mut tx0, _rx0) = fabric.remove(0);
-            let (_tx1, mut rx1) = fabric.remove(0);
-            tx0.broadcast_halt();
-            assert!(
-                matches!(rx1.try_recv(), Recv::Halt),
-                "halt lost on {}",
-                kind.name()
-            );
-        }
+        let (mut tx0, mut rx1) = edge::<u8>(2);
+        tx0.broadcast_halt();
+        assert!(matches!(rx1.try_recv(), Recv::Halt));
     }
 
     #[test]
     fn parked_receiver_is_woken_by_send() {
-        let mut fabric = build::<u32>(TransportKind::Ring, 2);
-        let (mut tx0, _rx0) = fabric.remove(0);
-        let (_tx1, mut rx1) = fabric.remove(0);
+        let (mut tx0, mut rx1) = edge::<u32>(2);
         std::thread::scope(|s| {
             let h = s.spawn(move || {
                 let _guard = rx1.register();
@@ -689,20 +530,14 @@ mod tests {
                 }
             });
             std::thread::sleep(Duration::from_millis(20));
-            tx0.send(
-                1,
-                Packet {
-                    from: 0,
-                    msgs: vec![7],
-                },
-            );
+            tx0.send(1, pkt(7));
             assert_eq!(h.join().expect("receiver"), vec![7]);
         });
     }
 
     #[test]
     fn recv_wait_times_out_against_clock() {
-        let mut fabric = build::<u32>(TransportKind::Ring, 1);
+        let mut fabric = build::<u32>(1);
         let (_tx, mut rx) = fabric.remove(0);
         let _guard = rx.register();
         // Deadline in the past returns Empty promptly (no park).
@@ -713,31 +548,39 @@ mod tests {
 
     #[test]
     fn occupancy_counts_queued_packets() {
-        let mut fabric = build::<u16>(TransportKind::Ring, 2);
-        let (mut tx0, rx0) = fabric.remove(0);
-        let (_tx1, rx1) = fabric.remove(0);
-        assert_eq!(rx1.occupancy(), Some(0));
+        let (mut tx0, rx1) = edge::<u16>(2);
+        assert_eq!(rx1.occupancy(), 0);
         for _ in 0..3 {
-            tx0.send(
-                1,
-                Packet {
-                    from: 0,
-                    msgs: vec![1],
-                },
-            );
+            tx0.send(1, pkt(1));
         }
-        assert_eq!(rx1.occupancy(), Some(3));
-        drop(rx0);
-        let mut fabric = build::<u16>(TransportKind::Mpsc, 1);
-        let (_t, r) = fabric.remove(0);
-        assert_eq!(r.occupancy(), None);
+        assert_eq!(rx1.occupancy(), 3);
     }
 
     #[test]
-    fn transport_kind_names_round_trip() {
-        for kind in [TransportKind::Ring, TransportKind::Mpsc] {
-            assert_eq!(TransportKind::parse(kind.name()), Some(kind));
+    fn send_to_an_exited_peer_returns_when_its_ring_is_full() {
+        // Node 1's loop has ended without draining: once its ring is
+        // full, a send must drop the packet instead of spinning on a
+        // consumer that will never pop.
+        let (mut tx0, rx1) = edge::<u32>(2);
+        drop(rx1.register());
+        for i in 0..=RING_CAP as u32 {
+            tx0.send(1, pkt(i));
         }
-        assert_eq!(TransportKind::parse("carrier-pigeon"), None);
+        assert_eq!(rx1.occupancy(), RING_CAP as u64);
+    }
+
+    #[test]
+    fn panic_under_the_exit_guard_halts_every_peer() {
+        let mut fabric = build::<u32>(3).into_iter();
+        let (_tx0, rx0) = fabric.next().expect("node 0");
+        let died = std::thread::spawn(move || {
+            let _guard = rx0.register();
+            panic!("node 0 dies mid-run (expected by this test)");
+        })
+        .join();
+        assert!(died.is_err());
+        for (_tx, mut rx) in fabric {
+            assert!(matches!(rx.try_recv(), Recv::Halt));
+        }
     }
 }

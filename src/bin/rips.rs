@@ -3,7 +3,7 @@
 //! ```text
 //! rips run    --app queens13 --scheduler rips --nodes 32 [--policy any-lazy] [--seed 1]
 //!             [--metrics-out m.txt]
-//! rips live   [<scheduler>] <app> --threads 4 [--mode compute|timed] [--transport ring|mpsc]
+//! rips live   [<scheduler>] <app> --threads 4 [--mode compute|timed] [--policy any-lazy]
 //!             [--audit] [--trace-out f] [--metrics-out m.txt]
 //! rips stats  [<scheduler>] <app> [--backend sim|live] [--nodes 32|--threads 4] [--out m.txt]
 //! rips trace  <scheduler> <app> [--nodes 32] [--seed 1] [--out trace.json] [--check]
@@ -44,8 +44,7 @@
 //! artifact comes from the `bench_serve` bin in rips-serve).
 //!
 //! `live` runs the scheduler on the *live* backend — one OS thread per
-//! node, batched packets over sharded SPSC rings (`--transport mpsc`
-//! falls back to the old channel mailboxes), wall-clock time —
+//! node, batched packets over sharded SPSC rings, wall-clock time —
 //! executing the real application grains, and checks the solution
 //! count and execution checksum against the sequential reference.
 //! `--audit` additionally streams the live trace through the same
@@ -62,11 +61,11 @@ use std::sync::Arc;
 
 use rips_repro::apps::GrainTable;
 use rips_repro::audit::Auditor;
-use rips_repro::bench::live::{live_opts, live_run, live_run_rips};
+use rips_repro::bench::live::{live_opts, live_run_with};
 use rips_repro::bench::{registry_with, RegistryTuning};
 use rips_repro::core::{GlobalPolicy, LocalPolicy, RipsConfig};
 use rips_repro::desim::LatencyModel;
-use rips_repro::live::{GrainMode, TransportKind, WallClock};
+use rips_repro::live::{GrainMode, WallClock};
 use rips_repro::live::{Watchdog, WatchdogOpts};
 use rips_repro::runtime::{Costs, RunSpec, SchedulerRegistry};
 use rips_repro::sched::{min_nonlocal_tasks, mwa};
@@ -135,9 +134,9 @@ fn build_app(name: &str) -> Workload {
     build_app_live(name).0
 }
 
-/// Builds the registry for `--policy` and resolves a case-insensitive
-/// scheduler name against its roster.
-fn resolve_scheduler(scheduler: &str, policy: &str) -> (SchedulerRegistry, String) {
+/// Parses `--policy` into the roster tuning it selects (the RIPS
+/// local/global policy pair; every other knob stays paper-default).
+fn policy_tuning(policy: &str) -> RegistryTuning {
     let (local, global) = match policy {
         "any-lazy" => (LocalPolicy::Lazy, GlobalPolicy::Any),
         "any-eager" => (LocalPolicy::Eager, GlobalPolicy::Any),
@@ -148,14 +147,20 @@ fn resolve_scheduler(scheduler: &str, policy: &str) -> (SchedulerRegistry, Strin
             std::process::exit(2);
         }
     };
-    let reg = registry_with(RegistryTuning {
+    RegistryTuning {
         rips: RipsConfig {
             local,
             global,
             ..RipsConfig::default()
         },
         ..RegistryTuning::default()
-    });
+    }
+}
+
+/// Builds the registry for `--policy` and resolves a case-insensitive
+/// scheduler name against its roster.
+fn resolve_scheduler(scheduler: &str, policy: &str) -> (SchedulerRegistry, String) {
+    let reg = registry_with(policy_tuning(policy));
     let Some(name) = reg
         .names()
         .iter()
@@ -284,8 +289,7 @@ fn cmd_live() {
         _ => {
             eprintln!(
                 "usage: rips live [<scheduler>] <app> [--threads N] [--mode compute|timed] \
-                 [--transport ring|mpsc] [--timed-scale F] [--seed S] [--policy P] [--audit] \
-                 [--trace-out f.json]"
+                 [--timed-scale F] [--seed S] [--policy P] [--audit] [--trace-out f.json]"
             );
             std::process::exit(2);
         }
@@ -304,13 +308,6 @@ fn cmd_live() {
     let timed_scale: f64 = arg("--timed-scale")
         .and_then(|v| v.parse().ok())
         .unwrap_or(1.0);
-    let transport = match arg("--transport") {
-        None => TransportKind::Ring,
-        Some(v) => TransportKind::parse(&v).unwrap_or_else(|| {
-            eprintln!("unknown --transport '{v}' (ring|mpsc)");
-            std::process::exit(2);
-        }),
-    };
     let audit = arg_flag("--audit");
     let trace_out = arg("--trace-out");
     let metrics_out = arg("--metrics-out");
@@ -320,35 +317,18 @@ fn cmd_live() {
     let workload = Arc::new(workload);
     let table = Arc::new(table);
     let (_, name) = resolve_scheduler(&scheduler, &policy);
+    let tuning = policy_tuning(&policy);
     let truth = table.static_totals();
 
     let clock: Arc<WallClock> = Arc::new(WallClock::new());
     let run = |clock: &Arc<WallClock>| {
         let mut opts = live_opts(&table, mode, timed_scale);
-        opts.transport = transport;
         opts.clock = Some(Arc::clone(clock) as Arc<dyn Clock>);
-        if name == "RIPS" {
-            let (local, global) = match policy.as_str() {
-                "any-lazy" => (LocalPolicy::Lazy, GlobalPolicy::Any),
-                "any-eager" => (LocalPolicy::Eager, GlobalPolicy::Any),
-                "all-lazy" => (LocalPolicy::Lazy, GlobalPolicy::All),
-                _ => (LocalPolicy::Eager, GlobalPolicy::All),
-            };
-            let cfg = RipsConfig {
-                local,
-                global,
-                ..RipsConfig::default()
-            };
-            live_run_rips(&workload, threads, cfg, seed, opts)
-        } else {
-            live_run(&name, &workload, threads, 0.4, seed, opts)
-        }
+        live_run_with(tuning, &name, &workload, threads, 0.4, seed, opts)
     };
 
     eprintln!(
-        "live run: {name} on {threads} threads (mode {:?}, transport {}, seed {seed}) ...",
-        mode,
-        transport.name()
+        "live run: {name} on {threads} threads (mode {mode:?}, policy {policy}, seed {seed}) ..."
     );
 
     // Always-on telemetry (DESIGN §10): every live run carries the
@@ -527,29 +507,15 @@ fn cmd_stats() {
             let threads: usize = arg("--threads").and_then(|v| v.parse().ok()).unwrap_or(4);
             let table = Arc::new(table);
             let (_, name) = resolve_scheduler(&scheduler, &policy);
-            eprintln!("live run: {name} on {threads} threads (seed {seed}) ...");
+            let tuning = policy_tuning(&policy);
+            eprintln!("live run: {name} on {threads} threads (policy {policy}, seed {seed}) ...");
             let clock: Arc<WallClock> = Arc::new(WallClock::new());
             let metrics = MetricsRegistry::new(threads);
             let out =
                 with_metrics_clocked(&metrics, Arc::clone(&clock) as Arc<dyn CycleClock>, || {
                     let mut opts = live_opts(&table, GrainMode::Compute, 1.0);
                     opts.clock = Some(Arc::clone(&clock) as Arc<dyn Clock>);
-                    if name == "RIPS" {
-                        let (local, global) = match policy.as_str() {
-                            "any-lazy" => (LocalPolicy::Lazy, GlobalPolicy::Any),
-                            "any-eager" => (LocalPolicy::Eager, GlobalPolicy::Any),
-                            "all-lazy" => (LocalPolicy::Lazy, GlobalPolicy::All),
-                            _ => (LocalPolicy::Eager, GlobalPolicy::All),
-                        };
-                        let cfg = RipsConfig {
-                            local,
-                            global,
-                            ..RipsConfig::default()
-                        };
-                        live_run_rips(&workload, threads, cfg, seed, opts)
-                    } else {
-                        live_run(&name, &workload, threads, 0.4, seed, opts)
-                    }
+                    live_run_with(tuning, &name, &workload, threads, 0.4, seed, opts)
                 });
             let truth = table.static_totals();
             if out.solutions != truth.solutions || out.checksum != truth.checksum {
@@ -1083,7 +1049,7 @@ fn main() {
             );
             eprintln!(
                 "  live   [<scheduler>] <app> [--threads N] [--mode compute|timed] \
-                 [--transport ring|mpsc] [--audit] [--trace-out f] [--metrics-out m.txt]"
+                 [--policy P] [--audit] [--trace-out f] [--metrics-out m.txt]"
             );
             eprintln!(
                 "  stats  [<scheduler>] <app> [--backend sim|live] [--nodes N] [--threads N] \
