@@ -9,7 +9,8 @@
 //!   "nodes": 32,
 //!   "cells": [
 //!     {"scheduler": "RID", "events": ..., "wall_ms": ...,
-//!      "events_per_sec": ..., "peak_queue_depth": ...},
+//!      "events_per_sec": ..., "peak_queue_depth": ...,
+//!      "peak_heap_len": ...},
 //!     ...
 //!   ],
 //!   "total_events_per_sec": ...
@@ -55,10 +56,11 @@ fn main() {
         total_events += events;
         total_wall_s += wall;
         eprintln!(
-            "  {sched}: {events} events in {:.0} ms -> {:.0} events/sec (peak queue {})",
+            "  {sched}: {events} events in {:.0} ms -> {:.0} events/sec (peak queue {}, heap {})",
             wall * 1e3,
             eps,
-            row.outcome.stats.peak_queue_depth
+            row.outcome.stats.peak_queue_depth,
+            row.outcome.stats.peak_heap_len
         );
         if i > 0 {
             cells.push_str(",\n");
@@ -67,10 +69,11 @@ fn main() {
             cells,
             "    {{\"scheduler\": \"{sched}\", \"events\": {events}, \
              \"wall_ms\": {:.1}, \"events_per_sec\": {:.0}, \
-             \"peak_queue_depth\": {}}}",
+             \"peak_queue_depth\": {}, \"peak_heap_len\": {}}}",
             wall * 1e3,
             eps,
-            row.outcome.stats.peak_queue_depth
+            row.outcome.stats.peak_queue_depth,
+            row.outcome.stats.peak_heap_len
         )
         .unwrap();
     }

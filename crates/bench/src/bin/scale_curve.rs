@@ -105,6 +105,7 @@ fn run_one(nodes: usize, scheduler: &str, tasks_per_node: usize, seed: u64) {
          \"events_per_sec\": {:.0}, \"end_time_us\": {}, \
          \"system_phases\": {}, \"phases_checked\": {}, \
          \"max_spread\": {}, \"tiles\": {}, \
+         \"peak_queue_depth\": {}, \"peak_heap_len\": {}, \
          \"modelled_bytes\": {}, \"routing_table_bytes\": {}, \
          \"peak_rss_bytes\": {}}}",
         row.tasks,
@@ -116,6 +117,8 @@ fn run_one(nodes: usize, scheduler: &str, tasks_per_node: usize, seed: u64) {
         report.phases_checked,
         report.max_spread,
         report.tiles,
+        stats.peak_queue_depth,
+        stats.peak_heap_len,
         mem.total_bytes(),
         mem.routing_table_bytes,
         peak_rss_bytes(),

@@ -76,6 +76,19 @@ fn sim_counters_agree_with_run_outcome() {
         snap.counter(Counter::TimerFires) > 0,
         "RIPS arms clock ticks"
     );
+    // What the engine silently discards or folds is counted too: RIPS
+    // broadcasts at least twice per system phase (init, plan ready),
+    // and busy nodes re-arm wake markers, leaving stale ones behind.
+    assert!(
+        snap.counter(Counter::BroadcastRuns) >= 2 * u64::from(row.outcome.system_phases),
+        "every broadcast opens a run"
+    );
+    assert!(snap.counter(Counter::StaleWakes) > 0, "stale wake markers");
+    assert_eq!(
+        snap.counter(Counter::TimersCancelled),
+        0,
+        "no roster scheduler cancels a timer"
+    );
     // Virtual time: the ns histograms must stay empty in the simulator.
     assert_eq!(snap.histo(Histo::DispatchRoundNs).count, 0);
     assert_eq!(snap.histo(Histo::TraceEmitNs).count, 0);
@@ -105,11 +118,53 @@ fn sim_snapshot_renders_valid_openmetrics_with_all_names() {
         "rips_tasks_executed_total",
         "rips_msgs_sent_total",
         "rips_sim_events_total",
+        "rips_stale_wakes_total",
+        "rips_timers_cancelled_total",
+        "rips_broadcast_runs_total",
         "rips_dispatch_round_ns_bucket",
         "rips_queue_depth",
     ] {
         assert!(text.contains(required), "missing {required} in:\n{text}");
     }
+}
+
+/// Deterministic performance guard for broadcast runs. Eureka RIPS on
+/// a 70 x 70 mesh keeps two machine-wide broadcasts in flight at once,
+/// so the *logical* queue exceeds the node count, while the real heap
+/// holds one entry per pending timer or message plus one per run. Both
+/// are counts that repeat exactly, so they can gate CI where a timing
+/// cannot: a broadcast that went back to one heap entry per recipient
+/// would make `peak_heap_len` equal `peak_queue_depth`, past `n`.
+#[test]
+fn broadcasts_do_not_grow_the_event_heap() {
+    let n = 70 * 70;
+    let w = Arc::new(rips_taskgraph::skewed_flat(4 * n, 2_000, 64, 20, 1));
+    let reg = rips_bench::registry_with(rips_bench::RegistryTuning {
+        rips: rips_core::RipsConfig {
+            eureka: true,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let metrics = MetricsRegistry::new(n);
+    let row = with_metrics(&metrics, || run_cell(&reg, "RIPS", &w, n, 0.4, 1));
+    let stats = &row.outcome.stats;
+    assert!(
+        stats.peak_queue_depth > n as u64,
+        "outstanding events {} should exceed the {n} nodes",
+        stats.peak_queue_depth
+    );
+    assert!(
+        stats.peak_heap_len <= n as u64 + 64,
+        "heap grew to {} entries on {n} nodes",
+        stats.peak_heap_len
+    );
+    let runs = metrics.snapshot().counter(Counter::BroadcastRuns);
+    assert!(
+        runs >= u64::from(row.outcome.system_phases),
+        "{runs} runs, {} phases",
+        row.outcome.system_phases
+    );
 }
 
 #[test]

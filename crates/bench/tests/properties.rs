@@ -11,9 +11,10 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rips_audit::Auditor;
 use rips_bench::registry;
-use rips_desim::LatencyModel;
+use rips_desim::{Ctx, Engine, LatencyModel, Program, RunStats, Time, WorkKind};
 use rips_runtime::{Costs, RunSpec};
 use rips_taskgraph::{TaskForest, Workload};
+use rips_topology::{Mesh2D, NodeId};
 
 fn arb_workload() -> impl Strategy<Value = Workload> {
     let forest = (
@@ -47,8 +48,94 @@ fn spec(w: &Arc<Workload>, nodes: usize, seed: u64) -> RunSpec {
     }
 }
 
+/// `(handler time, sender, payload)` per delivery or timer, in order.
+type Heard = Vec<(Time, NodeId, u64)>;
+
+/// A node that broadcasts at start if its bit of `shouters` is set —
+/// through the engine's folded `send_all`/`signal_all`, or through the
+/// `n - 1` point-to-point calls they stand for — then sends and arms a
+/// timer, and logs what it hears.
+struct Shouter {
+    folded: bool,
+    signal: bool,
+    shouters: u32,
+    heard: Heard,
+}
+
+impl Program for Shouter {
+    type Msg = u64;
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+        let (me, n) = (ctx.me(), ctx.num_nodes());
+        ctx.compute(me as Time % 3 * 50, WorkKind::User);
+        if self.shouters >> me & 1 == 0 {
+            return;
+        }
+        let msg = me as u64;
+        let others = (0..n).filter(|&to| to != me);
+        match (self.folded, self.signal) {
+            (true, true) => ctx.signal_all(msg),
+            (true, false) => ctx.send_all(msg, 24),
+            (false, true) => others.for_each(|to| ctx.signal(to, msg)),
+            (false, false) => others.for_each(|to| ctx.send(to, msg, 24)),
+        }
+        ctx.send((me + 1) % n, 100 + msg, 8);
+        ctx.set_timer(5, msg);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, from: NodeId, msg: u64) {
+        self.heard.push((ctx.now(), from, msg));
+        ctx.compute(3, WorkKind::User);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, tag: u64) {
+        self.heard.push((ctx.now(), ctx.me(), tag));
+    }
+}
+
+fn shout(
+    folded: bool,
+    (n, lat, signal, contention, shouters): (usize, LatencyModel, bool, bool, u32),
+) -> (Vec<Heard>, RunStats) {
+    let topo = Arc::new(Mesh2D::near_square(n));
+    let mut engine = Engine::new(topo, lat, 3, |_| Shouter {
+        folded,
+        signal,
+        shouters,
+        heard: Vec::new(),
+    });
+    engine.enable_contention(contention);
+    let (nodes, stats) = engine.run();
+    (nodes.into_iter().map(|p| p.heard).collect(), stats)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The engine keeps a broadcast as one sorted run with a single
+    /// heap entry; that must be unobservable. Against a program that
+    /// issues the point-to-point sends itself, every delivery (order
+    /// and time) and every statistic agrees — only the real heap
+    /// length and the bytes modelled for it may be smaller.
+    #[test]
+    fn broadcast_runs_are_unobservable(
+        n in 1usize..=12,
+        (alpha_us, per_byte_ns, per_hop_us) in (0u64..30, 0u64..3_000, 0u64..8),
+        (send_cpu_us, recv_cpu_us) in (0u64..10, 0u64..6),
+        (signal, contention) in (0u8..2, 0u8..2),
+        shouters in 1u32..4096,
+    ) {
+        let lat = LatencyModel { alpha_us, per_byte_ns, per_hop_us, send_cpu_us, recv_cpu_us };
+        let case = (n, lat, signal == 1, contention == 1, shouters);
+        let (heard_run, run) = shout(true, case);
+        let (heard_p2p, mut p2p) = shout(false, case);
+        prop_assert_eq!(heard_run, heard_p2p);
+        prop_assert!(run.peak_heap_len <= p2p.peak_heap_len);
+        prop_assert!(run.mem.peak_event_bytes <= p2p.mem.peak_event_bytes);
+        p2p.peak_heap_len = run.peak_heap_len;
+        p2p.mem.peak_event_bytes = run.mem.peak_event_bytes;
+        prop_assert_eq!(run, p2p);
+    }
 
     /// Exactly-once execution, with `verify_complete` distinguishing
     /// the two failure modes (lost tasks vs double execution).

@@ -474,16 +474,6 @@ impl RipsPolicy {
     /// Reports the load for phase `p`; the last reporter computes the
     /// plan (or detects round termination).
     fn enter_system(&mut self, k: &mut Kernel, ctx: &mut impl ExecCtx<KernelMsg<RipsCtl>>, p: u32) {
-        if std::env::var_os("RIPS_DEBUG").is_some() {
-            eprintln!(
-                "[t={}] node {} enter phase {} mode {:?} load {}",
-                ctx.now(),
-                k.me,
-                p,
-                self.mode,
-                self.load(k)
-            );
-        }
         debug_assert_eq!(self.phase_index, p);
         let now = ctx.now();
         // A `was_user` entry is the node freezing execution now; a
@@ -491,15 +481,6 @@ impl RipsPolicy {
         let was_user = self.mode == Mode::User;
         if k.received_in != k.expected_in {
             // Owed migrations: defer until they arrive.
-            if std::env::var_os("RIPS_DEBUG").is_some() {
-                eprintln!(
-                    "[t={}] node {} DEFER phase {p}: received {}/{}",
-                    ctx.now(),
-                    k.me,
-                    k.received_in,
-                    k.expected_in
-                );
-            }
             self.set_mode(k, now, Mode::WaitingEntry(p));
             if was_user && k.oracle.tracer.enabled() {
                 let me = k.me;
@@ -548,13 +529,6 @@ impl RipsPolicy {
             .map(|r| r.expect("all reported"))
             .collect();
         let total: i64 = loads.iter().sum();
-        if std::env::var_os("RIPS_DEBUG").is_some() {
-            eprintln!(
-                "[t={}] node {} COMPUTES phase {p} total={total}",
-                ctx.now(),
-                k.me
-            );
-        }
         shared.phases += 1;
         if p >= 2 {
             shared.entries.remove(&(p - 2));
@@ -619,14 +593,6 @@ impl RipsPolicy {
     /// Executes this node's part of phase `p`'s plan and returns to the
     /// user phase.
     fn apply_plan(&mut self, k: &mut Kernel, ctx: &mut impl ExecCtx<KernelMsg<RipsCtl>>, p: u32) {
-        if std::env::var_os("RIPS_DEBUG").is_some() {
-            eprintln!(
-                "[t={}] node {} APPLY plan {p} mode {:?}",
-                ctx.now(),
-                k.me,
-                self.mode
-            );
-        }
         debug_assert_eq!(self.mode, Mode::Entered);
         debug_assert_eq!(self.phase_index, p);
         // Per-node share of the collective algorithm's CPU.
@@ -652,14 +618,6 @@ impl RipsPolicy {
         // The Arc keeps the plan alive for the loop; no per-node clone
         // of the outgoing vector is needed.
         for &(dst, amount) in &plan.outgoing[k.me] {
-            if std::env::var_os("RIPS_DEBUG").is_some() {
-                eprintln!(
-                    "[t={}] node {} SEND {amount} -> {dst} (phase {p}, have {})",
-                    ctx.now(),
-                    k.me,
-                    k.exec.queue.len()
-                );
-            }
             // Under TaskCount `amount` is the exact batch size; under
             // EstimatedWeight it is µs of work, so size the batch by
             // the queue instead.
@@ -814,16 +772,6 @@ impl BalancerPolicy for RipsPolicy {
         _from: NodeId,
         _load: i64,
     ) {
-        if std::env::var_os("RIPS_DEBUG").is_some() {
-            eprintln!(
-                "[t={}] node {} RECV tasks mode {:?} recv {}/{}",
-                ctx.now(),
-                k.me,
-                self.mode,
-                k.received_in,
-                k.expected_in
-            );
-        }
         // The kernel has enqueued the batch and re-armed the exec loop
         // (a no-op outside the user phase, because `exec_enabled`
         // mirrors the mode). What's left is RIPS's deferral bookkeeping:

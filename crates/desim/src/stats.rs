@@ -74,8 +74,11 @@ pub struct MemStats {
     /// Fixed per-node engine state (lanes, wake markers, ready times,
     /// RNGs, counters) — O(1) per node, summed over nodes.
     pub node_state_bytes: u64,
-    /// Peak outstanding events (heap + deferral lanes) times the
-    /// per-event footprint.
+    /// High-water mark of the bytes outstanding events occupy: global
+    /// heap entries at the event size, deferral-lane entries at the
+    /// (smaller) lane-event size, and the undelivered entries of
+    /// in-flight broadcast runs at 16 bytes each — a run's head is
+    /// counted as the heap entry it is.
     pub peak_event_bytes: u64,
 }
 
@@ -113,9 +116,15 @@ pub struct RunStats {
     pub net: NetStats,
     /// Number of events processed (protocol-complexity diagnostic).
     pub events: u64,
-    /// High-water mark of outstanding events (heap + deferral lanes) —
-    /// the simulator's working-set diagnostic.
+    /// High-water mark of outstanding events (heap + deferral lanes +
+    /// undelivered broadcast-run entries) — the simulator's logical
+    /// working-set diagnostic.
     pub peak_queue_depth: u64,
+    /// High-water mark of entries really in the global heap. A
+    /// broadcast in flight is one entry here however many recipients
+    /// it still owes, so this — not `peak_queue_depth` — is what a pop
+    /// has to sift through.
+    pub peak_heap_len: u64,
     /// Modelled memory footprint of the engine's scale-sensitive
     /// structures (deterministic; see [`MemStats`]).
     pub mem: MemStats,
@@ -202,6 +211,7 @@ mod tests {
             net: NetStats::default(),
             events: 0,
             peak_queue_depth: 0,
+            peak_heap_len: 0,
             mem: MemStats::default(),
             timelines: None,
         };
@@ -222,6 +232,7 @@ mod tests {
             net: NetStats::default(),
             events: 0,
             peak_queue_depth: 0,
+            peak_heap_len: 0,
             mem: MemStats::default(),
             timelines: None,
         };

@@ -81,6 +81,7 @@ mod tests {
             net: NetStats::default(),
             events: 0,
             peak_queue_depth: 0,
+            peak_heap_len: 0,
             mem: Default::default(),
             timelines: Some(spans),
         }
@@ -181,6 +182,7 @@ mod tests {
             net: NetStats::default(),
             events: 0,
             peak_queue_depth: 0,
+            peak_heap_len: 0,
             mem: Default::default(),
             timelines: None,
         };

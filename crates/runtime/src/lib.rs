@@ -452,6 +452,7 @@ impl RunOutcome {
                 net: Default::default(),
                 events: 0,
                 peak_queue_depth: 0,
+                peak_heap_len: 0,
                 mem: Default::default(),
                 timelines: None,
             },

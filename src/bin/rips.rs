@@ -253,6 +253,7 @@ fn cmd_run() {
     println!("  efficiency      : {:.1}%", outcome.efficiency() * 100.0);
     println!("  sim events      : {}", outcome.stats.events);
     println!("  peak evt queue  : {}", outcome.stats.peak_queue_depth);
+    println!("  peak heap len   : {}", outcome.stats.peak_heap_len);
     if phases > 0 {
         println!("  system phases   : {phases}");
     }
