@@ -29,6 +29,8 @@
 
 use std::path::{Path, PathBuf};
 
+use rips_trace::Json;
+
 use crate::lexer::{tokenize, Tok, TokKind};
 
 /// One lint finding.
@@ -80,44 +82,20 @@ impl LintReport {
         out
     }
 
-    /// JSON rendering (hand-rolled — the workspace carries no serde).
+    /// JSON rendering.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"findings\":[");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
-                f.rule,
-                json_escape(&f.path),
-                f.line,
-                json_escape(&f.message)
-            ));
+        let mut j = Json::new();
+        j.obj().key("findings").arr();
+        for f in &self.findings {
+            j.obj().key("rule").str(f.rule).key("path").str(&f.path);
+            j.key("line").u64(f.line.into());
+            j.key("message").str(&f.message).end();
         }
-        out.push_str(&format!(
-            "],\"count\":{},\"files_checked\":{},\"suppressed\":{}}}",
-            self.findings.len(),
-            self.files_checked,
-            self.suppressed
-        ));
-        out
+        j.end().key("count").u64(self.findings.len() as u64);
+        j.key("files_checked").u64(self.files_checked as u64);
+        j.key("suppressed").u64(self.suppressed as u64).end();
+        j.finish()
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Crates whose results must be bit-for-bit reproducible: RIPS-L001
@@ -692,7 +670,7 @@ mod tests {
     fn l002_scopes_out_bench_and_shims() {
         let src = "let t = std::time::Instant::now();\n";
         assert_eq!(lint_one("crates/apps/src/x.rs", src)[0].rule, "RIPS-L002");
-        assert!(lint_one("crates/bench/src/bin/perf.rs", src).is_empty());
+        assert!(lint_one("crates/bench/src/suites.rs", src).is_empty());
         assert!(lint_one("shims/criterion/src/lib.rs", src).is_empty());
     }
 

@@ -19,7 +19,7 @@
 //!
 //! A fourth baseline, [`sid`] (sender-initiated diffusion), is the
 //! related-work counterpart the paper cites via Eager et al. — not in
-//! Table I, but measured by the `sid_vs_rid` bench.
+//! Table I, but measured by `rips repro sid-vs-rid`.
 //!
 //! Each balancer is a ~100-line policy: a message enum, the transfer
 //! decisions, and nothing else. Task execution, migration accounting,

@@ -7,7 +7,7 @@
 //! The classic result — senders win under light load (work spreads
 //! without anyone having to beg), receivers win under heavy load
 //! (pushes then chase moving targets) — is measured by the
-//! `sid_vs_rid` bench.
+//! `rips repro sid-vs-rid` artifact.
 
 use std::sync::Arc;
 

@@ -1,38 +1,36 @@
-//! Shared experiment drivers behind the table/figure regenerators.
+//! Shared experiment drivers and the tables behind `rips repro` and
+//! `rips bench`.
 //!
-//! Every binary in `src/bin/` prints the rows or series of one paper
-//! artifact (see DESIGN.md §4 for the index):
-//!
-//! | binary              | paper artifact |
-//! |---------------------|----------------|
-//! | `fig4`              | Figure 4 (a)+(b): MWA normalized communication cost |
-//! | `table1`            | Table I: scheduler comparison on 32 processors |
-//! | `table2`            | Table II: optimal efficiencies |
-//! | `fig5`              | Figure 5 (a)–(c): normalized quality factors |
-//! | `table3`            | Table III: speedups on 64 and 128 processors |
-//! | `ablation_policies` | eager/lazy × ALL/ANY (± eureka) policy matrix (paper §2, ref \[24\]) |
-//! | `ablation_interval` | periodic transfer-test interval sweep (paper §2) |
-//! | `ablation_weighted` | task-count vs estimated-weight load metric |
-//! | `ablation_contention` | contention-free vs store-and-forward network |
-//! | `sid_vs_rid`        | sender- vs receiver-initiated diffusion (ref \[11\]) |
-//! | `scaling`           | speedup/efficiency across machine sizes (§6) |
-//! | `timeline`          | per-node utilization Gantt charts |
-//! | `phase_anatomy`     | §5's 15-Queens system-phase breakdown |
+//! [`repro::ARTIFACTS`] has one row per paper artifact (`rips repro
+//! --list` prints it; DESIGN.md §4 maps rows to the paper), and
+//! [`suites::SUITES`] one per measurement suite that writes a
+//! `BENCH_*.json`. Both are plain functions over the drivers here:
+//! the [`App`] catalog, the scheduler [`registry`], [`run_cell`] /
+//! [`run_table`], and [`par_map`].
 
+pub mod args;
 pub mod live;
+pub mod repro;
+pub mod suites;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use rips_apps::{gromos, nqueens, puzzle, GromosConfig, NQueensConfig, PuzzleConfig};
+use rips_apps::{
+    gromos, gromos_with_grains, nqueens, nqueens_with_grains, puzzle, puzzle_with_grains,
+    GrainTable, GromosConfig, NQueensConfig, PuzzleConfig,
+};
+use rips_audit::Auditor;
 use rips_balancers::{gradient, random, rid, sid, GradientParams, RidParams, SidParams};
 use rips_core::{rips, Machine, RipsConfig};
 use rips_desim::LatencyModel;
 use rips_runtime::{Costs, PhaseLog, RunOutcome, RunSpec, ScheduledRun, SchedulerRegistry};
+use rips_sched::TileGrid;
 use rips_taskgraph::Workload;
 use rips_topology::{Mesh2D, Topology};
 
-/// The nine Table I workloads.
+/// The workload catalog: the nine Table I instances plus the
+/// sub-paper sizes the smoke tests use.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum App {
     /// Exhaustive N-Queens search.
@@ -44,6 +42,28 @@ pub enum App {
 }
 
 impl App {
+    /// Every name `rips apps` lists and [`App::from_name`] accepts.
+    pub fn names() -> Vec<String> {
+        let queens = (9..=15).map(|n| format!("queens{n}"));
+        let ida = (1..=3).map(|c| format!("ida{c}"));
+        let gromos = [8, 12, 16].map(|r| format!("gromos{r}"));
+        queens.chain(ida).chain(gromos).collect()
+    }
+
+    /// Looks a catalog name (`queens13`, `ida2`, `gromos16`) up.
+    pub fn from_name(name: &str) -> Option<App> {
+        if !App::names().iter().any(|n| n == name) {
+            return None;
+        }
+        let digits = name.trim_start_matches(|c: char| c.is_ascii_alphabetic());
+        let n: u32 = digits.parse().ok()?;
+        Some(match &name[..name.len() - digits.len()] {
+            "queens" => App::Queens(n),
+            "ida" => App::Ida(n),
+            _ => App::Gromos(n.into()),
+        })
+    }
+
     /// Table I's rows, in paper order.
     pub fn paper_set() -> Vec<App> {
         vec![
@@ -73,12 +93,32 @@ impl App {
         }
     }
 
+    /// The N-Queens configuration for `n`: the paper's, except that
+    /// the sub-paper boards (n ≤ 10: smoke tests, CI traces) split one
+    /// level shallower so the task count stays proportionate.
+    fn queens_config(n: u32) -> NQueensConfig {
+        NQueensConfig {
+            split_depth: if n <= 10 { 3 } else { 4 },
+            ..NQueensConfig::paper(n)
+        }
+    }
+
     /// Builds the workload (expensive: runs the real application).
     pub fn build(&self) -> Workload {
         match *self {
-            App::Queens(n) => nqueens(NQueensConfig::paper(n)),
+            App::Queens(n) => nqueens(App::queens_config(n)),
             App::Ida(c) => puzzle(PuzzleConfig::paper(c)),
             App::Gromos(r) => gromos(GromosConfig::paper(r)),
+        }
+    }
+
+    /// Builds the workload together with the grain table that executes
+    /// it for real (the live counterpart of [`App::build`]).
+    pub fn build_live(&self) -> (Workload, GrainTable) {
+        match *self {
+            App::Queens(n) => nqueens_with_grains(App::queens_config(n)),
+            App::Ida(c) => puzzle_with_grains(PuzzleConfig::paper(c)),
+            App::Gromos(r) => gromos_with_grains(GromosConfig::paper(r)),
         }
     }
 
@@ -130,6 +170,17 @@ pub struct RegistryTuning {
 /// table.
 pub fn registry() -> SchedulerRegistry {
     registry_with(RegistryTuning::default())
+}
+
+/// Resolves a scheduler name, case-insensitively, to the roster's
+/// spelling (`rips-h` → `RIPS-H`).
+pub fn roster_name(name: &str) -> Option<String> {
+    let reg = registry();
+    let found = reg
+        .names()
+        .into_iter()
+        .find(|n| n.eq_ignore_ascii_case(name));
+    found.map(str::to_string)
 }
 
 /// The canonical roster with explicit tuning (ablation support).
@@ -227,8 +278,22 @@ pub fn registry_with(t: RegistryTuning) -> SchedulerRegistry {
     reg
 }
 
-/// Runs one registry cell under the paper's machine model (Paragon
-/// latency, default costs) and verifies work conservation.
+/// The paper's machine model for one run: Paragon latency, default
+/// costs. Every simulated cell in the repo starts from this spec
+/// (ablations override a field with struct-update syntax).
+pub fn paper_spec(workload: &Arc<Workload>, nodes: usize, rid_u: f64, seed: u64) -> RunSpec {
+    RunSpec {
+        workload: Arc::clone(workload),
+        nodes,
+        latency: LatencyModel::paragon(),
+        costs: Costs::default(),
+        seed,
+        rid_u,
+    }
+}
+
+/// Runs one registry cell under [`paper_spec`] and verifies work
+/// conservation.
 ///
 /// # Panics
 /// If `scheduler` is not registered, or the run lost or duplicated
@@ -241,15 +306,14 @@ pub fn run_cell(
     rid_u: f64,
     seed: u64,
 ) -> Row {
-    let spec = RunSpec {
-        workload: Arc::clone(workload),
-        nodes,
-        latency: LatencyModel::paragon(),
-        costs: Costs::default(),
-        seed,
-        rid_u,
-    };
-    let run = reg.run(scheduler, &spec);
+    run_spec(reg, scheduler, &paper_spec(workload, nodes, rid_u, seed))
+}
+
+/// Runs one registry cell under an explicit spec and verifies work
+/// conservation (see [`run_cell`]).
+pub fn run_spec(reg: &SchedulerRegistry, scheduler: &str, spec: &RunSpec) -> Row {
+    let workload = &spec.workload;
+    let run = reg.run(scheduler, spec);
     run.outcome
         .verify_complete(workload)
         .unwrap_or_else(|e| panic!("{scheduler} on {}: {e}", workload.name));
@@ -275,82 +339,71 @@ pub fn run_scheduler(
     run_cell(&registry(), scheduler, workload, nodes, rid_u, seed)
 }
 
-/// Runs the full Table I grid — every workload × every scheduler — on
-/// a bounded worker pool. Workloads are built once (in parallel, one
-/// thread per app) and shared across their four scheduler runs; the
-/// `apps × schedulers` cells then drain through `available_parallelism`
-/// workers pulling from an atomic job counter. Each simulation is
-/// single-threaded and seed-deterministic, so the row contents are
-/// independent of worker scheduling.
-pub fn run_table(apps: &[App], nodes: usize, seed: u64) -> Vec<(App, Vec<Row>)> {
-    let reg = registry();
-    let schedulers = reg.names();
-
-    // Phase 1: build every workload once, in parallel.
-    let mut built: Vec<Option<Arc<Workload>>> = (0..apps.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (slot, &app) in built.iter_mut().zip(apps) {
-            scope.spawn(move || *slot = Some(Arc::new(app.build())));
-        }
-    });
-    let workloads: Vec<Arc<Workload>> = built.into_iter().map(|w| w.expect("built")).collect();
-
-    // Phase 2: run the full grid through a bounded pool. The registry
-    // is shared by reference — constructors are `Send + Sync`.
-    let jobs: Vec<(usize, usize)> = (0..apps.len())
-        .flat_map(|a| (0..schedulers.len()).map(move |s| (a, s)))
-        .collect();
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(jobs.len())
-        .max(1);
+/// Maps `f` over `items` on a bounded pool — `available_parallelism`
+/// scoped workers pulling indices from an atomic counter — keeping
+/// item order. Every fan-out of the artifact regenerators goes through
+/// here; each item is a single-threaded, seed-deterministic job, so
+/// the results are independent of worker scheduling.
+pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let workers = std::thread::available_parallelism().map_or(4, |p| p.get());
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Vec<Option<Row>>> = (0..apps.len())
-        .map(|_| (0..schedulers.len()).map(|_| None).collect())
-        .collect();
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
     std::thread::scope(|scope| {
-        let next = &next;
-        let jobs = &jobs;
-        let workloads = &workloads;
-        let reg = &reg;
-        let schedulers = &schedulers;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        let j = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(a, s)) = jobs.get(j) else { break };
-                        let row = run_cell(
-                            reg,
-                            schedulers[s],
-                            &workloads[a],
-                            nodes,
-                            apps[a].rid_u(nodes),
-                            seed,
-                        );
-                        done.push((a, s, row));
-                    }
-                    done
-                })
-            })
+        let claim = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                done.push((i, f(item)));
+            }
+            done
+        };
+        let handles: Vec<_> = (0..workers.min(items.len()))
+            .map(|_| scope.spawn(claim))
             .collect();
         for h in handles {
-            for (a, s, row) in h.join().expect("grid worker panicked") {
-                slots[a][s] = Some(row);
+            for (i, r) in h.join().expect("par_map worker panicked") {
+                slots[i] = Some(r);
             }
         }
     });
-    apps.iter()
-        .zip(slots)
-        .map(|(&app, rows)| {
-            (
-                app,
-                rows.into_iter().map(|r| r.expect("cell filled")).collect(),
-            )
-        })
-        .collect()
+    let mapped = slots.into_iter().map(|r| r.expect("every item mapped"));
+    mapped.collect()
+}
+
+/// Runs the full Table I grid — every workload × every scheduler.
+/// Workloads are built once and shared across their scheduler runs;
+/// the `apps × schedulers` cells then drain through [`par_map`].
+pub fn run_table(apps: &[App], nodes: usize, seed: u64) -> Vec<(App, Vec<Row>)> {
+    let reg = registry();
+    let schedulers = reg.names();
+    let workloads = par_map(apps, |app| Arc::new(app.build()));
+    // The registry is shared by reference — constructors are
+    // `Send + Sync`.
+    let cells: Vec<(usize, &str)> = (0..apps.len())
+        .flat_map(|a| schedulers.iter().map(move |&s| (a, s)))
+        .collect();
+    let rows = par_map(&cells, |&(a, s)| {
+        run_cell(&reg, s, &workloads[a], nodes, apps[a].rid_u(nodes), seed)
+    });
+    let mut rows = rows.into_iter();
+    let per_app = apps
+        .iter()
+        .map(|&app| (app, rows.by_ref().take(schedulers.len()).collect()));
+    per_app.collect()
+}
+
+/// The invariant auditor for one scheduler's run on `nodes`
+/// processors. RIPS-H runs get the tiling-aware auditor (per-tile
+/// Theorem 1, Lemma 1 as a lower bound) built from the same
+/// decomposition the planner uses.
+pub fn auditor_for(scheduler: &str, nodes: usize) -> Auditor {
+    if scheduler == "RIPS-H" {
+        let mesh = Mesh2D::near_square(nodes);
+        Auditor::with_tiles(nodes, TileGrid::new(&mesh).assignment())
+    } else {
+        Auditor::new(nodes)
+    }
 }
 
 /// Runs RIPS with an explicit configuration (ablation support), via a
@@ -361,25 +414,6 @@ pub fn run_rips_with(workload: &Arc<Workload>, nodes: usize, cfg: RipsConfig, se
         ..RegistryTuning::default()
     });
     run_cell(&reg, "RIPS", workload, nodes, 0.4, seed)
-}
-
-/// `--nodes N` style flag parsing for the report binaries.
-pub fn arg_usize(name: &str, default: usize) -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{name} needs an integer"));
-        }
-    }
-    default
-}
-
-/// `--flag` presence check.
-pub fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
 }
 
 #[cfg(test)]
@@ -406,15 +440,55 @@ mod tests {
     }
 
     #[test]
+    fn catalog_names_resolve_to_stable_labels() {
+        let labels: Vec<String> = App::names()
+            .iter()
+            .map(|n| App::from_name(n).expect("catalog name").label())
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                "9-Queens",
+                "10-Queens",
+                "11-Queens",
+                "12-Queens",
+                "13-Queens",
+                "14-Queens",
+                "15-Queens",
+                "IDA* config #1",
+                "IDA* config #2",
+                "IDA* config #3",
+                "GROMOS (8 A)",
+                "GROMOS (12 A)",
+                "GROMOS (16 A)",
+            ]
+        );
+        for bad in ["queens8", "queens", "ida4", "gromos9", "13", ""] {
+            assert_eq!(App::from_name(bad), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn sub_paper_queens_split_shallow() {
+        for n in [9, 10] {
+            let c = App::queens_config(n);
+            assert_eq!((c.split_depth, c.root_depth), (3, 2), "queens{n}");
+        }
+        assert_eq!(App::queens_config(11), NQueensConfig::paper(11));
+        assert_eq!(App::queens_config(15), NQueensConfig::paper(15));
+    }
+
+    #[test]
+    fn par_map_keeps_item_order() {
+        assert_eq!(par_map(&[3u64, 1, 2], |x| x * 10), [30, 10, 20]);
+        assert_eq!(par_map(&[] as &[u64], |x| *x), []);
+    }
+
+    #[test]
     fn small_grid_runs_end_to_end() {
         // A miniature Table I cell: tiny queens instance, every
         // registered scheduler, 8 nodes.
-        let w = Arc::new(nqueens(NQueensConfig {
-            n: 9,
-            split_depth: 3,
-            root_depth: 2,
-            ns_per_node: 1800,
-        }));
+        let w = Arc::new(App::Queens(9).build());
         let reg = registry();
         assert_eq!(
             reg.names(),

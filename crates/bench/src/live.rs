@@ -11,10 +11,7 @@
 
 use std::sync::Arc;
 
-use rips_apps::{
-    gromos_with_grains, nqueens_with_grains, puzzle_with_grains, GrainTable, GromosConfig,
-    NQueensConfig, PuzzleConfig,
-};
+use rips_apps::GrainTable;
 use rips_balancers::{gradient_policy, random_policy, rid_policy, sid_policy, RidParams};
 use rips_core::{Machine, RipsConfig, RipsFleet};
 use rips_live::{run_live, GrainMode, GrainResult, GrainRunner, LiveOpts, LiveOutcome};
@@ -22,7 +19,7 @@ use rips_runtime::{Costs, TaskInstance};
 use rips_taskgraph::Workload;
 use rips_topology::{Mesh2D, Topology};
 
-use crate::{App, RegistryTuning};
+use crate::RegistryTuning;
 
 /// Adapts an app [`GrainTable`] to the live backend's [`GrainRunner`]
 /// contract: each executed task runs its recorded real computation.
@@ -34,30 +31,6 @@ impl GrainRunner for TableRunner {
         GrainResult {
             checksum: out.checksum,
             solutions: out.solutions,
-        }
-    }
-}
-
-/// A workload paired with the grain table that executes it for real.
-pub struct LiveApp {
-    /// The task structure (same object both backends schedule).
-    pub workload: Arc<Workload>,
-    /// The real work behind each task.
-    pub table: Arc<GrainTable>,
-}
-
-impl App {
-    /// Builds the workload together with its grain table (the live
-    /// counterpart of [`App::build`]).
-    pub fn build_live(&self) -> LiveApp {
-        let (w, t) = match *self {
-            App::Queens(n) => nqueens_with_grains(NQueensConfig::paper(n)),
-            App::Ida(c) => puzzle_with_grains(PuzzleConfig::paper(c)),
-            App::Gromos(r) => gromos_with_grains(GromosConfig::paper(r)),
-        };
-        LiveApp {
-            workload: Arc::new(w),
-            table: Arc::new(t),
         }
     }
 }

@@ -1,11 +1,10 @@
-//! `bench_trace` — observability microbenchmark: what one event costs.
+//! Observability microbenchmark: what one event costs.
 //!
 //! The telemetry story (DESIGN §10) rests on two claims: the tracer
 //! and the meter are a single predictable branch when nothing is
 //! installed, and cheap enough to leave always-on when something is.
-//! This binary measures both claims the same way `bench_transport`
-//! measures the fabric swap: a tight loop over one operation, best of
-//! N repeats, ns/op.
+//! This suite measures both claims with a tight loop over one
+//! operation, best of N repeats, ns/op.
 //!
 //! Five rows:
 //!
@@ -20,21 +19,28 @@
 //! * `histo-observe` — [`Meter::observe`]: fetch-adds on the log2
 //!   bucket, sum, and count cells.
 //!
-//! Exits nonzero if any instrumented run recorded the wrong number of
-//! events (a lost tap would make every cost number a lie).
-//!
-//! ```text
-//! bench_trace [--events 1000000] [--repeats 3]
-//! ```
+//! Panics if any instrumented run recorded the wrong number of events
+//! (a lost tap would make every cost number a lie).
 
 use std::time::Instant;
 
-use rips_bench::arg_usize;
 use rips_trace::metrics_rt::{Counter, Histo};
 use rips_trace::{
-    with_metrics, with_sink, FlightRecorder, Meter, MetricsRegistry, TraceBuffer, TraceEvent,
+    with_metrics, with_sink, FlightRecorder, Json, Meter, MetricsRegistry, TraceBuffer, TraceEvent,
     Tracer,
 };
+
+use super::Suite;
+use crate::args::{Args, Spec};
+
+const SPEC: Spec = &[
+    "trace  ns per trace event / metric update, tracer off vs on",
+    "--out S=BENCH_TRACE.json  where to write the JSON document",
+    "--events N=1000000       operations per timed loop",
+    "--repeats N=3            timed loops per row (best-of)",
+];
+
+pub(super) const SUITE: Suite = (SPEC, run);
 
 /// One emitted payload, varied per iteration so the compiler cannot
 /// hoist the closure body out of the loop.
@@ -121,9 +127,9 @@ fn run_histo_observe(events: u64) -> (u64, bool) {
     (ns, reg.snapshot().histo(Histo::GrainExecNs).count == events)
 }
 
-fn main() {
-    let events = arg_usize("--events", 1_000_000) as u64;
-    let repeats = arg_usize("--repeats", 3).max(1);
+fn run(args: &Args, mut doc: Json) -> Option<Json> {
+    let events: u64 = args.num("--events");
+    let repeats = args.num::<usize>("--repeats").max(1);
     println!("trace/metrics microbenchmark: {events} events/op, best of {repeats}");
     println!("{:>14} {:>12}", "op", "ns/event");
 
@@ -136,18 +142,21 @@ fn main() {
         ("counter-add", run_counter_add),
         ("histo-observe", run_histo_observe),
     ];
-    let mut ok = true;
+    doc.key("events").u64(events);
+    doc.key("repeats").u64(repeats as u64);
+    doc.key("rows").arr();
     for &(label, f) in rows {
         let mut best = u64::MAX;
         for _ in 0..repeats {
             let (ns, counted) = f(events);
-            ok &= counted;
+            assert!(counted, "{label}: an instrumented run lost events");
             best = best.min(ns);
         }
-        println!("{label:>14} {:>12.2}", best as f64 / events as f64);
+        let ns_per_event = best as f64 / events as f64;
+        println!("{label:>14} {ns_per_event:>12.2}");
+        doc.obj().key("op").str(label);
+        doc.key("ns_per_event").f64(ns_per_event, 2).end();
     }
-    if !ok {
-        eprintln!("FAILED: an instrumented run lost events");
-        std::process::exit(1);
-    }
+    doc.end();
+    Some(doc)
 }

@@ -10,9 +10,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rips_audit::Auditor;
-use rips_bench::registry;
+use rips_bench::{paper_spec, registry};
 use rips_desim::{Ctx, Engine, LatencyModel, Program, RunStats, Time, WorkKind};
-use rips_runtime::{Costs, RunSpec};
+use rips_runtime::RunSpec;
 use rips_taskgraph::{TaskForest, Workload};
 use rips_topology::{Mesh2D, NodeId};
 
@@ -38,14 +38,7 @@ fn arb_workload() -> impl Strategy<Value = Workload> {
 }
 
 fn spec(w: &Arc<Workload>, nodes: usize, seed: u64) -> RunSpec {
-    RunSpec {
-        workload: Arc::clone(w),
-        nodes,
-        latency: LatencyModel::paragon(),
-        costs: Costs::default(),
-        seed,
-        rid_u: 0.4,
-    }
+    paper_spec(w, nodes, 0.4, seed)
 }
 
 /// `(handler time, sender, payload)` per delivery or timer, in order.

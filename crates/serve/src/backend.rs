@@ -21,10 +21,9 @@
 use std::collections::BTreeMap;
 
 use rips_bench::live::{live_opts, live_run};
-use rips_bench::registry;
-use rips_desim::LatencyModel;
+use rips_bench::{paper_spec, registry};
 use rips_live::GrainMode;
-use rips_runtime::{Costs, RunSpec, SchedulerRegistry};
+use rips_runtime::SchedulerRegistry;
 
 use crate::catalog::JobApp;
 
@@ -90,14 +89,7 @@ impl JobBackend for DesimBackend {
     }
 
     fn service(&mut self, scheduler: &str, app: &JobApp, seed: u64) -> ServiceOutcome {
-        let spec = RunSpec {
-            workload: std::sync::Arc::clone(&app.workload),
-            nodes: self.nodes,
-            latency: LatencyModel::paragon(),
-            costs: Costs::default(),
-            seed,
-            rid_u: app.rid_u,
-        };
+        let spec = paper_spec(&app.workload, self.nodes, app.rid_u, seed);
         let run = self.reg.run(scheduler, &spec);
         run.outcome
             .verify_complete(&app.workload)

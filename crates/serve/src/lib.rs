@@ -36,6 +36,7 @@ pub mod backend;
 pub mod catalog;
 pub mod drr;
 pub mod report;
+pub mod suite;
 pub mod sweep;
 pub mod traffic;
 

@@ -1,6 +1,6 @@
 //! Per-tenant and aggregate serving statistics.
 
-use rips_trace::Hist;
+use rips_trace::{Hist, Json};
 
 /// Latency percentiles summarized from one [`Hist`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -122,52 +122,36 @@ impl ServeReport {
         s
     }
 
-    /// JSON object (manual rendering; no serde in the workspace).
+    /// JSON object.
     pub fn to_json(&self) -> String {
-        let tenants: Vec<String> = self
-            .tenants
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"tenant\":{},\"submitted\":{},\"shed\":{},\"completed\":{},\
-                     \"peak_pending\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\
-                     \"max_us\":{},\"mean_us\":{:.1}}}",
-                    t.tenant,
-                    t.submitted,
-                    t.shed,
-                    t.completed,
-                    t.peak_pending,
-                    t.latency.p50_us,
-                    t.latency.p95_us,
-                    t.latency.p99_us,
-                    t.latency.max_us,
-                    t.latency.mean_us,
-                )
-            })
-            .collect();
-        format!(
-            "{{\"scheduler\":\"{}\",\"backend\":\"{}\",\"process\":\"{}\",\
-             \"submitted\":{},\"shed\":{},\"completed\":{},\"executed_tasks\":{},\
-             \"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\"max_us\":{},\"mean_us\":{:.1},\
-             \"makespan_us\":{},\"jobs_per_s\":{:.4},\"shed_rate\":{:.4},\
-             \"peak_pending\":{},\"tenants\":[{}]}}",
-            self.scheduler,
-            self.backend,
-            self.process,
-            self.submitted,
-            self.shed,
-            self.completed,
-            self.executed_tasks,
-            self.latency.p50_us,
-            self.latency.p95_us,
-            self.latency.p99_us,
-            self.latency.max_us,
-            self.latency.mean_us,
-            self.makespan_us,
-            self.jobs_per_sec,
-            self.shed_rate,
-            self.peak_pending,
-            tenants.join(","),
-        )
+        fn latency(j: &mut Json, l: &LatencySummary) {
+            j.key("p50_us").u64(l.p50_us).key("p95_us").u64(l.p95_us);
+            j.key("p99_us").u64(l.p99_us).key("max_us").u64(l.max_us);
+            j.key("mean_us").f64(l.mean_us, 1);
+        }
+        let mut j = Json::new();
+        j.obj().key("scheduler").str(&self.scheduler);
+        j.key("backend").str(&self.backend);
+        j.key("process").str(&self.process);
+        j.key("submitted").u64(self.submitted);
+        j.key("shed").u64(self.shed);
+        j.key("completed").u64(self.completed);
+        j.key("executed_tasks").u64(self.executed_tasks);
+        latency(&mut j, &self.latency);
+        j.key("makespan_us").u64(self.makespan_us);
+        j.key("jobs_per_s").f64(self.jobs_per_sec, 4);
+        j.key("shed_rate").f64(self.shed_rate, 4);
+        j.key("peak_pending").u64(self.peak_pending);
+        j.key("tenants").arr();
+        for t in &self.tenants {
+            j.obj().key("tenant").u64(t.tenant.into());
+            j.key("submitted").u64(t.submitted).key("shed").u64(t.shed);
+            j.key("completed").u64(t.completed);
+            j.key("peak_pending").u64(t.peak_pending);
+            latency(&mut j, &t.latency);
+            j.end();
+        }
+        j.end().end();
+        j.finish()
     }
 }

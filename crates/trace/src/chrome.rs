@@ -12,10 +12,10 @@
 //! instants. Timestamps are microseconds, which is both the engine's
 //! native unit and the format's.
 
-use crate::{PhaseKind, Time, TraceBuffer, TraceEvent};
+use crate::{Json, PhaseKind, Time, TraceBuffer, TraceEvent};
 
 /// One process for the whole run.
-const PID: usize = 1;
+const PID: u64 = 1;
 
 /// Most thread tracks the exporter will emit. Below this, every node
 /// gets its own named track (the historical layout, byte-identical).
@@ -73,15 +73,53 @@ impl Tracks {
     }
 }
 
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// Opens one event object with the fields every record carries; the
+/// caller appends the kind-specific members and closes it.
+fn event<'j>(j: &'j mut Json, ph: &str, name: &str, ts: Time, tid: usize) -> &'j mut Json {
+    j.obj().key("name").str(name).key("ph").str(ph);
+    j.key("ts")
+        .u64(ts)
+        .key("pid")
+        .u64(PID)
+        .key("tid")
+        .u64(tid as u64)
 }
 
-fn push_event(out: &mut String, ph: char, name: &str, ts: Time, tid: usize, extra: &str) {
-    out.push_str(&format!(
-        "{{\"name\":\"{}\",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":{PID},\"tid\":{tid}{extra}}},",
-        esc(name)
-    ));
+/// A `B`/`E` span edge.
+fn span(j: &mut Json, ph: &str, name: &str, ts: Time, tid: usize) {
+    event(j, ph, name, ts, tid).end();
+}
+
+fn args(j: &mut Json, args: &[(&str, u64)]) {
+    j.key("args").obj();
+    for &(k, v) in args {
+        j.key(k).u64(v);
+    }
+    j.end();
+}
+
+/// An `i` instant with scope `s` (`t` = thread, `p` = process).
+fn instant(j: &mut Json, name: &str, s: &str, ts: Time, tid: usize, a: &[(&str, u64)]) {
+    event(j, "i", name, ts, tid).key("s").str(s);
+    args(j, a);
+    j.end();
+}
+
+/// A `C` counter sample: one series per `name`, one value.
+fn counter(j: &mut Json, name: &str, ts: Time, tid: usize, key: &str, value: i64) {
+    event(j, "C", name, ts, tid).key("args").obj();
+    j.key(key).i64(value).end().end();
+}
+
+/// An `M` metadata record naming a track or the process.
+fn metadata<'j>(j: &'j mut Json, name: &str, tid: usize) -> &'j mut Json {
+    j.obj().key("name").str(name).key("ph").str("M");
+    j.key("pid")
+        .u64(PID)
+        .key("tid")
+        .u64(tid as u64)
+        .key("args")
+        .obj()
 }
 
 fn phase_name(kind: PhaseKind, index: u32) -> String {
@@ -97,48 +135,41 @@ fn phase_name(kind: PhaseKind, index: u32) -> String {
 pub fn chrome_trace_json(buf: &TraceBuffer, label: &str, end_time: Time) -> String {
     let n = buf.num_nodes();
     let tracks = Tracks::new(n);
-    let mut out = String::with_capacity(buf.records.len() * 96 + 1024);
-    out.push_str("{\"traceEvents\":[");
+    let mut out = Json::new();
+    let j = &mut out;
+    j.obj().key("traceEvents").arr();
 
     // Metadata: process name and one named, ordered thread track per
     // node — or per contiguous node group above MAX_THREAD_TRACKS.
-    out.push_str(&format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{PID},\"tid\":0,\
-         \"args\":{{\"name\":\"{}\"}}}},",
-        esc(label)
-    ));
+    metadata(j, "process_name", 0).key("name").str(label);
+    j.end().end();
     for tid in 0..tracks.count() {
-        out.push_str(&format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{PID},\"tid\":{tid},\
-             \"args\":{{\"name\":\"{}\"}}}},",
-            esc(&tracks.label(tid))
-        ));
-        out.push_str(&format!(
-            "{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":{PID},\"tid\":{tid},\
-             \"args\":{{\"sort_index\":{tid}}}}},",
-        ));
+        metadata(j, "thread_name", tid).key("name");
+        j.str(&tracks.label(tid)).end().end();
+        metadata(j, "thread_sort_index", tid).key("sort_index");
+        j.u64(tid as u64).end().end();
     }
 
     // Per-node stack of open span names, for auto-closing at end_time.
     let mut open: Vec<Vec<String>> = vec![Vec::new(); n];
     for r in &buf.records {
         let (t, node, raw) = (r.time, tracks.tid(r.node), r.node);
-        match &r.event {
+        match r.event {
             TraceEvent::PhaseBegin { kind, index } => {
-                let name = phase_name(*kind, *index);
-                push_event(&mut out, 'B', &name, t, node, "");
+                let name = phase_name(kind, index);
+                span(j, "B", &name, t, node);
                 open[node].push(name);
             }
             TraceEvent::PhaseEnd { kind, index } => {
-                push_event(&mut out, 'E', &phase_name(*kind, *index), t, node, "");
+                span(j, "E", &phase_name(kind, index), t, node);
                 open[node].pop();
             }
             TraceEvent::StageBegin { stage, .. } => {
-                push_event(&mut out, 'B', stage.name(), t, node, "");
+                span(j, "B", stage.name(), t, node);
                 open[node].push(stage.name().to_string());
             }
             TraceEvent::StageEnd { stage, .. } => {
-                push_event(&mut out, 'E', stage.name(), t, node, "");
+                span(j, "E", stage.name(), t, node);
                 open[node].pop();
             }
             TraceEvent::TaskExec {
@@ -149,100 +180,81 @@ pub fn chrome_trace_json(buf: &TraceBuffer, label: &str, end_time: Time) -> Stri
                 grain_us,
                 dispatch_us,
             } => {
-                let extra = format!(
-                    ",\"dur\":{grain_us},\"args\":{{\"task\":{task},\"round\":{round},\
-                     \"origin\":{origin},\"hops\":{hops},\"dispatch_us\":{dispatch_us}}}"
+                event(j, "X", "task", t, node).key("dur").u64(grain_us);
+                let origin = origin as u64;
+                args(
+                    j,
+                    &[
+                        ("task", task),
+                        ("round", round.into()),
+                        ("origin", origin),
+                        ("hops", hops.into()),
+                        ("dispatch_us", dispatch_us),
+                    ],
                 );
-                push_event(&mut out, 'X', "task", t, node, &extra);
+                j.end();
             }
             TraceEvent::Spawn { round, count } => {
-                let extra =
-                    format!(",\"s\":\"t\",\"args\":{{\"round\":{round},\"count\":{count}}}");
-                push_event(&mut out, 'i', "spawn", t, node, &extra);
+                let a = [("round", round.into()), ("count", count.into())];
+                instant(j, "spawn", "t", t, node, &a);
             }
             TraceEvent::MigrateOut { to, count } => {
-                let extra = format!(",\"s\":\"t\",\"args\":{{\"to\":{to},\"count\":{count}}}");
-                push_event(&mut out, 'i', "migrate-out", t, node, &extra);
+                let a = [("to", to as u64), ("count", count.into())];
+                instant(j, "migrate-out", "t", t, node, &a);
             }
             TraceEvent::MigrateIn { from, count } => {
-                let extra = format!(",\"s\":\"t\",\"args\":{{\"from\":{from},\"count\":{count}}}");
-                push_event(&mut out, 'i', "migrate-in", t, node, &extra);
+                let a = [("from", from as u64), ("count", count.into())];
+                instant(j, "migrate-in", "t", t, node, &a);
             }
             TraceEvent::Barrier { round } => {
-                let extra = format!(",\"s\":\"p\",\"args\":{{\"round\":{round}}}");
-                push_event(&mut out, 'i', "barrier", t, node, &extra);
+                instant(j, "barrier", "p", t, node, &[("round", round.into())]);
             }
             TraceEvent::RoundBegin { round } => {
-                let extra = format!(",\"s\":\"t\",\"args\":{{\"round\":{round}}}");
-                push_event(&mut out, 'i', "round-start", t, node, &extra);
+                instant(j, "round-start", "t", t, node, &[("round", round.into())]);
             }
             TraceEvent::QueueDepth { depth } => {
-                let extra = format!(",\"args\":{{\"depth\":{depth}}}");
-                push_event(
-                    &mut out,
-                    'C',
-                    &format!("queue depth {}", tracks.counter_tag(raw)),
-                    t,
-                    node,
-                    &extra,
-                );
+                let name = format!("queue depth {}", tracks.counter_tag(raw));
+                counter(j, &name, t, node, "depth", depth.into());
             }
             TraceEvent::LoadSample { load } => {
-                let extra = format!(",\"args\":{{\"load\":{load}}}");
-                push_event(
-                    &mut out,
-                    'C',
-                    &format!("load {}", tracks.counter_tag(raw)),
-                    t,
-                    node,
-                    &extra,
-                );
+                let name = format!("load {}", tracks.counter_tag(raw));
+                counter(j, &name, t, node, "load", load);
             }
             TraceEvent::MsgSend { to, bytes, hops } => {
-                let extra = format!(
-                    ",\"s\":\"t\",\"args\":{{\"to\":{to},\"bytes\":{bytes},\"hops\":{hops}}}"
-                );
-                push_event(&mut out, 'i', "msg-send", t, node, &extra);
+                let a = [("to", to as u64), ("bytes", bytes), ("hops", hops.into())];
+                instant(j, "msg-send", "t", t, node, &a);
             }
             TraceEvent::BatchSend { to, msgs } => {
-                let extra = format!(",\"s\":\"t\",\"args\":{{\"to\":{to},\"msgs\":{msgs}}}");
-                push_event(&mut out, 'i', "batch-send", t, node, &extra);
+                let a = [("to", to as u64), ("msgs", msgs.into())];
+                instant(j, "batch-send", "t", t, node, &a);
             }
             TraceEvent::RingDepth { depth } => {
-                let extra = format!(",\"args\":{{\"depth\":{depth}}}");
-                push_event(
-                    &mut out,
-                    'C',
-                    &format!("ring depth {}", tracks.counter_tag(raw)),
-                    t,
-                    node,
-                    &extra,
-                );
+                let name = format!("ring depth {}", tracks.counter_tag(raw));
+                counter(j, &name, t, node, "depth", depth.into());
             }
             TraceEvent::JobSubmit { tenant, job } => {
-                let extra = format!(",\"s\":\"p\",\"args\":{{\"tenant\":{tenant},\"job\":{job}}}");
-                push_event(&mut out, 'i', "job-submit", t, node, &extra);
+                let a = [("tenant", tenant.into()), ("job", job)];
+                instant(j, "job-submit", "p", t, node, &a);
             }
             TraceEvent::JobShed { tenant, job } => {
-                let extra = format!(",\"s\":\"p\",\"args\":{{\"tenant\":{tenant},\"job\":{job}}}");
-                push_event(&mut out, 'i', "job-shed", t, node, &extra);
+                let a = [("tenant", tenant.into()), ("job", job)];
+                instant(j, "job-shed", "p", t, node, &a);
             }
             TraceEvent::JobDispatch { tenant, job, tasks } => {
-                let extra = format!(
-                    ",\"s\":\"p\",\"args\":{{\"tenant\":{tenant},\"job\":{job},\"tasks\":{tasks}}}"
-                );
-                push_event(&mut out, 'i', "job-dispatch", t, node, &extra);
+                let a = [("tenant", tenant.into()), ("job", job), ("tasks", tasks)];
+                instant(j, "job-dispatch", "p", t, node, &a);
             }
             TraceEvent::JobComplete {
                 tenant,
                 job,
                 executed,
             } => {
-                let extra = format!(
-                    ",\"s\":\"p\",\"args\":{{\"tenant\":{tenant},\"job\":{job},\
-                     \"executed\":{executed}}}"
-                );
-                push_event(&mut out, 'i', "job-complete", t, node, &extra);
+                let a = [
+                    ("tenant", tenant.into()),
+                    ("job", job),
+                    ("executed", executed),
+                ];
+                instant(j, "job-complete", "p", t, node, &a);
             }
         }
     }
@@ -250,15 +262,12 @@ pub fn chrome_trace_json(buf: &TraceBuffer, label: &str, end_time: Time) -> Stri
     // Close whatever the halt left open, innermost first.
     for (node, stack) in open.iter().enumerate() {
         for name in stack.iter().rev() {
-            push_event(&mut out, 'E', name, end_time, node, "");
+            span(j, "E", name, end_time, node);
         }
     }
 
-    if out.ends_with(',') {
-        out.pop();
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+    j.end().key("displayTimeUnit").str("ms").end();
+    out.finish()
 }
 
 #[cfg(test)]
@@ -337,6 +346,10 @@ mod tests {
         let b = TraceBuffer::new();
         let json = chrome_trace_json(&b, "a\"b\\c", 0);
         assert!(json.contains("a\\\"b\\\\c"));
+        // Control characters must not reach the file raw.
+        let json = chrome_trace_json(&b, "two\nlines\u{7}", 0);
+        assert!(json.contains("two\\nlines\\u0007"), "{json}");
+        assert!(!json.contains('\n'));
     }
 
     #[test]

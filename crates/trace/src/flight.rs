@@ -16,7 +16,7 @@
 //! dumping while the install owns the sink position — the watchdog
 //! and panic paths dump through that retained handle.
 
-use crate::{NodeId, Time, TraceEvent, TraceSink};
+use crate::{Json, NodeId, Time, TraceEvent, TraceSink};
 use std::sync::{Arc, Mutex};
 
 /// One recent event as retained by the recorder.
@@ -136,43 +136,24 @@ impl FlightRecorder {
     /// the dump is for humans and log pipelines, not for replay (a
     /// full [`TraceBuffer`](crate::TraceBuffer) capture serves that).
     pub fn dump_json(&self, reason: &str) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{");
-        write!(out, "\"reason\":{:?},", reason).unwrap();
-        write!(
-            out,
-            "\"retained\":{},\"total\":{},",
-            self.retained(),
-            self.total_recorded()
-        )
-        .unwrap();
-        out.push_str("\"nodes\":[");
-        let mut first_node = true;
+        let mut j = Json::new();
+        j.obj().key("reason").str(reason);
+        j.key("retained").u64(self.retained() as u64);
+        j.key("total").u64(self.total_recorded());
+        j.key("nodes").arr();
         for (node, ring) in self.rings.iter().enumerate() {
             if ring.events.is_empty() {
                 continue;
             }
-            if !first_node {
-                out.push(',');
+            j.obj().key("node").u64(node as u64).key("events").arr();
+            for rec in ring.ordered() {
+                j.obj().key("t_us").u64(rec.time);
+                j.key("event").str(&format!("{:?}", rec.event)).end();
             }
-            first_node = false;
-            write!(out, "{{\"node\":{node},\"events\":[").unwrap();
-            for (i, rec) in ring.ordered().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write!(
-                    out,
-                    "{{\"t_us\":{},\"event\":{:?}}}",
-                    rec.time,
-                    format!("{:?}", rec.event)
-                )
-                .unwrap();
-            }
-            out.push_str("]}");
+            j.end().end();
         }
-        out.push_str("]}");
-        out
+        j.end().end();
+        j.finish()
     }
 
     fn push(&mut self, node: NodeId, rec: FlightRecord) {
@@ -296,6 +277,9 @@ mod tests {
         assert!(json.contains("\"reason\":\"why\""));
         assert!(json.contains("\"node\":0"));
         assert!(json.contains("\"t_us\":1"));
+        // A control character in the reason is escaped, not `{:?}`-quoted.
+        let json = fr.dump_json("stall\u{7}");
+        assert!(json.contains("\"reason\":\"stall\\u0007\""), "{json}");
     }
 
     #[test]

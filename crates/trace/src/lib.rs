@@ -38,11 +38,13 @@
 
 mod chrome;
 pub mod flight;
+mod json;
 pub mod metrics_rt;
 mod report;
 
 pub use chrome::chrome_trace_json;
 pub use flight::{FlightRecorder, SharedFlight};
+pub use json::Json;
 pub use metrics_rt::{with_metrics, with_metrics_clocked, CycleClock, Meter, MetricsRegistry};
 pub use report::{PhaseReport, PhaseRow};
 

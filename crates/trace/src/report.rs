@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::{ClockKind, Hist, PhaseKind, SysStage, Time, TraceBuffer, TraceEvent};
+use crate::{ClockKind, Hist, Json, PhaseKind, SysStage, Time, TraceBuffer, TraceEvent};
 
 /// Aggregated anatomy of one system phase.
 #[derive(Debug, Clone, Default)]
@@ -295,55 +295,45 @@ impl PhaseReport {
     /// `phase` line per system phase — the machine-readable sibling of
     /// [`PhaseReport::render`], meant for BENCH files.
     pub fn to_jsonl(&mut self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"type\":\"summary\",\"clock\":\"{}\",\"tasks\":{},\"nonlocal\":{},\"rounds\":{},\
-             \"end_us\":{},\"peak_queue_depth\":{},\"migrated_tasks\":{},\"migrate_msgs\":{},\
-             \"task_grain_p50\":{},\"task_grain_p95\":{},\"task_grain_max\":{},\
-             \"user_phase_p50\":{},\"user_phase_p95\":{},\
-             \"idle_detect_p50\":{},\"idle_detect_p95\":{},\"idle_detect_max\":{}}}\n",
-            self.clock.name(),
-            self.tasks,
-            self.nonlocal_tasks,
-            self.rounds,
-            self.end_time,
-            self.peak_queue_depth,
-            self.migrated_tasks,
-            self.migrate_msgs,
-            self.task_grain_us.p50(),
-            self.task_grain_us.p95(),
-            self.task_grain_us.max(),
-            self.user_phase_us.p50(),
-            self.user_phase_us.p95(),
-            self.idle_detect_us.p50(),
-            self.idle_detect_us.p95(),
-            self.idle_detect_us.max(),
-        ));
+        /// Writes `<name>_p50`, `<name>_p95` and (with `max`) `<name>_max`.
+        fn quantiles(j: &mut Json, name: &str, h: &mut Hist, max: bool) {
+            j.key(&format!("{name}_p50")).u64(h.p50());
+            j.key(&format!("{name}_p95")).u64(h.p95());
+            if max {
+                j.key(&format!("{name}_max")).u64(h.max());
+            }
+        }
+        let mut j = Json::new();
+        j.obj().key("type").str("summary");
+        j.key("clock").str(self.clock.name());
+        j.key("tasks").u64(self.tasks);
+        j.key("nonlocal").u64(self.nonlocal_tasks);
+        j.key("rounds").u64(self.rounds.into());
+        j.key("end_us").u64(self.end_time);
+        j.key("peak_queue_depth").u64(self.peak_queue_depth.into());
+        j.key("migrated_tasks").u64(self.migrated_tasks);
+        j.key("migrate_msgs").u64(self.migrate_msgs);
+        quantiles(&mut j, "task_grain", &mut self.task_grain_us, true);
+        quantiles(&mut j, "user_phase", &mut self.user_phase_us, false);
+        quantiles(&mut j, "idle_detect", &mut self.idle_detect_us, true);
+        j.end();
+        let mut out = j.finish() + "\n";
         for row in &mut self.phases {
-            out.push_str(&format!(
-                "{{\"type\":\"phase\",\"phase\":{},\"begin_us\":{},\"end_us\":{},\
-                 \"span_p50\":{},\"span_p95\":{},\"span_max\":{},\
-                 \"load_collect_p50\":{},\"load_collect_p95\":{},\"plan_us\":{},\
-                 \"migrate_p50\":{},\"migrate_p95\":{},\
-                 \"idle_detect_p50\":{},\"idle_detect_p95\":{},\"idle_detect_max\":{},\
-                 \"migrated_tasks\":{},\"migrate_msgs\":{}}}\n",
-                row.phase,
-                row.begin,
-                row.end,
-                row.span_us.p50(),
-                row.span_us.p95(),
-                row.span_us.max(),
-                row.load_collect_us.p50(),
-                row.load_collect_us.p95(),
-                row.plan_us,
-                row.migrate_us.p50(),
-                row.migrate_us.p95(),
-                row.idle_detect_us.p50(),
-                row.idle_detect_us.p95(),
-                row.idle_detect_us.max(),
-                row.migrated_tasks,
-                row.migrate_msgs
-            ));
+            let mut j = Json::new();
+            j.obj().key("type").str("phase");
+            j.key("phase").u64(row.phase.into());
+            j.key("begin_us").u64(row.begin);
+            j.key("end_us").u64(row.end);
+            quantiles(&mut j, "span", &mut row.span_us, true);
+            quantiles(&mut j, "load_collect", &mut row.load_collect_us, false);
+            j.key("plan_us").u64(row.plan_us);
+            quantiles(&mut j, "migrate", &mut row.migrate_us, false);
+            quantiles(&mut j, "idle_detect", &mut row.idle_detect_us, true);
+            j.key("migrated_tasks").u64(row.migrated_tasks);
+            j.key("migrate_msgs").u64(row.migrate_msgs);
+            j.end();
+            out += &j.finish();
+            out.push('\n');
         }
         out
     }

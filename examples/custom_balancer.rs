@@ -12,11 +12,9 @@
 
 use std::sync::Arc;
 
-use rips_repro::bench::registry;
-use rips_repro::desim::LatencyModel;
+use rips_repro::bench::{paper_spec, registry};
 use rips_repro::runtime::{
-    run_policy, BalancerPolicy, Costs, ExecCtx, Kernel, KernelMsg, RunSpec, ScheduledRun,
-    TaskInstance,
+    run_policy, BalancerPolicy, ExecCtx, Kernel, KernelMsg, RunSpec, ScheduledRun, TaskInstance,
 };
 use rips_repro::taskgraph::geometric_tree;
 use rips_repro::topology::{Mesh2D, NodeId, Topology};
@@ -93,14 +91,7 @@ fn main() {
         stats.total_work_us as f64 / 1e6
     );
 
-    let spec = RunSpec {
-        workload: Arc::clone(&workload),
-        nodes: 16,
-        latency: LatencyModel::paragon(),
-        costs: Costs::default(),
-        seed: 1,
-        rid_u: 0.4,
-    };
+    let spec = paper_spec(&workload, 16, 0.4, 1);
     for name in ["RoundRobin", "RIPS"] {
         let run = reg.run(name, &spec);
         run.outcome

@@ -3,7 +3,7 @@
 //! Runs exhaustive 11-Queens search (small enough to finish instantly)
 //! under all four schedulers on a simulated 16-node mesh and prints the
 //! comparison columns. Scale `--n` up to 13/14/15 to approach the
-//! paper's setting (see `cargo run -p rips-bench --bin table1` for the
+//! paper's setting (see `rips repro table1` for the
 //! full reproduction).
 //!
 //! ```text

@@ -1,27 +1,13 @@
-//! `rips` — command-line driver for the reproduction.
+//! `rips` — the workspace's one executable.
 //!
-//! ```text
-//! rips run    --app queens13 --scheduler rips --nodes 32 [--policy any-lazy] [--seed 1]
-//!             [--metrics-out m.txt]
-//! rips live   [<scheduler>] <app> --threads 4 [--mode compute|timed] [--policy any-lazy]
-//!             [--audit] [--trace-out f] [--metrics-out m.txt]
-//! rips stats  [<scheduler>] <app> [--backend sim|live] [--nodes 32|--threads 4] [--out m.txt]
-//! rips trace  <scheduler> <app> [--nodes 32] [--seed 1] [--out trace.json] [--check]
-//! rips report <scheduler> <app> [--nodes 32] [--seed 1] [--jsonl]
-//! rips audit  <scheduler> <app> [--nodes 32] [--seed 1]   # check paper invariants
-//! rips audit  --all [--nodes 32] [--seed 1]               # ... across the roster
-//! rips serve  [--backend sim|live] [--scheduler rips] [--nodes 8|--threads 2]
-//!             [--tenants 4] [--jobs 8] [--mean-interarrival-us 50000|--rate jobs/s]
-//!             [--process poisson|bursty[:N]] [--max-pending 64] [--quota 16]
-//!             [--quantum 64] [--seed 1] [--tiny] [--audit] [--json|--out r.json]
-//!             [--metrics-out m.txt]
-//! rips bench-serve [--schedulers rips,rips-h,rid] [--nodes 8] [--threads 2]
-//!             [--loads 0.3,1.0,2.5] [--tenants 4] [--jobs 8] [--seed 1]
-//! rips plan   --rows 8 --cols 4 --loads 25,0,3,...   # one-shot MWA on a load vector
-//! rips lint   [--root .] [--format json] [--out report.json]
-//! rips verify [--bound 3] [--mode dfs|random] [--seed 1] [--out replays/]
-//! rips apps                                          # list available workloads
-//! ```
+//! Every subcommand is a row of [`commands`]: its path (`run`, `repro
+//! fig4`, `bench scale`), its positionals, its flag table and the
+//! function that runs it. `main` reads the command line once, finds
+//! the row, and hands the tokens to [`Args::parse`], which rejects
+//! unknown flags, unparsable values and missing positionals with the
+//! usage text generated from the same row (exit status 2). `rips` with
+//! no arguments lists the rows; `rips repro --list` and `rips bench
+//! --list` list the paper artifacts and the measurement suites.
 //!
 //! `trace` runs one scheduler with the structured trace sink attached
 //! and writes a Chrome trace-event JSON file — open it at
@@ -39,9 +25,8 @@
 //! tenants submit seeded streams of catalog jobs through admission
 //! control and deficit-round-robin fairness into a single-fleet queue
 //! on either backend, reporting per-tenant and aggregate p50/p95/p99
-//! job latency, sustained jobs/s, and shed rate. `bench-serve` sweeps
-//! offered load to locate each scheduler's saturation knee (the JSON
-//! artifact comes from the `bench_serve` bin in rips-serve).
+//! job latency, sustained jobs/s, and shed rate. `bench serve` sweeps
+//! offered load to locate each scheduler's saturation knee.
 //!
 //! `live` runs the scheduler on the *live* backend — one OS thread per
 //! node, batched packets over sharded SPSC rings, wall-clock time —
@@ -61,13 +46,15 @@ use std::sync::Arc;
 
 use rips_repro::apps::GrainTable;
 use rips_repro::audit::Auditor;
+use rips_repro::bench::args::{synopsis, Args, Flag, Spec};
 use rips_repro::bench::live::{live_opts, live_run_with};
-use rips_repro::bench::{registry_with, RegistryTuning};
+use rips_repro::bench::repro::ARTIFACTS;
+use rips_repro::bench::suites::{run_suite, Suite, SUITES};
+use rips_repro::bench::{auditor_for, paper_spec, registry_with, roster_name, App, RegistryTuning};
 use rips_repro::core::{GlobalPolicy, LocalPolicy, RipsConfig};
-use rips_repro::desim::LatencyModel;
 use rips_repro::live::{GrainMode, WallClock};
 use rips_repro::live::{Watchdog, WatchdogOpts};
-use rips_repro::runtime::{Costs, RunSpec, SchedulerRegistry};
+use rips_repro::runtime::{RunSpec, SchedulerRegistry};
 use rips_repro::sched::{min_nonlocal_tasks, mwa};
 use rips_repro::taskgraph::Workload;
 use rips_repro::topology::{Mesh2D, Topology};
@@ -76,14 +63,90 @@ use rips_repro::trace::{
     SharedFlight, Tee, TraceBuffer,
 };
 
-fn arg(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
+/// One subcommand: the path before its own name (`""`, `"repro "`),
+/// its usage text, and what runs it.
+type Cmd = (&'static str, Spec, Box<dyn Fn(&Args)>);
+
+const NODES: Flag = "--nodes N=32  simulated processors";
+const THREADS: Flag = "--threads N=4  OS threads, one per node";
+const SEED: Flag = "--seed N=1  seed of the run";
+const POLICY: Flag = "--policy S=any-lazy  RIPS transfer policy: {any,all}-{lazy,eager}";
+const METRICS_OUT: Flag = "--metrics-out S  write OpenMetrics text here (- = stdout)";
+
+/// The whole command table: the fixed rows (each spec sits above its
+/// handler), then one row per paper artifact and per measurement suite
+/// from the library tables.
+fn commands() -> Vec<Cmd> {
+    type Handler = fn(&Args);
+    let fixed: [(Spec, Handler); 14] = [
+        (RUN, cmd_run),
+        (LIVE, cmd_live),
+        (STATS, cmd_stats),
+        (TRACE, cmd_trace),
+        (REPORT, cmd_report),
+        (AUDIT, cmd_audit),
+        (SERVE, cmd_serve),
+        (PLAN, cmd_plan),
+        (LINT, cmd_lint),
+        (VERIFY, cmd_verify),
+        (APPS, |_| App::names().iter().for_each(|a| println!("{a}"))),
+        (SCHEDULERS, |_| {
+            let roster = rips_repro::bench::registry();
+            let names = roster.names();
+            names.iter().for_each(|s| println!("{}", s.to_lowercase()))
+        }),
+        (REPRO, |args| {
+            list_or_fail(args, ARTIFACTS.iter().map(|a| a.0))
+        }),
+        (BENCH, |args| list_or_fail(args, suites().map(|s| s.0))),
+    ];
+    let mut table: Vec<Cmd> = Vec::new();
+    table.extend(fixed.map(|(spec, run)| ("", spec, Box::new(run) as _)));
+    table.extend(ARTIFACTS.iter().map(|&(spec, run)| {
+        let print = move |args: &Args| print!("{}", run(args));
+        ("repro ", spec, Box::new(print) as _)
+    }));
+    table.extend(suites().map(|suite| {
+        let run = move |args: &Args| {
+            run_suite(suite, args).unwrap_or_else(|e| {
+                eprintln!("cannot write {}: {e}", args.str("--out"));
+                std::process::exit(1);
+            })
+        };
+        ("bench ", suite.0, Box::new(run) as _)
+    }));
+    table
+}
+
+const APPS: Spec = &["apps  list the workloads"];
+const SCHEDULERS: Spec = &["schedulers  list the roster"];
+const REPRO: Spec = &[
+    "repro [<artifact>]  regenerate one paper artifact",
+    "--list  print the artifact table",
+];
+const BENCH: Spec = &[
+    "bench [<suite>]  run one measurement suite, writing its BENCH_*.json",
+    "--list  print the suite table",
+];
+
+/// The five suites: four timed ones from `rips-bench`, `serve` from
+/// `rips-serve` (which sits above `rips-bench` in the crate graph).
+fn suites() -> impl Iterator<Item = &'static Suite> {
+    SUITES.iter().chain([&rips_repro::serve::suite::SUITE])
+}
+
+/// `rips repro` / `rips bench` without a known name: `--list` prints
+/// the group's synopses, anything else is a usage error.
+fn list_or_fail(args: &Args, group: impl Iterator<Item = Spec>) {
+    if !args.switch("--list") {
+        match args.pos().first() {
+            Some(name) => args.fail(&format!("unknown name '{name}' (--list prints them)")),
+            None => args.fail("missing name (--list prints them)"),
         }
     }
-    None
+    for (name, _, about) in group.map(synopsis) {
+        println!("{name:<20} {about}");
+    }
 }
 
 /// Flight-recorder depth: recent trace events retained per node for
@@ -91,61 +154,51 @@ fn arg(name: &str) -> Option<String> {
 /// mismatch). 256 events ≈ the last few dispatch rounds per node.
 const FLIGHT_EVENTS_PER_NODE: usize = 256;
 
-const APPS: &[&str] = &[
-    "queens9", "queens10", "queens11", "queens12", "queens13", "queens14", "queens15", "ida1",
-    "ida2", "ida3", "gromos8", "gromos12", "gromos16",
-];
-
-fn build_app_live(name: &str) -> (Workload, GrainTable) {
-    use rips_repro::apps::{
-        gromos_with_grains, nqueens_with_grains, puzzle_with_grains, GromosConfig, NQueensConfig,
-        PuzzleConfig,
-    };
-    // The sub-paper sizes (smoke tests, CI traces) split shallower so
-    // the task count stays proportionate to the tiny boards.
-    let small_queens = |n| NQueensConfig {
-        n,
-        split_depth: 3,
-        root_depth: 2,
-        ns_per_node: 1800,
-    };
-    match name {
-        "queens9" => nqueens_with_grains(small_queens(9)),
-        "queens10" => nqueens_with_grains(small_queens(10)),
-        "queens11" => nqueens_with_grains(NQueensConfig::paper(11)),
-        "queens12" => nqueens_with_grains(NQueensConfig::paper(12)),
-        "queens13" => nqueens_with_grains(NQueensConfig::paper(13)),
-        "queens14" => nqueens_with_grains(NQueensConfig::paper(14)),
-        "queens15" => nqueens_with_grains(NQueensConfig::paper(15)),
-        "ida1" => puzzle_with_grains(PuzzleConfig::paper(1)),
-        "ida2" => puzzle_with_grains(PuzzleConfig::paper(2)),
-        "ida3" => puzzle_with_grains(PuzzleConfig::paper(3)),
-        "gromos8" => gromos_with_grains(GromosConfig::paper(8.0)),
-        "gromos12" => gromos_with_grains(GromosConfig::paper(12.0)),
-        "gromos16" => gromos_with_grains(GromosConfig::paper(16.0)),
-        other => {
-            eprintln!("unknown app '{other}'; available: {APPS:?}");
-            std::process::exit(2);
-        }
-    }
+/// Looks `name` up in the workload catalog.
+fn app_named(args: &Args, name: &str) -> App {
+    App::from_name(name).unwrap_or_else(|| {
+        args.fail(&format!(
+            "unknown app '{name}'; available: {}",
+            App::names().join(" ")
+        ))
+    })
 }
 
-fn build_app(name: &str) -> Workload {
-    build_app_live(name).0
+/// Builds the named workload and its grain table.
+fn build_app_live(args: &Args, name: &str) -> (Arc<Workload>, Arc<GrainTable>) {
+    let app = app_named(args, name);
+    eprintln!("building workload '{name}' ...");
+    let (workload, table) = app.build_live();
+    (Arc::new(workload), Arc::new(table))
+}
+
+fn build_app(args: &Args, name: &str) -> Arc<Workload> {
+    let app = app_named(args, name);
+    eprintln!("building workload '{name}' ...");
+    Arc::new(app.build())
+}
+
+/// The `[<scheduler>] <app>` positionals; the scheduler defaults to
+/// RIPS.
+fn sched_app(args: &Args) -> (&str, &str) {
+    match args.pos() {
+        [scheduler, app] => (scheduler, app),
+        [app] => ("rips", app),
+        _ => unreachable!("Args::parse bounds the positional count"),
+    }
 }
 
 /// Parses `--policy` into the roster tuning it selects (the RIPS
 /// local/global policy pair; every other knob stays paper-default).
-fn policy_tuning(policy: &str) -> RegistryTuning {
-    let (local, global) = match policy {
+fn policy_tuning(args: &Args) -> RegistryTuning {
+    let (local, global) = match args.str("--policy") {
         "any-lazy" => (LocalPolicy::Lazy, GlobalPolicy::Any),
         "any-eager" => (LocalPolicy::Eager, GlobalPolicy::Any),
         "all-lazy" => (LocalPolicy::Lazy, GlobalPolicy::All),
         "all-eager" => (LocalPolicy::Eager, GlobalPolicy::All),
-        other => {
-            eprintln!("unknown policy '{other}' (any-lazy|any-eager|all-lazy|all-eager)");
-            std::process::exit(2);
-        }
+        other => args.fail(&format!(
+            "unknown policy '{other}' (any-lazy|any-eager|all-lazy|all-eager)"
+        )),
     };
     RegistryTuning {
         rips: RipsConfig {
@@ -157,23 +210,29 @@ fn policy_tuning(policy: &str) -> RegistryTuning {
     }
 }
 
-/// Builds the registry for `--policy` and resolves a case-insensitive
-/// scheduler name against its roster.
-fn resolve_scheduler(scheduler: &str, policy: &str) -> (SchedulerRegistry, String) {
-    let reg = registry_with(policy_tuning(policy));
-    let Some(name) = reg
-        .names()
-        .iter()
-        .find(|n| n.eq_ignore_ascii_case(scheduler))
-        .map(|n| n.to_string())
-    else {
-        eprintln!(
+/// Resolves a case-insensitive scheduler name against the roster.
+fn scheduler_named(args: &Args, scheduler: &str) -> String {
+    roster_name(scheduler).unwrap_or_else(|| {
+        let roster = rips_repro::bench::registry().names().join("|");
+        args.fail(&format!(
             "unknown scheduler '{scheduler}'; available: {}",
-            reg.names().join("|").to_lowercase()
-        );
-        std::process::exit(2);
-    };
-    (reg, name)
+            roster.to_lowercase()
+        ))
+    })
+}
+
+/// Builds the registry for `--policy` and resolves the scheduler name
+/// against its roster.
+fn resolve_scheduler(args: &Args, scheduler: &str) -> (SchedulerRegistry, String) {
+    let name = scheduler_named(args, scheduler);
+    (registry_with(policy_tuning(args)), name)
+}
+
+fn write_file(path: &str, text: &str) {
+    std::fs::write(path, text).unwrap_or_else(|e| {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    });
 }
 
 /// Renders the registry as OpenMetrics text and writes it to `path`
@@ -188,35 +247,29 @@ fn write_metrics(reg: &MetricsRegistry, path: &str) {
     if path == "-" {
         print!("{text}");
     } else {
-        std::fs::write(path, &text).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        write_file(path, &text);
         eprintln!("wrote {path}: {} bytes of OpenMetrics text", text.len());
     }
 }
 
-fn paper_spec(workload: &Arc<Workload>, nodes: usize, seed: u64) -> RunSpec {
-    RunSpec {
-        workload: Arc::clone(workload),
-        nodes,
-        latency: LatencyModel::paragon(),
-        costs: Costs::default(),
-        seed,
-        rid_u: 0.4,
-    }
-}
+const RUN: Spec = &[
+    "run  simulate one scheduler on one workload",
+    "--app S=queens13         workload (see `rips apps`)",
+    "--scheduler S=rips       see `rips schedulers`",
+    NODES,
+    SEED,
+    POLICY,
+    METRICS_OUT,
+];
 
-fn cmd_run() {
-    let app = arg("--app").unwrap_or_else(|| "queens13".into());
-    let scheduler = arg("--scheduler").unwrap_or_else(|| "rips".into());
-    let nodes: usize = arg("--nodes").and_then(|v| v.parse().ok()).unwrap_or(32);
-    let seed: u64 = arg("--seed").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let policy = arg("--policy").unwrap_or_else(|| "any-lazy".into());
+fn cmd_run(args: &Args) {
+    let app = args.str("--app");
+    let scheduler = args.str("--scheduler");
+    let nodes: usize = args.num("--nodes");
+    let seed = args.num("--seed");
 
-    eprintln!("building workload '{app}' ...");
-    let (workload, table) = build_app_live(&app);
-    let workload = Arc::new(workload);
+    let (reg, name) = resolve_scheduler(args, scheduler);
+    let (workload, table) = build_app_live(args, app);
     let stats = workload.stats();
     println!(
         "workload: {} | {} tasks | {} rounds | Ts = {:.2} s",
@@ -229,8 +282,7 @@ fn cmd_run() {
     let mesh = Mesh2D::near_square(nodes);
     println!("machine:  {} ({} nodes)", mesh.label(), nodes);
 
-    let (reg, name) = resolve_scheduler(&scheduler, &policy);
-    let spec = paper_spec(&workload, nodes, seed);
+    let spec = paper_spec(&workload, nodes, 0.4, seed);
     // One registry shard per simulated node; the simulator's virtual
     // clock means counters fill but the ns histograms stay empty.
     let metrics = MetricsRegistry::new(nodes);
@@ -263,62 +315,40 @@ fn cmd_run() {
     let truth = table.static_totals();
     println!("  solutions       : {}", truth.solutions);
     println!("  grain checksum  : {:#018x}", truth.checksum);
-    if let Some(path) = arg("--metrics-out") {
-        write_metrics(&metrics, &path);
+    if let Some(path) = args.get("--metrics-out") {
+        write_metrics(&metrics, path);
     }
 }
 
-fn cmd_live() {
-    // Positionals may appear before, between, or after flags
-    // (`rips live --threads 4 queens9` and `rips live rid queens9
-    // --threads 2` both work).
-    let mut positionals = Vec::new();
-    let mut args = std::env::args().skip(2);
-    while let Some(a) = args.next() {
-        if a.starts_with("--") {
-            if a != "--audit" {
-                args.next(); // skip the flag's value
-            }
-        } else {
-            positionals.push(a);
-        }
-    }
-    let mut pos = positionals.into_iter();
-    let (scheduler, app) = match (pos.next(), pos.next()) {
-        (Some(s), Some(a)) => (s, a),
-        (Some(a), None) => ("rips".to_string(), a),
-        _ => {
-            eprintln!(
-                "usage: rips live [<scheduler>] <app> [--threads N] [--mode compute|timed] \
-                 [--timed-scale F] [--seed S] [--policy P] [--audit] [--trace-out f.json]"
-            );
-            std::process::exit(2);
-        }
-    };
-    let threads: usize = arg("--threads").and_then(|v| v.parse().ok()).unwrap_or(4);
-    let seed: u64 = arg("--seed").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let policy = arg("--policy").unwrap_or_else(|| "any-lazy".into());
-    let mode = match arg("--mode").as_deref() {
-        None | Some("compute") => GrainMode::Compute,
-        Some("timed") => GrainMode::Timed,
-        Some(other) => {
-            eprintln!("unknown --mode '{other}' (compute|timed)");
-            std::process::exit(2);
-        }
-    };
-    let timed_scale: f64 = arg("--timed-scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
-    let audit = arg_flag("--audit");
-    let trace_out = arg("--trace-out");
-    let metrics_out = arg("--metrics-out");
+const LIVE: Spec = &[
+    "live [<scheduler>] <app>  run on real threads with real grains, cross-checked",
+    THREADS,
+    SEED,
+    POLICY,
+    "--mode S=compute         grain mode: compute|timed",
+    "--timed-scale F=1.0      timed mode: modelled-duration multiplier",
+    "--audit                  stream the live trace through the invariant auditor",
+    "--trace-out S            write a Chrome trace-event JSON file",
+    METRICS_OUT,
+];
 
-    eprintln!("building workload '{app}' ...");
-    let (workload, table) = build_app_live(&app);
-    let workload = Arc::new(workload);
-    let table = Arc::new(table);
-    let (_, name) = resolve_scheduler(&scheduler, &policy);
-    let tuning = policy_tuning(&policy);
+fn cmd_live(args: &Args) {
+    let (scheduler, app) = sched_app(args);
+    let threads: usize = args.num("--threads");
+    let seed: u64 = args.num("--seed");
+    let policy = args.str("--policy");
+    let mode = match args.str("--mode") {
+        "compute" => GrainMode::Compute,
+        "timed" => GrainMode::Timed,
+        other => args.fail(&format!("unknown --mode '{other}' (compute|timed)")),
+    };
+    let timed_scale: f64 = args.num("--timed-scale");
+    let audit = args.switch("--audit");
+    let trace_out = args.get("--trace-out");
+
+    let name = scheduler_named(args, scheduler);
+    let tuning = policy_tuning(args);
+    let (workload, table) = build_app_live(args, app);
     let truth = table.static_totals();
 
     let clock: Arc<WallClock> = Arc::new(WallClock::new());
@@ -374,10 +404,7 @@ fn cmd_live() {
                 if let Some(path) = trace_out {
                     let label = format!("{name} · {app} · {threads} threads (live) · seed {seed}");
                     let json = buf.chrome_json(&label, out.wall_us);
-                    std::fs::write(&path, &json).unwrap_or_else(|e| {
-                        eprintln!("cannot write {path}: {e}");
-                        std::process::exit(1);
-                    });
+                    write_file(path, &json);
                     eprintln!(
                         "wrote {path}: {} events ({} bytes)",
                         buf.records.len(),
@@ -436,8 +463,8 @@ fn cmd_live() {
     if trips > 0 {
         println!("  watchdog trips  : {trips}");
     }
-    if let Some(path) = metrics_out {
-        write_metrics(&metrics, &path);
+    if let Some(path) = args.get("--metrics-out") {
+        write_metrics(&metrics, path);
     }
     if !matches {
         eprintln!(
@@ -454,48 +481,33 @@ fn cmd_live() {
     }
 }
 
+const STATS: Spec = &[
+    "stats [<scheduler>] <app>  run one cell and export its metrics as OpenMetrics text",
+    "--backend S=sim          sim|live",
+    NODES,
+    THREADS,
+    SEED,
+    POLICY,
+    "--out S=-                output file (- = stdout)",
+];
+
 /// `rips stats`: run one cell on either backend with the metrics
 /// registry installed and emit the resulting OpenMetrics text (stdout
 /// by default, `--out` for a file). The simulator backend fills the
 /// event/task/message counters (its virtual clock leaves the ns
 /// histograms empty); the live backend additionally fills the
 /// per-dispatch timing histograms via the wall cycle clock.
-fn cmd_stats() {
-    let mut positionals = Vec::new();
-    let mut args = std::env::args().skip(2);
-    while let Some(a) = args.next() {
-        if a.starts_with("--") {
-            args.next(); // every stats flag takes a value
-        } else {
-            positionals.push(a);
-        }
-    }
-    let mut pos = positionals.into_iter();
-    let (scheduler, app) = match (pos.next(), pos.next()) {
-        (Some(s), Some(a)) => (s, a),
-        (Some(a), None) => ("rips".to_string(), a),
-        _ => {
-            eprintln!(
-                "usage: rips stats [<scheduler>] <app> [--backend sim|live] [--nodes N] \
-                 [--threads N] [--seed S] [--policy P] [--out m.txt]"
-            );
-            std::process::exit(2);
-        }
-    };
-    let backend = arg("--backend").unwrap_or_else(|| "sim".into());
-    let seed: u64 = arg("--seed").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let policy = arg("--policy").unwrap_or_else(|| "any-lazy".into());
-    let out_path = arg("--out").unwrap_or_else(|| "-".into());
+fn cmd_stats(args: &Args) {
+    let (scheduler, app) = sched_app(args);
+    let seed: u64 = args.num("--seed");
+    let policy = args.str("--policy");
+    let (reg, name) = resolve_scheduler(args, scheduler);
 
-    eprintln!("building workload '{app}' ...");
-    let (workload, table) = build_app_live(&app);
-    let workload = Arc::new(workload);
-
-    let metrics = match backend.as_str() {
+    let metrics = match args.str("--backend") {
         "sim" => {
-            let nodes: usize = arg("--nodes").and_then(|v| v.parse().ok()).unwrap_or(32);
-            let (reg, name) = resolve_scheduler(&scheduler, &policy);
-            let spec = paper_spec(&workload, nodes, seed);
+            let nodes: usize = args.num("--nodes");
+            let workload = build_app(args, app);
+            let spec = paper_spec(&workload, nodes, 0.4, seed);
             eprintln!("sim run: {name} on {nodes} nodes (seed {seed}) ...");
             let metrics = MetricsRegistry::new(nodes);
             let run = with_metrics(&metrics, || reg.run(&name, &spec));
@@ -505,10 +517,9 @@ fn cmd_stats() {
             metrics
         }
         "live" => {
-            let threads: usize = arg("--threads").and_then(|v| v.parse().ok()).unwrap_or(4);
-            let table = Arc::new(table);
-            let (_, name) = resolve_scheduler(&scheduler, &policy);
-            let tuning = policy_tuning(&policy);
+            let threads: usize = args.num("--threads");
+            let (workload, table) = build_app_live(args, app);
+            let tuning = policy_tuning(args);
             eprintln!("live run: {name} on {threads} threads (policy {policy}, seed {seed}) ...");
             let clock: Arc<WallClock> = Arc::new(WallClock::new());
             let metrics = MetricsRegistry::new(threads);
@@ -528,33 +539,24 @@ fn cmd_stats() {
             }
             metrics
         }
-        other => {
-            eprintln!("unknown --backend '{other}' (sim|live)");
-            std::process::exit(2);
-        }
+        other => args.fail(&format!("unknown --backend '{other}' (sim|live)")),
     };
-    write_metrics(&metrics, &out_path);
+    write_metrics(&metrics, args.str("--out"));
 }
 
-/// Shared front half of `trace` and `report`: parse the positional
-/// `<scheduler> <app>` pair, run the cell under a [`TraceBuffer`] sink,
-/// and hand back the buffer plus the run's end time.
-fn traced_run(cmd: &str) -> (String, TraceBuffer, u64) {
-    let mut pos = std::env::args()
-        .skip(2)
-        .take_while(|a| !a.starts_with("--"));
-    let (Some(scheduler), Some(app)) = (pos.next(), pos.next()) else {
-        eprintln!("usage: rips {cmd} <scheduler> <app> [--nodes N] [--seed S] [--policy P] ...");
-        std::process::exit(2);
+/// Shared front half of `trace` and `report`: run the `<scheduler>
+/// <app>` cell under a [`TraceBuffer`] sink, and hand back the buffer
+/// plus the run's end time.
+fn traced_run(args: &Args) -> (String, TraceBuffer, u64) {
+    let [scheduler, app] = args.pos() else {
+        unreachable!("Args::parse bounds the positional count")
     };
-    let nodes: usize = arg("--nodes").and_then(|v| v.parse().ok()).unwrap_or(32);
-    let seed: u64 = arg("--seed").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let policy = arg("--policy").unwrap_or_else(|| "any-lazy".into());
+    let nodes: usize = args.num("--nodes");
+    let seed: u64 = args.num("--seed");
 
-    eprintln!("building workload '{app}' ...");
-    let workload = Arc::new(build_app(&app));
-    let (reg, name) = resolve_scheduler(&scheduler, &policy);
-    let spec = paper_spec(&workload, nodes, seed);
+    let (reg, name) = resolve_scheduler(args, scheduler);
+    let workload = build_app(args, app);
+    let spec = paper_spec(&workload, nodes, 0.4, seed);
 
     eprintln!("tracing {name} on {nodes} nodes (seed {seed}) ...");
     let (buf, run) = rips_repro::trace::with_sink(TraceBuffer::new(), || reg.run(&name, &spec));
@@ -565,11 +567,20 @@ fn traced_run(cmd: &str) -> (String, TraceBuffer, u64) {
     (label, buf, run.outcome.stats.end_time)
 }
 
-fn cmd_trace() {
-    let out_path = arg("--out").unwrap_or_else(|| "trace.json".into());
-    let (label, buf, end_time) = traced_run("trace");
+const TRACE: Spec = &[
+    "trace <scheduler> <app>  simulate with the trace sink attached; write a Chrome trace file",
+    NODES,
+    SEED,
+    POLICY,
+    "--out S=trace.json       output file",
+    "--check                  validate span nesting before writing",
+];
 
-    if arg_flag("--check") {
+fn cmd_trace(args: &Args) {
+    let out_path = args.str("--out");
+    let (label, buf, end_time) = traced_run(args);
+
+    if args.switch("--check") {
         match validate(&buf) {
             Ok(check) => eprintln!(
                 "trace well-formed: {} phase spans, {} stage spans, {} task execs, {} open at halt",
@@ -583,10 +594,7 @@ fn cmd_trace() {
     }
 
     let json = buf.chrome_json(&label, end_time);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
+    write_file(out_path, &json);
     println!(
         "wrote {out_path}: {} events, {} bytes — open at https://ui.perfetto.dev",
         buf.records.len(),
@@ -594,10 +602,18 @@ fn cmd_trace() {
     );
 }
 
-fn cmd_report() {
-    let (label, buf, end_time) = traced_run("report");
+const REPORT: Spec = &[
+    "report <scheduler> <app>  simulate with the trace sink attached; print the phase anatomy",
+    NODES,
+    SEED,
+    POLICY,
+    "--jsonl                  JSONL instead of the table",
+];
+
+fn cmd_report(args: &Args) {
+    let (label, buf, end_time) = traced_run(args);
     let mut report = buf.report(end_time);
-    if arg_flag("--jsonl") {
+    if args.switch("--jsonl") {
         print!("{}", report.to_jsonl());
     } else {
         println!("{label}\n");
@@ -605,24 +621,14 @@ fn cmd_report() {
     }
 }
 
-fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
 /// Runs one scheduler under the invariant [`Auditor`] and prints its
-/// report; returns whether every audited invariant held. RIPS-H runs
-/// get the tiling-aware auditor (per-tile Theorem 1, Lemma 1 as a
-/// lower bound) built from the same decomposition the planner uses.
-fn audit_one(reg: &SchedulerRegistry, name: &str, spec: &RunSpec, nodes: usize) -> bool {
-    let auditor = if name == "RIPS-H" {
-        let mesh = rips_repro::topology::Mesh2D::near_square(nodes);
-        Auditor::with_tiles(nodes, rips_repro::sched::TileGrid::new(&mesh).assignment())
-    } else {
-        Auditor::new(nodes)
-    };
+/// report; returns whether every audited invariant held.
+fn audit_one(reg: &SchedulerRegistry, name: &str, spec: &RunSpec) -> bool {
+    let nodes = spec.nodes;
+    let auditor = auditor_for(name, nodes);
     let (auditor, run) = rips_repro::trace::with_sink(auditor, || reg.run(name, spec));
     let report = auditor.finish();
-    println!("── {name} · {} nodes · seed {} ──", spec.nodes, spec.seed);
+    println!("── {name} · {nodes} nodes · seed {} ──", spec.seed);
     print!("{}", report.render_human());
     println!(
         "run              T = {:.3} s, {} non-local",
@@ -632,70 +638,60 @@ fn audit_one(reg: &SchedulerRegistry, name: &str, spec: &RunSpec, nodes: usize) 
     report.is_ok()
 }
 
-fn cmd_audit() {
-    let nodes: usize = arg("--nodes").and_then(|v| v.parse().ok()).unwrap_or(32);
-    let seed: u64 = arg("--seed").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let policy = arg("--policy").unwrap_or_else(|| "any-lazy".into());
+const AUDIT: Spec = &[
+    "audit [<scheduler> <app>]  check the paper's invariants on one scheduler, or --all",
+    "--all                    audit every roster scheduler on --app",
+    "--app S=queens9          workload for --all",
+    NODES,
+    SEED,
+    POLICY,
+];
 
-    let (schedulers, app) = if arg_flag("--all") {
-        (None, arg("--app").unwrap_or_else(|| "queens9".into()))
-    } else {
-        let mut pos = std::env::args()
-            .skip(2)
-            .take_while(|a| !a.starts_with("--"));
-        let (Some(scheduler), Some(app)) = (pos.next(), pos.next()) else {
-            eprintln!("usage: rips audit <scheduler> <app> [--nodes N] [--seed S]");
-            eprintln!("       rips audit --all [--app queens9] [--nodes N] [--seed S]");
-            std::process::exit(2);
-        };
-        (Some(scheduler), app)
+fn cmd_audit(args: &Args) {
+    let reg = registry_with(policy_tuning(args));
+    let (schedulers, app) = match (args.switch("--all"), args.pos()) {
+        (true, []) => {
+            let roster = reg.names().iter().map(|n| n.to_string()).collect();
+            (roster, args.str("--app"))
+        }
+        (false, [scheduler, app]) => (vec![scheduler_named(args, scheduler)], app.as_str()),
+        _ => args.fail("give either <scheduler> <app> or --all"),
     };
-
-    eprintln!("building workload '{app}' ...");
-    let workload = Arc::new(build_app(&app));
-    let spec = paper_spec(&workload, nodes, seed);
+    let workload = build_app(args, app);
+    let spec = paper_spec(&workload, args.num("--nodes"), 0.4, args.num("--seed"));
     let mut all_ok = true;
-    match schedulers {
-        Some(scheduler) => {
-            let (reg, name) = resolve_scheduler(&scheduler, &policy);
-            all_ok &= audit_one(&reg, &name, &spec, nodes);
-        }
-        None => {
-            let (reg, _) = resolve_scheduler("rips", &policy);
-            for name in reg.names().to_vec() {
-                all_ok &= audit_one(&reg, name, &spec, nodes);
-            }
-        }
+    for name in &schedulers {
+        all_ok &= audit_one(&reg, name, &spec);
     }
     if !all_ok {
         std::process::exit(1);
     }
 }
 
-fn cmd_lint() {
-    let root = arg("--root").unwrap_or_else(|| ".".into());
-    let format = arg("--format").unwrap_or_else(|| "human".into());
-    let report = match rips_repro::audit::lint_workspace(std::path::Path::new(&root)) {
+const LINT: Spec = &[
+    "lint  rips-lint static analysis over the workspace source",
+    "--root S=.               workspace root",
+    "--format S=human         human|json",
+    "--out S                  write the report here",
+];
+
+fn cmd_lint(args: &Args) {
+    let root = args.str("--root");
+    let report = match rips_repro::audit::lint_workspace(std::path::Path::new(root)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("cannot walk {root}: {e}");
             std::process::exit(2);
         }
     };
-    let rendered = match format.as_str() {
+    let rendered = match args.str("--format") {
         "json" => report.render_json(),
         "human" => report.render_human(),
-        other => {
-            eprintln!("unknown --format '{other}' (human|json)");
-            std::process::exit(2);
-        }
+        other => args.fail(&format!("unknown --format '{other}' (human|json)")),
     };
-    match arg("--out") {
+    match args.get("--out") {
         Some(path) => {
-            std::fs::write(&path, &rendered).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
-            });
+            write_file(path, &rendered);
             eprintln!(
                 "wrote {path}: {} finding(s) in {} file(s), {} suppressed",
                 report.findings.len(),
@@ -710,17 +706,46 @@ fn cmd_lint() {
     }
 }
 
+/// `rips verify` flags that map 1:1 onto the `RIPS_VERIFY_*`
+/// environment knobs `Checker::from_env` reads, so CI and local runs
+/// can trade coverage for wall clock without editing any test. No
+/// defaults: an absent flag leaves the environment alone.
+const VERIFY_KNOBS: [(Flag, &str); 6] = [
+    ("--bound N         preemption bound", "RIPS_VERIFY_BOUND"),
+    (
+        "--max-iters N     cap on explored schedules",
+        "RIPS_VERIFY_MAX_ITERS",
+    ),
+    ("--mode S          dfs|random", "RIPS_VERIFY_MODE"),
+    ("--seed N          random-mode seed", "RIPS_VERIFY_SEED"),
+    (
+        "--random-iters N  random-mode schedules",
+        "RIPS_VERIFY_RANDOM_ITERS",
+    ),
+    (
+        "--out S           directory for failing replay schedules",
+        "RIPS_VERIFY_OUT",
+    ),
+];
+
+const VERIFY: Spec = &[
+    "verify  bounded model checking of the lock-free live paths",
+    VERIFY_KNOBS[0].0,
+    VERIFY_KNOBS[1].0,
+    VERIFY_KNOBS[2].0,
+    VERIFY_KNOBS[3].0,
+    VERIFY_KNOBS[4].0,
+    VERIFY_KNOBS[5].0,
+    "--filter S  run only the tests matching this",
+];
+
 /// `rips verify` — recompile the workspace with `--cfg rips_verify`
 /// (swapping the `rips_verify::sync` seam from std re-exports to the
 /// instrumented cells) and run the bounded model checker's test suites:
 /// the checker's own litmus selftests plus the `verify_model` modules
 /// embedded in `rips-live` (SPSC ring, transport wakeup/halt, watchdog)
 /// and `rips-runtime` (RCU cell, Oracle barrier counter).
-///
-/// Flags map onto the `RIPS_VERIFY_*` environment knobs that
-/// `Checker::from_env` reads, so CI and local runs can trade coverage
-/// for wall clock without editing any test.
-fn cmd_verify() {
+fn cmd_verify(args: &Args) {
     let mut cargo =
         std::process::Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string()));
     cargo.args(["test", "-q"]);
@@ -728,7 +753,7 @@ fn cmd_verify() {
         cargo.args(["-p", pkg]);
     }
     cargo.arg("--lib");
-    if let Some(filter) = arg("--filter") {
+    if let Some(filter) = args.get("--filter") {
         cargo.arg(filter);
     }
 
@@ -748,19 +773,17 @@ fn cmd_verify() {
         cargo.env("CARGO_TARGET_DIR", "target/verify");
     }
 
-    for (flag, knob) in [
-        ("--bound", "RIPS_VERIFY_BOUND"),
-        ("--max-iters", "RIPS_VERIFY_MAX_ITERS"),
-        ("--mode", "RIPS_VERIFY_MODE"),
-        ("--seed", "RIPS_VERIFY_SEED"),
-        ("--random-iters", "RIPS_VERIFY_RANDOM_ITERS"),
-        ("--out", "RIPS_VERIFY_OUT"),
-    ] {
-        if let Some(v) = arg(flag) {
+    for (flag, knob) in VERIFY_KNOBS {
+        let name = flag
+            .split(' ')
+            .next()
+            .expect("a flag row starts with its name");
+        if let Some(v) = args.get(name) {
             cargo.env(knob, v);
         }
     }
-    if let Some(dir) = arg("--out").or_else(|| std::env::var("RIPS_VERIFY_OUT").ok()) {
+    let out_dir = args.get("--out").map(str::to_string);
+    if let Some(dir) = out_dir.or_else(|| std::env::var("RIPS_VERIFY_OUT").ok()) {
         // Pre-create the replay directory so CI's artifact-upload step
         // always has a path to point at, even on a clean run.
         let _ = std::fs::create_dir_all(&dir);
@@ -782,20 +805,21 @@ fn cmd_verify() {
     eprintln!("rips verify: all model suites clean");
 }
 
-fn cmd_plan() {
-    let rows: usize = arg("--rows").and_then(|v| v.parse().ok()).unwrap_or(4);
-    let cols: usize = arg("--cols").and_then(|v| v.parse().ok()).unwrap_or(4);
+const PLAN: Spec = &[
+    "plan  one-shot MWA on a load vector",
+    "--rows N=4               mesh rows",
+    "--cols N=4               mesh columns",
+    "--loads N,..             rows*cols task counts (required)",
+];
+
+fn cmd_plan(args: &Args) {
+    let rows: usize = args.num("--rows");
+    let cols: usize = args.num("--cols");
     let mesh = Mesh2D::new(rows, cols);
-    let loads: Vec<i64> = match arg("--loads") {
-        Some(s) => s
-            .split(',')
-            .map(|x| x.trim().parse().expect("loads must be integers"))
-            .collect(),
-        None => {
-            eprintln!("--loads w0,w1,... required ({} values)", mesh.len());
-            std::process::exit(2);
-        }
-    };
+    let loads: Vec<i64> = args
+        .list("--loads")
+        .filter(|l: &Vec<i64>| l.len() == mesh.len())
+        .unwrap_or_else(|| args.fail(&format!("--loads needs {} values", mesh.len())));
     let (plan, trace) = mwa(&mesh, &loads);
     println!(
         "mesh {rows}x{cols}, w_avg = {}, remainder = {}",
@@ -813,74 +837,55 @@ fn cmd_plan() {
     }
 }
 
-/// Resolves a case-insensitive scheduler name against the canonical
-/// roster (serve runs use the stock registry; `--policy` tuning is a
-/// batch-run concern).
-fn resolve_roster_name(scheduler: &str) -> String {
-    for n in rips_repro::bench::registry().names() {
-        if n.eq_ignore_ascii_case(scheduler) {
-            return n.to_string();
-        }
-    }
-    eprintln!(
-        "unknown scheduler '{scheduler}'; roster: {:?}",
-        rips_repro::bench::registry().names()
-    );
-    std::process::exit(2);
-}
+const SERVE: Spec = &[
+    "serve  open-loop multi-tenant service over one backend",
+    "--backend S=sim          sim|live",
+    "--scheduler S=rips       roster scheduler",
+    "--nodes N=8              simulated processors (sim)",
+    "--threads N=2            OS threads (live)",
+    "--tenants N=4            simulated tenants",
+    "--jobs N=8               jobs per tenant",
+    "--mean-interarrival-us N per-tenant mean gap (50000; wins over --rate)",
+    "--rate F                 aggregate offered rate, jobs/s over all tenants",
+    "--process S=poisson      arrivals: poisson|bursty[:N]",
+    "--max-pending N=64       admission bound, all tenants",
+    "--quota N=16             admission bound per tenant",
+    "--quantum N=64           DRR quantum (tasks)",
+    SEED,
+    "--tiny                   the CI-sized job catalog",
+    "--audit                  run under the serve auditor",
+    "--json                   print the report as JSON",
+    "--out S                  also write the JSON report here",
+    METRICS_OUT,
+];
 
-/// Builds the serve backend named by `--backend` (sim: `--nodes`
-/// simulated processors; live: `--threads` OS threads running real
-/// grains).
-fn serve_backend(kind: &str) -> Box<dyn rips_repro::serve::JobBackend> {
-    use rips_repro::serve::{DesimBackend, LiveBackend};
-    match kind {
-        "sim" => {
-            let nodes: usize = arg("--nodes").and_then(|v| v.parse().ok()).unwrap_or(8);
-            Box::new(DesimBackend::new(nodes))
-        }
-        "live" => {
-            let threads: usize = arg("--threads").and_then(|v| v.parse().ok()).unwrap_or(2);
-            Box::new(LiveBackend::new(threads))
-        }
-        other => {
-            eprintln!("unknown backend '{other}' (sim|live)");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn cmd_serve() {
+fn cmd_serve(args: &Args) {
     use rips_repro::audit::ServeAuditor;
     use rips_repro::serve::{
-        run_serve, AdmissionConfig, ArrivalProcess, Catalog, ServeConfig, TrafficConfig,
+        run_serve, AdmissionConfig, ArrivalProcess, Catalog, DesimBackend, JobBackend, LiveBackend,
+        ServeConfig, TrafficConfig,
     };
 
-    let scheduler = resolve_roster_name(&arg("--scheduler").unwrap_or_else(|| "rips".into()));
-    let backend_kind = arg("--backend").unwrap_or_else(|| "sim".into());
-    let tenants: u32 = arg("--tenants").and_then(|v| v.parse().ok()).unwrap_or(4);
-    let jobs: u32 = arg("--jobs").and_then(|v| v.parse().ok()).unwrap_or(8);
-    let seed: u64 = arg("--seed").and_then(|v| v.parse().ok()).unwrap_or(1);
+    // Serve runs use the stock registry; `--policy` tuning is a
+    // batch-run concern.
+    let scheduler = scheduler_named(args, args.str("--scheduler"));
+    let tenants: u32 = args.num("--tenants");
+    let jobs: u32 = args.num("--jobs");
+    let seed: u64 = args.num("--seed");
     // `--rate` is the aggregate offered rate (jobs/s across all
     // tenants); `--mean-interarrival-us` sets the per-tenant gap
     // directly and wins when both are given.
-    let mean_interarrival_us: u64 = arg("--mean-interarrival-us")
-        .and_then(|v| v.parse().ok())
-        .or_else(|| {
-            arg("--rate")
-                .and_then(|v| v.parse::<f64>().ok())
-                .filter(|r| *r > 0.0)
-                .map(|r| (tenants as f64 * 1e6 / r) as u64)
-        })
+    let from_rate = || {
+        let rate = args.opt::<f64>("--rate").filter(|r| *r > 0.0)?;
+        Some((tenants as f64 * 1e6 / rate) as u64)
+    };
+    let mean_interarrival_us: u64 = args
+        .opt("--mean-interarrival-us")
+        .or_else(from_rate)
         .unwrap_or(50_000)
         .max(1);
-    let process = match arg("--process") {
-        None => ArrivalProcess::Poisson,
-        Some(p) => ArrivalProcess::parse(&p).unwrap_or_else(|| {
-            eprintln!("unknown process '{p}' (poisson|bursty[:N])");
-            std::process::exit(2);
-        }),
-    };
+    let process = ArrivalProcess::parse(args.str("--process"))
+        .unwrap_or_else(|| args.fail("--process must be poisson or bursty[:N]"));
     let cfg = ServeConfig {
         scheduler,
         traffic: TrafficConfig {
@@ -891,20 +896,22 @@ fn cmd_serve() {
             seed,
         },
         admission: AdmissionConfig {
-            max_pending: arg("--max-pending")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(64),
-            tenant_quota: arg("--quota").and_then(|v| v.parse().ok()).unwrap_or(16),
+            max_pending: args.num("--max-pending"),
+            tenant_quota: args.num("--quota"),
         },
-        quantum: arg("--quantum").and_then(|v| v.parse().ok()).unwrap_or(64),
+        quantum: args.num("--quantum"),
         service_seed: seed,
     };
-    let catalog = if arg_flag("--tiny") {
+    let catalog = if args.switch("--tiny") {
         Catalog::tiny()
     } else {
         Catalog::standard()
     };
-    let mut backend = serve_backend(&backend_kind);
+    let mut backend: Box<dyn JobBackend> = match args.str("--backend") {
+        "sim" => Box::new(DesimBackend::new(args.num("--nodes"))),
+        "live" => Box::new(LiveBackend::new(args.num("--threads"))),
+        other => args.fail(&format!("unknown --backend '{other}' (sim|live)")),
+    };
     let nodes = backend.nodes();
     eprintln!(
         "serving {} tenants x {} jobs ({}, mean gap {} µs) on {} ...",
@@ -917,7 +924,7 @@ fn cmd_serve() {
 
     let metrics = MetricsRegistry::new(1);
     let (audit, rep) = with_metrics(&metrics, || {
-        if arg_flag("--audit") {
+        if args.switch("--audit") {
             let (auditor, rep) = rips_repro::trace::with_sink(ServeAuditor::new(nodes), || {
                 run_serve(&cfg, &catalog, backend.as_mut())
             });
@@ -927,20 +934,17 @@ fn cmd_serve() {
         }
     });
 
-    if arg_flag("--json") {
+    if args.switch("--json") {
         println!("{}", rep.to_json());
     } else {
         print!("{}", rep.render_human());
     }
-    if let Some(path) = arg("--out") {
-        std::fs::write(&path, rep.to_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+    if let Some(path) = args.get("--out") {
+        write_file(path, &rep.to_json());
         eprintln!("wrote {path}");
     }
-    if let Some(path) = arg("--metrics-out") {
-        write_metrics(&metrics, &path);
+    if let Some(path) = args.get("--metrics-out") {
+        write_metrics(&metrics, path);
     }
     if let Some(report) = audit {
         print!("{}", report.render_human());
@@ -951,132 +955,26 @@ fn cmd_serve() {
     }
 }
 
-fn cmd_bench_serve() {
-    use rips_repro::serve::sweep::{sweep_one, SweepConfig};
-    use rips_repro::serve::{Catalog, DesimBackend, LiveBackend};
-
-    let schedulers: Vec<String> = arg("--schedulers")
-        .unwrap_or_else(|| "rips,rips-h,rid".into())
-        .split(',')
-        .map(resolve_roster_name)
-        .collect();
-    let nodes: usize = arg("--nodes").and_then(|v| v.parse().ok()).unwrap_or(8);
-    let threads: usize = arg("--threads").and_then(|v| v.parse().ok()).unwrap_or(2);
-    let cfg = SweepConfig {
-        load_factors: arg("--loads")
-            .map(|s| s.split(',').filter_map(|x| x.trim().parse().ok()).collect())
-            .unwrap_or_else(|| vec![0.3, 1.0, 2.5]),
-        tenants: arg("--tenants").and_then(|v| v.parse().ok()).unwrap_or(4),
-        jobs_per_tenant: arg("--jobs").and_then(|v| v.parse().ok()).unwrap_or(8),
-        seed: arg("--seed").and_then(|v| v.parse().ok()).unwrap_or(1),
-        seed_variants: 1,
-        ..SweepConfig::default()
-    };
-    let catalog = Catalog::tiny();
-    let mut all_ok = true;
-    for sched in &schedulers {
-        for backend_kind in ["sim", "live"] {
-            let series = match backend_kind {
-                "sim" => sweep_one(&cfg, sched, &catalog, &mut DesimBackend::new(nodes)),
-                _ => sweep_one(&cfg, sched, &catalog, &mut LiveBackend::new(threads)),
-            };
-            let knee = series
-                .knee_load
-                .map(|k| format!("{k:.2}"))
-                .unwrap_or_else(|| "none".into());
-            println!(
-                "── {} · {} · S̄ {} µs · audited {} · spread {} · knee {} ──",
-                series.scheduler,
-                series.backend,
-                series.mean_service_us,
-                series.audited_ok,
-                series.max_spread,
-                knee,
-            );
-            for p in &series.points {
-                println!(
-                    "  load {:.2}: offered {:>8.1} jobs/s, achieved {:>8.1}, p50 {} µs, \
-                     p99 {} µs, shed {:.1}%",
-                    p.load,
-                    p.offered_jobs_per_sec,
-                    p.report.jobs_per_sec,
-                    p.report.latency.p50_us,
-                    p.report.latency.p99_us,
-                    p.report.shed_rate * 100.0,
-                );
-                all_ok &= p.serve_audit_ok;
-            }
-            all_ok &= series.audited_ok;
-        }
-    }
-    if !all_ok {
-        eprintln!("BENCH-SERVE AUDIT FAILED");
-        std::process::exit(1);
-    }
-    println!("all series audited clean (per-job conservation + Theorem 1 spread)");
-}
-
 fn main() {
-    match std::env::args().nth(1).as_deref() {
-        Some("run") => cmd_run(),
-        Some("live") => cmd_live(),
-        Some("stats") => cmd_stats(),
-        Some("trace") => cmd_trace(),
-        Some("report") => cmd_report(),
-        Some("audit") => cmd_audit(),
-        Some("serve") => cmd_serve(),
-        Some("bench-serve") => cmd_bench_serve(),
-        Some("plan") => cmd_plan(),
-        Some("lint") => cmd_lint(),
-        Some("verify") => cmd_verify(),
-        Some("apps") => {
-            for a in APPS {
-                println!("{a}");
-            }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let table = commands();
+    // The longest path that prefixes the command line wins, so `repro
+    // fig4` selects the artifact's row and `repro --list` the group's.
+    let matched = [2, 1].into_iter().find_map(|n| {
+        let path = argv.get(..n)?.join(" ");
+        let is_path = |c: &&Cmd| format!("{}{}", c.0, synopsis(c.1).0) == path;
+        Some((table.iter().find(is_path)?, n))
+    });
+    let Some(((group, spec, run), n)) = matched else {
+        eprintln!("usage: rips <command> [args]   (a bad flag prints the command's usage)");
+        for (name, _, about) in table
+            .iter()
+            .filter(|c| c.0.is_empty())
+            .map(|c| synopsis(c.1))
+        {
+            eprintln!("  {name:<11} {about}");
         }
-        Some("schedulers") => {
-            for s in rips_repro::bench::registry().names() {
-                println!("{}", s.to_lowercase());
-            }
-        }
-        _ => {
-            eprintln!(
-                "usage: rips <run|live|stats|trace|report|audit|serve|bench-serve|plan|lint|\
-                 verify|apps|schedulers> [flags]"
-            );
-            eprintln!(
-                "  run    --app queens13 --scheduler rips|random|gradient|rid|sid --nodes 32 \
-                 [--metrics-out m.txt]"
-            );
-            eprintln!(
-                "  live   [<scheduler>] <app> [--threads N] [--mode compute|timed] \
-                 [--policy P] [--audit] [--trace-out f] [--metrics-out m.txt]"
-            );
-            eprintln!(
-                "  stats  [<scheduler>] <app> [--backend sim|live] [--nodes N] [--threads N] \
-                 [--out m.txt]"
-            );
-            eprintln!(
-                "  trace  <scheduler> <app> [--nodes N] [--seed S] [--out trace.json] [--check]"
-            );
-            eprintln!("  report <scheduler> <app> [--nodes N] [--seed S] [--jsonl]");
-            eprintln!("  audit  <scheduler> <app> | --all  [--nodes N] [--seed S]");
-            eprintln!(
-                "  serve  [--backend sim|live] [--scheduler rips] [--tenants N] [--jobs N] \
-                 [--rate jobs/s] [--process poisson|bursty[:N]] [--audit] [--json|--out f] \
-                 [--metrics-out m.txt]"
-            );
-            eprintln!(
-                "  bench-serve [--schedulers rips,rips-h,rid] [--loads 0.3,1.0,2.5] \
-                 [--nodes N] [--threads N]"
-            );
-            eprintln!("  plan   --rows 8 --cols 4 --loads 25,0,3,...");
-            eprintln!("  lint   [--root .] [--format human|json] [--out report.json]");
-            eprintln!(
-                "  verify [--bound N] [--mode dfs|random] [--seed S] [--max-iters N] \
-                 [--random-iters N] [--out replay-dir] [--filter test-name]"
-            );
-            std::process::exit(2);
-        }
-    }
+        std::process::exit(2);
+    };
+    run(&Args::parse(group, spec, &argv[n..]));
 }
