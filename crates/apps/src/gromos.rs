@@ -16,9 +16,10 @@
 use std::sync::Arc;
 
 use crate::live::{GrainSpec, GrainTable, GromosCtx};
+use crate::{host_workers, WorkersFor};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use rips_taskgraph::{TaskForest, Workload};
+use rips_taskgraph::{par_map_with, TaskForest, Workload};
 
 /// Parameters for the GROMOS-like workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,42 +75,55 @@ pub fn synthetic_protein(n: usize, seed: u64) -> Vec<[f64; 3]> {
     atoms
 }
 
-/// Cell-list half-shell pair counting: for each atom, the number of
-/// *higher-indexed* atoms within `cutoff`. Index order is spatial
-/// (z-sorted), so grains are spatially correlated like real charge
-/// groups.
-pub fn half_pair_counts(atoms: &[[f64; 3]], cutoff: f64) -> Vec<u64> {
-    assert!(cutoff > 0.0, "cutoff must be positive");
-    let n = atoms.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut min = [f64::INFINITY; 3];
-    let mut max = [f64::NEG_INFINITY; 3];
-    for a in atoms {
-        for d in 0..3 {
-            min[d] = min[d].min(a[d]);
-            max[d] = max[d].max(a[d]);
+/// A uniform grid of cubic cells of side `cutoff` over the atoms'
+/// bounding box: an atom's in-range neighbours all sit in its own cell
+/// or the 26 around it.
+struct CellList<'a> {
+    atoms: &'a [[f64; 3]],
+    cutoff: f64,
+    min: [f64; 3],
+    dims: [usize; 3],
+    cells: Vec<Vec<usize>>,
+}
+
+impl<'a> CellList<'a> {
+    fn new(atoms: &'a [[f64; 3]], cutoff: f64) -> Self {
+        assert!(cutoff > 0.0, "cutoff must be positive");
+        let mut min = [f64::INFINITY; 3];
+        let mut max = [f64::NEG_INFINITY; 3];
+        for a in atoms {
+            for d in 0..3 {
+                min[d] = min[d].min(a[d]);
+                max[d] = max[d].max(a[d]);
+            }
         }
+        let dims = [0, 1, 2].map(|d| (((max[d] - min[d]) / cutoff).floor() as usize + 1).max(1));
+        let mut list = CellList {
+            atoms,
+            cutoff,
+            min,
+            dims,
+            cells: vec![Vec::new(); dims[0] * dims[1] * dims[2]],
+        };
+        for (i, a) in atoms.iter().enumerate() {
+            let [ix, iy, iz] = list.cell_of(a);
+            list.cells[(ix * dims[1] + iy) * dims[2] + iz].push(i);
+        }
+        list
     }
-    let cells_per_dim = |d: usize| (((max[d] - min[d]) / cutoff).floor() as usize + 1).max(1);
-    let (cx, cy, cz) = (cells_per_dim(0), cells_per_dim(1), cells_per_dim(2));
-    let cell_of = |a: &[f64; 3]| {
-        let ix = (((a[0] - min[0]) / cutoff) as usize).min(cx - 1);
-        let iy = (((a[1] - min[1]) / cutoff) as usize).min(cy - 1);
-        let iz = (((a[2] - min[2]) / cutoff) as usize).min(cz - 1);
-        (ix * cy + iy) * cz + iz
-    };
-    let mut cells: Vec<Vec<usize>> = vec![Vec::new(); cx * cy * cz];
-    for (i, a) in atoms.iter().enumerate() {
-        cells[cell_of(a)].push(i);
+
+    /// Grid coordinates of the cell holding `a`.
+    fn cell_of(&self, a: &[f64; 3]) -> [usize; 3] {
+        [0, 1, 2].map(|d| (((a[d] - self.min[d]) / self.cutoff) as usize).min(self.dims[d] - 1))
     }
-    let cut2 = cutoff * cutoff;
-    let mut counts = vec![0u64; n];
-    for (i, a) in atoms.iter().enumerate() {
-        let ix = (((a[0] - min[0]) / cutoff) as usize).min(cx - 1) as isize;
-        let iy = (((a[1] - min[1]) / cutoff) as usize).min(cy - 1) as isize;
-        let iz = (((a[2] - min[2]) / cutoff) as usize).min(cz - 1) as isize;
+
+    /// Number of *higher-indexed* atoms within the cutoff of atom `i`.
+    fn half_count(&self, i: usize) -> u64 {
+        let a = &self.atoms[i];
+        let cut2 = self.cutoff * self.cutoff;
+        let [cx, cy, cz] = self.dims;
+        let [ix, iy, iz] = self.cell_of(a).map(|c| c as isize);
+        let mut count = 0u64;
         for dx in -1..=1isize {
             for dy in -1..=1isize {
                 for dz in -1..=1isize {
@@ -121,23 +135,38 @@ pub fn half_pair_counts(atoms: &[[f64; 3]], cutoff: f64) -> Vec<u64> {
                     if jx >= cx || jy >= cy || jz >= cz {
                         continue;
                     }
-                    for &j in &cells[(jx * cy + jy) * cz + jz] {
+                    for &j in &self.cells[(jx * cy + jy) * cz + jz] {
                         if j <= i {
                             continue;
                         }
-                        let b = &atoms[j];
+                        let b = &self.atoms[j];
                         let d2 =
                             (a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2);
                         if d2 <= cut2 {
-                            counts[i] += 1;
+                            count += 1;
                         }
                     }
                 }
             }
         }
+        count
     }
-    counts
 }
+
+/// Cell-list half-shell pair counting: for each atom, the number of
+/// *higher-indexed* atoms within `cutoff`. Index order is spatial
+/// (z-sorted), so grains are spatially correlated like real charge
+/// groups.
+pub fn half_pair_counts(atoms: &[[f64; 3]], cutoff: f64) -> Vec<u64> {
+    let list = CellList::new(atoms, cutoff);
+    (0..atoms.len()).map(|i| list.half_count(i)).collect()
+}
+
+/// Below this many atom × group products the pair search (and the
+/// table's ground-truth pass) runs on the calling thread: the serving
+/// catalog's molecules (300 atoms in 200 groups) are sub-millisecond,
+/// the paper's (6 968 in 4 986) take tens.
+const SPREAD_MIN_ATOM_GROUPS: u64 = 1_000_000;
 
 /// Builds the GROMOS workload: `steps` rounds of the same flat forest
 /// of `groups` tasks, grain = pair count × `ns_per_pair`.
@@ -149,6 +178,14 @@ pub fn gromos(cfg: GromosConfig) -> Workload {
 /// task to its group's pair search, for live execution. Every round
 /// shares the same specs (the forest repeats per MD step).
 pub fn gromos_with_grains(cfg: GromosConfig) -> (Workload, GrainTable) {
+    build(cfg, &|atom_groups| {
+        host_workers(atom_groups, SPREAD_MIN_ATOM_GROUPS)
+    })
+}
+
+/// The builder proper; `workers_for` maps atoms × groups to the pool
+/// size the pair search is measured on.
+pub(crate) fn build(cfg: GromosConfig, workers_for: WorkersFor) -> (Workload, GrainTable) {
     assert!(
         cfg.groups >= 1 && cfg.groups <= cfg.atoms,
         "bad group count"
@@ -162,42 +199,52 @@ pub fn gromos_with_grains(cfg: GromosConfig) -> (Workload, GrainTable) {
             .partial_cmp(&(b[2], b[1], b[0]))
             .expect("finite coordinates")
     });
-    let pairs = half_pair_counts(&atoms, cfg.cutoff);
 
     // Split `atoms` into `groups` contiguous chunks as evenly as
     // possible (sizes differ by at most one).
     let base = cfg.atoms / cfg.groups;
     let extra = cfg.atoms % cfg.groups;
-    let ctx = Arc::new(GromosCtx {
-        atoms,
-        cutoff: cfg.cutoff,
-    });
-    let mut forest = TaskForest::new();
-    let mut specs = Vec::with_capacity(cfg.groups);
+    let mut chunks = Vec::with_capacity(cfg.groups);
     let mut idx = 0usize;
     for g in 0..cfg.groups {
         let size = base + usize::from(g < extra);
-        let pair_total: u64 = pairs[idx..idx + size].iter().sum();
-        specs.push(GrainSpec::GromosGroup {
-            ctx: Arc::clone(&ctx),
-            start: idx as u32,
-            len: size as u32,
-        });
+        chunks.push(idx..idx + size);
         idx += size;
+    }
+    debug_assert_eq!(idx, cfg.atoms);
+
+    let workers = workers_for((cfg.atoms * cfg.groups) as u64);
+    let list = CellList::new(&atoms, cfg.cutoff);
+    let pair_totals = par_map_with(workers, &chunks, |chunk| {
+        chunk.clone().map(|i| list.half_count(i)).sum::<u64>()
+    });
+
+    let mut forest = TaskForest::new();
+    for pair_total in pair_totals {
         // Every group costs at least its bookkeeping even with no
         // neighbours in range.
         let grain = (pair_total.max(1) * cfg.ns_per_pair).div_ceil(1000).max(1);
         forest.add_root(grain);
     }
-    debug_assert_eq!(idx, cfg.atoms);
+    let ctx = Arc::new(GromosCtx {
+        atoms,
+        cutoff: cfg.cutoff,
+    });
+    let group = |chunk: std::ops::Range<usize>| GrainSpec::GromosGroup {
+        ctx: Arc::clone(&ctx),
+        start: chunk.start as u32,
+        len: chunk.len() as u32,
+    };
+    let specs: Vec<GrainSpec> = chunks.into_iter().map(group).collect();
 
     let w = Workload {
         name: format!("gromos {}A", cfg.cutoff),
         rounds: vec![forest; cfg.steps],
     };
     debug_assert!(w.validate().is_ok());
-    let spec_rounds = vec![specs; cfg.steps];
-    (w, GrainTable::new(spec_rounds))
+    // The pair totals above come from the cell list, not from the
+    // grains' own half-shell search, so this table is not seeded.
+    (w, GrainTable::lazy(vec![specs; cfg.steps], workers))
 }
 
 #[cfg(test)]

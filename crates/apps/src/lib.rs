@@ -28,3 +28,20 @@ pub use gromos::{gromos, gromos_with_grains, GromosConfig};
 pub use live::{GrainOut, GrainSpec, GrainTable, GromosCtx};
 pub use nqueens::{nqueens, nqueens_with_grains, NQueensConfig};
 pub use puzzle::{puzzle, puzzle_with_grains, PuzzleConfig};
+
+/// A builder's pool-size rule: maps the estimated work of one batch of
+/// measurements, in that builder's own unit, to the number of workers
+/// [`rips_taskgraph::par_map_with`] spreads it over. The public
+/// builders pass [`host_workers`]; tests pin a count.
+pub(crate) type WorkersFor<'a> = &'a dyn Fn(u64) -> usize;
+
+/// The inline rule: a batch under `min_work` is measured on the
+/// calling thread (a catalog-sized build finishes before a spawned
+/// thread would start), anything larger on every host core. The
+/// estimate is a property of the builder's input — never a clock.
+pub(crate) fn host_workers(work: u64, min_work: u64) -> usize {
+    if work < min_work {
+        return 1;
+    }
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}

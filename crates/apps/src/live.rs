@@ -20,8 +20,19 @@
 //! [`GrainTable::static_totals`] — computed without any scheduler —
 //! whatever the thread interleaving was. That equality (plus task
 //! conservation) is the cross-backend validation contract.
+//!
+//! **One measurement per grain.** A builder sizes a task by running
+//! its computation, and that run already yields the task's
+//! [`GrainOut`]: `GrainSpec::measure` returns both, and
+//! [`GrainSpec::run`] is its second half. The N-Queens and 15-puzzle
+//! builders fold the outputs they measured into the table, so their
+//! `static_totals()` is a field read; only GROMOS (whose builder
+//! counts pairs by cell list, a different computation from the
+//! grain's half-shell search) derives its ground truth on first use.
 
 use std::sync::{Arc, OnceLock};
+
+use rips_taskgraph::par_map_with;
 
 use crate::nqueens;
 use crate::puzzle::{self, Board};
@@ -37,9 +48,20 @@ pub struct GrainOut {
     pub solutions: u64,
 }
 
+impl GrainOut {
+    /// Order-independent accumulation: wrapping checksum sum, solution
+    /// sum.
+    pub(crate) fn plus(self, other: GrainOut) -> GrainOut {
+        GrainOut {
+            checksum: self.checksum.wrapping_add(other.checksum),
+            solutions: self.solutions + other.solutions,
+        }
+    }
+}
+
 /// Shared context for GROMOS grains: every group's pair search scans
 /// the same position set.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct GromosCtx {
     /// Spatially sorted atom positions (Å).
     pub atoms: Vec<[f64; 3]>,
@@ -48,7 +70,7 @@ pub struct GromosCtx {
 }
 
 /// The real computation behind one task.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GrainSpec {
     /// N-Queens interior task: probe the free squares of row `row`
     /// under the given occupancy masks (the expansion work whose valid
@@ -113,10 +135,27 @@ fn mix(vals: &[u64]) -> u64 {
     h
 }
 
+/// The output of one 15-puzzle bounded DFS (shared by the builder,
+/// which keeps the measurement beside it, and [`GrainSpec::measure`]).
+pub(crate) fn puzzle_out(m: &puzzle::Measured) -> GrainOut {
+    GrainOut {
+        checksum: mix(&[m.nodes, u64::from(m.exceed), u64::from(m.found)]),
+        solutions: u64::from(m.found),
+    }
+}
+
 impl GrainSpec {
     /// Runs the grain. Deterministic: same spec, same result, on any
     /// thread.
     pub fn run(&self) -> GrainOut {
+        self.measure().1
+    }
+
+    /// Runs the grain and also reports how much work it was, in the
+    /// unit its builder sizes tasks by (search nodes, atom pairs) —
+    /// the one computation behind both a task's modelled duration and
+    /// its live result.
+    pub(crate) fn measure(&self) -> (u64, GrainOut) {
         match *self {
             GrainSpec::QueensInterior {
                 n,
@@ -127,7 +166,7 @@ impl GrainSpec {
             } => {
                 let full = (1u32 << n) - 1;
                 let free = full & !(cols | diag1 | diag2);
-                GrainOut {
+                let out = GrainOut {
                     checksum: mix(&[
                         u64::from(row),
                         u64::from(cols),
@@ -135,7 +174,9 @@ impl GrainSpec {
                         u64::from(free.count_ones()),
                     ]),
                     solutions: 0,
-                }
+                };
+                // Expanding one row costs ~one node per square probed.
+                (u64::from(n), out)
             }
             GrainSpec::QueensLeaf {
                 n,
@@ -145,10 +186,11 @@ impl GrainSpec {
                 diag2,
             } => {
                 let (nodes, sols) = nqueens::enumerate(n, row, cols, diag1, diag2);
-                GrainOut {
+                let out = GrainOut {
                     checksum: mix(&[nodes, sols, u64::from(cols), u64::from(diag1)]),
                     solutions: sols,
-                }
+                };
+                (nodes, out)
             }
             GrainSpec::PuzzleDfs {
                 ref board,
@@ -156,11 +198,8 @@ impl GrainSpec {
                 last,
                 threshold,
             } => {
-                let (nodes, exceed, found) = puzzle::run_bounded(board, g, threshold, last);
-                GrainOut {
-                    checksum: mix(&[nodes, u64::from(exceed), u64::from(found)]),
-                    solutions: u64::from(found),
-                }
+                let m = puzzle::run_bounded(board, g, threshold, last);
+                (m.nodes, puzzle_out(&m))
             }
             GrainSpec::GromosGroup {
                 ref ctx,
@@ -184,10 +223,11 @@ impl GrainSpec {
                         }
                     }
                 }
-                GrainOut {
+                let out = GrainOut {
                     checksum: mix(&[pairs, quantized, u64::from(start)]),
                     solutions: 0,
-                }
+                };
+                (pairs, out)
             }
         }
     }
@@ -198,18 +238,36 @@ impl GrainSpec {
 #[derive(Debug, Clone)]
 pub struct GrainTable {
     rounds: Vec<Vec<GrainSpec>>,
-    /// Lazily computed [`static_totals`](GrainTable::static_totals),
-    /// so a table shared across repeated job submissions (the serve
-    /// layer resubmits the same app spec many times) derives its
-    /// ground truth once. Cloning carries the cached value along.
+    /// [`static_totals`](GrainTable::static_totals): seeded by a
+    /// builder that measured every grain, else derived on first use.
+    /// Either way a table shared across repeated job submissions (the
+    /// serve layer resubmits the same app spec many times) holds its
+    /// ground truth once, and cloning carries the value along.
     totals: OnceLock<GrainOut>,
+    /// Workers the derive-on-first-use pass spreads over (1 = inline),
+    /// fixed by the builder from the size of its input.
+    lazy_workers: usize,
 }
 
 impl GrainTable {
-    pub(crate) fn new(rounds: Vec<Vec<GrainSpec>>) -> Self {
+    /// A table whose builder ran every grain and folded the outputs
+    /// into `totals`.
+    pub(crate) fn seeded(rounds: Vec<Vec<GrainSpec>>, totals: GrainOut) -> Self {
+        GrainTable {
+            rounds,
+            totals: OnceLock::from(totals),
+            lazy_workers: 1,
+        }
+    }
+
+    /// A table whose builder sized tasks by some other computation
+    /// than the grains themselves: the ground truth is derived on
+    /// first use, over `workers` threads.
+    pub(crate) fn lazy(rounds: Vec<Vec<GrainSpec>>, workers: usize) -> Self {
         GrainTable {
             rounds,
             totals: OnceLock::new(),
+            lazy_workers: workers,
         }
     }
 
@@ -237,23 +295,18 @@ impl GrainTable {
         self.spec(round, task).run()
     }
 
-    /// Runs every grain once, sequentially, summing the outputs: the
-    /// scheduler-independent reference a live run's totals must match.
+    /// The sum of every grain's output: the scheduler-independent
+    /// reference a live run's totals must match.
     ///
-    /// The first call does the full traversal; the result is cached
-    /// in the table, so per-job-instance ground truth is O(1) when
-    /// the same spec is submitted repeatedly.
+    /// O(1) for a table its builder seeded (N-Queens, 15-puzzle).
+    /// Otherwise the first call runs every grain once and the result
+    /// is kept in the table, so per-job-instance ground truth is O(1)
+    /// when the same spec is submitted repeatedly.
     pub fn static_totals(&self) -> GrainOut {
         *self.totals.get_or_init(|| {
-            let mut out = GrainOut::default();
-            for round in &self.rounds {
-                for spec in round {
-                    let r = spec.run();
-                    out.checksum = out.checksum.wrapping_add(r.checksum);
-                    out.solutions += r.solutions;
-                }
-            }
-            out
+            let specs: Vec<&GrainSpec> = self.rounds.iter().flatten().collect();
+            let outs = par_map_with(self.lazy_workers, &specs, |spec| spec.run());
+            outs.into_iter().fold(GrainOut::default(), GrainOut::plus)
         })
     }
 }
@@ -264,6 +317,7 @@ mod tests {
     use crate::gromos::{gromos_with_grains, GromosConfig};
     use crate::nqueens::{nqueens_with_grains, solve, NQueensConfig};
     use crate::puzzle::{puzzle_with_grains, PuzzleConfig};
+    use rips_taskgraph::Workload;
 
     #[test]
     fn queens_table_covers_workload_and_finds_all_solutions() {
@@ -345,19 +399,83 @@ mod tests {
         assert_ne!(a.checksum, 0);
     }
 
+    /// The catalog's smallest 15-puzzle (`ida-mini` in `rips-serve`).
+    const IDA_MINI: PuzzleConfig = PuzzleConfig {
+        scramble_len: 12,
+        seed: 7,
+        min_tasks: 8,
+        ns_per_node: 500,
+        split_divisor: 1024,
+        split_floor_nodes: 20_000,
+    };
+
+    /// A 15-puzzle whose every iteration splits oversized subtrees
+    /// over several waves.
+    const IDA_SPLITTING: PuzzleConfig = PuzzleConfig {
+        scramble_len: 40,
+        seed: 9,
+        min_tasks: 16,
+        ns_per_node: 1000,
+        split_divisor: 64,
+        split_floor_nodes: 500,
+    };
+
+    fn small_gromos() -> GromosConfig {
+        GromosConfig {
+            atoms: 400,
+            groups: 286,
+            ..GromosConfig::paper(8.0)
+        }
+    }
+
+    /// Every builder on a pool of exactly `workers`, whatever the size
+    /// of the input.
+    fn build_all(workers: usize) -> Vec<(Workload, GrainTable)> {
+        let pool: crate::WorkersFor = &move |_| workers;
+        let mut built: Vec<_> = (8..=12)
+            .map(|n| crate::nqueens::build(NQueensConfig::paper(n), pool))
+            .collect();
+        for cfg in [IDA_MINI, IDA_SPLITTING, PuzzleConfig::paper(1)] {
+            built.push(crate::puzzle::build(cfg, pool));
+        }
+        built.push(crate::gromos::build(small_gromos(), pool));
+        built
+    }
+
     #[test]
-    fn static_totals_memoized_and_survives_clone() {
-        let cfg = NQueensConfig::paper(8);
-        let (_, table) = nqueens_with_grains(cfg);
-        let first = table.static_totals();
-        // Second call returns the cached value (same result, no
-        // re-derivation observable through the OnceLock), and a clone
-        // carries the cache along — so repeated job instances sharing
-        // the table (or cloning it) get O(1) ground truth.
-        assert_eq!(table.static_totals(), first);
-        let cloned = table.clone();
-        assert_eq!(cloned.totals.get().copied(), Some(first));
-        assert_eq!(cloned.static_totals(), first);
+    fn builders_are_the_same_on_any_worker_count() {
+        let inline = build_all(1);
+        for workers in [2, 7] {
+            for ((w1, t1), (w, t)) in inline.iter().zip(build_all(workers)) {
+                assert_eq!(*w1, w, "{}: {workers} workers", w1.name);
+                assert_eq!(t1.rounds, t.rounds, "{}: {workers} workers", w1.name);
+                assert_eq!(t1.static_totals(), t.static_totals(), "{}", w1.name);
+            }
+        }
+    }
+
+    #[test]
+    fn table_totals_equal_the_fold_of_every_grain() {
+        // What a builder folded in while measuring (or the table
+        // derives on first use, spread over a pool) must be what live
+        // threads add up running the specs one by one.
+        for workers in [1, 2] {
+            for (w, table) in build_all(workers) {
+                let specs = table.rounds.iter().flatten();
+                let folded = specs.fold(GrainOut::default(), |acc, s| acc.plus(s.run()));
+                let seeded = table.totals.get().copied();
+                if w.name.starts_with("gromos") {
+                    assert_eq!(seeded, None, "{}: cell-list build cannot seed", w.name);
+                } else {
+                    assert_eq!(seeded, Some(folded), "{}", w.name);
+                }
+                assert_eq!(table.static_totals(), folded, "{}", w.name);
+                // A clone carries the value along — so repeated job
+                // instances sharing the table (or cloning it) get O(1)
+                // ground truth.
+                assert_eq!(table.clone().totals.get().copied(), Some(folded));
+            }
+        }
     }
 
     #[test]

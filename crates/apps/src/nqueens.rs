@@ -7,8 +7,9 @@
 //! reschedules incrementally — and leaf tasks carry the exact node
 //! count of the subtree they enumerate, converted to virtual time.
 
-use crate::live::{GrainSpec, GrainTable};
-use rips_taskgraph::{TaskForest, Workload};
+use crate::live::{GrainOut, GrainSpec, GrainTable};
+use crate::{host_workers, WorkersFor};
+use rips_taskgraph::{par_map_with, TaskForest, TaskId, Workload};
 
 /// Parameters for the N-Queens workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,38 +78,38 @@ pub fn solve(n: u32) -> (u64, u64) {
     enumerate(n, 0, 0, 0, 0)
 }
 
-struct Builder {
-    n: u32,
-    split_depth: u32,
-    ns_per_node: u64,
-    forest: TaskForest,
-    /// Grain specs in task-id order (one per forest task), for live
-    /// execution.
+/// Below this many leaf-rows (leaf tasks × rows each still has to
+/// fill) the sweep runs on the calling thread. The largest board the
+/// serving catalog and `live-fine` build, 10 queens split at depth 3,
+/// has 2 548 (35 k search nodes: done before a second thread has
+/// started); the smallest paper-split board that lasts milliseconds,
+/// 11 queens, has 17 276.
+const SPREAD_MIN_LEAF_ROWS: u64 = 10_000;
+
+/// Tasks measured per pool batch. The results of a batch are folded
+/// into the forest before the next is measured, so the builder's
+/// transient memory is a batch's worth whatever the board (15 queens:
+/// 8 batches of ~0.1 s each, against one thread start per batch).
+const BATCH: usize = 2048;
+
+/// The prefix tree in task-id order (a task, then each child's
+/// subtree): every task's parent and spec, nothing measured yet.
+struct Prefixes {
+    cfg: NQueensConfig,
+    parents: Vec<Option<TaskId>>,
     specs: Vec<GrainSpec>,
 }
 
-impl Builder {
-    /// Recursively adds the task for the prefix reaching `row` with the
-    /// given masks under `parent` (or as a root), returning its id.
-    fn build(
-        &mut self,
-        parent: Option<rips_taskgraph::TaskId>,
-        row: u32,
-        cols: u32,
-        diag1: u32,
-        diag2: u32,
-    ) {
-        let full = (1u32 << self.n) - 1;
-        if row == self.split_depth {
-            // Leaf task: grain = exact subtree node count.
-            let (nodes, _) = enumerate(self.n, row, cols, diag1, diag2);
-            let grain = ((nodes.max(1)) * self.ns_per_node).div_ceil(1000).max(1);
-            match parent {
-                Some(p) => self.forest.add_child(p, grain),
-                None => self.forest.add_root(grain),
-            };
+impl Prefixes {
+    /// Adds the task for the prefix reaching `row` with the given
+    /// masks under `parent` (or as a root), then its subtree.
+    fn collect(&mut self, parent: Option<TaskId>, (row, cols, diag1, diag2): (u32, u32, u32, u32)) {
+        let n = self.cfg.n;
+        let id = self.specs.len() as TaskId;
+        self.parents.push(parent);
+        if row == self.cfg.split_depth {
             self.specs.push(GrainSpec::QueensLeaf {
-                n: self.n,
+                n,
                 row,
                 cols,
                 diag1,
@@ -116,31 +117,21 @@ impl Builder {
             });
             return;
         }
-        // Interior task: expanding one row costs ~one node per child
-        // probe; its children are the valid extensions.
-        let mut free = full & !(cols | diag1 | diag2);
-        let expansion_cost = ((self.n as u64) * self.ns_per_node).div_ceil(1000).max(1);
-        let id = match parent {
-            Some(p) => self.forest.add_child(p, expansion_cost),
-            None => self.forest.add_root(expansion_cost),
-        };
         self.specs.push(GrainSpec::QueensInterior {
-            n: self.n,
+            n,
             row,
             cols,
             diag1,
             diag2,
         });
+        // The children are the valid extensions by one row.
+        let full = (1u32 << n) - 1;
+        let mut free = full & !(cols | diag1 | diag2);
         while free != 0 {
             let bit = free & free.wrapping_neg();
             free ^= bit;
-            self.build(
-                Some(id),
-                row + 1,
-                cols | bit,
-                (diag1 | bit) << 1,
-                (diag2 | bit) >> 1,
-            );
+            let child = (row + 1, cols | bit, (diag1 | bit) << 1, (diag2 | bit) >> 1);
+            self.collect(Some(id), child);
         }
     }
 }
@@ -155,23 +146,24 @@ pub fn nqueens(cfg: NQueensConfig) -> Workload {
 /// Like [`nqueens`], but also returns the [`GrainTable`] mapping each
 /// task to its real computation, for live execution.
 pub fn nqueens_with_grains(cfg: NQueensConfig) -> (Workload, GrainTable) {
+    build(cfg, &|leaf_rows| {
+        host_workers(leaf_rows, SPREAD_MIN_LEAF_ROWS)
+    })
+}
+
+/// The builder proper; `workers_for` maps a sweep's leaf-rows to the
+/// pool size it is measured on.
+pub(crate) fn build(cfg: NQueensConfig, workers_for: WorkersFor) -> (Workload, GrainTable) {
     assert!((1..=16).contains(&cfg.n), "board size out of range");
     assert!(cfg.split_depth >= 1 && cfg.split_depth <= cfg.n);
     assert!(cfg.root_depth <= cfg.split_depth, "roots below the split");
-    let mut b = Builder {
-        n: cfg.n,
-        split_depth: cfg.split_depth,
-        ns_per_node: cfg.ns_per_node,
-        forest: TaskForest::new(),
-        specs: Vec::new(),
-    };
     // Enumerate the valid prefixes at `root_depth`; each becomes a root
     // task that expands (dynamically) down to the split depth.
     let full = (1u32 << cfg.n) - 1;
-    let mut stack = vec![(0u32, 0u32, 0u32, 0u32)];
+    let mut roots = vec![(0u32, 0u32, 0u32, 0u32)];
     for _ in 0..cfg.root_depth {
-        let mut next = Vec::with_capacity(stack.len() * cfg.n as usize);
-        for (row, cols, d1, d2) in stack {
+        let mut next = Vec::with_capacity(roots.len() * cfg.n as usize);
+        for (row, cols, d1, d2) in roots {
             let mut free = full & !(cols | d1 | d2);
             while free != 0 {
                 let bit = free & free.wrapping_neg();
@@ -179,15 +171,42 @@ pub fn nqueens_with_grains(cfg: NQueensConfig) -> (Workload, GrainTable) {
                 next.push((row + 1, cols | bit, (d1 | bit) << 1, (d2 | bit) >> 1));
             }
         }
-        stack = next;
+        roots = next;
     }
-    for (row, cols, d1, d2) in stack {
-        b.build(None, row, cols, d1, d2);
+    let mut tree = Prefixes {
+        cfg,
+        parents: Vec::new(),
+        specs: Vec::new(),
+    };
+    for root in roots {
+        tree.collect(None, root);
     }
-    let w = Workload::single(format!("{}-queens", cfg.n), b.forest);
+    let Prefixes { parents, specs, .. } = tree;
+
+    // Every task measured once, in task-id order: a leaf's exact
+    // subtree node count (and, from the same enumeration, its output),
+    // an interior task's one-row expansion.
+    let is_leaf = |spec: &&GrainSpec| matches!(spec, GrainSpec::QueensLeaf { .. });
+    let leaf_rows =
+        specs.iter().filter(is_leaf).count() as u64 * u64::from(cfg.n - cfg.split_depth);
+    let workers = workers_for(leaf_rows);
+    let mut forest = TaskForest::new();
+    let mut totals = GrainOut::default();
+    for (batch, parents) in specs.chunks(BATCH).zip(parents.chunks(BATCH)) {
+        let measured = par_map_with(workers, batch, GrainSpec::measure);
+        for (&parent, (nodes, out)) in parents.iter().zip(measured) {
+            let grain = (nodes.max(1) * cfg.ns_per_node).div_ceil(1000).max(1);
+            match parent {
+                Some(p) => forest.add_child(p, grain),
+                None => forest.add_root(grain),
+            };
+            totals = totals.plus(out);
+        }
+    }
+    let w = Workload::single(format!("{}-queens", cfg.n), forest);
     debug_assert!(w.validate().is_ok());
-    debug_assert_eq!(b.specs.len(), w.rounds[0].len());
-    (w, GrainTable::new(vec![b.specs]))
+    debug_assert_eq!(specs.len(), w.rounds[0].len());
+    (w, GrainTable::seeded(vec![specs], totals))
 }
 
 #[cfg(test)]

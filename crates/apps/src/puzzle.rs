@@ -9,10 +9,11 @@
 //! size may vary substantially, since it dynamically depends on the
 //! currently estimated cost."
 
-use crate::live::{GrainSpec, GrainTable};
+use crate::live::{puzzle_out, GrainOut, GrainSpec, GrainTable};
+use crate::{host_workers, WorkersFor};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use rips_taskgraph::{TaskForest, Workload};
+use rips_taskgraph::{par_map_with, TaskForest, Workload};
 
 /// Parameters for the 15-puzzle IDA\* workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,11 +44,14 @@ impl PuzzleConfig {
     /// The paper's "three different configurations" of increasing
     /// difficulty (config #3 is by far the largest, as in Table I).
     pub fn paper(config: u32) -> Self {
-        // Seeds selected (see EXPERIMENTS.md) so that the three
-        // instances increase in difficulty like the paper's: #1 ≈ 3k
-        // tasks / ~8M nodes, #2 ≈ 23M nodes, #3 is an order of
-        // magnitude larger (the paper's config #3 has 29 046 tasks and
-        // dominates Table I's IDA* rows).
+        // Seeds selected in EXPERIMENTS.md. What they build, as
+        // `rips run --app ida{1,2,3}` prints it: #1 = 1 940 tasks,
+        // Ts 0.02 s; #2 = 5 528 tasks, Ts 67.35 s; #3 = 15 428 tasks,
+        // Ts 0.25 s. So #3 has the paper's many-task shape (its
+        // config #3 has 29 046) but only ≈ 16 µs of work per task,
+        // and #2, not #3, is the heavy instance — unlike the paper,
+        // whose #3 dominates Table I's IDA* rows. The goldens pin
+        // these seeds.
         let (seed, min_tasks) = match config {
             1 => (5, 256),
             2 => (10, 256),
@@ -74,6 +78,23 @@ pub struct Board {
 }
 
 const GOAL: [u8; 16] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0];
+
+/// `MD[tile][sq]`: Manhattan distance from square `sq` to `tile`'s
+/// home square (row 0, the blank, is all zero).
+const MD: [[u8; 16]; 16] = {
+    let mut md = [[0u8; 16]; 16];
+    let mut tile = 1;
+    while tile < 16 {
+        let home = tile - 1;
+        let mut sq = 0;
+        while sq < 16 {
+            md[tile][sq] = ((sq / 4).abs_diff(home / 4) + (sq % 4).abs_diff(home % 4)) as u8;
+            sq += 1;
+        }
+        tile += 1;
+    }
+    md
+};
 
 /// The four slide directions, encoded as blank-index deltas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,6 +159,20 @@ impl Board {
         Some(next)
     }
 
+    /// [`slide`](Board::slide) carrying the heuristic along: a slide
+    /// moves one tile, so the successor's Manhattan sum is `h` less
+    /// that tile's distance where it was plus its distance where it
+    /// lands — O(1), not a 16-square rescan. `h` must be this board's
+    /// [`manhattan`](Board::manhattan).
+    fn slide_h(&self, dir: Dir, h: u32) -> Option<(Board, u32)> {
+        let next = self.slide(dir)?;
+        // The moved tile went from the new blank square to the old one.
+        let md = &MD[next.cells[self.blank as usize] as usize];
+        let landed = u32::from(md[self.blank as usize]);
+        let left = u32::from(md[next.blank as usize]);
+        Some((next, h + landed - left))
+    }
+
     /// Sum of Manhattan distances of all tiles to their home squares —
     /// the admissible heuristic Korf's IDA\* uses.
     pub fn manhattan(&self) -> u32 {
@@ -181,22 +216,25 @@ pub fn successors(board: &Board) -> Vec<Board> {
     DIRS.iter().filter_map(|&d| board.slide(d)).collect()
 }
 
-/// Bounded DFS of one IDA\* iteration from `board` at depth `g` with
-/// the given threshold. Returns `(nodes_expanded, min_exceeded_f,
-/// found)`; stops early when the goal is found (like the sequential
-/// reference the paper compares against).
+/// Bounded DFS of one IDA\* iteration from `board` (whose Manhattan
+/// sum is `h`) at depth `g` with the given threshold. Returns
+/// `(min_exceeded_f, found)` and counts expanded nodes into `nodes`;
+/// stops early when the goal is found (like the sequential reference
+/// the paper compares against).
 fn bounded_dfs(
     board: &Board,
     g: u32,
+    h: u32,
     threshold: u32,
     last: Option<Dir>,
     nodes: &mut u64,
 ) -> (u32, bool) {
-    let f = g + board.manhattan();
+    let f = g + h;
     if f > threshold {
         return (f, false);
     }
-    if board.is_goal() {
+    // Every tile home puts the blank home too.
+    if h == 0 {
         return (f, true);
     }
     *nodes += 1;
@@ -205,8 +243,8 @@ fn bounded_dfs(
         if Some(dir.opposite()) == last {
             continue;
         }
-        if let Some(next) = board.slide(dir) {
-            let (exceed, found) = bounded_dfs(&next, g + 1, threshold, Some(dir), nodes);
+        if let Some((next, h)) = board.slide_h(dir, h) {
+            let (exceed, found) = bounded_dfs(&next, g + 1, h, threshold, Some(dir), nodes);
             if found {
                 return (exceed, true);
             }
@@ -214,6 +252,29 @@ fn bounded_dfs(
         }
     }
     (min_exceed, false)
+}
+
+/// What one threshold-bounded DFS measured.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Measured {
+    /// Nodes expanded: the task's grain.
+    pub nodes: u64,
+    /// Smallest `f` that exceeded the threshold (the next iteration's
+    /// threshold candidate).
+    pub exceed: u32,
+    /// Whether the goal was reached.
+    pub found: bool,
+}
+
+/// One bounded DFS from `board` at depth `g`, arriving by `last`.
+fn measure(board: &Board, g: u32, threshold: u32, last: Option<Dir>) -> Measured {
+    let mut nodes = 0u64;
+    let (exceed, found) = bounded_dfs(board, g, board.manhattan(), threshold, last, &mut nodes);
+    Measured {
+        nodes,
+        exceed,
+        found,
+    }
 }
 
 /// Solves `board` by sequential IDA\*, returning `(optimal_length,
@@ -224,30 +285,20 @@ pub fn ida_star(board: &Board) -> (u32, Vec<u32>, Vec<u64>) {
     let mut nodes_per_iter = Vec::new();
     loop {
         thresholds.push(threshold);
-        let mut nodes = 0u64;
-        let (next, found) = bounded_dfs(board, 0, threshold, None, &mut nodes);
-        nodes_per_iter.push(nodes);
-        if found {
+        let m = measure(board, 0, threshold, None);
+        nodes_per_iter.push(m.nodes);
+        if m.found {
             return (threshold, thresholds, nodes_per_iter);
         }
-        assert!(next > threshold, "IDA* failed to make progress");
-        threshold = next;
+        assert!(m.exceed > threshold, "IDA* failed to make progress");
+        threshold = m.exceed;
     }
 }
 
 /// Runs one task's bounded DFS for live execution: `last` is a
-/// direction index as stored in [`GrainSpec::PuzzleDfs`]. Returns
-/// `(nodes_expanded, min_exceeded_f, found)`.
-pub(crate) fn run_bounded(
-    board: &Board,
-    g: u32,
-    threshold: u32,
-    last: Option<u8>,
-) -> (u64, u32, bool) {
-    let last = last.map(|i| DIRS[i as usize]);
-    let mut nodes = 0u64;
-    let (exceed, found) = bounded_dfs(board, g, threshold, last, &mut nodes);
-    (nodes, exceed, found)
+/// direction index as stored in [`GrainSpec::PuzzleDfs`].
+pub(crate) fn run_bounded(board: &Board, g: u32, threshold: u32, last: Option<u8>) -> Measured {
+    measure(board, g, threshold, last.map(|i| DIRS[i as usize]))
 }
 
 /// A frontier entry: a state, its depth, and the move that reached it.
@@ -289,25 +340,74 @@ fn expand_frontier(start: &Board, min_tasks: usize) -> Vec<Frontier> {
     }];
     let mut depth = 0;
     while frontier.len() < min_tasks && depth < 12 {
-        let mut next = Vec::with_capacity(frontier.len() * 3);
-        for f in &frontier {
-            for dir in DIRS {
-                if Some(dir.opposite()) == f.last {
-                    continue;
-                }
-                if let Some(b) = f.board.slide(dir) {
-                    next.push(Frontier {
-                        board: b,
-                        g: f.g + 1,
-                        last: Some(dir),
-                    });
-                }
-            }
-        }
-        frontier = next;
+        frontier = frontier.iter().flat_map(Frontier::children).collect();
         depth += 1;
     }
     frontier
+}
+
+/// Below this many nodes a batch of subtrees is measured on the
+/// calling thread. The estimate is what the builder already holds:
+/// the previous iteration's node total for an iteration's base
+/// frontier (iterations grow roughly sixfold, so the first one, and
+/// every iteration of a catalog-sized scramble, stays inline), the
+/// parents' own node counts for a wave of split children. 50 000
+/// nodes are about two milliseconds of search.
+const SPREAD_MIN_NODES: u64 = 50_000;
+
+/// One IDA\* iteration's measured subtrees: the base frontier first,
+/// then, wave by wave, the children of every subtree too large to be
+/// one task. `kids[i]` is where subtree `i`'s children sit in `subs`
+/// (empty unless it was split).
+struct Iteration {
+    subs: Vec<(Frontier, Measured)>,
+    kids: Vec<std::ops::Range<usize>>,
+    /// Node total over the base frontier.
+    base_nodes: u64,
+}
+
+impl Iteration {
+    /// Measures `frontier` at `threshold`, then splits: any subtree
+    /// whose node count exceeds `max(total / split_divisor,
+    /// split_floor_nodes)` is replaced by its children, recursively
+    /// (goal-carrying subtrees are kept whole — they end the search).
+    /// Each wave is one batch on the pool, in a fixed order.
+    fn sweep(
+        cfg: &PuzzleConfig,
+        frontier: &[Frontier],
+        threshold: u32,
+        prev_total: u64,
+        workers_for: WorkersFor,
+    ) -> Iteration {
+        let dfs = |f: &Frontier| measure(&f.board, f.g, threshold, f.last);
+        let base = par_map_with(workers_for(prev_total), frontier, dfs);
+        let base_nodes: u64 = base.iter().map(|m| m.nodes).sum();
+        let split_at = (base_nodes / cfg.split_divisor).max(cfg.split_floor_nodes);
+
+        let mut it = Iteration {
+            subs: frontier.iter().copied().zip(base).collect(),
+            kids: Vec::new(),
+            base_nodes,
+        };
+        let mut wave = 0..it.subs.len();
+        while !wave.is_empty() {
+            let mut children = Vec::new();
+            let mut parents_nodes = 0u64;
+            for i in wave {
+                let (f, m) = &it.subs[i];
+                let first = it.subs.len() + children.len();
+                if !m.found && m.nodes > split_at {
+                    children.extend(f.children());
+                    parents_nodes += m.nodes;
+                }
+                it.kids.push(first..it.subs.len() + children.len());
+            }
+            let measured = par_map_with(workers_for(parents_nodes), &children, dfs);
+            wave = it.subs.len()..it.subs.len() + children.len();
+            it.subs.extend(children.into_iter().zip(measured));
+        }
+        it
+    }
 }
 
 /// Builds the IDA\* workload: one round per iteration, flat tasks per
@@ -320,43 +420,38 @@ pub fn puzzle(cfg: PuzzleConfig) -> Workload {
 /// Like [`puzzle`], but also returns the [`GrainTable`] mapping each
 /// task to its bounded DFS, for live execution.
 pub fn puzzle_with_grains(cfg: PuzzleConfig) -> (Workload, GrainTable) {
+    build(cfg, &|nodes| host_workers(nodes, SPREAD_MIN_NODES))
+}
+
+/// The builder proper; `workers_for` maps a batch's estimated nodes to
+/// the pool size it is measured on.
+pub(crate) fn build(cfg: PuzzleConfig, workers_for: WorkersFor) -> (Workload, GrainTable) {
     assert!(cfg.split_divisor > 0, "zero split divisor");
     let start = Board::scrambled(cfg.scramble_len, cfg.seed);
     let frontier = expand_frontier(&start, cfg.min_tasks);
     let mut rounds = Vec::new();
     let mut spec_rounds = Vec::new();
+    let mut totals = GrainOut::default();
     let mut threshold = start.manhattan();
+    let mut prev_total = 0u64;
     loop {
-        // First pass: measure every base frontier subtree.
-        let mut measured: Vec<(Frontier, u64, u32, bool)> = frontier
-            .iter()
-            .map(|f| {
-                let mut nodes = 0u64;
-                let (exceed, hit) = bounded_dfs(&f.board, f.g, threshold, f.last, &mut nodes);
-                (*f, nodes, exceed, hit)
-            })
-            .collect();
-        let total: u64 = measured.iter().map(|&(_, n, _, _)| n).sum();
-        let split_at = (total / cfg.split_divisor).max(cfg.split_floor_nodes);
-        // Second pass: replace oversized subtrees by their children
-        // until every task is below the split threshold (goal-carrying
-        // tasks are kept whole — they end the search).
+        let it = Iteration::sweep(&cfg, &frontier, threshold, prev_total, workers_for);
+        // Task order: a stack seeded with the base frontier, a split
+        // subtree replaced on the stack by its children.
         let mut forest = TaskForest::new();
         let mut specs = Vec::new();
         let mut next_threshold = u32::MAX;
         let mut found = false;
-        while let Some((f, nodes, exceed, hit)) = measured.pop() {
-            if !hit && nodes > split_at {
-                for child in f.children() {
-                    let mut n = 0u64;
-                    let (e, h) = bounded_dfs(&child.board, child.g, threshold, child.last, &mut n);
-                    measured.push((child, n, e, h));
-                }
+        let mut stack: Vec<usize> = (0..frontier.len()).collect();
+        while let Some(i) = stack.pop() {
+            if !it.kids[i].is_empty() {
+                stack.extend(it.kids[i].clone());
                 continue;
             }
+            let (f, m) = &it.subs[i];
             // Even a pruned-at-the-root task costs one heuristic
             // evaluation.
-            let grain = ((nodes.max(1)) * cfg.ns_per_node).div_ceil(1000).max(1);
+            let grain = ((m.nodes.max(1)) * cfg.ns_per_node).div_ceil(1000).max(1);
             forest.add_root(grain);
             specs.push(GrainSpec::PuzzleDfs {
                 board: f.board,
@@ -364,12 +459,14 @@ pub fn puzzle_with_grains(cfg: PuzzleConfig) -> (Workload, GrainTable) {
                 last: f.last.map(Dir::index),
                 threshold,
             });
-            if hit {
+            totals = totals.plus(puzzle_out(m));
+            if m.found {
                 found = true;
             } else {
-                next_threshold = next_threshold.min(exceed);
+                next_threshold = next_threshold.min(m.exceed);
             }
         }
+        prev_total = it.base_nodes;
         rounds.push(forest);
         spec_rounds.push(specs);
         if found {
@@ -386,7 +483,7 @@ pub fn puzzle_with_grains(cfg: PuzzleConfig) -> (Workload, GrainTable) {
         rounds,
     };
     debug_assert!(w.validate().is_ok());
-    (w, GrainTable::new(spec_rounds))
+    (w, GrainTable::seeded(spec_rounds, totals))
 }
 
 #[cfg(test)]
@@ -421,6 +518,28 @@ mod tests {
             assert!(thresholds.windows(2).all(|w| w[1] > w[0]));
             assert_eq!(thresholds.len(), nodes.len());
         }
+    }
+
+    #[test]
+    fn incremental_heuristic_tracks_manhattan_along_random_walks() {
+        for seed in 0..32 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut board = Board::scrambled(seed as u32, seed);
+            let mut h = board.manhattan();
+            for _ in 0..200 {
+                let dir = DIRS[rng.random_range(0..4)];
+                if let Some((next, next_h)) = board.slide_h(dir, h) {
+                    assert_eq!(Some(next), board.slide(dir));
+                    assert_eq!(next_h, next.manhattan(), "seed {seed}: {next:?}");
+                    (board, h) = (next, next_h);
+                }
+            }
+        }
+        // The DFS's goal test is `h == 0`.
+        assert_eq!(Board::goal().manhattan(), 0);
+        assert!(successors(&Board::goal())
+            .iter()
+            .all(|b| b.manhattan() == 1));
     }
 
     #[test]
@@ -465,9 +584,7 @@ mod tests {
         let t0 = thresholds[0];
         let mut task_total = 0u64;
         for f in &frontier {
-            let mut n = 0u64;
-            bounded_dfs(&f.board, f.g, t0, f.last, &mut n);
-            task_total += n;
+            task_total += measure(&f.board, f.g, t0, f.last).nodes;
         }
         // The tree-BFS frontier duplicates transpositions, so the task
         // total can exceed the sequential count; it must be at least

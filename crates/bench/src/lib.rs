@@ -6,14 +6,13 @@
 //! [`suites::SUITES`] one per measurement suite that writes a
 //! `BENCH_*.json`. Both are plain functions over the drivers here:
 //! the [`App`] catalog, the scheduler [`registry`], [`run_cell`] /
-//! [`run_table`], and [`par_map`].
+//! [`run_table`], and [`rips_taskgraph::par_map`] for every fan-out.
 
 pub mod args;
 pub mod live;
 pub mod repro;
 pub mod suites;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use rips_apps::{
@@ -26,7 +25,7 @@ use rips_core::{rips, Machine, RipsConfig};
 use rips_desim::LatencyModel;
 use rips_runtime::{Costs, PhaseLog, RunOutcome, RunSpec, ScheduledRun, SchedulerRegistry};
 use rips_sched::TileGrid;
-use rips_taskgraph::Workload;
+use rips_taskgraph::{par_map, Workload};
 use rips_topology::{Mesh2D, Topology};
 
 /// The workload catalog: the nine Table I instances plus the
@@ -103,7 +102,9 @@ impl App {
         }
     }
 
-    /// Builds the workload (expensive: runs the real application).
+    /// Builds the workload (expensive: runs the real application, on
+    /// every host core — so build one at a time, not inside a
+    /// [`par_map`]).
     pub fn build(&self) -> Workload {
         match *self {
             App::Queens(n) => nqueens(App::queens_config(n)),
@@ -339,45 +340,31 @@ pub fn run_scheduler(
     run_cell(&registry(), scheduler, workload, nodes, rid_u, seed)
 }
 
-/// Maps `f` over `items` on a bounded pool — `available_parallelism`
-/// scoped workers pulling indices from an atomic counter — keeping
-/// item order. Every fan-out of the artifact regenerators goes through
-/// here; each item is a single-threaded, seed-deterministic job, so
-/// the results are independent of worker scheduling.
-pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let workers = std::thread::available_parallelism().map_or(4, |p| p.get());
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let claim = || {
-            let mut done = Vec::new();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                done.push((i, f(item)));
-            }
-            done
-        };
-        let handles: Vec<_> = (0..workers.min(items.len()))
-            .map(|_| scope.spawn(claim))
-            .collect();
-        for h in handles {
-            for (i, r) in h.join().expect("par_map worker panicked") {
-                slots[i] = Some(r);
-            }
-        }
-    });
-    let mapped = slots.into_iter().map(|r| r.expect("every item mapped"));
-    mapped.collect()
+/// Builds `apps` one after another (each build spreads over the host
+/// by itself), shared by reference count so one build serves a whole
+/// scheduler grid.
+pub fn build_set(apps: &[App]) -> Vec<Arc<Workload>> {
+    apps.iter().map(|app| Arc::new(app.build())).collect()
 }
 
 /// Runs the full Table I grid — every workload × every scheduler.
-/// Workloads are built once and shared across their scheduler runs;
-/// the `apps × schedulers` cells then drain through [`par_map`].
+/// Workloads are built once and shared across their scheduler runs.
 pub fn run_table(apps: &[App], nodes: usize, seed: u64) -> Vec<(App, Vec<Row>)> {
+    run_grid(apps, &build_set(apps), nodes, seed)
+}
+
+/// [`run_table`] over workloads already built (`workloads[i]` is
+/// `apps[i]`'s): the `apps × schedulers` cells drain through
+/// [`par_map`]. Each cell is a single-threaded, seed-deterministic
+/// job, so the rows are independent of worker scheduling.
+pub fn run_grid(
+    apps: &[App],
+    workloads: &[Arc<Workload>],
+    nodes: usize,
+    seed: u64,
+) -> Vec<(App, Vec<Row>)> {
     let reg = registry();
     let schedulers = reg.names();
-    let workloads = par_map(apps, |app| Arc::new(app.build()));
     // The registry is shared by reference — constructors are
     // `Send + Sync`.
     let cells: Vec<(usize, &str)> = (0..apps.len())
@@ -476,12 +463,6 @@ mod tests {
         }
         assert_eq!(App::queens_config(11), NQueensConfig::paper(11));
         assert_eq!(App::queens_config(15), NQueensConfig::paper(15));
-    }
-
-    #[test]
-    fn par_map_keeps_item_order() {
-        assert_eq!(par_map(&[3u64, 1, 2], |x| x * 10), [30, 10, 20]);
-        assert_eq!(par_map(&[] as &[u64], |x| *x), []);
     }
 
     #[test]

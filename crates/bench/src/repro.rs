@@ -17,14 +17,14 @@ use rips_metrics::{
 };
 use rips_runtime::{Costs, RunSpec};
 use rips_sched::mwa;
-use rips_taskgraph::skewed_flat;
+use rips_taskgraph::{par_map, skewed_flat};
 use rips_topology::{Mesh2D, Topology};
 use rips_trace::{with_sink, TraceBuffer};
 
 use crate::args::{Args, Flag, Spec};
 use crate::{
-    paper_spec, par_map, registry, run_cell, run_rips_with, run_scheduler, run_spec, run_table,
-    App, Row,
+    build_set, paper_spec, registry, run_cell, run_grid, run_rips_with, run_scheduler, run_spec,
+    run_table, App, Row,
 };
 
 /// One regenerable paper artifact: its usage text (`rips repro
@@ -196,7 +196,7 @@ const TABLE2: Spec = &["table2  Table II: optimal efficiencies", NODES];
 fn table2(args: &Args) -> String {
     let nodes: usize = args.num("--nodes");
     let apps = App::paper_set();
-    let mu_opt = par_map(&apps, |app| optimal_efficiency(&app.build(), nodes));
+    let mu_opt = par_map(&build_set(&apps), |w| optimal_efficiency(w, nodes));
     let mut table = Table::new(vec!["workload", "optimal efficiency"]);
     for (app, mu) in apps.iter().zip(mu_opt) {
         table.row(vec![app.label(), format!("{:.1}%", mu * 100.0)]);
@@ -212,10 +212,9 @@ const FIG5: Spec = &["fig5  Figure 5 (a)-(c): normalized quality factors", NODES
 fn fig5(args: &Args) -> String {
     let nodes: usize = args.num("--nodes");
     let apps = App::paper_set();
-    let results = run_table(&apps, nodes, 1);
-    // µ_opt per workload (rebuilding the workloads is cheaper than
-    // plumbing them out of the parallel table runner).
-    let mu_opt = par_map(&apps, |app| optimal_efficiency(&app.build(), nodes));
+    let workloads = build_set(&apps);
+    let results = run_grid(&apps, &workloads, nodes, 1);
+    let mu_opt = par_map(&workloads, |w| optimal_efficiency(w, nodes));
 
     let mut out = format!(
         "Figure 5: normalized quality factors ({nodes} processors)\n\
@@ -257,8 +256,9 @@ const TABLE3: Spec = &["table3  Table III: speedups on 64 and 128 processors"];
 fn table3(_: &Args) -> String {
     let apps = App::table3_set();
     let mut table = Table::new(vec!["workload", "scheduler", "64 procs", "128 procs"]);
-    let results64 = run_table(&apps, 64, 1);
-    let results128 = run_table(&apps, 128, 1);
+    let workloads = build_set(&apps);
+    let results64 = run_grid(&apps, &workloads, 64, 1);
+    let results128 = run_grid(&apps, &workloads, 128, 1);
     for ((app, rows64), (_, rows128)) in results64.iter().zip(&results128) {
         for (r64, r128) in rows64.iter().zip(rows128) {
             let ts = r64.outcome.stats.total_user_us();
@@ -291,8 +291,8 @@ fn ablation_policies(args: &Args) -> String {
     ];
     let header = "workload|policy|phases|nonlocal|Th (s)|Ti (s)|T (s)|mu";
     let mut table = Table::new(header.split('|').collect());
-    let groups = par_map(&apps, |app| {
-        let w = Arc::new(app.build());
+    let built: Vec<_> = apps.iter().zip(build_set(&apps)).collect();
+    let groups = par_map(&built, |(app, w)| {
         combos.map(|(name, local, global, eureka)| {
             let cfg = RipsConfig {
                 local,
@@ -300,7 +300,7 @@ fn ablation_policies(args: &Args) -> String {
                 eureka,
                 ..RipsConfig::default()
             };
-            let row = run_rips_with(&w, nodes, cfg, 1);
+            let row = run_rips_with(w, nodes, cfg, 1);
             outcome_row(
                 &[&app.label(), name],
                 &row,
@@ -460,10 +460,10 @@ fn sid_vs_rid(args: &Args) -> String {
     let header = "workload|strategy|nonlocal|Th (s)|Ti (s)|T (s)|mu";
     let mut table = Table::new(header.split('|').collect());
     let reg = registry();
-    let groups = par_map(&apps, |app| {
-        let w = Arc::new(app.build());
+    let built: Vec<_> = apps.iter().zip(build_set(&apps)).collect();
+    let groups = par_map(&built, |(app, w)| {
         ["RID", "SID"].map(|strategy| {
-            let row = run_cell(&reg, strategy, &w, nodes, app.rid_u(nodes), 1);
+            let row = run_cell(&reg, strategy, w, nodes, app.rid_u(nodes), 1);
             outcome_row(&[&app.label(), strategy], &row, &[Nonlocal, Th, Ti, T, Mu])
         })
     });

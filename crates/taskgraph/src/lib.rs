@@ -14,9 +14,15 @@
 //!   system phase).
 //!
 //! Grain sizes are virtual microseconds consumed on the executing node.
+//!
+//! The crate also holds [`par_map`], the one parallel map every layer
+//! above fans out through (workload builders measuring their grains,
+//! the artifact regenerators draining scheduler cells).
 
 mod forest;
+mod pool;
 mod synthetic;
 
 pub use forest::{Task, TaskForest, TaskId, Workload, WorkloadStats};
+pub use pool::{par_map, par_map_with};
 pub use synthetic::{flat_uniform, geometric_tree, skewed_flat};

@@ -164,6 +164,22 @@ fn app_named(args: &Args, name: &str) -> App {
     })
 }
 
+/// Wall-clock seconds `f` took, and what it returned.
+fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
+    let clock = WallClock::new();
+    let r = f();
+    (clock.now_us() as f64 / 1e6, r)
+}
+
+/// Says where one `run`/`live`/`stats` invocation's wall time went:
+/// building the workload (which runs the application to size its
+/// tasks), reading the sequential ground truth off the grain table,
+/// and the scheduler run itself. On stderr, after the result, so
+/// stdout stays what the tests and the byte-identity pins compare.
+fn report_wall(build_s: f64, truth_s: f64, run_s: f64) {
+    eprintln!("wall: build {build_s:.3} s · ground truth {truth_s:.3} s · run {run_s:.3} s");
+}
+
 /// Builds the named workload and its grain table.
 fn build_app_live(args: &Args, name: &str) -> (Arc<Workload>, Arc<GrainTable>) {
     let app = app_named(args, name);
@@ -269,7 +285,7 @@ fn cmd_run(args: &Args) {
     let seed = args.num("--seed");
 
     let (reg, name) = resolve_scheduler(args, scheduler);
-    let (workload, table) = build_app_live(args, app);
+    let (build_s, (workload, table)) = timed(|| build_app_live(args, app));
     let stats = workload.stats();
     println!(
         "workload: {} | {} tasks | {} rounds | Ts = {:.2} s",
@@ -286,7 +302,7 @@ fn cmd_run(args: &Args) {
     // One registry shard per simulated node; the simulator's virtual
     // clock means counters fill but the ns histograms stay empty.
     let metrics = MetricsRegistry::new(nodes);
-    let run = with_metrics(&metrics, || reg.run(&name, &spec));
+    let (run_s, run) = timed(|| with_metrics(&metrics, || reg.run(&name, &spec)));
     let outcome = run.outcome;
     let phases = outcome.system_phases;
     outcome
@@ -312,12 +328,13 @@ fn cmd_run(args: &Args) {
     // The simulator schedules grains without running them; the app's
     // answer comes from the sequential grain-table reference (what a
     // live run must reproduce — compare with `rips live`).
-    let truth = table.static_totals();
+    let (truth_s, truth) = timed(|| table.static_totals());
     println!("  solutions       : {}", truth.solutions);
     println!("  grain checksum  : {:#018x}", truth.checksum);
     if let Some(path) = args.get("--metrics-out") {
         write_metrics(&metrics, path);
     }
+    report_wall(build_s, truth_s, run_s);
 }
 
 const LIVE: Spec = &[
@@ -348,8 +365,8 @@ fn cmd_live(args: &Args) {
 
     let name = scheduler_named(args, scheduler);
     let tuning = policy_tuning(args);
-    let (workload, table) = build_app_live(args, app);
-    let truth = table.static_totals();
+    let (build_s, (workload, table)) = timed(|| build_app_live(args, app));
+    let (truth_s, truth) = timed(|| table.static_totals());
 
     let clock: Arc<WallClock> = Arc::new(WallClock::new());
     let run = |clock: &Arc<WallClock>| {
@@ -466,6 +483,7 @@ fn cmd_live(args: &Args) {
     if let Some(path) = args.get("--metrics-out") {
         write_metrics(&metrics, path);
     }
+    report_wall(build_s, truth_s, out.wall_us as f64 / 1e6);
     if !matches {
         eprintln!(
             "cross-validation FAILED: expected {} solutions / {:#018x}",
@@ -503,22 +521,23 @@ fn cmd_stats(args: &Args) {
     let policy = args.str("--policy");
     let (reg, name) = resolve_scheduler(args, scheduler);
 
-    let metrics = match args.str("--backend") {
+    let (metrics, (build_s, truth_s, run_s)) = match args.str("--backend") {
         "sim" => {
             let nodes: usize = args.num("--nodes");
-            let workload = build_app(args, app);
+            let (build_s, workload) = timed(|| build_app(args, app));
             let spec = paper_spec(&workload, nodes, 0.4, seed);
             eprintln!("sim run: {name} on {nodes} nodes (seed {seed}) ...");
             let metrics = MetricsRegistry::new(nodes);
-            let run = with_metrics(&metrics, || reg.run(&name, &spec));
+            let (run_s, run) = timed(|| with_metrics(&metrics, || reg.run(&name, &spec)));
             run.outcome
                 .verify_complete(&workload)
                 .expect("scheduler lost tasks");
-            metrics
+            // A simulated cell has no grain results to check.
+            (metrics, (build_s, 0.0, run_s))
         }
         "live" => {
             let threads: usize = args.num("--threads");
-            let (workload, table) = build_app_live(args, app);
+            let (build_s, (workload, table)) = timed(|| build_app_live(args, app));
             let tuning = policy_tuning(args);
             eprintln!("live run: {name} on {threads} threads (policy {policy}, seed {seed}) ...");
             let clock: Arc<WallClock> = Arc::new(WallClock::new());
@@ -529,7 +548,7 @@ fn cmd_stats(args: &Args) {
                     opts.clock = Some(Arc::clone(&clock) as Arc<dyn Clock>);
                     live_run_with(tuning, &name, &workload, threads, 0.4, seed, opts)
                 });
-            let truth = table.static_totals();
+            let (truth_s, truth) = timed(|| table.static_totals());
             if out.solutions != truth.solutions || out.checksum != truth.checksum {
                 eprintln!(
                     "cross-validation FAILED: expected {} solutions / {:#018x}",
@@ -537,11 +556,12 @@ fn cmd_stats(args: &Args) {
                 );
                 std::process::exit(1);
             }
-            metrics
+            (metrics, (build_s, truth_s, out.wall_us as f64 / 1e6))
         }
         other => args.fail(&format!("unknown --backend '{other}' (sim|live)")),
     };
     write_metrics(&metrics, args.str("--out"));
+    report_wall(build_s, truth_s, run_s);
 }
 
 /// Shared front half of `trace` and `report`: run the `<scheduler>
