@@ -13,12 +13,26 @@
 //! * **Conservation**: at halt, every spawned task was executed
 //!   (`spawned − executed` = tasks stranded in a queue, which must be
 //!   zero for a completed run), and every migrated task that departed
-//!   also arrived.
+//!   also arrived. The task counts are the sums of the per-node
+//!   `NodeTotals` each backend emits from its kernel counters at the
+//!   end of a run — one record per node, none per task.
 //! * **Barrier pairing**: round barriers are announced in strictly
 //!   increasing round order, and no round begins before the barrier of
 //!   the previous round was announced.
 //! * **Phase monotonicity**: system-phase indices strictly increase per
 //!   node, and system phases never nest.
+//!
+//! # What it is fed, and when it checks
+//!
+//! Every invariant above is a statement about a system phase or about
+//! the whole run, so the auditor asks for nothing else
+//! ([`Auditor::INTEREST`]): per node and system phase the begin, the
+//! load sample and the end; per migration batch the out and the in;
+//! the round barriers and starts; one totals record per node. A phase
+//! is checked when the machine's last node closes it and its
+//! accumulator is freed, so the state held is that of the phases in
+//! flight; the phase a run halts inside is checked by
+//! [`Auditor::finish`].
 //!
 //! # Attribution
 //!
@@ -57,7 +71,7 @@
 
 use std::collections::BTreeMap;
 
-use rips_trace::{NodeId, PhaseKind, Time, TraceEvent, TraceSink};
+use rips_trace::{EventKind, Interest, NodeId, PhaseKind, Time, TraceEvent, TraceSink};
 
 /// Balanced quotas for `total` tasks over `n` nodes, computed here from
 /// first principles (deliberately *not* shared with `rips-flow`, so the
@@ -78,29 +92,50 @@ pub fn min_nonlocal_lower_bound(loads: &[i64]) -> i64 {
     loads.iter().zip(&q).map(|(&w, &t)| (t - w).max(0)).sum()
 }
 
-/// Per-system-phase accounting, filled as the stream arrives.
+/// Per-system-phase accounting, filled as the stream arrives and freed
+/// when the phase's last node closes it.
 #[derive(Debug, Clone)]
 struct PhaseAcc {
-    /// Load each node reported into the phase (`LoadSample`).
-    loads: Vec<Option<i64>>,
-    /// Tasks each node sent out during the phase.
-    out: Vec<i64>,
-    /// Tasks destined for each node, from the senders' `MigrateOut`s.
-    inbound: Vec<i64>,
+    /// Per node, side by side: a record touches one node's entry.
+    flows: Vec<NodeFlow>,
+    /// Nodes that reported a load.
+    reported: usize,
+    /// Nodes that closed the phase (`PhaseEnd`).
+    closed: usize,
+}
+
+/// One node's part in one system phase.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeFlow {
+    /// The load it reported into the phase (`LoadSample`).
+    load: Option<i64>,
+    /// Tasks it sent out during the phase.
+    out: i64,
+    /// Tasks destined for it, from the senders' `MigrateOut`s.
+    inbound: i64,
 }
 
 impl PhaseAcc {
     fn new(n: usize) -> Self {
         PhaseAcc {
-            loads: vec![None; n],
-            out: vec![0; n],
-            inbound: vec![0; n],
+            flows: vec![NodeFlow::default(); n],
+            reported: 0,
+            closed: 0,
         }
     }
+}
 
-    fn complete(&self) -> bool {
-        self.loads.iter().all(Option::is_some)
-    }
+/// What the auditor remembers about one node across phases.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeState {
+    /// The system phase currently open on it, if any.
+    open_sys: Option<u32>,
+    /// The last system-phase index it began.
+    last_sys: Option<u32>,
+    /// The last round it began.
+    last_round: Option<u32>,
+    /// Whether its `NodeTotals` arrived.
+    has_totals: bool,
 }
 
 /// What the audit concluded. Produced by [`Auditor::finish`].
@@ -120,9 +155,9 @@ pub struct AuditReport {
     /// Tiles in the audited decomposition (0 = flat mode; see
     /// [`Auditor::with_tiles`]).
     pub tiles: usize,
-    /// Tasks spawned over the whole run.
+    /// Tasks spawned over the whole run (sum of the nodes' totals).
     pub spawned: u64,
-    /// Tasks executed over the whole run.
+    /// Tasks executed over the whole run (sum of the nodes' totals).
     pub executed: u64,
     /// Tasks that departed in migration batches.
     pub migrated_out: u64,
@@ -130,8 +165,12 @@ pub struct AuditReport {
     pub migrated_in: u64,
     /// Round barriers announced.
     pub barriers: usize,
-    /// Invariant violations, in detection order. Empty ⇔ the run upheld
-    /// every audited invariant.
+    /// Records delivered to the auditor. Grows with nodes × system
+    /// phases and with migration batches — never with tasks.
+    pub records: u64,
+    /// Invariant violations: stream errors in detection order, then
+    /// conservation, then per-phase theorem violations by phase index.
+    /// Empty ⇔ the run upheld every audited invariant.
     pub errors: Vec<String>,
 }
 
@@ -186,44 +225,56 @@ impl AuditReport {
 /// the exporters do and never feeds back into the run, so `RunStats`
 /// are bit-for-bit identical with and without it (pinned by the golden
 /// audit test).
+///
+/// It asks for [`Auditor::INTEREST`] only, so a run pays for the
+/// records at its phase boundaries and nothing per task; and it checks
+/// a phase the moment the machine's last node closes it, so it holds
+/// the accumulators of the phases in flight, not of the whole run.
 #[derive(Debug)]
 pub struct Auditor {
     n: usize,
-    /// Per node: the system phase currently open on it, if any.
-    open_sys: Vec<Option<u32>>,
-    /// Per node: the last system-phase index it began.
-    last_sys: Vec<Option<u32>>,
-    /// Per node: the last round it began.
-    last_round: Vec<Option<u32>>,
+    nodes: Vec<NodeState>,
+    /// Phases some node has begun and not every node has closed.
     phases: BTreeMap<u32, PhaseAcc>,
     /// Per-node tile index when auditing a hierarchical run.
     tile_of: Option<Vec<usize>>,
     last_barrier: Option<u32>,
-    barriers: usize,
-    spawned: u64,
-    executed: u64,
-    migrated_out: u64,
-    migrated_in: u64,
-    errors: Vec<String>,
+    /// The counts so far; `errors` holds the stream errors.
+    report: AuditReport,
+    /// Theorem violations, tagged with their phase so the report lists
+    /// them by index whatever order the phases closed in.
+    phase_errors: Vec<(u32, String)>,
 }
 
 impl Auditor {
+    /// The kinds the auditor consumes: system-phase boundaries and the
+    /// loads reported into them, migration batches, round pacing, and
+    /// one totals summary per node. Everything per task — `TaskExec`,
+    /// `Spawn`, `QueueDepth`, `MsgSend`, stages, user phases — is left
+    /// out, and ignored if fed by hand.
+    pub const INTEREST: Interest = Interest::of(&[
+        EventKind::SystemPhase,
+        EventKind::LoadSample,
+        EventKind::MigrateOut,
+        EventKind::MigrateIn,
+        EventKind::Barrier,
+        EventKind::RoundBegin,
+        EventKind::NodeTotals,
+    ]);
+
     /// An auditor for an `n`-node machine.
     pub fn new(n: usize) -> Self {
         Auditor {
             n,
-            open_sys: vec![None; n],
-            last_sys: vec![None; n],
-            last_round: vec![None; n],
+            nodes: vec![NodeState::default(); n],
             phases: BTreeMap::new(),
             tile_of: None,
             last_barrier: None,
-            barriers: 0,
-            spawned: 0,
-            executed: 0,
-            migrated_out: 0,
-            migrated_in: 0,
-            errors: Vec::new(),
+            report: AuditReport {
+                nodes: n,
+                ..AuditReport::default()
+            },
+            phase_errors: Vec::new(),
         }
     }
 
@@ -237,153 +288,182 @@ impl Auditor {
     /// Panics if `tile_of.len() != n`.
     pub fn with_tiles(n: usize, tile_of: Vec<usize>) -> Self {
         assert_eq!(tile_of.len(), n, "one tile index per node required");
-        Auditor {
-            tile_of: Some(tile_of),
-            ..Auditor::new(n)
-        }
+        let mut a = Auditor::new(n);
+        a.report.tiles = tile_of.iter().copied().max().map_or(0, |m| m + 1);
+        a.tile_of = Some(tile_of);
+        a
+    }
+
+    /// Phase accumulators currently held: the phases some node has
+    /// begun and not every node has closed.
+    pub fn phases_in_flight(&self) -> usize {
+        self.phases.len()
     }
 
     fn err(&mut self, msg: String) {
-        self.errors.push(msg);
+        self.report.errors.push(msg);
     }
 
-    /// Closes the stream and evaluates the end-of-run invariants
-    /// (per-phase Theorem 1/2 checks over every complete phase, task
-    /// and migration conservation), returning the report.
-    pub fn finish(mut self) -> AuditReport {
-        let mut report = AuditReport {
-            nodes: self.n,
-            tiles: self
-                .tile_of
-                .as_ref()
-                .map_or(0, |t| t.iter().copied().max().map_or(0, |m| m + 1)),
-            spawned: self.spawned,
-            executed: self.executed,
-            migrated_out: self.migrated_out,
-            migrated_in: self.migrated_in,
-            barriers: self.barriers,
-            ..AuditReport::default()
+    /// The accumulator of phase `p`, which some node has open.
+    fn acc(&mut self, p: u32) -> &mut PhaseAcc {
+        let n = self.n;
+        self.phases.entry(p).or_insert_with(|| PhaseAcc::new(n))
+    }
+
+    /// Theorems 1 and 2 on phase `p`, once no more of its records can
+    /// arrive: every node closed it, or the stream ended.
+    fn check_phase(&mut self, p: u32, acc: PhaseAcc) {
+        if acc.reported < self.n {
+            self.report.phases_incomplete += 1;
+            return;
+        }
+        let mut errors = Vec::new();
+        let flows = &acc.flows;
+        let loads: Vec<i64> = flows.iter().map(|f| f.load.expect("counted")).collect();
+        let total: i64 = loads.iter().sum();
+        let post: Vec<i64> = flows
+            .iter()
+            .zip(&loads)
+            .map(|(f, load)| load - f.out + f.inbound)
+            .collect();
+
+        // Sanity: migrations move tasks, they don't create them.
+        if post.iter().sum::<i64>() != total {
+            errors.push(format!(
+                "phase {p}: post-schedule loads sum to {} but {} were reported",
+                post.iter().sum::<i64>(),
+                total
+            ));
+        }
+        if let Some(&neg) = post.iter().find(|&&v| v < 0) {
+            errors.push(format!("phase {p}: a node is overdrawn to {neg} tasks"));
+        }
+
+        // Theorem 1: post-schedule loads differ by at most one.
+        let spread = match (post.iter().max(), post.iter().min()) {
+            (Some(max), Some(min)) => max - min,
+            _ => 0,
         };
-
-        // Conservation at halt.
-        if self.spawned != self.executed {
-            self.errors.push(format!(
-                "conservation: {} task(s) spawned but only {} executed ({} stranded in queues at halt)",
-                self.spawned,
-                self.executed,
-                self.spawned as i64 - self.executed as i64
-            ));
-        }
-        if self.migrated_out != self.migrated_in {
-            self.errors.push(format!(
-                "conservation: {} task(s) departed in migration batches but {} arrived",
-                self.migrated_out, self.migrated_in
+        self.report.max_spread = self.report.max_spread.max(spread);
+        if spread > 1 {
+            errors.push(format!(
+                "Theorem 1 violated in phase {p}: post-schedule load spread {spread} > 1 (post = {post:?})"
             ));
         }
 
-        // Per-phase theorem checks.
-        let phases = std::mem::take(&mut self.phases);
-        for (p, acc) in &phases {
-            if !acc.complete() {
-                report.phases_incomplete += 1;
-                continue;
+        // Tiled mode: Theorem 1 per tile, and the cross-tile quota
+        // check — each tile's post-schedule total must be exactly
+        // its share of the canonical quotas.
+        if let Some(tile_of) = &self.tile_of {
+            let tiles = self.report.tiles;
+            let q = quotas(total, self.n);
+            let mut post_sum = vec![0i64; tiles];
+            let mut quota_sum = vec![0i64; tiles];
+            let mut post_min = vec![i64::MAX; tiles];
+            let mut post_max = vec![i64::MIN; tiles];
+            for (i, &t) in tile_of.iter().enumerate() {
+                post_sum[t] += post[i];
+                quota_sum[t] += q[i];
+                post_min[t] = post_min[t].min(post[i]);
+                post_max[t] = post_max[t].max(post[i]);
             }
-            let loads: Vec<i64> = acc.loads.iter().map(|l| l.unwrap()).collect();
-            let total: i64 = loads.iter().sum();
-            let post: Vec<i64> = (0..self.n)
-                .map(|i| loads[i] - acc.out[i] + acc.inbound[i])
-                .collect();
-
-            // Sanity: migrations move tasks, they don't create them.
-            if post.iter().sum::<i64>() != total {
-                self.errors.push(format!(
-                    "phase {p}: post-schedule loads sum to {} but {} were reported",
-                    post.iter().sum::<i64>(),
-                    total
-                ));
-            }
-            if let Some(&neg) = post.iter().find(|&&v| v < 0) {
-                self.errors
-                    .push(format!("phase {p}: a node is overdrawn to {neg} tasks"));
-            }
-
-            // Theorem 1: post-schedule loads differ by at most one.
-            let spread = match (post.iter().max(), post.iter().min()) {
-                (Some(max), Some(min)) => max - min,
-                _ => 0,
-            };
-            report.max_spread = report.max_spread.max(spread);
-            if spread > 1 {
-                self.errors.push(format!(
-                    "Theorem 1 violated in phase {p}: post-schedule load spread {spread} > 1 (post = {post:?})"
-                ));
-            }
-
-            // Tiled mode: Theorem 1 per tile, and the cross-tile quota
-            // check — each tile's post-schedule total must be exactly
-            // its share of the canonical quotas.
-            if let Some(tile_of) = &self.tile_of {
-                let tiles = tile_of.iter().copied().max().map_or(0, |t| t + 1);
-                let q = quotas(total, self.n);
-                let mut post_sum = vec![0i64; tiles];
-                let mut quota_sum = vec![0i64; tiles];
-                let mut post_min = vec![i64::MAX; tiles];
-                let mut post_max = vec![i64::MIN; tiles];
-                for (i, &t) in tile_of.iter().enumerate() {
-                    post_sum[t] += post[i];
-                    quota_sum[t] += q[i];
-                    post_min[t] = post_min[t].min(post[i]);
-                    post_max[t] = post_max[t].max(post[i]);
+            for t in 0..tiles {
+                if post_min[t] > post_max[t] {
+                    continue; // empty tile
                 }
-                for t in 0..tiles {
-                    if post_min[t] > post_max[t] {
-                        continue; // empty tile
-                    }
-                    let spread = post_max[t] - post_min[t];
-                    if spread > 1 {
-                        self.errors.push(format!(
-                            "Theorem 1 (per tile) violated in phase {p}: tile {t} \
-                             post-schedule load spread {spread} > 1"
-                        ));
-                    }
-                    if post_sum[t] != quota_sum[t] {
-                        self.errors.push(format!(
-                            "cross-tile quota violated in phase {p}: tile {t} holds {} \
-                             task(s) but its quota share is {}",
-                            post_sum[t], quota_sum[t]
-                        ));
-                    }
+                let spread = post_max[t] - post_min[t];
+                if spread > 1 {
+                    errors.push(format!(
+                        "Theorem 1 (per tile) violated in phase {p}: tile {t} \
+                         post-schedule load spread {spread} > 1"
+                    ));
+                }
+                if post_sum[t] != quota_sum[t] {
+                    errors.push(format!(
+                        "cross-tile quota violated in phase {p}: tile {t} holds {} \
+                         task(s) but its quota share is {}",
+                        post_sum[t], quota_sum[t]
+                    ));
                 }
             }
-
-            // Theorem 2 / Lemma 1: migrated tasks equal the lower
-            // bound. The tiled planner legitimately exceeds it (its
-            // cross-tile stage is not migration-minimal), so tiled
-            // mode only enforces the feasibility direction.
-            let moved: i64 = acc.out.iter().sum();
-            let bound = min_nonlocal_lower_bound(&loads);
-            if moved < bound {
-                self.errors.push(format!(
-                    "Theorem 2 violated in phase {p}: {moved} task(s) migrated but the \
-                     Lemma 1 lower bound for loads {loads:?} is {bound} (below the \
-                     feasibility bound)"
-                ));
-            } else if moved > bound && self.tile_of.is_none() {
-                self.errors.push(format!(
-                    "Theorem 2 violated in phase {p}: {moved} task(s) migrated but the \
-                     Lemma 1 lower bound for loads {loads:?} is {bound} (not minimal)"
-                ));
-            }
-            report.phases_checked += 1;
         }
 
-        report.errors = self.errors;
+        // Theorem 2 / Lemma 1: migrated tasks equal the lower
+        // bound. The tiled planner legitimately exceeds it (its
+        // cross-tile stage is not migration-minimal), so tiled
+        // mode only enforces the feasibility direction.
+        let moved: i64 = flows.iter().map(|f| f.out).sum();
+        let bound = min_nonlocal_lower_bound(&loads);
+        if moved < bound {
+            errors.push(format!(
+                "Theorem 2 violated in phase {p}: {moved} task(s) migrated but the \
+                 Lemma 1 lower bound for loads {loads:?} is {bound} (below the \
+                 feasibility bound)"
+            ));
+        } else if moved > bound && self.tile_of.is_none() {
+            errors.push(format!(
+                "Theorem 2 violated in phase {p}: {moved} task(s) migrated but the \
+                 Lemma 1 lower bound for loads {loads:?} is {bound} (not minimal)"
+            ));
+        }
+        self.report.phases_checked += 1;
+        self.phase_errors.extend(errors.into_iter().map(|e| (p, e)));
+    }
+
+    /// Closes the stream and evaluates what only the end of the run
+    /// can settle — task and migration conservation, and the phases
+    /// still in flight (a RIPS run halts inside its termination phase,
+    /// which no node closes) — returning the report.
+    pub fn finish(mut self) -> AuditReport {
+        // Conservation at halt. A stream without totals (a hand-built
+        // one) claims no tasks; totals from only part of the machine
+        // would make the sums below vacuous, so that is an error.
+        let with_totals = self.nodes.iter().filter(|s| s.has_totals).count();
+        if with_totals != 0 && with_totals != self.n {
+            let missing = self.nodes.iter().position(|s| !s.has_totals).expect("some");
+            self.err(format!(
+                "conservation: node totals from {with_totals} of {} nodes (none from node {missing})",
+                self.n
+            ));
+        }
+        let AuditReport {
+            spawned,
+            executed,
+            migrated_out,
+            migrated_in,
+            ..
+        } = self.report;
+        if spawned != executed {
+            self.err(format!(
+                "conservation: {spawned} task(s) spawned but only {executed} executed ({} stranded in queues at halt)",
+                spawned as i64 - executed as i64
+            ));
+        }
+        if migrated_out != migrated_in {
+            self.err(format!(
+                "conservation: {migrated_out} task(s) departed in migration batches but {migrated_in} arrived"
+            ));
+        }
+
+        for (p, acc) in std::mem::take(&mut self.phases) {
+            self.check_phase(p, acc);
+        }
+        self.phase_errors.sort_by_key(|&(p, _)| p);
+        let mut report = self.report;
+        report
+            .errors
+            .extend(self.phase_errors.into_iter().map(|(_, e)| e));
         report
     }
 }
 
 impl TraceSink for Auditor {
+    fn interest(&self) -> Interest {
+        Auditor::INTEREST
+    }
+
     fn record(&mut self, _time_us: Time, node: NodeId, event: TraceEvent) {
+        self.report.records += 1;
         if node >= self.n {
             self.err(format!(
                 "node {node} out of range for a {}-node machine",
@@ -391,49 +471,60 @@ impl TraceSink for Auditor {
             ));
             return;
         }
+        let state = self.nodes[node];
         match event {
             TraceEvent::PhaseBegin {
                 kind: PhaseKind::System,
                 index,
             } => {
-                if let Some(open) = self.open_sys[node] {
+                if let Some(open) = state.open_sys {
                     self.err(format!(
                         "node {node}: system phase {index} begins inside open system phase {open}"
                     ));
                 }
-                if let Some(prev) = self.last_sys[node] {
+                if let Some(prev) = state.last_sys {
                     if index <= prev {
                         self.err(format!(
                             "node {node}: system phase index {index} not after {prev}"
                         ));
                     }
                 }
-                self.last_sys[node] = Some(index);
-                self.open_sys[node] = Some(index);
-                let n = self.n;
-                self.phases.entry(index).or_insert_with(|| PhaseAcc::new(n));
+                self.nodes[node].last_sys = Some(index);
+                self.nodes[node].open_sys = Some(index);
+                self.acc(index);
             }
             TraceEvent::PhaseEnd {
                 kind: PhaseKind::System,
                 index,
-            } => match self.open_sys[node].take() {
-                Some(open) if open == index => {}
-                open => self.err(format!(
-                    "node {node}: PhaseEnd(System, {index}) closes {open:?}"
-                )),
-            },
-            TraceEvent::LoadSample { load } => match self.open_sys[node] {
+            } => {
+                self.nodes[node].open_sys = None;
+                match state.open_sys {
+                    Some(open) if open == index => {
+                        let acc = self.acc(index);
+                        acc.closed += 1;
+                        if acc.closed == self.n {
+                            let acc = self.phases.remove(&index).expect("just touched");
+                            self.check_phase(index, acc);
+                        }
+                    }
+                    open => self.err(format!(
+                        "node {node}: PhaseEnd(System, {index}) closes {open:?}"
+                    )),
+                }
+            }
+            TraceEvent::LoadSample { load } => match state.open_sys {
                 Some(p) => {
-                    let acc = self.phases.get_mut(&p).expect("opened above");
-                    let duplicate = acc.loads[node].replace(load).is_some();
-                    if duplicate {
+                    let acc = self.acc(p);
+                    if acc.flows[node].load.replace(load).is_some() {
                         self.err(format!("node {node}: duplicate load report in phase {p}"));
+                    } else {
+                        acc.reported += 1;
                     }
                 }
                 None => self.err(format!("node {node}: load sample outside any system phase")),
             },
             TraceEvent::MigrateOut { to, count } => {
-                self.migrated_out += count as u64;
+                self.report.migrated_out += count as u64;
                 if to >= self.n {
                     self.err(format!("node {node}: migration to out-of-range node {to}"));
                     return;
@@ -441,15 +532,20 @@ impl TraceSink for Auditor {
                 // Attribute to the sender's open system phase; baseline
                 // schedulers migrate outside phases and are counted in
                 // the conservation totals only.
-                if let Some(p) = self.open_sys[node] {
-                    let acc = self.phases.get_mut(&p).expect("opened above");
-                    acc.out[node] += count as i64;
-                    acc.inbound[to] += count as i64;
+                if let Some(p) = state.open_sys {
+                    let acc = self.acc(p);
+                    acc.flows[node].out += count as i64;
+                    acc.flows[to].inbound += count as i64;
                 }
             }
-            TraceEvent::MigrateIn { count, .. } => self.migrated_in += count as u64,
-            TraceEvent::Spawn { count, .. } => self.spawned += count as u64,
-            TraceEvent::TaskExec { .. } => self.executed += 1,
+            TraceEvent::MigrateIn { count, .. } => self.report.migrated_in += count as u64,
+            TraceEvent::NodeTotals { spawned, executed } => {
+                if std::mem::replace(&mut self.nodes[node].has_totals, true) {
+                    self.err(format!("node {node}: duplicate node totals"));
+                }
+                self.report.spawned += spawned;
+                self.report.executed += executed;
+            }
             TraceEvent::Barrier { round } => {
                 if let Some(prev) = self.last_barrier {
                     if round <= prev {
@@ -459,17 +555,17 @@ impl TraceSink for Auditor {
                     }
                 }
                 self.last_barrier = Some(round);
-                self.barriers += 1;
+                self.report.barriers += 1;
             }
             TraceEvent::RoundBegin { round } => {
-                if let Some(prev) = self.last_round[node] {
+                if let Some(prev) = state.last_round {
                     if round <= prev {
                         self.err(format!(
                             "node {node}: round {round} begins after round {prev}"
                         ));
                     }
                 }
-                self.last_round[node] = Some(round);
+                self.nodes[node].last_round = Some(round);
                 if round > 0 && self.last_barrier.is_none_or(|b| b < round - 1) {
                     self.err(format!(
                         "node {node}: round {round} begins before round {}'s barrier was announced",
@@ -485,6 +581,10 @@ impl TraceSink for Auditor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn totals(spawned: u64, executed: u64) -> TraceEvent {
+        TraceEvent::NodeTotals { spawned, executed }
+    }
 
     fn sys_phase(
         a: &mut Auditor,
@@ -609,23 +709,59 @@ mod tests {
     #[test]
     fn conservation_catches_stranded_tasks() {
         let mut a = Auditor::new(1);
-        a.record(0, 0, TraceEvent::Spawn { round: 0, count: 3 });
-        for t in 0..2 {
-            a.record(
-                t,
-                0,
-                TraceEvent::TaskExec {
-                    task: t,
-                    round: 0,
-                    origin: 0,
-                    hops: 0,
-                    grain_us: 10,
-                    dispatch_us: 1,
-                },
-            );
-        }
+        a.record(9, 0, totals(3, 2));
         let r = a.finish();
         assert!(r.errors.iter().any(|e| e.contains("stranded")), "{r:?}");
+        assert_eq!((r.spawned, r.executed), (3, 2));
+    }
+
+    #[test]
+    fn partial_duplicate_and_out_of_range_totals_are_loud() {
+        // Totals from node 0 only: balanced, but two nodes are silent.
+        let mut a = Auditor::new(3);
+        a.record(9, 0, totals(2, 2));
+        let r = a.finish();
+        assert_eq!(r.errors.len(), 1, "{:?}", r.errors);
+        assert!(
+            r.errors[0].contains("from 1 of 3 nodes") && r.errors[0].contains("node 1"),
+            "{:?}",
+            r.errors
+        );
+
+        let mut a = Auditor::new(1);
+        a.record(9, 0, totals(1, 1));
+        a.record(9, 0, totals(1, 1));
+        a.record(9, 4, totals(1, 1));
+        let r = a.finish();
+        assert!(r.errors[0].contains("node 0: duplicate node totals"));
+        assert!(
+            r.errors[1].contains("node 4 out of range"),
+            "{:?}",
+            r.errors
+        );
+
+        // No totals at all claims no tasks: hand-built streams stay valid.
+        let r = Auditor::new(3).finish();
+        assert!(r.is_ok());
+        assert_eq!((r.spawned, r.executed, r.records), (0, 0, 0));
+    }
+
+    #[test]
+    fn per_task_kinds_are_neither_asked_for_nor_counted() {
+        let mut a = Auditor::new(1);
+        for kind in [
+            EventKind::TaskExec,
+            EventKind::Spawn,
+            EventKind::QueueDepth,
+            EventKind::MsgSend,
+            EventKind::Stage,
+            EventKind::UserPhase,
+        ] {
+            assert!(!a.interest().contains(kind), "{kind:?}");
+        }
+        a.record(0, 0, TraceEvent::Spawn { round: 0, count: 3 });
+        let r = a.finish();
+        assert!(r.is_ok() && r.spawned == 0, "{r:?}");
     }
 
     #[test]

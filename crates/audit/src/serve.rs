@@ -19,13 +19,13 @@
 //!   equal the tasks the backend reports at completion, and (when the
 //!   window carries an inner trace) the tasks the inner auditor
 //!   counted.
-//! * **No cross-tenant leakage** — task work (exec, spawn, migration)
-//!   outside any dispatch window belongs to no job, hence to no
-//!   tenant, and is flagged.
+//! * **No cross-tenant leakage** — task work (migration batches,
+//!   barriers, a node's task totals) outside any dispatch window
+//!   belongs to no job, hence to no tenant, and is flagged.
 
 use std::collections::BTreeMap;
 
-use rips_trace::{NodeId, Time, TraceEvent, TraceSink};
+use rips_trace::{EventKind, Interest, NodeId, Time, TraceEvent, TraceSink};
 
 use crate::auditor::Auditor;
 
@@ -107,7 +107,8 @@ struct OpenWindow {
 /// A [`TraceSink`] auditing a multi-job serve run. Install it with
 /// [`rips_trace::with_sink`] around [`run_serve`] — job lifecycle
 /// events drive the state machine, and everything else is forwarded
-/// to the current window's inner [`Auditor`].
+/// to the current window's inner [`Auditor`]. It asks for what that
+/// auditor asks for ([`Auditor::INTEREST`]) plus the job lifecycle.
 ///
 /// [`run_serve`]: ../../rips_serve/fn.run_serve.html
 #[derive(Debug)]
@@ -192,6 +193,10 @@ impl ServeAuditor {
 }
 
 impl TraceSink for ServeAuditor {
+    fn interest(&self) -> Interest {
+        Auditor::INTEREST.union(Interest::of(&[EventKind::Job]))
+    }
+
     fn record(&mut self, time_us: Time, node: NodeId, event: TraceEvent) {
         match event {
             TraceEvent::JobSubmit { tenant: _, job } => {
@@ -247,8 +252,7 @@ impl TraceSink for ServeAuditor {
             other => {
                 let is_work = matches!(
                     other,
-                    TraceEvent::TaskExec { .. }
-                        | TraceEvent::Spawn { .. }
+                    TraceEvent::NodeTotals { .. }
                         | TraceEvent::MigrateOut { .. }
                         | TraceEvent::MigrateIn { .. }
                         | TraceEvent::Barrier { .. }
@@ -295,19 +299,12 @@ mod tests {
                     tasks: 3,
                 },
             );
-            for t in 0..3u64 {
-                a.record(10 * job + t, 0, TraceEvent::Spawn { round: 0, count: 1 });
+            // Node 0 seeds all three tasks; node 1 runs one of them.
+            for (node, spawned, executed) in [(0, 3, 2), (1, 0, 1)] {
                 a.record(
-                    10 * job + t,
-                    (t % 2) as usize,
-                    TraceEvent::TaskExec {
-                        task: t,
-                        round: 0,
-                        origin: 0,
-                        hops: 0,
-                        grain_us: 1,
-                        dispatch_us: 0,
-                    },
+                    10 * job + 8,
+                    node,
+                    TraceEvent::NodeTotals { spawned, executed },
                 );
             }
             a.record(
@@ -423,18 +420,20 @@ mod tests {
         let mut a = ServeAuditor::new(2);
         a.record(
             1,
-            0,
-            TraceEvent::TaskExec {
-                task: 0,
-                round: 0,
-                origin: 0,
-                hops: 0,
-                grain_us: 1,
-                dispatch_us: 0,
+            1,
+            TraceEvent::NodeTotals {
+                spawned: 1,
+                executed: 1,
             },
         );
         let r = a.finish();
-        assert!(r.errors.iter().any(|e| e.contains("cross-tenant leakage")));
+        assert!(
+            r.errors
+                .iter()
+                .any(|e| e.contains("cross-tenant leakage") && e.contains("on node 1")),
+            "{:?}",
+            r.errors
+        );
     }
 
     #[test]

@@ -15,6 +15,18 @@ use rips_trace::{NodeId, PhaseKind, TraceEvent, TraceSink};
 /// load, then the `(from, to, count)` transfers execute, then the phase
 /// closes and the batches arrive.
 fn feed_phase(a: &mut Auditor, p: u32, loads: &[i64], transfers: &[(NodeId, NodeId, i64)]) {
+    feed_phase_arriving(a, p, loads, transfers, transfers);
+}
+
+/// [`feed_phase`] where only the `arrivals` batches reach their
+/// destination.
+fn feed_phase_arriving(
+    a: &mut Auditor,
+    p: u32,
+    loads: &[i64],
+    transfers: &[(NodeId, NodeId, i64)],
+    arrivals: &[(NodeId, NodeId, i64)],
+) {
     for (node, &load) in loads.iter().enumerate() {
         a.record(
             0,
@@ -46,7 +58,7 @@ fn feed_phase(a: &mut Auditor, p: u32, loads: &[i64], transfers: &[(NodeId, Node
             },
         );
     }
-    for &(from, to, count) in transfers {
+    for &(from, to, count) in arrivals {
         a.record(
             3,
             to,
@@ -171,6 +183,138 @@ fn rejects_overshoot_as_thm1_and_thm2() {
         "{:?}",
         r.errors
     );
+}
+
+/// One way to break a run, fed as system phase 1 of a fresh auditor,
+/// and the violation it must be reported as.
+struct Mutation {
+    name: &'static str,
+    tiles: Option<Vec<usize>>,
+    feed: fn(&mut Auditor),
+    expect: &'static str,
+}
+
+/// The mutation set of the auditor's unit tests, on 3 nodes (4 when
+/// tiled).
+fn mutations() -> Vec<Mutation> {
+    let flat = |name, feed, expect| Mutation {
+        name,
+        tiles: None,
+        feed,
+        expect,
+    };
+    vec![
+        flat(
+            "unbalanced plan",
+            |a| feed_phase(a, 1, &[6, 0, 0], &[(0, 1, 1), (0, 2, 1)]),
+            "Theorem 1 violated in phase 1",
+        ),
+        flat(
+            "excess migration",
+            |a| feed_phase(a, 1, &[6, 0, 0], &[(0, 1, 3), (0, 2, 2), (1, 0, 1)]),
+            "Theorem 2 violated in phase 1: 6 task(s) migrated",
+        ),
+        Mutation {
+            name: "wrong-tile remainder",
+            tiles: Some(vec![0, 0, 1, 1]),
+            feed: |a| feed_phase(a, 1, &[5, 0, 0, 0], &[(0, 1, 1), (0, 2, 2), (0, 3, 1)]),
+            expect: "cross-tile quota violated in phase 1: tile 0 holds 2",
+        },
+        flat(
+            "stranded tasks",
+            |a| {
+                feed_phase(a, 1, &[3, 0, 0], &[(0, 1, 1), (0, 2, 1)]);
+                for (node, spawned) in [3, 0, 0].into_iter().enumerate() {
+                    let executed = u64::from(node != 2); // node 2 never ran its task
+                    a.record(9, node, TraceEvent::NodeTotals { spawned, executed });
+                }
+            },
+            "3 task(s) spawned but only 2 executed (1 stranded",
+        ),
+        flat(
+            "lost migration",
+            |a| {
+                let moves = [(0, 1, 2), (0, 2, 2)];
+                feed_phase_arriving(a, 1, &[6, 0, 0], &moves, &moves[..1]);
+            },
+            "4 task(s) departed in migration batches but 2 arrived",
+        ),
+    ]
+}
+
+/// A phase is checked when its last node closes it, not at the end of
+/// the run — and that must not change what is reported: each mutation
+/// yields the same messages whether its phase is the whole stream or
+/// the first of three.
+#[test]
+fn a_violation_in_the_first_of_three_phases_reads_the_same() {
+    for m in mutations() {
+        let fresh = || match &m.tiles {
+            Some(t) => Auditor::with_tiles(t.len(), t.clone()),
+            None => Auditor::new(3),
+        };
+        let mut alone = fresh();
+        (m.feed)(&mut alone);
+        let alone = alone.finish();
+        assert!(
+            alone.errors.iter().any(|e| e.contains(m.expect)),
+            "{}: {:?}",
+            m.name,
+            alone.errors
+        );
+
+        let mut first_of_three = fresh();
+        (m.feed)(&mut first_of_three);
+        let balanced = vec![2i64; alone.nodes];
+        feed_phase(&mut first_of_three, 2, &balanced, &[]);
+        assert_eq!(first_of_three.phases_in_flight(), 0, "{}", m.name);
+        feed_phase(&mut first_of_three, 3, &balanced, &[]);
+        let r = first_of_three.finish();
+        assert_eq!(r.errors, alone.errors, "{}", m.name);
+        assert_eq!(r.phases_checked, 3, "{}", m.name);
+        assert_eq!(r.max_spread, alone.max_spread, "{}", m.name);
+    }
+}
+
+/// Twenty phases, each node entering the next phase the moment it
+/// leaves the last (so two overlap), halting inside the twentieth:
+/// the auditor's state stays that of the phases in flight.
+#[test]
+fn holds_only_the_phases_in_flight() {
+    const N: usize = 5;
+    const PHASES: u32 = 20;
+    /// Records, then looks at how many accumulators are held.
+    fn rec(a: &mut Auditor, peak: &mut usize, node: NodeId, event: TraceEvent) {
+        a.record(0, node, event);
+        *peak = (*peak).max(a.phases_in_flight());
+    }
+    fn enter(a: &mut Auditor, peak: &mut usize, node: NodeId, index: u32) {
+        let kind = PhaseKind::System;
+        rec(a, peak, node, TraceEvent::PhaseBegin { kind, index });
+        rec(a, peak, node, TraceEvent::LoadSample { load: 4 });
+    }
+    let (mut a, mut peak) = (Auditor::new(N), 0);
+    for node in 0..N {
+        enter(&mut a, &mut peak, node, 1);
+    }
+    for index in 1..PHASES {
+        for node in 0..N {
+            let kind = PhaseKind::System;
+            rec(
+                &mut a,
+                &mut peak,
+                node,
+                TraceEvent::PhaseEnd { kind, index },
+            );
+            enter(&mut a, &mut peak, node, index + 1);
+        }
+    }
+    assert_eq!(peak, 2, "consecutive phases overlap, and no more is held");
+    assert_eq!(a.phases_in_flight(), 1, "the halting phase is still open");
+    let r = a.finish();
+    assert!(r.is_ok(), "{:?}", r.errors);
+    assert_eq!(r.phases_checked, PHASES as usize);
+    assert_eq!(r.records, (3 * N * PHASES as usize - N) as u64);
 }
 
 proptest! {

@@ -98,6 +98,7 @@ fn cell(nodes: usize, scheduler: &str, tasks_per_node: usize, seed: u64) -> Stri
     j.key("end_time_us").u64(stats.end_time);
     j.key("system_phases").u64(row.outcome.system_phases.into());
     j.key("phases_checked").u64(report.phases_checked as u64);
+    j.key("audit_records").u64(report.records);
     j.key("max_spread").i64(report.max_spread);
     j.key("tiles").u64(report.tiles as u64);
     j.key("peak_queue_depth").u64(stats.peak_queue_depth);

@@ -6,10 +6,14 @@
 //! This suite measures both claims with a tight loop over one
 //! operation, best of N repeats, ns/op.
 //!
-//! Five rows:
+//! Six rows:
 //!
 //! * `tracer-off`   — [`Tracer::emit`] with no sink installed (the
 //!   simulator's default); the event closure must never run.
+//! * `tracer-masked` — a sink is installed but did not ask for the
+//!   emitted kind (what the per-task path costs under the invariant
+//!   auditor); the closure must never run either, and the cost should
+//!   match `tracer-off`.
 //! * `tracer-on`    — emit into an installed [`TraceBuffer`]: payload
 //!   construction + sink lock + record.
 //! * `flight-on`    — emit into a [`FlightRecorder`] overwrite ring,
@@ -26,8 +30,8 @@ use std::time::Instant;
 
 use rips_trace::metrics_rt::{Counter, Histo};
 use rips_trace::{
-    with_metrics, with_sink, FlightRecorder, Json, Meter, MetricsRegistry, TraceBuffer, TraceEvent,
-    Tracer,
+    with_metrics, with_sink, EventKind, FlightRecorder, Interest, Json, Meter, MetricsRegistry,
+    NodeId, Time, TraceBuffer, TraceEvent, TraceSink, Tracer,
 };
 
 use super::Suite;
@@ -57,14 +61,13 @@ fn timed(f: impl FnOnce()) -> u64 {
     start.elapsed().as_nanos() as u64
 }
 
-fn run_tracer_off(events: u64) -> (u64, bool) {
-    // No sink installed: `current()` hands back a disabled tracer and
-    // every emit must take the single `installed.is_none()` branch.
-    let tracer = Tracer::current();
+/// Emits `events` queue samples through `tracer`, which must not want
+/// them: total ns, and whether no payload closure ran.
+fn unwanted_emits(tracer: &Tracer, events: u64) -> (u64, bool) {
     let mut closures_ran = 0u64;
     let ns = timed(|| {
         for i in 0..events {
-            tracer.emit(i, (i % 7) as usize, || {
+            tracer.emit(EventKind::QueueDepth, i, (i % 7) as usize, || {
                 closures_ran += 1;
                 event(i)
             });
@@ -73,13 +76,38 @@ fn run_tracer_off(events: u64) -> (u64, bool) {
     (ns, closures_ran == 0)
 }
 
+fn run_tracer_off(events: u64) -> (u64, bool) {
+    // No sink installed: `current()` hands back a tracer with an empty
+    // interest and every emit must take the single not-wanted branch.
+    unwanted_emits(&Tracer::current(), events)
+}
+
+/// A sink that consumes barriers only, counting what reaches it.
+struct BarriersOnly(u64);
+
+impl TraceSink for BarriersOnly {
+    fn record(&mut self, _time_us: Time, _node: NodeId, _event: TraceEvent) {
+        self.0 += 1;
+    }
+    fn interest(&self) -> Interest {
+        Interest::of(&[EventKind::Barrier])
+    }
+}
+
+fn run_tracer_masked(events: u64) -> (u64, bool) {
+    let (sink, (ns, unbuilt)) = with_sink(BarriersOnly(0), || {
+        unwanted_emits(&Tracer::current(), events)
+    });
+    (ns, unbuilt && sink.0 == 0)
+}
+
 fn run_tracer_on(events: u64) -> (u64, bool) {
     let mut ns = 0;
     let (buf, ()) = with_sink(TraceBuffer::new(), || {
         let tracer = Tracer::current();
         ns = timed(|| {
             for i in 0..events {
-                tracer.emit(i, (i % 7) as usize, || event(i));
+                tracer.emit(EventKind::QueueDepth, i, (i % 7) as usize, || event(i));
             }
         });
     });
@@ -92,7 +120,7 @@ fn run_flight_on(events: u64) -> (u64, bool) {
         let tracer = Tracer::current();
         ns = timed(|| {
             for i in 0..events {
-                tracer.emit(i, (i % 7) as usize, || event(i));
+                tracer.emit(EventKind::QueueDepth, i, (i % 7) as usize, || event(i));
             }
         });
     });
@@ -137,6 +165,7 @@ fn run(args: &Args, mut doc: Json) -> Option<Json> {
     type Row = fn(u64) -> (u64, bool);
     let rows: &[(&str, Row)] = &[
         ("tracer-off", run_tracer_off),
+        ("tracer-masked", run_tracer_masked),
         ("tracer-on", run_tracer_on),
         ("flight-on", run_flight_on),
         ("counter-add", run_counter_add),

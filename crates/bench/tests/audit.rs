@@ -10,6 +10,9 @@
 //! * auditing is purely observational: running under the auditor (even
 //!   fanned out beside a `TraceBuffer`) leaves `RunStats` bit-for-bit
 //!   identical with the untraced run;
+//! * auditing costs nothing per task: the records the auditor is
+//!   handed are bounded by nodes × system phases, migration batches and
+//!   rounds;
 //! * `rips lint` is clean on the workspace source, so the CI gate can
 //!   never go red on a commit that passes `cargo test`.
 
@@ -21,7 +24,7 @@ use rips_bench::{registry, run_cell, run_scheduler};
 use rips_sched::TileGrid;
 use rips_taskgraph::{geometric_tree, Workload};
 use rips_topology::Mesh2D;
-use rips_trace::{with_sink, Tee, TraceBuffer};
+use rips_trace::{with_sink, EventKind, Tee, TraceBuffer};
 
 /// The auditor matching a scheduler's planning mode: RIPS-H gets the
 /// tiling-aware auditor (per-tile Theorem 1, Lemma 1 as a lower
@@ -33,6 +36,14 @@ fn auditor_for(sched: &str, nodes: usize) -> Auditor {
     } else {
         Auditor::new(nodes)
     }
+}
+
+/// Migration batches a recorded run sent.
+fn migration_batches(buf: &TraceBuffer) -> usize {
+    buf.records
+        .iter()
+        .filter(|r| r.event.kind() == EventKind::MigrateOut)
+        .count()
 }
 
 fn queens9() -> Arc<Workload> {
@@ -66,9 +77,11 @@ fn cells() -> Vec<(&'static str, Arc<Workload>, usize, u64)> {
 #[test]
 fn every_golden_cell_upholds_the_paper_invariants() {
     for (sched, w, nodes, seed) in cells() {
-        let (auditor, row) = with_sink(auditor_for(sched, nodes), || {
-            run_scheduler(sched, &w, nodes, 0.4, seed)
-        });
+        // The buffer beside the auditor counts the migration batches.
+        let (Tee(buf, auditor), row) =
+            with_sink(Tee(TraceBuffer::new(), auditor_for(sched, nodes)), || {
+                run_scheduler(sched, &w, nodes, 0.4, seed)
+            });
         let report = auditor.finish();
         assert!(
             report.is_ok(),
@@ -83,6 +96,17 @@ fn every_golden_cell_upholds_the_paper_invariants() {
             "{sched}: audited execution count diverges from RunStats"
         );
         assert_eq!(report.phases_incomplete, 0, "{sched}: phase lost loads");
+        // Per node and system phase: begin, load, end; per node once
+        // more: its totals and its round starts. Per migration batch:
+        // out and in. Per round: the barrier. Nothing per task.
+        let batches = migration_batches(&buf);
+        let phases = row.outcome.system_phases as usize;
+        let bound = 4 * nodes * (phases + 1) + 2 * batches + w.rounds.len();
+        assert!(
+            report.records as usize <= bound,
+            "{sched}: {} records to the auditor, bound {bound}",
+            report.records
+        );
         if sched.starts_with("RIPS") {
             // The theorem checks must actually bite on RIPS cells: one
             // checked phase per system phase the run reported, with a
@@ -102,6 +126,40 @@ fn every_golden_cell_upholds_the_paper_invariants() {
             assert_eq!(report.phases_checked, 0, "{sched} has system phases?");
         }
     }
+}
+
+/// The exact record budget, on a mesh large enough that tasks outnumber
+/// everything else: three records per node and system phase (begin,
+/// load, end — the halting phase is never ended), one totals record
+/// per node, two per migration batch, one barrier. A per-task kind
+/// creeping back into the auditor's interest adds four per node here.
+/// (The CI scale-smoke job checks the looser `3·n·(phases + 1)`, which
+/// needs no batch count.)
+#[test]
+fn audit_records_do_not_grow_with_tasks() {
+    let n = 70 * 70;
+    let reg = rips_bench::registry_with(rips_bench::RegistryTuning {
+        rips: rips_core::RipsConfig {
+            eureka: true,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let w = Arc::new(rips_taskgraph::skewed_flat(4 * n, 2_000, 64, 20, 1));
+    let (Tee(buf, auditor), row) =
+        with_sink(Tee(TraceBuffer::new(), auditor_for("RIPS", n)), || {
+            run_cell(&reg, "RIPS", &w, n, 0.4, 1)
+        });
+    let report = auditor.finish();
+    assert!(report.is_ok(), "{:?}", report.errors);
+    assert_eq!(report.executed, row.tasks);
+    let batches = migration_batches(&buf);
+    let phases = row.outcome.system_phases as usize;
+    assert_eq!(
+        report.records as usize,
+        3 * n * phases - n + n + 2 * batches + 1,
+        "{phases} phases, {batches} batches on {n} nodes"
+    );
 }
 
 #[test]

@@ -24,7 +24,8 @@ use rips_runtime::{
 use rips_sched::TransferPlan;
 use rips_taskgraph::Workload;
 use rips_topology::{BinaryTree, Hypercube, Mesh2D, NodeId, Topology};
-use rips_trace::{PhaseKind, SysStage, TraceEvent};
+use rips_trace::metrics_rt::Counter;
+use rips_trace::{EventKind, PhaseKind, SysStage, TraceEvent};
 
 /// Local transfer policy (paper §2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -302,10 +303,10 @@ pub struct RipsPolicy {
     local_ready_for: Option<u32>,
     ready_sent_for: Option<u32>,
     children_ready: BTreeMap<u32, u32>,
-    /// Tracing only: the phase an open idle-detect stage was emitted
-    /// for (`None` when no stage is open). Idle-detect latency runs
-    /// from the local transfer condition turning true to the node
-    /// entering the system phase.
+    /// Tracing only (a sink that wants `Stage` records): the phase an
+    /// open idle-detect stage was emitted for (`None` when no stage is
+    /// open). Idle-detect latency runs from the local transfer
+    /// condition turning true to the node entering the system phase.
     trace_idle_open: Option<u32>,
 }
 
@@ -320,30 +321,30 @@ impl RipsPolicy {
     fn set_mode(&mut self, k: &mut Kernel, now: Time, mode: Mode) {
         let was_user = self.mode == Mode::User;
         let is_user = mode == Mode::User;
-        if k.oracle.tracer.enabled() && was_user != is_user {
+        if was_user != is_user {
             let (me, p) = (k.me, self.phase_index);
             let tr = &k.oracle.tracer;
             if is_user {
-                tr.emit(now, me, || TraceEvent::PhaseEnd {
+                tr.emit(EventKind::SystemPhase, now, me, || TraceEvent::PhaseEnd {
                     kind: PhaseKind::System,
                     index: p,
                 });
-                tr.emit(now, me, || TraceEvent::PhaseBegin {
+                tr.emit(EventKind::UserPhase, now, me, || TraceEvent::PhaseBegin {
                     kind: PhaseKind::User,
                     index: p,
                 });
             } else {
                 if let Some(ip) = self.trace_idle_open.take() {
-                    tr.emit(now, me, || TraceEvent::StageEnd {
+                    tr.emit(EventKind::Stage, now, me, || TraceEvent::StageEnd {
                         stage: SysStage::IdleDetect,
                         phase: ip,
                     });
                 }
-                tr.emit(now, me, || TraceEvent::PhaseEnd {
+                tr.emit(EventKind::UserPhase, now, me, || TraceEvent::PhaseEnd {
                     kind: PhaseKind::User,
                     index: p.saturating_sub(1),
                 });
-                tr.emit(now, me, || TraceEvent::PhaseBegin {
+                tr.emit(EventKind::SystemPhase, now, me, || TraceEvent::PhaseBegin {
                     kind: PhaseKind::System,
                     index: p,
                 });
@@ -382,16 +383,18 @@ impl RipsPolicy {
             return;
         }
         let next = self.phase_index + 1;
-        if k.oracle.tracer.enabled() && self.trace_idle_open.is_none() {
+        if k.oracle.tracer.wants(EventKind::Stage) && self.trace_idle_open.is_none() {
             // The local condition just turned true: open the
             // idle-detect stage; it closes when the node actually
             // enters a system phase.
             self.trace_idle_open = Some(next);
             let (t, me) = (ctx.now(), k.me);
-            k.oracle.tracer.emit(t, me, || TraceEvent::StageBegin {
-                stage: SysStage::IdleDetect,
-                phase: next,
-            });
+            k.oracle
+                .tracer
+                .emit(EventKind::Stage, t, me, || TraceEvent::StageBegin {
+                    stage: SysStage::IdleDetect,
+                    phase: next,
+                });
         }
         match self.cfg.global {
             GlobalPolicy::Any => {
@@ -482,35 +485,38 @@ impl RipsPolicy {
         if k.received_in != k.expected_in {
             // Owed migrations: defer until they arrive.
             self.set_mode(k, now, Mode::WaitingEntry(p));
-            if was_user && k.oracle.tracer.enabled() {
+            if was_user {
                 let me = k.me;
-                k.oracle.tracer.emit(now, me, || TraceEvent::StageBegin {
-                    stage: SysStage::LoadCollect,
-                    phase: p,
-                });
+                k.oracle
+                    .tracer
+                    .emit(EventKind::Stage, now, me, || TraceEvent::StageBegin {
+                        stage: SysStage::LoadCollect,
+                        phase: p,
+                    });
             }
             return;
         }
         self.set_mode(k, now, Mode::Entered);
-        if was_user && k.oracle.tracer.enabled() {
+        if was_user {
             let me = k.me;
-            k.oracle.tracer.emit(now, me, || TraceEvent::StageBegin {
-                stage: SysStage::LoadCollect,
-                phase: p,
-            });
+            k.oracle
+                .tracer
+                .emit(EventKind::Stage, now, me, || TraceEvent::StageBegin {
+                    stage: SysStage::LoadCollect,
+                    phase: p,
+                });
         }
         self.children_ready.remove(&p);
         let n = k.oracle.num_nodes();
         let load = self.load(k);
-        if k.oracle.tracer.enabled() {
-            let me = k.me;
-            let tr = &k.oracle.tracer;
-            tr.emit(now, me, || TraceEvent::StageEnd {
-                stage: SysStage::LoadCollect,
-                phase: p,
-            });
-            tr.emit(now, me, || TraceEvent::LoadSample { load });
-        }
+        let (me, tr) = (k.me, &k.oracle.tracer);
+        tr.emit(EventKind::Stage, now, me, || TraceEvent::StageEnd {
+            stage: SysStage::LoadCollect,
+            phase: p,
+        });
+        tr.emit(EventKind::LoadSample, now, me, || TraceEvent::LoadSample {
+            load,
+        });
         let mut shared = self.shared.mu.lock().unwrap();
         let entry = shared.entries.entry(p).or_insert_with(|| Entry {
             reported: vec![None; n],
@@ -574,14 +580,16 @@ impl RipsPolicy {
             }),
         );
         self.shared.plans.publish(plans);
-        if k.oracle.tracer.enabled() {
+        if k.oracle.tracer.wants(EventKind::Stage) {
             // The plan stage lives on the computing node only; it
             // closes when the TAG_PLAN timer fires.
             let (t, me) = (ctx.now(), k.me);
-            k.oracle.tracer.emit(t, me, || TraceEvent::StageBegin {
-                stage: SysStage::Plan,
-                phase: p,
-            });
+            k.oracle
+                .tracer
+                .emit(EventKind::Stage, t, me, || TraceEvent::StageBegin {
+                    stage: SysStage::Plan,
+                    phase: p,
+                });
         }
         // The algorithm's synchronous steps take wall-clock time before
         // anyone can act on the plan.
@@ -600,12 +608,14 @@ impl RipsPolicy {
             self.machine.steps() as Time * self.cfg.plan_cpu_per_step_us,
             WorkKind::Overhead,
         );
-        if k.oracle.tracer.enabled() {
+        if k.oracle.tracer.wants(EventKind::Stage) {
             let (t, me) = (ctx.now(), k.me);
-            k.oracle.tracer.emit(t, me, || TraceEvent::StageBegin {
-                stage: SysStage::Migrate,
-                phase: p,
-            });
+            k.oracle
+                .tracer
+                .emit(EventKind::Stage, t, me, || TraceEvent::StageBegin {
+                    stage: SysStage::Migrate,
+                    phase: p,
+                });
         }
         // Everything reported is now scheduled: the RTS queue drains
         // into the RTE queue ("the system phase schedules tasks in all
@@ -665,13 +675,13 @@ impl RipsPolicy {
         }
         k.expected_in += expected;
         let now = ctx.now();
-        if k.oracle.tracer.enabled() {
-            let me = k.me;
-            k.oracle.tracer.emit(now, me, || TraceEvent::StageEnd {
+        let me = k.me;
+        k.oracle
+            .tracer
+            .emit(EventKind::Stage, now, me, || TraceEvent::StageEnd {
                 stage: SysStage::Migrate,
                 phase: p,
             });
-        }
         self.set_mode(k, now, Mode::User);
         self.user_phase_since = now;
         // Commit to the first task of the new user phase *within this
@@ -714,14 +724,16 @@ impl BalancerPolicy for RipsPolicy {
     type Msg = RipsCtl;
 
     fn on_start(&mut self, k: &mut Kernel, ctx: &mut impl ExecCtx<KernelMsg<RipsCtl>>) {
-        if k.oracle.tracer.enabled() {
+        if k.oracle.tracer.wants(EventKind::UserPhase) {
             // Every node boots inside user phase 0 (closed the moment
             // the round-opening system phase is entered).
             let (t, me) = (ctx.now(), k.me);
-            k.oracle.tracer.emit(t, me, || TraceEvent::PhaseBegin {
-                kind: PhaseKind::User,
-                index: 0,
-            });
+            k.oracle
+                .tracer
+                .emit(EventKind::UserPhase, t, me, || TraceEvent::PhaseBegin {
+                    kind: PhaseKind::User,
+                    index: 0,
+                });
         }
         if let GlobalPolicy::Periodic(interval) = self.cfg.global {
             // Only node 0 polls; everyone else just flags its local
@@ -743,7 +755,9 @@ impl BalancerPolicy for RipsPolicy {
         match msg {
             RipsCtl::Init(p) => {
                 if p <= self.phase_index {
-                    return; // redundant initiator, dropped by phase index
+                    // Redundant initiator, dropped by phase index.
+                    k.meter.inc(Counter::InitsSuppressed);
+                    return;
                 }
                 debug_assert_eq!(p, self.phase_index + 1, "init skipped a phase");
                 if self.mode == Mode::Entered {
@@ -819,12 +833,14 @@ impl BalancerPolicy for RipsPolicy {
                 // Only the plan-computing node runs this: distribute
                 // and apply.
                 let p = self.phase_index;
-                if k.oracle.tracer.enabled() {
+                if k.oracle.tracer.wants(EventKind::Stage) {
                     let (t, me) = (ctx.now(), k.me);
-                    k.oracle.tracer.emit(t, me, || TraceEvent::StageEnd {
-                        stage: SysStage::Plan,
-                        phase: p,
-                    });
+                    k.oracle
+                        .tracer
+                        .emit(EventKind::Stage, t, me, || TraceEvent::StageEnd {
+                            stage: SysStage::Plan,
+                            phase: p,
+                        });
                 }
                 ctx.send_all(
                     KernelMsg::Policy(RipsCtl::PlanReady(p)),

@@ -274,6 +274,24 @@ fn periodic_policy_multi_round() {
 }
 
 #[test]
+fn redundant_initiators_are_counted_not_silently_dropped() {
+    use rips_trace::metrics_rt::Counter;
+    use rips_trace::{with_metrics, MetricsRegistry};
+    // Two nodes, one equal task each: phase 1 moves nothing, each node
+    // runs its task inside the plan-apply handler and goes idle before
+    // it sees the other's init — so phase 2 has two initiators, and
+    // each drops the other's init on arrival.
+    let w = Arc::new(flat_uniform(2, 500, 500, 3));
+    let reg = MetricsRegistry::new(2);
+    let out = with_metrics(&reg, || {
+        run(&w, mesh(2), LocalPolicy::Lazy, GlobalPolicy::Any)
+    });
+    out.run.verify_complete(&w).unwrap();
+    assert_eq!(out.run.system_phases, 2);
+    assert_eq!(reg.counter_total(Counter::InitsSuppressed), 2);
+}
+
+#[test]
 fn eureka_signalling_completes_and_cuts_init_overhead() {
     // Hardware or-barrier init: same schedule quality, strictly less
     // sender CPU per phase. Visible on a machine large enough that the

@@ -785,8 +785,9 @@ impl<P: Program> Engine<P> {
 
     /// Attaches a trace handle. Every outgoing message is then emitted
     /// as a [`rips_trace::TraceEvent::MsgSend`] instant (stamped at its
-    /// departure time). With the default disabled tracer the hot path
-    /// pays one never-taken branch per send.
+    /// departure time) if the handle's sink asked for that kind. With
+    /// the default disabled tracer, or a sink that did not, the hot
+    /// path pays one never-taken branch per send.
     pub fn set_tracer(&mut self, tracer: rips_trace::Tracer) {
         self.tracer = tracer;
     }
@@ -885,10 +886,12 @@ impl<P: Program> Engine<P> {
         self.net.hops += hops as u64;
         self.meter.add_at(from, Counter::MsgsSent, 1);
         self.tracer
-            .emit(depart, from, || rips_trace::TraceEvent::MsgSend {
-                to,
-                bytes: bytes as u64,
-                hops: hops as u32,
+            .emit(rips_trace::EventKind::MsgSend, depart, from, || {
+                rips_trace::TraceEvent::MsgSend {
+                    to,
+                    bytes: bytes as u64,
+                    hops: hops as u32,
+                }
             });
         if self.contention && hops > 0 {
             // Inject after the fixed startup cost; the router takes it

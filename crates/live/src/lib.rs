@@ -73,7 +73,7 @@ use rips_runtime::{
 use rips_taskgraph::Workload;
 use rips_topology::{NodeId, Topology};
 use rips_trace::metrics_rt::{Counter, CycleClock, Gauge, Histo};
-use rips_trace::{Clock, ClockKind, TraceEvent};
+use rips_trace::{Clock, ClockKind, EventKind, TraceEvent};
 
 pub use transport::{Outbox, Packet};
 pub use watchdog::{StallDetector, StallReport, Watchdog, WatchdogOpts};
@@ -339,6 +339,7 @@ impl<M: Clone> ExecCtx<M> for LiveCtx<'_, M> {
 
 /// What one node thread hands back when it exits.
 struct NodeReport<P> {
+    spawned: u64,
     executed: u64,
     nonlocal: u64,
     checksum: u64,
@@ -381,7 +382,8 @@ fn node_loop<P: BalancerPolicy>(
     let mut grain_ns = 0u64;
     let mut halted = false;
     let tracer = kernel.oracle.tracer.clone();
-    let traced = tracer.enabled();
+    let trace_batches = tracer.wants(EventKind::BatchSend);
+    let trace_rings = tracer.wants(EventKind::RingDepth);
     // This node's metrics handle, already bound to shard `me`. When a
     // clocked registry is installed the loop attributes every dispatch
     // round's nanoseconds to {grain setup, grain execute, transport
@@ -442,11 +444,11 @@ fn node_loop<P: BalancerPolicy>(
             if !outbox.is_empty() {
                 let send_t0 = if prof { meter.now_ns() } else { None };
                 let mut packets = 0u64;
-                if traced {
+                if trace_batches {
                     let t = clock.now_us();
                     outbox.flush(me, &mut tx, |to, len| {
                         packets += 1;
-                        tracer.emit(t, me, || TraceEvent::BatchSend {
+                        tracer.emit(EventKind::BatchSend, t, me, || TraceEvent::BatchSend {
                             to,
                             msgs: len as u32,
                         })
@@ -514,12 +516,14 @@ fn node_loop<P: BalancerPolicy>(
         match step {
             Step::Halt => break,
             Step::Pkt(p) => {
-                if traced || metered {
+                if trace_rings || metered {
                     let depth = rx.occupancy();
                     meter.set_gauge(Gauge::RingDepth, depth);
-                    if traced {
-                        tracer.emit(clock.now_us(), me, || TraceEvent::RingDepth {
-                            depth: depth as u32,
+                    if trace_rings {
+                        tracer.emit(EventKind::RingDepth, clock.now_us(), me, || {
+                            TraceEvent::RingDepth {
+                                depth: depth as u32,
+                            }
                         });
                     }
                 }
@@ -552,6 +556,7 @@ fn node_loop<P: BalancerPolicy>(
         tx.broadcast_halt();
     }
     NodeReport {
+        spawned: kernel.exec.spawned,
         executed: kernel.exec.executed,
         nonlocal: kernel.exec.nonlocal_executed,
         checksum,
@@ -627,12 +632,18 @@ where
             reports[me] = Some(h.join().expect("live node thread panicked"));
         }
     });
-    let wall_us = clock.now_us().saturating_sub(started);
+    let ended = clock.now_us();
     let mut out = LiveOutcome::empty(n);
-    out.wall_us = wall_us;
+    out.wall_us = ended.saturating_sub(started);
     let mut policies = Vec::with_capacity(n);
     for (me, rep) in reports.into_iter().enumerate() {
         let rep = rep.expect("every node reported");
+        oracle.tracer.emit(EventKind::NodeTotals, ended, me, || {
+            TraceEvent::NodeTotals {
+                spawned: rep.spawned,
+                executed: rep.executed,
+            }
+        });
         out.executed[me] = rep.executed;
         out.nonlocal += rep.nonlocal;
         out.checksum = out.checksum.wrapping_add(rep.checksum);

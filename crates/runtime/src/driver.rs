@@ -54,7 +54,7 @@ use rips_desim::{Ctx, Engine, LatencyModel, Time, WorkKind};
 use rips_taskgraph::Workload;
 use rips_topology::{NodeId, Topology};
 use rips_trace::metrics_rt::{Counter, Gauge};
-use rips_trace::TraceEvent;
+use rips_trace::{EventKind, TraceEvent};
 
 use crate::{Costs, NodeExec, Oracle, RunOutcome, TaskInstance};
 
@@ -230,12 +230,16 @@ impl Kernel {
             self.oracle.costs.spawn_us * seeds.len() as Time,
             WorkKind::Overhead,
         );
+        self.exec.spawned += seeds.len() as u64;
         self.meter.add(Counter::TasksSpawned, seeds.len() as u64);
-        if self.oracle.tracer.enabled() && !seeds.is_empty() {
+        if self.oracle.tracer.wants(EventKind::Spawn) && !seeds.is_empty() {
             let (t, count) = (ctx.now(), seeds.len() as u32);
             self.oracle
                 .tracer
-                .emit(t, self.me, || TraceEvent::Spawn { round, count });
+                .emit(EventKind::Spawn, t, self.me, || TraceEvent::Spawn {
+                    round,
+                    count,
+                });
         }
         seeds
     }
@@ -256,11 +260,13 @@ impl Kernel {
     /// modelled barrier delay the driver advances the round (telling
     /// everyone) or halts the machine.
     pub fn announce_round<M: Clone>(&mut self, ctx: &mut impl ExecCtx<KernelMsg<M>>) {
-        if self.oracle.tracer.enabled() {
+        if self.oracle.tracer.wants(EventKind::Barrier) {
             let (t, round) = (ctx.now(), self.oracle.round());
             self.oracle
                 .tracer
-                .emit(t, self.me, || TraceEvent::Barrier { round });
+                .emit(EventKind::Barrier, t, self.me, || TraceEvent::Barrier {
+                    round,
+                });
         }
         ctx.set_timer(self.oracle.round_barrier_delay(), TAG_ROUND);
     }
@@ -276,11 +282,13 @@ impl Kernel {
         batch: Vec<TaskInstance>,
         load: i64,
     ) {
-        if self.oracle.tracer.enabled() {
+        if self.oracle.tracer.wants(EventKind::MigrateOut) {
             let (t, count) = (ctx.now(), batch.len() as u32);
             self.oracle
                 .tracer
-                .emit(t, self.me, || TraceEvent::MigrateOut { to, count });
+                .emit(EventKind::MigrateOut, t, self.me, || {
+                    TraceEvent::MigrateOut { to, count }
+                });
         }
         let bytes = self.oracle.costs.task_bytes * batch.len();
         ctx.send(to, KernelMsg::Tasks(batch, load), bytes);
@@ -418,36 +426,44 @@ pub fn exec_step<P: BalancerPolicy>(
     let Some(inst) = k.exec.queue.pop_front() else {
         return;
     };
-    let traced = k.oracle.tracer.enabled();
-    let t0 = if traced { ctx.now() } else { 0 };
+    // Each kind is asked for on its own: a sink that audits phase
+    // boundaries pays nothing here, not even the clock reads.
+    let trace_exec = k.oracle.tracer.wants(EventKind::TaskExec);
+    let t0 = if trace_exec { ctx.now() } else { 0 };
     ctx.compute(k.oracle.costs.dispatch_us, WorkKind::Overhead);
     ctx.execute_grain(&inst);
     k.exec.record(&inst, k.me);
     k.meter.inc(Counter::TasksExecuted);
-    if traced {
+    if trace_exec {
         // Stamped at the grain's start (dispatch already charged), so
         // exporters draw the execution as a span of `grain_us`.
         let dispatch_us = k.oracle.costs.dispatch_us;
         let hops = k.oracle.hops(inst.origin, k.me);
         k.oracle
             .tracer
-            .emit(t0 + dispatch_us, k.me, || TraceEvent::TaskExec {
-                task: inst.task as u64,
-                round: inst.round,
-                origin: inst.origin,
-                hops,
-                grain_us: inst.grain_us,
-                dispatch_us,
+            .emit(EventKind::TaskExec, t0 + dispatch_us, k.me, || {
+                TraceEvent::TaskExec {
+                    task: inst.task as u64,
+                    round: inst.round,
+                    origin: inst.origin,
+                    hops,
+                    grain_us: inst.grain_us,
+                    dispatch_us,
+                }
             });
     }
     let children = k.oracle.children_of(&inst, k.me);
     if !children.is_empty() {
+        k.exec.spawned += children.len() as u64;
         k.meter.add(Counter::TasksSpawned, children.len() as u64);
-        if traced {
+        if k.oracle.tracer.wants(EventKind::Spawn) {
             let (t, round, count) = (ctx.now(), inst.round, children.len() as u32);
             k.oracle
                 .tracer
-                .emit(t, k.me, || TraceEvent::Spawn { round, count });
+                .emit(EventKind::Spawn, t, k.me, || TraceEvent::Spawn {
+                    round,
+                    count,
+                });
         }
     }
     policy.place_children(k, &mut *ctx, children);
@@ -458,11 +474,13 @@ pub fn exec_step<P: BalancerPolicy>(
     }
     k.meter
         .set_gauge(Gauge::QueueDepth, k.exec.queue.len() as u64);
-    if traced {
+    if k.oracle.tracer.wants(EventKind::QueueDepth) {
         let (t, depth) = (ctx.now(), k.exec.queue.len() as u32);
         k.oracle
             .tracer
-            .emit(t, k.me, || TraceEvent::QueueDepth { depth });
+            .emit(EventKind::QueueDepth, t, k.me, || TraceEvent::QueueDepth {
+                depth,
+            });
     }
     k.kick(ctx);
     policy.after_task(k, ctx);
@@ -500,24 +518,28 @@ pub fn dispatch_message<P: BalancerPolicy>(
             k.meter.add(Counter::TasksMigratedIn, count as u64);
             k.meter
                 .set_gauge(Gauge::QueueDepth, k.exec.queue.len() as u64);
-            if k.oracle.tracer.enabled() {
+            let tr = &k.oracle.tracer;
+            if tr.wants(EventKind::MigrateIn) || tr.wants(EventKind::QueueDepth) {
                 let (t, depth) = (ctx.now(), k.exec.queue.len() as u32);
-                k.oracle
-                    .tracer
-                    .emit(t, k.me, || TraceEvent::MigrateIn { from, count });
-                k.oracle
-                    .tracer
-                    .emit(t, k.me, || TraceEvent::QueueDepth { depth });
+                tr.emit(EventKind::MigrateIn, t, k.me, || TraceEvent::MigrateIn {
+                    from,
+                    count,
+                });
+                tr.emit(EventKind::QueueDepth, t, k.me, || TraceEvent::QueueDepth {
+                    depth,
+                });
             }
             k.kick(ctx);
             policy.on_tasks_accepted(k, ctx, from, sender_load);
         }
         KernelMsg::RoundStart(round, token) => {
-            if k.oracle.tracer.enabled() {
+            if k.oracle.tracer.wants(EventKind::RoundBegin) {
                 let t = ctx.now();
                 k.oracle
                     .tracer
-                    .emit(t, k.me, || TraceEvent::RoundBegin { round });
+                    .emit(EventKind::RoundBegin, t, k.me, || TraceEvent::RoundBegin {
+                        round,
+                    });
             }
             policy.on_round_start(k, ctx, round, token);
         }
@@ -543,11 +565,11 @@ pub fn dispatch_timer<P: BalancerPolicy>(
             Some(next) => {
                 let token = policy.round_token(k);
                 ctx.send_all(KernelMsg::RoundStart(next, token), k.oracle.costs.ctl_bytes);
-                if k.oracle.tracer.enabled() {
+                if k.oracle.tracer.wants(EventKind::RoundBegin) {
                     let t = ctx.now();
-                    k.oracle
-                        .tracer
-                        .emit(t, k.me, || TraceEvent::RoundBegin { round: next });
+                    k.oracle.tracer.emit(EventKind::RoundBegin, t, k.me, || {
+                        TraceEvent::RoundBegin { round: next }
+                    });
                 }
                 policy.on_round_announced(k, ctx, next, token);
             }
@@ -613,12 +635,23 @@ where
         kernel: Kernel::new(me, oracle.clone()),
         policy: make(me),
     });
-    engine.set_tracer(tracer);
+    engine.set_tracer(tracer.clone());
     engine.set_meter(meter);
     engine.record_timeline(costs.record_timeline);
     engine.enable_contention(costs.contention);
     let (drivers, stats) = engine.run();
     let executed: Vec<u64> = drivers.iter().map(|d| d.kernel.exec.executed).collect();
+    // One summary per node instead of a record per task: what an
+    // auditing sink proves conservation from.
+    for d in &drivers {
+        let exec = &d.kernel.exec;
+        tracer.emit(EventKind::NodeTotals, stats.end_time, d.kernel.me, || {
+            TraceEvent::NodeTotals {
+                spawned: exec.spawned,
+                executed: exec.executed,
+            }
+        });
+    }
     let nonlocal = drivers
         .iter()
         .map(|d| d.kernel.exec.nonlocal_executed)

@@ -206,11 +206,12 @@ impl Oracle {
         }
     }
 
-    /// Hop distance between two nodes, for trace locality annotations.
-    /// Only meaningful while tracing (returns 0 otherwise, matching
-    /// the historical table-free untraced path bit for bit).
+    /// Hop distance between two nodes, for the `TaskExec` locality
+    /// annotation. Only meaningful while a sink wants that kind
+    /// (returns 0 otherwise, matching the historical table-free
+    /// untraced path bit for bit).
     pub fn hops(&self, from: NodeId, to: NodeId) -> u32 {
-        if self.tracer.enabled() {
+        if self.tracer.wants(rips_trace::EventKind::TaskExec) {
             self.topo.distance(from, to) as u32
         } else {
             0
@@ -352,6 +353,9 @@ impl Oracle {
 pub struct NodeExec {
     /// Ready-to-execute queue.
     pub queue: VecDeque<TaskInstance>,
+    /// Tasks created on this node (round roots it seeded, children of
+    /// tasks it executed).
+    pub spawned: u64,
     /// Tasks executed by this node.
     pub executed: u64,
     /// Executed tasks whose origin was another node.

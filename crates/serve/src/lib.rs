@@ -41,7 +41,7 @@ pub mod sweep;
 pub mod traffic;
 
 use rips_trace::metrics_rt::{Counter, Gauge, Meter};
-use rips_trace::{Hist, TraceEvent, Tracer};
+use rips_trace::{EventKind, Hist, TraceEvent, Tracer};
 
 pub use admission::{Admission, AdmissionConfig, ShedReason};
 pub use backend::{DesimBackend, JobBackend, LiveBackend, ServiceOutcome, ServiceTable};
@@ -131,19 +131,21 @@ impl Loop<'_> {
             let job = self.drr.pick(start).expect("a job is ready by `start`");
             self.admission.release(job.tenant);
             self.set_pending_gauge();
-            self.tracer.emit(start, 0, || TraceEvent::JobDispatch {
-                tenant: job.tenant,
-                job: job.job,
-                tasks: job.app.tasks,
-            });
+            self.tracer
+                .emit(EventKind::Job, start, 0, || TraceEvent::JobDispatch {
+                    tenant: job.tenant,
+                    job: job.job,
+                    tasks: job.app.tasks,
+                });
             let seed = job_seed(self.cfg.service_seed, job.job);
             let out = self.backend.service(&self.cfg.scheduler, &job.app, seed);
             let done = start + out.service_us;
-            self.tracer.emit(done, 0, || TraceEvent::JobComplete {
-                tenant: job.tenant,
-                job: job.job,
-                executed: out.executed,
-            });
+            self.tracer
+                .emit(EventKind::Job, done, 0, || TraceEvent::JobComplete {
+                    tenant: job.tenant,
+                    job: job.job,
+                    executed: out.executed,
+                });
             self.meter.inc(Counter::JobsCompleted);
             let lat = done - job.arrival;
             self.latency[job.tenant as usize].push(lat);
@@ -191,10 +193,11 @@ pub fn run_serve(
         lp.pump(a.time);
         submitted[a.tenant as usize] += 1;
         lp.meter.inc(Counter::JobsSubmitted);
-        lp.tracer.emit(a.time, 0, || TraceEvent::JobSubmit {
-            tenant: a.tenant,
-            job: a.job,
-        });
+        lp.tracer
+            .emit(EventKind::Job, a.time, 0, || TraceEvent::JobSubmit {
+                tenant: a.tenant,
+                job: a.job,
+            });
         match lp.admission.try_admit(a.tenant) {
             Ok(()) => {
                 lp.drr.enqueue(QueuedJob {
@@ -209,10 +212,11 @@ pub fn run_serve(
             Err(_) => {
                 shed[a.tenant as usize] += 1;
                 lp.meter.inc(Counter::JobsShed);
-                lp.tracer.emit(a.time, 0, || TraceEvent::JobShed {
-                    tenant: a.tenant,
-                    job: a.job,
-                });
+                lp.tracer
+                    .emit(EventKind::Job, a.time, 0, || TraceEvent::JobShed {
+                        tenant: a.tenant,
+                        job: a.job,
+                    });
             }
         }
     }

@@ -256,6 +256,10 @@ pub fn chrome_trace_json(buf: &TraceBuffer, label: &str, end_time: Time) -> Stri
                 ];
                 instant(j, "job-complete", "p", t, node, &a);
             }
+            TraceEvent::NodeTotals { spawned, executed } => {
+                let a = [("spawned", spawned), ("executed", executed)];
+                instant(j, "node-totals", "t", t, node, &a);
+            }
         }
     }
 

@@ -12,12 +12,16 @@
 //! # Architecture
 //!
 //! * A [`TraceSink`] receives `(time, node, event)` records. The
-//!   canonical sink is [`TraceBuffer`], which just collects them.
+//!   canonical sink is [`TraceBuffer`], which just collects them. A
+//!   sink states which [`EventKind`]s it consumes
+//!   ([`TraceSink::interest`]); kinds it does not ask for are never
+//!   built, stamped or delivered.
 //! * A [`Tracer`] is a cheap cloneable handle held by the instrumented
-//!   layers. When no sink is installed it holds `None` and every
-//!   [`Tracer::emit`] is a single branch — the event payload is built
-//!   inside a closure that is never evaluated, so tracing is free when
-//!   off (the golden tests pin this bit-for-bit).
+//!   layers. It caches the installed sink's [`Interest`] (empty when no
+//!   sink is installed), so every [`Tracer::emit`] of a kind nobody
+//!   wants is a single branch on that word — the event payload is
+//!   built inside a closure that is never evaluated, so tracing is free
+//!   when off (the golden tests pin this bit-for-bit).
 //! * [`with_sink`] installs a sink for the duration of a closure via a
 //!   thread-local, so *any* scheduler run — including ones reached
 //!   through the scheduler registry's type-erased constructors — can be
@@ -333,12 +337,139 @@ pub enum TraceEvent {
         /// Tasks the backend reports having executed.
         executed: u64,
     },
+    /// End-of-run summary of one node's kernel counters, emitted once
+    /// per node by each backend where it reads them into the run's
+    /// outcome. Opt-in ([`Interest::EVENTS`] leaves it out): it lets a
+    /// sink prove task conservation without receiving a record per
+    /// task.
+    NodeTotals {
+        /// Tasks created on this node over the whole run.
+        spawned: u64,
+        /// Tasks this node executed over the whole run.
+        executed: u64,
+    },
+}
+
+/// What a [`TraceEvent`] is about, at the granularity sinks subscribe
+/// to: begin/end pairs share a kind, and phase spans split by
+/// [`PhaseKind`] so a sink can follow system phases without paying for
+/// the user phases between them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum EventKind {
+    /// `PhaseBegin`/`PhaseEnd` of a user phase.
+    UserPhase,
+    /// `PhaseBegin`/`PhaseEnd` of a system phase.
+    SystemPhase,
+    /// `StageBegin`/`StageEnd`.
+    Stage,
+    /// [`TraceEvent::TaskExec`].
+    TaskExec,
+    /// [`TraceEvent::Spawn`].
+    Spawn,
+    /// [`TraceEvent::MigrateOut`].
+    MigrateOut,
+    /// [`TraceEvent::MigrateIn`].
+    MigrateIn,
+    /// [`TraceEvent::Barrier`].
+    Barrier,
+    /// [`TraceEvent::RoundBegin`].
+    RoundBegin,
+    /// [`TraceEvent::QueueDepth`].
+    QueueDepth,
+    /// [`TraceEvent::LoadSample`].
+    LoadSample,
+    /// [`TraceEvent::MsgSend`].
+    MsgSend,
+    /// [`TraceEvent::BatchSend`].
+    BatchSend,
+    /// [`TraceEvent::RingDepth`].
+    RingDepth,
+    /// The serve timeline: `JobSubmit`/`JobShed`/`JobDispatch`/
+    /// `JobComplete`.
+    Job,
+    /// [`TraceEvent::NodeTotals`] — the one kind outside
+    /// [`Interest::EVENTS`], which is "every kind declared before this
+    /// one": keep it last.
+    NodeTotals,
+}
+
+impl TraceEvent {
+    /// The kind sinks subscribe to this event under.
+    pub fn kind(&self) -> EventKind {
+        match self {
+            TraceEvent::PhaseBegin { kind, .. } | TraceEvent::PhaseEnd { kind, .. } => match kind {
+                PhaseKind::User => EventKind::UserPhase,
+                PhaseKind::System => EventKind::SystemPhase,
+            },
+            TraceEvent::StageBegin { .. } | TraceEvent::StageEnd { .. } => EventKind::Stage,
+            TraceEvent::TaskExec { .. } => EventKind::TaskExec,
+            TraceEvent::Spawn { .. } => EventKind::Spawn,
+            TraceEvent::MigrateOut { .. } => EventKind::MigrateOut,
+            TraceEvent::MigrateIn { .. } => EventKind::MigrateIn,
+            TraceEvent::Barrier { .. } => EventKind::Barrier,
+            TraceEvent::RoundBegin { .. } => EventKind::RoundBegin,
+            TraceEvent::QueueDepth { .. } => EventKind::QueueDepth,
+            TraceEvent::LoadSample { .. } => EventKind::LoadSample,
+            TraceEvent::MsgSend { .. } => EventKind::MsgSend,
+            TraceEvent::BatchSend { .. } => EventKind::BatchSend,
+            TraceEvent::RingDepth { .. } => EventKind::RingDepth,
+            TraceEvent::JobSubmit { .. }
+            | TraceEvent::JobShed { .. }
+            | TraceEvent::JobDispatch { .. }
+            | TraceEvent::JobComplete { .. } => EventKind::Job,
+            TraceEvent::NodeTotals { .. } => EventKind::NodeTotals,
+        }
+    }
+}
+
+/// A set of [`EventKind`]s: what a sink consumes. One machine word, so
+/// the per-emit test ([`Tracer::wants`]) is a mask and a branch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct Interest(u32);
+
+impl Interest {
+    /// Nothing — what a [`Tracer`] caches when no sink is installed.
+    pub const NONE: Interest = Interest(0);
+
+    /// Every per-event kind: all but the opt-in
+    /// [`EventKind::NodeTotals`] summary. The [`TraceSink`] default, so
+    /// a recording sink sees the stream it always saw.
+    pub const EVENTS: Interest = Interest((1 << EventKind::NodeTotals as u32) - 1);
+
+    /// The set holding exactly `kinds`.
+    pub const fn of(kinds: &[EventKind]) -> Interest {
+        let (mut bits, mut i) = (0, 0);
+        while i < kinds.len() {
+            bits |= 1 << kinds[i] as u32;
+            i += 1;
+        }
+        Interest(bits)
+    }
+
+    /// Every kind in either set.
+    pub const fn union(self, other: Interest) -> Interest {
+        Interest(self.0 | other.0)
+    }
+
+    /// Whether `kind` is in the set.
+    #[inline(always)]
+    pub const fn contains(self, kind: EventKind) -> bool {
+        self.0 & (1 << kind as u32) != 0
+    }
 }
 
 /// Receiver of trace records.
 pub trait TraceSink {
     /// One event at `time_us` on `node`.
     fn record(&mut self, time_us: Time, node: NodeId, event: TraceEvent);
+
+    /// The kinds this sink consumes. Read once when the sink is
+    /// installed ([`with_sink_clocked`]); emitters skip every other
+    /// kind before building its payload or reading a clock for it, so
+    /// the answer must not change while the sink is installed.
+    fn interest(&self) -> Interest {
+        Interest::EVENTS
+    }
 }
 
 /// One recorded event, as stored by [`TraceBuffer`].
@@ -406,10 +537,11 @@ impl TraceSink for TraceBuffer {
     }
 }
 
-/// Fan-out sink: every record goes to both halves, in order. Lets an
-/// online consumer (e.g. the invariant auditor in `rips-audit`) ride
-/// beside a [`TraceBuffer`] destined for exporters in a single
-/// [`with_sink`] install — and nests, for wider fan-outs.
+/// Fan-out sink: a record goes to each half that asked for its kind,
+/// in order; the pair's interest is the union. Lets an online consumer
+/// (e.g. the invariant auditor in `rips-audit`) ride beside a
+/// [`TraceBuffer`] destined for exporters in a single [`with_sink`]
+/// install — and nests, for wider fan-outs.
 #[derive(Debug, Default)]
 pub struct Tee<A, B>(
     /// First receiver (records first).
@@ -420,20 +552,39 @@ pub struct Tee<A, B>(
 
 impl<A: TraceSink, B: TraceSink> TraceSink for Tee<A, B> {
     fn record(&mut self, time_us: Time, node: NodeId, event: TraceEvent) {
-        self.0.record(time_us, node, event.clone());
-        self.1.record(time_us, node, event);
+        let kind = event.kind();
+        match (
+            self.0.interest().contains(kind),
+            self.1.interest().contains(kind),
+        ) {
+            (true, true) => {
+                self.0.record(time_us, node, event.clone());
+                self.1.record(time_us, node, event);
+            }
+            (true, false) => self.0.record(time_us, node, event),
+            (false, true) => self.1.record(time_us, node, event),
+            (false, false) => {}
+        }
+    }
+
+    fn interest(&self) -> Interest {
+        self.0.interest().union(self.1.interest())
     }
 }
 
-/// An installed sink plus the clock its timestamps come from.
-#[derive(Clone)]
-struct Installed {
-    sink: Arc<Mutex<dyn TraceSink + Send>>,
+/// An installed sink, what it asked for, and the clock its timestamps
+/// come from: one allocation, shared by every tracer cloned under the
+/// install.
+struct Installed<S: ?Sized> {
+    interest: Interest,
     clock: Arc<dyn Clock>,
+    sink: Mutex<S>,
 }
 
+type Handle = Arc<Installed<dyn TraceSink + Send>>;
+
 thread_local! {
-    static CURRENT: RefCell<Option<Installed>> = const { RefCell::new(None) };
+    static CURRENT: RefCell<Option<Handle>> = const { RefCell::new(None) };
 }
 
 /// Un-poisons a sink mutex: if a node thread panicked mid-record, the
@@ -470,7 +621,7 @@ pub fn with_sink_clocked<S: TraceSink + Send + 'static, R>(
     clock: Arc<dyn Clock>,
     f: impl FnOnce() -> R,
 ) -> (S, R) {
-    struct Restore(Option<Installed>);
+    struct Restore(Option<Handle>);
     impl Drop for Restore {
         fn drop(&mut self) {
             let prev = self.0.take();
@@ -478,19 +629,19 @@ pub fn with_sink_clocked<S: TraceSink + Send + 'static, R>(
         }
     }
 
-    let cell: Arc<Mutex<S>> = Arc::new(Mutex::new(sink));
-    let erased: Arc<Mutex<dyn TraceSink + Send>> = Arc::clone(&cell) as _;
-    let prev = CURRENT.with(|c| {
-        c.borrow_mut().replace(Installed {
-            sink: erased,
-            clock,
-        })
+    let cell = Arc::new(Installed {
+        interest: sink.interest(),
+        clock,
+        sink: Mutex::new(sink),
     });
+    let erased: Handle = Arc::clone(&cell) as _;
+    let prev = CURRENT.with(|c| c.borrow_mut().replace(erased));
     let restore = Restore(prev);
     let out = f();
     drop(restore);
     let sink = Arc::try_unwrap(cell)
         .unwrap_or_else(|_| panic!("trace sink still referenced after the traced run"))
+        .sink
         .into_inner()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
     (sink, out)
@@ -499,12 +650,16 @@ pub fn with_sink_clocked<S: TraceSink + Send + 'static, R>(
 /// A cheap cloneable handle to the active sink (or to nothing).
 ///
 /// Instrumented layers clone one of these at run construction and call
-/// [`Tracer::emit`] from their hot paths. With no sink installed the
-/// handle is `None` and `emit` costs one branch; the closure building
-/// the event payload is never evaluated.
+/// [`Tracer::emit`] from their hot paths. With no sink installed — or
+/// one that did not ask for the kind — `emit` costs one branch on the
+/// cached interest word; the closure building the event payload is
+/// never evaluated.
 #[derive(Clone, Default)]
 pub struct Tracer {
-    installed: Option<Installed>,
+    /// The installed sink's interest ([`Interest::NONE`] without one),
+    /// beside the handle so [`Tracer::wants`] never chases a pointer.
+    interest: Interest,
+    installed: Option<Handle>,
     /// Captured alongside the sink so trace emission can profile
     /// itself ([`metrics_rt::Histo::TraceEmitNs`]) and count
     /// ([`metrics_rt::Counter::TraceEvents`]) when a metrics registry
@@ -515,7 +670,7 @@ pub struct Tracer {
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
-            .field("enabled", &self.enabled())
+            .field("interest", &self.interest)
             .finish()
     }
 }
@@ -523,10 +678,7 @@ impl std::fmt::Debug for Tracer {
 impl Tracer {
     /// A disabled tracer (no sink).
     pub fn off() -> Self {
-        Tracer {
-            installed: None,
-            meter: Meter::off(),
-        }
+        Tracer::default()
     }
 
     /// The thread's current tracer: attached to the sink installed by
@@ -534,17 +686,20 @@ impl Tracer {
     /// Also captures the current [`Meter`] so emission self-profiles
     /// when a metrics registry is installed.
     pub fn current() -> Self {
-        CURRENT.with(|c| Tracer {
-            installed: c.borrow().clone(),
+        let installed = CURRENT.with(|c| c.borrow().clone());
+        Tracer {
+            interest: installed.as_ref().map_or(Interest::NONE, |i| i.interest),
+            installed,
             meter: Meter::current(),
-        })
+        }
     }
 
-    /// Whether a sink is attached. Use to guard instrumentation that
-    /// must precompute values (e.g. a timestamp before a state change).
+    /// Whether a sink is attached *and* asked for `kind`. Use to guard
+    /// instrumentation that must precompute values for an event (a
+    /// timestamp before a state change, a hop distance).
     #[inline(always)]
-    pub fn enabled(&self) -> bool {
-        self.installed.is_some()
+    pub fn wants(&self, kind: EventKind) -> bool {
+        self.interest.contains(kind)
     }
 
     /// The kind of time this tracer's timestamps are measured in
@@ -562,25 +717,41 @@ impl Tracer {
         self.installed.as_ref().map(|i| i.clock.now_us())
     }
 
-    /// Records the event built by `f` at `(time_us, node)` if a sink is
-    /// attached; otherwise does nothing and never evaluates `f`.
+    /// Records the event built by `f` — which must be of `kind` — at
+    /// `(time_us, node)` if the attached sink [`wants`](Tracer::wants)
+    /// that kind; otherwise does nothing and never evaluates `f`.
     #[inline(always)]
-    pub fn emit(&self, time_us: Time, node: NodeId, f: impl FnOnce() -> TraceEvent) {
-        if let Some(installed) = &self.installed {
-            // When a clocked metrics registry rides along, time the
-            // emission itself — payload construction, sink lock, and
-            // record — so "trace overhead" is a measured histogram
-            // (`rips_trace_emit_ns`), not a guess.
-            if let Some(t0) = self.meter.now_ns() {
-                lock_sink(&installed.sink).record(time_us, node, f());
-                let dt = self.meter.now_ns().unwrap_or(t0).saturating_sub(t0);
-                self.meter
-                    .observe_at(node, metrics_rt::Histo::TraceEmitNs, dt);
-            } else {
-                lock_sink(&installed.sink).record(time_us, node, f());
-            }
-            self.meter.add_at(node, metrics_rt::Counter::TraceEvents, 1);
+    pub fn emit(
+        &self,
+        kind: EventKind,
+        time_us: Time,
+        node: NodeId,
+        f: impl FnOnce() -> TraceEvent,
+    ) {
+        if !self.wants(kind) {
+            return;
         }
+        let Some(installed) = &self.installed else {
+            return;
+        };
+        let record = || {
+            let event = f();
+            debug_assert_eq!(event.kind(), kind, "emitted under the wrong kind");
+            lock_sink(&installed.sink).record(time_us, node, event);
+        };
+        // When a clocked metrics registry rides along, time the
+        // emission itself — payload construction, sink lock, and
+        // record — so "trace overhead" is a measured histogram
+        // (`rips_trace_emit_ns`), not a guess.
+        if let Some(t0) = self.meter.now_ns() {
+            record();
+            let dt = self.meter.now_ns().unwrap_or(t0).saturating_sub(t0);
+            self.meter
+                .observe_at(node, metrics_rt::Histo::TraceEmitNs, dt);
+        } else {
+            record();
+        }
+        self.meter.add_at(node, metrics_rt::Counter::TraceEvents, 1);
     }
 }
 
@@ -760,35 +931,124 @@ mod tests {
     #[test]
     fn tracer_off_never_builds_events() {
         let t = Tracer::off();
-        assert!(!t.enabled());
-        t.emit(0, 0, || panic!("payload built while disabled"));
+        assert!(!t.wants(EventKind::QueueDepth));
+        assert!(!Tracer::current().wants(EventKind::QueueDepth), "no sink");
+        t.emit(EventKind::QueueDepth, 0, 0, || {
+            panic!("payload built while disabled")
+        });
+    }
+
+    /// Asks for barriers and node totals only, and objects to anything
+    /// else reaching it.
+    #[derive(Default)]
+    struct BarriersAndTotals(Vec<Record>);
+
+    impl TraceSink for BarriersAndTotals {
+        fn record(&mut self, time: Time, node: NodeId, event: TraceEvent) {
+            assert!(self.interest().contains(event.kind()), "{event:?}");
+            self.0.push(Record { time, node, event });
+        }
+        fn interest(&self) -> Interest {
+            Interest::of(&[EventKind::Barrier, EventKind::NodeTotals])
+        }
+    }
+
+    #[test]
+    fn masked_kind_never_builds_its_payload() {
+        let (sink, _) = with_sink(BarriersAndTotals::default(), || {
+            let t = Tracer::current();
+            assert!(t.wants(EventKind::Barrier) && t.wants(EventKind::NodeTotals));
+            assert!(!t.wants(EventKind::QueueDepth));
+            t.emit(EventKind::QueueDepth, 1, 0, || {
+                panic!("payload of a masked kind built")
+            });
+            t.emit(EventKind::Barrier, 2, 0, || TraceEvent::Barrier {
+                round: 0,
+            });
+        });
+        assert_eq!(sink.0.len(), 1);
+    }
+
+    #[test]
+    fn default_interest_is_every_event_but_the_totals() {
+        let (buf, _) = with_sink(TraceBuffer::new(), || {
+            let t = Tracer::current();
+            assert!(t.wants(EventKind::UserPhase) && t.wants(EventKind::Job));
+            t.emit(EventKind::NodeTotals, 0, 0, || panic!("totals are opt-in"));
+        });
+        assert!(buf.records.is_empty());
+    }
+
+    #[test]
+    fn tee_forwards_each_half_only_what_it_asked_for() {
+        let sink = Tee(TraceBuffer::new(), BarriersAndTotals::default());
+        let (Tee(buf, picky), _) = with_sink(sink, || {
+            let t = Tracer::current();
+            t.emit(EventKind::QueueDepth, 1, 0, || TraceEvent::QueueDepth {
+                depth: 1,
+            });
+            t.emit(EventKind::Barrier, 2, 0, || TraceEvent::Barrier {
+                round: 0,
+            });
+            t.emit(EventKind::NodeTotals, 3, 0, || TraceEvent::NodeTotals {
+                spawned: 1,
+                executed: 1,
+            });
+        });
+        // The buffer never sees the opt-in summary its partner asked
+        // for; the partner never sees the queue sample.
+        let kinds = |rs: &[Record]| rs.iter().map(|r| r.event.kind()).collect::<Vec<_>>();
+        assert_eq!(
+            kinds(&buf.records),
+            [EventKind::QueueDepth, EventKind::Barrier]
+        );
+        assert_eq!(kinds(&picky.0), [EventKind::Barrier, EventKind::NodeTotals]);
+    }
+
+    #[test]
+    fn nested_with_sink_restores_the_outer_interest() {
+        with_sink(BarriersAndTotals::default(), || {
+            with_sink(TraceBuffer::new(), || {
+                let t = Tracer::current();
+                assert!(t.wants(EventKind::QueueDepth) && !t.wants(EventKind::NodeTotals));
+            });
+            let t = Tracer::current();
+            assert!(!t.wants(EventKind::QueueDepth) && t.wants(EventKind::NodeTotals));
+        });
+        assert!(!Tracer::current().wants(EventKind::NodeTotals));
     }
 
     #[test]
     fn with_sink_installs_and_restores() {
-        assert!(!Tracer::current().enabled());
+        assert!(!Tracer::current().wants(EventKind::QueueDepth));
         let (buf, got) = with_sink(TraceBuffer::new(), || {
             let t = Tracer::current();
-            assert!(t.enabled());
-            t.emit(5, 2, || TraceEvent::QueueDepth { depth: 3 });
+            assert!(t.wants(EventKind::QueueDepth));
+            t.emit(EventKind::QueueDepth, 5, 2, || TraceEvent::QueueDepth {
+                depth: 3,
+            });
             42
         });
         assert_eq!(got, 42);
         assert_eq!(buf.records.len(), 1);
         assert_eq!(buf.records[0].time, 5);
         assert_eq!(buf.records[0].node, 2);
-        assert!(!Tracer::current().enabled());
+        assert!(!Tracer::current().wants(EventKind::QueueDepth));
     }
 
     #[test]
     fn with_sink_restores_outer_sink_when_nested() {
         let (outer, _) = with_sink(TraceBuffer::new(), || {
             let (inner, _) = with_sink(TraceBuffer::new(), || {
-                Tracer::current().emit(1, 0, || TraceEvent::QueueDepth { depth: 1 });
+                Tracer::current().emit(EventKind::QueueDepth, 1, 0, || TraceEvent::QueueDepth {
+                    depth: 1,
+                });
             });
             assert_eq!(inner.records.len(), 1);
             // Back on the outer sink.
-            Tracer::current().emit(2, 0, || TraceEvent::QueueDepth { depth: 2 });
+            Tracer::current().emit(EventKind::QueueDepth, 2, 0, || TraceEvent::QueueDepth {
+                depth: 2,
+            });
         });
         assert_eq!(outer.records.len(), 1);
         assert_eq!(outer.records[0].time, 2);
@@ -811,8 +1071,8 @@ mod tests {
             let t = Tracer::current();
             assert_eq!(t.clock_kind(), ClockKind::WallMonotonic);
             assert_eq!(t.clock_now(), Some(77));
-            t.emit(t.clock_now().unwrap(), 0, || TraceEvent::QueueDepth {
-                depth: 1,
+            t.emit(EventKind::QueueDepth, t.clock_now().unwrap(), 0, || {
+                TraceEvent::QueueDepth { depth: 1 }
             });
         });
         assert_eq!(buf.records[0].time, 77);
@@ -826,7 +1086,9 @@ mod tests {
             std::thread::scope(|s| {
                 for (i, t) in tracers.into_iter().enumerate() {
                     s.spawn(move || {
-                        t.emit(i as Time, i, || TraceEvent::QueueDepth { depth: i as u32 })
+                        t.emit(EventKind::QueueDepth, i as Time, i, || {
+                            TraceEvent::QueueDepth { depth: i as u32 }
+                        })
                     });
                 }
             });
@@ -838,8 +1100,12 @@ mod tests {
     fn tee_duplicates_records_in_order() {
         let (tee, _) = with_sink(Tee(TraceBuffer::new(), TraceBuffer::new()), || {
             let t = Tracer::current();
-            t.emit(1, 0, || TraceEvent::QueueDepth { depth: 1 });
-            t.emit(2, 1, || TraceEvent::Barrier { round: 0 });
+            t.emit(EventKind::QueueDepth, 1, 0, || TraceEvent::QueueDepth {
+                depth: 1,
+            });
+            t.emit(EventKind::Barrier, 2, 1, || TraceEvent::Barrier {
+                round: 0,
+            });
         });
         let Tee(a, b) = tee;
         assert_eq!(a.records, b.records);

@@ -112,6 +112,10 @@ metric_enum! {
         /// Broadcasts (`send_all`/`signal_all`) the simulator opened as
         /// one sorted run instead of one heap entry per recipient.
         BroadcastRuns => ("rips_broadcast_runs", "Broadcasts opened as sorted runs by the desim engine."),
+        /// RIPS `Init` messages dropped on arrival because the node had
+        /// already entered that system phase (a second initiator's
+        /// wavefront, or one overtaken by the first).
+        InitsSuppressed => ("rips_inits_suppressed", "Redundant RIPS phase initiations dropped by phase index."),
         /// Trace events recorded while a trace sink was installed.
         TraceEvents => ("rips_trace_events", "Trace events recorded to the installed sink."),
         /// Stall-watchdog trips (global progress frozen past threshold).
