@@ -220,10 +220,16 @@ const TAG_PLAN: u64 = TAG_POLICY_BASE;
 const TAG_POLL: u64 = TAG_POLICY_BASE + 2;
 const TAG_RECHECK: u64 = TAG_POLICY_BASE + 3;
 
-/// Rendezvous state shared by one engine's policies, split by access
-/// pattern so the live backend's node threads don't serialize on reads.
-#[derive(Default)]
+/// What one engine's policies share: the run's RIPS constants, stored
+/// once, and the rendezvous state, split by access pattern so the live
+/// backend's node threads don't serialize on reads. Nothing here is
+/// written per task — every store below happens once per node per
+/// system phase at most.
 struct FleetShared {
+    cfg: RipsConfig,
+    machine: Machine,
+    /// ALL policy's logical spanning tree.
+    tree: BinaryTree,
     /// Write-heavy phase bookkeeping (load reports, logs): mutex.
     mu: Mutex<Shared>,
     /// The plan board: written once per system phase by the last
@@ -281,8 +287,6 @@ enum Mode {
 /// The RIPS transfer policy: one instance per node, plugged into the
 /// kernel's [`NodeDriver`](rips_runtime::NodeDriver).
 pub struct RipsPolicy {
-    cfg: RipsConfig,
-    machine: Arc<Machine>,
     shared: Arc<FleetShared>,
     /// Eager policy's ready-to-schedule queue (unused under Lazy).
     rts: VecDeque<TaskInstance>,
@@ -299,7 +303,6 @@ pub struct RipsPolicy {
     /// A deferred ANY-initiation check is already scheduled.
     recheck_armed: bool,
     // ALL-policy spanning tree state.
-    tree: BinaryTree,
     local_ready_for: Option<u32>,
     ready_sent_for: Option<u32>,
     children_ready: BTreeMap<u32, u32>,
@@ -357,7 +360,7 @@ impl RipsPolicy {
     /// This node's load under the configured metric.
     #[inline]
     fn load(&self, k: &Kernel) -> i64 {
-        match self.cfg.metric {
+        match self.shared.cfg.metric {
             LoadMetric::TaskCount => (k.exec.queue.len() + self.rts.len()) as i64,
             LoadMetric::EstimatedWeight => k
                 .exec
@@ -396,11 +399,11 @@ impl RipsPolicy {
                     phase: next,
                 });
         }
-        match self.cfg.global {
+        match self.shared.cfg.global {
             GlobalPolicy::Any => {
                 // Respect the minimum gap since this node resumed its
                 // user phase (0 by default = the paper's behaviour).
-                let eligible_at = self.user_phase_since + self.cfg.min_phase_gap_us;
+                let eligible_at = self.user_phase_since + self.shared.cfg.min_phase_gap_us;
                 if ctx.now() < eligible_at {
                     if !self.recheck_armed {
                         self.recheck_armed = true;
@@ -410,7 +413,7 @@ impl RipsPolicy {
                 }
                 // Become the initiator: broadcast init and enter.
                 self.phase_index = next;
-                if self.cfg.eureka {
+                if self.shared.cfg.eureka {
                     // Or-barrier semantics: raising an already-raised
                     // wire is free and invisible, so exactly one
                     // wavefront per phase is delivered no matter how
@@ -451,12 +454,12 @@ impl RipsPolicy {
         if self.local_ready_for != Some(phase) || self.ready_sent_for == Some(phase) {
             return;
         }
-        let kids = self.tree.children(k.me).len() as u32;
+        let kids = self.shared.tree.children(k.me).len() as u32;
         if self.children_ready.get(&phase).copied().unwrap_or(0) < kids {
             return;
         }
         self.ready_sent_for = Some(phase);
-        match self.tree.parent(k.me) {
+        match self.shared.tree.parent(k.me) {
             Some(parent) => ctx.send(
                 parent,
                 KernelMsg::Policy(RipsCtl::Ready(phase)),
@@ -545,7 +548,10 @@ impl RipsPolicy {
             k.announce_round(ctx);
             return;
         }
-        let (plan, measured_steps) = self.machine.plan(&loads, self.cfg.distributed_planning);
+        let (plan, measured_steps) = self
+            .shared
+            .machine
+            .plan(&loads, self.shared.cfg.distributed_planning);
         let transfers = plan.net_transfers(&loads);
         let mut outgoing: Vec<Vec<(NodeId, i64)>> = vec![Vec::new(); n];
         let mut expected_in = vec![0i64; n];
@@ -593,7 +599,7 @@ impl RipsPolicy {
         }
         // The algorithm's synchronous steps take wall-clock time before
         // anyone can act on the plan.
-        let steps = measured_steps.unwrap_or_else(|| self.machine.steps());
+        let steps = measured_steps.unwrap_or_else(|| self.shared.machine.steps());
         let delay = steps as Time * k.oracle.costs.comm_step_us;
         ctx.set_timer(delay, TAG_PLAN);
     }
@@ -605,7 +611,7 @@ impl RipsPolicy {
         debug_assert_eq!(self.phase_index, p);
         // Per-node share of the collective algorithm's CPU.
         ctx.compute(
-            self.machine.steps() as Time * self.cfg.plan_cpu_per_step_us,
+            self.shared.machine.steps() as Time * self.shared.cfg.plan_cpu_per_step_us,
             WorkKind::Overhead,
         );
         if k.oracle.tracer.wants(EventKind::Stage) {
@@ -631,12 +637,12 @@ impl RipsPolicy {
             // Under TaskCount `amount` is the exact batch size; under
             // EstimatedWeight it is µs of work, so size the batch by
             // the queue instead.
-            let cap = match self.cfg.metric {
+            let cap = match self.shared.cfg.metric {
                 LoadMetric::TaskCount => amount as usize,
                 LoadMetric::EstimatedWeight => k.exec.queue.len().min(amount as usize),
             };
             let mut batch = Vec::with_capacity(cap);
-            match self.cfg.metric {
+            match self.shared.cfg.metric {
                 LoadMetric::TaskCount => {
                     for _ in 0..amount {
                         batch.push(
@@ -735,7 +741,7 @@ impl BalancerPolicy for RipsPolicy {
                     index: 0,
                 });
         }
-        if let GlobalPolicy::Periodic(interval) = self.cfg.global {
+        if let GlobalPolicy::Periodic(interval) = self.shared.cfg.global {
             // Only node 0 polls; everyone else just flags its local
             // condition in the shared reduction state.
             if k.me == 0 {
@@ -756,7 +762,7 @@ impl BalancerPolicy for RipsPolicy {
             RipsCtl::Init(p) => {
                 if p <= self.phase_index {
                     // Redundant initiator, dropped by phase index.
-                    k.meter.inc(Counter::InitsSuppressed);
+                    k.oracle.meter.add_at(k.me, Counter::InitsSuppressed, 1);
                     return;
                 }
                 debug_assert_eq!(p, self.phase_index + 1, "init skipped a phase");
@@ -770,8 +776,8 @@ impl BalancerPolicy for RipsPolicy {
                 self.enter_system(k, ctx, p);
             }
             RipsCtl::Ready(p) => {
-                debug_assert_eq!(self.cfg.global, GlobalPolicy::All);
-                debug_assert!(self.tree.children(k.me).contains(&from));
+                debug_assert_eq!(self.shared.cfg.global, GlobalPolicy::All);
+                debug_assert!(self.shared.tree.children(k.me).contains(&from));
                 *self.children_ready.entry(p).or_insert(0) += 1;
                 self.try_send_ready(k, ctx, p);
             }
@@ -808,7 +814,7 @@ impl BalancerPolicy for RipsPolicy {
                 self.check_transfer(k, ctx);
             }
             TAG_POLL => {
-                let GlobalPolicy::Periodic(interval) = self.cfg.global else {
+                let GlobalPolicy::Periodic(interval) = self.shared.cfg.global else {
                     unreachable!("poll timer without periodic policy");
                 };
                 // Every node pays for its share of the reduction.
@@ -863,7 +869,7 @@ impl BalancerPolicy for RipsPolicy {
             k.oracle.costs.spawn_us * children.len() as Time,
             WorkKind::Overhead,
         );
-        match self.cfg.local {
+        match self.shared.cfg.local {
             LocalPolicy::Lazy => k.exec.queue.extend(children),
             LocalPolicy::Eager => self.rts.extend(children),
         }
@@ -911,37 +917,37 @@ impl BalancerPolicy for RipsPolicy {
 /// Both backends use it the same way: build the fleet, hand
 /// [`RipsFleet::make`] to the backend as the per-node constructor, run,
 /// drop the policies, then call [`RipsFleet::finish`] for the shared
-/// phase log. The fleet owns the rendezvous state
-/// ([`Machine`] + phase entries/plans) that one run's policies share.
+/// phase log. The fleet owns the one block of state ([`RipsConfig`],
+/// [`Machine`], phase entries/plans) that one run's policies share.
 pub struct RipsFleet {
-    cfg: RipsConfig,
-    machine: Arc<Machine>,
     shared: Arc<FleetShared>,
-    n: usize,
 }
 
 impl RipsFleet {
     /// A fleet for `machine` under `cfg`.
     pub fn new(cfg: RipsConfig, machine: Machine) -> Self {
-        let n = machine.topology().len();
+        let tree = BinaryTree::new(machine.topology().len());
         RipsFleet {
-            cfg,
-            machine: Arc::new(machine),
-            shared: Arc::new(FleetShared::default()),
-            n,
+            shared: Arc::new(FleetShared {
+                cfg,
+                machine,
+                tree,
+                mu: Mutex::default(),
+                plans: RcuCell::default(),
+                want_phase: AtomicBool::new(false),
+                eureka_raised: AtomicU32::new(0),
+            }),
         }
     }
 
     /// The machine's topology.
     pub fn topology(&self) -> Arc<dyn Topology> {
-        self.machine.topology()
+        self.shared.machine.topology()
     }
 
     /// Builds node `_me`'s policy instance.
     pub fn make(&self, _me: NodeId) -> RipsPolicy {
         RipsPolicy {
-            cfg: self.cfg,
-            machine: Arc::clone(&self.machine),
             shared: Arc::clone(&self.shared),
             rts: VecDeque::new(),
             mode: Mode::User,
@@ -949,7 +955,6 @@ impl RipsFleet {
             pending_init: None,
             user_phase_since: 0,
             recheck_armed: false,
-            tree: BinaryTree::new(self.n),
             local_ready_for: None,
             ready_sent_for: None,
             children_ready: BTreeMap::new(),

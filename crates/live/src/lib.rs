@@ -384,13 +384,13 @@ fn node_loop<P: BalancerPolicy>(
     let tracer = kernel.oracle.tracer.clone();
     let trace_batches = tracer.wants(EventKind::BatchSend);
     let trace_rings = tracer.wants(EventKind::RingDepth);
-    // This node's metrics handle, already bound to shard `me`. When a
+    // This node's metrics handle, bound to shard `me`. When a
     // clocked registry is installed the loop attributes every dispatch
     // round's nanoseconds to {grain setup, grain execute, transport
     // send/recv, timer wheel, park}; trace emission times itself
     // inside `Tracer::emit`. `prof` gates the clock reads, so an
     // unmetered run pays one dead branch per tap and reads no clocks.
-    let meter = kernel.meter.clone();
+    let meter = kernel.oracle.meter.for_shard(me);
     let prof = meter.now_ns().is_some();
     let metered = meter.enabled();
 

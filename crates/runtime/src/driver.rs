@@ -180,15 +180,11 @@ pub struct Kernel {
     /// `true` while an EXEC timer is pending, so task arrivals don't
     /// double-schedule the loop.
     exec_scheduled: bool,
-    /// The run's metrics handle, bound to this node's shard. One dead
-    /// branch per call when no registry is installed.
-    pub meter: rips_trace::Meter,
 }
 
 impl Kernel {
     /// Fresh kernel state for node `me`.
     pub fn new(me: NodeId, oracle: Oracle) -> Self {
-        let meter = oracle.meter.for_shard(me);
         Kernel {
             me,
             oracle,
@@ -197,7 +193,6 @@ impl Kernel {
             expected_in: 0,
             received_in: 0,
             exec_scheduled: false,
-            meter,
         }
     }
 
@@ -231,7 +226,9 @@ impl Kernel {
             WorkKind::Overhead,
         );
         self.exec.spawned += seeds.len() as u64;
-        self.meter.add(Counter::TasksSpawned, seeds.len() as u64);
+        self.oracle
+            .meter
+            .add_at(self.me, Counter::TasksSpawned, seeds.len() as u64);
         if self.oracle.tracer.wants(EventKind::Spawn) && !seeds.is_empty() {
             let (t, count) = (ctx.now(), seeds.len() as u32);
             self.oracle
@@ -433,7 +430,7 @@ pub fn exec_step<P: BalancerPolicy>(
     ctx.compute(k.oracle.costs.dispatch_us, WorkKind::Overhead);
     ctx.execute_grain(&inst);
     k.exec.record(&inst, k.me);
-    k.meter.inc(Counter::TasksExecuted);
+    k.oracle.meter.add_at(k.me, Counter::TasksExecuted, 1);
     if trace_exec {
         // Stamped at the grain's start (dispatch already charged), so
         // exporters draw the execution as a span of `grain_us`.
@@ -455,7 +452,9 @@ pub fn exec_step<P: BalancerPolicy>(
     let children = k.oracle.children_of(&inst, k.me);
     if !children.is_empty() {
         k.exec.spawned += children.len() as u64;
-        k.meter.add(Counter::TasksSpawned, children.len() as u64);
+        k.oracle
+            .meter
+            .add_at(k.me, Counter::TasksSpawned, children.len() as u64);
         if k.oracle.tracer.wants(EventKind::Spawn) {
             let (t, round, count) = (ctx.now(), inst.round, children.len() as u32);
             k.oracle
@@ -472,8 +471,9 @@ pub fn exec_step<P: BalancerPolicy>(
     if k.oracle.task_done() && policy.announces_rounds() {
         k.announce_round(ctx);
     }
-    k.meter
-        .set_gauge(Gauge::QueueDepth, k.exec.queue.len() as u64);
+    k.oracle
+        .meter
+        .set_gauge_at(k.me, Gauge::QueueDepth, k.exec.queue.len() as u64);
     if k.oracle.tracer.wants(EventKind::QueueDepth) {
         let (t, depth) = (ctx.now(), k.exec.queue.len() as u32);
         k.oracle
@@ -515,9 +515,9 @@ pub fn dispatch_message<P: BalancerPolicy>(
                 WorkKind::Overhead,
             );
             k.exec.queue.extend(tasks);
-            k.meter.add(Counter::TasksMigratedIn, count as u64);
-            k.meter
-                .set_gauge(Gauge::QueueDepth, k.exec.queue.len() as u64);
+            let meter = &k.oracle.meter;
+            meter.add_at(k.me, Counter::TasksMigratedIn, count as u64);
+            meter.set_gauge_at(k.me, Gauge::QueueDepth, k.exec.queue.len() as u64);
             let tr = &k.oracle.tracer;
             if tr.wants(EventKind::MigrateIn) || tr.wants(EventKind::QueueDepth) {
                 let (t, depth) = (ctx.now(), k.exec.queue.len() as u32);

@@ -14,14 +14,14 @@
 //! * per-task dispatch costs a fixed overhead, and task descriptors
 //!   have a fixed wire size ([`Costs`]).
 //!
-//! The [`Oracle`] is shared mutable state between the per-node programs
-//! of one engine. It plays the role of *instantaneously observable
-//! global state* for two purposes only: detecting "all tasks of this
+//! The [`Oracle`] is the state shared between the per-node programs of
+//! one engine: the run's constants, stored once, and the round
+//! counters. The counters play the role of *instantaneously observable
+//! global state* for one purpose only: detecting "all tasks of this
 //! round are done" (a real system would run distributed termination
 //! detection; we charge its latency via the barrier model but skip its
-//! implementation) and carrying scheduler-specific rendezvous data
-//! (e.g. the MWA plan of a RIPS system phase). It never short-circuits
-//! the costs that the paper measures.
+//! implementation). It never short-circuits the costs that the paper
+//! measures.
 //!
 //! On top of this harness sit the two pieces that make schedulers
 //! interchangeable: the [`driver`] module (the policy kernel — one SPMD
@@ -45,7 +45,7 @@ pub use registry::{RunSpec, ScheduledRun, SchedulerCtor, SchedulerRegistry};
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rips_verify::sync::atomic::{AtomicBool, AtomicU32, AtomicU64};
 use rips_verify::sync::{ord, swap_bool};
@@ -110,15 +110,24 @@ impl Default for Costs {
     }
 }
 
-/// Shared per-engine state (see module docs for the rules of use).
-///
-/// The round counters are plain atomics: [`Oracle::task_done`] — the
-/// one call on the per-task hot path — is a single `fetch_sub`, so
-/// under the live backend node threads never contend on a lock to
-/// retire tasks. Only the scheduler scratch space (system-phase
-/// rendezvous data, off the per-task path) still sits behind a mutex.
-pub struct Oracle {
-    shared: Arc<OracleShared>,
+/// Handle to the per-engine state every node shares (see module docs
+/// for the rules of use): one pointer per node, one [`OracleShared`]
+/// block per run. The run's constants are read through the handle
+/// (`oracle.costs`, `oracle.tracer`, …) — "a uniform code image is
+/// accessible at each processor", so no node carries its own copy.
+#[derive(Clone)]
+pub struct Oracle(Arc<OracleShared>);
+
+impl std::ops::Deref for Oracle {
+    type Target = OracleShared;
+    fn deref(&self) -> &OracleShared {
+        &self.0
+    }
+}
+
+/// What one run's [`Oracle`] handles point at: the read-only constants
+/// of the run plus its round counters.
+pub struct OracleShared {
     /// The workload being executed (immutable, shared).
     pub workload: Arc<Workload>,
     /// Cost constants.
@@ -130,7 +139,8 @@ pub struct Oracle {
     /// Metrics handle for the run, captured from the thread's
     /// installed registry ([`rips_trace::with_metrics`]) at
     /// construction; disabled (one dead branch per call) otherwise.
-    /// Kernels re-shard it per node via [`rips_trace::Meter::for_shard`].
+    /// Bound to shard 0: kernels write their own shard through the
+    /// `*_at` methods.
     pub meter: rips_trace::Meter,
     /// The machine topology, for task-locality trace annotations.
     /// Distances are computed on the fly — an `n × n` table here would
@@ -140,70 +150,44 @@ pub struct Oracle {
     topo: Arc<dyn Topology>,
     n: usize,
     diameter: usize,
+    rounds: RoundCounters,
 }
 
-struct OracleShared {
+/// The only words of the shared block written during a run.
+///
+/// Plain atomics: [`Oracle::task_done`] — the one call on the per-task
+/// hot path — is a single `fetch_sub`, so under the live backend node
+/// threads never contend on a lock to retire tasks. That `fetch_sub`
+/// runs once per task on every thread, while the constants beside it
+/// are read several times per task on every thread, so the counters
+/// get cache lines of their own: sharing one would turn every retire
+/// into a miss on `costs`/`tracer` for all the other threads. 128, not
+/// 64, because x86-64 prefetches lines in adjacent pairs.
+#[repr(align(128))]
+struct RoundCounters {
     round: AtomicU32,
     outstanding: AtomicU64,
     round_announced: AtomicBool,
-    /// Scratch space for scheduler-specific rendezvous (e.g. loads
-    /// reported to a RIPS system phase). Touched only during system
-    /// phases / barriers, never per task.
-    scratch: Mutex<SchedScratch>,
-}
-
-/// Scheduler-specific rendezvous data living inside the oracle.
-#[derive(Default)]
-pub struct SchedScratch {
-    /// Loads reported by nodes that entered the current system phase
-    /// (RIPS), `None` where not yet reported.
-    pub reported_loads: Vec<Option<i64>>,
-    /// Count of nodes that entered the current system phase.
-    pub entered: usize,
-    /// Per-source outgoing transfers `(dst, count)` of the current
-    /// system phase plan.
-    pub outgoing: Vec<Vec<(NodeId, i64)>>,
-    /// Per-destination expected incoming task count.
-    pub expected_in: Vec<i64>,
-}
-
-impl Clone for Oracle {
-    fn clone(&self) -> Self {
-        Oracle {
-            shared: Arc::clone(&self.shared),
-            workload: Arc::clone(&self.workload),
-            costs: self.costs,
-            tracer: self.tracer.clone(),
-            meter: self.meter.clone(),
-            topo: Arc::clone(&self.topo),
-            n: self.n,
-            diameter: self.diameter,
-        }
-    }
 }
 
 impl Oracle {
     /// Creates the oracle for one engine run.
     pub fn new(workload: Arc<Workload>, topo: Arc<dyn Topology>, costs: Costs) -> Self {
         let first_round = workload.rounds.first().map_or(0, |r| r.len() as u64);
-        let tracer = rips_trace::Tracer::current();
-        let meter = rips_trace::Meter::current();
-        let n = topo.len();
-        Oracle {
-            shared: Arc::new(OracleShared {
+        Oracle(Arc::new(OracleShared {
+            rounds: RoundCounters {
                 round: AtomicU32::new(0),
                 outstanding: AtomicU64::new(first_round),
                 round_announced: AtomicBool::new(false),
-                scratch: Mutex::new(SchedScratch::default()),
-            }),
+            },
             workload,
             costs,
-            tracer,
-            meter,
+            tracer: rips_trace::Tracer::current(),
+            meter: rips_trace::Meter::current(),
+            n: topo.len(),
             diameter: topo.diameter(),
             topo,
-            n,
-        }
+        }))
     }
 
     /// Hop distance between two nodes, for the `TaskExec` locality
@@ -225,7 +209,7 @@ impl Oracle {
 
     /// Current round index.
     pub fn round(&self) -> u32 {
-        self.shared.round.load(Ordering::Acquire)
+        self.rounds.round.load(Ordering::Acquire)
     }
 
     /// Unexecuted tasks remaining in the current round (including tasks
@@ -233,7 +217,7 @@ impl Oracle {
     /// forest is known to the oracle; what matters is that it reaches
     /// zero exactly when the round's last task finishes).
     pub fn outstanding(&self) -> u64 {
-        self.shared.outstanding.load(Ordering::Acquire)
+        self.rounds.outstanding.load(Ordering::Acquire)
     }
 
     /// Root task instances of round `round` owned by `node` under the
@@ -264,7 +248,7 @@ impl Oracle {
     /// finishers of the last two tasks cannot both win.
     pub fn task_done(&self) -> bool {
         let prev = self
-            .shared
+            .rounds
             .outstanding
             .fetch_sub(1, ord("oracle.retire", Ordering::AcqRel));
         assert!(prev > 0, "task_done underflow");
@@ -277,7 +261,7 @@ impl Oracle {
     fn claim_announce(&self) -> bool {
         !swap_bool(
             "oracle.announce",
-            &self.shared.round_announced,
+            &self.rounds.round_announced,
             true,
             Ordering::AcqRel,
         )
@@ -314,37 +298,19 @@ impl Oracle {
         if (next as usize) >= self.workload.rounds.len() {
             return None;
         }
-        *self.scratch_lock() = SchedScratch::default();
-        self.shared.outstanding.store(
+        self.rounds.outstanding.store(
             self.workload.rounds[next as usize].len() as u64,
             Ordering::Release,
         );
-        self.shared.round_announced.store(false, Ordering::Release);
-        self.shared.round.store(next, Ordering::Release);
+        self.rounds.round_announced.store(false, Ordering::Release);
+        self.rounds.round.store(next, Ordering::Release);
         Some(next)
-    }
-
-    /// Locks the scratch space, recovering from poisoning: if a live
-    /// node thread panicked mid-update the rendezvous data may be
-    /// stale, but the surviving threads' shutdown paths still run.
-    fn scratch_lock(&self) -> std::sync::MutexGuard<'_, SchedScratch> {
-        self.shared
-            .scratch
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
     }
 
     /// Modelled latency of the inter-round barrier: a convergecast plus
     /// a broadcast across the topology.
     pub fn round_barrier_delay(&self) -> Time {
         2 * self.diameter as Time * self.costs.comm_step_us
-    }
-
-    /// Runs `f` with mutable access to the scheduler scratch space,
-    /// holding its lock for the duration (system-phase rendezvous
-    /// only — never called on the per-task path).
-    pub fn with_scratch<R>(&self, f: impl FnOnce(&mut SchedScratch) -> R) -> R {
-        f(&mut self.scratch_lock())
     }
 }
 
@@ -642,6 +608,29 @@ mod tests {
         assert!(!o.task_done());
         assert!(o.task_done());
         assert_eq!(o.outstanding(), 0);
+    }
+
+    /// Every handle reads and writes the run's one block: a retire made
+    /// through a clone on another thread is the same count here. The
+    /// join is the happens-before edge.
+    #[test]
+    fn handles_share_one_block_across_threads() {
+        assert_eq!(
+            std::mem::size_of::<Oracle>(),
+            std::mem::size_of::<usize>(),
+            "a handle is one pointer"
+        );
+        let o = oracle(3, 2);
+        let peer = o.clone();
+        let peer_finished_round = std::thread::spawn(move || {
+            peer.task_done();
+            peer.task_done()
+        })
+        .join()
+        .expect("peer thread");
+        assert!(!peer_finished_round);
+        assert_eq!(o.outstanding(), 1);
+        assert!(o.task_done(), "the third retire ends the round");
     }
 
     #[test]

@@ -742,6 +742,14 @@ impl Meter {
         }
     }
 
+    /// Stores `v` into gauge `g` on an explicit shard.
+    #[inline(always)]
+    pub fn set_gauge_at(&self, shard: usize, g: Gauge, v: u64) {
+        if let Some(i) = &self.install {
+            i.reg.set_gauge(shard, g, v);
+        }
+    }
+
     /// Records one duration sample into histogram `h` on this meter's
     /// shard.
     #[inline(always)]
