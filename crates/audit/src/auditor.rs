@@ -74,9 +74,9 @@ use std::collections::BTreeMap;
 use rips_trace::{EventKind, Interest, NodeId, PhaseKind, Time, TraceEvent, TraceSink};
 
 /// Balanced quotas for `total` tasks over `n` nodes, computed here from
-/// first principles (deliberately *not* shared with `rips-flow`, so the
-/// auditor cross-checks the scheduler rather than mirroring it): every
-/// node gets `⌊total/n⌋`, the first `total mod n` nodes one extra.
+/// first principles (deliberately *not* shared with `rips_sched::flow`,
+/// so the auditor cross-checks the scheduler rather than mirroring it):
+/// every node gets `⌊total/n⌋`, the first `total mod n` nodes one extra.
 pub fn quotas(total: i64, n: usize) -> Vec<i64> {
     let base = total / n as i64;
     let rem = (total % n as i64) as usize;

@@ -343,7 +343,7 @@ proptest! {
     ) {
         prop_assert_eq!(
             quotas(loads.iter().sum(), loads.len()),
-            rips_sched::quota_vector(&loads)
+            rips_sched::flow::quotas(loads.iter().sum(), loads.len())
         );
         prop_assert_eq!(
             min_nonlocal_lower_bound(&loads),

@@ -250,10 +250,6 @@ pub fn rid(
     seed: u64,
     params: RidParams,
 ) -> RunOutcome {
-    assert!(
-        (0.0..1.0).contains(&params.u),
-        "update factor must be in [0,1)"
-    );
     let topo2 = Arc::clone(&topo);
     let (outcome, _) = run_policy(workload, topo, latency, costs, seed, move |me| {
         rid_policy(topo2.as_ref(), me, params)
@@ -263,6 +259,10 @@ pub fn rid(
 
 /// Node `me`'s receiver-initiated-diffusion policy instance on `topo`.
 pub fn rid_policy(topo: &dyn Topology, me: NodeId, params: RidParams) -> RidPolicy {
+    assert!(
+        (0.0..1.0).contains(&params.u),
+        "update factor must be in [0,1)"
+    );
     let neighbors = topo.neighbors(me);
     RidPolicy {
         params,

@@ -197,10 +197,6 @@ pub fn sid(
     seed: u64,
     params: SidParams,
 ) -> RunOutcome {
-    assert!(
-        (0.0..1.0).contains(&params.u),
-        "update factor must be in [0,1)"
-    );
     let topo2 = Arc::clone(&topo);
     let (outcome, _) = run_policy(workload, topo, latency, costs, seed, move |me| {
         sid_policy(topo2.as_ref(), me, params)
@@ -210,6 +206,10 @@ pub fn sid(
 
 /// Node `me`'s sender-initiated-diffusion policy instance on `topo`.
 pub fn sid_policy(topo: &dyn Topology, me: NodeId, params: SidParams) -> SidPolicy {
+    assert!(
+        (0.0..1.0).contains(&params.u),
+        "update factor must be in [0,1)"
+    );
     let neighbors = topo.neighbors(me);
     SidPolicy {
         params,

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use rips_flow::optimal_rebalance;
+use rips_sched::flow::optimal_rebalance;
 use rips_sched::{dem, mwa, mwa_distributed, twa, twa_distributed};
 use rips_topology::{BinaryTree, Hypercube, Mesh2D, Topology};
 

@@ -10,23 +10,17 @@
 //!   larger for better schedulers.
 //! * [`speedup`] — Table III's `Ts / Tp`.
 //! * [`Table`] and [`Series`] — fixed-width text rendering for the
-//!   bench binaries that regenerate the paper's tables and figures.
+//!   [`repro`](crate::repro) rows that regenerate the paper's tables
+//!   and figures.
 //! * [`utilization_chart`] — an ASCII Gantt view of a simulation's
 //!   per-node timelines: user work vs system overhead (Table I's `Th`)
 //!   vs idle (Table I's `Ti`).
 //! * [`Aggregate`] — mean/min/max/stddev across repeated trials.
 
-#![forbid(unsafe_code)]
-
-mod optimal;
-mod render;
-mod stats;
-mod timeline;
-
-pub use optimal::{optimal_efficiency, optimal_makespan};
-pub use render::{Series, Table};
-pub use stats::Aggregate;
-pub use timeline::utilization_chart;
+pub use crate::optimal::{optimal_efficiency, optimal_makespan};
+pub use crate::render::{Series, Table};
+pub use crate::stats::Aggregate;
+pub use crate::timeline::utilization_chart;
 
 /// Figure 5's normalized quality factor of scheduler `g`:
 /// `(µ_opt − µ_rand) / (µ_opt − µ_g)`.
@@ -58,39 +52,4 @@ pub fn quality_factor(mu_opt: f64, mu_rand: f64, mu_g: f64) -> f64 {
 pub fn speedup(ts_us: u64, tp_us: u64) -> f64 {
     assert!(tp_us > 0, "zero parallel time");
     ts_us as f64 / tp_us as f64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quality_factor_baseline_is_one() {
-        assert_eq!(quality_factor(0.99, 0.65, 0.65), 1.0);
-    }
-
-    #[test]
-    fn quality_factor_orders_schedulers() {
-        let better = quality_factor(0.99, 0.65, 0.95);
-        let worse = quality_factor(0.99, 0.65, 0.25);
-        assert!(better > 1.0);
-        assert!(worse < 1.0);
-        assert!(better > worse);
-    }
-
-    #[test]
-    fn quality_factor_saturates_at_optimum() {
-        assert!(quality_factor(0.99, 0.65, 0.99).is_infinite());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn quality_factor_rejects_garbage() {
-        quality_factor(1.4, 0.5, 0.5);
-    }
-
-    #[test]
-    fn speedup_simple() {
-        assert_eq!(speedup(1000, 100), 10.0);
-    }
 }

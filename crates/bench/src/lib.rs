@@ -9,9 +9,15 @@
 //! [`run_table`], and [`rips_taskgraph::par_map`] for every fan-out.
 
 pub mod args;
+pub mod eval;
 pub mod live;
+mod optimal;
+mod render;
 pub mod repro;
+mod roster;
+mod stats;
 pub mod suites;
+mod timeline;
 
 use std::sync::Arc;
 
@@ -20,13 +26,13 @@ use rips_apps::{
     GrainTable, GromosConfig, NQueensConfig, PuzzleConfig,
 };
 use rips_audit::Auditor;
-use rips_balancers::{gradient, random, rid, sid, GradientParams, RidParams, SidParams};
-use rips_core::{rips, Machine, RipsConfig};
+use rips_balancers::{GradientParams, RidParams, SidParams};
+use rips_core::RipsConfig;
 use rips_desim::LatencyModel;
-use rips_runtime::{Costs, PhaseLog, RunOutcome, RunSpec, ScheduledRun, SchedulerRegistry};
+use rips_runtime::{Costs, PhaseLog, RunOutcome, RunSpec, SchedulerRegistry};
 use rips_sched::TileGrid;
 use rips_taskgraph::{par_map, Workload};
-use rips_topology::{Mesh2D, Topology};
+use rips_topology::Mesh2D;
 
 /// The workload catalog: the nine Table I instances plus the
 /// sub-paper sizes the smoke tests use.
@@ -176,106 +182,27 @@ pub fn registry() -> SchedulerRegistry {
 /// Resolves a scheduler name, case-insensitively, to the roster's
 /// spelling (`rips-h` → `RIPS-H`).
 pub fn roster_name(name: &str) -> Option<String> {
-    let reg = registry();
-    let found = reg
-        .names()
-        .into_iter()
-        .find(|n| n.eq_ignore_ascii_case(name));
+    let mut names = roster::ROSTER.iter().map(|&(n, _)| n);
+    let found = names.find(|n| n.eq_ignore_ascii_case(name));
     found.map(str::to_string)
 }
 
-/// The canonical roster with explicit tuning (ablation support).
+/// The canonical roster with explicit tuning (ablation support): one
+/// simulator constructor per row of the crate's one roster table (the
+/// same table [`live::live_run_with`] looks its schedulers up in).
 pub fn registry_with(t: RegistryTuning) -> SchedulerRegistry {
-    fn mesh(spec: &RunSpec) -> Arc<dyn Topology> {
-        Arc::new(Mesh2D::near_square(spec.nodes))
-    }
     let mut reg = SchedulerRegistry::new();
-    reg.register(
-        "Random",
-        Box::new(|s: &RunSpec| ScheduledRun {
-            outcome: random(Arc::clone(&s.workload), mesh(s), s.latency, s.costs, s.seed),
-            phases: Vec::new(),
-        }),
-    );
-    reg.register(
-        "Gradient",
-        Box::new(move |s: &RunSpec| ScheduledRun {
-            outcome: gradient(
-                Arc::clone(&s.workload),
-                mesh(s),
-                s.latency,
-                s.costs,
-                s.seed,
-                t.gradient,
-            ),
-            phases: Vec::new(),
-        }),
-    );
-    reg.register(
-        "RID",
-        Box::new(move |s: &RunSpec| ScheduledRun {
-            outcome: rid(
-                Arc::clone(&s.workload),
-                mesh(s),
-                s.latency,
-                s.costs,
-                s.seed,
-                RidParams {
-                    u: s.rid_u,
-                    ..t.rid
-                },
-            ),
-            phases: Vec::new(),
-        }),
-    );
-    reg.register(
-        "RIPS",
-        Box::new(move |s: &RunSpec| {
-            let out = rips(
-                Arc::clone(&s.workload),
-                Machine::Mesh(Mesh2D::near_square(s.nodes)),
-                s.latency,
-                s.costs,
-                s.seed,
-                t.rips,
-            );
-            ScheduledRun {
-                outcome: out.run,
-                phases: out.phases,
-            }
-        }),
-    );
-    reg.register(
-        "RIPS-H",
-        Box::new(move |s: &RunSpec| {
-            let out = rips(
-                Arc::clone(&s.workload),
-                Machine::MeshHier(Mesh2D::near_square(s.nodes)),
-                s.latency,
-                s.costs,
-                s.seed,
-                t.rips,
-            );
-            ScheduledRun {
-                outcome: out.run,
-                phases: out.phases,
-            }
-        }),
-    );
-    reg.register(
-        "SID",
-        Box::new(move |s: &RunSpec| ScheduledRun {
-            outcome: sid(
-                Arc::clone(&s.workload),
-                mesh(s),
-                s.latency,
-                s.costs,
-                s.seed,
-                t.sid,
-            ),
-            phases: Vec::new(),
-        }),
-    );
+    for &(name, fleet) in roster::ROSTER {
+        let ctor = move |s: &RunSpec| {
+            let cell = roster::Cell {
+                tuning: t,
+                nodes: s.nodes,
+                rid_u: s.rid_u,
+            };
+            fleet(&cell).on_desim(s)
+        };
+        reg.register(name, Box::new(ctor));
+    }
     reg
 }
 
@@ -406,6 +333,7 @@ pub fn run_rips_with(workload: &Arc<Workload>, nodes: usize, cfg: RipsConfig, se
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::{quality_factor, speedup};
 
     #[test]
     fn paper_set_has_nine_rows() {
@@ -479,5 +407,35 @@ mod tests {
             let row = run_cell(&reg, s, &w, 8, 0.4, 1);
             assert_eq!(row.outcome.total_executed(), w.stats().tasks as u64);
         }
+    }
+
+    #[test]
+    fn quality_factor_baseline_is_one() {
+        assert_eq!(quality_factor(0.99, 0.65, 0.65), 1.0);
+    }
+
+    #[test]
+    fn quality_factor_orders_schedulers() {
+        let better = quality_factor(0.99, 0.65, 0.95);
+        let worse = quality_factor(0.99, 0.65, 0.25);
+        assert!(better > 1.0);
+        assert!(worse < 1.0);
+        assert!(better > worse);
+    }
+
+    #[test]
+    fn quality_factor_saturates_at_optimum() {
+        assert!(quality_factor(0.99, 0.65, 0.99).is_infinite());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn quality_factor_rejects_garbage() {
+        quality_factor(1.4, 0.5, 0.5);
+    }
+
+    #[test]
+    fn speedup_simple() {
+        assert_eq!(speedup(1000, 100), 10.0);
     }
 }

@@ -4,21 +4,18 @@
 //! measurement (`BENCH_LIVE.json`, the `live-smoke` CI job, and
 //! `rips live`).
 //!
-//! The scheduler roster here is *the same* as [`registry`](crate::registry) —
-//! both dispatch by the same names onto the same policy constructors —
-//! so every cross-backend comparison runs identical policy code on
-//! both backends.
+//! The scheduler roster here is *the same* as [`registry`](crate::registry):
+//! both are built from the one `roster` table, so every cross-backend
+//! comparison runs identical policy code on both backends.
 
 use std::sync::Arc;
 
 use rips_apps::GrainTable;
-use rips_balancers::{gradient_policy, random_policy, rid_policy, sid_policy, RidParams};
-use rips_core::{Machine, RipsConfig, RipsFleet};
-use rips_live::{run_live, GrainMode, GrainResult, GrainRunner, LiveOpts, LiveOutcome};
-use rips_runtime::{Costs, TaskInstance};
+use rips_live::{GrainMode, GrainResult, GrainRunner, LiveOpts, LiveOutcome};
+use rips_runtime::TaskInstance;
 use rips_taskgraph::Workload;
-use rips_topology::{Mesh2D, Topology};
 
+use crate::roster::{Cell, ROSTER};
 use crate::RegistryTuning;
 
 /// Adapts an app [`GrainTable`] to the live backend's [`GrainRunner`]
@@ -79,58 +76,17 @@ pub fn live_run_with(
     seed: u64,
     opts: LiveOpts,
 ) -> LiveOutcome {
-    let mesh = Mesh2D::near_square(threads);
-    let topo: Arc<dyn Topology> = Arc::new(mesh.clone());
-    let costs = Costs::default();
-    let w = Arc::clone(workload);
-    let out = match scheduler {
-        "Random" => run_live(w, topo, costs, seed, opts, random_policy).0,
-        "Gradient" => {
-            let t2 = Arc::clone(&topo);
-            run_live(w, topo, costs, seed, opts, move |me| {
-                gradient_policy(t2.as_ref(), me, t.gradient)
-            })
-            .0
-        }
-        "RID" => {
-            let t2 = Arc::clone(&topo);
-            let params = RidParams { u: rid_u, ..t.rid };
-            run_live(w, topo, costs, seed, opts, move |me| {
-                rid_policy(t2.as_ref(), me, params)
-            })
-            .0
-        }
-        "SID" => {
-            let t2 = Arc::clone(&topo);
-            run_live(w, topo, costs, seed, opts, move |me| {
-                sid_policy(t2.as_ref(), me, t.sid)
-            })
-            .0
-        }
-        "RIPS" => live_rips(t.rips, Machine::Mesh(mesh), w, seed, opts),
-        "RIPS-H" => live_rips(t.rips, Machine::MeshHier(mesh), w, seed, opts),
-        other => panic!("unknown scheduler {other:?}"),
+    let (_, fleet) = ROSTER
+        .iter()
+        .find(|(name, _)| *name == scheduler)
+        .unwrap_or_else(|| panic!("unknown scheduler {scheduler:?}"));
+    let cell = Cell {
+        tuning: t,
+        nodes: threads,
+        rid_u,
     };
+    let out = fleet(&cell).on_live(Arc::clone(workload), seed, opts);
     out.verify_complete(workload)
         .unwrap_or_else(|e| panic!("{scheduler} live on {}: {e}", workload.name));
-    out
-}
-
-/// RIPS on `machine`: one fleet shares the plan board between the
-/// per-node policies and counts the system phases they ran.
-fn live_rips(
-    cfg: RipsConfig,
-    machine: Machine,
-    workload: Arc<Workload>,
-    seed: u64,
-    opts: LiveOpts,
-) -> LiveOutcome {
-    let fleet = RipsFleet::new(cfg, machine);
-    let topo = fleet.topology();
-    let (mut out, policies) = run_live(workload, topo, Costs::default(), seed, opts, |me| {
-        fleet.make(me)
-    });
-    drop(policies);
-    out.system_phases = fleet.finish().0;
     out
 }

@@ -104,7 +104,7 @@ pub fn optimal_makespan(workload: &Workload, n: usize) -> u64 {
 /// The paper's optimal efficiency: `µ_opt = Ts / (N · T_opt)`.
 ///
 /// ```
-/// use rips_metrics::optimal_efficiency;
+/// use rips_bench::eval::optimal_efficiency;
 /// use rips_taskgraph::flat_uniform;
 ///
 /// // 9 equal tasks on 4 processors: one wave of 4, one of 4, one of 1

@@ -11,17 +11,17 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use rips_core::{GlobalPolicy, LoadMetric, LocalPolicy, RipsConfig};
-use rips_flow::optimal_rebalance;
-use rips_metrics::{
-    optimal_efficiency, quality_factor, speedup, utilization_chart, Aggregate, Series, Table,
-};
 use rips_runtime::{Costs, RunSpec};
+use rips_sched::flow::optimal_rebalance;
 use rips_sched::mwa;
 use rips_taskgraph::{par_map, skewed_flat};
 use rips_topology::{Mesh2D, Topology};
 use rips_trace::{with_sink, TraceBuffer};
 
 use crate::args::{Args, Flag, Spec};
+use crate::eval::{
+    optimal_efficiency, quality_factor, speedup, utilization_chart, Aggregate, Series, Table,
+};
 use crate::{
     build_set, paper_spec, registry, run_cell, run_grid, run_rips_with, run_scheduler, run_spec,
     run_table, App, Row,

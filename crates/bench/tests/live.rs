@@ -23,7 +23,7 @@ use rips_audit::Auditor;
 use rips_bench::live::{live_opts, live_run, live_run_with};
 use rips_bench::{registry, run_cell, RegistryTuning};
 use rips_core::{GlobalPolicy, RipsConfig};
-use rips_live::{GrainMode, WallClock};
+use rips_live::{GrainMode, LiveOpts, WallClock};
 use rips_taskgraph::Workload;
 use rips_trace::Clock;
 
@@ -125,6 +125,18 @@ fn rips_h_runs_live_under_the_all_policy() {
     assert_eq!(out.solutions, truth.solutions);
     assert_eq!(out.checksum, truth.checksum);
     assert!(out.system_phases >= 1, "RIPS-H opens with a system phase");
+}
+
+/// The simulator's registry and the live driver are one table: every
+/// registered name is a name `live_run` knows (it panics on any other),
+/// on a workload small enough to say so in milliseconds.
+#[test]
+fn every_registry_name_runs_live() {
+    let toy = Arc::new(rips_taskgraph::flat_uniform(24, 20, 40, 3));
+    for scheduler in registry().names() {
+        let out = live_run(scheduler, &toy, 2, 0.4, 7, LiveOpts::default());
+        assert_eq!(out.total_executed(), 24, "{scheduler}");
+    }
 }
 
 #[test]

@@ -14,7 +14,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
-use rips_collectives::{dem_steps, mwa_steps, twa_steps};
 use rips_desim::{LatencyModel, Time, WorkKind};
 use rips_runtime::rcu::RcuCell;
 use rips_runtime::{
@@ -97,12 +96,6 @@ pub struct RipsConfig {
     /// [`LoadMetric::EstimatedWeight`] with [`GlobalPolicy::Periodic`]
     /// or set [`RipsConfig::min_phase_gap_us`].
     pub metric: LoadMetric,
-    /// Plan system phases with the *distributed* SPMD algorithm where
-    /// one exists (mesh MWA, tree TWA): the phase's wall-clock charge
-    /// becomes the BSP machine's measured communication-step count
-    /// instead of the closed-form bound. Flows are identical either
-    /// way (property-tested); this only refines the cost model.
-    pub distributed_planning: bool,
     /// Minimum virtual time between an ANY-policy node returning to
     /// its user phase and it initiating the next system phase (µs).
     /// 0 (the paper's behaviour) lets an idle node initiate
@@ -119,7 +112,6 @@ impl Default for RipsConfig {
             plan_cpu_per_step_us: 25,
             eureka: false,
             metric: LoadMetric::TaskCount,
-            distributed_planning: false,
             min_phase_gap_us: 0,
         }
     }
@@ -155,41 +147,25 @@ impl Machine {
         }
     }
 
-    /// Runs the machine's scheduling algorithm, returning the plan and
-    /// the communication steps to charge for it (`None` = use the
-    /// closed-form step bound).
-    fn plan(&self, loads: &[i64], distributed: bool) -> (TransferPlan, Option<usize>) {
-        match (self, distributed) {
-            (Machine::Mesh(m), false) => (rips_sched::mwa(m, loads).0, None),
-            (Machine::Mesh(m), true) => {
-                let (plan, steps) = rips_sched::mwa_distributed(m, loads);
-                (plan, Some(steps))
-            }
-            // The hierarchical planner is the same centralized
-            // arithmetic every node would run; its two-level step
-            // bound (see `steps`) already reflects the shorter walks,
-            // so the distributed flag does not change the plan.
-            (Machine::MeshHier(m), _) => (rips_sched::tiled_mwa(m, loads).0, None),
-            (Machine::Tree(t), false) => (rips_sched::twa(t, loads), None),
-            (Machine::Tree(t), true) => {
-                let (plan, steps) = rips_sched::twa_distributed(t, loads);
-                (plan, Some(steps))
-            }
-            (Machine::Cube(c), false) => (rips_sched::dem(c, loads), None),
-            (Machine::Cube(c), true) => {
-                let (plan, steps) = rips_sched::dem_distributed(c, loads);
-                (plan, Some(steps))
-            }
+    /// Runs the machine's scheduling algorithm on the collected loads.
+    fn plan(&self, loads: &[i64]) -> TransferPlan {
+        match self {
+            Machine::Mesh(m) => rips_sched::mwa(m, loads).0,
+            Machine::MeshHier(m) => rips_sched::tiled_mwa(m, loads).0,
+            Machine::Tree(t) => rips_sched::twa(t, loads),
+            Machine::Cube(c) => rips_sched::dem(c, loads),
         }
     }
 
-    /// Communication steps one system-phase scheduling run takes.
+    /// Communication steps charged for one system-phase scheduling
+    /// run: the closed-form bound of the algorithm [`Machine::plan`]
+    /// runs.
     fn steps(&self) -> usize {
         match self {
-            Machine::Mesh(m) => mwa_steps(m),
+            Machine::Mesh(m) => rips_sched::mwa_steps(m),
             Machine::MeshHier(m) => rips_sched::TileGrid::new(m).hier_steps(),
-            Machine::Tree(t) => twa_steps(t.height().max(1)),
-            Machine::Cube(c) => dem_steps(c.dim().max(1)),
+            Machine::Tree(t) => rips_sched::twa_steps(t.height()),
+            Machine::Cube(c) => rips_sched::dem_steps(c.dim().max(1)),
         }
     }
 }
@@ -548,10 +524,7 @@ impl RipsPolicy {
             k.announce_round(ctx);
             return;
         }
-        let (plan, measured_steps) = self
-            .shared
-            .machine
-            .plan(&loads, self.shared.cfg.distributed_planning);
+        let plan = self.shared.machine.plan(&loads);
         let transfers = plan.net_transfers(&loads);
         let mut outgoing: Vec<Vec<(NodeId, i64)>> = vec![Vec::new(); n];
         let mut expected_in = vec![0i64; n];
@@ -599,8 +572,7 @@ impl RipsPolicy {
         }
         // The algorithm's synchronous steps take wall-clock time before
         // anyone can act on the plan.
-        let steps = measured_steps.unwrap_or_else(|| self.shared.machine.steps());
-        let delay = steps as Time * k.oracle.costs.comm_step_us;
+        let delay = self.shared.machine.steps() as Time * k.oracle.costs.comm_step_us;
         ctx.set_timer(delay, TAG_PLAN);
     }
 

@@ -388,50 +388,6 @@ fn weighted_metric_beats_counts_on_skewed_grains() {
 }
 
 #[test]
-fn distributed_planning_matches_centralized_schedule() {
-    // Same flows, so the same execution assignment — only the charged
-    // collective time differs (measured steps ≤ the 3(n1+n2) bound).
-    // Assignment equality additionally needs the cheaper phase charge
-    // to not reshuffle *when* phases fire relative to task generation,
-    // which holds for this workload seed (it is not a universal
-    // invariant under the ANY policy).
-    let w = Arc::new(geometric_tree(6, 5, 3, 2500, 5));
-    let centralized = run(&w, mesh(8), LocalPolicy::Lazy, GlobalPolicy::Any);
-    let distributed = rips(
-        Arc::clone(&w),
-        mesh(8),
-        LatencyModel::paragon(),
-        Costs::default(),
-        7,
-        RipsConfig {
-            distributed_planning: true,
-            ..RipsConfig::default()
-        },
-    );
-    centralized.run.verify_complete(&w).unwrap();
-    distributed.run.verify_complete(&w).unwrap();
-    assert_eq!(centralized.run.executed, distributed.run.executed);
-    assert!(distributed.run.stats.end_time <= centralized.run.stats.end_time);
-}
-
-#[test]
-fn distributed_planning_on_trees() {
-    let w = Arc::new(skewed_flat(250, 800, 6, 10, 5));
-    let out = rips(
-        Arc::clone(&w),
-        Machine::Tree(BinaryTree::new(15)),
-        LatencyModel::paragon(),
-        Costs::default(),
-        2,
-        RipsConfig {
-            distributed_planning: true,
-            ..RipsConfig::default()
-        },
-    );
-    out.run.verify_complete(&w).unwrap();
-}
-
-#[test]
 fn phase_gap_limits_storms_under_weighted_metric() {
     use rips_core::LoadMetric;
     // Many tiny tasks on many nodes: µs-scale weight quotas are

@@ -1,4 +1,22 @@
 //! Lock-step executor for neighbour-restricted per-node programs.
+//!
+//! The paper's system phase is *synchronous* ("parallel scheduling is
+//! stable because of its synchronous operation", §1) and MWA's cost is
+//! stated in **communication steps**: synchronized rounds in which
+//! every node may exchange one message with a direct neighbour.
+//! [`BspMachine`] runs per-node state machines under exactly that
+//! model and counts the rounds. RIPS does not plan with it: it is what
+//! the message-passing references ([`mwa_distributed`],
+//! [`twa_distributed`], [`dem_distributed`]) run on, so the tests can
+//! hold each closed-form step bound ([`mwa_steps`], [`twa_steps`],
+//! [`dem_steps`]) against a measured count.
+//!
+//! [`mwa_distributed`]: crate::mwa_distributed
+//! [`twa_distributed`]: crate::twa_distributed
+//! [`dem_distributed`]: crate::dem_distributed
+//! [`mwa_steps`]: crate::mwa_steps
+//! [`twa_steps`]: crate::twa_steps
+//! [`dem_steps`]: crate::dem_steps
 
 use rips_topology::{NodeId, Topology};
 

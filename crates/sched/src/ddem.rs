@@ -4,9 +4,10 @@
 //! exactly `d` communication steps, which is DEM's calling card (and
 //! measured here rather than asserted).
 
-use rips_collectives::{BspMachine, BspProgram};
 use rips_topology::{Hypercube, NodeId, Topology};
 
+use crate::bsp::{BspMachine, BspProgram};
+use crate::dem::dem_steps;
 use crate::plan::TransferPlan;
 
 #[derive(Debug, Clone, Copy)]
@@ -92,7 +93,7 @@ pub fn dem_distributed(cube: &Hypercube, loads: &[i64]) -> (TransferPlan, usize)
     }
     // One step per dimension, exactly DEM's complexity.
     assert!(
-        outcome.comm_steps <= dim,
+        outcome.comm_steps <= dem_steps(dim),
         "used {} steps",
         outcome.comm_steps
     );
@@ -128,7 +129,7 @@ mod tests {
                 distributed.apply(&loads),
                 "finals differ at d={d}"
             );
-            assert!(steps <= d);
+            assert!(steps <= dem_steps(d));
         }
     }
 

@@ -11,6 +11,12 @@ use rips_topology::{Hypercube, Topology};
 
 use crate::plan::TransferPlan;
 
+/// Communication steps of the dimension-exchange method on a
+/// `d`-dimensional hypercube: one exchange per dimension.
+pub fn dem_steps(dim: usize) -> usize {
+    dim
+}
+
 /// Runs DEM on `loads` over a hypercube, returning the transfer plan.
 /// The plan balances to within `dim` tasks (not to quota) — that is
 /// inherent to the method and part of what Table/Figure comparisons
@@ -58,6 +64,12 @@ mod tests {
     }
 
     #[test]
+    fn dem_is_logarithmic() {
+        assert_eq!(dem_steps(5), 5); // 32 nodes
+        assert_eq!(dem_steps(7), 7); // 128 nodes
+    }
+
+    #[test]
     fn exact_when_powers_align() {
         let cube = Hypercube::new(3);
         let loads = vec![80, 0, 0, 0, 0, 0, 0, 0];
@@ -84,7 +96,7 @@ mod tests {
         let cube = Hypercube::new(3);
         let loads = vec![0, 16, 0, 0, 0, 0, 0, 0];
         let plan = dem(&cube, &loads);
-        let opt = rips_flow::optimal_rebalance(&cube, &loads);
+        let opt = crate::flow::optimal_rebalance(&cube, &loads);
         assert!(plan.edge_cost() >= opt.cost, "DEM cannot beat the optimum");
     }
 

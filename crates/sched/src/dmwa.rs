@@ -2,7 +2,7 @@
 //!
 //! [`mwa`](crate::mwa) performs Figure 3's arithmetic centrally; this
 //! module executes the same five steps as per-node state machines over
-//! the lock-step [`rips_collectives::BspMachine`], where a node sees
+//! the lock-step [`BspMachine`], where a node sees
 //! only its own load and the messages of its four mesh neighbours:
 //!
 //! * rounds `0..n2−1` — step 1, the rightward row scan;
@@ -22,9 +22,10 @@
 // Indexed loops below mirror the paper's per-column vector algebra;
 // iterator rewrites would obscure the correspondence.
 #![allow(clippy::needless_range_loop)]
-use rips_collectives::{BspMachine, BspProgram};
 use rips_topology::{Mesh2D, NodeId, Topology};
 
+use crate::bsp::{BspMachine, BspProgram};
+use crate::mwa::mwa_steps;
 use crate::plan::TransferPlan;
 
 /// Values spread along each row in step 2.
@@ -395,14 +396,14 @@ pub fn mwa_distributed(mesh: &Mesh2D, loads: &[i64]) -> (TransferPlan, usize) {
 
     // Postconditions: exact quotas everywhere, within the step bound.
     let total: i64 = loads.iter().sum();
-    let quotas = rips_flow::quotas(total, mesh.len());
+    let quotas = crate::flow::quotas(total, mesh.len());
     let finals = plan.apply(loads);
     assert_eq!(finals, quotas, "distributed MWA missed its quotas");
     assert!(
-        outcome.comm_steps <= 3 * (n1 + n2),
+        outcome.comm_steps <= mwa_steps(mesh),
         "used {} steps, bound is {}",
         outcome.comm_steps,
-        3 * (n1 + n2)
+        mwa_steps(mesh)
     );
     (plan, outcome.comm_steps)
 }
@@ -430,7 +431,7 @@ mod tests {
             link_flows(&distributed),
             "flow mismatch on {loads:?}"
         );
-        assert!(steps <= 3 * (mesh.rows() + mesh.cols()));
+        assert!(steps <= mwa_steps(mesh));
     }
 
     #[test]
@@ -466,7 +467,7 @@ mod tests {
         let mesh = Mesh2D::new(16, 16);
         let loads: Vec<i64> = (0..256).map(|k| ((k * k) % 61) as i64).collect();
         let (_, steps) = mwa_distributed(&mesh, &loads);
-        assert!(steps <= 3 * 32, "steps = {steps}");
+        assert!(steps <= mwa_steps(&mesh), "steps = {steps}");
         // And the machine cannot be *trivially* fast either: the scan
         // alone needs n2 - 1 rounds.
         assert!(steps >= 15);

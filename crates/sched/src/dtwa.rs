@@ -9,10 +9,11 @@
 //! convergecast, one broadcast, and the two directions of forced
 //! flows, each pipelined along the tree height).
 
-use rips_collectives::{BspMachine, BspProgram};
 use rips_topology::{BinaryTree, NodeId, Topology};
 
+use crate::bsp::{BspMachine, BspProgram};
 use crate::plan::TransferPlan;
+use crate::twa::twa_steps;
 
 #[derive(Debug, Clone, Copy)]
 enum Msg {
@@ -244,11 +245,11 @@ pub fn twa_distributed(tree: &BinaryTree, loads: &[i64]) -> (TransferPlan, usize
     let finals = plan.apply(loads);
     assert_eq!(
         finals,
-        rips_flow::quotas(total, n),
+        crate::flow::quotas(total, n),
         "distributed TWA missed its quotas"
     );
     assert!(
-        outcome.comm_steps <= 4 * tree.height().max(1) + 2,
+        outcome.comm_steps <= twa_steps(tree.height()),
         "used {} steps on height {}",
         outcome.comm_steps,
         tree.height()
@@ -301,6 +302,6 @@ mod tests {
         let loads: Vec<i64> = (0..255).map(|k| ((k * 31) % 17) as i64).collect();
         let (_, steps) = twa_distributed(&tree, &loads);
         // height = 7; up sweep + broadcast + two flow directions.
-        assert!(steps <= 4 * 7 + 2, "steps = {steps}");
+        assert!(steps <= twa_steps(7), "steps = {steps}");
     }
 }

@@ -8,14 +8,11 @@
 //! wᵢ > w_avg, and a sink node t with an edge (j, t) from each node j if
 //! wⱼ < w_avg … A minimum cost integral flow yields a solution."*
 //!
-//! This crate implements exactly that: a general MCMF solver
+//! This module implements exactly that: a general MCMF solver
 //! ([`FlowNetwork`]) plus [`optimal_rebalance`], which applies the
 //! reduction to any topology and returns both the optimal transfer cost
 //! `Σ eₖ` and the per-link task flows. It is the exact baseline against
 //! which Figure 4 normalises MWA's cost.
 
-mod mcmf;
-mod rebalance;
-
-pub use mcmf::{EdgeId, FlowNetwork};
-pub use rebalance::{optimal_rebalance, quotas, OptimalPlan};
+pub use crate::mcmf::{EdgeId, FlowNetwork};
+pub use crate::rebalance::{optimal_rebalance, quotas, OptimalPlan};

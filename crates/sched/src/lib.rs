@@ -9,6 +9,10 @@
 //!
 //! Implemented algorithms:
 //!
+//! * [`flow`] — the **optimal formulation**: min-cost max-flow over the
+//!   machine's links ([`flow::optimal_rebalance`]), the exact `Σ eₖ`
+//!   baseline Figure 4 normalises MWA against, and the canonical
+//!   [`flow::quotas`] every algorithm below balances to.
 //! * [`mwa`] — the **Mesh Walking Algorithm** of Figure 3, the paper's
 //!   contribution: 5 steps, `3(n1+n2)` communication steps, per-node
 //!   final loads within one task of each other (Theorem 1), the
@@ -21,28 +25,41 @@
 //!   trading away Theorem 2's migration-minimality equality.
 //! * [`twa`] — the **Tree Walking Algorithm** (reference \[25\]): on a
 //!   tree every edge's net flow is forced, so the plan is optimal in
-//!   `Σ eₖ`; `2·height` communication steps.
+//!   `Σ eₖ`; `4·height + 2` communication steps.
 //! * [`dem`] — the **Dimension Exchange Method** (Cybenko; the related
 //!   work the paper positions against): pairwise averaging across each
 //!   hypercube dimension; `d` steps but redundant communication and a
 //!   final imbalance of up to `d` tasks with integer loads.
+//!
+//! RIPS plans a phase with the centralized arithmetic above and
+//! charges it the closed-form step bound that sits beside each
+//! algorithm ([`mwa_steps`], [`TileGrid::hier_steps`], [`twa_steps`],
+//! [`dem_steps`]). The message-passing realisations
+//! ([`mwa_distributed`], [`twa_distributed`], [`dem_distributed`], over
+//! the lock-step [`bsp::BspMachine`]) are the references the tests
+//! hold both to: same per-link flows as the centralized plan, and a
+//! measured step count within the bound RIPS charges.
 
 #![forbid(unsafe_code)]
 
+pub mod bsp;
 mod ddem;
 mod dem;
 mod dmwa;
 mod dtwa;
+pub mod flow;
+mod mcmf;
 mod mwa;
 mod plan;
+mod rebalance;
 mod tiled;
 mod twa;
 
 pub use ddem::dem_distributed;
-pub use dem::dem;
+pub use dem::{dem, dem_steps};
 pub use dmwa::mwa_distributed;
 pub use dtwa::twa_distributed;
-pub use mwa::{mwa, MwaTrace};
-pub use plan::{min_nonlocal_tasks, quota_vector, Move, TransferPlan};
+pub use mwa::{mwa, mwa_steps, MwaTrace};
+pub use plan::{min_nonlocal_tasks, Move, TransferPlan};
 pub use tiled::{tiled_mwa, TileGrid, TiledTrace};
-pub use twa::twa;
+pub use twa::{twa, twa_steps};

@@ -14,8 +14,9 @@
 //!          `z`/`v` vectors (forced, hence optimal, 1-D flows).
 //!
 //! The centralized implementation below performs the same arithmetic
-//! each SPMD node would; the BSP realisations of steps 1–2 live in
-//! `rips-collectives` and agree with this code (see integration tests).
+//! each SPMD node would; [`mwa_distributed`](crate::mwa_distributed)
+//! runs the five steps as messages and agrees with this code flow for
+//! flow, within [`mwa_steps`] (see `tests/properties.rs`).
 
 // Indexed loops below mirror the paper's per-column vector algebra;
 // iterator rewrites would obscure the correspondence.
@@ -38,6 +39,15 @@ pub struct MwaTrace {
     pub t: Vec<i64>,
     /// `y_i = t_i − Q_i`: net downward flow out of row `i`.
     pub y: Vec<i64>,
+}
+
+/// Communication steps of one full Mesh Walking Algorithm invocation on
+/// an `n1 × n2` mesh: `3(n1 + n2)` (paper §3: step 1 ≈ n2, step 2 ≈ n1,
+/// broadcast/spread ≈ n1 + n2, steps 4–5 ≤ n1 + n2). What RIPS charges
+/// a system phase on [`Mesh2D`], and the bound
+/// [`mwa_distributed`](crate::mwa_distributed) is held to.
+pub fn mwa_steps(mesh: &Mesh2D) -> usize {
+    3 * (mesh.rows() + mesh.cols())
 }
 
 /// Runs MWA on `loads` (row-major over `mesh`), returning the transfer
@@ -200,6 +210,13 @@ mod tests {
     use super::*;
     use crate::plan::min_nonlocal_tasks;
 
+    #[test]
+    fn paper_example_mwa_steps() {
+        // The paper's Table I machine: 32 processors as an 8x4 mesh
+        // gives 3 * (8 + 4) = 36 steps per system phase.
+        assert_eq!(mwa_steps(&Mesh2D::new(8, 4)), 36);
+    }
+
     fn check(mesh: &Mesh2D, loads: &[i64]) -> TransferPlan {
         let (plan, trace) = mwa(mesh, loads);
         assert!(plan.is_link_local(mesh), "non-neighbour move");
@@ -288,7 +305,7 @@ mod tests {
         let loads = [0, 0, 9, 9, 0, 0];
         let plan = check(&mesh, &loads);
         assert_eq!(plan.edge_cost(), 18);
-        let opt = rips_flow::optimal_rebalance(&mesh, &loads);
+        let opt = crate::flow::optimal_rebalance(&mesh, &loads);
         assert_eq!(opt.cost, 12);
     }
 

@@ -2,6 +2,8 @@
 
 use rips_topology::{NodeId, Topology};
 
+use crate::flow::quotas;
+
 /// One task movement across a single link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Move {
@@ -156,7 +158,7 @@ impl TransferPlan {
     pub fn balances(&self, loads: &[i64]) -> bool {
         let finals = self.apply(loads);
         let total: i64 = loads.iter().sum();
-        finals == rips_flow::quotas(total, loads.len())
+        finals == quotas(total, loads.len())
     }
 }
 
@@ -166,18 +168,9 @@ impl TransferPlan {
 pub fn min_nonlocal_tasks(loads: &[i64]) -> i64 {
     loads
         .iter()
-        .zip(&quota_vector(loads))
+        .zip(&quotas(loads.iter().sum(), loads.len()))
         .map(|(&w, &t)| (t - w).max(0))
         .sum()
-}
-
-/// The canonical per-node quota assignment every scheduling algorithm
-/// in this workspace balances to: `⌊T/N⌋` each, the first `T mod N`
-/// nodes one extra. Exposed so external checkers (the `rips-audit`
-/// invariant auditor) can cross-validate their independently computed
-/// Theorem 1/2 bounds against the planner's own arithmetic.
-pub fn quota_vector(loads: &[i64]) -> Vec<i64> {
-    rips_flow::quotas(loads.iter().sum(), loads.len())
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use crate::mcmf::{EdgeId, FlowNetwork};
 /// `R` nodes, one extra task each.
 ///
 /// ```
-/// assert_eq!(rips_flow::quotas(10, 4), vec![3, 3, 2, 2]);
+/// assert_eq!(rips_sched::flow::quotas(10, 4), vec![3, 3, 2, 2]);
 /// ```
 pub fn quotas(total: i64, n: usize) -> Vec<i64> {
     assert!(n > 0);
@@ -36,7 +36,7 @@ pub struct OptimalPlan {
 /// excess, each underloaded node draining to the sink by its deficit.
 ///
 /// ```
-/// use rips_flow::optimal_rebalance;
+/// use rips_sched::flow::optimal_rebalance;
 /// use rips_topology::Mesh2D;
 ///
 /// // A line of three nodes: the optimum routes through the middle.

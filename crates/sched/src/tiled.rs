@@ -151,14 +151,14 @@ pub struct TiledTrace {
 /// the module docs.
 ///
 /// ```
-/// use rips_sched::{tiled_mwa, quota_vector};
+/// use rips_sched::{flow::quotas, tiled_mwa};
 /// use rips_topology::Mesh2D;
 ///
 /// let mesh = Mesh2D::new(8, 8);
 /// let loads: Vec<i64> = (0..64).map(|k| (k * 13 % 7) as i64).collect();
 /// let (plan, trace) = tiled_mwa(&mesh, &loads);
-/// assert_eq!(plan.apply(&loads), quota_vector(&loads)); // Theorem 1
-/// assert_eq!(trace.quotas, quota_vector(&loads));
+/// assert_eq!(plan.apply(&loads), quotas(loads.iter().sum(), 64)); // Theorem 1
+/// assert_eq!(trace.quotas, quotas(loads.iter().sum(), 64));
 /// ```
 ///
 /// # Panics
@@ -271,7 +271,8 @@ pub fn tiled_mwa(mesh: &Mesh2D, loads: &[i64]) -> (TransferPlan, TiledTrace) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{min_nonlocal_tasks, quota_vector};
+    use crate::flow::quotas;
+    use crate::plan::min_nonlocal_tasks;
 
     /// SplitMix64, for deterministic load generation without deps.
     fn splitmix(state: &mut u64) -> u64 {
@@ -287,7 +288,8 @@ mod tests {
         let finals = plan.apply(loads);
         // Theorem 1 survives tiling exactly: the plan lands on the
         // same canonical quotas as the flat walk.
-        assert_eq!(finals, quota_vector(loads), "did not land on quotas");
+        let canonical = quotas(loads.iter().sum(), loads.len());
+        assert_eq!(finals, canonical, "did not land on quotas");
         assert!(plan.balances(loads));
         // Lemma 1 stays a valid lower bound (equality is not claimed).
         assert!(
@@ -414,7 +416,7 @@ mod tests {
         loads[0] += 50_000;
         loads[n / 2] += 30_000;
         let (plan, trace) = tiled_mwa(&mesh, &loads);
-        assert_eq!(plan.apply(&loads), quota_vector(&loads));
+        assert_eq!(plan.apply(&loads), quotas(loads.iter().sum(), n));
         assert_eq!(trace.grid.side(), 18);
         assert!(trace.grid.hier_steps() < 6 * 320 / 2);
     }

@@ -3,14 +3,27 @@
 //! On a tree, removing any edge splits the machine in two, so the net
 //! task flow across every edge is *forced*: it equals the subtree's
 //! surplus over its quota. TWA therefore computes, in one up sweep and
-//! one down sweep (`2·height` communication steps), the unique minimal
-//! flow — which makes it optimal in `Σ eₖ`, the property the paper uses
-//! when it says "for certain topologies, such as trees, the complexity
-//! can be reduced to O(log n)".
+//! one down sweep, the unique minimal flow — which makes it optimal in
+//! `Σ eₖ`, the property the paper uses when it says "for certain
+//! topologies, such as trees, the complexity can be reduced to
+//! O(log n)". Carrying the flows out takes two more sweeps; see
+//! [`twa_steps`].
 
 use rips_topology::{BinaryTree, Topology};
 
 use crate::plan::TransferPlan;
+
+/// Communication steps of the tree walking algorithm on a tree of the
+/// given height, `O(log n)` on a balanced tree: the subtree sums
+/// converge on the root, `(w_avg, R)` is broadcast back down, and the
+/// forced flows travel first up and then down — four sweeps of at most
+/// `height` steps, plus two steps of slack (the message-passing
+/// reference measures `4·height` on full trees). What RIPS charges a
+/// system phase on a tree, and the bound
+/// [`twa_distributed`](crate::twa_distributed) is held to.
+pub fn twa_steps(height: usize) -> usize {
+    4 * height + 2
+}
 
 /// Runs TWA on `loads` over the heap-ordered binary tree, returning a
 /// transfer plan landing exactly on the quotas.
@@ -22,7 +35,7 @@ pub fn twa(tree: &BinaryTree, loads: &[i64]) -> TransferPlan {
     assert_eq!(loads.len(), n, "one load per node required");
     assert!(loads.iter().all(|&w| w >= 0), "negative load");
     let total: i64 = loads.iter().sum();
-    let quotas = rips_flow::quotas(total, n);
+    let quotas = crate::flow::quotas(total, n);
 
     // Up sweep: subtree surplus for every node (post-order = reverse
     // heap order works because children have larger indices).
@@ -66,13 +79,18 @@ mod tests {
     use super::*;
     use crate::plan::min_nonlocal_tasks;
 
+    #[test]
+    fn twa_is_four_sweeps() {
+        assert_eq!(twa_steps(5), 22);
+    }
+
     fn check(n: usize, loads: &[i64]) -> TransferPlan {
         let tree = BinaryTree::new(n);
         let plan = twa(&tree, loads);
         assert!(plan.is_link_local(&tree));
         let finals = plan.apply(loads);
         let total: i64 = loads.iter().sum();
-        assert_eq!(finals, rips_flow::quotas(total, n));
+        assert_eq!(finals, crate::flow::quotas(total, n));
         plan
     }
 
@@ -104,7 +122,7 @@ mod tests {
         ] {
             let tree = BinaryTree::new(n);
             let plan = twa(&tree, &loads);
-            let opt = rips_flow::optimal_rebalance(&tree, &loads);
+            let opt = crate::flow::optimal_rebalance(&tree, &loads);
             assert_eq!(plan.edge_cost(), opt.cost, "n={n} loads={loads:?}");
         }
     }

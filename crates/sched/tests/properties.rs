@@ -2,8 +2,8 @@
 //! paper's theorems and the MCMF optimum.
 
 use proptest::prelude::*;
-use rips_flow::{optimal_rebalance, quotas};
-use rips_sched::{dem, min_nonlocal_tasks, mwa, twa};
+use rips_sched::flow::{optimal_rebalance, quotas};
+use rips_sched::{dem, dem_steps, min_nonlocal_tasks, mwa, mwa_steps, twa, twa_steps};
 use rips_topology::{BinaryTree, Hypercube, Mesh2D, Topology};
 
 /// Arbitrary mesh shape and loads: dims 1..=8, loads 0..=60.
@@ -133,7 +133,7 @@ proptest! {
             m
         };
         prop_assert_eq!(flows(&central), flows(&distributed));
-        prop_assert!(steps <= 3 * (mesh.rows() + mesh.cols()));
+        prop_assert!(steps <= mwa_steps(&mesh));
     }
 }
 
@@ -158,7 +158,7 @@ proptest! {
             m
         };
         prop_assert_eq!(flows(&central), flows(&distributed));
-        prop_assert!(steps <= 4 * tree.height().max(1) + 2);
+        prop_assert!(steps <= twa_steps(tree.height()));
     }
 }
 
@@ -183,6 +183,6 @@ proptest! {
             m
         };
         prop_assert_eq!(flows(&central), flows(&distributed));
-        prop_assert!(steps <= dim);
+        prop_assert!(steps <= dem_steps(dim));
     }
 }

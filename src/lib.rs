@@ -7,14 +7,13 @@ pub use rips_apps as apps;
 pub use rips_audit as audit;
 pub use rips_balancers as balancers;
 pub use rips_bench as bench;
-pub use rips_collectives as collectives;
+pub use rips_bench::eval as metrics;
 pub use rips_core as core;
 pub use rips_desim as desim;
-pub use rips_flow as flow;
 pub use rips_live as live;
-pub use rips_metrics as metrics;
 pub use rips_runtime as runtime;
 pub use rips_sched as sched;
+pub use rips_sched::flow;
 pub use rips_serve as serve;
 pub use rips_taskgraph as taskgraph;
 pub use rips_topology as topology;
