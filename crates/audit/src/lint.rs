@@ -9,7 +9,7 @@
 //! | RIPS-L001 | no `HashMap`/`HashSet` in the deterministic-path crates (`sched`, `balancers`, `runtime`, `core`): their iteration order is seeded per process and leaks into results |
 //! | RIPS-L002 | no `Instant`/`SystemTime`/`thread_rng` outside the reasoned [`TIMING_PATHS`] allowlist (`crates/bench`, `shims`, `crates/live`, `benchmark`): simulated runs must not observe wall-clock time or ambient randomness |
 //! | RIPS-L003 | no `unwrap`/`expect`/`panic!`/`unreachable!` in the desim engine hot path (`crates/desim/src/engine.rs`) without a reasoned suppression |
-//! | RIPS-L004 | `unsafe` is forbidden outside the reasoned [`UNSAFE_ALLOWLIST`] (exactly two files: the live backend's SPSC ring and the runtime's RCU cell) |
+//! | RIPS-L004 | `unsafe` is forbidden outside the reasoned [`UNSAFE_ALLOWLIST`] (exactly one file: the live backend's SPSC ring) |
 //! | RIPS-L005 | public items in `#![warn(missing_docs)]` crates must carry a doc comment |
 //! | RIPS-L006 | no raw `std::sync::atomic` types (`Ordering` excepted) or `std::thread` park-family calls (`park`, `park_timeout`, `current`, `yield_now`) in `crates/live` + `crates/runtime`: lock-free code there must go through the `rips_verify::sync` / `vthread` seam so the bounded model checker can explore it |
 //!
@@ -154,26 +154,19 @@ const VERIFY_SEAM_CRATES: &[&str] = &["crates/live/", "crates/runtime/"];
 /// real-thread plumbing is not part of a modelled protocol.
 const PARK_FAMILY: &[&str] = &["park", "park_timeout", "current", "yield_now", "Thread"];
 
-/// Files allowed to contain `unsafe` (RIPS-L004), pinned to exact file
-/// paths with a mandatory reason (same contract as [`TIMING_PATHS`]).
-/// Everything else is safe Rust, and the safe crates additionally carry
-/// `#![forbid(unsafe_code)]` (or `#![deny]` with a module-scoped allow
-/// for exactly these files). Adding an entry here requires a matching
-/// DESIGN §7 note and a safety argument in the file's module docs.
-pub const UNSAFE_ALLOWLIST: &[(&str, &str)] = &[
-    (
-        "crates/live/src/ring.rs",
-        "SPSC ring slots are UnsafeCell<MaybeUninit>; non-Clone &mut \
-         handles plus the head/tail acquire/release protocol make every \
-         slot access data-race-free (safety argument in module docs)",
-    ),
-    (
-        "crates/runtime/src/rcu.rs",
-        "RCU cell with end-of-run reclamation: superseded snapshots are \
-         only freed when the cell drops, so every read() borrow outlives \
-         nothing it shouldn't (safety argument in module docs)",
-    ),
-];
+/// The one file allowed to contain `unsafe` (RIPS-L004), pinned to its
+/// exact path with a mandatory reason (same contract as
+/// [`TIMING_PATHS`]). Everything else is safe Rust, and the safe
+/// crates additionally carry `#![forbid(unsafe_code)]` (`rips-live`:
+/// `#![deny]` with a module-scoped allow for exactly this file). Adding
+/// an entry here requires a matching DESIGN §7 note and a safety
+/// argument in the file's module docs.
+pub const UNSAFE_ALLOWLIST: &[(&str, &str)] = &[(
+    "crates/live/src/ring.rs",
+    "SPSC ring slots are UnsafeCell<MaybeUninit>; non-Clone &mut \
+     handles plus the head/tail acquire/release protocol make every \
+     slot access data-race-free (safety argument in module docs)",
+)];
 
 /// A parsed `rips-lint: allow(...)` comment.
 struct Suppression {
@@ -742,19 +735,18 @@ mod tests {
 
     #[test]
     fn l004_allowlist_pins_unsafe_scope_with_reasons() {
-        // Exactly two audited files may contain `unsafe`: the live
-        // backend's SPSC ring and the runtime's RCU cell. A rename, a
-        // sibling module, or a new crate must not silently inherit the
-        // exemption.
+        // Exactly one audited file may contain `unsafe`: the live
+        // backend's SPSC ring. A rename, a sibling module, or a new
+        // crate must not silently inherit the exemption.
         let src = "unsafe { core::ptr::read(p) }\n";
         assert!(lint_one("crates/live/src/ring.rs", src).is_empty());
-        assert!(lint_one("crates/runtime/src/rcu.rs", src).is_empty());
         for flagged in [
             "crates/live/src/lib.rs", // siblings don't inherit
             "crates/live/src/transport.rs",
             "crates/live/src/ring2.rs", // exact file match, not prefix
             "crates/runtime/src/lib.rs",
             "crates/runtime/src/driver.rs",
+            "crates/runtime/src/rcu.rs", // no entry, so a finding
             "crates/desim/src/engine.rs",
         ] {
             let f = lint_one(flagged, src);
@@ -773,17 +765,15 @@ mod tests {
                 "UNSAFE_ALLOWLIST entry {path:?} carries no reason"
             );
         }
-        // The allowlist is *exactly* the SPSC ring and the RCU cell —
-        // not a prefix, not a third file. The rips_verify seam refactor
-        // kept both files' `unsafe` in place (the instrumented cells in
-        // crates/verify are `#![forbid(unsafe_code)]` and need no
-        // entry); any growth needs its own safety audit and DESIGN §7
-        // note.
+        // The allowlist is *exactly* the SPSC ring — not a prefix, not
+        // a second file (the instrumented cells in crates/verify are
+        // `#![forbid(unsafe_code)]` and need no entry); any growth
+        // needs its own safety audit and DESIGN §7 note.
         let paths: Vec<&str> = UNSAFE_ALLOWLIST.iter().map(|(p, _)| *p).collect();
         assert_eq!(
             paths,
-            ["crates/live/src/ring.rs", "crates/runtime/src/rcu.rs"],
-            "UNSAFE_ALLOWLIST must stay pinned to exactly ring.rs + rcu.rs"
+            ["crates/live/src/ring.rs"],
+            "UNSAFE_ALLOWLIST must stay pinned to exactly ring.rs"
         );
         assert_eq!(
             lint_one("crates/verify/src/rt.rs", src)[0].rule,

@@ -9,10 +9,9 @@
 //!
 //! The suites live under `crates/bench/` because they read the wall
 //! clock (rips-lint RIPS-L002 allows `Instant` here and nowhere in the
-//! simulated crates). The fifth suite, `serve`, is declared in
+//! simulated crates). The fourth suite, `serve`, is declared in
 //! `rips-serve`, which sits above this crate.
 
-mod desim;
 mod live;
 mod scale;
 mod trace;
@@ -32,7 +31,7 @@ use crate::args::{synopsis, Args, Flag, Spec};
 pub type Suite = (Spec, fn(&Args, Json) -> Option<Json>);
 
 /// The suites declared in this crate.
-pub const SUITES: &[Suite] = &[desim::SUITE, scale::SUITE, live::SUITE, trace::SUITE];
+pub const SUITES: &[Suite] = &[scale::SUITE, live::SUITE, trace::SUITE];
 
 /// Object/array levels laid out one member per line; deeper levels
 /// (a measured cell, a load point) stay on one line.
@@ -82,11 +81,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn four_suites_here_each_with_its_own_default_out() {
+    fn each_suite_here_has_its_own_default_out() {
         let out_row = |s: &Suite| s.0.iter().find(|f| f.starts_with("--out S=BENCH_"));
         let mut outs: Vec<Flag> = SUITES.iter().map(|s| *out_row(s).expect(s.0[0])).collect();
         outs.sort_unstable();
         outs.dedup();
-        assert_eq!(outs.len(), 4);
+        assert_eq!(outs.len(), SUITES.len());
     }
 }

@@ -15,7 +15,6 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rips_desim::{LatencyModel, Time, WorkKind};
-use rips_runtime::rcu::RcuCell;
 use rips_runtime::{
     exec_step, run_policy, BalancerPolicy, Costs, ExecCtx, Kernel, KernelMsg, PhaseLog, RunOutcome,
     TaskInstance, TAG_POLICY_BASE,
@@ -197,22 +196,16 @@ const TAG_POLL: u64 = TAG_POLICY_BASE + 2;
 const TAG_RECHECK: u64 = TAG_POLICY_BASE + 3;
 
 /// What one engine's policies share: the run's RIPS constants, stored
-/// once, and the rendezvous state, split by access pattern so the live
-/// backend's node threads don't serialize on reads. Nothing here is
-/// written per task — every store below happens once per node per
-/// system phase at most.
+/// once, and the rendezvous state. Nothing here is written per task —
+/// every store below happens once per node per system phase at most.
 struct FleetShared {
     cfg: RipsConfig,
     machine: Machine,
     /// ALL policy's logical spanning tree.
     tree: BinaryTree,
-    /// Write-heavy phase bookkeeping (load reports, logs): mutex.
+    /// The system phase's rendezvous: a node locks it twice per phase,
+    /// once to report its load and once to pick up the plan.
     mu: Mutex<Shared>,
-    /// The plan board: written once per system phase by the last
-    /// reporter, then read by every node applying the plan. RCU-style
-    /// publication makes each read one atomic load, with no lock and
-    /// no per-access clone of the plan.
-    plans: RcuCell<BTreeMap<u32, Arc<PhasePlan>>>,
     /// Periodic policy: some node's local condition is set and waiting
     /// for the next poll. Checked every poll tick on every node, so it
     /// is a lock-free flag.
@@ -226,20 +219,27 @@ struct FleetShared {
     eureka_raised: AtomicU32,
 }
 
-/// Per-phase rendezvous state behind [`FleetShared::mu`].
+/// Rendezvous state behind [`FleetShared::mu`]. A node reports its load
+/// for phase p + 1 only after it has applied phase p's plan, so the
+/// whole machine shares exactly one set of reports being collected and
+/// one plan being applied.
 #[derive(Default)]
 struct Shared {
-    /// Loads reported per phase.
-    entries: BTreeMap<u32, Entry>,
+    /// The phase whose loads are being collected.
+    collecting: u32,
+    /// Loads reported for `collecting`, by node; re-filled with `None`
+    /// by the first report of each phase.
+    reported: Vec<Option<i64>>,
+    /// Reports in so far; back to 0 once the last one has planned.
+    entered: usize,
+    /// The latest plan and its phase: stored by the last reporter
+    /// under the lock it reported with, dropped when the next plan
+    /// replaces it.
+    plan: Option<(u32, Arc<PhasePlan>)>,
     /// Completed system phases.
     phases: u32,
     /// Per-phase log.
     logs: Vec<PhaseLog>,
-}
-
-struct Entry {
-    reported: Vec<Option<i64>>,
-    entered: usize,
 }
 
 struct PhasePlan {
@@ -497,27 +497,40 @@ impl RipsPolicy {
             load,
         });
         let mut shared = self.shared.mu.lock().unwrap();
-        let entry = shared.entries.entry(p).or_insert_with(|| Entry {
-            reported: vec![None; n],
-            entered: 0,
-        });
-        debug_assert!(entry.reported[k.me].is_none(), "double entry");
-        entry.reported[k.me] = Some(load);
-        entry.entered += 1;
-        if entry.entered < n {
+        if shared.collecting != p {
+            // First report of phase p: the previous phase's reports
+            // were all in (and planned) before anyone could get here.
+            assert!(
+                shared.collecting < p && shared.entered == 0,
+                "node {} reports for phase {p} while phase {} has {} of {n} reports",
+                k.me,
+                shared.collecting,
+                shared.entered,
+            );
+            shared.collecting = p;
+            shared.reported.clear();
+            shared.reported.resize(n, None);
+        }
+        assert!(
+            shared.reported[k.me].is_none(),
+            "node {} reports twice for phase {p} (collecting phase {})",
+            k.me,
+            shared.collecting,
+        );
+        shared.reported[k.me] = Some(load);
+        shared.entered += 1;
+        if shared.entered < n {
             return;
         }
         // Last to enter: run the parallel scheduling algorithm.
-        let loads: Vec<i64> = entry
+        shared.entered = 0;
+        let loads: Vec<i64> = shared
             .reported
             .iter()
             .map(|r| r.expect("all reported"))
             .collect();
         let total: i64 = loads.iter().sum();
         shared.phases += 1;
-        if p >= 2 {
-            shared.entries.remove(&(p - 2));
-        }
         if total == 0 {
             // No work anywhere: the round (and possibly the job) ended.
             drop(shared);
@@ -541,24 +554,17 @@ impl RipsPolicy {
             migrated,
             edge_cost: plan.edge_cost(),
         });
-        drop(shared);
-        // Publish the plan RCU-style: one writer per phase (the last
-        // reporter, uniquely determined under the lock above), and
-        // phases are globally sequential, so read-clone-publish cannot
-        // race another publisher. Peers read the board only after the
-        // PlanReady message, whose delivery orders the publication.
-        let mut plans = self.shared.plans.read().clone();
-        if p >= 2 {
-            plans.remove(&(p - 2));
-        }
-        plans.insert(
+        // Every node has applied the plan this replaces (it reported
+        // for p since), so this frees it. Peers pick the new one up
+        // after the PlanReady message.
+        shared.plan = Some((
             p,
             Arc::new(PhasePlan {
                 outgoing,
                 expected_in,
             }),
-        );
-        self.shared.plans.publish(plans);
+        ));
+        drop(shared);
         if k.oracle.tracer.wants(EventKind::Stage) {
             // The plan stage lives on the computing node only; it
             // closes when the TAG_PLAN timer fires.
@@ -600,8 +606,14 @@ impl RipsPolicy {
         // RTS queues and distributes them evenly to the RTE queues").
         let rts = std::mem::take(&mut self.rts);
         k.exec.queue.extend(rts);
-        // Lock-free snapshot read of the plan board (see FleetShared).
-        let plan = Arc::clone(self.shared.plans.read().get(&p).expect("plan must exist"));
+        let plan = match &self.shared.mu.lock().unwrap().plan {
+            Some((tag, plan)) if *tag == p => Arc::clone(plan),
+            other => panic!(
+                "node {} applies phase {p}'s plan but the slot holds phase {:?}",
+                k.me,
+                other.as_ref().map(|(tag, _)| tag),
+            ),
+        };
         let expected = plan.expected_in[k.me];
         // The Arc keeps the plan alive for the loop; no per-node clone
         // of the outgoing vector is needed.
@@ -890,7 +902,8 @@ impl BalancerPolicy for RipsPolicy {
 /// [`RipsFleet::make`] to the backend as the per-node constructor, run,
 /// drop the policies, then call [`RipsFleet::finish`] for the shared
 /// phase log. The fleet owns the one block of state ([`RipsConfig`],
-/// [`Machine`], phase entries/plans) that one run's policies share.
+/// [`Machine`], the current phase's load reports and plan) that one
+/// run's policies share.
 pub struct RipsFleet {
     shared: Arc<FleetShared>,
 }
@@ -905,7 +918,6 @@ impl RipsFleet {
                 machine,
                 tree,
                 mu: Mutex::default(),
-                plans: RcuCell::default(),
                 want_phase: AtomicBool::new(false),
                 eureka_raised: AtomicU32::new(0),
             }),

@@ -27,9 +27,10 @@
 //!   checked only at dispatch boundaries — delay-0 EXEC self-kicks
 //!   never touch the clock or a heap;
 //! * **snapshot reads** for shared state: the grain table and hop
-//!   tables are immutable `Arc`s, RIPS plans are published through an
-//!   RCU cell (`rips_runtime::rcu`), and the [`Oracle`]'s round
-//!   counters are plain atomics — no locks on the per-task path.
+//!   tables are immutable `Arc`s and the [`Oracle`]'s round counters
+//!   are plain atomics — no locks on the per-task path. (RIPS's load
+//!   reports and plan sit behind one mutex, taken twice per node per
+//!   system phase.)
 //!
 //! # What is and is not shared with the simulator
 //!

@@ -27,11 +27,10 @@
 //! pointer reads/writes through `MaybeUninit`'s transparent layout —
 //! so the aliasing story is Miri-clean.
 //!
-//! This module is one of the two places in the workspace that use
-//! `unsafe` (slot storage is `UnsafeCellWrap<MaybeUninit<T>>`); the
-//! audit lint RIPS-L004 pins the allowlist to exactly this file plus
-//! the RCU cell, and the safety argument is spelled out on each
-//! `unsafe` block.
+//! This module is the one place in the workspace that uses `unsafe`
+//! (slot storage is `UnsafeCellWrap<MaybeUninit<T>>`); the audit lint
+//! RIPS-L004 pins the allowlist to exactly this file, and the safety
+//! argument is spelled out on each `unsafe` block.
 
 // rips-lint: allow(L004, SPSC slot access is proven exclusive by the
 // head/tail protocol; see module docs and per-block safety comments)

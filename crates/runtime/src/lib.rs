@@ -30,11 +30,9 @@
 //! golden tests, and CLI enumerate).
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod driver;
-#[allow(unsafe_code)]
-pub mod rcu;
 pub mod registry;
 
 pub use driver::{
@@ -499,7 +497,7 @@ mod verify_model {
             // the announcer reads both (the barrier's rendezvous). The
             // accesses carry no data — the checker races the *accesses*
             // themselves, so no `unsafe` deref is needed and the L004
-            // allowlist stays pinned to ring.rs + rcu.rs.
+            // allowlist stays pinned to ring.rs.
             let results = Arc::new([UnsafeCellWrap::new(0u64), UnsafeCellWrap::new(0u64)]);
             let wins = Arc::new(AtomicUsize::new(0));
             let worker = {

@@ -31,7 +31,7 @@ const SPEC: Spec = &[
     "--process S=poisson      arrivals: poisson|bursty[:N]",
 ];
 
-/// The fifth `rips bench` suite (the other four are
+/// The fourth `rips bench` suite (the other three are
 /// [`rips_bench::suites::SUITES`]).
 pub const SUITE: Suite = (SPEC, run);
 

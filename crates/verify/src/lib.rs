@@ -2,9 +2,9 @@
 //! paths, in the loom mold and dependency-free (shims policy).
 //!
 //! The live backend's correctness rests on a few hundred lines of
-//! hand-rolled synchronization: the SPSC ring, the RCU plan board, the
-//! Dekker-style park/unpark transport protocol and the Oracle's atomic
-//! barrier counter. OS scheduling only ever exercises a handful of
+//! hand-rolled synchronization: the SPSC ring, the Dekker-style
+//! park/unpark transport protocol and the Oracle's atomic barrier
+//! counter. OS scheduling only ever exercises a handful of
 //! their interleavings; this crate explores them *systematically*.
 //!
 //! # The seam

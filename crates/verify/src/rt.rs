@@ -298,64 +298,6 @@ impl std::fmt::Debug for AtomicBool {
     }
 }
 
-/// Model-checked drop-in for `std::sync::atomic::AtomicPtr`.
-pub struct AtomicPtr<T> {
-    inner: std::sync::atomic::AtomicPtr<T>,
-}
-
-impl<T> AtomicPtr<T> {
-    /// Create a new atomic pointer.
-    pub fn new(p: *mut T) -> Self {
-        Self {
-            inner: std::sync::atomic::AtomicPtr::new(p),
-        }
-    }
-
-    fn key(&self) -> usize {
-        self as *const _ as usize
-    }
-
-    /// Instrumented atomic load.
-    pub fn load(&self, ord: Ordering) -> *mut T {
-        match instrumented_load(self.key(), "AtomicPtr::load", ord, &mut || {
-            self.inner.load(ord) as usize as u64
-        }) {
-            Some(v) => v as usize as *mut T,
-            None => self.inner.load(ord),
-        }
-    }
-
-    /// Instrumented atomic store.
-    pub fn store(&self, p: *mut T, ord: Ordering) {
-        if instrumented(self.key(), "AtomicPtr::store", ord, Rw::Store, &mut || {
-            let old = self.inner.load(Ordering::Relaxed);
-            self.inner.store(p, ord);
-            (p as usize as u64, old as usize as u64, p as usize as u64)
-        })
-        .is_none()
-        {
-            self.inner.store(p, ord);
-        }
-    }
-
-    /// Instrumented atomic swap.
-    pub fn swap(&self, p: *mut T, ord: Ordering) -> *mut T {
-        match instrumented(self.key(), "AtomicPtr::swap", ord, Rw::Rmw, &mut || {
-            let old = self.inner.swap(p, ord);
-            (old as usize as u64, old as usize as u64, p as usize as u64)
-        }) {
-            Some(old) => old as usize as *mut T,
-            None => self.inner.swap(p, ord),
-        }
-    }
-}
-
-impl<T> Drop for AtomicPtr<T> {
-    fn drop(&mut self) {
-        retire_key(self.key());
-    }
-}
-
 /// Instrumented memory fence.
 pub fn fence(ord: Ordering) {
     if std::thread::panicking() {

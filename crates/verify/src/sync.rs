@@ -24,7 +24,7 @@ mod imp {
     /// Atomic types: plain `std::sync::atomic` re-exports.
     pub mod atomic {
         pub use std::sync::atomic::{
-            fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
+            fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering,
         };
     }
 
@@ -88,7 +88,7 @@ mod imp {
 
     /// Atomic types: the instrumented model-checker cells.
     pub mod atomic {
-        pub use crate::rt::{fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize};
+        pub use crate::rt::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
         pub use std::sync::atomic::Ordering;
     }
 

@@ -129,7 +129,7 @@ const BENCH: Spec = &[
     "--list  print the suite table",
 ];
 
-/// The five suites: four timed ones from `rips-bench`, `serve` from
+/// The four suites: three timed ones from `rips-bench`, `serve` from
 /// `rips-serve` (which sits above `rips-bench` in the crate graph).
 fn suites() -> impl Iterator<Item = &'static Suite> {
     SUITES.iter().chain([&rips_repro::serve::suite::SUITE])
@@ -764,7 +764,7 @@ const VERIFY: Spec = &[
 /// instrumented cells) and run the bounded model checker's test suites:
 /// the checker's own litmus selftests plus the `verify_model` modules
 /// embedded in `rips-live` (SPSC ring, transport wakeup/halt, watchdog)
-/// and `rips-runtime` (RCU cell, Oracle barrier counter).
+/// and `rips-runtime` (Oracle barrier counter).
 fn cmd_verify(args: &Args) {
     let mut cargo =
         std::process::Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string()));

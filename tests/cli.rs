@@ -63,11 +63,11 @@ fn repro_list_is_the_library_table() {
 }
 
 #[test]
-fn bench_list_has_the_five_suites() {
+fn bench_list_has_the_four_suites() {
     let names = listed("bench");
     let table: Vec<&str> = suite_specs().into_iter().map(|s| synopsis(s).0).collect();
     assert_eq!(names, table);
-    assert_eq!(names, ["desim", "scale", "live", "trace", "serve"]);
+    assert_eq!(names, ["scale", "live", "trace", "serve"]);
 }
 
 /// The fixed commands' flags, pinned: `path: flags`.
