@@ -227,9 +227,10 @@ struct FleetShared {
 struct Shared {
     /// The phase whose loads are being collected.
     collecting: u32,
-    /// Loads reported for `collecting`, by node; re-filled with `None`
-    /// by the first report of each phase.
-    reported: Vec<Option<i64>>,
+    /// Loads reported for `collecting`, by node ([`NOT_REPORTED`] until
+    /// the node reports); re-filled by the first report of each phase.
+    /// The last reporter plans from this vector itself.
+    reported: Vec<i64>,
     /// Reports in so far; back to 0 once the last one has planned.
     entered: usize,
     /// The latest plan and its phase: stored by the last reporter
@@ -242,11 +243,44 @@ struct Shared {
     logs: Vec<PhaseLog>,
 }
 
+/// A load no node can report: loads are checked non-negative.
+const NOT_REPORTED: i64 = -1;
+
+/// One phase's packed migrations, sized by the transfers, not by the
+/// machine: a node finds its part by binary search.
 struct PhasePlan {
-    /// Per-source `(dst, count)` transfers.
-    outgoing: Vec<Vec<(NodeId, i64)>>,
-    /// Per-destination expected task count.
-    expected_in: Vec<i64>,
+    /// `(src, dst, count)`, sorted by source; one source's
+    /// destinations ascend.
+    by_src: Vec<(NodeId, NodeId, i64)>,
+    /// Every transfer's destination, ascending: a node expects one
+    /// packed message per occurrence of its id.
+    dsts: Vec<NodeId>,
+}
+
+impl PhasePlan {
+    /// Packs `transfers` (destinations ascending, as
+    /// [`TransferPlan::net_transfers`] returns them).
+    fn new(transfers: Vec<(NodeId, NodeId, i64)>) -> Self {
+        let dsts: Vec<NodeId> = transfers.iter().map(|t| t.1).collect();
+        let mut by_src = transfers;
+        // Stable: each source's destinations stay ascending.
+        by_src.sort_by_key(|t| t.0);
+        PhasePlan { by_src, dsts }
+    }
+
+    /// `node`'s outgoing `(src, dst, count)` transfers.
+    fn outgoing(&self, node: NodeId) -> &[(NodeId, NodeId, i64)] {
+        let lo = self.by_src.partition_point(|t| t.0 < node);
+        let hi = self.by_src.partition_point(|t| t.0 <= node);
+        &self.by_src[lo..hi]
+    }
+
+    /// How many packed messages `node` receives.
+    fn expected_in(&self, node: NodeId) -> i64 {
+        let lo = self.dsts.partition_point(|&d| d < node);
+        let hi = self.dsts.partition_point(|&d| d <= node);
+        (hi - lo) as i64
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -496,6 +530,11 @@ impl RipsPolicy {
         tr.emit(EventKind::LoadSample, now, me, || TraceEvent::LoadSample {
             load,
         });
+        assert!(
+            load >= 0,
+            "node {} reports negative load {load} for phase {p}",
+            k.me
+        );
         let mut shared = self.shared.mu.lock().unwrap();
         if shared.collecting != p {
             // First report of phase p: the previous phase's reports
@@ -509,61 +548,52 @@ impl RipsPolicy {
             );
             shared.collecting = p;
             shared.reported.clear();
-            shared.reported.resize(n, None);
+            shared.reported.resize(n, NOT_REPORTED);
         }
         assert!(
-            shared.reported[k.me].is_none(),
+            shared.reported[k.me] == NOT_REPORTED,
             "node {} reports twice for phase {p} (collecting phase {})",
             k.me,
             shared.collecting,
         );
-        shared.reported[k.me] = Some(load);
+        shared.reported[k.me] = load;
         shared.entered += 1;
         if shared.entered < n {
             return;
         }
-        // Last to enter: run the parallel scheduling algorithm.
+        // Last to enter: run the parallel scheduling algorithm on the
+        // reports where they were collected (n distinct reports are
+        // in, so none is NOT_REPORTED).
         shared.entered = 0;
-        let loads: Vec<i64> = shared
-            .reported
-            .iter()
-            .map(|r| r.expect("all reported"))
-            .collect();
-        let total: i64 = loads.iter().sum();
         shared.phases += 1;
+        let loads = std::mem::take(&mut shared.reported);
+        let total: i64 = loads.iter().sum();
         if total == 0 {
             // No work anywhere: the round (and possibly the job) ended.
+            shared.reported = loads;
             drop(shared);
             k.announce_round(ctx);
             return;
         }
         let plan = self.shared.machine.plan(&loads);
         let transfers = plan.net_transfers(&loads);
-        let mut outgoing: Vec<Vec<(NodeId, i64)>> = vec![Vec::new(); n];
-        let mut expected_in = vec![0i64; n];
-        let mut migrated = 0;
-        for &(src, dst, amount) in &transfers {
-            outgoing[src].push((dst, amount));
-            expected_in[dst] += 1; // one packed message per pair
-            migrated += amount;
-        }
+        shared.reported = loads;
+        assert!(
+            transfers.windows(2).all(|w| w[0].1 <= w[1].1),
+            "node {} plans phase {p} with net transfers out of destination order",
+            k.me
+        );
         shared.logs.push(PhaseLog {
             phase: p,
             round: k.oracle.round(),
             total_tasks: total,
-            migrated,
+            migrated: transfers.iter().map(|t| t.2).sum(),
             edge_cost: plan.edge_cost(),
         });
         // Every node has applied the plan this replaces (it reported
         // for p since), so this frees it. Peers pick the new one up
         // after the PlanReady message.
-        shared.plan = Some((
-            p,
-            Arc::new(PhasePlan {
-                outgoing,
-                expected_in,
-            }),
-        ));
+        shared.plan = Some((p, Arc::new(PhasePlan::new(transfers))));
         drop(shared);
         if k.oracle.tracer.wants(EventKind::Stage) {
             // The plan stage lives on the computing node only; it
@@ -614,10 +644,10 @@ impl RipsPolicy {
                 other.as_ref().map(|(tag, _)| tag),
             ),
         };
-        let expected = plan.expected_in[k.me];
+        let expected = plan.expected_in(k.me);
         // The Arc keeps the plan alive for the loop; no per-node clone
-        // of the outgoing vector is needed.
-        for &(dst, amount) in &plan.outgoing[k.me] {
+        // of the outgoing slice is needed.
+        for &(_, dst, amount) in plan.outgoing(k.me) {
             // Under TaskCount `amount` is the exact batch size; under
             // EstimatedWeight it is µs of work, so size the batch by
             // the queue instead.

@@ -79,15 +79,10 @@ impl TransferPlan {
     /// the counting convention behind the paper's Theorem 2 and the
     /// "# of nonlocal tasks" column of Table I.
     pub fn nonlocal_tasks(&self, loads: &[i64]) -> i64 {
-        self.final_holdings(loads)
-            .iter()
-            .enumerate()
-            .map(|(node, h)| {
-                h.iter()
-                    .filter(|&&(origin, _)| origin != node)
-                    .map(|&(_, c)| c)
-                    .sum::<i64>()
-            })
+        let ledger = self.track(loads);
+        (0..loads.len())
+            .flat_map(|node| ledger.foreign(node))
+            .map(|(_, count)| count)
             .sum()
     }
 
@@ -95,62 +90,31 @@ impl TransferPlan {
     /// receiving node, how many tasks it ends up holding from each
     /// other origin. Used by the RIPS runtime to pack migrations into
     /// one message per (source, destination) pair ("tasks are packed
-    /// together for transmission").
+    /// together for transmission"). Destinations ascend; one
+    /// destination's origins are in the order their first surviving
+    /// task arrived.
     pub fn net_transfers(&self, loads: &[i64]) -> Vec<(NodeId, NodeId, i64)> {
-        let mut out = Vec::new();
-        for (node, h) in self.final_holdings(loads).iter().enumerate() {
-            for &(origin, count) in h {
-                if origin != node && count > 0 {
-                    out.push((origin, node, count));
-                }
-            }
-        }
-        out
+        let ledger = self.track(loads);
+        (0..loads.len())
+            .flat_map(|node| ledger.foreign(node).map(move |(o, c)| (o, node, c)))
+            .collect()
     }
 
-    /// Executes the plan with per-task origin tracking (foreign-first
-    /// forwarding); returns, per node, the final `(origin, count)`
-    /// holdings.
-    pub fn final_holdings(&self, loads: &[i64]) -> Vec<Vec<(NodeId, i64)>> {
-        let n = loads.len();
-        // holdings[node] = list of (origin, count); foreign first is
-        // maintained by pushing foreign arrivals to the front region.
-        let mut holdings: Vec<Vec<(NodeId, i64)>> = (0..n).map(|i| vec![(i, loads[i])]).collect();
-        for m in &self.moves {
-            let mut need = m.count;
-            let mut taken: Vec<(NodeId, i64)> = Vec::new();
-            // Prefer foreign tasks (origin != sender), oldest first.
-            let src = &mut holdings[m.from];
-            for pass in 0..2 {
-                let mut k = 0;
-                while k < src.len() && need > 0 {
-                    let foreign = src[k].0 != m.from;
-                    if (pass == 0 && foreign) || (pass == 1 && !foreign) {
-                        let take = need.min(src[k].1);
-                        if take > 0 {
-                            taken.push((src[k].0, take));
-                            src[k].1 -= take;
-                            need -= take;
-                        }
-                    }
-                    k += 1;
-                }
-                if need == 0 {
-                    break;
-                }
-            }
-            assert_eq!(need, 0, "move {m:?} overdraws sender");
-            src.retain(|&(_, c)| c > 0);
-            let dst = &mut holdings[m.to];
-            for (origin, count) in taken {
-                if let Some(slot) = dst.iter_mut().find(|(o, _)| *o == origin) {
-                    slot.1 += count;
-                } else {
-                    dst.push((origin, count));
-                }
+    /// Executes the plan with origin tracking: a forwarding node passes
+    /// on foreign tasks first, oldest first, then its own. Memory is
+    /// O(n) words plus the live entries of one [`Ledger`]; a move
+    /// allocates nothing once its buffers have grown.
+    fn track(&self, loads: &[i64]) -> Ledger {
+        let mut ledger = Ledger::new(loads);
+        let mut taken: Vec<(NodeId, i64)> = Vec::new();
+        for (i, m) in self.moves.iter().enumerate() {
+            taken.clear();
+            ledger.take(m, &mut taken);
+            for &(origin, count) in &taken {
+                ledger.credit(m.to, origin, count, i);
             }
         }
-        holdings
+        ledger
     }
 
     /// `true` if final loads differ by at most one task (Theorem 1's
@@ -159,6 +123,124 @@ impl TransferPlan {
         let finals = self.apply(loads);
         let total: i64 = loads.iter().sum();
         finals == quotas(total, loads.len())
+    }
+}
+
+/// End of a ledger list.
+const NIL: u32 = u32::MAX;
+
+/// One origin's tasks held by a node that is not their origin.
+struct Entry {
+    origin: NodeId,
+    count: i64,
+    /// Next entry of the same node, in arrival order.
+    next: u32,
+}
+
+/// Who holds whose tasks while a plan executes. A node's own tasks are
+/// one count; its foreign holdings are a queue of [`Entry`]s in
+/// arrival order, linked through one arena whose drained entries are
+/// reused. Entries only leave from the front (oldest first), so each
+/// queue needs a head and a tail.
+struct Ledger {
+    own: Vec<i64>,
+    head: Vec<u32>,
+    /// Meaningful only while `head` is not [`NIL`].
+    tail: Vec<u32>,
+    arena: Vec<Entry>,
+    /// Drained entries, linked through `next`.
+    free: u32,
+}
+
+impl Ledger {
+    fn new(loads: &[i64]) -> Self {
+        Ledger {
+            own: loads.to_vec(),
+            head: vec![NIL; loads.len()],
+            tail: vec![NIL; loads.len()],
+            arena: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    /// `node`'s foreign holdings, oldest first.
+    fn foreign(&self, node: NodeId) -> impl Iterator<Item = (NodeId, i64)> + '_ {
+        let mut at = self.head[node];
+        std::iter::from_fn(move || {
+            if at == NIL {
+                return None;
+            }
+            let e = &self.arena[at as usize];
+            at = e.next;
+            Some((e.origin, e.count))
+        })
+    }
+
+    /// Takes `m.count` tasks off `m.from` into `taken` as
+    /// `(origin, count)`: foreign entries oldest first, then its own.
+    fn take(&mut self, m: &Move, taken: &mut Vec<(NodeId, i64)>) {
+        let mut need = m.count;
+        while need > 0 && self.head[m.from] != NIL {
+            let at = self.head[m.from];
+            let e = &mut self.arena[at as usize];
+            let t = need.min(e.count);
+            taken.push((e.origin, t));
+            e.count -= t;
+            need -= t;
+            if e.count == 0 {
+                self.head[m.from] = e.next;
+                e.next = self.free;
+                self.free = at;
+            }
+        }
+        if need > 0 {
+            assert!(self.own[m.from] >= need, "move {m:?} overdraws sender");
+            self.own[m.from] -= need;
+            taken.push((m.from, need));
+        }
+    }
+
+    /// Adds `count` of `origin`'s tasks to `node` (during move `i`):
+    /// its own merge into its count, a foreign origin it already holds
+    /// into that entry, and a new one is appended as the newest.
+    fn credit(&mut self, node: NodeId, origin: NodeId, count: i64, i: usize) {
+        if origin == node {
+            self.own[node] += count;
+            return;
+        }
+        let mut at = self.head[node];
+        while at != NIL {
+            let e = &mut self.arena[at as usize];
+            if e.origin == origin {
+                e.count += count;
+                return;
+            }
+            at = e.next;
+        }
+        let entry = Entry {
+            origin,
+            count,
+            next: NIL,
+        };
+        let at = if self.free != NIL {
+            let at = self.free;
+            self.free = self.arena[at as usize].next;
+            self.arena[at as usize] = entry;
+            at
+        } else {
+            assert!(
+                self.arena.len() < NIL as usize,
+                "origin ledger outgrows u32 indices at node {node}, move {i}"
+            );
+            self.arena.push(entry);
+            (self.arena.len() - 1) as u32
+        };
+        if self.head[node] == NIL {
+            self.head[node] = at;
+        } else {
+            self.arena[self.tail[node] as usize].next = at;
+        }
+        self.tail[node] = at;
     }
 }
 
@@ -243,6 +325,55 @@ mod tests {
             w[d] += c;
         }
         assert_eq!(w, plan.apply(&loads));
+    }
+
+    #[test]
+    fn own_tasks_coming_back_merge_into_the_own_count() {
+        // Node 0's two tasks go to node 2 and come back while node 0
+        // holds a task of node 1's; node 0 then sends that one on and
+        // one of its own — which it holds only if the returned tasks
+        // count as its own again.
+        let mut plan = TransferPlan::default();
+        plan.push(0, 2, 2);
+        plan.push(1, 0, 1);
+        plan.push(2, 0, 2);
+        plan.push(0, 1, 2);
+        let loads = [2, 2, 0];
+        let ledger = plan.track(&loads);
+        assert_eq!(ledger.own, vec![1, 2, 0]);
+        assert_eq!(ledger.foreign(0).count(), 0);
+        assert_eq!(ledger.foreign(1).collect::<Vec<_>>(), vec![(0, 1)]);
+        // The last move's new entry reuses one the moves drained.
+        assert_eq!(ledger.arena.len(), 2);
+        assert_eq!(plan.net_transfers(&loads), vec![(0, 1, 1)]);
+        assert_eq!(plan.nonlocal_tasks(&loads), 1);
+        assert_eq!(plan.apply(&loads), vec![1, 3, 0]);
+    }
+
+    #[test]
+    fn a_recreated_entry_comes_from_the_free_list_and_is_the_newest() {
+        let mut plan = TransferPlan::default();
+        plan.push(0, 2, 1); // node 2 holds [0]
+        plan.push(2, 0, 1); // ...which drains home: one free entry
+        plan.push(1, 2, 1); // node 2 holds [1], in the freed entry
+        plan.push(3, 1, 1);
+        plan.push(1, 3, 1); // node 1's entry drains: free again
+        plan.push(0, 2, 1); // origin 0 re-created from it, newest
+        let loads = [2, 1, 0, 1];
+        let ledger = plan.track(&loads);
+        assert_eq!(ledger.arena.len(), 2);
+        assert_eq!(ledger.foreign(2).collect::<Vec<_>>(), vec![(1, 1), (0, 1)]);
+        plan.push(2, 3, 1); // oldest foreign first: origin 1 moves on
+        assert_eq!(plan.net_transfers(&loads), vec![(0, 2, 1), (1, 3, 1)]);
+        assert_eq!(plan.apply(&loads), vec![1, 0, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overdraws sender")]
+    fn tracking_detects_an_overdrawn_sender() {
+        let mut plan = TransferPlan::default();
+        plan.push(1, 2, 2);
+        plan.net_transfers(&[2, 1, 0]);
     }
 
     #[test]

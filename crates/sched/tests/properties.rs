@@ -3,8 +3,10 @@
 
 use proptest::prelude::*;
 use rips_sched::flow::{optimal_rebalance, quotas};
-use rips_sched::{dem, dem_steps, min_nonlocal_tasks, mwa, mwa_steps, twa, twa_steps};
-use rips_topology::{BinaryTree, Hypercube, Mesh2D, Topology};
+use rips_sched::{
+    dem, dem_steps, min_nonlocal_tasks, mwa, mwa_steps, tiled_mwa, twa, twa_steps, TransferPlan,
+};
+use rips_topology::{BinaryTree, Hypercube, Mesh2D, NodeId, Topology};
 
 /// Arbitrary mesh shape and loads: dims 1..=8, loads 0..=60.
 fn mesh_and_loads() -> impl Strategy<Value = (Mesh2D, Vec<i64>)> {
@@ -12,6 +14,137 @@ fn mesh_and_loads() -> impl Strategy<Value = (Mesh2D, Vec<i64>)> {
         proptest::collection::vec(0i64..=60, r * c)
             .prop_map(move |loads| (Mesh2D::new(r, c), loads))
     })
+}
+
+/// `n` loads that are mostly zero with a few hot spots: the shape that
+/// sends tasks down long transit chains.
+fn sparse_hot_spots(n: usize) -> impl Strategy<Value = Vec<i64>> {
+    proptest::collection::vec(
+        prop_oneof![Just(0i64), Just(0i64), Just(0i64), 0i64..=400],
+        n,
+    )
+}
+
+/// Mesh shapes up to 12×12 with uniform or sparse hot-spot loads.
+fn tracking_mesh_and_loads() -> impl Strategy<Value = (Mesh2D, Vec<i64>)> {
+    ((1usize..=12), (1usize..=12)).prop_flat_map(|(r, c)| {
+        prop_oneof![
+            proptest::collection::vec(0i64..=60, r * c),
+            sparse_hot_spots(r * c),
+        ]
+        .prop_map(move |loads| (Mesh2D::new(r, c), loads))
+    })
+}
+
+/// The origin tracker as it was first written, one `Vec` per node: the
+/// reference the ledger behind `net_transfers` and `nonlocal_tasks` is
+/// held to. Foreign tasks leave first, oldest first; arrivals merge
+/// into the entry of their origin or are appended.
+fn reference_holdings(plan: &TransferPlan, loads: &[i64]) -> Vec<Vec<(NodeId, i64)>> {
+    let mut holdings: Vec<Vec<(NodeId, i64)>> =
+        (0..loads.len()).map(|i| vec![(i, loads[i])]).collect();
+    for m in &plan.moves {
+        let mut need = m.count;
+        let mut taken: Vec<(NodeId, i64)> = Vec::new();
+        let src = &mut holdings[m.from];
+        for pass in 0..2 {
+            let mut k = 0;
+            while k < src.len() && need > 0 {
+                let foreign = src[k].0 != m.from;
+                if (pass == 0 && foreign) || (pass == 1 && !foreign) {
+                    let take = need.min(src[k].1);
+                    if take > 0 {
+                        taken.push((src[k].0, take));
+                        src[k].1 -= take;
+                        need -= take;
+                    }
+                }
+                k += 1;
+            }
+            if need == 0 {
+                break;
+            }
+        }
+        assert_eq!(need, 0, "move {m:?} overdraws sender");
+        src.retain(|&(_, c)| c > 0);
+        let dst = &mut holdings[m.to];
+        for (origin, count) in taken {
+            if let Some(slot) = dst.iter_mut().find(|(o, _)| *o == origin) {
+                slot.1 += count;
+            } else {
+                dst.push((origin, count));
+            }
+        }
+    }
+    holdings
+}
+
+/// Checks `plan`'s `net_transfers` (same entries, same order) and
+/// `nonlocal_tasks` against [`reference_holdings`].
+fn tracking_matches_reference(plan: &TransferPlan, loads: &[i64]) -> Result<(), String> {
+    let mut want = Vec::new();
+    for (node, held) in reference_holdings(plan, loads).iter().enumerate() {
+        for &(origin, count) in held {
+            if origin != node && count > 0 {
+                want.push((origin, node, count));
+            }
+        }
+    }
+    prop_assert_eq!(plan.net_transfers(loads), want.clone());
+    prop_assert_eq!(
+        plan.nonlocal_tasks(loads),
+        want.iter().map(|t| t.2).sum::<i64>()
+    );
+    Ok(())
+}
+
+proptest! {
+    /// The origin ledger reproduces the per-node reference on every
+    /// planner RIPS runs.
+    #[test]
+    fn mesh_tracking_matches_reference((mesh, loads) in tracking_mesh_and_loads()) {
+        tracking_matches_reference(&mwa(&mesh, &loads).0, &loads)?;
+        tracking_matches_reference(&tiled_mwa(&mesh, &loads).0, &loads)?;
+    }
+
+    #[test]
+    fn tree_tracking_matches_reference(
+        n in 1usize..=40,
+        uniform in proptest::collection::vec(0i64..=60, 40),
+        sparse in sparse_hot_spots(40),
+        hot in 0usize..2,
+    ) {
+        let loads = if hot == 1 { &sparse[..n] } else { &uniform[..n] };
+        tracking_matches_reference(&twa(&BinaryTree::new(n), loads), loads)?;
+    }
+
+    #[test]
+    fn cube_tracking_matches_reference(
+        dim in 0usize..=6,
+        uniform in proptest::collection::vec(0i64..=60, 64),
+        sparse in sparse_hot_spots(64),
+        hot in 0usize..2,
+    ) {
+        let cube = Hypercube::new(dim);
+        let loads = if hot == 1 { &sparse[..cube.len()] } else { &uniform[..cube.len()] };
+        tracking_matches_reference(&dem(&cube, loads), loads)?;
+    }
+}
+
+/// A 120×130 mesh with near-uniform loads: most nodes hand on a few
+/// tasks, so phase 2's walk makes one move per node and the ledger
+/// reuses drained entries throughout.
+#[test]
+fn large_mesh_tracking_matches_reference() {
+    let mesh = Mesh2D::new(120, 130);
+    let mut rng = TestRng::for_test("large_mesh_tracking_matches_reference");
+    let loads: Vec<i64> = (0..mesh.len())
+        .map(|_| 20 + (rng.next_u64() % 5) as i64)
+        .collect();
+    for plan in [mwa(&mesh, &loads).0, tiled_mwa(&mesh, &loads).0] {
+        assert!(plan.net_transfers(&loads).len() > 8_000);
+        tracking_matches_reference(&plan, &loads).unwrap();
+    }
 }
 
 proptest! {
