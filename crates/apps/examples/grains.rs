@@ -3,7 +3,7 @@ fn main() {
     for c in 1..=3u32 {
         let w = puzzle(PuzzleConfig::paper(c));
         for (i, r) in w.rounds.iter().enumerate() {
-            let mut g: Vec<u64> = (0..r.len() as u32).map(|id| r.task(id).grain_us).collect();
+            let mut g: Vec<u64> = (0..r.len() as u32).map(|id| r.grain(id)).collect();
             g.sort_unstable();
             let total: u64 = g.iter().sum();
             println!(

@@ -325,7 +325,7 @@ mod tests {
         cfg.groups = 1073;
         let w = gromos(cfg);
         let f = &w.rounds[0];
-        let grains: Vec<u64> = (0..f.len() as u32).map(|id| f.task(id).grain_us).collect();
+        let grains: Vec<u64> = (0..f.len() as u32).map(|id| f.grain(id)).collect();
         let max = *grains.iter().max().unwrap();
         let min = *grains.iter().min().unwrap();
         assert!(max >= min * 2, "no surface/core contrast: {min}..{max}");

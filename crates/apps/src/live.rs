@@ -344,7 +344,7 @@ mod tests {
         let (w, table) = nqueens_with_grains(cfg);
         let f = &w.rounds[0];
         for id in 0..f.len() as u32 {
-            if !f.task(id).children.is_empty() {
+            if !f.children(id).is_empty() {
                 continue;
             }
             if let GrainSpec::QueensLeaf {
@@ -356,7 +356,7 @@ mod tests {
             } = *table.spec(0, id)
             {
                 let (nodes, _) = crate::nqueens::enumerate(n, row, cols, diag1, diag2);
-                assert_eq!(f.task(id).grain_us, nodes.max(1));
+                assert_eq!(f.grain(id), nodes.max(1));
             } else {
                 panic!("childless task {id} is not a leaf spec");
             }

@@ -240,8 +240,8 @@ mod tests {
         // Interior tasks cost n nodes each (expansion probes); count
         // leaves only: tasks with no children.
         let leaf_work: u64 = (0..f.len() as u32)
-            .filter(|&id| f.task(id).children.is_empty())
-            .map(|id| f.task(id).grain_us)
+            .filter(|&id| f.children(id).is_empty())
+            .map(|id| f.grain(id))
             .sum();
         // Leaf subtrees exclude the first `split_depth` placed queens;
         // the prefix nodes are 1 (root expansion) + valid 1-prefixes +
@@ -295,8 +295,8 @@ mod tests {
         let w = nqueens(NQueensConfig::paper(10));
         let f = &w.rounds[0];
         let leaves: Vec<u64> = (0..f.len() as u32)
-            .filter(|&id| f.task(id).children.is_empty())
-            .map(|id| f.task(id).grain_us)
+            .filter(|&id| f.children(id).is_empty())
+            .map(|id| f.grain(id))
             .collect();
         let max = *leaves.iter().max().unwrap();
         let min = *leaves.iter().min().unwrap();

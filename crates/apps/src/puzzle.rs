@@ -613,14 +613,9 @@ mod tests {
         };
         let w = puzzle(cfg);
         for (i, round) in w.rounds.iter().enumerate() {
-            let total: u64 = (0..round.len() as u32)
-                .map(|id| round.task(id).grain_us)
-                .sum();
+            let total = round.total_work_us();
             let threshold = (total / cfg.split_divisor).max(cfg.split_floor_nodes);
-            let max = (0..round.len() as u32)
-                .map(|id| round.task(id).grain_us)
-                .max()
-                .unwrap();
+            let max = round.max_grain_us();
             assert!(
                 max <= threshold * 4,
                 "round {i}: max grain {max} vs threshold {threshold}"

@@ -3,7 +3,8 @@
 
 use std::sync::Arc;
 
-use rand::RngExt;
+use rand::rngs::SmallRng;
+use rand::{RngExt, SeedableRng};
 use rips_desim::LatencyModel;
 use rips_runtime::{
     run_policy, BalancerPolicy, Costs, ExecCtx, Kernel, KernelMsg, RunOutcome, TaskInstance,
@@ -11,14 +12,22 @@ use rips_runtime::{
 use rips_taskgraph::Workload;
 use rips_topology::{NodeId, Topology};
 
-/// Randomized allocation as a [`BalancerPolicy`]: stateless — every
-/// placement decision is a fresh RNG draw.
-pub struct RandomPolicy;
+/// Randomized allocation as a [`BalancerPolicy`]: every placement
+/// decision is a fresh draw from the node's own random stream.
+pub struct RandomPolicy {
+    /// Seeded in [`BalancerPolicy::on_start`] from the run's seed
+    /// ([`ExecCtx::seed`]), so both backends draw the same numbers.
+    rng: SmallRng,
+}
 
-/// Node `_me`'s randomized-allocation policy instance (stateless; the
-/// per-node constructor exists so any backend can build a fleet).
-pub fn random_policy(_me: NodeId) -> RandomPolicy {
-    RandomPolicy
+/// Node `me`'s randomized-allocation policy instance.
+pub fn random_policy(me: NodeId) -> RandomPolicy {
+    RandomPolicy { rng: stream(0, me) }
+}
+
+/// Node `me`'s random stream under the run's `seed`.
+fn stream(seed: u64, me: NodeId) -> SmallRng {
+    SmallRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ me as u64)
 }
 
 impl RandomPolicy {
@@ -47,6 +56,7 @@ impl BalancerPolicy for RandomPolicy {
     type Msg = ();
 
     fn on_start(&mut self, k: &mut Kernel, ctx: &mut impl ExecCtx<KernelMsg<()>>) {
+        self.rng = stream(ctx.seed(), k.me);
         self.seed_scattered(k, ctx, 0);
     }
 
@@ -75,7 +85,7 @@ impl BalancerPolicy for RandomPolicy {
         let n = ctx.num_nodes();
         let mut per_dest: Vec<Vec<TaskInstance>> = vec![Vec::new(); n];
         for child in children {
-            let dest = ctx.rng().random_range(0..n);
+            let dest = self.rng.random_range(0..n);
             per_dest[dest].push(child);
         }
         let me = k.me;
@@ -114,4 +124,36 @@ pub fn random(
 ) -> RunOutcome {
     let (outcome, _) = run_policy(workload, topo, latency, costs, seed, random_policy);
     outcome
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rips_taskgraph::flat_uniform;
+    use rips_topology::Mesh2D;
+
+    /// Node `i` draws from `seed·K ^ i`. Pinned: Random's placements,
+    /// and the goldens they feed, depend on exactly this stream, and
+    /// both backends reach it through the same `on_start`.
+    #[test]
+    fn each_node_draws_the_stream_its_seed_names() {
+        let seed = 0xC0FFEE;
+        // One root: node 0 places it (one draw); nodes 1–3 draw nothing.
+        let w = Arc::new(flat_uniform(1, 5, 5, 0));
+        let topo = Arc::new(Mesh2D::new(2, 2));
+        let latency = LatencyModel::paragon();
+        let costs = Costs::default();
+        let (_, policies) = run_policy(w, topo, latency, costs, seed, random_policy);
+        assert_eq!(policies.len(), 4);
+        for (node, mut p) in policies.into_iter().enumerate() {
+            let golden = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ node as u64;
+            let mut want = SmallRng::seed_from_u64(golden);
+            if node == 0 {
+                want.random_range(0..4usize);
+            }
+            for _ in 0..8 {
+                assert_eq!(p.rng.next_u64(), want.next_u64(), "node {node}");
+            }
+        }
+    }
 }

@@ -22,7 +22,7 @@ fn forest_makespan(forest: &TaskForest, n: usize) -> u64 {
     let mut ready: BinaryHeap<(u64, u64, TaskId)> = forest
         .roots()
         .iter()
-        .map(|&r| (forest.task(r).grain_us, 0, r))
+        .map(|&r| (forest.grain(r), 0, r))
         .collect();
     let mut future: BinaryHeap<Reverse<(u64, TaskId)>> = BinaryHeap::new();
     // Completions not yet processed (children not yet released).
@@ -39,7 +39,7 @@ fn forest_makespan(forest: &TaskForest, n: usize) -> u64 {
             if let Some(&Reverse((finish, _))) = completions.peek() {
                 if finish <= free_at {
                     let Reverse((finish, task)) = completions.pop().unwrap();
-                    for &c in &forest.task(task).children {
+                    for &c in forest.children(task) {
                         future.push(Reverse((finish, c)));
                     }
                     continue;
@@ -51,7 +51,7 @@ fn forest_makespan(forest: &TaskForest, n: usize) -> u64 {
             while let Some(&Reverse((at, _))) = future.peek() {
                 if at <= free_at {
                     let Reverse((at, t)) = future.pop().unwrap();
-                    ready.push((forest.task(t).grain_us, at, t));
+                    ready.push((forest.grain(t), at, t));
                     moved = true;
                 } else {
                     break;
@@ -72,20 +72,20 @@ fn forest_makespan(forest: &TaskForest, n: usize) -> u64 {
             // Nothing ready: advance time by the next completion (its
             // children become available), or pull the next future task.
             if let Some(Reverse((finish, task))) = completions.pop() {
-                for &c in &forest.task(task).children {
+                for &c in forest.children(task) {
                     future.push(Reverse((finish, c)));
                 }
                 // Tasks released at `finish` are now candidates.
                 while let Some(&Reverse((at, _))) = future.peek() {
                     if at <= finish {
                         let Reverse((at, t)) = future.pop().unwrap();
-                        ready.push((forest.task(t).grain_us, at, t));
+                        ready.push((forest.grain(t), at, t));
                     } else {
                         break;
                     }
                 }
             } else if let Some(Reverse((at, t))) = future.pop() {
-                ready.push((forest.task(t).grain_us, at, t));
+                ready.push((forest.grain(t), at, t));
             } else {
                 unreachable!("tasks remain but nothing is ready or running");
             }

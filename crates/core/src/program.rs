@@ -377,7 +377,7 @@ impl RipsPolicy {
                 .queue
                 .iter()
                 .chain(self.rts.iter())
-                .map(|t| t.grain_us as i64)
+                .map(|t| k.oracle.grain(t) as i64)
                 .sum(),
         }
     }
@@ -678,7 +678,7 @@ impl RipsPolicy {
                     let mut idx = k.exec.queue.len();
                     while idx > 0 && remaining > 0 {
                         idx -= 1;
-                        let g = k.exec.queue[idx].grain_us as i64;
+                        let g = k.oracle.grain(&k.exec.queue[idx]) as i64;
                         if g <= 2 * remaining {
                             let task = k.exec.queue.remove(idx).expect("idx in range");
                             batch.push(task);
@@ -989,9 +989,9 @@ impl RipsFleet {
     }
 }
 
-/// Runs `workload` under RIPS on `machine`. Deterministic under `seed`
-/// (RIPS itself is deterministic; the seed only affects the engine's
-/// unused per-node RNGs).
+/// Runs `workload` under RIPS on `machine`. RIPS draws no random
+/// numbers, so `seed` does not change the run; it is taken for the same
+/// signature as every other scheduler.
 pub fn rips(
     workload: Arc<Workload>,
     machine: Machine,

@@ -33,10 +33,12 @@
 //! * **Struct-of-arrays state.** Global event-queue state
 //!   ([`EventCore`]: heap, sequence counter, timer identity,
 //!   cancellations) and dense per-node vectors ([`NodeCore`]:
-//!   programs, ready times, stats, RNGs, deferral lanes, wake
-//!   markers) are grouped dslab-style; every per-node entry is O(1)
-//!   bytes, so an idle node costs a few hundred bytes and a
-//!   million-node machine stays in the hundreds of megabytes.
+//!   programs, ready times, stats, deferral lanes, wake markers) are
+//!   grouped dslab-style; every per-node entry is O(1) bytes, so an
+//!   idle node costs a few hundred bytes and a million-node machine
+//!   stays in the hundreds of megabytes. The engine draws no random
+//!   numbers: a program that does keeps its own stream, seeded from
+//!   [`Ctx::seed`].
 //! * **Broadcasts as sorted runs.** `send_all`/`signal_all` buffer one
 //!   request holding one payload. At apply time every recipient is
 //!   accounted as a point-to-point send would be and reserves the
@@ -55,8 +57,6 @@ use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use rips_topology::{NodeId, Topology};
 use rips_trace::metrics_rt::Counter;
 
@@ -138,7 +138,7 @@ pub struct Ctx<'a, M> {
     halt: bool,
     send_cpu_us: Time,
     next_timer_id: &'a mut u64,
-    rng: &'a mut SmallRng,
+    seed: u64,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -157,9 +157,11 @@ impl<'a, M> Ctx<'a, M> {
         self.n
     }
 
-    /// Deterministic per-node random number generator.
-    pub fn rng(&mut self) -> &mut SmallRng {
-        self.rng
+    /// The seed the engine was built with. The engine draws no random
+    /// numbers itself; a program that does seeds its own stream from
+    /// this (and its node id), so a run stays deterministic under it.
+    pub fn seed(&self) -> u64 {
+        self.seed
     }
 
     /// Consume `dur` µs of CPU, classified as `kind`.
@@ -644,7 +646,6 @@ struct NodeCore<P: Program> {
     programs: Vec<P>,
     ready_at: Vec<Time>,
     stats: Vec<NodeStats>,
-    rngs: Vec<SmallRng>,
     /// Per-node deferral lanes: events that arrived while the node was
     /// busy, ordered by original sequence number.
     lanes: Vec<BinaryHeap<std::cmp::Reverse<LaneEvent<P::Msg>>>>,
@@ -663,7 +664,6 @@ impl<P: Program> NodeCore<P> {
         (std::mem::size_of::<P>()
             + std::mem::size_of::<Time>()
             + std::mem::size_of::<NodeStats>()
-            + std::mem::size_of::<SmallRng>()
             + std::mem::size_of::<BinaryHeap<std::cmp::Reverse<LaneEvent<P::Msg>>>>()
             + std::mem::size_of::<(Time, u64)>()) as u64
     }
@@ -673,6 +673,8 @@ impl<P: Program> NodeCore<P> {
 /// and all accounting.
 pub struct Engine<P: Program> {
     latency: LatencyModel,
+    /// Handed to every handler through [`Ctx::seed`].
+    seed: u64,
     /// Per-node state, struct-of-arrays.
     nodes: NodeCore<P>,
     /// Global event-queue state.
@@ -712,7 +714,9 @@ pub struct Engine<P: Program> {
 
 impl<P: Program> Engine<P> {
     /// Builds an engine over `topo` with one program per node
-    /// (`make(node_id)`), deterministic under `seed`.
+    /// (`make(node_id)`). The engine itself is deterministic; `seed` is
+    /// only passed on to the programs ([`Ctx::seed`]), whose random
+    /// draws it fixes.
     pub fn new(
         topo: Arc<dyn Topology>,
         latency: LatencyModel,
@@ -722,9 +726,6 @@ impl<P: Program> Engine<P> {
         let n = topo.len();
         assert!(n > 0, "machine must have at least one node");
         let programs: Vec<P> = (0..n).map(&mut make).collect();
-        let rngs = (0..n)
-            .map(|i| SmallRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i as u64))
-            .collect();
         let mut core = EventCore {
             queue: BinaryHeap::new(),
             runs: Vec::new(),
@@ -749,11 +750,11 @@ impl<P: Program> Engine<P> {
         core.open_run(run);
         Engine {
             latency,
+            seed,
             nodes: NodeCore {
                 programs,
                 ready_at: vec![0; n],
                 stats: vec![NodeStats::default(); n],
-                rngs,
                 lanes: (0..n).map(|_| BinaryHeap::new()).collect(),
                 armed: vec![UNARMED; n],
             },
@@ -963,7 +964,7 @@ impl<P: Program> Engine<P> {
             halt: false,
             send_cpu_us: self.latency.send_cpu_us,
             next_timer_id: &mut self.core.next_timer_id,
-            rng: &mut self.nodes.rngs[node],
+            seed: self.seed,
         };
         match kind {
             EventKind::Start => self.nodes.programs[node].on_start(&mut ctx),
@@ -1178,6 +1179,8 @@ impl<P: Program> Engine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{RngExt, SeedableRng};
     use rips_topology::Mesh2D;
 
     /// Ping-pong program: node 0 sends a counter to node 1, which
@@ -1426,20 +1429,33 @@ mod tests {
         assert!(stats.events <= 4);
     }
 
-    /// Determinism: identical seeds give identical runs.
+    /// Determinism: identical seeds give identical runs. Each node
+    /// draws from its own stream, seeded at start from the engine's.
     struct RandomSpray {
         log: Vec<(NodeId, u64)>,
         hops_left: u32,
+        rng: SmallRng,
+    }
+
+    impl RandomSpray {
+        fn new(hops_left: u32) -> Self {
+            RandomSpray {
+                log: vec![],
+                hops_left,
+                rng: SmallRng::seed_from_u64(0), // reseeded in `on_start`
+            }
+        }
     }
 
     impl Program for RandomSpray {
         type Msg = u64;
 
         fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+            self.rng = SmallRng::seed_from_u64(ctx.seed() ^ ctx.me() as u64);
             if ctx.me() == 0 {
                 let n = ctx.num_nodes();
-                let v = rand::RngExt::random_range(ctx.rng(), 0..1000u64);
-                let to = rand::RngExt::random_range(ctx.rng(), 0..n);
+                let v = self.rng.random_range(0..1000u64);
+                let to = self.rng.random_range(0..n);
                 ctx.send(to, v, 8);
             }
         }
@@ -1448,17 +1464,15 @@ mod tests {
             self.log.push((from, msg));
             if self.hops_left > 0 {
                 self.hops_left -= 1;
-                let n = ctx.num_nodes();
-                let to = rand::RngExt::random_range(ctx.rng(), 0..n);
+                let to = self.rng.random_range(0..ctx.num_nodes());
                 ctx.send(to, msg + 1, 8);
             }
         }
     }
 
     fn spray_run(seed: u64) -> Vec<Vec<(NodeId, u64)>> {
-        let eng = Engine::new(mesh(9), LatencyModel::paragon(), seed, |_| RandomSpray {
-            log: vec![],
-            hops_left: 8,
+        let eng = Engine::new(mesh(9), LatencyModel::paragon(), seed, |_| {
+            RandomSpray::new(8)
         });
         let (progs, _) = eng.run();
         progs.into_iter().map(|p| p.log).collect()
@@ -1503,10 +1517,7 @@ mod tests {
     fn computed_and_tabled_routing_agree_across_threshold() {
         // 70 × 60 = 4200 nodes, just past the 4096 threshold.
         let run = |topo: Arc<dyn Topology>| {
-            let eng = Engine::new(topo, LatencyModel::paragon(), 77, |_| RandomSpray {
-                log: vec![],
-                hops_left: 40,
-            });
+            let eng = Engine::new(topo, LatencyModel::paragon(), 77, |_| RandomSpray::new(40));
             let tabled = eng.routing_tabled();
             let (progs, stats) = eng.run();
             let logs: Vec<_> = progs.into_iter().map(|p| p.log).collect();
@@ -1542,7 +1553,7 @@ mod tests {
     #[test]
     fn different_seeds_diverge() {
         // Not guaranteed in principle, but overwhelmingly likely; if
-        // this ever flakes the RNG plumbing is broken anyway.
+        // this ever flakes the seed plumbing is broken anyway.
         assert_ne!(spray_run(1), spray_run(2));
     }
 

@@ -14,7 +14,8 @@
 //!
 //! Node behaviour is supplied as a [`Program`] state machine. The engine
 //! is fully deterministic: events are ordered by `(time, sequence)`, and
-//! each node owns a seeded RNG derived from the engine seed.
+//! it draws no random numbers. A program that does seeds its own stream
+//! from the engine seed ([`Ctx::seed`]).
 
 mod engine;
 mod latency;

@@ -71,8 +71,8 @@ pub struct MemStats {
     /// Bytes of per-directed-link contention state (`n²` link free
     /// times when store-and-forward contention is enabled, else 0).
     pub link_state_bytes: u64,
-    /// Fixed per-node engine state (lanes, wake markers, ready times,
-    /// RNGs, counters) — O(1) per node, summed over nodes.
+    /// Fixed per-node engine state (programs, lanes, wake markers,
+    /// ready times, counters) — O(1) per node, summed over nodes.
     pub node_state_bytes: u64,
     /// High-water mark of the bytes outstanding events occupy: global
     /// heap entries at the event size, deferral-lane entries at the

@@ -64,8 +64,6 @@ pub mod wheel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use rips_desim::{Time, WorkKind};
 use rips_runtime::{
     dispatch_message, dispatch_start, dispatch_timer, BalancerPolicy, Costs, ExecCtx, Kernel,
@@ -259,7 +257,7 @@ struct LiveCtx<'a, M> {
     clock: &'a dyn Clock,
     me: NodeId,
     n: usize,
-    rng: &'a mut SmallRng,
+    seed: u64,
     outbox: &'a mut Outbox<M>,
     wheel: &'a mut TimerWheel,
     halted: &'a mut bool,
@@ -288,8 +286,8 @@ impl<M: Clone> ExecCtx<M> for LiveCtx<'_, M> {
     fn num_nodes(&self) -> usize {
         self.n
     }
-    fn rng(&mut self) -> &mut SmallRng {
-        self.rng
+    fn seed(&self) -> u64 {
+        self.seed
     }
     fn compute(&mut self, _dur: Time, _kind: WorkKind) {
         // Modelled CPU charges describe the simulator's cost model; on
@@ -315,14 +313,14 @@ impl<M: Clone> ExecCtx<M> for LiveCtx<'_, M> {
     fn halt(&mut self) {
         *self.halted = true;
     }
-    fn execute_grain(&mut self, inst: &TaskInstance) {
+    fn execute_grain(&mut self, inst: &TaskInstance, grain_us: Time) {
         let t0 = self.meter.now_ns();
         let r = self.runner.run(inst);
         *self.checksum = self.checksum.wrapping_add(r.checksum);
         *self.solutions += r.solutions;
-        *self.grain_us += inst.grain_us;
+        *self.grain_us += grain_us;
         if self.mode == GrainMode::Timed {
-            let us = (inst.grain_us as f64 * self.timed_scale) as u64;
+            let us = (grain_us as f64 * self.timed_scale) as u64;
             if us > 0 {
                 std::thread::sleep(Duration::from_micros(us));
             }
@@ -374,7 +372,6 @@ fn node_loop<P: BalancerPolicy>(
     // Register for wakeups before anything can be sent to us; the
     // guard marks us exited (even on panic) so no peer spins forever.
     let _guard = rx.register();
-    let mut rng = SmallRng::seed_from_u64(seed ^ (me as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut wheel = TimerWheel::new(clock.now_us());
     let mut outbox: Outbox<KernelMsg<P::Msg>> = Outbox::new(n);
     let mut checksum = 0u64;
@@ -401,7 +398,7 @@ fn node_loop<P: BalancerPolicy>(
                 clock: clock.as_ref(),
                 me,
                 n,
-                rng: &mut rng,
+                seed,
                 outbox: &mut outbox,
                 wheel: &mut wheel,
                 halted: &mut halted,

@@ -49,7 +49,6 @@
 
 use std::sync::Arc;
 
-use rand::rngs::SmallRng;
 use rips_desim::{Ctx, Engine, LatencyModel, Time, WorkKind};
 use rips_taskgraph::Workload;
 use rips_topology::{NodeId, Topology};
@@ -98,8 +97,10 @@ pub trait ExecCtx<M: Clone> {
     fn me(&self) -> NodeId;
     /// Number of nodes in the machine.
     fn num_nodes(&self) -> usize;
-    /// Deterministic per-node random number generator.
-    fn rng(&mut self) -> &mut SmallRng;
+    /// The run's seed. A policy that draws random numbers seeds its own
+    /// per-node stream from it, so the draws are the same on every
+    /// backend.
+    fn seed(&self) -> u64;
     /// Consume `dur` µs of CPU classified as `kind`. The simulator
     /// advances virtual time; a live backend treats modelled overhead
     /// charges as free (its overheads are real and implicit).
@@ -117,11 +118,13 @@ pub trait ExecCtx<M: Clone> {
     fn set_timer(&mut self, delay: Time, tag: u64);
     /// Stop the whole machine once this handler returns.
     fn halt(&mut self);
-    /// Execute the grain of `inst`. The default charges its modelled
-    /// duration as user compute (what the simulator measures); a live
-    /// backend overrides this to run the actual application closure.
-    fn execute_grain(&mut self, inst: &TaskInstance) {
-        self.compute(inst.grain_us, WorkKind::User);
+    /// Execute the grain of `inst`, whose modelled duration is
+    /// `grain_us`. The default charges that duration as user compute
+    /// (what the simulator measures); a live backend overrides this to
+    /// run the actual application closure.
+    fn execute_grain(&mut self, inst: &TaskInstance, grain_us: Time) {
+        let _ = inst;
+        self.compute(grain_us, WorkKind::User);
     }
 }
 
@@ -135,8 +138,8 @@ impl<M: Clone> ExecCtx<M> for Ctx<'_, M> {
     fn num_nodes(&self) -> usize {
         Ctx::num_nodes(self)
     }
-    fn rng(&mut self) -> &mut SmallRng {
-        Ctx::rng(self)
+    fn seed(&self) -> u64 {
+        Ctx::seed(self)
     }
     fn compute(&mut self, dur: Time, kind: WorkKind) {
         Ctx::compute(self, dur, kind);
@@ -427,8 +430,9 @@ pub fn exec_step<P: BalancerPolicy>(
     // boundaries pays nothing here, not even the clock reads.
     let trace_exec = k.oracle.tracer.wants(EventKind::TaskExec);
     let t0 = if trace_exec { ctx.now() } else { 0 };
+    let grain_us = k.oracle.grain(&inst);
     ctx.compute(k.oracle.costs.dispatch_us, WorkKind::Overhead);
-    ctx.execute_grain(&inst);
+    ctx.execute_grain(&inst, grain_us);
     k.exec.record(&inst, k.me);
     k.oracle.meter.add_at(k.me, Counter::TasksExecuted, 1);
     if trace_exec {
@@ -444,7 +448,7 @@ pub fn exec_step<P: BalancerPolicy>(
                     round: inst.round,
                     origin: inst.origin,
                     hops,
-                    grain_us: inst.grain_us,
+                    grain_us,
                     dispatch_us,
                 }
             });

@@ -52,15 +52,16 @@ use rips_desim::Time;
 use rips_taskgraph::{TaskId, Workload};
 use rips_topology::{NodeId, Topology};
 
-/// One schedulable task instance travelling through the system.
+/// One schedulable task instance travelling through the system: which
+/// task of which round, and where it was generated. Its grain is read
+/// from the shared forest ([`Oracle::grain`]), not copied into every
+/// queued instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskInstance {
     /// Task within its round's forest.
     pub task: TaskId,
     /// Round index.
     pub round: u32,
-    /// Execution time (µs).
-    pub grain_us: u64,
     /// Node where the task was generated — an execution elsewhere makes
     /// it *non-local* (Table I's locality column).
     pub origin: NodeId,
@@ -231,7 +232,6 @@ impl Oracle {
             .map(|&id| TaskInstance {
                 task: id,
                 round,
-                grain_us: forest.task(id).grain_us,
                 origin: node,
             })
             .collect()
@@ -265,17 +265,20 @@ impl Oracle {
         )
     }
 
+    /// Execution time of `inst` (µs), read from its round's forest.
+    pub fn grain(&self, inst: &TaskInstance) -> u64 {
+        self.workload.rounds[inst.round as usize].grain(inst.task)
+    }
+
     /// Child instances generated by completing `inst` on `node`.
     pub fn children_of(&self, inst: &TaskInstance, node: NodeId) -> Vec<TaskInstance> {
         let forest = &self.workload.rounds[inst.round as usize];
         forest
-            .task(inst.task)
-            .children
+            .children(inst.task)
             .iter()
             .map(|&c| TaskInstance {
                 task: c,
                 round: inst.round,
-                grain_us: forest.task(c).grain_us,
                 origin: node,
             })
             .collect()
@@ -666,7 +669,6 @@ mod tests {
         let inst = TaskInstance {
             task: 0,
             round: 0,
-            grain_us: 5,
             origin: 3,
         };
         exec.record(&inst, 3);

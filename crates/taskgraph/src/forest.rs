@@ -3,32 +3,35 @@
 /// Index of a task within its [`TaskForest`].
 pub type TaskId = u32;
 
-/// One unit of schedulable work.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Task {
-    /// Execution time on whichever node runs it (virtual µs).
-    pub grain_us: u64,
-    /// Tasks released when this one completes ("newly generated").
-    pub children: Vec<TaskId>,
-}
-
 /// A forest of dynamically generated tasks: the roots are available at
 /// the start of the round; children appear as their parents complete.
+///
+/// A task is its id: its grain is one entry of a dense array, and its
+/// children ("newly generated" tasks) are a list kept only up to the
+/// highest id that has any. A roots-only forest therefore costs 8 B per
+/// task plus its root id, and no child list at all.
 ///
 /// ```
 /// use rips_taskgraph::TaskForest;
 ///
 /// let mut f = TaskForest::new();
 /// let root = f.add_root(100);
-/// f.add_child(root, 250);
+/// let child = f.add_child(root, 250);
+/// assert_eq!(f.children(root), [child]);
+/// assert_eq!(f.grain(child), 250);
 /// assert_eq!(f.total_work_us(), 350);
 /// assert_eq!(f.critical_path_us(), 350); // chain: root then child
 /// assert!(f.validate().is_ok());
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TaskForest {
-    tasks: Vec<Task>,
+    /// Execution time of each task on whichever node runs it (virtual
+    /// µs), indexed by id.
+    grains: Vec<u64>,
     roots: Vec<TaskId>,
+    /// Tasks released when task `id` completes, for every id up to the
+    /// highest parent; ids past the end have none.
+    children: Vec<Vec<TaskId>>,
 }
 
 impl TaskForest {
@@ -49,24 +52,30 @@ impl TaskForest {
     /// # Panics
     /// Panics if `parent` does not exist.
     pub fn add_child(&mut self, parent: TaskId, grain_us: u64) -> TaskId {
-        assert!((parent as usize) < self.tasks.len(), "no such parent");
+        let parent = parent as usize;
+        assert!(parent < self.grains.len(), "no such parent");
         let id = self.push(grain_us);
-        self.tasks[parent as usize].children.push(id);
+        if self.children.len() <= parent {
+            self.children.resize_with(parent + 1, Vec::new);
+        }
+        self.children[parent].push(id);
         id
     }
 
     fn push(&mut self, grain_us: u64) -> TaskId {
-        let id = u32::try_from(self.tasks.len()).expect("forest too large");
-        self.tasks.push(Task {
-            grain_us,
-            children: Vec::new(),
-        });
+        let id = u32::try_from(self.grains.len()).expect("forest too large");
+        self.grains.push(grain_us);
         id
     }
 
-    /// Task lookup.
-    pub fn task(&self, id: TaskId) -> &Task {
-        &self.tasks[id as usize]
+    /// Execution time of task `id` (virtual µs).
+    pub fn grain(&self, id: TaskId) -> u64 {
+        self.grains[id as usize]
+    }
+
+    /// Tasks released when task `id` completes.
+    pub fn children(&self, id: TaskId) -> &[TaskId] {
+        self.children.get(id as usize).map_or(&[], Vec::as_slice)
     }
 
     /// Root tasks available at round start.
@@ -76,40 +85,39 @@ impl TaskForest {
 
     /// Number of tasks in the forest.
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.grains.len()
     }
 
     /// `true` when the forest holds no tasks.
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.grains.is_empty()
     }
 
     /// Total work (Σ grains) in µs.
     pub fn total_work_us(&self) -> u64 {
-        self.tasks.iter().map(|t| t.grain_us).sum()
+        self.grains.iter().sum()
     }
 
     /// Largest single grain in µs.
     pub fn max_grain_us(&self) -> u64 {
-        self.tasks.iter().map(|t| t.grain_us).max().unwrap_or(0)
+        self.grains.iter().copied().max().unwrap_or(0)
     }
 
     /// Length (in µs) of the longest dependency chain: a lower bound on
     /// any schedule's makespan regardless of processor count.
     pub fn critical_path_us(&self) -> u64 {
-        let mut memo = vec![u64::MAX; self.tasks.len()];
+        let mut memo = vec![u64::MAX; self.len()];
         fn depth(forest: &TaskForest, id: TaskId, memo: &mut [u64]) -> u64 {
             if memo[id as usize] != u64::MAX {
                 return memo[id as usize];
             }
-            let t = forest.task(id);
-            let below = t
-                .children
+            let below = forest
+                .children(id)
                 .iter()
                 .map(|&c| depth(forest, c, memo))
                 .max()
                 .unwrap_or(0);
-            memo[id as usize] = t.grain_us + below;
+            memo[id as usize] = forest.grain(id) + below;
             memo[id as usize]
         }
         self.roots
@@ -122,21 +130,19 @@ impl TaskForest {
     /// Checks the forest is a true forest: every non-root task has
     /// exactly one parent and no task is reachable twice.
     pub fn validate(&self) -> Result<(), String> {
-        let mut indegree = vec![0u32; self.tasks.len()];
-        for t in &self.tasks {
-            for &c in &t.children {
-                if c as usize >= self.tasks.len() {
-                    return Err(format!("dangling child id {c}"));
-                }
-                indegree[c as usize] += 1;
+        let mut indegree = vec![0u32; self.len()];
+        for &c in self.children.iter().flatten() {
+            if c as usize >= self.len() {
+                return Err(format!("dangling child id {c}"));
             }
+            indegree[c as usize] += 1;
         }
         for &r in &self.roots {
             if indegree[r as usize] != 0 {
                 return Err(format!("root {r} has a parent"));
             }
         }
-        let mut root_set = vec![false; self.tasks.len()];
+        let mut root_set = vec![false; self.len()];
         for &r in &self.roots {
             if std::mem::replace(&mut root_set[r as usize], true) {
                 return Err(format!("duplicate root {r}"));
@@ -244,14 +250,26 @@ mod tests {
         assert_eq!(diamondless_tree().validate(), Ok(()));
     }
 
+    /// Corrupts `f` with an edge `add_child` would never make: `child`
+    /// (an existing task) is also released by `parent`.
+    fn attach(f: &mut TaskForest, parent: TaskId, child: TaskId) {
+        let parent = parent as usize;
+        if f.children.len() <= parent {
+            f.children.resize_with(parent + 1, Vec::new);
+        }
+        f.children[parent].push(child);
+    }
+
     #[test]
     fn validate_rejects_double_parent() {
         let mut f = TaskForest::new();
         let r1 = f.add_root(1);
         let r2 = f.add_root(1);
         let c = f.add_child(r1, 1);
-        // Manually corrupt: also attach c under r2.
-        f.tasks[r2 as usize].children.push(c);
+        // r2 has no child list yet: the corruption grows one for it.
+        assert_eq!(f.children(r2), []);
+        attach(&mut f, r2, c);
+        assert_eq!(f.children(r2), [c]);
         assert!(f.validate().unwrap_err().contains("2 parents"));
     }
 
@@ -261,6 +279,152 @@ mod tests {
         assert!(f.is_empty());
         assert_eq!(f.critical_path_us(), 0);
         assert_eq!(f.validate(), Ok(()));
+    }
+
+    #[test]
+    fn a_roots_only_forest_allocates_no_child_list() {
+        let mut f = TaskForest::new();
+        for g in 0..1_000 {
+            f.add_root(g);
+        }
+        assert_eq!(f.children.capacity(), 0);
+        assert!(f.roots().iter().all(|&r| f.children(r).is_empty()));
+        // Child lists reach only as far as the highest parent.
+        let parent = f.roots()[10];
+        f.add_child(parent, 7);
+        assert_eq!(f.children.len(), 11);
+    }
+
+    /// The layout the forest had before grains and child lists were
+    /// split: one `Task` per id, each carrying its own child `Vec`. Kept
+    /// as the reference the dense layout is held to.
+    mod reference {
+        use super::TaskId;
+
+        pub struct Task {
+            pub grain_us: u64,
+            pub children: Vec<TaskId>,
+        }
+
+        #[derive(Default)]
+        pub struct Forest {
+            pub tasks: Vec<Task>,
+            pub roots: Vec<TaskId>,
+        }
+
+        impl Forest {
+            pub fn add_root(&mut self, grain_us: u64) -> TaskId {
+                let id = self.push(grain_us);
+                self.roots.push(id);
+                id
+            }
+
+            pub fn add_child(&mut self, parent: TaskId, grain_us: u64) -> TaskId {
+                let id = self.push(grain_us);
+                self.tasks[parent as usize].children.push(id);
+                id
+            }
+
+            fn push(&mut self, grain_us: u64) -> TaskId {
+                self.tasks.push(Task {
+                    grain_us,
+                    children: Vec::new(),
+                });
+                (self.tasks.len() - 1) as TaskId
+            }
+
+            pub fn critical_path_us(&self) -> u64 {
+                fn depth(f: &Forest, id: TaskId, memo: &mut [u64]) -> u64 {
+                    if memo[id as usize] == u64::MAX {
+                        let t = &f.tasks[id as usize];
+                        let below = t.children.iter().map(|&c| depth(f, c, memo)).max();
+                        memo[id as usize] = t.grain_us + below.unwrap_or(0);
+                    }
+                    memo[id as usize]
+                }
+                let mut memo = vec![u64::MAX; self.tasks.len()];
+                let paths = self.roots.iter().map(|&r| depth(self, r, &mut memo));
+                paths.max().unwrap_or(0)
+            }
+
+            pub fn validate(&self) -> Result<(), String> {
+                let n = self.tasks.len();
+                let mut indegree = vec![0u32; n];
+                for &c in self.tasks.iter().flat_map(|t| &t.children) {
+                    if c as usize >= n {
+                        return Err(format!("dangling child id {c}"));
+                    }
+                    indegree[c as usize] += 1;
+                }
+                if let Some(r) = self.roots.iter().find(|&&r| indegree[r as usize] != 0) {
+                    return Err(format!("root {r} has a parent"));
+                }
+                let mut root_set = vec![false; n];
+                for &r in &self.roots {
+                    if std::mem::replace(&mut root_set[r as usize], true) {
+                        return Err(format!("duplicate root {r}"));
+                    }
+                }
+                for (id, &deg) in indegree.iter().enumerate() {
+                    if deg > 1 {
+                        return Err(format!("task {id} has {deg} parents"));
+                    }
+                    if deg == 0 && !root_set[id] {
+                        return Err(format!("task {id} unreachable"));
+                    }
+                }
+                Ok(())
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any sequence of `add_root`/`add_child` calls — plus the odd
+        /// corruption `validate` must catch (a second parent, a repeated
+        /// root) — reads back the same from the dense forest as from the
+        /// reference layout.
+        #[test]
+        fn dense_forest_matches_the_reference_layout(
+            ops in collection::vec((0u8..20, 0u32..1_000, 0u32..1_000, 0u64..100), 0..80)
+        ) {
+            let (mut f, mut r) = (TaskForest::new(), reference::Forest::default());
+            for (kind, x, y, grain) in ops {
+                let len = f.len() as u32;
+                match kind {
+                    _ if len == 0 => prop_assert_eq!(f.add_root(grain), r.add_root(grain)),
+                    0..=5 => prop_assert_eq!(f.add_root(grain), r.add_root(grain)),
+                    6..=17 => {
+                        let parent = x % len;
+                        prop_assert_eq!(f.add_child(parent, grain), r.add_child(parent, grain));
+                    }
+                    18 => {
+                        let (parent, child) = (x % len, y % len);
+                        attach(&mut f, parent, child);
+                        r.tasks[parent as usize].children.push(child);
+                    }
+                    _ => {
+                        f.roots.push(x % len);
+                        r.roots.push(x % len);
+                    }
+                }
+            }
+            prop_assert_eq!(f.len(), r.tasks.len());
+            prop_assert_eq!(f.roots(), &r.roots[..]);
+            for (id, t) in r.tasks.iter().enumerate() {
+                prop_assert_eq!(f.grain(id as TaskId), t.grain_us);
+                prop_assert_eq!(f.children(id as TaskId), &t.children[..]);
+            }
+            let verdict = f.validate();
+            prop_assert_eq!(&verdict, &r.validate());
+            // A valid forest has no cycle, so its depth is defined.
+            if verdict.is_ok() {
+                prop_assert_eq!(f.critical_path_us(), r.critical_path_us());
+            }
+        }
     }
 
     #[test]

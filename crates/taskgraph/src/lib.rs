@@ -23,6 +23,6 @@ mod forest;
 mod pool;
 mod synthetic;
 
-pub use forest::{Task, TaskForest, TaskId, Workload, WorkloadStats};
+pub use forest::{TaskForest, TaskId, Workload, WorkloadStats};
 pub use pool::{par_map, par_map_with};
 pub use synthetic::{flat_uniform, geometric_tree, skewed_flat};
