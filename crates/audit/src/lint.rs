@@ -7,7 +7,7 @@
 //! | id | rule |
 //! |----|------|
 //! | RIPS-L001 | no `HashMap`/`HashSet` in the deterministic-path crates (`sched`, `balancers`, `runtime`, `core`): their iteration order is seeded per process and leaks into results |
-//! | RIPS-L002 | no `Instant`/`SystemTime`/`thread_rng` outside the reasoned [`TIMING_PATHS`] allowlist (`crates/bench`, `shims`, `crates/live`, `benchmark`): simulated runs must not observe wall-clock time or ambient randomness |
+//! | RIPS-L002 | no `Instant`/`SystemTime`/`thread_rng` outside the reasoned [`TIMING_PATHS`] allowlist (`crates/bench`, `crates/live`, `benchmark`): simulated runs must not observe wall-clock time or ambient randomness |
 //! | RIPS-L003 | no `unwrap`/`expect`/`panic!`/`unreachable!` in the desim engine hot path (`crates/desim/src/engine.rs`) without a reasoned suppression |
 //! | RIPS-L004 | `unsafe` is forbidden outside the reasoned [`UNSAFE_ALLOWLIST`] (exactly one file: the live backend's SPSC ring) |
 //! | RIPS-L005 | public items in `#![warn(missing_docs)]` crates must carry a doc comment |
@@ -116,10 +116,6 @@ pub const TIMING_PATHS: &[(&str, &str)] = &[
     (
         "crates/bench/",
         "the bench harness measures real elapsed time by design",
-    ),
-    (
-        "shims/",
-        "the vendored shims implement the timing APIs themselves",
     ),
     (
         "crates/live/",
@@ -664,7 +660,8 @@ mod tests {
         let src = "let t = std::time::Instant::now();\n";
         assert_eq!(lint_one("crates/apps/src/x.rs", src)[0].rule, "RIPS-L002");
         assert!(lint_one("crates/bench/src/suites.rs", src).is_empty());
-        assert!(lint_one("shims/criterion/src/lib.rs", src).is_empty());
+        // The vendored shims read no clock, so they get no exemption.
+        assert_eq!(lint_one("shims/rand/src/lib.rs", src)[0].rule, "RIPS-L002");
     }
 
     #[test]

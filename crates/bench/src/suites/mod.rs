@@ -9,12 +9,11 @@
 //!
 //! The suites live under `crates/bench/` because they read the wall
 //! clock (rips-lint RIPS-L002 allows `Instant` here and nowhere in the
-//! simulated crates). The fourth suite, `serve`, is declared in
+//! simulated crates). The third suite, `serve`, is declared in
 //! `rips-serve`, which sits above this crate.
 
 mod live;
 mod scale;
-mod trace;
 
 use std::process::Command;
 
@@ -23,15 +22,15 @@ use rips_trace::Json;
 use crate::args::{synopsis, Args, Flag, Spec};
 
 /// One measurement suite: its usage text (`rips bench <name>`; always
-/// with an `--out` row defaulting to the checked-in file the suite
-/// regenerates) and the function that runs it. The function gets the
-/// document open with the header written, appends its members and
-/// hands it back; `None` means the run produced no document
-/// (`scale`'s one-cell subprocess mode).
+/// with a `--seed` row and an `--out` row defaulting to the checked-in
+/// file the suite regenerates) and the function that runs it. The
+/// function gets the document open with the header written, appends
+/// its members and hands it back; `None` means the run produced no
+/// document (`scale`'s one-cell subprocess mode).
 pub type Suite = (Spec, fn(&Args, Json) -> Option<Json>);
 
 /// The suites declared in this crate.
-pub const SUITES: &[Suite] = &[scale::SUITE, live::SUITE, trace::SUITE];
+pub const SUITES: &[Suite] = &[scale::SUITE, live::SUITE];
 
 /// Object/array levels laid out one member per line; deeper levels
 /// (a measured cell, a load point) stay on one line.
@@ -42,11 +41,8 @@ const SEED: Flag = "--seed N=1  base seed";
 /// Runs `suite` and writes its document to `--out`.
 pub fn run_suite(suite: &Suite, args: &Args) -> std::io::Result<()> {
     let mut doc = Json::pretty(LAYOUT_DEPTH);
-    doc.obj().key("bench").str(synopsis(suite.0).0).key("seed");
-    match args.opt::<u64>("--seed") {
-        Some(seed) => doc.u64(seed),
-        None => doc.null(),
-    };
+    doc.obj().key("bench").str(synopsis(suite.0).0);
+    doc.key("seed").u64(args.num("--seed"));
     doc.key("host_parallelism").u64(host_parallelism() as u64);
     doc.key("git_rev").str(&git_rev());
     let Some(mut doc) = (suite.1)(args, doc) else {

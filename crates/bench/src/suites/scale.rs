@@ -3,9 +3,8 @@
 //! (tiled MWA).
 //!
 //! The point of the curve is the *absence* of quadratic structure:
-//! after the scaling refactor every layer — closed-form routing above
-//! the table threshold, SoA event cores, on-the-fly trace distances,
-//! tiled planning — costs O(n) bytes, so the peak RSS column should
+//! every layer — closed-form routing, SoA event cores, tiled planning
+//! — costs O(n) bytes, so the modelled and peak RSS columns should
 //! grow linearly with n while Theorem 1 (audited `max_spread ≤ 1`)
 //! holds at every size.
 //!
@@ -104,8 +103,6 @@ fn cell(nodes: usize, scheduler: &str, tasks_per_node: usize, seed: u64) -> Stri
     j.key("peak_queue_depth").u64(stats.peak_queue_depth);
     j.key("peak_heap_len").u64(stats.peak_heap_len);
     j.key("modelled_bytes").u64(stats.mem.total_bytes());
-    j.key("routing_table_bytes")
-        .u64(stats.mem.routing_table_bytes);
     j.key("peak_rss_bytes").u64(peak_rss_bytes());
     j.end();
     j.finish()

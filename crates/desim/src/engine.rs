@@ -20,16 +20,11 @@
 //!   exactly what the re-push scheme produced — is pushed at the
 //!   node's free time. Stale markers (the lane minimum changed, or
 //!   the node was re-busied first) are lazily discarded on pop.
-//! * **Threshold routing.** At or below [`TABLE_THRESHOLD`] nodes,
-//!   hop distances are materialised into a flat `n × n` table at
-//!   construction (next-hop routes likewise when contention is
-//!   enabled), eliminating per-send virtual calls into
-//!   `dyn Topology`. Above the threshold, topologies advertising
-//!   [`Topology::computed_routes`] are routed on the fly from their
-//!   closed forms instead — the tables would be terabytes at a
-//!   million nodes. Both paths return identical values (the topology
-//!   crate cross-validates closed forms against BFS), so the switch
-//!   is invisible to simulated results.
+//! * **Routing on the fly.** Every send asks the topology for its hop
+//!   distance ([`Topology::distance`]) and, under contention, every hop
+//!   for the next one ([`Topology::route_next_hop`]). The provided
+//!   topologies answer in closed form, so routing holds no per-pair
+//!   state at any machine size.
 //! * **Struct-of-arrays state.** Global event-queue state
 //!   ([`EventCore`]: heap, sequence counter, timer identity,
 //!   cancellations) and dense per-node vectors ([`NodeCore`]:
@@ -405,122 +400,6 @@ impl<M> Ord for LaneEvent<M> {
 /// `armed[node]` sentinel: no wake marker outstanding.
 const UNARMED: (Time, u64) = (0, u64::MAX);
 
-/// Node count at or below which the engine materialises flat `n × n`
-/// routing tables. Below this, the tables (32 MB of distances at the
-/// threshold) measurably beat virtual dispatch into `dyn Topology`;
-/// above it they dwarf every other structure — 2 TB of distances and
-/// 4 TB of next hops at a million nodes — so topologies advertising
-/// [`Topology::computed_routes`] are routed on the fly instead.
-pub const TABLE_THRESHOLD: usize = 4096;
-
-/// The routing seam: every hop-distance or next-hop query goes through
-/// here, backed either by flat tables (small machines, or topologies
-/// without closed-form routes) or by the topology's own O(1)/O(log n)
-/// computations. Both backends return identical values — the topology
-/// crate's invariant tests cross-validate the closed forms against BFS
-/// — so which one is active never shows in simulated results.
-struct Routing {
-    topo: Arc<dyn Topology>,
-    n: usize,
-    /// `true` when the flat tables are in use.
-    tabled: bool,
-    /// Flat `n × n` hop-distance table (`dist[from * n + to]`); empty
-    /// in computed mode.
-    dist: Vec<u16>,
-    /// Flat `n × n` next-hop table (`u32::MAX` on the diagonal), built
-    /// lazily when contention is first enabled; empty in computed mode.
-    next_hop: Vec<u32>,
-}
-
-impl Routing {
-    fn new(topo: Arc<dyn Topology>) -> Self {
-        let n = topo.len();
-        let tabled = n <= TABLE_THRESHOLD || !topo.computed_routes();
-        let mut dist = Vec::new();
-        if tabled {
-            dist = vec![0u16; n * n];
-            for from in 0..n {
-                for to in 0..n {
-                    let d = topo.distance(from, to);
-                    // Release-mode guard (was a debug_assert): a custom
-                    // topology without computed routes can exceed the
-                    // u16 diameter ceiling here, and storing a silently
-                    // truncated distance would corrupt every latency in
-                    // the run. (Provided topologies can't trip this:
-                    // below TABLE_THRESHOLD the diameter is < n ≤ 4096,
-                    // and above it they all advertise computed routes.)
-                    assert!(
-                        d <= u16::MAX as usize,
-                        "hop distance {d} overflows the u16 routing table; \
-                         implement Topology::computed_routes for this topology"
-                    );
-                    dist[from * n + to] = d as u16;
-                }
-            }
-        }
-        Routing {
-            topo,
-            n,
-            tabled,
-            dist,
-            next_hop: Vec::new(),
-        }
-    }
-
-    /// Hop distance `from → to`.
-    #[inline]
-    fn hops(&self, from: NodeId, to: NodeId) -> usize {
-        if self.tabled {
-            self.dist[from * self.n + to] as usize
-        } else {
-            self.topo.distance(from, to)
-        }
-    }
-
-    /// The next hop on the deterministic route `at → to`. Callers
-    /// guarantee `at != to`.
-    #[inline]
-    fn hop_toward(&self, at: NodeId, to: NodeId) -> NodeId {
-        if self.tabled {
-            let hop = self.next_hop[at * self.n + to];
-            debug_assert!(hop != u32::MAX, "forward event at destination");
-            hop as NodeId
-        } else {
-            self.topo
-                .route_next_hop(at, to)
-                // rips-lint: allow(L003, the topology is connected and the router only asks with at != to, so a route exists)
-                .expect("no route between distinct nodes")
-        }
-    }
-
-    /// Materialises the next-hop table (contention mode, tabled only).
-    fn build_next_hop_table(&mut self) {
-        if !self.tabled || !self.next_hop.is_empty() {
-            return;
-        }
-        let n = self.n;
-        self.next_hop = vec![u32::MAX; n * n];
-        for at in 0..n {
-            for to in 0..n {
-                if at != to {
-                    let hop = self
-                        .topo
-                        .route_next_hop(at, to)
-                        // rips-lint: allow(L003, the topology is connected; a route exists between any two distinct nodes)
-                        .expect("no route between distinct nodes");
-                    self.next_hop[at * n + to] = hop as u32;
-                }
-            }
-        }
-    }
-
-    /// Bytes held in materialised tables (0 in computed mode).
-    fn table_bytes(&self) -> u64 {
-        (self.dist.len() * std::mem::size_of::<u16>()
-            + self.next_hop.len() * std::mem::size_of::<u32>()) as u64
-    }
-}
-
 /// The global event core, grouped after the dslab simulator idiom
 /// (SNIPPETS.md): the clock-ordered heap, the deterministic
 /// interleaving counter, timer identity, and the cancellation set
@@ -679,8 +558,8 @@ pub struct Engine<P: Program> {
     nodes: NodeCore<P>,
     /// Global event-queue state.
     core: EventCore<P::Msg>,
-    /// Table-or-computed routing seam.
-    routing: Routing,
+    /// The interconnect, asked for every hop distance and next hop.
+    topo: Arc<dyn Topology>,
     net: NetStats,
     last_activity: Time,
     timelines: Option<Vec<Vec<crate::BusySpan>>>,
@@ -688,8 +567,8 @@ pub struct Engine<P: Program> {
     /// transmissions. Off by default (contention-free network).
     contention: bool,
     /// Dense per-directed-link free times (`link_free[at * n + next]`);
-    /// built when contention is enabled. Contention is inherently
-    /// per-link O(n²) state and is not supported past table scale.
+    /// built when contention is enabled. This is O(n²) state, so
+    /// contention is for small machines.
     link_free: Vec<Time>,
     /// Total events currently parked across all lanes.
     parked: u64,
@@ -759,7 +638,7 @@ impl<P: Program> Engine<P> {
                 armed: vec![UNARMED; n],
             },
             core,
-            routing: Routing::new(topo),
+            topo,
             net: NetStats::default(),
             last_activity: 0,
             timelines: None,
@@ -787,7 +666,6 @@ impl<P: Program> Engine<P> {
         self.contention = on;
         let n = self.nodes.len();
         if on && self.link_free.is_empty() {
-            self.routing.build_next_hop_table();
             self.link_free = vec![0; n * n];
         }
     }
@@ -836,14 +714,7 @@ impl<P: Program> Engine<P> {
 
     /// The interconnect.
     pub fn topology(&self) -> &Arc<dyn Topology> {
-        &self.routing.topo
-    }
-
-    /// `true` when this engine materialised flat routing tables (small
-    /// machine or no closed-form routes); `false` when it routes on the
-    /// fly and holds no O(n²) state.
-    pub fn routing_tabled(&self) -> bool {
-        self.routing.tabled
+        &self.topo
     }
 
     /// Immutable access to a node's program (post-run inspection).
@@ -864,7 +735,11 @@ impl<P: Program> Engine<P> {
         bytes: usize,
     ) {
         let n = self.nodes.len();
-        let next = self.routing.hop_toward(at, final_to);
+        let next = self
+            .topo
+            .route_next_hop(at, final_to)
+            // rips-lint: allow(L003, the topology is connected and a forward event is never at its destination, so a route exists)
+            .expect("no route between distinct nodes");
         let link = at * n + next;
         let transmit = self.latency.per_hop_us + (bytes as Time * self.latency.per_byte_ns) / 1000;
         let done = self.link_free[link].max(now) + transmit.max(1);
@@ -887,7 +762,7 @@ impl<P: Program> Engine<P> {
     /// that event is a contention-mode injection at `from` rather than
     /// the arrival at `to`.
     fn note_send(&mut self, from: NodeId, depart: Time, to: NodeId, bytes: usize) -> (Time, bool) {
-        let hops = self.routing.hops(from, to);
+        let hops = self.topo.distance(from, to);
         self.nodes.stats[from].msgs_sent += 1;
         self.nodes.stats[from].bytes_sent += bytes as u64;
         self.net.msgs += 1;
@@ -1157,7 +1032,6 @@ impl<P: Program> Engine<P> {
         }
 
         let mem = MemStats {
-            routing_table_bytes: self.routing.table_bytes(),
             link_state_bytes: (self.link_free.len() * std::mem::size_of::<Time>()) as u64,
             node_state_bytes: self.nodes.len() as u64 * NodeCore::<P>::fixed_bytes_per_node(),
             peak_event_bytes: self.peak_event_bytes,
@@ -1483,71 +1357,26 @@ mod tests {
         assert_eq!(spray_run(99), spray_run(99));
     }
 
-    /// Mesh wrapper that hides its closed-form routes, forcing the
-    /// engine into table mode at any size.
-    struct OpaqueMesh(Mesh2D);
-
-    impl Topology for OpaqueMesh {
-        fn len(&self) -> usize {
-            self.0.len()
-        }
-        fn neighbors(&self, node: NodeId) -> Vec<NodeId> {
-            self.0.neighbors(node)
-        }
-        fn distance(&self, a: NodeId, b: NodeId) -> usize {
-            self.0.distance(a, b)
-        }
-        fn route_next_hop(&self, from: NodeId, to: NodeId) -> Option<NodeId> {
-            self.0.route_next_hop(from, to)
-        }
-        fn diameter(&self) -> usize {
-            self.0.diameter()
-        }
-        fn label(&self) -> String {
-            self.0.label()
-        }
-        // computed_routes: default false.
-    }
-
-    /// Above [`TABLE_THRESHOLD`], a computed-routes topology must give
-    /// bit-for-bit the same simulation as the same topology forced
-    /// into table mode — the threshold is a memory decision, never a
-    /// semantic one.
+    /// Routing holds no per-pair state: a 4 096-node machine models a
+    /// few hundred bytes per node, where an `n × n` distance table
+    /// alone would be 8 KiB per node.
     #[test]
-    fn computed_and_tabled_routing_agree_across_threshold() {
-        // 70 × 60 = 4200 nodes, just past the 4096 threshold.
-        let run = |topo: Arc<dyn Topology>| {
-            let eng = Engine::new(topo, LatencyModel::paragon(), 77, |_| RandomSpray::new(40));
-            let tabled = eng.routing_tabled();
-            let (progs, stats) = eng.run();
-            let logs: Vec<_> = progs.into_iter().map(|p| p.log).collect();
-            (tabled, logs, stats)
-        };
-        let (tabled_a, logs_a, stats_a) = run(Arc::new(Mesh2D::new(70, 60)));
-        let (tabled_b, logs_b, stats_b) = run(Arc::new(OpaqueMesh(Mesh2D::new(70, 60))));
-        assert!(!tabled_a, "mesh past the threshold should route computed");
-        assert!(tabled_b, "opaque wrapper should force tables");
-        assert_eq!(logs_a, logs_b);
-        assert_eq!(stats_a.end_time, stats_b.end_time);
-        assert_eq!(stats_a.net, stats_b.net);
-        assert_eq!(stats_a.events, stats_b.events);
-        // Only the memory accounting may differ: no O(n²) bytes on the
-        // computed side, n² table bytes on the tabled side.
-        assert_eq!(stats_a.mem.routing_table_bytes, 0);
-        assert_eq!(stats_b.mem.routing_table_bytes, (4200u64 * 4200) * 2);
-    }
-
-    /// Below the threshold the provided topologies still use tables
-    /// (they measurably win at small n).
-    #[test]
-    fn small_machines_stay_tabled() {
-        let eng = Engine::new(mesh(16), LatencyModel::paragon(), 1, |_| PingPong {
-            seen: vec![],
-        });
-        assert!(eng.routing_tabled());
+    fn routing_costs_no_bytes_at_any_size() {
+        let n = 64 * 64;
+        let eng = Engine::new(
+            Arc::new(Mesh2D::new(64, 64)),
+            LatencyModel::paragon(),
+            1,
+            |_| PingPong { seen: vec![] },
+        );
         let (_, stats) = eng.run();
-        assert_eq!(stats.mem.routing_table_bytes, 16 * 16 * 2);
+        assert_eq!(stats.net.hops, 10);
         assert!(stats.mem.node_state_bytes > 0);
+        assert!(
+            stats.mem.total_bytes() < 1024 * n,
+            "{} B for {n} nodes",
+            stats.mem.total_bytes()
+        );
     }
 
     #[test]

@@ -58,16 +58,8 @@ pub struct NetStats {
 /// bit-for-bit reproducibility contract (`RunStats` is `Eq`-compared
 /// across traced/untraced runs). The scale-curve bench pairs these
 /// with the process's real `VmHWM` for the checked-in report.
-///
-/// The headline number is `routing_table_bytes`: zero means the run
-/// routed on the fly via [`rips_topology::Topology::computed_routes`]
-/// and materialised no O(n²) structure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemStats {
-    /// Bytes in materialised flat routing tables (hop-distance plus
-    /// next-hop when built). Zero when the topology's closed-form
-    /// routes were computed on the fly.
-    pub routing_table_bytes: u64,
     /// Bytes of per-directed-link contention state (`n²` link free
     /// times when store-and-forward contention is enabled, else 0).
     pub link_state_bytes: u64,
@@ -85,10 +77,7 @@ pub struct MemStats {
 impl MemStats {
     /// Total modelled bytes across all categories.
     pub fn total_bytes(&self) -> u64 {
-        self.routing_table_bytes
-            + self.link_state_bytes
-            + self.node_state_bytes
-            + self.peak_event_bytes
+        self.link_state_bytes + self.node_state_bytes + self.peak_event_bytes
     }
 }
 

@@ -141,11 +141,8 @@ pub struct OracleShared {
     /// Bound to shard 0: kernels write their own shard through the
     /// `*_at` methods.
     pub meter: rips_trace::Meter,
-    /// The machine topology, for task-locality trace annotations.
-    /// Distances are computed on the fly — an `n × n` table here would
-    /// be 2 TB at a million nodes, and every provided topology answers
-    /// `distance` in closed form (see
-    /// [`rips_topology::Topology::computed_routes`]).
+    /// The machine topology, for task-locality trace annotations. Its
+    /// [`Topology::distance`] is closed form, so it is asked on the fly.
     topo: Arc<dyn Topology>,
     n: usize,
     diameter: usize,

@@ -31,7 +31,7 @@ const SPEC: Spec = &[
     "--process S=poisson      arrivals: poisson|bursty[:N]",
 ];
 
-/// The fourth `rips bench` suite (the other three are
+/// The third `rips bench` suite (the other two are
 /// [`rips_bench::suites::SUITES`]).
 pub const SUITE: Suite = (SPEC, run);
 

@@ -73,11 +73,6 @@ impl Topology for Hypercube {
     fn label(&self) -> String {
         format!("hypercube d={}", self.dim)
     }
-
-    fn computed_routes(&self) -> bool {
-        // Hamming distance and e-cube routing are O(1) bit tricks.
-        true
-    }
 }
 
 #[cfg(test)]

@@ -31,6 +31,12 @@ pub type NodeId = usize;
 /// All implementations are connected graphs with symmetric links:
 /// `b ∈ neighbors(a)` iff `a ∈ neighbors(b)`, and `distance` is the
 /// shortest-path hop metric induced by `neighbors`.
+///
+/// The simulator asks `distance` once per message and `route_next_hop`
+/// once per hop under link contention, at every machine size, so both
+/// must be cheap: the provided topologies answer in closed form
+/// (O(1), or O(log n) for the tree), cross-validated against BFS by the
+/// invariant tests below.
 pub trait Topology: Send + Sync {
     /// Number of nodes in the machine.
     fn len(&self) -> usize;
@@ -58,25 +64,6 @@ pub trait Topology: Send + Sync {
 
     /// Short human-readable name, e.g. `"mesh 8x4"`.
     fn label(&self) -> String;
-
-    /// `true` when [`Topology::distance`] and
-    /// [`Topology::route_next_hop`] are cheap closed-form computations
-    /// (O(1)/O(log n)) rather than graph searches.
-    ///
-    /// Callers that would otherwise materialise `n × n` distance or
-    /// next-hop tables (2 TB / 4 TB at a million nodes) can skip the
-    /// tables entirely for such topologies and call the methods on the
-    /// fly. The provided mesh/ring/hypercube/tree implementations all
-    /// opt in; the default is conservative (`false`) so a custom
-    /// BFS-backed topology keeps table-based callers.
-    ///
-    /// Implementations answering `true` promise the closed forms agree
-    /// with BFS over `neighbors` — the trait-level invariant tests
-    /// cross-validate this exhaustively at small `n` and by sampling at
-    /// `n ≥ 100_000`.
-    fn computed_routes(&self) -> bool {
-        false
-    }
 }
 
 /// Walks the full deterministic route `from → to` (excluding `from`,
@@ -187,19 +174,6 @@ mod trait_tests {
         }
     }
 
-    #[test]
-    fn provided_topologies_advertise_computed_routes() {
-        let topos: [&dyn Topology; 4] = [
-            &Mesh2D::new(3, 4),
-            &Ring::new(9),
-            &Hypercube::new(4),
-            &BinaryTree::new(12),
-        ];
-        for t in topos {
-            assert!(t.computed_routes(), "{} lost its capability", t.label());
-        }
-    }
-
     /// SplitMix64 — enough randomness for pair sampling, no deps.
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -215,10 +189,6 @@ mod trait_tests {
     /// reach the destination in exactly `distance` hops.
     fn check_sampled(topo: &dyn Topology, pairs: usize, seed: u64) {
         let n = topo.len();
-        assert!(
-            topo.computed_routes(),
-            "sampled check only makes sense for computed-route topologies"
-        );
         let mut s = seed;
         for _ in 0..pairs {
             let a = (splitmix(&mut s) % n as u64) as NodeId;
@@ -254,8 +224,8 @@ mod trait_tests {
 
     #[test]
     fn mesh_sampled_at_scale() {
-        // 350 × 300 = 105_000 nodes; the flat tables this replaces
-        // would be 22 GB here.
+        // 350 × 300 = 105_000 nodes: 1.1·10¹⁰ pairs, far past what
+        // the exhaustive check can afford.
         check_sampled(&Mesh2D::new(350, 300), 64, 0xA11CE);
     }
 

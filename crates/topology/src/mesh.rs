@@ -123,11 +123,6 @@ impl Topology for Mesh2D {
     fn label(&self) -> String {
         format!("mesh {}x{}", self.rows, self.cols)
     }
-
-    fn computed_routes(&self) -> bool {
-        // Manhattan distance and XY routing are O(1) arithmetic.
-        true
-    }
 }
 
 #[cfg(test)]

@@ -73,12 +73,6 @@ impl Topology for Ring {
     fn label(&self) -> String {
         format!("ring n={}", self.len)
     }
-
-    fn computed_routes(&self) -> bool {
-        // Shorter-way-around distance and direction are O(1) modular
-        // arithmetic.
-        true
-    }
 }
 
 #[cfg(test)]

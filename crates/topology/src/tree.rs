@@ -139,11 +139,6 @@ impl Topology for BinaryTree {
     fn label(&self) -> String {
         format!("binary tree n={}", self.len)
     }
-
-    fn computed_routes(&self) -> bool {
-        // LCA walks in heap order cost O(log n) index arithmetic.
-        true
-    }
 }
 
 #[cfg(test)]

@@ -129,7 +129,7 @@ const BENCH: Spec = &[
     "--list  print the suite table",
 ];
 
-/// The four suites: three timed ones from `rips-bench`, `serve` from
+/// The three suites: `scale` and `live` from `rips-bench`, `serve` from
 /// `rips-serve` (which sits above `rips-bench` in the crate graph).
 fn suites() -> impl Iterator<Item = &'static Suite> {
     SUITES.iter().chain([&rips_repro::serve::suite::SUITE])

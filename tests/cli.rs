@@ -63,11 +63,11 @@ fn repro_list_is_the_library_table() {
 }
 
 #[test]
-fn bench_list_has_the_four_suites() {
+fn bench_list_has_the_three_suites() {
     let names = listed("bench");
     let table: Vec<&str> = suite_specs().into_iter().map(|s| synopsis(s).0).collect();
     assert_eq!(names, table);
-    assert_eq!(names, ["scale", "live", "trace", "serve"]);
+    assert_eq!(names, ["scale", "live", "serve"]);
 }
 
 /// The fixed commands' flags, pinned: `path: flags`.
@@ -240,17 +240,20 @@ fn smoke_commands_exit_0() {
 #[test]
 fn bench_writes_a_document_with_the_provenance_header() {
     let dir = scratch("bench");
-    let path = dir.join("trace.json");
+    let path = dir.join("scale.json");
     let out = rips(&format!(
-        "bench trace --events 1000 --repeats 1 --out {}",
+        "bench scale --max-n 1000 --tasks-per-node 1 --out {}",
         path.display()
     ));
     assert!(out.status.success(), "{}", stderr(&out));
     let doc = std::fs::read_to_string(path).expect("document written");
-    let header = "{\n  \"bench\": \"trace\",\n  \"seed\": null,\n  \"host_parallelism\": ";
+    let header = "{\n  \"bench\": \"scale\",\n  \"seed\": 1,\n  \"host_parallelism\": ";
     assert!(doc.starts_with(header), "{doc}");
     assert!(doc.contains("\n  \"git_rev\": \""), "{doc}");
-    assert!(doc.contains("\"op\": \"tracer-off\""), "{doc}");
+    assert!(
+        doc.contains("{\"scheduler\":\"RIPS-H\",\"nodes\":1000,"),
+        "{doc}"
+    );
     assert!(doc.ends_with("}\n"));
     std::fs::remove_dir_all(&dir).expect("clean temp dir");
 }
