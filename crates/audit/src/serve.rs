@@ -50,8 +50,10 @@ pub struct ServeAuditReport {
     pub jobs_dispatched: u64,
     /// Jobs completed.
     pub jobs_completed: u64,
-    /// Dispatch windows that carried an inner fleet trace (0 when the
-    /// backend replays memoized service outcomes).
+    /// Dispatch windows that carried an inner fleet trace. Both
+    /// workspace backends trace every job they serve; a window lacks
+    /// one only when its backend serves the job without emitting fleet
+    /// events, as a hand-fed event stream does.
     pub jobs_with_inner_trace: u64,
     /// Largest post-schedule load spread over every audited window
     /// (Theorem 1 requires ≤ 1).
@@ -100,7 +102,7 @@ struct OpenWindow {
     job: u64,
     tenant: u32,
     tasks: u64,
-    inner: Option<Auditor>,
+    inner: Auditor,
     saw_inner_events: bool,
 }
 
@@ -137,21 +139,19 @@ impl ServeAuditor {
 
     fn close_window(&mut self, executed_reported: u64) {
         let w = self.open.take().expect("window open");
-        if let Some(inner) = w.inner {
-            let r = inner.finish();
-            self.report.max_spread = self.report.max_spread.max(r.max_spread);
-            self.report.phases_checked += r.phases_checked;
-            if w.saw_inner_events {
-                self.report.jobs_with_inner_trace += 1;
-                if r.executed != w.tasks {
-                    self.err(format!(
-                        "job {}: inner trace executed {} tasks, dispatch announced {}",
-                        w.job, r.executed, w.tasks
-                    ));
-                }
-                for e in r.errors {
-                    self.err(format!("job {}: {e}", w.job));
-                }
+        let r = w.inner.finish();
+        self.report.max_spread = self.report.max_spread.max(r.max_spread);
+        self.report.phases_checked += r.phases_checked;
+        if w.saw_inner_events {
+            self.report.jobs_with_inner_trace += 1;
+            if r.executed != w.tasks {
+                self.err(format!(
+                    "job {}: inner trace executed {} tasks, dispatch announced {}",
+                    w.job, r.executed, w.tasks
+                ));
+            }
+            for e in r.errors {
+                self.err(format!("job {}: {e}", w.job));
             }
         }
         if executed_reported != w.tasks {
@@ -229,7 +229,7 @@ impl TraceSink for ServeAuditor {
                     job,
                     tenant,
                     tasks,
-                    inner: Some(Auditor::new(self.nodes)),
+                    inner: Auditor::new(self.nodes),
                     saw_inner_events: false,
                 });
             }
@@ -260,9 +260,7 @@ impl TraceSink for ServeAuditor {
                 match &mut self.open {
                     Some(w) => {
                         w.saw_inner_events = true;
-                        if let Some(inner) = &mut w.inner {
-                            inner.record(time_us, node, other);
-                        }
+                        w.inner.record(time_us, node, other);
                     }
                     None if is_work => self.err(format!(
                         "task work outside any job window (cross-tenant leakage): \

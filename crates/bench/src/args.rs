@@ -15,9 +15,9 @@ use std::fmt::Write as _;
 use std::str::FromStr;
 
 /// One flag row: `--name [KIND[=default]]  help`. `KIND` is one of the
-/// letters `N` (non-negative integer), `F` (float), `S` (string), `N,..`
-/// and `F,..` (comma-separated lists); a row without one is a switch. A valued flag
-/// without `=default` is optional ([`Args::get`] is `None`).
+/// letters `N` (non-negative integer), `F` (float), `S` (string) and
+/// `N,..` (comma-separated integers); a row without one is a switch. A
+/// valued flag without `=default` is optional ([`Args::get`] is `None`).
 pub type Flag = &'static str;
 
 /// A command as its usage text. Line 0 is the synopsis, `"name
@@ -46,29 +46,22 @@ enum Kind {
     Text,
     /// `N,..`: comma-separated integers.
     Ints,
-    /// `F,..`: comma-separated floats.
-    Floats,
 }
 
 impl Kind {
-    const LETTERS: [(&'static str, Kind); 5] = [
+    const LETTERS: [(&'static str, Kind); 4] = [
         ("N", Kind::Int),
         ("F", Kind::Float),
         ("S", Kind::Text),
         ("N,..", Kind::Ints),
-        ("F,..", Kind::Floats),
     ];
 
     fn check(self, v: &str) -> bool {
-        fn all<T: FromStr>(v: &str) -> bool {
-            v.split(',').all(|x| x.trim().parse::<T>().is_ok())
-        }
         match self {
             Kind::Switch | Kind::Text => true,
             Kind::Int => v.parse::<u64>().is_ok(),
             Kind::Float => v.parse::<f64>().is_ok(),
-            Kind::Ints => all::<i64>(v),
-            Kind::Floats => all::<f64>(v),
+            Kind::Ints => v.split(',').all(|x| x.trim().parse::<i64>().is_ok()),
         }
     }
 }
@@ -219,7 +212,7 @@ impl Args {
         Some(v.unwrap_or_else(|| panic!("flag {name}: kind does not match the type read")))
     }
 
-    /// A list flag (`N,..` / `F,..`), split and parsed.
+    /// A list flag (`N,..`), split and parsed.
     pub fn list<T: FromStr>(&self, name: &str) -> Option<Vec<T>> {
         let parse = |x: &str| x.trim().parse().ok();
         let items: Option<Vec<T>> = self.get(name)?.split(',').map(parse).collect();
@@ -258,7 +251,7 @@ mod tests {
         "--scale F=1.0  factor",
         "--audit        check invariants",
         "--out S        output file",
-        "--loads F,..   load factors",
+        "--loads N,..   task counts",
         "--bare",
     ];
 
@@ -296,7 +289,7 @@ mod tests {
             split(FLAGS[3]),
             row("--out", "S", Kind::Text, None, "output file")
         );
-        let loads = row("--loads", "F,..", Kind::Floats, None, "load factors");
+        let loads = row("--loads", "N,..", Kind::Ints, None, "task counts");
         assert_eq!(split(FLAGS[4]), loads);
         assert_eq!(split(FLAGS[5]), row("--bare", "", Kind::Switch, None, ""));
         assert_eq!(split("--x Not a kind").kind, Kind::Switch);
@@ -317,8 +310,8 @@ mod tests {
             assert_eq!(a.get("--out"), None);
             assert_eq!(a.get("--undeclared"), None);
         }
-        let a = parse("", &["--loads", "0.5, 2"]).unwrap();
-        assert_eq!(a.list::<f64>("--loads"), Some(vec![0.5, 2.0]));
+        let a = parse("", &["--loads", "5, -2"]).unwrap();
+        assert_eq!(a.list::<i64>("--loads"), Some(vec![5, -2]));
         assert_eq!(a.num::<usize>("--nodes"), 32);
         assert!(!a.switch("--audit"));
     }
@@ -329,7 +322,7 @@ mod tests {
         assert!(err("", &["--node", "8"]).contains("'--node'"));
         assert!(err("", &["--nodes", "3x2"]).contains("'3x2' as N"));
         assert!(err("", &["--nodes", "-1"]).contains("'-1'"));
-        assert!(err("", &["--loads", "1,x"]).contains("'1,x' as F,.."));
+        assert!(err("", &["--loads", "1,x"]).contains("'1,x' as N,.."));
         assert!(err("", &["--nodes"]).contains("needs a value"));
         assert!(err("<scheduler> <app>", &["rips"]).contains("missing <app>"));
         assert!(err("<app>", &["a", "b"]).contains("'b'"));

@@ -1,12 +1,13 @@
-//! Shared experiment drivers and the tables behind `rips repro` and
-//! `rips bench`.
+//! Shared experiment drivers and what `rips repro` and `rips bench
+//! scale` run.
 //!
 //! [`repro::ARTIFACTS`] has one row per paper artifact (`rips repro
 //! --list` prints it; DESIGN.md §4 maps rows to the paper), and
-//! [`suites::SUITES`] one per measurement suite that writes a
-//! `BENCH_*.json`. Both are plain functions over the drivers here:
-//! the [`App`] catalog, the scheduler [`registry`], [`run_cell`] /
-//! [`run_table`], and [`rips_taskgraph::par_map`] for every fan-out.
+//! [`scale`] is the machine-size sweep that writes
+//! `BENCH_DESIM.scaling.json`. Both are plain functions over the
+//! drivers here: the [`App`] catalog, the scheduler [`registry`],
+//! [`run_cell`] / [`run_table`], and [`rips_taskgraph::par_map`] for
+//! every fan-out.
 
 pub mod args;
 pub mod eval;
@@ -15,8 +16,8 @@ mod optimal;
 mod render;
 pub mod repro;
 mod roster;
+pub mod scale;
 mod stats;
-pub mod suites;
 mod timeline;
 
 use std::sync::Arc;

@@ -1,8 +1,7 @@
 //! Live-backend experiment driver: runs any roster scheduler on real
 //! OS threads (one per node) with real application grains, for
-//! cross-validation against the simulator and wall-clock speedup
-//! measurement (`BENCH_LIVE.json`, the `live-smoke` CI job, and
-//! `rips live`).
+//! cross-validation against the simulator (`rips live`, the
+//! `live-smoke` CI job) and the benchmark's wall-clock speedup.
 //!
 //! The scheduler roster here is *the same* as [`registry`](crate::registry):
 //! both are built from the one `roster` table, so every cross-backend

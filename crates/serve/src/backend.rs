@@ -14,11 +14,6 @@
 //!   serve timeline stays virtual — measured service times are
 //!   *composed* on it rather than slept through, so an hour of
 //!   simulated traffic still finishes in the sum of its busy time.
-//! * [`ServiceTable`] — memoized outcomes from either backend, for
-//!   load sweeps that replay hundreds of jobs per point without
-//!   re-running the fleet per job.
-
-use std::collections::BTreeMap;
 
 use rips_bench::live::{live_opts, live_run};
 use rips_bench::{paper_spec, registry};
@@ -151,70 +146,6 @@ impl JobBackend for LiveBackend {
     }
 }
 
-/// Memoized service outcomes, keyed by `(scheduler, app, seed)`.
-///
-/// Load sweeps replay the same small set of (scheduler, app,
-/// seed-variant) cells across hundreds of arrivals; measuring each
-/// cell once (audited, see [`sweep`](crate::sweep)) and replaying the
-/// outcome keeps a whole sweep inside a CI budget. On desim this is
-/// exact — the cell *is* deterministic; on live it substitutes one
-/// measured sample per cell.
-pub struct ServiceTable {
-    label: &'static str,
-    cells: BTreeMap<(String, String, u64), ServiceOutcome>,
-    /// Fleet width the cells were measured on.
-    pub fleet_nodes: usize,
-    /// How many distinct policy seeds each (scheduler, app) pair was
-    /// measured under; lookups fold the job seed onto a variant.
-    pub seed_variants: u64,
-}
-
-impl ServiceTable {
-    /// An empty table labelled with the backend its cells came from
-    /// and the fleet width they were measured on.
-    pub fn new(label: &'static str, fleet_nodes: usize, seed_variants: u64) -> Self {
-        ServiceTable {
-            label,
-            cells: BTreeMap::new(),
-            fleet_nodes,
-            seed_variants: seed_variants.max(1),
-        }
-    }
-
-    /// The seed variant a job seed folds onto.
-    pub fn variant(&self, seed: u64) -> u64 {
-        seed % self.seed_variants
-    }
-
-    /// Stores one measured cell.
-    pub fn insert(&mut self, scheduler: &str, app: &str, variant: u64, out: ServiceOutcome) {
-        self.cells
-            .insert((scheduler.into(), app.into(), variant), out);
-    }
-}
-
-impl JobBackend for ServiceTable {
-    fn name(&self) -> &'static str {
-        self.label
-    }
-
-    fn nodes(&self) -> usize {
-        self.fleet_nodes
-    }
-
-    fn service(&mut self, scheduler: &str, app: &JobApp, seed: u64) -> ServiceOutcome {
-        let key = (
-            scheduler.to_string(),
-            app.name.to_string(),
-            self.variant(seed),
-        );
-        *self
-            .cells
-            .get(&key)
-            .unwrap_or_else(|| panic!("no measured cell for {key:?}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,20 +161,5 @@ mod tests {
         assert_eq!(a1, a2);
         assert_eq!(a1.executed, app.tasks);
         assert!(a1.service_us > 0);
-    }
-
-    #[test]
-    fn service_table_replays_measured_cells() {
-        let cat = Catalog::tiny();
-        let app = &cat.apps()[0];
-        let mut t = ServiceTable::new("desim", 4, 2);
-        let out = ServiceOutcome {
-            service_us: 123,
-            executed: app.tasks,
-            checksum: 0,
-            solutions: 0,
-        };
-        t.insert("RIPS", app.name, 1, out);
-        assert_eq!(t.service("RIPS", app, 3), out); // 3 % 2 == 1
     }
 }

@@ -15,18 +15,16 @@
 //! * [`backend`] — the fleet itself: the deterministic simulator
 //!   (virtual makespans, golden-testable) or the live backend (real
 //!   threads, real grains, measured wall clock), one job at a time.
-//! * [`report`] / [`sweep`] — per-tenant and aggregate p50/p95/p99
-//!   latency, sustained jobs/s, shed rate; offered-load sweeps that
-//!   locate each scheduler's saturation knee (`BENCH_SERVE.json`).
+//! * [`report`] — per-tenant and aggregate p50/p95/p99 latency,
+//!   sustained jobs/s, shed rate.
 //!
 //! The serve loop runs on a virtual timeline even when the fleet is
 //! live: measured service times are composed onto the timeline (a
 //! single-server queue recurrence) rather than slept through. Job
 //! lifecycle events ([`TraceEvent::JobSubmit`] … `JobComplete`) flow
-//! through the standard trace pipeline, so the
-//! [`ServeAuditor`](rips_audit::ServeAuditor) can check per-job
-//! conservation and window isolation, and job counters flow through
-//! [`metrics_rt`](rips_trace::metrics_rt).
+//! through the standard trace pipeline, so `rips_audit::ServeAuditor`
+//! can check per-job conservation and window isolation, and job
+//! counters flow through [`metrics_rt`](rips_trace::metrics_rt).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,19 +34,16 @@ pub mod backend;
 pub mod catalog;
 pub mod drr;
 pub mod report;
-pub mod suite;
-pub mod sweep;
 pub mod traffic;
 
 use rips_trace::metrics_rt::{Counter, Gauge, Meter};
 use rips_trace::{EventKind, Hist, TraceEvent, Tracer};
 
 pub use admission::{Admission, AdmissionConfig, ShedReason};
-pub use backend::{DesimBackend, JobBackend, LiveBackend, ServiceOutcome, ServiceTable};
+pub use backend::{DesimBackend, JobBackend, LiveBackend, ServiceOutcome};
 pub use catalog::{Catalog, JobApp};
 pub use drr::{Drr, QueuedJob};
 pub use report::{LatencySummary, ServeReport, TenantStats};
-pub use sweep::{LoadPoint, SchedulerSeries, SweepConfig};
 pub use traffic::{generate, Arrival, ArrivalProcess, TrafficConfig};
 
 /// Everything one serve run needs besides the catalog and the fleet.
@@ -161,10 +156,10 @@ impl Loop<'_> {
 /// Runs one open-loop serve experiment: generate the arrival
 /// schedule, push it through admission → DRR → the fleet, and report.
 ///
-/// Fully deterministic when `backend` is (desim, or a
-/// [`ServiceTable`]): same config, bit-identical report. Install a
-/// trace sink (e.g. the [`ServeAuditor`](rips_audit::ServeAuditor))
-/// and/or a metrics registry around this call to observe the run.
+/// Fully deterministic on the desim backend: same config,
+/// bit-identical report. Install a trace sink (e.g.
+/// `rips_audit::ServeAuditor`) and/or a metrics registry around this
+/// call to observe the run.
 pub fn run_serve(
     cfg: &ServeConfig,
     catalog: &Catalog,

@@ -3,7 +3,7 @@
 //! `rips-trace` explains a run *after* it ends; this module is the
 //! half that stays readable *while* the system runs. It is the
 //! substrate for the live backend's dispatch self-profiling, the
-//! stall watchdog, `rips stats`, and `--metrics-out`.
+//! stall watchdog, and `rips run|live|serve --metrics-out`.
 //!
 //! # Design
 //!

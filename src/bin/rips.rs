@@ -6,8 +6,8 @@
 //! the row, and hands the tokens to [`Args::parse`], which rejects
 //! unknown flags, unparsable values and missing positionals with the
 //! usage text generated from the same row (exit status 2). `rips` with
-//! no arguments lists the rows; `rips repro --list` and `rips bench
-//! --list` list the paper artifacts and the measurement suites.
+//! no arguments lists the rows; `rips repro --list` lists the paper
+//! artifacts.
 //!
 //! `trace` runs one scheduler with the structured trace sink attached
 //! and writes a Chrome trace-event JSON file — open it at
@@ -25,8 +25,7 @@
 //! tenants submit seeded streams of catalog jobs through admission
 //! control and deficit-round-robin fairness into a single-fleet queue
 //! on either backend, reporting per-tenant and aggregate p50/p95/p99
-//! job latency, sustained jobs/s, and shed rate. `bench serve` sweeps
-//! offered load to locate each scheduler's saturation knee.
+//! job latency, sustained jobs/s, and shed rate.
 //!
 //! `live` runs the scheduler on the *live* backend — one OS thread per
 //! node, batched packets over sharded SPSC rings, wall-clock time —
@@ -38,9 +37,8 @@
 //! Live runs carry always-on telemetry (DESIGN §10): a per-thread
 //! metrics registry, a flight recorder holding each node's recent
 //! trace events, and a stall watchdog that dumps the flight recorder
-//! instead of hanging silently. `--metrics-out` (and the dedicated
-//! `stats` subcommand, which also covers the simulator backend)
-//! export the registry as OpenMetrics text.
+//! instead of hanging silently. `--metrics-out` on `run`, `live` and
+//! `serve` exports the registry as OpenMetrics text.
 
 use std::sync::Arc;
 
@@ -49,7 +47,7 @@ use rips_repro::audit::Auditor;
 use rips_repro::bench::args::{synopsis, Args, Flag, Spec};
 use rips_repro::bench::live::{live_opts, live_run_with};
 use rips_repro::bench::repro::ARTIFACTS;
-use rips_repro::bench::suites::{run_suite, Suite, SUITES};
+use rips_repro::bench::scale;
 use rips_repro::bench::{auditor_for, paper_spec, registry_with, roster_name, App, RegistryTuning};
 use rips_repro::core::{GlobalPolicy, LocalPolicy, RipsConfig};
 use rips_repro::live::{GrainMode, WallClock};
@@ -74,14 +72,13 @@ const POLICY: Flag = "--policy S=any-lazy  RIPS transfer policy: {any,all}-{lazy
 const METRICS_OUT: Flag = "--metrics-out S  write OpenMetrics text here (- = stdout)";
 
 /// The whole command table: the fixed rows (each spec sits above its
-/// handler), then one row per paper artifact and per measurement suite
-/// from the library tables.
+/// handler), `bench scale`, then one row per paper artifact from the
+/// library table.
 fn commands() -> Vec<Cmd> {
     type Handler = fn(&Args);
-    let fixed: [(Spec, Handler); 14] = [
+    let fixed: [(Spec, Handler); 12] = [
         (RUN, cmd_run),
         (LIVE, cmd_live),
-        (STATS, cmd_stats),
         (TRACE, cmd_trace),
         (REPORT, cmd_report),
         (AUDIT, cmd_audit),
@@ -95,25 +92,14 @@ fn commands() -> Vec<Cmd> {
             let names = roster.names();
             names.iter().for_each(|s| println!("{}", s.to_lowercase()))
         }),
-        (REPRO, |args| {
-            list_or_fail(args, ARTIFACTS.iter().map(|a| a.0))
-        }),
-        (BENCH, |args| list_or_fail(args, suites().map(|s| s.0))),
+        (REPRO, cmd_repro),
     ];
     let mut table: Vec<Cmd> = Vec::new();
     table.extend(fixed.map(|(spec, run)| ("", spec, Box::new(run) as _)));
+    table.push(("bench ", scale::SPEC, Box::new(cmd_bench_scale)));
     table.extend(ARTIFACTS.iter().map(|&(spec, run)| {
         let print = move |args: &Args| print!("{}", run(args));
         ("repro ", spec, Box::new(print) as _)
-    }));
-    table.extend(suites().map(|suite| {
-        let run = move |args: &Args| {
-            run_suite(suite, args).unwrap_or_else(|e| {
-                eprintln!("cannot write {}: {e}", args.str("--out"));
-                std::process::exit(1);
-            })
-        };
-        ("bench ", suite.0, Box::new(run) as _)
     }));
     table
 }
@@ -124,28 +110,28 @@ const REPRO: Spec = &[
     "repro [<artifact>]  regenerate one paper artifact",
     "--list  print the artifact table",
 ];
-const BENCH: Spec = &[
-    "bench [<suite>]  run one measurement suite, writing its BENCH_*.json",
-    "--list  print the suite table",
-];
 
-/// The three suites: `scale` and `live` from `rips-bench`, `serve` from
-/// `rips-serve` (which sits above `rips-bench` in the crate graph).
-fn suites() -> impl Iterator<Item = &'static Suite> {
-    SUITES.iter().chain([&rips_repro::serve::suite::SUITE])
-}
-
-/// `rips repro` / `rips bench` without a known name: `--list` prints
-/// the group's synopses, anything else is a usage error.
-fn list_or_fail(args: &Args, group: impl Iterator<Item = Spec>) {
+/// `rips repro` without a known name: `--list` prints the artifacts'
+/// synopses, anything else is a usage error.
+fn cmd_repro(args: &Args) {
     if !args.switch("--list") {
         match args.pos().first() {
             Some(name) => args.fail(&format!("unknown name '{name}' (--list prints them)")),
             None => args.fail("missing name (--list prints them)"),
         }
     }
-    for (name, _, about) in group.map(synopsis) {
+    for (name, _, about) in ARTIFACTS.iter().map(|a| synopsis(a.0)) {
         println!("{name:<20} {about}");
+    }
+}
+
+/// `rips bench scale`: writes the sweep's document to `--out` (in
+/// `--one` mode the cell went to stdout instead).
+fn cmd_bench_scale(args: &Args) {
+    if let Some(doc) = scale::run(args) {
+        let path = args.str("--out");
+        write_file(path, &doc);
+        println!("wrote {path}");
     }
 }
 
@@ -171,7 +157,7 @@ fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
     (clock.now_us() as f64 / 1e6, r)
 }
 
-/// Says where one `run`/`live`/`stats` invocation's wall time went:
+/// Says where one `run`/`live` invocation's wall time went:
 /// building the workload (which runs the application to size its
 /// tasks), reading the sequential ground truth off the grain table,
 /// and the scheduler run itself. On stderr, after the result, so
@@ -497,71 +483,6 @@ fn cmd_live(args: &Args) {
         flight.dump_to_stderr("audit failure");
         std::process::exit(1);
     }
-}
-
-const STATS: Spec = &[
-    "stats [<scheduler>] <app>  run one cell and export its metrics as OpenMetrics text",
-    "--backend S=sim          sim|live",
-    NODES,
-    THREADS,
-    SEED,
-    POLICY,
-    "--out S=-                output file (- = stdout)",
-];
-
-/// `rips stats`: run one cell on either backend with the metrics
-/// registry installed and emit the resulting OpenMetrics text (stdout
-/// by default, `--out` for a file). The simulator backend fills the
-/// event/task/message counters (its virtual clock leaves the ns
-/// histograms empty); the live backend additionally fills the
-/// per-dispatch timing histograms via the wall cycle clock.
-fn cmd_stats(args: &Args) {
-    let (scheduler, app) = sched_app(args);
-    let seed: u64 = args.num("--seed");
-    let policy = args.str("--policy");
-    let (reg, name) = resolve_scheduler(args, scheduler);
-
-    let (metrics, (build_s, truth_s, run_s)) = match args.str("--backend") {
-        "sim" => {
-            let nodes: usize = args.num("--nodes");
-            let (build_s, workload) = timed(|| build_app(args, app));
-            let spec = paper_spec(&workload, nodes, 0.4, seed);
-            eprintln!("sim run: {name} on {nodes} nodes (seed {seed}) ...");
-            let metrics = MetricsRegistry::new(nodes);
-            let (run_s, run) = timed(|| with_metrics(&metrics, || reg.run(&name, &spec)));
-            run.outcome
-                .verify_complete(&workload)
-                .expect("scheduler lost tasks");
-            // A simulated cell has no grain results to check.
-            (metrics, (build_s, 0.0, run_s))
-        }
-        "live" => {
-            let threads: usize = args.num("--threads");
-            let (build_s, (workload, table)) = timed(|| build_app_live(args, app));
-            let tuning = policy_tuning(args);
-            eprintln!("live run: {name} on {threads} threads (policy {policy}, seed {seed}) ...");
-            let clock: Arc<WallClock> = Arc::new(WallClock::new());
-            let metrics = MetricsRegistry::new(threads);
-            let out =
-                with_metrics_clocked(&metrics, Arc::clone(&clock) as Arc<dyn CycleClock>, || {
-                    let mut opts = live_opts(&table, GrainMode::Compute, 1.0);
-                    opts.clock = Some(Arc::clone(&clock) as Arc<dyn Clock>);
-                    live_run_with(tuning, &name, &workload, threads, 0.4, seed, opts)
-                });
-            let (truth_s, truth) = timed(|| table.static_totals());
-            if out.solutions != truth.solutions || out.checksum != truth.checksum {
-                eprintln!(
-                    "cross-validation FAILED: expected {} solutions / {:#018x}",
-                    truth.solutions, truth.checksum
-                );
-                std::process::exit(1);
-            }
-            (metrics, (build_s, truth_s, out.wall_us as f64 / 1e6))
-        }
-        other => args.fail(&format!("unknown --backend '{other}' (sim|live)")),
-    };
-    write_metrics(&metrics, args.str("--out"));
-    report_wall(build_s, truth_s, run_s);
 }
 
 /// Shared front half of `trace` and `report`: run the `<scheduler>
@@ -987,12 +908,10 @@ fn main() {
     });
     let Some(((group, spec, run), n)) = matched else {
         eprintln!("usage: rips <command> [args]   (a bad flag prints the command's usage)");
-        for (name, _, about) in table
-            .iter()
-            .filter(|c| c.0.is_empty())
-            .map(|c| synopsis(c.1))
-        {
-            eprintln!("  {name:<11} {about}");
+        // The artifacts are `repro --list`'s to print.
+        for (group, spec, _) in table.iter().filter(|c| c.0 != "repro ") {
+            let (name, _, about) = synopsis(spec);
+            eprintln!("  {:<11} {about}", format!("{group}{name}"));
         }
         std::process::exit(2);
     };

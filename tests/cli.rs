@@ -5,16 +5,12 @@ use std::process::{Command, Output};
 
 use rips_repro::bench::args::{synopsis, Spec};
 use rips_repro::bench::repro::ARTIFACTS;
-use rips_repro::bench::suites::SUITES;
+use rips_repro::bench::scale;
+use rips_repro::trace::metrics_rt;
 
-/// The specs behind `rips repro` / `rips bench`, from the library.
+/// The specs behind `rips repro`, from the library.
 fn artifact_specs() -> Vec<Spec> {
     ARTIFACTS.iter().map(|a| a.0).collect()
-}
-
-fn suite_specs() -> Vec<Spec> {
-    let serve = rips_repro::serve::suite::SUITE;
-    SUITES.iter().chain([&serve]).map(|s| s.0).collect()
 }
 
 /// Runs `rips` with the whitespace-separated `line` as its arguments.
@@ -62,19 +58,10 @@ fn repro_list_is_the_library_table() {
     assert_eq!(unique.len(), 13);
 }
 
-#[test]
-fn bench_list_has_the_three_suites() {
-    let names = listed("bench");
-    let table: Vec<&str> = suite_specs().into_iter().map(|s| synopsis(s).0).collect();
-    assert_eq!(names, table);
-    assert_eq!(names, ["scale", "live", "serve"]);
-}
-
 /// The fixed commands' flags, pinned: `path: flags`.
 const FIXED: &str = "\
 run: --app --scheduler --nodes --seed --policy --metrics-out
 live: --threads --seed --policy --mode --timed-scale --audit --trace-out --metrics-out
-stats: --backend --nodes --threads --seed --policy --out
 trace: --nodes --seed --policy --out --check
 report: --nodes --seed --policy --jsonl
 audit: --all --app --nodes --seed --policy
@@ -85,11 +72,10 @@ lint: --root --format --out
 verify: --bound --max-iters --mode --seed --random-iters --out --filter
 apps:
 schedulers:
-repro: --list
-bench: --list";
+repro: --list";
 
 /// Every command path with the flags it accepts: the fixed rows pinned
-/// above, the artifact and suite rows from the library tables.
+/// above, `bench scale` and the artifact rows from the library.
 fn surface() -> Vec<(String, Vec<&'static str>)> {
     let fixed = FIXED
         .lines()
@@ -97,7 +83,7 @@ fn surface() -> Vec<(String, Vec<&'static str>)> {
     let mut all: Vec<(String, Vec<&'static str>)> = fixed
         .map(|(path, flags)| (path.to_string(), flags.split_whitespace().collect()))
         .collect();
-    let groups = [("repro", artifact_specs()), ("bench", suite_specs())];
+    let groups = [("repro", artifact_specs()), ("bench", vec![scale::SPEC])];
     for (group, specs) in groups {
         for spec in specs {
             let name = |f: &&'static str| f.split(' ').next().expect("flag row has a name");
@@ -159,7 +145,7 @@ fn bad_input_exits_2_naming_the_offending_token() {
         ("live --thread 4 queens9", "'--thread'"),
         ("run --node 8", "'--node'"),
         ("run --nodes", "--nodes needs a value"),
-        ("bench serve --loads 0.3,x", "'0.3,x'"),
+        ("plan --rows 2 --cols 2 --loads 4,0,0,x", "'4,0,0,x'"),
         // Positionals.
         ("trace rips", "missing <app>"),
         ("live", "missing <app>"),
@@ -167,7 +153,7 @@ fn bad_input_exits_2_naming_the_offending_token() {
         ("audit rips", "<scheduler> <app> or --all"),
         ("repro", "missing name"),
         ("repro fig9", "unknown name 'fig9'"),
-        ("bench transport", "unknown name 'transport'"),
+        ("bench transport", "\n  bench scale "),
         // Values only the command can judge.
         ("run --app queens8", "unknown app 'queens8'"),
         ("run --scheduler fifo", "unknown scheduler 'fifo'"),
@@ -198,7 +184,7 @@ fn scratch(test: &str) -> std::path::PathBuf {
 
 #[test]
 fn positionals_mix_with_flags_on_every_command() {
-    // Flags-first used to work for `live`/`stats` only.
+    // Flags-first used to work for `live` only.
     let out = rips("report --nodes 8 rips --jsonl queens9");
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).starts_with("{\"type\":\"summary\""));
@@ -235,6 +221,38 @@ fn smoke_commands_exit_0() {
         assert!(out.status.success(), "{line}: {}", stderr(&out));
         assert!(stdout(&out).contains(needle), "{line}: {}", stdout(&out));
     }
+}
+
+#[test]
+fn run_exports_valid_openmetrics() {
+    let dir = scratch("metrics");
+    let path = dir.join("metrics.txt");
+    let out = rips(&format!(
+        "run --app queens9 --nodes 8 --metrics-out {}",
+        path.display()
+    ));
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = std::fs::read_to_string(path).expect("metrics written");
+    metrics_rt::validate_openmetrics(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    // The families CI's metrics smoke gates on, each with a sample.
+    let sampled = |family: &str| {
+        let named = |l: &str| l.split([' ', '{']).next() == Some(family);
+        text.lines().any(|l| !l.starts_with('#') && named(l))
+    };
+    for family in [
+        "rips_tasks_executed_total",
+        "rips_msgs_sent_total",
+        "rips_dispatch_rounds_total",
+        "rips_dispatch_round_ns_count",
+        "rips_grain_exec_ns_sum",
+        "rips_trace_events_total",
+        "rips_watchdog_trips_total",
+        "rips_queue_depth",
+        "rips_ring_depth",
+    ] {
+        assert!(sampled(family), "no {family} sample in:\n{text}");
+    }
+    std::fs::remove_dir_all(&dir).expect("clean temp dir");
 }
 
 #[test]
