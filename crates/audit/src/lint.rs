@@ -120,8 +120,8 @@ pub const TIMING_PATHS: &[(&str, &str)] = &[
     (
         "crates/live/",
         "the live backend's whole point is wall-clock execution: \
-         Instant anchors its monotonic Clock (and the CycleClock the \
-         metrics histograms sample), park timeouts \
+         Instant anchors its monotonic Clock (which the metrics \
+         histograms sample too), park timeouts \
          realise its timer-wheel deadlines, and the stall watchdog \
          sleeps real intervals between progress samples — a virtual \
          clock cannot detect a wedged OS thread",

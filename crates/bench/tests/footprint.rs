@@ -3,7 +3,7 @@
 //! Per-node state is the one cost that scales with the machine: a byte
 //! added to [`Kernel`](rips_runtime::Kernel) or to a policy is 250 KB
 //! on the 500×500 mesh and 1 MB at a million nodes. What every node of
-//! a run has in common (workload, costs, tracer, RIPS configuration)
+//! a run has in common (workload, costs, telemetry, RIPS configuration)
 //! lives once behind a shared handle; these budgets fail when a copy of
 //! it, or any other field, lands back in the per-node structs.
 

@@ -23,9 +23,8 @@ use rips_audit::Auditor;
 use rips_bench::live::{live_opts, live_run, live_run_with};
 use rips_bench::{registry, run_cell, RegistryTuning};
 use rips_core::{GlobalPolicy, RipsConfig};
-use rips_live::{GrainMode, LiveOpts, WallClock};
+use rips_live::{GrainMode, LiveOpts};
 use rips_taskgraph::Workload;
-use rips_trace::Clock;
 
 fn queens9() -> (Arc<Workload>, Arc<GrainTable>) {
     let (w, t) = nqueens_with_grains(NQueensConfig {
@@ -88,14 +87,10 @@ fn live_roster_passes_the_auditor_and_matches_ground_truth() {
     let reg = registry();
     for threads in [2usize, 4] {
         for scheduler in reg.names() {
-            let clock: Arc<WallClock> = Arc::new(WallClock::new());
-            let mut opts = live_opts(&t, GrainMode::Compute, 0.0);
-            opts.clock = Some(Arc::clone(&clock) as Arc<dyn Clock>);
-            let (auditor, out) = rips_trace::with_sink_clocked(
-                Auditor::new(threads),
-                Arc::clone(&clock) as Arc<dyn Clock>,
-                || live_run(scheduler, &w, threads, 0.4, 42, opts),
-            );
+            let opts = live_opts(&t, GrainMode::Compute, 0.0);
+            let (auditor, out) = rips_trace::with_sink(Auditor::new(threads), || {
+                live_run(scheduler, &w, threads, 0.4, 42, opts)
+            });
             let report = auditor.finish();
             let tag = format!("{scheduler} at {threads} threads");
             assert!(report.is_ok(), "{tag}: audit failed: {:?}", report.errors);

@@ -1,6 +1,6 @@
 //! Metrics-registry zero-cost and fidelity guarantees.
 //!
-//! The observability contract (DESIGN §10) mirrors the tracer's: the
+//! The observability contract (DESIGN §10) matches the trace sink's: the
 //! registry must *observe* a run, never perturb it. Every scheduler in
 //! the canonical roster must produce bit-identical results with and
 //! without a registry installed — the golden digests pin the
@@ -14,7 +14,7 @@ use rips_apps::{nqueens, nqueens_with_grains, NQueensConfig};
 use rips_bench::live::{live_opts, live_run};
 use rips_bench::{registry, run_cell};
 use rips_live::{GrainMode, WallClock};
-use rips_trace::metrics_rt::{validate_openmetrics, Counter, CycleClock, Histo};
+use rips_trace::metrics_rt::{validate_openmetrics, Counter, Histo};
 use rips_trace::{with_metrics, with_metrics_clocked, Clock, MetricsRegistry};
 
 fn small_queens_cfg() -> NQueensConfig {
@@ -172,11 +172,11 @@ fn live_run_fills_the_dispatch_breakdown() {
     let (w, table) = nqueens_with_grains(small_queens_cfg());
     let (w, table) = (Arc::new(w), Arc::new(table));
     let truth = table.static_totals();
-    let clock: Arc<WallClock> = Arc::new(WallClock::new());
+    let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
     let metrics = MetricsRegistry::new(2);
-    let out = with_metrics_clocked(&metrics, Arc::clone(&clock) as Arc<dyn CycleClock>, || {
+    let out = with_metrics_clocked(&metrics, Arc::clone(&clock), || {
         let mut opts = live_opts(&table, GrainMode::Compute, 1.0);
-        opts.clock = Some(Arc::clone(&clock) as Arc<dyn Clock>);
+        opts.clock = Some(clock);
         live_run("RIPS", &w, 2, 0.4, 1, opts)
     });
     assert_eq!(out.solutions, truth.solutions, "metered run still correct");

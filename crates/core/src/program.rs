@@ -336,28 +336,28 @@ impl RipsPolicy {
         let is_user = mode == Mode::User;
         if was_user != is_user {
             let (me, p) = (k.me, self.phase_index);
-            let tr = &k.oracle.tracer;
+            let tel = &k.oracle.tel;
             if is_user {
-                tr.emit(EventKind::SystemPhase, now, me, || TraceEvent::PhaseEnd {
+                tel.emit(EventKind::SystemPhase, now, me, || TraceEvent::PhaseEnd {
                     kind: PhaseKind::System,
                     index: p,
                 });
-                tr.emit(EventKind::UserPhase, now, me, || TraceEvent::PhaseBegin {
+                tel.emit(EventKind::UserPhase, now, me, || TraceEvent::PhaseBegin {
                     kind: PhaseKind::User,
                     index: p,
                 });
             } else {
                 if let Some(ip) = self.trace_idle_open.take() {
-                    tr.emit(EventKind::Stage, now, me, || TraceEvent::StageEnd {
+                    tel.emit(EventKind::Stage, now, me, || TraceEvent::StageEnd {
                         stage: SysStage::IdleDetect,
                         phase: ip,
                     });
                 }
-                tr.emit(EventKind::UserPhase, now, me, || TraceEvent::PhaseEnd {
+                tel.emit(EventKind::UserPhase, now, me, || TraceEvent::PhaseEnd {
                     kind: PhaseKind::User,
                     index: p.saturating_sub(1),
                 });
-                tr.emit(EventKind::SystemPhase, now, me, || TraceEvent::PhaseBegin {
+                tel.emit(EventKind::SystemPhase, now, me, || TraceEvent::PhaseBegin {
                     kind: PhaseKind::System,
                     index: p,
                 });
@@ -396,14 +396,14 @@ impl RipsPolicy {
             return;
         }
         let next = self.phase_index + 1;
-        if k.oracle.tracer.wants(EventKind::Stage) && self.trace_idle_open.is_none() {
+        if k.oracle.tel.wants(EventKind::Stage) && self.trace_idle_open.is_none() {
             // The local condition just turned true: open the
             // idle-detect stage; it closes when the node actually
             // enters a system phase.
             self.trace_idle_open = Some(next);
             let (t, me) = (ctx.now(), k.me);
             k.oracle
-                .tracer
+                .tel
                 .emit(EventKind::Stage, t, me, || TraceEvent::StageBegin {
                     stage: SysStage::IdleDetect,
                     phase: next,
@@ -501,7 +501,7 @@ impl RipsPolicy {
             if was_user {
                 let me = k.me;
                 k.oracle
-                    .tracer
+                    .tel
                     .emit(EventKind::Stage, now, me, || TraceEvent::StageBegin {
                         stage: SysStage::LoadCollect,
                         phase: p,
@@ -513,7 +513,7 @@ impl RipsPolicy {
         if was_user {
             let me = k.me;
             k.oracle
-                .tracer
+                .tel
                 .emit(EventKind::Stage, now, me, || TraceEvent::StageBegin {
                     stage: SysStage::LoadCollect,
                     phase: p,
@@ -522,12 +522,12 @@ impl RipsPolicy {
         self.children_ready.remove(&p);
         let n = k.oracle.num_nodes();
         let load = self.load(k);
-        let (me, tr) = (k.me, &k.oracle.tracer);
-        tr.emit(EventKind::Stage, now, me, || TraceEvent::StageEnd {
+        let (me, tel) = (k.me, &k.oracle.tel);
+        tel.emit(EventKind::Stage, now, me, || TraceEvent::StageEnd {
             stage: SysStage::LoadCollect,
             phase: p,
         });
-        tr.emit(EventKind::LoadSample, now, me, || TraceEvent::LoadSample {
+        tel.emit(EventKind::LoadSample, now, me, || TraceEvent::LoadSample {
             load,
         });
         assert!(
@@ -595,12 +595,12 @@ impl RipsPolicy {
         // after the PlanReady message.
         shared.plan = Some((p, Arc::new(PhasePlan::new(transfers))));
         drop(shared);
-        if k.oracle.tracer.wants(EventKind::Stage) {
+        if k.oracle.tel.wants(EventKind::Stage) {
             // The plan stage lives on the computing node only; it
             // closes when the TAG_PLAN timer fires.
             let (t, me) = (ctx.now(), k.me);
             k.oracle
-                .tracer
+                .tel
                 .emit(EventKind::Stage, t, me, || TraceEvent::StageBegin {
                     stage: SysStage::Plan,
                     phase: p,
@@ -622,10 +622,10 @@ impl RipsPolicy {
             self.shared.machine.steps() as Time * self.shared.cfg.plan_cpu_per_step_us,
             WorkKind::Overhead,
         );
-        if k.oracle.tracer.wants(EventKind::Stage) {
+        if k.oracle.tel.wants(EventKind::Stage) {
             let (t, me) = (ctx.now(), k.me);
             k.oracle
-                .tracer
+                .tel
                 .emit(EventKind::Stage, t, me, || TraceEvent::StageBegin {
                     stage: SysStage::Migrate,
                     phase: p,
@@ -697,7 +697,7 @@ impl RipsPolicy {
         let now = ctx.now();
         let me = k.me;
         k.oracle
-            .tracer
+            .tel
             .emit(EventKind::Stage, now, me, || TraceEvent::StageEnd {
                 stage: SysStage::Migrate,
                 phase: p,
@@ -744,12 +744,12 @@ impl BalancerPolicy for RipsPolicy {
     type Msg = RipsCtl;
 
     fn on_start(&mut self, k: &mut Kernel, ctx: &mut impl ExecCtx<KernelMsg<RipsCtl>>) {
-        if k.oracle.tracer.wants(EventKind::UserPhase) {
+        if k.oracle.tel.wants(EventKind::UserPhase) {
             // Every node boots inside user phase 0 (closed the moment
             // the round-opening system phase is entered).
             let (t, me) = (ctx.now(), k.me);
             k.oracle
-                .tracer
+                .tel
                 .emit(EventKind::UserPhase, t, me, || TraceEvent::PhaseBegin {
                     kind: PhaseKind::User,
                     index: 0,
@@ -776,7 +776,7 @@ impl BalancerPolicy for RipsPolicy {
             RipsCtl::Init(p) => {
                 if p <= self.phase_index {
                     // Redundant initiator, dropped by phase index.
-                    k.oracle.meter.add_at(k.me, Counter::InitsSuppressed, 1);
+                    k.oracle.tel.add_at(k.me, Counter::InitsSuppressed, 1);
                     return;
                 }
                 debug_assert_eq!(p, self.phase_index + 1, "init skipped a phase");
@@ -853,10 +853,10 @@ impl BalancerPolicy for RipsPolicy {
                 // Only the plan-computing node runs this: distribute
                 // and apply.
                 let p = self.phase_index;
-                if k.oracle.tracer.wants(EventKind::Stage) {
+                if k.oracle.tel.wants(EventKind::Stage) {
                     let (t, me) = (ctx.now(), k.me);
                     k.oracle
-                        .tracer
+                        .tel
                         .emit(EventKind::Stage, t, me, || TraceEvent::StageEnd {
                             stage: SysStage::Plan,
                             phase: p,

@@ -579,10 +579,9 @@ pub struct Engine<P: Program> {
     peak_heap_len: u64,
     /// High-water mark of the bytes those events occupy.
     peak_event_bytes: u64,
-    /// Trace handle; disabled by default ([`Engine::set_tracer`]).
-    tracer: rips_trace::Tracer,
-    /// Metrics handle; disabled by default ([`Engine::set_meter`]).
-    meter: rips_trace::Meter,
+    /// Trace and metrics handle; disabled by default
+    /// ([`Engine::set_telemetry`]).
+    tel: rips_trace::Telemetry,
     /// Reusable effect buffers lent to [`Ctx`] per handler call.
     effects_buf: Vec<Effect<P::Msg>>,
     timer_buf: Vec<TimerReq>,
@@ -648,8 +647,7 @@ impl<P: Program> Engine<P> {
             peak_depth: 0,
             peak_heap_len: 0,
             peak_event_bytes: 0,
-            tracer: rips_trace::Tracer::off(),
-            meter: rips_trace::Meter::off(),
+            tel: rips_trace::Telemetry::default(),
             effects_buf: Vec::new(),
             timer_buf: Vec::new(),
             cancel_buf: Vec::new(),
@@ -670,23 +668,17 @@ impl<P: Program> Engine<P> {
         }
     }
 
-    /// Attaches a trace handle. Every outgoing message is then emitted
-    /// as a [`rips_trace::TraceEvent::MsgSend`] instant (stamped at its
-    /// departure time) if the handle's sink asked for that kind. With
-    /// the default disabled tracer, or a sink that did not, the hot
-    /// path pays one never-taken branch per send.
-    pub fn set_tracer(&mut self, tracer: rips_trace::Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Attaches a metrics handle. The event loop then counts every
-    /// processed event (`rips_sim_events`), timer dispatch
-    /// (`rips_timer_fires`), outgoing message (`rips_msgs_sent`),
-    /// broadcast run, and discarded stale wake marker or cancelled
-    /// timer into the per-node shards of the installed registry. With the
-    /// default disabled meter each tap is one never-taken branch.
-    pub fn set_meter(&mut self, meter: rips_trace::Meter) {
-        self.meter = meter;
+    /// Attaches a telemetry handle. Every outgoing message is then
+    /// emitted as a [`rips_trace::TraceEvent::MsgSend`] instant (stamped
+    /// at its departure time) if the handle's sink asked for that kind,
+    /// and, under a registry, the event loop counts every processed
+    /// event (`rips_sim_events`), timer dispatch (`rips_timer_fires`),
+    /// outgoing message (`rips_msgs_sent`), broadcast run, and
+    /// discarded stale wake marker or cancelled timer into the per-node
+    /// shards. With the default disabled handle each tap is one
+    /// never-taken branch.
+    pub fn set_telemetry(&mut self, tel: rips_trace::Telemetry) {
+        self.tel = tel;
     }
 
     /// Enables per-node busy-span recording (off by default: one span
@@ -768,8 +760,8 @@ impl<P: Program> Engine<P> {
         self.net.msgs += 1;
         self.net.bytes += bytes as u64;
         self.net.hops += hops as u64;
-        self.meter.add_at(from, Counter::MsgsSent, 1);
-        self.tracer
+        self.tel.add_at(from, Counter::MsgsSent, 1);
+        self.tel
             .emit(rips_trace::EventKind::MsgSend, depart, from, || {
                 rips_trace::TraceEvent::MsgSend {
                     to,
@@ -822,9 +814,9 @@ impl<P: Program> Engine<P> {
             self.core.processed <= self.max_events,
             "event limit exceeded: protocol livelock?"
         );
-        self.meter.add_at(node, Counter::SimEvents, 1);
+        self.tel.add_at(node, Counter::SimEvents, 1);
         if matches!(kind, EventKind::Timer { .. }) {
-            self.meter.add_at(node, Counter::TimerFires, 1);
+            self.tel.add_at(node, Counter::TimerFires, 1);
         }
 
         let mut ctx = Ctx {
@@ -915,7 +907,7 @@ impl<P: Program> Engine<P> {
                         entries,
                     };
                     self.core.open_run(run);
-                    self.meter.add_at(node, Counter::BroadcastRuns, 1);
+                    self.tel.add_at(node, Counter::BroadcastRuns, 1);
                 }
             }
         }
@@ -978,7 +970,7 @@ impl<P: Program> Engine<P> {
                 }
                 EventKind::Wake => {
                     if self.nodes.armed[node] != (ev.time, ev.seq) {
-                        self.meter.add_at(node, Counter::StaleWakes, 1);
+                        self.tel.add_at(node, Counter::StaleWakes, 1);
                         continue; // stale marker
                     }
                     let head = self.nodes.lanes[node]
@@ -991,7 +983,7 @@ impl<P: Program> Engine<P> {
                     self.nodes.armed[node] = UNARMED;
                     if let EventKind::Timer { id, .. } = &head.kind {
                         if self.core.take_cancelled(id) {
-                            self.meter.add_at(node, Counter::TimersCancelled, 1);
+                            self.tel.add_at(node, Counter::TimersCancelled, 1);
                             self.arm(node);
                             continue;
                         }
@@ -1018,7 +1010,7 @@ impl<P: Program> Engine<P> {
                     }
                     if let EventKind::Timer { id, .. } = &kind {
                         if self.core.take_cancelled(id) {
-                            self.meter.add_at(node, Counter::TimersCancelled, 1);
+                            self.tel.add_at(node, Counter::TimersCancelled, 1);
                             continue;
                         }
                     }
@@ -1662,10 +1654,10 @@ mod tests {
     /// broadcast folded into a run.
     #[test]
     fn discards_and_runs_are_counted() {
-        use rips_trace::{with_metrics, Meter, MetricsRegistry};
-        let counts = |run: &dyn Fn(Meter)| {
+        use rips_trace::{with_metrics, MetricsRegistry, Telemetry};
+        let counts = |run: &dyn Fn(Telemetry)| {
             let reg = MetricsRegistry::new(9);
-            with_metrics(&reg, || run(Meter::current()));
+            with_metrics(&reg, || run(Telemetry::current()));
             let snap = reg.snapshot();
             [
                 Counter::TimersCancelled,
@@ -1674,11 +1666,11 @@ mod tests {
             ]
             .map(|c| snap.counter(c))
         };
-        let timers = counts(&|meter| {
+        let timers = counts(&|tel| {
             let mut eng = Engine::new(mesh(1), LatencyModel::ideal(), 7, |_| Timers {
                 fired: vec![],
             });
-            eng.set_meter(meter);
+            eng.set_telemetry(tel);
             eng.run();
         });
         assert_eq!(timers, [1, 0, 0]);
@@ -1688,14 +1680,14 @@ mod tests {
             busy: vec![(4, 400)],
             ..Script::default()
         };
-        let shouts = counts(&|meter| {
+        let shouts = counts(&|tel| {
             let script = Arc::new(script.clone());
             let mut eng = Engine::new(mesh(9), LatencyModel::paragon(), 5, |_| Diff {
                 script: Arc::clone(&script),
                 log: vec![],
                 fired: vec![],
             });
-            eng.set_meter(meter);
+            eng.set_telemetry(tel);
             eng.run();
         });
         assert_eq!(shouts[0], 0);

@@ -66,13 +66,13 @@ use std::time::{Duration, Instant};
 
 use rips_desim::{Time, WorkKind};
 use rips_runtime::{
-    dispatch_message, dispatch_start, dispatch_timer, BalancerPolicy, Costs, ExecCtx, Kernel,
-    KernelMsg, Oracle, TaskInstance, VerifyError,
+    check_conservation, dispatch_message, dispatch_start, dispatch_timer, BalancerPolicy, Costs,
+    ExecCtx, Kernel, KernelMsg, Oracle, TaskInstance, VerifyError,
 };
 use rips_taskgraph::Workload;
 use rips_topology::{NodeId, Topology};
-use rips_trace::metrics_rt::{Counter, CycleClock, Gauge, Histo};
-use rips_trace::{Clock, ClockKind, EventKind, TraceEvent};
+use rips_trace::metrics_rt::{Counter, Gauge, Histo};
+use rips_trace::{Clock, EventKind, Telemetry, TraceEvent};
 
 pub use transport::{Outbox, Packet};
 pub use watchdog::{StallDetector, StallReport, Watchdog, WatchdogOpts};
@@ -84,9 +84,10 @@ use transport::{NodeRx, NodeTx, Recv};
 ///
 /// The one legitimate use of `Instant` in this workspace (see
 /// RIPS-L002's allowlist): live runs measure real elapsed time. Pass
-/// the *same* instance to [`rips_trace::with_sink_clocked`] and to
-/// [`LiveOpts::clock`] so trace timestamps and the backend's `now()`
-/// share one origin.
+/// the *same* instance to [`LiveOpts::clock`] and to
+/// [`rips_trace::with_metrics_clocked`] so trace timestamps, the
+/// backend's `now()` and the dispatch-profile histograms describe one
+/// timeline.
 pub struct WallClock {
     start: Instant,
 }
@@ -107,19 +108,6 @@ impl Default for WallClock {
 }
 
 impl Clock for WallClock {
-    fn now_us(&self) -> Time {
-        self.start.elapsed().as_micros() as Time
-    }
-    fn kind(&self) -> ClockKind {
-        ClockKind::WallMonotonic
-    }
-}
-
-impl CycleClock for WallClock {
-    /// Nanosecond reads for the metrics registry's section timing
-    /// ([`rips_trace::with_metrics_clocked`]); shares the µs clock's
-    /// anchor so dispatch-profile histograms and trace timestamps
-    /// describe the same timeline.
     fn now_ns(&self) -> u64 {
         self.start.elapsed().as_nanos() as u64
     }
@@ -181,8 +169,8 @@ pub struct LiveOpts {
     /// Application closures behind the task graph.
     pub runner: Arc<dyn GrainRunner>,
     /// Time source. Defaults to a fresh [`WallClock`]; pass the clock
-    /// given to [`rips_trace::with_sink_clocked`] when tracing so both
-    /// share one origin.
+    /// given to [`rips_trace::with_metrics_clocked`] when profiling so
+    /// both share one origin.
     pub clock: Option<Arc<dyn Clock>>,
 }
 
@@ -239,15 +227,9 @@ impl LiveOutcome {
     }
 
     /// Sanity check: every task of the workload ran exactly once
-    /// (same contract as `RunOutcome::verify_complete`).
+    /// (see [`check_conservation`]).
     pub fn verify_complete(&self, workload: &Workload) -> Result<(), VerifyError> {
-        let expected: u64 = workload.rounds.iter().map(|r| r.len() as u64).sum();
-        let executed = self.total_executed();
-        match executed.cmp(&expected) {
-            std::cmp::Ordering::Equal => Ok(()),
-            std::cmp::Ordering::Less => Err(VerifyError::TasksLost { executed, expected }),
-            std::cmp::Ordering::Greater => Err(VerifyError::DoubleExecution { executed, expected }),
-        }
+        check_conservation(workload, self.total_executed())
     }
 }
 
@@ -267,8 +249,8 @@ struct LiveCtx<'a, M> {
     checksum: &'a mut u64,
     solutions: &'a mut u64,
     grain_us: &'a mut u64,
-    /// This node's metrics handle (disabled = one dead branch per tap).
-    meter: &'a rips_trace::Meter,
+    /// The run's telemetry (disabled = one dead branch per tap).
+    tel: &'a Telemetry,
     /// Nanoseconds spent inside `execute_grain` during the current
     /// dispatch round; the node loop resets it per dispatch and
     /// subtracts it from the round total to get "grain setup" —
@@ -294,7 +276,7 @@ impl<M: Clone> ExecCtx<M> for LiveCtx<'_, M> {
         // a live node every overhead is the real code path it runs.
     }
     fn send(&mut self, to: NodeId, msg: M, _bytes: usize) {
-        self.meter.inc(Counter::MsgsSent);
+        self.tel.add_at(self.me, Counter::MsgsSent, 1);
         self.outbox.push(to, msg);
     }
     fn send_all(&mut self, msg: M, bytes: usize) {
@@ -314,7 +296,7 @@ impl<M: Clone> ExecCtx<M> for LiveCtx<'_, M> {
         *self.halted = true;
     }
     fn execute_grain(&mut self, inst: &TaskInstance, grain_us: Time) {
-        let t0 = self.meter.now_ns();
+        let t0 = self.tel.now_ns();
         let r = self.runner.run(inst);
         *self.checksum = self.checksum.wrapping_add(r.checksum);
         *self.solutions += r.solutions;
@@ -329,8 +311,8 @@ impl<M: Clone> ExecCtx<M> for LiveCtx<'_, M> {
             // Grain time includes the Timed-mode occupancy sleep: it
             // is the node's unavailability, which is what "grain
             // execute" means to the dispatch breakdown.
-            let dt = self.meter.now_ns().unwrap_or(t0).saturating_sub(t0);
-            self.meter.observe(Histo::GrainExecNs, dt);
+            let dt = self.tel.now_ns().unwrap_or(t0).saturating_sub(t0);
+            self.tel.observe_at(self.me, Histo::GrainExecNs, dt);
             *self.grain_ns += dt;
         }
     }
@@ -379,18 +361,17 @@ fn node_loop<P: BalancerPolicy>(
     let mut grain_us = 0u64;
     let mut grain_ns = 0u64;
     let mut halted = false;
-    let tracer = kernel.oracle.tracer.clone();
-    let trace_batches = tracer.wants(EventKind::BatchSend);
-    let trace_rings = tracer.wants(EventKind::RingDepth);
-    // This node's metrics handle, bound to shard `me`. When a
-    // clocked registry is installed the loop attributes every dispatch
-    // round's nanoseconds to {grain setup, grain execute, transport
-    // send/recv, timer wheel, park}; trace emission times itself
-    // inside `Tracer::emit`. `prof` gates the clock reads, so an
-    // unmetered run pays one dead branch per tap and reads no clocks.
-    let meter = kernel.oracle.meter.for_shard(me);
-    let prof = meter.now_ns().is_some();
-    let metered = meter.enabled();
+    let tel = kernel.oracle.tel.clone();
+    let trace_batches = tel.wants(EventKind::BatchSend);
+    let trace_rings = tel.wants(EventKind::RingDepth);
+    // Metrics go to shard `me`. When a clocked registry is installed
+    // the loop attributes every dispatch round's nanoseconds to {grain
+    // setup, grain execute, transport send/recv, timer wheel, park};
+    // trace emission times itself inside `Telemetry::emit`. `prof`
+    // gates the clock reads, so an unmetered run pays one dead branch
+    // per tap and reads no clocks.
+    let prof = tel.now_ns().is_some();
+    let metered = tel.metered();
 
     macro_rules! ctx {
         () => {
@@ -408,7 +389,7 @@ fn node_loop<P: BalancerPolicy>(
                 checksum: &mut checksum,
                 solutions: &mut solutions,
                 grain_us: &mut grain_us,
-                meter: &meter,
+                tel: &tel,
                 grain_ns: &mut grain_ns,
             }
         };
@@ -422,15 +403,15 @@ fn node_loop<P: BalancerPolicy>(
         ($call:expr) => {
             if prof {
                 grain_ns = 0;
-                let t0 = meter.now_ns().unwrap_or(0);
+                let t0 = tel.now_ns().unwrap_or(0);
                 $call;
-                let dt = meter.now_ns().unwrap_or(t0).saturating_sub(t0);
-                meter.observe(Histo::DispatchRoundNs, dt);
-                meter.observe(Histo::GrainSetupNs, dt.saturating_sub(grain_ns));
+                let dt = tel.now_ns().unwrap_or(t0).saturating_sub(t0);
+                tel.observe_at(me, Histo::DispatchRoundNs, dt);
+                tel.observe_at(me, Histo::GrainSetupNs, dt.saturating_sub(grain_ns));
             } else {
                 $call;
             }
-            meter.inc(Counter::DispatchRounds);
+            tel.add_at(me, Counter::DispatchRounds, 1);
         };
     }
 
@@ -440,13 +421,13 @@ fn node_loop<P: BalancerPolicy>(
     macro_rules! flush {
         () => {
             if !outbox.is_empty() {
-                let send_t0 = if prof { meter.now_ns() } else { None };
+                let send_t0 = if prof { tel.now_ns() } else { None };
                 let mut packets = 0u64;
                 if trace_batches {
                     let t = clock.now_us();
                     outbox.flush(me, &mut tx, |to, len| {
                         packets += 1;
-                        tracer.emit(EventKind::BatchSend, t, me, || TraceEvent::BatchSend {
+                        tel.emit(EventKind::BatchSend, t, me, || TraceEvent::BatchSend {
                             to,
                             msgs: len as u32,
                         })
@@ -454,10 +435,10 @@ fn node_loop<P: BalancerPolicy>(
                 } else {
                     outbox.flush(me, &mut tx, |_, _| packets += 1);
                 }
-                meter.add(Counter::PacketsSent, packets);
+                tel.add_at(me, Counter::PacketsSent, packets);
                 if let Some(t0) = send_t0 {
-                    let dt = meter.now_ns().unwrap_or(t0).saturating_sub(t0);
-                    meter.observe(Histo::TransportSendNs, dt);
+                    let dt = tel.now_ns().unwrap_or(t0).saturating_sub(t0);
+                    tel.observe_at(me, Histo::TransportSendNs, dt);
                 }
             }
         };
@@ -471,17 +452,17 @@ fn node_loop<P: BalancerPolicy>(
         // arrivals promptly), then due timers, then park until one or
         // the other. EXEC timers are armed with delay 0, so an empty
         // fabric never sleeps past queued work.
-        let recv_t0 = if prof { meter.now_ns() } else { None };
+        let recv_t0 = if prof { tel.now_ns() } else { None };
         let polled = rx.try_recv();
         if let Some(t0) = recv_t0 {
-            let dt = meter.now_ns().unwrap_or(t0).saturating_sub(t0);
-            meter.observe(Histo::TransportRecvNs, dt);
+            let dt = tel.now_ns().unwrap_or(t0).saturating_sub(t0);
+            tel.observe_at(me, Histo::TransportRecvNs, dt);
         }
         let step = match polled {
             Recv::Packet(p) => Step::Pkt(p),
             Recv::Halt => Step::Halt,
             Recv::Empty => {
-                let wheel_t0 = if prof { meter.now_ns() } else { None };
+                let wheel_t0 = if prof { tel.now_ns() } else { None };
                 let now = clock.now_us();
                 let due = wheel.pop_due(now);
                 let deadline = if due.is_none() {
@@ -490,17 +471,17 @@ fn node_loop<P: BalancerPolicy>(
                     None
                 };
                 if let Some(t0) = wheel_t0 {
-                    let dt = meter.now_ns().unwrap_or(t0).saturating_sub(t0);
-                    meter.observe(Histo::TimerWheelNs, dt);
+                    let dt = tel.now_ns().unwrap_or(t0).saturating_sub(t0);
+                    tel.observe_at(me, Histo::TimerWheelNs, dt);
                 }
                 match due {
                     Some(tag) => Step::Timer(tag),
                     None => {
-                        let park_t0 = if prof { meter.now_ns() } else { None };
+                        let park_t0 = if prof { tel.now_ns() } else { None };
                         let parked = rx.recv_wait(deadline, clock.as_ref());
                         if let Some(t0) = park_t0 {
-                            let dt = meter.now_ns().unwrap_or(t0).saturating_sub(t0);
-                            meter.observe(Histo::ParkNs, dt);
+                            let dt = tel.now_ns().unwrap_or(t0).saturating_sub(t0);
+                            tel.observe_at(me, Histo::ParkNs, dt);
                         }
                         match parked {
                             Recv::Packet(p) => Step::Pkt(p),
@@ -516,9 +497,9 @@ fn node_loop<P: BalancerPolicy>(
             Step::Pkt(p) => {
                 if trace_rings || metered {
                     let depth = rx.occupancy();
-                    meter.set_gauge(Gauge::RingDepth, depth);
+                    tel.set_gauge_at(me, Gauge::RingDepth, depth);
                     if trace_rings {
-                        tracer.emit(EventKind::RingDepth, clock.now_us(), me, || {
+                        tel.emit(EventKind::RingDepth, clock.now_us(), me, || {
                             TraceEvent::RingDepth {
                                 depth: depth as u32,
                             }
@@ -540,7 +521,7 @@ fn node_loop<P: BalancerPolicy>(
                 }
             }
             Step::Timer(tag) => {
-                meter.inc(Counter::TimerFires);
+                tel.add_at(me, Counter::TimerFires, 1);
                 dispatch_profiled!(dispatch_timer(&mut policy, &mut kernel, &mut ctx!(), tag));
             }
         }
@@ -568,11 +549,11 @@ fn node_loop<P: BalancerPolicy>(
 /// built by `make` (one per node), returning the outcome and the final
 /// policy states — the live counterpart of `rips_runtime::run_policy`.
 ///
-/// Tracing: if a sink is installed via
-/// [`rips_trace::with_sink_clocked`] around this call, every node
-/// thread emits through it (the sink is mutex-shared); pass the same
-/// clock in [`LiveOpts::clock`] so event timestamps and trace
-/// bookkeeping agree.
+/// Telemetry: if a sink is installed via [`rips_trace::with_sink`]
+/// around this call, every node thread emits through it (the sink is
+/// mutex-shared), stamped by [`LiveOpts::clock`]; a registry installed
+/// via [`rips_trace::with_metrics_clocked`] with that same clock times
+/// each node's dispatch rounds on the events' timeline.
 pub fn run_live<P, F>(
     workload: Arc<Workload>,
     topo: Arc<dyn Topology>,
@@ -636,7 +617,7 @@ where
     let mut policies = Vec::with_capacity(n);
     for (me, rep) in reports.into_iter().enumerate() {
         let rep = rep.expect("every node reported");
-        oracle.tracer.emit(EventKind::NodeTotals, ended, me, || {
+        oracle.tel.emit(EventKind::NodeTotals, ended, me, || {
             TraceEvent::NodeTotals {
                 spawned: rep.spawned,
                 executed: rep.executed,
@@ -686,10 +667,8 @@ mod tests {
     #[test]
     fn wall_clock_is_monotonic_and_wall_kind() {
         let c = WallClock::new();
-        let a = c.now_us();
-        let b = c.now_us();
-        assert!(b >= a);
-        assert_eq!(c.kind(), ClockKind::WallMonotonic);
+        let (a, ns, b) = (c.now_us(), c.now_ns(), c.now_us());
+        assert!(a <= ns / 1000 && ns / 1000 <= b, "{a} µs, {ns} ns, {b} µs");
     }
 
     #[test]

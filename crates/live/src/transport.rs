@@ -335,18 +335,8 @@ impl<M> Outbox<M> {
 #[cfg(all(test, rips_verify))]
 mod verify_model {
     use super::*;
-    use rips_trace::ClockKind;
+    use rips_trace::metrics_rt::ManualNs;
     use rips_verify::{Checker, Mutation, MutationKind, ViolationKind};
-
-    struct ZeroClock;
-    impl Clock for ZeroClock {
-        fn now_us(&self) -> Time {
-            0
-        }
-        fn kind(&self) -> ClockKind {
-            ClockKind::Virtual
-        }
-    }
 
     /// One packet from node 0 to a receiver that parks (deadline-free)
     /// until it arrives: the full advertise-fence-repoll-park dance on
@@ -359,7 +349,7 @@ mod verify_model {
             let h = vthread::spawn_named("receiver", move || {
                 let _guard = rx1.register();
                 loop {
-                    match rx1.recv_wait(None, &ZeroClock) {
+                    match rx1.recv_wait(None, &ManualNs::new()) {
                         Recv::Packet(p) => return p.msgs,
                         Recv::Halt => panic!("unexpected halt"),
                         Recv::Empty => continue,
@@ -387,7 +377,7 @@ mod verify_model {
             let h = vthread::spawn_named("receiver", move || {
                 let _guard = rx1.register();
                 loop {
-                    match rx1.recv_wait(None, &ZeroClock) {
+                    match rx1.recv_wait(None, &ManualNs::new()) {
                         Recv::Halt => return,
                         Recv::Packet(_) => panic!("unexpected packet"),
                         Recv::Empty => continue,
@@ -441,17 +431,7 @@ mod verify_model {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rips_trace::ClockKind;
-
-    struct ZeroClock;
-    impl Clock for ZeroClock {
-        fn now_us(&self) -> Time {
-            0
-        }
-        fn kind(&self) -> ClockKind {
-            ClockKind::Virtual
-        }
-    }
+    use rips_trace::metrics_rt::ManualNs;
 
     fn drain_one<M>(rx: &mut NodeRx<M>) -> Option<Packet<M>> {
         match rx.try_recv() {
@@ -522,7 +502,7 @@ mod tests {
                 let _guard = rx1.register();
                 // Park with no deadline until the packet arrives.
                 loop {
-                    match rx1.recv_wait(None, &ZeroClock) {
+                    match rx1.recv_wait(None, &ManualNs::new()) {
                         Recv::Packet(p) => return p.msgs,
                         Recv::Halt => panic!("unexpected halt"),
                         Recv::Empty => continue,
@@ -541,9 +521,15 @@ mod tests {
         let (_tx, mut rx) = fabric.remove(0);
         let _guard = rx.register();
         // Deadline in the past returns Empty promptly (no park).
-        assert!(matches!(rx.recv_wait(Some(0), &ZeroClock), Recv::Empty));
+        assert!(matches!(
+            rx.recv_wait(Some(0), &ManualNs::new()),
+            Recv::Empty
+        ));
         // Future deadline parks and wakes by timeout.
-        assert!(matches!(rx.recv_wait(Some(2000), &ZeroClock), Recv::Empty));
+        assert!(matches!(
+            rx.recv_wait(Some(2000), &ManualNs::new()),
+            Recv::Empty
+        ));
     }
 
     #[test]

@@ -230,12 +230,12 @@ impl Kernel {
         );
         self.exec.spawned += seeds.len() as u64;
         self.oracle
-            .meter
+            .tel
             .add_at(self.me, Counter::TasksSpawned, seeds.len() as u64);
-        if self.oracle.tracer.wants(EventKind::Spawn) && !seeds.is_empty() {
+        if self.oracle.tel.wants(EventKind::Spawn) && !seeds.is_empty() {
             let (t, count) = (ctx.now(), seeds.len() as u32);
             self.oracle
-                .tracer
+                .tel
                 .emit(EventKind::Spawn, t, self.me, || TraceEvent::Spawn {
                     round,
                     count,
@@ -260,10 +260,10 @@ impl Kernel {
     /// modelled barrier delay the driver advances the round (telling
     /// everyone) or halts the machine.
     pub fn announce_round<M: Clone>(&mut self, ctx: &mut impl ExecCtx<KernelMsg<M>>) {
-        if self.oracle.tracer.wants(EventKind::Barrier) {
+        if self.oracle.tel.wants(EventKind::Barrier) {
             let (t, round) = (ctx.now(), self.oracle.round());
             self.oracle
-                .tracer
+                .tel
                 .emit(EventKind::Barrier, t, self.me, || TraceEvent::Barrier {
                     round,
                 });
@@ -282,13 +282,11 @@ impl Kernel {
         batch: Vec<TaskInstance>,
         load: i64,
     ) {
-        if self.oracle.tracer.wants(EventKind::MigrateOut) {
+        if self.oracle.tel.wants(EventKind::MigrateOut) {
             let (t, count) = (ctx.now(), batch.len() as u32);
-            self.oracle
-                .tracer
-                .emit(EventKind::MigrateOut, t, self.me, || {
-                    TraceEvent::MigrateOut { to, count }
-                });
+            self.oracle.tel.emit(EventKind::MigrateOut, t, self.me, || {
+                TraceEvent::MigrateOut { to, count }
+            });
         }
         let bytes = self.oracle.costs.task_bytes * batch.len();
         ctx.send(to, KernelMsg::Tasks(batch, load), bytes);
@@ -428,20 +426,20 @@ pub fn exec_step<P: BalancerPolicy>(
     };
     // Each kind is asked for on its own: a sink that audits phase
     // boundaries pays nothing here, not even the clock reads.
-    let trace_exec = k.oracle.tracer.wants(EventKind::TaskExec);
+    let trace_exec = k.oracle.tel.wants(EventKind::TaskExec);
     let t0 = if trace_exec { ctx.now() } else { 0 };
     let grain_us = k.oracle.grain(&inst);
     ctx.compute(k.oracle.costs.dispatch_us, WorkKind::Overhead);
     ctx.execute_grain(&inst, grain_us);
     k.exec.record(&inst, k.me);
-    k.oracle.meter.add_at(k.me, Counter::TasksExecuted, 1);
+    k.oracle.tel.add_at(k.me, Counter::TasksExecuted, 1);
     if trace_exec {
         // Stamped at the grain's start (dispatch already charged), so
         // exporters draw the execution as a span of `grain_us`.
         let dispatch_us = k.oracle.costs.dispatch_us;
         let hops = k.oracle.hops(inst.origin, k.me);
         k.oracle
-            .tracer
+            .tel
             .emit(EventKind::TaskExec, t0 + dispatch_us, k.me, || {
                 TraceEvent::TaskExec {
                     task: inst.task as u64,
@@ -457,12 +455,12 @@ pub fn exec_step<P: BalancerPolicy>(
     if !children.is_empty() {
         k.exec.spawned += children.len() as u64;
         k.oracle
-            .meter
+            .tel
             .add_at(k.me, Counter::TasksSpawned, children.len() as u64);
-        if k.oracle.tracer.wants(EventKind::Spawn) {
+        if k.oracle.tel.wants(EventKind::Spawn) {
             let (t, round, count) = (ctx.now(), inst.round, children.len() as u32);
             k.oracle
-                .tracer
+                .tel
                 .emit(EventKind::Spawn, t, k.me, || TraceEvent::Spawn {
                     round,
                     count,
@@ -476,12 +474,12 @@ pub fn exec_step<P: BalancerPolicy>(
         k.announce_round(ctx);
     }
     k.oracle
-        .meter
+        .tel
         .set_gauge_at(k.me, Gauge::QueueDepth, k.exec.queue.len() as u64);
-    if k.oracle.tracer.wants(EventKind::QueueDepth) {
+    if k.oracle.tel.wants(EventKind::QueueDepth) {
         let (t, depth) = (ctx.now(), k.exec.queue.len() as u32);
         k.oracle
-            .tracer
+            .tel
             .emit(EventKind::QueueDepth, t, k.me, || TraceEvent::QueueDepth {
                 depth,
             });
@@ -519,17 +517,16 @@ pub fn dispatch_message<P: BalancerPolicy>(
                 WorkKind::Overhead,
             );
             k.exec.queue.extend(tasks);
-            let meter = &k.oracle.meter;
-            meter.add_at(k.me, Counter::TasksMigratedIn, count as u64);
-            meter.set_gauge_at(k.me, Gauge::QueueDepth, k.exec.queue.len() as u64);
-            let tr = &k.oracle.tracer;
-            if tr.wants(EventKind::MigrateIn) || tr.wants(EventKind::QueueDepth) {
+            let tel = &k.oracle.tel;
+            tel.add_at(k.me, Counter::TasksMigratedIn, count as u64);
+            tel.set_gauge_at(k.me, Gauge::QueueDepth, k.exec.queue.len() as u64);
+            if tel.wants(EventKind::MigrateIn) || tel.wants(EventKind::QueueDepth) {
                 let (t, depth) = (ctx.now(), k.exec.queue.len() as u32);
-                tr.emit(EventKind::MigrateIn, t, k.me, || TraceEvent::MigrateIn {
+                tel.emit(EventKind::MigrateIn, t, k.me, || TraceEvent::MigrateIn {
                     from,
                     count,
                 });
-                tr.emit(EventKind::QueueDepth, t, k.me, || TraceEvent::QueueDepth {
+                tel.emit(EventKind::QueueDepth, t, k.me, || TraceEvent::QueueDepth {
                     depth,
                 });
             }
@@ -537,10 +534,10 @@ pub fn dispatch_message<P: BalancerPolicy>(
             policy.on_tasks_accepted(k, ctx, from, sender_load);
         }
         KernelMsg::RoundStart(round, token) => {
-            if k.oracle.tracer.wants(EventKind::RoundBegin) {
+            if k.oracle.tel.wants(EventKind::RoundBegin) {
                 let t = ctx.now();
                 k.oracle
-                    .tracer
+                    .tel
                     .emit(EventKind::RoundBegin, t, k.me, || TraceEvent::RoundBegin {
                         round,
                     });
@@ -565,20 +562,22 @@ pub fn dispatch_timer<P: BalancerPolicy>(
             k.exec_scheduled = false;
             exec_step(policy, k, ctx);
         }
-        TAG_ROUND => match k.oracle.advance_round() {
-            Some(next) => {
-                let token = policy.round_token(k);
-                ctx.send_all(KernelMsg::RoundStart(next, token), k.oracle.costs.ctl_bytes);
-                if k.oracle.tracer.wants(EventKind::RoundBegin) {
-                    let t = ctx.now();
-                    k.oracle.tracer.emit(EventKind::RoundBegin, t, k.me, || {
-                        TraceEvent::RoundBegin { round: next }
-                    });
+        TAG_ROUND => {
+            match k.oracle.advance_round() {
+                Some(next) => {
+                    let token = policy.round_token(k);
+                    ctx.send_all(KernelMsg::RoundStart(next, token), k.oracle.costs.ctl_bytes);
+                    if k.oracle.tel.wants(EventKind::RoundBegin) {
+                        let t = ctx.now();
+                        k.oracle.tel.emit(EventKind::RoundBegin, t, k.me, || {
+                            TraceEvent::RoundBegin { round: next }
+                        });
+                    }
+                    policy.on_round_announced(k, ctx, next, token);
                 }
-                policy.on_round_announced(k, ctx, next, token);
+                None => ctx.halt(),
             }
-            None => ctx.halt(),
-        },
+        }
         tag => policy.on_timer(k, ctx, tag),
     }
 }
@@ -632,15 +631,13 @@ where
         return (RunOutcome::empty(topo.len()), Vec::new());
     }
     let oracle = Oracle::new(Arc::clone(&workload), Arc::clone(&topo), costs);
-    let tracer = oracle.tracer.clone();
-    let meter = oracle.meter.clone();
+    let tel = oracle.tel.clone();
     let mut make = make;
     let mut engine = Engine::new(topo, latency, seed, move |me| NodeDriver {
         kernel: Kernel::new(me, oracle.clone()),
         policy: make(me),
     });
-    engine.set_tracer(tracer.clone());
-    engine.set_meter(meter);
+    engine.set_telemetry(tel.clone());
     engine.record_timeline(costs.record_timeline);
     engine.enable_contention(costs.contention);
     let (drivers, stats) = engine.run();
@@ -649,7 +646,7 @@ where
     // auditing sink proves conservation from.
     for d in &drivers {
         let exec = &d.kernel.exec;
-        tracer.emit(EventKind::NodeTotals, stats.end_time, d.kernel.me, || {
+        tel.emit(EventKind::NodeTotals, stats.end_time, d.kernel.me, || {
             TraceEvent::NodeTotals {
                 spawned: exec.spawned,
                 executed: exec.executed,

@@ -112,7 +112,7 @@ impl Default for Costs {
 /// Handle to the per-engine state every node shares (see module docs
 /// for the rules of use): one pointer per node, one [`OracleShared`]
 /// block per run. The run's constants are read through the handle
-/// (`oracle.costs`, `oracle.tracer`, …) — "a uniform code image is
+/// (`oracle.costs`, `oracle.tel`, …) — "a uniform code image is
 /// accessible at each processor", so no node carries its own copy.
 #[derive(Clone)]
 pub struct Oracle(Arc<OracleShared>);
@@ -131,16 +131,12 @@ pub struct OracleShared {
     pub workload: Arc<Workload>,
     /// Cost constants.
     pub costs: Costs,
-    /// Trace handle for the run, captured from the thread's installed
-    /// sink ([`rips_trace::with_sink`]) at construction; disabled
-    /// otherwise. The kernel and policies emit through it.
-    pub tracer: rips_trace::Tracer,
-    /// Metrics handle for the run, captured from the thread's
-    /// installed registry ([`rips_trace::with_metrics`]) at
-    /// construction; disabled (one dead branch per call) otherwise.
-    /// Bound to shard 0: kernels write their own shard through the
-    /// `*_at` methods.
-    pub meter: rips_trace::Meter,
+    /// Telemetry for the run, captured at construction from the
+    /// thread's installed sink ([`rips_trace::with_sink`]) and registry
+    /// ([`rips_trace::with_metrics`]); each half disabled (one dead
+    /// branch per call) when absent. The kernel and policies emit
+    /// through it and write their own node's metrics shard.
+    pub tel: rips_trace::Telemetry,
     /// The machine topology, for task-locality trace annotations. Its
     /// [`Topology::distance`] is closed form, so it is asked on the fly.
     topo: Arc<dyn Topology>,
@@ -157,7 +153,7 @@ pub struct OracleShared {
 /// runs once per task on every thread, while the constants beside it
 /// are read several times per task on every thread, so the counters
 /// get cache lines of their own: sharing one would turn every retire
-/// into a miss on `costs`/`tracer` for all the other threads. 128, not
+/// into a miss on `costs`/`tel` for all the other threads. 128, not
 /// 64, because x86-64 prefetches lines in adjacent pairs.
 #[repr(align(128))]
 struct RoundCounters {
@@ -178,8 +174,7 @@ impl Oracle {
             },
             workload,
             costs,
-            tracer: rips_trace::Tracer::current(),
-            meter: rips_trace::Meter::current(),
+            tel: rips_trace::Telemetry::current(),
             n: topo.len(),
             diameter: topo.diameter(),
             topo,
@@ -191,7 +186,7 @@ impl Oracle {
     /// (returns 0 otherwise, matching the historical table-free
     /// untraced path bit for bit).
     pub fn hops(&self, from: NodeId, to: NodeId) -> u32 {
-        if self.tracer.wants(rips_trace::EventKind::TaskExec) {
+        if self.tel.wants(rips_trace::EventKind::TaskExec) {
             self.topo.distance(from, to) as u32
         } else {
             0
@@ -455,17 +450,23 @@ impl RunOutcome {
         self.stats.efficiency()
     }
 
-    /// Sanity check: every task of the workload ran exactly once.
-    /// Distinguishes losing tasks from executing some twice — they
-    /// point at different bugs (see [`VerifyError`]).
+    /// Sanity check: every task of the workload ran exactly once (see
+    /// [`check_conservation`]).
     pub fn verify_complete(&self, workload: &Workload) -> Result<(), VerifyError> {
-        let expected: u64 = workload.rounds.iter().map(|r| r.len() as u64).sum();
-        let executed = self.total_executed();
-        match executed.cmp(&expected) {
-            std::cmp::Ordering::Equal => Ok(()),
-            std::cmp::Ordering::Less => Err(VerifyError::TasksLost { executed, expected }),
-            std::cmp::Ordering::Greater => Err(VerifyError::DoubleExecution { executed, expected }),
-        }
+        check_conservation(workload, self.total_executed())
+    }
+}
+
+/// Task conservation, the one check behind every backend's
+/// `verify_complete`: `executed` runs must equal the workload's task
+/// count. Distinguishes losing tasks from executing some twice — they
+/// point at different bugs (see [`VerifyError`]).
+pub fn check_conservation(workload: &Workload, executed: u64) -> Result<(), VerifyError> {
+    let expected: u64 = workload.rounds.iter().map(|r| r.len() as u64).sum();
+    match executed.cmp(&expected) {
+        std::cmp::Ordering::Equal => Ok(()),
+        std::cmp::Ordering::Less => Err(VerifyError::TasksLost { executed, expected }),
+        std::cmp::Ordering::Greater => Err(VerifyError::DoubleExecution { executed, expected }),
     }
 }
 

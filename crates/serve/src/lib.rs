@@ -36,8 +36,8 @@ pub mod drr;
 pub mod report;
 pub mod traffic;
 
-use rips_trace::metrics_rt::{Counter, Gauge, Meter};
-use rips_trace::{EventKind, Hist, TraceEvent, Tracer};
+use rips_trace::metrics_rt::{Counter, Gauge};
+use rips_trace::{EventKind, Hist, Telemetry, TraceEvent};
 
 pub use admission::{Admission, AdmissionConfig, ShedReason};
 pub use backend::{DesimBackend, JobBackend, LiveBackend, ServiceOutcome};
@@ -95,8 +95,7 @@ struct Loop<'a> {
     backend: &'a mut dyn JobBackend,
     admission: Admission,
     drr: Drr,
-    tracer: Tracer,
-    meter: Meter,
+    tel: Telemetry,
     /// When the fleet finishes its current job (µs).
     free_at: u64,
     last_completion: u64,
@@ -108,9 +107,8 @@ struct Loop<'a> {
 
 impl Loop<'_> {
     fn set_pending_gauge(&self) {
-        if let Some(reg) = self.meter.registry() {
-            reg.set_gauge(0, Gauge::PendingJobs, self.admission.pending() as u64);
-        }
+        let pending = self.admission.pending() as u64;
+        self.tel.set_gauge_at(0, Gauge::PendingJobs, pending);
     }
 
     /// Dispatches jobs while the fleet can start one strictly before
@@ -126,7 +124,7 @@ impl Loop<'_> {
             let job = self.drr.pick(start).expect("a job is ready by `start`");
             self.admission.release(job.tenant);
             self.set_pending_gauge();
-            self.tracer
+            self.tel
                 .emit(EventKind::Job, start, 0, || TraceEvent::JobDispatch {
                     tenant: job.tenant,
                     job: job.job,
@@ -135,13 +133,13 @@ impl Loop<'_> {
             let seed = job_seed(self.cfg.service_seed, job.job);
             let out = self.backend.service(&self.cfg.scheduler, &job.app, seed);
             let done = start + out.service_us;
-            self.tracer
+            self.tel
                 .emit(EventKind::Job, done, 0, || TraceEvent::JobComplete {
                     tenant: job.tenant,
                     job: job.job,
                     executed: out.executed,
                 });
-            self.meter.inc(Counter::JobsCompleted);
+            self.tel.add_at(0, Counter::JobsCompleted, 1);
             let lat = done - job.arrival;
             self.latency[job.tenant as usize].push(lat);
             self.aggregate.push(lat);
@@ -172,8 +170,7 @@ pub fn run_serve(
         backend,
         admission: Admission::new(cfg.admission),
         drr: Drr::new(cfg.quantum),
-        tracer: Tracer::current(),
-        meter: Meter::current(),
+        tel: Telemetry::current(),
         free_at: 0,
         last_completion: 0,
         executed_tasks: 0,
@@ -187,8 +184,8 @@ pub fn run_serve(
     for a in &arrivals {
         lp.pump(a.time);
         submitted[a.tenant as usize] += 1;
-        lp.meter.inc(Counter::JobsSubmitted);
-        lp.tracer
+        lp.tel.add_at(0, Counter::JobsSubmitted, 1);
+        lp.tel
             .emit(EventKind::Job, a.time, 0, || TraceEvent::JobSubmit {
                 tenant: a.tenant,
                 job: a.job,
@@ -206,8 +203,8 @@ pub fn run_serve(
             }
             Err(_) => {
                 shed[a.tenant as usize] += 1;
-                lp.meter.inc(Counter::JobsShed);
-                lp.tracer
+                lp.tel.add_at(0, Counter::JobsShed, 1);
+                lp.tel
                     .emit(EventKind::Job, a.time, 0, || TraceEvent::JobShed {
                         tenant: a.tenant,
                         job: a.job,

@@ -16,16 +16,19 @@
 //!   sink states which [`EventKind`]s it consumes
 //!   ([`TraceSink::interest`]); kinds it does not ask for are never
 //!   built, stamped or delivered.
-//! * A [`Tracer`] is a cheap cloneable handle held by the instrumented
-//!   layers. It caches the installed sink's [`Interest`] (empty when no
-//!   sink is installed), so every [`Tracer::emit`] of a kind nobody
-//!   wants is a single branch on that word — the event payload is
-//!   built inside a closure that is never evaluated, so tracing is free
-//!   when off (the golden tests pin this bit-for-bit).
-//! * [`with_sink`] installs a sink for the duration of a closure via a
-//!   thread-local, so *any* scheduler run — including ones reached
-//!   through the scheduler registry's type-erased constructors — can be
-//!   traced without threading a parameter through every signature.
+//! * A [`Telemetry`] is the cheap cloneable handle held by the
+//!   instrumented layers, one per run. It caches the installed sink's
+//!   [`Interest`] (empty when no sink is installed), so every
+//!   [`Telemetry::emit`] of a kind nobody wants is a single branch on
+//!   that word — the event payload is built inside a closure that is
+//!   never evaluated, so tracing is free when off (the golden tests pin
+//!   this bit-for-bit). The same handle carries the run's
+//!   [`metrics_rt`] registry.
+//! * [`with_sink`] and [`with_metrics`] install a sink or a registry
+//!   for the duration of a closure in one thread-local slot, so *any*
+//!   scheduler run — including ones reached through the scheduler
+//!   registry's type-erased constructors — can be observed without
+//!   threading a parameter through every signature.
 //! * Exporters turn a [`TraceBuffer`] into artifacts: a Chrome
 //!   trace-event / Perfetto JSON file ([`chrome_trace_json`]) and a
 //!   structured per-phase report ([`PhaseReport`]).
@@ -49,78 +52,34 @@ mod report;
 pub use chrome::chrome_trace_json;
 pub use flight::{FlightRecorder, SharedFlight};
 pub use json::Json;
-pub use metrics_rt::{with_metrics, with_metrics_clocked, CycleClock, Meter, MetricsRegistry};
+pub use metrics_rt::MetricsRegistry;
 pub use report::{PhaseReport, PhaseRow};
 
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 
-/// Time in microseconds — virtual (matches `rips_desim::Time`) or
-/// wall-clock monotonic, depending on the installed [`Clock`].
+use metrics_rt::{Counter, Gauge, Histo};
+
+/// Time in microseconds: virtual in the simulator (matches
+/// `rips_desim::Time`), read from a [`Clock`] on the live backend.
 pub type Time = u64;
 
 /// Node identifier (matches `rips_topology::NodeId`).
 pub type NodeId = usize;
 
-/// What kind of time a trace's timestamps are measured in.
-///
-/// The simulator stamps events with *virtual* microseconds computed by
-/// its cost model; the live execution backend (`rips-live`) stamps them
-/// with *wall-clock* microseconds read from a monotonic clock. Both are
-/// µs and both satisfy [`validate`]'s per-node monotonicity, but they
-/// must never be compared against each other — exporters label them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum ClockKind {
-    /// Simulated time from the discrete-event engine's cost model.
-    #[default]
-    Virtual,
-    /// Real elapsed time from a monotonic clock.
-    WallMonotonic,
-}
-
-impl ClockKind {
-    /// Human-readable unit label used by exporters.
-    pub fn label(self) -> &'static str {
-        match self {
-            ClockKind::Virtual => "virtual µs",
-            ClockKind::WallMonotonic => "wall-clock µs",
-        }
-    }
-
-    /// Short machine-readable name used in JSONL output.
-    pub fn name(self) -> &'static str {
-        match self {
-            ClockKind::Virtual => "virtual",
-            ClockKind::WallMonotonic => "wall",
-        }
-    }
-}
-
-/// A pluggable time source attached to an installed sink.
-///
-/// The simulator's emitters compute timestamps themselves (virtual time
-/// travels with every event), so [`VirtualClock::now_us`] is never
-/// meaningful and returns 0. A live backend installs a wall-clock
-/// implementation (defined in `rips-live`, the one crate allowed to
-/// read `Instant`) and uses the *same* clock instance for execution
-/// pacing and trace stamping, so exported spans line up with reality.
+/// A monotonic time source. The simulator needs none — virtual time
+/// travels with every event. The live backend paces execution and
+/// stamps its events with one, and [`with_metrics_clocked`] times the
+/// registry's duration histograms with it. The `Instant`-backed
+/// implementation lives in `rips-live`, the one crate allowed to read
+/// wall-clock time (RIPS-L002); tests use [`metrics_rt::ManualNs`].
 pub trait Clock: Send + Sync {
-    /// Microseconds elapsed on this clock since its epoch.
-    fn now_us(&self) -> Time;
-    /// What kind of time this clock measures.
-    fn kind(&self) -> ClockKind;
-}
+    /// Nanoseconds elapsed since this clock's epoch.
+    fn now_ns(&self) -> u64;
 
-/// The default clock: virtual time, carried by the emitters themselves.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VirtualClock;
-
-impl Clock for VirtualClock {
+    /// Microseconds elapsed since this clock's epoch (truncated).
     fn now_us(&self) -> Time {
-        0
-    }
-    fn kind(&self) -> ClockKind {
-        ClockKind::Virtual
+        self.now_ns() / 1000
     }
 }
 
@@ -423,12 +382,12 @@ impl TraceEvent {
 }
 
 /// A set of [`EventKind`]s: what a sink consumes. One machine word, so
-/// the per-emit test ([`Tracer::wants`]) is a mask and a branch.
+/// the per-emit test ([`Telemetry::wants`]) is a mask and a branch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Interest(u32);
 
 impl Interest {
-    /// Nothing — what a [`Tracer`] caches when no sink is installed.
+    /// Nothing — what a [`Telemetry`] caches when no sink is installed.
     pub const NONE: Interest = Interest(0);
 
     /// Every per-event kind: all but the opt-in
@@ -464,7 +423,7 @@ pub trait TraceSink {
     fn record(&mut self, time_us: Time, node: NodeId, event: TraceEvent);
 
     /// The kinds this sink consumes. Read once when the sink is
-    /// installed ([`with_sink_clocked`]); emitters skip every other
+    /// installed ([`with_sink`]); emitters skip every other
     /// kind before building its payload or reading a clock for it, so
     /// the answer must not change while the sink is installed.
     fn interest(&self) -> Interest {
@@ -505,19 +464,10 @@ impl TraceBuffer {
 
     /// Aggregates the stream into a [`PhaseReport`]; spans still open
     /// at `end_time` (e.g. the final termination phase, which ends when
-    /// the machine halts) are closed there. Timestamps are labelled as
-    /// virtual time; use [`TraceBuffer::report_with_clock`] for traces
-    /// recorded under another [`ClockKind`].
+    /// the machine halts) are closed there. Timestamps are read as
+    /// virtual time.
     pub fn report(&self, end_time: Time) -> PhaseReport {
-        self.report_with_clock(end_time, ClockKind::Virtual)
-    }
-
-    /// [`TraceBuffer::report`] with an explicit time-unit label, for
-    /// traces stamped by a non-virtual clock (the live backend).
-    pub fn report_with_clock(&self, end_time: Time, clock: ClockKind) -> PhaseReport {
-        let mut rep = report::build(self, end_time);
-        rep.clock = clock;
-        rep
+        report::build(self, end_time)
     }
 
     /// Renders the stream as Chrome trace-event JSON (see
@@ -572,19 +522,59 @@ impl<A: TraceSink, B: TraceSink> TraceSink for Tee<A, B> {
     }
 }
 
-/// An installed sink, what it asked for, and the clock its timestamps
-/// come from: one allocation, shared by every tracer cloned under the
-/// install.
+/// Either a sink or none: `None` asks for nothing, so an optional
+/// consumer rides in a [`Tee`] without a second install.
+impl<S: TraceSink> TraceSink for Option<S> {
+    fn record(&mut self, time_us: Time, node: NodeId, event: TraceEvent) {
+        if let Some(sink) = self {
+            sink.record(time_us, node, event);
+        }
+    }
+
+    fn interest(&self) -> Interest {
+        self.as_ref().map_or(Interest::NONE, |s| s.interest())
+    }
+}
+
+/// An installed sink and what it asked for: one allocation, shared by
+/// every handle taken under the install.
 struct Installed<S: ?Sized> {
     interest: Interest,
-    clock: Arc<dyn Clock>,
     sink: Mutex<S>,
 }
 
-type Handle = Arc<Installed<dyn TraceSink + Send>>;
+type SinkHandle = Arc<Installed<dyn TraceSink + Send>>;
+
+/// An installed metrics registry and its optional section-timing clock.
+#[derive(Clone)]
+struct Metrics {
+    reg: Arc<MetricsRegistry>,
+    clock: Option<Arc<dyn Clock>>,
+}
 
 thread_local! {
-    static CURRENT: RefCell<Option<Handle>> = const { RefCell::new(None) };
+    /// The thread's telemetry: [`with_sink`] sets its sink half,
+    /// [`with_metrics`] its metrics half, [`Telemetry::current`] clones
+    /// it.
+    static CURRENT: RefCell<Telemetry> = RefCell::new(Telemetry::default());
+}
+
+/// Swaps `half` into the thread's telemetry for the duration of `f` and
+/// back out afterwards, even if `f` panics. Each install changes only
+/// its own half, so sink and registry installs nest either way round.
+fn swapped<T, R>(swap: fn(&mut Telemetry, &mut T), half: &mut T, f: impl FnOnce() -> R) -> R {
+    struct Restore<'a, T> {
+        swap: fn(&mut Telemetry, &mut T),
+        half: &'a mut T,
+    }
+    impl<T> Drop for Restore<'_, T> {
+        fn drop(&mut self) {
+            CURRENT.with(|c| (self.swap)(&mut c.borrow_mut(), self.half));
+        }
+    }
+    CURRENT.with(|c| swap(&mut c.borrow_mut(), half));
+    let _restore = Restore { swap, half };
+    f()
 }
 
 /// Un-poisons a sink mutex: if a node thread panicked mid-record, the
@@ -597,48 +587,31 @@ fn lock_sink<'a>(
 
 /// Installs `sink` as the thread's active trace sink, runs `f`, and
 /// returns the sink together with `f`'s result. Instrumented layers
-/// pick the sink up via [`Tracer::current`] when a run is constructed.
-/// The sink is stamped by the default [`VirtualClock`]; a live backend
-/// uses [`with_sink_clocked`] instead.
+/// pick the sink up via [`Telemetry::current`] when a run is
+/// constructed; the sink's [`TraceSink::interest`] is read here, once.
+/// The sink is shared behind a mutex, so handles taken under this
+/// install may emit from *other* threads spawned inside `f` (the live
+/// backend's node threads), as long as they are joined before `f`
+/// returns.
 ///
-/// The previous sink (if any) is restored afterwards, and the install
-/// is cleared even if `f` panics.
+/// The previous sink (if any) is restored afterwards, even if `f`
+/// panics; an installed metrics registry is left alone.
 ///
 /// # Panics
 /// Panics if an instrumented component retains a handle on the sink
-/// past the end of `f` (runs release their tracers when they return).
+/// past the end of `f` (runs release their handles when they return).
 pub fn with_sink<S: TraceSink + Send + 'static, R>(sink: S, f: impl FnOnce() -> R) -> (S, R) {
-    with_sink_clocked(sink, Arc::new(VirtualClock), f)
-}
-
-/// [`with_sink`] with an explicit time source: tracers cloned under the
-/// install report `clock.kind()` and can read `clock.now_us()`. The
-/// sink is shared behind a mutex, so tracers cloned from this install
-/// may emit from *other* threads spawned inside `f` (the live backend's
-/// node threads), as long as they are joined before `f` returns.
-pub fn with_sink_clocked<S: TraceSink + Send + 'static, R>(
-    sink: S,
-    clock: Arc<dyn Clock>,
-    f: impl FnOnce() -> R,
-) -> (S, R) {
-    struct Restore(Option<Handle>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let prev = self.0.take();
-            CURRENT.with(|c| *c.borrow_mut() = prev);
-        }
+    fn swap_sink(t: &mut Telemetry, sink: &mut Option<SinkHandle>) {
+        std::mem::swap(&mut t.sink, sink);
+        t.interest = t.sink.as_ref().map_or(Interest::NONE, |s| s.interest);
     }
-
     let cell = Arc::new(Installed {
         interest: sink.interest(),
-        clock,
         sink: Mutex::new(sink),
     });
-    let erased: Handle = Arc::clone(&cell) as _;
-    let prev = CURRENT.with(|c| c.borrow_mut().replace(erased));
-    let restore = Restore(prev);
-    let out = f();
-    drop(restore);
+    let mut half = Some(Arc::clone(&cell) as SinkHandle);
+    let out = swapped(swap_sink, &mut half, f);
+    drop(half);
     let sink = Arc::try_unwrap(cell)
         .unwrap_or_else(|_| panic!("trace sink still referenced after the traced run"))
         .sink
@@ -647,51 +620,74 @@ pub fn with_sink_clocked<S: TraceSink + Send + 'static, R>(
     (sink, out)
 }
 
-/// A cheap cloneable handle to the active sink (or to nothing).
-///
-/// Instrumented layers clone one of these at run construction and call
-/// [`Tracer::emit`] from their hot paths. With no sink installed — or
-/// one that did not ask for the kind — `emit` costs one branch on the
-/// cached interest word; the closure building the event payload is
-/// never evaluated.
-#[derive(Clone, Default)]
-pub struct Tracer {
-    /// The installed sink's interest ([`Interest::NONE`] without one),
-    /// beside the handle so [`Tracer::wants`] never chases a pointer.
-    interest: Interest,
-    installed: Option<Handle>,
-    /// Captured alongside the sink so trace emission can profile
-    /// itself ([`metrics_rt::Histo::TraceEmitNs`]) and count
-    /// ([`metrics_rt::Counter::TraceEvents`]) when a metrics registry
-    /// is installed too. Off (a single dead branch) otherwise.
-    meter: Meter,
+/// Installs `reg` as the thread's active metrics registry for the
+/// duration of `f`, counters and gauges only (no duration histograms —
+/// there is no clock). Instrumented layers pick it up via
+/// [`Telemetry::current`] at run construction. The previous registry
+/// (if any) is restored afterwards, even if `f` panics; an installed
+/// trace sink is left alone.
+pub fn with_metrics<R>(reg: &Arc<MetricsRegistry>, f: impl FnOnce() -> R) -> R {
+    install_metrics(reg, None, f)
 }
 
-impl std::fmt::Debug for Tracer {
+/// [`with_metrics`] with a nanosecond [`Clock`]: duration histograms
+/// record too. The live backend passes its monotonic clock; the
+/// simulator has no meaningful wall clock and uses the unclocked form.
+pub fn with_metrics_clocked<R>(
+    reg: &Arc<MetricsRegistry>,
+    clock: Arc<dyn Clock>,
+    f: impl FnOnce() -> R,
+) -> R {
+    install_metrics(reg, Some(clock), f)
+}
+
+fn install_metrics<R>(
+    reg: &Arc<MetricsRegistry>,
+    clock: Option<Arc<dyn Clock>>,
+    f: impl FnOnce() -> R,
+) -> R {
+    let mut half = Some(Metrics {
+        reg: Arc::clone(reg),
+        clock,
+    });
+    swapped(|t, m| std::mem::swap(&mut t.metrics, m), &mut half, f)
+}
+
+/// A run's one cheap cloneable handle on the thread's telemetry: the
+/// trace sink and the metrics registry installed when it was taken
+/// ([`Telemetry::current`]), either of which may be absent.
+///
+/// Instrumented layers take one at run construction and call it from
+/// their hot paths. With no sink installed — or one that did not ask
+/// for the kind — [`Telemetry::emit`] costs one branch on the cached
+/// interest word and never evaluates the closure building the payload.
+/// With no registry installed every metric call is one branch and
+/// touches nothing. Metrics name the shard they write explicitly: the
+/// node id.
+#[derive(Clone, Default)]
+pub struct Telemetry {
+    /// The installed sink's interest ([`Interest::NONE`] without one),
+    /// beside the handle so [`Telemetry::wants`] never chases a pointer.
+    interest: Interest,
+    sink: Option<SinkHandle>,
+    metrics: Option<Metrics>,
+}
+
+impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer")
+        f.debug_struct("Telemetry")
             .field("interest", &self.interest)
+            .field("metered", &self.metered())
             .finish()
     }
 }
 
-impl Tracer {
-    /// A disabled tracer (no sink).
-    pub fn off() -> Self {
-        Tracer::default()
-    }
-
-    /// The thread's current tracer: attached to the sink installed by
-    /// the innermost [`with_sink`], or disabled if none is installed.
-    /// Also captures the current [`Meter`] so emission self-profiles
-    /// when a metrics registry is installed.
+impl Telemetry {
+    /// The thread's current telemetry: the sink installed by the
+    /// innermost [`with_sink`] and the registry installed by the
+    /// innermost [`with_metrics`], each disabled if none is installed.
     pub fn current() -> Self {
-        let installed = CURRENT.with(|c| c.borrow().clone());
-        Tracer {
-            interest: installed.as_ref().map_or(Interest::NONE, |i| i.interest),
-            installed,
-            meter: Meter::current(),
-        }
+        CURRENT.with(|c| c.borrow().clone())
     }
 
     /// Whether a sink is attached *and* asked for `kind`. Use to guard
@@ -702,24 +698,27 @@ impl Tracer {
         self.interest.contains(kind)
     }
 
-    /// The kind of time this tracer's timestamps are measured in
-    /// (virtual when no sink is installed).
-    pub fn clock_kind(&self) -> ClockKind {
-        self.installed
-            .as_ref()
-            .map_or(ClockKind::Virtual, |i| i.clock.kind())
+    /// Whether a metrics registry is attached.
+    #[inline(always)]
+    pub fn metered(&self) -> bool {
+        self.metrics.is_some()
     }
 
-    /// Reads the attached clock, or `None` when no sink is installed.
-    /// Only meaningful for wall-clock installs — the [`VirtualClock`]
-    /// returns 0 (virtual timestamps travel with the events).
-    pub fn clock_now(&self) -> Option<Time> {
-        self.installed.as_ref().map(|i| i.clock.now_us())
+    /// Reads the section-timing clock: `None` when no registry or no
+    /// clock is installed. Guard duration instrumentation on this so
+    /// un-clocked runs skip the clock reads entirely.
+    #[inline(always)]
+    pub fn now_ns(&self) -> Option<u64> {
+        Some(self.metrics.as_ref()?.clock.as_ref()?.now_ns())
     }
 
     /// Records the event built by `f` — which must be of `kind` — at
-    /// `(time_us, node)` if the attached sink [`wants`](Tracer::wants)
-    /// that kind; otherwise does nothing and never evaluates `f`.
+    /// `(time_us, node)` if the attached sink [`wants`](Telemetry::wants)
+    /// that kind; otherwise does nothing and never evaluates `f`. Under
+    /// a registry the emission counts itself ([`Counter::TraceEvents`])
+    /// and, with a clock, times itself — payload, sink lock and record
+    /// ([`Histo::TraceEmitNs`]) — so trace overhead is measured, not
+    /// guessed.
     #[inline(always)]
     pub fn emit(
         &self,
@@ -731,27 +730,43 @@ impl Tracer {
         if !self.wants(kind) {
             return;
         }
-        let Some(installed) = &self.installed else {
+        let Some(installed) = &self.sink else {
             return;
         };
-        let record = || {
-            let event = f();
-            debug_assert_eq!(event.kind(), kind, "emitted under the wrong kind");
-            lock_sink(&installed.sink).record(time_us, node, event);
-        };
-        // When a clocked metrics registry rides along, time the
-        // emission itself — payload construction, sink lock, and
-        // record — so "trace overhead" is a measured histogram
-        // (`rips_trace_emit_ns`), not a guess.
-        if let Some(t0) = self.meter.now_ns() {
-            record();
-            let dt = self.meter.now_ns().unwrap_or(t0).saturating_sub(t0);
-            self.meter
-                .observe_at(node, metrics_rt::Histo::TraceEmitNs, dt);
-        } else {
-            record();
+        let t0 = self.now_ns();
+        let event = f();
+        debug_assert_eq!(event.kind(), kind, "emitted under the wrong kind");
+        lock_sink(&installed.sink).record(time_us, node, event);
+        if let Some(t0) = t0 {
+            let dt = self.now_ns().unwrap_or(t0).saturating_sub(t0);
+            self.observe_at(node, Histo::TraceEmitNs, dt);
         }
-        self.meter.add_at(node, metrics_rt::Counter::TraceEvents, 1);
+        self.add_at(node, Counter::TraceEvents, 1);
+    }
+
+    /// Adds `v` to counter `c` on `node`'s shard.
+    #[inline(always)]
+    pub fn add_at(&self, node: NodeId, c: Counter, v: u64) {
+        if let Some(m) = &self.metrics {
+            m.reg.add(node, c, v);
+        }
+    }
+
+    /// Stores `v` into gauge `g` on `node`'s shard (last write wins).
+    #[inline(always)]
+    pub fn set_gauge_at(&self, node: NodeId, g: Gauge, v: u64) {
+        if let Some(m) = &self.metrics {
+            m.reg.set_gauge(node, g, v);
+        }
+    }
+
+    /// Records one duration sample (ns) into histogram `h` on `node`'s
+    /// shard.
+    #[inline(always)]
+    pub fn observe_at(&self, node: NodeId, h: Histo, v: u64) {
+        if let Some(m) = &self.metrics {
+            m.reg.observe(node, h, v);
+        }
     }
 }
 
@@ -930,9 +945,12 @@ mod tests {
 
     #[test]
     fn tracer_off_never_builds_events() {
-        let t = Tracer::off();
+        let t = Telemetry::default();
         assert!(!t.wants(EventKind::QueueDepth));
-        assert!(!Tracer::current().wants(EventKind::QueueDepth), "no sink");
+        assert!(
+            !Telemetry::current().wants(EventKind::QueueDepth),
+            "no sink"
+        );
         t.emit(EventKind::QueueDepth, 0, 0, || {
             panic!("payload built while disabled")
         });
@@ -956,7 +974,7 @@ mod tests {
     #[test]
     fn masked_kind_never_builds_its_payload() {
         let (sink, _) = with_sink(BarriersAndTotals::default(), || {
-            let t = Tracer::current();
+            let t = Telemetry::current();
             assert!(t.wants(EventKind::Barrier) && t.wants(EventKind::NodeTotals));
             assert!(!t.wants(EventKind::QueueDepth));
             t.emit(EventKind::QueueDepth, 1, 0, || {
@@ -972,7 +990,7 @@ mod tests {
     #[test]
     fn default_interest_is_every_event_but_the_totals() {
         let (buf, _) = with_sink(TraceBuffer::new(), || {
-            let t = Tracer::current();
+            let t = Telemetry::current();
             assert!(t.wants(EventKind::UserPhase) && t.wants(EventKind::Job));
             t.emit(EventKind::NodeTotals, 0, 0, || panic!("totals are opt-in"));
         });
@@ -983,7 +1001,7 @@ mod tests {
     fn tee_forwards_each_half_only_what_it_asked_for() {
         let sink = Tee(TraceBuffer::new(), BarriersAndTotals::default());
         let (Tee(buf, picky), _) = with_sink(sink, || {
-            let t = Tracer::current();
+            let t = Telemetry::current();
             t.emit(EventKind::QueueDepth, 1, 0, || TraceEvent::QueueDepth {
                 depth: 1,
             });
@@ -1009,20 +1027,20 @@ mod tests {
     fn nested_with_sink_restores_the_outer_interest() {
         with_sink(BarriersAndTotals::default(), || {
             with_sink(TraceBuffer::new(), || {
-                let t = Tracer::current();
+                let t = Telemetry::current();
                 assert!(t.wants(EventKind::QueueDepth) && !t.wants(EventKind::NodeTotals));
             });
-            let t = Tracer::current();
+            let t = Telemetry::current();
             assert!(!t.wants(EventKind::QueueDepth) && t.wants(EventKind::NodeTotals));
         });
-        assert!(!Tracer::current().wants(EventKind::NodeTotals));
+        assert!(!Telemetry::current().wants(EventKind::NodeTotals));
     }
 
     #[test]
     fn with_sink_installs_and_restores() {
-        assert!(!Tracer::current().wants(EventKind::QueueDepth));
+        assert!(!Telemetry::current().wants(EventKind::QueueDepth));
         let (buf, got) = with_sink(TraceBuffer::new(), || {
-            let t = Tracer::current();
+            let t = Telemetry::current();
             assert!(t.wants(EventKind::QueueDepth));
             t.emit(EventKind::QueueDepth, 5, 2, || TraceEvent::QueueDepth {
                 depth: 3,
@@ -1033,20 +1051,20 @@ mod tests {
         assert_eq!(buf.records.len(), 1);
         assert_eq!(buf.records[0].time, 5);
         assert_eq!(buf.records[0].node, 2);
-        assert!(!Tracer::current().wants(EventKind::QueueDepth));
+        assert!(!Telemetry::current().wants(EventKind::QueueDepth));
     }
 
     #[test]
     fn with_sink_restores_outer_sink_when_nested() {
         let (outer, _) = with_sink(TraceBuffer::new(), || {
             let (inner, _) = with_sink(TraceBuffer::new(), || {
-                Tracer::current().emit(EventKind::QueueDepth, 1, 0, || TraceEvent::QueueDepth {
+                Telemetry::current().emit(EventKind::QueueDepth, 1, 0, || TraceEvent::QueueDepth {
                     depth: 1,
                 });
             });
             assert_eq!(inner.records.len(), 1);
             // Back on the outer sink.
-            Tracer::current().emit(EventKind::QueueDepth, 2, 0, || TraceEvent::QueueDepth {
+            Telemetry::current().emit(EventKind::QueueDepth, 2, 0, || TraceEvent::QueueDepth {
                 depth: 2,
             });
         });
@@ -1055,34 +1073,37 @@ mod tests {
     }
 
     #[test]
-    fn clocked_install_reports_kind_and_now() {
-        struct FixedClock;
-        impl Clock for FixedClock {
-            fn now_us(&self) -> Time {
-                77
-            }
-            fn kind(&self) -> ClockKind {
-                ClockKind::WallMonotonic
-            }
-        }
-        assert_eq!(Tracer::current().clock_kind(), ClockKind::Virtual);
-        assert_eq!(Tracer::current().clock_now(), None);
-        let (buf, _) = with_sink_clocked(TraceBuffer::new(), Arc::new(FixedClock), || {
-            let t = Tracer::current();
-            assert_eq!(t.clock_kind(), ClockKind::WallMonotonic);
-            assert_eq!(t.clock_now(), Some(77));
-            t.emit(EventKind::QueueDepth, t.clock_now().unwrap(), 0, || {
-                TraceEvent::QueueDepth { depth: 1 }
+    fn sink_and_registry_share_one_slot_either_way_round() {
+        let reg = MetricsRegistry::new(1);
+        // (sink attached, registry attached) as a handle taken now sees it.
+        let sees = || {
+            let t = Telemetry::current();
+            (t.wants(EventKind::Barrier), t.metered())
+        };
+        let emit_one = || {
+            assert_eq!(sees(), (true, true));
+            Telemetry::current().emit(EventKind::Barrier, 1, 0, || TraceEvent::Barrier {
+                round: 0,
             });
+        };
+        let (buf, _) = with_sink(TraceBuffer::new(), || {
+            with_metrics(&reg, emit_one);
+            assert_eq!(sees(), (true, false));
         });
-        assert_eq!(buf.records[0].time, 77);
-        assert_eq!(Tracer::current().clock_kind(), ClockKind::Virtual);
+        assert_eq!(buf.records.len(), 1);
+        with_metrics(&reg, || {
+            let (buf, _) = with_sink(TraceBuffer::new(), emit_one);
+            assert_eq!(buf.records.len(), 1);
+            assert_eq!(sees(), (false, true));
+        });
+        assert_eq!(sees(), (false, false));
+        assert_eq!(reg.counter_total(Counter::TraceEvents), 2);
     }
 
     #[test]
     fn sink_is_shared_across_threads_spawned_inside_install() {
         let (buf, _) = with_sink(TraceBuffer::new(), || {
-            let tracers: Vec<Tracer> = (0..4).map(|_| Tracer::current()).collect();
+            let tracers: Vec<Telemetry> = (0..4).map(|_| Telemetry::current()).collect();
             std::thread::scope(|s| {
                 for (i, t) in tracers.into_iter().enumerate() {
                     s.spawn(move || {
@@ -1099,7 +1120,7 @@ mod tests {
     #[test]
     fn tee_duplicates_records_in_order() {
         let (tee, _) = with_sink(Tee(TraceBuffer::new(), TraceBuffer::new()), || {
-            let t = Tracer::current();
+            let t = Telemetry::current();
             t.emit(EventKind::QueueDepth, 1, 0, || TraceEvent::QueueDepth {
                 depth: 1,
             });

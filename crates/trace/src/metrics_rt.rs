@@ -1,6 +1,6 @@
-//! `rips-metrics-rt`: always-on, allocation-free runtime metrics.
+//! Always-on, allocation-free runtime metrics.
 //!
-//! `rips-trace` explains a run *after* it ends; this module is the
+//! The trace stream explains a run *after* it ends; this module is the
 //! half that stays readable *while* the system runs. It is the
 //! substrate for the live backend's dispatch self-profiling, the
 //! stall watchdog, and `rips run|live|serve --metrics-out`.
@@ -21,26 +21,29 @@
 //!   `bit_length(v)`, so 64 counters cover the full `u64` range with
 //!   ≤ 2x relative error — enough to separate "grain execute" from
 //!   "trace emission" without a single division on the hot path.
-//! * A [`Meter`] is the cheap cloneable handle mirroring
-//!   [`Tracer`](crate::Tracer): installed per run via
-//!   [`with_metrics`], captured once at run construction, and every
+//! * A registry is installed per run with
+//!   [`with_metrics`](crate::with_metrics) and reached through the
+//!   run's [`Telemetry`](crate::Telemetry) handle, whose every
 //!   recording call is a single branch when no registry is installed
 //!   (the metrics-off golden tests pin this bit-for-bit).
 //! * Aggregation ([`MetricsRegistry::snapshot`]) sums shards on
 //!   demand and renders OpenMetrics-style text
 //!   ([`MetricsSnapshot::render_openmetrics`]).
 //!
-//! Wall-clock section timing needs a nanosecond clock, and this crate
-//! is dependency-free and forbids `Instant` by repo lint (RIPS-L002);
-//! the [`CycleClock`] trait is defined here but its monotonic
-//! implementation lives in `rips-live` (the one crate allowed to read
-//! time). Install one with [`with_metrics_clocked`] to light up the
-//! duration histograms; without a clock only counters and gauges
-//! record.
+//! Wall-clock section timing needs a nanosecond [`Clock`](crate::Clock),
+//! and this crate is dependency-free and forbids `Instant` by repo lint
+//! (RIPS-L002), so the monotonic implementation lives in `rips-live`
+//! (the one crate allowed to read time). Install the registry with one
+//! through [`with_metrics_clocked`](crate::with_metrics_clocked) to
+//! light up the duration histograms; without a clock only counters and
+//! gauges record.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The [`Clock`](crate::Clock) trait, under the name section-timing
+/// code imports it by.
+pub use crate::Clock as CycleClock;
 
 /// Declares a metric-id enum together with its OpenMetrics family
 /// names and help strings, keeping the three in sync by construction.
@@ -147,7 +150,7 @@ metric_enum! {
 
 metric_enum! {
     /// Log2-bucketed duration histograms (nanoseconds). These only
-    /// record when a [`CycleClock`] is installed.
+    /// record when the registry is installed with a clock.
     pub enum Histo {
         /// Full dispatch-round cost: one kernel dispatch call plus
         /// everything it pulled in.
@@ -221,18 +224,7 @@ impl Shard {
     }
 }
 
-/// A nanosecond monotonic clock for section timing.
-///
-/// Defined here so the dependency-free trace crate can hold one
-/// behind an `Arc<dyn CycleClock>`; the `Instant`-backed
-/// implementation lives in `rips-live` (RIPS-L002 confines wall-clock
-/// reads there). Tests use deterministic manual clocks.
-pub trait CycleClock: Send + Sync {
-    /// Nanoseconds elapsed since this clock's epoch.
-    fn now_ns(&self) -> u64;
-}
-
-/// A deterministic [`CycleClock`] for tests: returns an atomically
+/// A deterministic [`Clock`](crate::Clock) for tests: returns an atomically
 /// advancing value so durations are reproducible without reading
 /// wall-clock time.
 #[derive(Debug, Default)]
@@ -250,7 +242,7 @@ impl ManualNs {
     }
 }
 
-impl CycleClock for ManualNs {
+impl crate::Clock for ManualNs {
     fn now_ns(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
@@ -278,11 +270,6 @@ impl MetricsRegistry {
         Arc::new(MetricsRegistry {
             shards: (0..n).map(|_| Shard::new()).collect(),
         })
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 
     #[inline(always)]
@@ -325,14 +312,6 @@ impl MetricsRegistry {
         self.shards
             .iter()
             .map(|s| s.counters[c.idx()].load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Gauge `g` per shard, in shard order.
-    pub fn gauge_per_shard(&self, g: Gauge) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.gauges[g.idx()].load(Ordering::Relaxed))
             .collect()
     }
 
@@ -583,194 +562,10 @@ pub fn validate_openmetrics(text: &str) -> Result<usize, String> {
     Ok(samples)
 }
 
-/// An installed registry plus the optional section-timing clock.
-#[derive(Clone)]
-struct MeterInstall {
-    reg: Arc<MetricsRegistry>,
-    clock: Option<Arc<dyn CycleClock>>,
-}
-
-thread_local! {
-    static CURRENT_METRICS: RefCell<Option<MeterInstall>> = const { RefCell::new(None) };
-}
-
-fn with_install<R>(install: MeterInstall, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<MeterInstall>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let prev = self.0.take();
-            CURRENT_METRICS.with(|c| *c.borrow_mut() = prev);
-        }
-    }
-    let prev = CURRENT_METRICS.with(|c| c.borrow_mut().replace(install));
-    let _restore = Restore(prev);
-    f()
-}
-
-/// Installs `reg` as the thread's active metrics registry for the
-/// duration of `f`, counters and gauges only (no duration histograms
-/// — there is no clock). Instrumented layers pick it up via
-/// [`Meter::current`] at run construction, exactly like
-/// [`with_sink`](crate::with_sink) does for trace sinks. The previous
-/// install (if any) is restored afterwards, even on panic.
-pub fn with_metrics<R>(reg: &Arc<MetricsRegistry>, f: impl FnOnce() -> R) -> R {
-    with_install(
-        MeterInstall {
-            reg: Arc::clone(reg),
-            clock: None,
-        },
-        f,
-    )
-}
-
-/// [`with_metrics`] with a nanosecond [`CycleClock`]: duration
-/// histograms record too. The live backend passes its monotonic
-/// clock; the simulator has no meaningful wall clock and uses the
-/// unclocked form.
-pub fn with_metrics_clocked<R>(
-    reg: &Arc<MetricsRegistry>,
-    clock: Arc<dyn CycleClock>,
-    f: impl FnOnce() -> R,
-) -> R {
-    with_install(
-        MeterInstall {
-            reg: Arc::clone(reg),
-            clock: Some(clock),
-        },
-        f,
-    )
-}
-
-/// A cheap cloneable handle to the installed registry (or nothing).
-///
-/// Mirrors [`Tracer`](crate::Tracer): instrumented layers capture one
-/// at run construction ([`Meter::current`]), re-shard it per node
-/// ([`Meter::for_shard`]), and call the recording methods from hot
-/// paths. With no registry installed every call is a single branch
-/// and touches nothing.
-#[derive(Clone, Default)]
-pub struct Meter {
-    install: Option<MeterInstall>,
-    shard: usize,
-}
-
-impl std::fmt::Debug for Meter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Meter")
-            .field("enabled", &self.enabled())
-            .field("shard", &self.shard)
-            .finish()
-    }
-}
-
-impl Meter {
-    /// A disabled meter (no registry).
-    pub fn off() -> Self {
-        Meter::default()
-    }
-
-    /// The thread's current meter, bound to shard 0: attached to the
-    /// registry installed by the innermost [`with_metrics`], or
-    /// disabled if none is installed.
-    pub fn current() -> Self {
-        Meter {
-            install: CURRENT_METRICS.with(|c| c.borrow().clone()),
-            shard: 0,
-        }
-    }
-
-    /// This meter re-bound to write `shard` (a node/thread id).
-    pub fn for_shard(&self, shard: usize) -> Self {
-        Meter {
-            install: self.install.clone(),
-            shard,
-        }
-    }
-
-    /// Whether a registry is attached.
-    #[inline(always)]
-    pub fn enabled(&self) -> bool {
-        self.install.is_some()
-    }
-
-    /// The attached registry, if any.
-    pub fn registry(&self) -> Option<Arc<MetricsRegistry>> {
-        self.install.as_ref().map(|i| Arc::clone(&i.reg))
-    }
-
-    /// Reads the section-timing clock: `None` when no registry or no
-    /// clock is installed. Guard duration instrumentation on this so
-    /// un-clocked runs skip the clock reads entirely.
-    #[inline(always)]
-    pub fn now_ns(&self) -> Option<u64> {
-        match &self.install {
-            Some(MeterInstall {
-                clock: Some(clock), ..
-            }) => Some(clock.now_ns()),
-            _ => None,
-        }
-    }
-
-    /// Adds `v` to counter `c` on this meter's shard.
-    #[inline(always)]
-    pub fn add(&self, c: Counter, v: u64) {
-        if let Some(i) = &self.install {
-            i.reg.add(self.shard, c, v);
-        }
-    }
-
-    /// Adds 1 to counter `c` on this meter's shard.
-    #[inline(always)]
-    pub fn inc(&self, c: Counter) {
-        self.add(c, 1);
-    }
-
-    /// Adds `v` to counter `c` on an explicit shard (for callers that
-    /// know the node id but hold a shard-0 meter, e.g. the tracer).
-    #[inline(always)]
-    pub fn add_at(&self, shard: usize, c: Counter, v: u64) {
-        if let Some(i) = &self.install {
-            i.reg.add(shard, c, v);
-        }
-    }
-
-    /// Stores `v` into gauge `g` on this meter's shard.
-    #[inline(always)]
-    pub fn set_gauge(&self, g: Gauge, v: u64) {
-        if let Some(i) = &self.install {
-            i.reg.set_gauge(self.shard, g, v);
-        }
-    }
-
-    /// Stores `v` into gauge `g` on an explicit shard.
-    #[inline(always)]
-    pub fn set_gauge_at(&self, shard: usize, g: Gauge, v: u64) {
-        if let Some(i) = &self.install {
-            i.reg.set_gauge(shard, g, v);
-        }
-    }
-
-    /// Records one duration sample into histogram `h` on this meter's
-    /// shard.
-    #[inline(always)]
-    pub fn observe(&self, h: Histo, v: u64) {
-        if let Some(i) = &self.install {
-            i.reg.observe(self.shard, h, v);
-        }
-    }
-
-    /// Records one duration sample on an explicit shard.
-    #[inline(always)]
-    pub fn observe_at(&self, shard: usize, h: Histo, v: u64) {
-        if let Some(i) = &self.install {
-            i.reg.observe(shard, h, v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{with_metrics, with_metrics_clocked, Telemetry};
 
     #[test]
     fn catalog_names_unique_and_prefixed() {
@@ -842,22 +637,22 @@ mod tests {
 
     #[test]
     fn meter_off_is_inert_and_install_restores() {
-        let m = Meter::off();
-        assert!(!m.enabled());
-        m.inc(Counter::TasksExecuted);
-        m.observe(Histo::GrainExecNs, 99);
-        assert!(m.now_ns().is_none());
-        assert!(!Meter::current().enabled());
+        let off = Telemetry::default();
+        assert!(!off.metered());
+        off.add_at(0, Counter::TasksExecuted, 1);
+        off.observe_at(0, Histo::GrainExecNs, 99);
+        assert!(off.now_ns().is_none());
+        assert!(!Telemetry::current().metered());
 
         let reg = MetricsRegistry::new(2);
         with_metrics(&reg, || {
-            let m = Meter::current().for_shard(1);
-            assert!(m.enabled());
+            let m = Telemetry::current();
+            assert!(m.metered());
             assert!(m.now_ns().is_none(), "unclocked install has no clock");
-            m.inc(Counter::TasksExecuted);
+            m.add_at(1, Counter::TasksExecuted, 1);
         });
-        assert!(!Meter::current().enabled(), "install restored");
-        assert_eq!(reg.counter_total(Counter::TasksExecuted), 1);
+        assert!(!Telemetry::current().metered(), "install restored");
+        assert_eq!(reg.counter_per_shard(Counter::TasksExecuted), [0, 1]);
     }
 
     #[test]
@@ -866,11 +661,11 @@ mod tests {
         let clock = Arc::new(ManualNs::new());
         let tick: Arc<ManualNs> = Arc::clone(&clock);
         with_metrics_clocked(&reg, clock, || {
-            let m = Meter::current();
+            let m = Telemetry::current();
             let t0 = m.now_ns().expect("clock installed");
             tick.advance(1500);
             let dt = m.now_ns().unwrap() - t0;
-            m.observe(Histo::DispatchRoundNs, dt);
+            m.observe_at(0, Histo::DispatchRoundNs, dt);
         });
         let snap = reg.snapshot();
         let h = snap.histo(Histo::DispatchRoundNs);

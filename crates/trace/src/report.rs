@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::{ClockKind, Hist, Json, PhaseKind, SysStage, Time, TraceBuffer, TraceEvent};
+use crate::{Hist, Json, PhaseKind, SysStage, Time, TraceBuffer, TraceEvent};
 
 /// Aggregated anatomy of one system phase.
 #[derive(Debug, Clone, Default)]
@@ -64,10 +64,6 @@ pub struct PhaseReport {
     pub rounds: u32,
     /// Run end time the report was built against (µs).
     pub end_time: Time,
-    /// What the µs columns measure: virtual (simulator) or wall-clock
-    /// (live backend) time. Set by [`TraceBuffer::report_with_clock`];
-    /// defaults to virtual.
-    pub clock: ClockKind,
 }
 
 /// Builds the report. Spans still open at `end_time` (the final
@@ -214,10 +210,9 @@ fn hist3(h: &mut Hist) -> String {
 }
 
 impl PhaseReport {
-    /// Renders the report as an aligned text table (durations in the
-    /// µs of [`PhaseReport::clock`] — virtual or wall-clock time,
-    /// labelled in the header — as `p50/p95/max` triplets). Takes
-    /// `&mut self` because percentile queries sort the underlying
+    /// Renders the report as an aligned text table (durations in
+    /// virtual µs, labelled in the header, as `p50/p95/max` triplets).
+    /// Takes `&mut self` because percentile queries sort the underlying
     /// samples lazily.
     pub fn render(&mut self) -> String {
         let mut out = String::new();
@@ -229,7 +224,7 @@ impl PhaseReport {
             self.end_time as f64 / 1e6,
             self.peak_queue_depth,
         ));
-        out.push_str(&format!("time unit: {}\n", self.clock.label()));
+        out.push_str("time unit: virtual µs\n");
         out.push_str(&format!(
             "task grain   µs p50/p95/max: {:>24}   ({} execs)\n",
             hist3(&mut self.task_grain_us),
@@ -305,7 +300,7 @@ impl PhaseReport {
         }
         let mut j = Json::new();
         j.obj().key("type").str("summary");
-        j.key("clock").str(self.clock.name());
+        j.key("clock").str("virtual");
         j.key("tasks").u64(self.tasks);
         j.key("nonlocal").u64(self.nonlocal_tasks);
         j.key("rounds").u64(self.rounds.into());
@@ -351,9 +346,6 @@ mod tests {
         let mut virt = b.report(100);
         assert!(virt.render().contains("time unit: virtual µs"));
         assert!(virt.to_jsonl().contains("\"clock\":\"virtual\""));
-        let mut wall = b.report_with_clock(100, ClockKind::WallMonotonic);
-        assert!(wall.render().contains("time unit: wall-clock µs"));
-        assert!(wall.to_jsonl().contains("\"clock\":\"wall\""));
     }
 
     fn phase_events(b: &mut TraceBuffer, node: usize, p: u32, t0: Time) {

@@ -57,7 +57,7 @@ use rips_repro::sched::{min_nonlocal_tasks, mwa};
 use rips_repro::taskgraph::Workload;
 use rips_repro::topology::{Mesh2D, Topology};
 use rips_repro::trace::{
-    metrics_rt, validate, with_metrics, with_metrics_clocked, Clock, CycleClock, MetricsRegistry,
+    metrics_rt, validate, with_metrics, with_metrics_clocked, with_sink, Clock, MetricsRegistry,
     SharedFlight, Tee, TraceBuffer,
 };
 
@@ -354,13 +354,6 @@ fn cmd_live(args: &Args) {
     let (build_s, (workload, table)) = timed(|| build_app_live(args, app));
     let (truth_s, truth) = timed(|| table.static_totals());
 
-    let clock: Arc<WallClock> = Arc::new(WallClock::new());
-    let run = |clock: &Arc<WallClock>| {
-        let mut opts = live_opts(&table, mode, timed_scale);
-        opts.clock = Some(Arc::clone(clock) as Arc<dyn Clock>);
-        live_run_with(tuning, &name, &workload, threads, 0.4, seed, opts)
-    };
-
     eprintln!(
         "live run: {name} on {threads} threads (mode {mode:?}, policy {policy}, seed {seed}) ..."
     );
@@ -383,50 +376,43 @@ fn cmd_live(args: &Args) {
         },
     );
 
-    let (out, audit_ok) =
-        with_metrics_clocked(&metrics, Arc::clone(&clock) as Arc<dyn CycleClock>, || {
-            if audit || trace_out.is_some() {
-                // One install feeds all three consumers: the flight
-                // recorder rides beside the invariant auditor and the
-                // buffer destined for the Perfetto export.
-                let sink = Tee(
-                    flight.clone(),
-                    Tee(Auditor::new(threads), TraceBuffer::new()),
-                );
-                let (Tee(_, Tee(auditor, buf)), out) = rips_repro::trace::with_sink_clocked(
-                    sink,
-                    Arc::clone(&clock) as Arc<dyn Clock>,
-                    || run(&clock),
-                );
-                let mut ok = true;
-                if audit {
-                    let report = auditor.finish();
-                    print!("{}", report.render_human());
-                    ok = report.is_ok();
-                }
-                if let Some(path) = trace_out {
-                    let label = format!("{name} · {app} · {threads} threads (live) · seed {seed}");
-                    let json = buf.chrome_json(&label, out.wall_us);
-                    write_file(path, &json);
-                    eprintln!(
-                        "wrote {path}: {} events ({} bytes)",
-                        buf.records.len(),
-                        json.len()
-                    );
-                }
-                (out, ok)
-            } else {
-                // No auditor or export requested: the flight recorder
-                // alone taps the trace stream.
-                let (_flight, out) = rips_repro::trace::with_sink_clocked(
-                    flight.clone(),
-                    Arc::clone(&clock) as Arc<dyn Clock>,
-                    || run(&clock),
-                );
-                (out, true)
-            }
+    // One install feeds every consumer: the flight recorder always,
+    // the invariant auditor and the buffer destined for the Perfetto
+    // export only when asked for. The one wall clock paces the run,
+    // stamps its events and times its dispatch rounds.
+    let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
+    let sink = Tee(
+        flight.clone(),
+        Tee(
+            audit.then(|| Auditor::new(threads)),
+            trace_out.map(|_| TraceBuffer::new()),
+        ),
+    );
+    let (Tee(_, Tee(auditor, buf)), out) =
+        with_metrics_clocked(&metrics, Arc::clone(&clock), || {
+            with_sink(sink, || {
+                let mut opts = live_opts(&table, mode, timed_scale);
+                opts.clock = Some(clock);
+                live_run_with(tuning, &name, &workload, threads, 0.4, seed, opts)
+            })
         });
     let trips = watchdog.stop();
+    let mut audit_ok = true;
+    if let Some(auditor) = auditor {
+        let report = auditor.finish();
+        print!("{}", report.render_human());
+        audit_ok = report.is_ok();
+    }
+    if let (Some(path), Some(buf)) = (trace_out, buf) {
+        let label = format!("{name} · {app} · {threads} threads (live) · seed {seed}");
+        let json = buf.chrome_json(&label, out.wall_us);
+        write_file(path, &json);
+        eprintln!(
+            "wrote {path}: {} events ({} bytes)",
+            buf.records.len(),
+            json.len()
+        );
+    }
 
     println!("\nlive results ({name}, {threads} threads):");
     println!("  wall clock      : {:.3} s", out.wall_us as f64 / 1e6);

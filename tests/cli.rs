@@ -256,6 +256,24 @@ fn run_exports_valid_openmetrics() {
 }
 
 #[test]
+fn live_audits_and_exports_its_trace_from_one_install() {
+    let dir = scratch("live-trace");
+    let path = dir.join("trace.json");
+    let out = rips(&format!(
+        "live --threads 2 queens9 --audit --trace-out {}",
+        path.display()
+    ));
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("audit            OK"), "{text}");
+    assert!(text.contains("MATCH"), "{text}");
+    let json = std::fs::read_to_string(path).expect("trace written");
+    assert!(json.starts_with("{\"traceEvents\":["));
+    assert!(json.contains("\"ph\":\"X\""));
+    std::fs::remove_dir_all(&dir).expect("clean temp dir");
+}
+
+#[test]
 fn bench_writes_a_document_with_the_provenance_header() {
     let dir = scratch("bench");
     let path = dir.join("scale.json");
