@@ -105,37 +105,67 @@ struct PhaseAcc {
 }
 
 /// One node's part in one system phase.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct NodeFlow {
-    /// The load it reported into the phase (`LoadSample`).
-    load: Option<i64>,
+    /// The load it reported into the phase (`LoadSample`), or
+    /// [`NOT_REPORTED`]: a negative report is rejected on input.
+    load: i64,
     /// Tasks it sent out during the phase.
-    out: i64,
+    out: u32,
     /// Tasks destined for it, from the senders' `MigrateOut`s.
-    inbound: i64,
+    inbound: u32,
+}
+
+/// A load no accepted report has.
+const NOT_REPORTED: i64 = -1;
+
+impl NodeFlow {
+    const EMPTY: NodeFlow = NodeFlow {
+        load: NOT_REPORTED,
+        out: 0,
+        inbound: 0,
+    };
 }
 
 impl PhaseAcc {
     fn new(n: usize) -> Self {
         PhaseAcc {
-            flows: vec![NodeFlow::default(); n],
+            flows: vec![NodeFlow::EMPTY; n],
             reported: 0,
             closed: 0,
         }
     }
 }
 
-/// What the auditor remembers about one node across phases.
-#[derive(Debug, Clone, Copy, Default)]
+/// What the auditor remembers about one node across phases. An index
+/// of [`NONE`] stands for "none yet"; the stream may not use it.
+#[derive(Debug, Clone, Copy)]
 struct NodeState {
-    /// The system phase currently open on it, if any.
-    open_sys: Option<u32>,
+    /// The system phase currently open on it.
+    open_sys: u32,
     /// The last system-phase index it began.
-    last_sys: Option<u32>,
+    last_sys: u32,
     /// The last round it began.
-    last_round: Option<u32>,
+    last_round: u32,
     /// Whether its `NodeTotals` arrived.
     has_totals: bool,
+}
+
+/// The phase or round index a [`NodeState`] holds for "none".
+const NONE: u32 = u32::MAX;
+
+/// A packed index as an `Option`.
+fn some(index: u32) -> Option<u32> {
+    (index != NONE).then_some(index)
+}
+
+impl NodeState {
+    const EMPTY: NodeState = NodeState {
+        open_sys: NONE,
+        last_sys: NONE,
+        last_round: NONE,
+        has_totals: false,
+    };
 }
 
 /// What the audit concluded. Produced by [`Auditor::finish`].
@@ -266,7 +296,7 @@ impl Auditor {
     pub fn new(n: usize) -> Self {
         Auditor {
             n,
-            nodes: vec![NodeState::default(); n],
+            nodes: vec![NodeState::EMPTY; n],
             phases: BTreeMap::new(),
             tile_of: None,
             last_barrier: None,
@@ -319,12 +349,12 @@ impl Auditor {
         }
         let mut errors = Vec::new();
         let flows = &acc.flows;
-        let loads: Vec<i64> = flows.iter().map(|f| f.load.expect("counted")).collect();
+        let loads: Vec<i64> = flows.iter().map(|f| f.load).collect();
         let total: i64 = loads.iter().sum();
         let post: Vec<i64> = flows
             .iter()
             .zip(&loads)
-            .map(|(f, load)| load - f.out + f.inbound)
+            .map(|(f, load)| load - i64::from(f.out) + i64::from(f.inbound))
             .collect();
 
         // Sanity: migrations move tasks, they don't create them.
@@ -392,7 +422,7 @@ impl Auditor {
         // bound. The tiled planner legitimately exceeds it (its
         // cross-tile stage is not migration-minimal), so tiled
         // mode only enforces the feasibility direction.
-        let moved: i64 = flows.iter().map(|f| f.out).sum();
+        let moved: i64 = flows.iter().map(|f| i64::from(f.out)).sum();
         let bound = min_nonlocal_lower_bound(&loads);
         if moved < bound {
             errors.push(format!(
@@ -477,28 +507,34 @@ impl TraceSink for Auditor {
                 kind: PhaseKind::System,
                 index,
             } => {
-                if let Some(open) = state.open_sys {
+                if index == NONE {
+                    self.err(format!(
+                        "node {node}: system phase index {index} is reserved"
+                    ));
+                    return;
+                }
+                if let Some(open) = some(state.open_sys) {
                     self.err(format!(
                         "node {node}: system phase {index} begins inside open system phase {open}"
                     ));
                 }
-                if let Some(prev) = state.last_sys {
+                if let Some(prev) = some(state.last_sys) {
                     if index <= prev {
                         self.err(format!(
                             "node {node}: system phase index {index} not after {prev}"
                         ));
                     }
                 }
-                self.nodes[node].last_sys = Some(index);
-                self.nodes[node].open_sys = Some(index);
+                self.nodes[node].last_sys = index;
+                self.nodes[node].open_sys = index;
                 self.acc(index);
             }
             TraceEvent::PhaseEnd {
                 kind: PhaseKind::System,
                 index,
             } => {
-                self.nodes[node].open_sys = None;
-                match state.open_sys {
+                self.nodes[node].open_sys = NONE;
+                match some(state.open_sys) {
                     Some(open) if open == index => {
                         let acc = self.acc(index);
                         acc.closed += 1;
@@ -512,10 +548,15 @@ impl TraceSink for Auditor {
                     )),
                 }
             }
-            TraceEvent::LoadSample { load } => match state.open_sys {
+            TraceEvent::LoadSample { load } => match some(state.open_sys) {
+                Some(p) if load < 0 => {
+                    self.err(format!(
+                        "node {node}: negative load {load} reported in phase {p}"
+                    ));
+                }
                 Some(p) => {
                     let acc = self.acc(p);
-                    if acc.flows[node].load.replace(load).is_some() {
+                    if std::mem::replace(&mut acc.flows[node].load, load) != NOT_REPORTED {
                         self.err(format!("node {node}: duplicate load report in phase {p}"));
                     } else {
                         acc.reported += 1;
@@ -532,10 +573,21 @@ impl TraceSink for Auditor {
                 // Attribute to the sender's open system phase; baseline
                 // schedulers migrate outside phases and are counted in
                 // the conservation totals only.
-                if let Some(p) = state.open_sys {
+                if let Some(p) = some(state.open_sys) {
                     let acc = self.acc(p);
-                    acc.flows[node].out += count as i64;
-                    acc.flows[to].inbound += count as i64;
+                    let out = acc.flows[node].out.checked_add(count);
+                    let inbound = acc.flows[to].inbound.checked_add(count);
+                    match out.zip(inbound) {
+                        Some((out, inbound)) => {
+                            acc.flows[node].out = out;
+                            acc.flows[to].inbound = inbound;
+                        }
+                        None => self.err(format!(
+                            "node {node}: {count} task(s) to node {to} overflow phase {p}'s \
+                             per-node flow of {} tasks",
+                            u32::MAX
+                        )),
+                    }
                 }
             }
             TraceEvent::MigrateIn { count, .. } => self.report.migrated_in += count as u64,
@@ -558,14 +610,18 @@ impl TraceSink for Auditor {
                 self.report.barriers += 1;
             }
             TraceEvent::RoundBegin { round } => {
-                if let Some(prev) = state.last_round {
+                if round == NONE {
+                    self.err(format!("node {node}: round index {round} is reserved"));
+                    return;
+                }
+                if let Some(prev) = some(state.last_round) {
                     if round <= prev {
                         self.err(format!(
                             "node {node}: round {round} begins after round {prev}"
                         ));
                     }
                 }
-                self.nodes[node].last_round = Some(round);
+                self.nodes[node].last_round = round;
                 if round > 0 && self.last_barrier.is_none_or(|b| b < round - 1) {
                     self.err(format!(
                         "node {node}: round {round} begins before round {}'s barrier was announced",
@@ -918,6 +974,70 @@ mod tests {
             r.errors
                 .iter()
                 .any(|e| e.contains("per tile") && e.contains("tile 1")),
+            "{r:?}"
+        );
+    }
+
+    #[test]
+    fn per_node_records_stay_packed() {
+        use std::mem::size_of;
+        assert!(size_of::<NodeState>() <= 16, "{}", size_of::<NodeState>());
+        assert!(size_of::<NodeFlow>() <= 16, "{}", size_of::<NodeFlow>());
+    }
+
+    fn begin(a: &mut Auditor, node: NodeId, index: u32) {
+        let kind = PhaseKind::System;
+        a.record(0, node, TraceEvent::PhaseBegin { kind, index });
+    }
+
+    #[test]
+    fn negative_load_is_its_own_error() {
+        let mut a = Auditor::new(2);
+        begin(&mut a, 0, 1);
+        a.record(0, 0, TraceEvent::LoadSample { load: -3 });
+        let r = a.finish();
+        assert_eq!(
+            r.errors,
+            ["node 0: negative load -3 reported in phase 1"],
+            "{r:?}"
+        );
+    }
+
+    #[test]
+    fn reserved_phase_and_round_indices_are_rejected() {
+        let mut a = Auditor::new(1);
+        begin(&mut a, 0, u32::MAX);
+        a.record(0, 0, TraceEvent::RoundBegin { round: u32::MAX });
+        let r = a.finish();
+        assert_eq!(
+            r.errors,
+            [
+                format!("node 0: system phase index {} is reserved", u32::MAX),
+                format!("node 0: round index {} is reserved", u32::MAX),
+            ],
+            "{r:?}"
+        );
+        assert_eq!(r.phases_incomplete, 0, "a reserved index opens nothing");
+    }
+
+    #[test]
+    fn flow_overflow_is_rejected() {
+        let mut a = Auditor::new(2);
+        begin(&mut a, 0, 1);
+        a.record(
+            0,
+            0,
+            TraceEvent::MigrateOut {
+                to: 1,
+                count: u32::MAX,
+            },
+        );
+        a.record(0, 0, TraceEvent::MigrateOut { to: 1, count: 1 });
+        let r = a.finish();
+        assert!(
+            r.errors
+                .iter()
+                .any(|e| e.starts_with("node 0: 1 task(s) to node 1 overflow phase 1")),
             "{r:?}"
         );
     }

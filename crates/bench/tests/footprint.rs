@@ -32,7 +32,7 @@ fn node_drivers_stay_within_their_byte_budgets() {
         ("Gradient", size_of::<NodeDriver<GradientPolicy>>(), 184 + 8),
         ("RID", size_of::<NodeDriver<RidPolicy>>(), 192 + 8),
         ("SID", size_of::<NodeDriver<SidPolicy>>(), 184 + 8),
-        ("RIPS", size_of::<NodeDriver<RipsPolicy>>(), 216 + 8),
+        ("RIPS", size_of::<NodeDriver<RipsPolicy>>(), 144 + 8),
     ];
     for (name, bytes, budget) in roster {
         assert!(
@@ -59,7 +59,7 @@ fn rips_cell_node_state_stays_within_its_byte_budget() {
     // of slack.
     let per_node = row.outcome.stats.mem.node_state_bytes / n as u64;
     assert!(
-        per_node <= 216 + 80 + 8,
+        per_node <= 144 + 80 + 8,
         "{per_node} B of modelled state per node"
     );
 }

@@ -21,7 +21,8 @@
 use std::sync::Arc;
 
 use rips_apps::{nqueens, NQueensConfig};
-use rips_bench::run_scheduler;
+use rips_bench::{registry_with, run_cell, run_scheduler, RegistryTuning};
+use rips_core::{GlobalPolicy, LocalPolicy, RipsConfig};
 use rips_taskgraph::{geometric_tree, Workload};
 
 /// FNV-1a over every numeric field of the outcome, in a fixed order.
@@ -132,6 +133,71 @@ fn fixed_seed_outcomes_are_bit_for_bit_stable() {
     }
 }
 
+/// RIPS's other local × global policy combinations: the roster runs
+/// only the paper's ANY-Lazy, and Eager's RTS queue and ALL's ready
+/// tree are per-node state those cells never touch.
+fn mode_cells() -> Vec<(&'static str, LocalPolicy, GlobalPolicy)> {
+    vec![
+        ("Eager-ANY", LocalPolicy::Eager, GlobalPolicy::Any),
+        ("Lazy-ALL", LocalPolicy::Lazy, GlobalPolicy::All),
+        ("Eager-ALL", LocalPolicy::Eager, GlobalPolicy::All),
+        (
+            "Lazy-Periodic",
+            LocalPolicy::Lazy,
+            GlobalPolicy::Periodic(2_000),
+        ),
+    ]
+}
+
+/// One mode cell per workload of the RIPS roster cells: the registry's
+/// RIPS row (which runs [`rips_core::rips`]) under the mode's policies.
+fn run_mode(
+    local: LocalPolicy,
+    global: GlobalPolicy,
+) -> impl Iterator<Item = (String, rips_bench::Row)> {
+    let rips = RipsConfig {
+        local,
+        global,
+        ..RipsConfig::default()
+    };
+    let reg = registry_with(RegistryTuning {
+        rips,
+        ..RegistryTuning::default()
+    });
+    [(queens9(), 8, 1), (tree(), 9, 3)]
+        .into_iter()
+        .map(move |(w, nodes, seed)| {
+            let row = run_cell(&reg, "RIPS", &w, nodes, 0.4, seed);
+            (format!("{} / {nodes} nodes", w.name), row)
+        })
+}
+
+#[rustfmt::skip]
+const MODE_GOLDEN: [&str; 8] = [
+    "end=30213 events=517 msgs=230 bytes=4016 hops=461 exec=[38, 37, 36, 36, 36, 35, 36, 36] nonlocal=8 fnv=0x4201a9fc1f4806c7", // Eager-ANY
+    "end=39691 events=637 msgs=586 bytes=10400 hops=1158 exec=[13, 10, 10, 10, 10, 9, 6, 7, 7] nonlocal=29 fnv=0x2567bc69bd90d3a4", // Eager-ANY
+    "end=22468 events=313 msgs=21 bytes=336 hops=44 exec=[38, 39, 34, 34, 34, 34, 39, 38] nonlocal=0 fnv=0x8d2beca37ca68340", // Lazy-ALL
+    "end=65536 events=111 msgs=24 bytes=384 hops=52 exec=[42, 2, 1, 17, 14, 6, 0, 0, 0] nonlocal=0 fnv=0xb29393f072fde35b", // Lazy-ALL
+    "end=26227 events=332 msgs=47 bytes=1056 hops=94 exec=[37, 37, 36, 36, 36, 36, 36, 36] nonlocal=8 fnv=0xd7a93bd55ece3b07", // Eager-ALL
+    "end=37904 events=202 msgs=137 bytes=3072 hops=284 exec=[12, 11, 11, 9, 9, 9, 7, 7, 7] nonlocal=24 fnv=0x6bd88538dadde5d9", // Eager-ALL
+    "end=24450 events=336 msgs=33 bytes=688 hops=70 exec=[37, 37, 35, 35, 35, 35, 37, 39] nonlocal=5 fnv=0x74aa7291c20f942a", // Lazy-Periodic
+    "end=42244 events=229 msgs=118 bytes=2784 hops=240 exec=[8, 11, 9, 14, 15, 10, 4, 5, 6] nonlocal=26 fnv=0x090c3987f2c5db64", // Lazy-Periodic
+];
+
+#[test]
+fn rips_policy_modes_are_bit_for_bit_stable() {
+    let mut golden = MODE_GOLDEN.iter();
+    for (mode, local, global) in mode_cells() {
+        for (cell, row) in run_mode(local, global) {
+            assert_eq!(
+                &fingerprint(&row),
+                golden.next().expect("one constant per cell"),
+                "golden mismatch for RIPS {mode} on {cell}"
+            );
+        }
+    }
+}
+
 /// Every scheduler in the canonical registry must be pinned by at
 /// least one golden cell — registering a scheduler without freezing
 /// its behaviour is how silent drift starts.
@@ -153,5 +219,10 @@ fn print_goldens() {
     for (sched, w, nodes, seed) in cells() {
         let row = run_scheduler(sched, &w, nodes, 0.4, seed);
         println!("    \"{}\", // {sched}", fingerprint(&row));
+    }
+    for (mode, local, global) in mode_cells() {
+        for (_, row) in run_mode(local, global) {
+            println!("    \"{}\", // {mode}", fingerprint(&row));
+        }
     }
 }

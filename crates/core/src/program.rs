@@ -10,7 +10,7 @@
 //! user phase, exactly the "every processor finishes the current task
 //! execution and enters the system phase" of the paper.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -294,36 +294,60 @@ enum Mode {
     Entered,
 }
 
+/// A phase index no system phase has: round 0 opens with phase 1 and
+/// every later phase counts up from there.
+const NO_PHASE: u32 = 0;
+
+/// Per-node state only the Eager local policy and the ALL global
+/// policy use. It is allocated the first time one of them needs it, so
+/// an ANY-Lazy node (the paper's choice) carries one null pointer.
+#[derive(Default)]
+struct ModeState {
+    /// Eager policy's ready-to-schedule queue: appended to as children
+    /// are generated, drained whole when a plan is applied.
+    rts: Vec<TaskInstance>,
+    // ALL-policy spanning tree state.
+    local_ready_for: Option<u32>,
+    ready_sent_for: Option<u32>,
+    children_ready: BTreeMap<u32, u32>,
+}
+
 /// The RIPS transfer policy: one instance per node, plugged into the
 /// kernel's [`NodeDriver`](rips_runtime::NodeDriver).
 pub struct RipsPolicy {
     shared: Arc<FleetShared>,
-    /// Eager policy's ready-to-schedule queue (unused under Lazy).
-    rts: VecDeque<TaskInstance>,
+    /// Eager's and ALL's state, `None` until first used.
+    modal: Option<Box<ModeState>>,
     mode: Mode,
     phase_index: u32,
     /// An init that arrived while this node was still inside the
     /// previous system phase (possible when init signalling is faster
     /// than the plan broadcast, e.g. under eureka); processed right
-    /// after the plan is applied.
-    pending_init: Option<u32>,
+    /// after the plan is applied. [`NO_PHASE`] when there is none.
+    pending_init: u32,
     /// When this node last returned to the user phase (for the ANY
     /// initiation gap).
     user_phase_since: Time,
     /// A deferred ANY-initiation check is already scheduled.
     recheck_armed: bool,
-    // ALL-policy spanning tree state.
-    local_ready_for: Option<u32>,
-    ready_sent_for: Option<u32>,
-    children_ready: BTreeMap<u32, u32>,
     /// Tracing only (a sink that wants `Stage` records): the phase an
-    /// open idle-detect stage was emitted for (`None` when no stage is
-    /// open). Idle-detect latency runs from the local transfer
+    /// open idle-detect stage was emitted for ([`NO_PHASE`] when no
+    /// stage is open). Idle-detect latency runs from the local transfer
     /// condition turning true to the node entering the system phase.
-    trace_idle_open: Option<u32>,
+    trace_idle_open: u32,
 }
 
 impl RipsPolicy {
+    /// The Eager/ALL state, allocated on first use.
+    fn modal(&mut self) -> &mut ModeState {
+        self.modal.get_or_insert_with(Box::default)
+    }
+
+    /// Eager's ready-to-schedule queue (always empty under Lazy).
+    fn rts(&self) -> &[TaskInstance] {
+        self.modal.as_deref().map_or(&[], |m| &m.rts)
+    }
+
     /// Switches mode, keeping the kernel's exec gate in lock-step:
     /// tasks execute only during the user phase. `now` stamps the trace
     /// spans: a user→system transition closes the user-phase span
@@ -347,7 +371,8 @@ impl RipsPolicy {
                     index: p,
                 });
             } else {
-                if let Some(ip) = self.trace_idle_open.take() {
+                let ip = std::mem::replace(&mut self.trace_idle_open, NO_PHASE);
+                if ip != NO_PHASE {
                     tel.emit(EventKind::Stage, now, me, || TraceEvent::StageEnd {
                         stage: SysStage::IdleDetect,
                         phase: ip,
@@ -371,12 +396,12 @@ impl RipsPolicy {
     #[inline]
     fn load(&self, k: &Kernel) -> i64 {
         match self.shared.cfg.metric {
-            LoadMetric::TaskCount => (k.exec.queue.len() + self.rts.len()) as i64,
+            LoadMetric::TaskCount => (k.exec.queue.len() + self.rts().len()) as i64,
             LoadMetric::EstimatedWeight => k
                 .exec
                 .queue
                 .iter()
-                .chain(self.rts.iter())
+                .chain(self.rts())
                 .map(|t| k.oracle.grain(t) as i64)
                 .sum(),
         }
@@ -396,11 +421,11 @@ impl RipsPolicy {
             return;
         }
         let next = self.phase_index + 1;
-        if k.oracle.tel.wants(EventKind::Stage) && self.trace_idle_open.is_none() {
+        if k.oracle.tel.wants(EventKind::Stage) && self.trace_idle_open == NO_PHASE {
             // The local condition just turned true: open the
             // idle-detect stage; it closes when the node actually
             // enters a system phase.
-            self.trace_idle_open = Some(next);
+            self.trace_idle_open = next;
             let (t, me) = (ctx.now(), k.me);
             k.oracle
                 .tel
@@ -443,7 +468,7 @@ impl RipsPolicy {
                 self.enter_system(k, ctx, next);
             }
             GlobalPolicy::All => {
-                self.local_ready_for = Some(next);
+                self.modal().local_ready_for = Some(next);
                 self.try_send_ready(k, ctx, next);
             }
             GlobalPolicy::Periodic(_) => {
@@ -461,14 +486,18 @@ impl RipsPolicy {
         ctx: &mut impl ExecCtx<KernelMsg<RipsCtl>>,
         phase: u32,
     ) {
-        if self.local_ready_for != Some(phase) || self.ready_sent_for == Some(phase) {
+        // No mode state yet means this node is not ready for any phase.
+        let Some(m) = self.modal.as_deref_mut() else {
+            return;
+        };
+        if m.local_ready_for != Some(phase) || m.ready_sent_for == Some(phase) {
             return;
         }
         let kids = self.shared.tree.children(k.me).len() as u32;
-        if self.children_ready.get(&phase).copied().unwrap_or(0) < kids {
+        if m.children_ready.get(&phase).copied().unwrap_or(0) < kids {
             return;
         }
-        self.ready_sent_for = Some(phase);
+        m.ready_sent_for = Some(phase);
         match self.shared.tree.parent(k.me) {
             Some(parent) => ctx.send(
                 parent,
@@ -519,7 +548,9 @@ impl RipsPolicy {
                     phase: p,
                 });
         }
-        self.children_ready.remove(&p);
+        if let Some(m) = &mut self.modal {
+            m.children_ready.remove(&p);
+        }
         let n = k.oracle.num_nodes();
         let load = self.load(k);
         let (me, tel) = (k.me, &k.oracle.tel);
@@ -634,8 +665,9 @@ impl RipsPolicy {
         // Everything reported is now scheduled: the RTS queue drains
         // into the RTE queue ("the system phase schedules tasks in all
         // RTS queues and distributes them evenly to the RTE queues").
-        let rts = std::mem::take(&mut self.rts);
-        k.exec.queue.extend(rts);
+        if let Some(m) = &mut self.modal {
+            k.exec.queue.extend(m.rts.drain(..));
+        }
         let plan = match &self.shared.mu.lock().unwrap().plan {
             Some((tag, plan)) if *tag == p => Arc::clone(plan),
             other => panic!(
@@ -713,11 +745,10 @@ impl RipsPolicy {
         // current task execution".
         exec_step(self, k, &mut *ctx);
         self.check_transfer(k, &mut *ctx);
-        if let Some(next) = self.pending_init.take() {
-            if next > self.phase_index {
-                self.phase_index = next;
-                self.enter_system(k, ctx, next);
-            }
+        let next = std::mem::replace(&mut self.pending_init, NO_PHASE);
+        if next > self.phase_index {
+            self.phase_index = next;
+            self.enter_system(k, ctx, next);
         }
     }
 
@@ -783,7 +814,7 @@ impl BalancerPolicy for RipsPolicy {
                 if self.mode == Mode::Entered {
                     // Still waiting for the previous phase's plan: act
                     // on the init once that plan has been applied.
-                    self.pending_init = Some(p);
+                    self.pending_init = p;
                     return;
                 }
                 self.phase_index = p;
@@ -792,7 +823,7 @@ impl BalancerPolicy for RipsPolicy {
             RipsCtl::Ready(p) => {
                 debug_assert_eq!(self.shared.cfg.global, GlobalPolicy::All);
                 debug_assert!(self.shared.tree.children(k.me).contains(&from));
-                *self.children_ready.entry(p).or_insert(0) += 1;
+                *self.modal().children_ready.entry(p).or_insert(0) += 1;
                 self.try_send_ready(k, ctx, p);
             }
             RipsCtl::PlanReady(p) => self.apply_plan(k, ctx, p),
@@ -885,7 +916,7 @@ impl BalancerPolicy for RipsPolicy {
         );
         match self.shared.cfg.local {
             LocalPolicy::Lazy => k.exec.queue.extend(children),
-            LocalPolicy::Eager => self.rts.extend(children),
+            LocalPolicy::Eager => self.modal().rts.extend(children),
         }
     }
 
@@ -963,16 +994,13 @@ impl RipsFleet {
     pub fn make(&self, _me: NodeId) -> RipsPolicy {
         RipsPolicy {
             shared: Arc::clone(&self.shared),
-            rts: VecDeque::new(),
+            modal: None,
             mode: Mode::User,
             phase_index: 0,
-            pending_init: None,
+            pending_init: NO_PHASE,
             user_phase_since: 0,
             recheck_armed: false,
-            local_ready_for: None,
-            ready_sent_for: None,
-            children_ready: BTreeMap::new(),
-            trace_idle_open: None,
+            trace_idle_open: NO_PHASE,
         }
     }
 
