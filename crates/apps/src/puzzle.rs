@@ -50,8 +50,7 @@ impl PuzzleConfig {
         // Ts 0.25 s. So #3 has the paper's many-task shape (its
         // config #3 has 29 046) but only ≈ 16 µs of work per task,
         // and #2, not #3, is the heavy instance — unlike the paper,
-        // whose #3 dominates Table I's IDA* rows. The goldens pin
-        // these seeds.
+        // whose #3 dominates Table I's IDA* rows.
         let (seed, min_tasks) = match config {
             1 => (5, 256),
             2 => (10, 256),

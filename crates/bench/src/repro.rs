@@ -16,7 +16,7 @@ use rips_sched::flow::optimal_rebalance;
 use rips_sched::mwa;
 use rips_taskgraph::{par_map, skewed_flat};
 use rips_topology::{Mesh2D, Topology};
-use rips_trace::{with_sink, TraceBuffer};
+use rips_trace::{with_sink, PhaseReport};
 
 use crate::args::{Args, Flag, Spec};
 use crate::eval::{
@@ -553,11 +553,10 @@ fn timeline(args: &Args) -> String {
 /// task migration. The total time for task migration of 8 system
 /// phases is about 96 ms. It is a small fraction of the total system
 /// overhead, which is 510 ms." This reproduces that breakdown from
-/// the structured trace: the run executes under a [`TraceBuffer`]
-/// sink and the table is the [`rips_trace::PhaseReport`] aggregation
-/// — per-phase spans, stage durations (load collection, plan,
-/// migration), idle-detect latency and migration volume, each as
-/// p50/p95/max over nodes.
+/// the structured trace: the run executes under a [`PhaseReport`]
+/// sink, which folds the events as they arrive into per-phase spans,
+/// stage durations (load collection, plan, migration), idle-detect
+/// latency and migration volume, each as p50/p95/max over nodes.
 const PHASE_ANATOMY: Spec = &[
     "phase-anatomy  §5's 15-Queens system-phase breakdown, from the structured trace",
     NODES,
@@ -567,9 +566,9 @@ fn phase_anatomy(args: &Args) -> String {
     let nodes: usize = args.num("--nodes");
     let w = Arc::new(App::Queens(15).build());
     let run = || run_scheduler("RIPS", &w, nodes, 0.4, 1);
-    let (buf, row) = with_sink(TraceBuffer::new(), run);
+    let (mut report, row) = with_sink(PhaseReport::default(), run);
     let o = &row.outcome;
-    let mut report = buf.report(o.stats.end_time);
+    report.close_at(o.stats.end_time);
     if args.switch("--jsonl") {
         return report.to_jsonl();
     }

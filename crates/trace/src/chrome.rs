@@ -12,6 +12,7 @@
 //! instants. Timestamps are microseconds, which is both the engine's
 //! native unit and the format's.
 
+use crate::spans::{Span, Spans};
 use crate::{Json, PhaseKind, Time, TraceBuffer, TraceEvent};
 
 /// One process for the whole run.
@@ -126,15 +127,11 @@ fn phase_name(kind: PhaseKind, index: u32) -> String {
     format!("{} phase {index}", kind.name())
 }
 
-/// Renders a recorded trace as Chrome trace-event JSON.
-///
-/// `label` names the process (scheduler/app/machine); `end_time` is the
-/// run's virtual end time, used to close spans that were still open
-/// when the machine halted (RIPS halts inside its final termination
-/// phase) so every `B` has a matching `E`.
-pub fn chrome_trace_json(buf: &TraceBuffer, label: &str, end_time: Time) -> String {
-    let n = buf.num_nodes();
-    let tracks = Tracks::new(n);
+/// Renders a recorded trace as Chrome trace-event JSON (see
+/// [`TraceBuffer::chrome_json`]). A span edge the [`Spans`] walk
+/// rejects is left out, so `B` and `E` balance on every track.
+pub(crate) fn chrome_trace_json(buf: &TraceBuffer, label: &str, end_time: Time) -> String {
+    let tracks = Tracks::new(buf.num_nodes());
     let mut out = Json::new();
     let j = &mut out;
     j.obj().key("traceEvents").arr();
@@ -150,28 +147,19 @@ pub fn chrome_trace_json(buf: &TraceBuffer, label: &str, end_time: Time) -> Stri
         j.u64(tid as u64).end().end();
     }
 
-    // Per-node stack of open span names, for auto-closing at end_time.
-    let mut open: Vec<Vec<String>> = vec![Vec::new(); n];
+    let mut spans = Spans::default();
     for r in &buf.records {
         let (t, node, raw) = (r.time, tracks.tid(r.node), r.node);
+        if spans.step(t, raw, &r.event).is_err() {
+            continue;
+        }
         match r.event {
             TraceEvent::PhaseBegin { kind, index } => {
-                let name = phase_name(kind, index);
-                span(j, "B", &name, t, node);
-                open[node].push(name);
+                span(j, "B", &phase_name(kind, index), t, node)
             }
-            TraceEvent::PhaseEnd { kind, index } => {
-                span(j, "E", &phase_name(kind, index), t, node);
-                open[node].pop();
-            }
-            TraceEvent::StageBegin { stage, .. } => {
-                span(j, "B", stage.name(), t, node);
-                open[node].push(stage.name().to_string());
-            }
-            TraceEvent::StageEnd { stage, .. } => {
-                span(j, "E", stage.name(), t, node);
-                open[node].pop();
-            }
+            TraceEvent::PhaseEnd { kind, index } => span(j, "E", &phase_name(kind, index), t, node),
+            TraceEvent::StageBegin { stage, .. } => span(j, "B", stage.name(), t, node),
+            TraceEvent::StageEnd { stage, .. } => span(j, "E", stage.name(), t, node),
             TraceEvent::TaskExec {
                 task,
                 round,
@@ -264,10 +252,12 @@ pub fn chrome_trace_json(buf: &TraceBuffer, label: &str, end_time: Time) -> Stri
     }
 
     // Close whatever the halt left open, innermost first.
-    for (node, stack) in open.iter().enumerate() {
-        for name in stack.iter().rev() {
-            span(j, "E", name, end_time, node);
-        }
+    for (node, open, _) in spans.into_open() {
+        let name = match open {
+            Span::Phase(kind, index) => phase_name(kind, index),
+            Span::Stage(stage, _) => stage.name().to_string(),
+        };
+        span(j, "E", &name, end_time, tracks.tid(node));
     }
 
     j.end().key("displayTimeUnit").str("ms").end();
@@ -440,5 +430,26 @@ mod tests {
         let json = chrome_trace_json(&b, "x", 9);
         assert!(json.contains("\"name\":\"plan\",\"ph\":\"B\",\"ts\":0,\"pid\":1,\"tid\":3"));
         assert!(json.contains("\"name\":\"plan\",\"ph\":\"E\",\"ts\":9"));
+    }
+
+    #[test]
+    fn span_edges_breaking_the_nesting_are_left_out() {
+        let mut b = sample();
+        // An end nothing opened, and a begin stamped before the node's
+        // last span edge.
+        let end = TraceEvent::StageEnd {
+            stage: SysStage::Plan,
+            phase: 1,
+        };
+        b.record(400, 1, end);
+        let begin = TraceEvent::StageBegin {
+            stage: SysStage::Plan,
+            phase: 1,
+        };
+        b.record(100, 0, begin);
+        let json = chrome_trace_json(&b, "x", 500);
+        assert_eq!(json.matches("\"ph\":\"B\"").count(), 2);
+        assert_eq!(json.matches("\"ph\":\"E\"").count(), 2);
+        assert!(!json.contains("\"name\":\"plan\""), "{json}");
     }
 }

@@ -29,12 +29,14 @@
 //!   scheduler run — including ones reached through the scheduler
 //!   registry's type-erased constructors — can be observed without
 //!   threading a parameter through every signature.
-//! * Exporters turn a [`TraceBuffer`] into artifacts: a Chrome
-//!   trace-event / Perfetto JSON file ([`chrome_trace_json`]) and a
-//!   structured per-phase report ([`PhaseReport`]).
+//! * [`TraceBuffer::chrome_json`] turns a recorded stream into a Chrome
+//!   trace-event / Perfetto JSON file. [`PhaseReport`] is a sink of its
+//!   own: it folds the per-phase anatomy as the run goes and keeps no
+//!   event.
 //! * [`validate`] checks well-formedness: balanced and properly nested
 //!   begin/end spans, per-node monotone span timestamps, and strictly
-//!   increasing system-phase indices.
+//!   increasing system-phase indices. The exporter and the report pair
+//!   spans under the same rules.
 //!
 //! This crate is dependency-free (it sits *below* `rips-desim` in the
 //! crate graph), so it defines its own aliases for simulated time and
@@ -48,12 +50,13 @@ pub mod flight;
 mod json;
 pub mod metrics_rt;
 mod report;
+mod spans;
 
-pub use chrome::chrome_trace_json;
 pub use flight::{FlightRecorder, SharedFlight};
 pub use json::Json;
 pub use metrics_rt::MetricsRegistry;
 pub use report::{PhaseReport, PhaseRow};
+pub use spans::{validate, TraceCheck};
 
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
@@ -442,9 +445,9 @@ pub struct Record {
     pub event: TraceEvent,
 }
 
-/// The canonical sink: collects every record in emission order.
-/// Exporters ([`chrome_trace_json`], [`TraceBuffer::report`]) and the
-/// [`validate`] checker consume the collected stream.
+/// The canonical sink: collects every record in emission order, for
+/// the Chrome export ([`TraceBuffer::chrome_json`]) and the
+/// [`validate`] checker.
 #[derive(Debug, Default)]
 pub struct TraceBuffer {
     /// Recorded events in emission order.
@@ -462,18 +465,13 @@ impl TraceBuffer {
         self.records.iter().map(|r| r.node + 1).max().unwrap_or(0)
     }
 
-    /// Aggregates the stream into a [`PhaseReport`]; spans still open
-    /// at `end_time` (e.g. the final termination phase, which ends when
-    /// the machine halts) are closed there. Timestamps are read as
-    /// virtual time.
-    pub fn report(&self, end_time: Time) -> PhaseReport {
-        report::build(self, end_time)
-    }
-
-    /// Renders the stream as Chrome trace-event JSON (see
-    /// [`chrome_trace_json`]).
+    /// Renders the stream as Chrome trace-event JSON, loadable in
+    /// Perfetto. `label` names the process (scheduler/app/machine);
+    /// spans still open at `end_time`, the run's end (RIPS halts inside
+    /// its final termination phase), are closed there, so every `B` has
+    /// its `E`.
     pub fn chrome_json(&self, label: &str, end_time: Time) -> String {
-        chrome_trace_json(self, label, end_time)
+        chrome::chrome_trace_json(self, label, end_time)
     }
 }
 
@@ -831,108 +829,6 @@ impl Hist {
     pub fn p95(&mut self) -> u64 {
         self.percentile(95)
     }
-}
-
-/// What [`validate`] found in a well-formed trace.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceCheck {
-    /// Closed phase spans (begin/end matched).
-    pub closed_phases: usize,
-    /// Closed sub-stage spans.
-    pub closed_stages: usize,
-    /// Spans still open at the end of the stream (closed by exporters
-    /// at the run's end time — e.g. the final termination phase, cut
-    /// short when the machine halts).
-    pub open_spans: usize,
-    /// Task executions recorded.
-    pub task_execs: usize,
-}
-
-/// Checks trace well-formedness:
-///
-/// * every `PhaseEnd`/`StageEnd` matches the innermost open span of the
-///   same node (balanced, properly nested);
-/// * span timestamps are monotone non-decreasing per node (instant
-///   events like [`TraceEvent::MsgSend`] are exempt: the engine stamps
-///   them with their intra-handler departure offset, which may precede
-///   span events the handler emitted after more compute);
-/// * system-phase indices are strictly increasing per node.
-///
-/// Spans still open when the stream ends are allowed (counted in
-/// [`TraceCheck::open_spans`]): a RIPS run halts inside its final
-/// termination phase, and exporters close those spans at the run's end
-/// time.
-pub fn validate(buf: &TraceBuffer) -> Result<TraceCheck, String> {
-    #[derive(Debug, PartialEq, Eq, Clone, Copy)]
-    enum Open {
-        Phase(PhaseKind, u32),
-        Stage(SysStage, u32),
-    }
-    let n = buf.num_nodes();
-    let mut stacks: Vec<Vec<Open>> = vec![Vec::new(); n];
-    let mut last_span_ts: Vec<Time> = vec![0; n];
-    let mut last_sys_phase: Vec<Option<u32>> = vec![None; n];
-    let mut check = TraceCheck::default();
-
-    for (i, r) in buf.records.iter().enumerate() {
-        let is_span = matches!(
-            r.event,
-            TraceEvent::PhaseBegin { .. }
-                | TraceEvent::PhaseEnd { .. }
-                | TraceEvent::StageBegin { .. }
-                | TraceEvent::StageEnd { .. }
-        );
-        if is_span {
-            if r.time < last_span_ts[r.node] {
-                return Err(format!(
-                    "record {i}: span timestamp {} on node {} precedes {}",
-                    r.time, r.node, last_span_ts[r.node]
-                ));
-            }
-            last_span_ts[r.node] = r.time;
-        }
-        match r.event {
-            TraceEvent::PhaseBegin { kind, index } => {
-                if kind == PhaseKind::System {
-                    if let Some(prev) = last_sys_phase[r.node] {
-                        if index <= prev {
-                            return Err(format!(
-                                "record {i}: system phase {index} on node {} after phase {prev}",
-                                r.node
-                            ));
-                        }
-                    }
-                    last_sys_phase[r.node] = Some(index);
-                }
-                stacks[r.node].push(Open::Phase(kind, index));
-            }
-            TraceEvent::PhaseEnd { kind, index } => match stacks[r.node].pop() {
-                Some(Open::Phase(k, ix)) if k == kind && ix == index => check.closed_phases += 1,
-                top => {
-                    return Err(format!(
-                        "record {i}: PhaseEnd({kind:?}, {index}) on node {} closes {top:?}",
-                        r.node
-                    ))
-                }
-            },
-            TraceEvent::StageBegin { stage, phase } => {
-                stacks[r.node].push(Open::Stage(stage, phase))
-            }
-            TraceEvent::StageEnd { stage, phase } => match stacks[r.node].pop() {
-                Some(Open::Stage(s, p)) if s == stage && p == phase => check.closed_stages += 1,
-                top => {
-                    return Err(format!(
-                        "record {i}: StageEnd({stage:?}, {phase}) on node {} closes {top:?}",
-                        r.node
-                    ))
-                }
-            },
-            TraceEvent::TaskExec { .. } => check.task_execs += 1,
-            _ => {}
-        }
-    }
-    check.open_spans = stacks.iter().map(|s| s.len()).sum();
-    Ok(check)
 }
 
 #[cfg(test)]

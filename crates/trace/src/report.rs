@@ -1,15 +1,16 @@
 //! The structured phase-anatomy aggregator.
 //!
-//! Turns a raw [`TraceBuffer`] into the numbers the paper narrates in
-//! §5: per-system-phase durations and migration volumes, sub-stage
-//! breakdowns (idle detection, load collection, plan computation,
-//! migration), and user-phase/task-grain distributions — each as a
-//! `p50/p95/max` histogram, renderable as a text table or as JSONL for
-//! BENCH files.
+//! Folds the trace stream, as it is emitted, into the numbers the paper
+//! narrates in §5: per-system-phase durations and migration volumes,
+//! sub-stage breakdowns (idle detection, load collection, plan
+//! computation, migration), and user-phase/task-grain distributions —
+//! each as a `p50/p95/max` histogram, renderable as a text table or as
+//! JSONL for BENCH files.
 
-use std::collections::BTreeMap;
-
-use crate::{Hist, Json, PhaseKind, SysStage, Time, TraceBuffer, TraceEvent};
+use crate::spans::{Span, Spans};
+use crate::{
+    EventKind, Hist, Interest, Json, NodeId, PhaseKind, SysStage, Time, TraceEvent, TraceSink,
+};
 
 /// Aggregated anatomy of one system phase.
 #[derive(Debug, Clone, Default)]
@@ -37,7 +38,10 @@ pub struct PhaseRow {
     pub migrate_msgs: u64,
 }
 
-/// Aggregated anatomy of a whole run.
+/// Aggregated anatomy of a whole run: a [`TraceSink`] that folds each
+/// event as it arrives and keeps none of them. Install it with
+/// [`with_sink`](crate::with_sink), then call [`PhaseReport::close_at`]
+/// with the run's end time before reading it.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseReport {
     /// Per-system-phase rows, in phase order.
@@ -62,154 +66,117 @@ pub struct PhaseReport {
     pub peak_queue_depth: u32,
     /// Rounds observed (from round-begin/barrier markers).
     pub rounds: u32,
-    /// Run end time the report was built against (µs).
+    /// Run end time the report was closed at (µs).
     pub end_time: Time,
+    /// The spans open on each node.
+    spans: Spans,
 }
 
-/// Builds the report. Spans still open at `end_time` (the final
-/// termination phase) are closed there.
-pub(crate) fn build(buf: &TraceBuffer, end_time: Time) -> PhaseReport {
-    let n = buf.num_nodes();
-    let mut rows: BTreeMap<u32, PhaseRow> = BTreeMap::new();
-    // Per-node open spans: user phase, system phase, one slot per stage.
-    let mut open_user: Vec<Option<Time>> = vec![None; n];
-    let mut open_sys: Vec<Option<(u32, Time)>> = vec![None; n];
-    let mut open_stage: Vec<[Option<(u32, Time)>; 4]> = vec![[None; 4]; n];
-    let mut rep = PhaseReport {
-        end_time,
-        ..Default::default()
-    };
-
-    let stage_slot = |s: SysStage| match s {
-        SysStage::IdleDetect => 0,
-        SysStage::LoadCollect => 1,
-        SysStage::Plan => 2,
-        SysStage::Migrate => 3,
-    };
-
-    fn close_stage(
-        rep: &mut PhaseReport,
-        rows: &mut BTreeMap<u32, PhaseRow>,
-        slot: usize,
-        phase: u32,
-        dur: Time,
-    ) {
-        let row = rows.entry(phase).or_insert_with(|| PhaseRow {
-            phase,
-            begin: Time::MAX,
-            ..Default::default()
-        });
-        match slot {
-            0 => {
-                row.idle_detect_us.push(dur);
-                rep.idle_detect_us.push(dur);
-            }
-            1 => row.load_collect_us.push(dur),
-            2 => row.plan_us = dur,
-            _ => row.migrate_us.push(dur),
+impl TraceSink for PhaseReport {
+    fn record(&mut self, t: Time, node: NodeId, event: TraceEvent) {
+        match self.spans.step(t, node, &event) {
+            // A span edge that breaks the nesting rules is skipped, so a
+            // malformed stream still folds.
+            Err(_) => return,
+            Ok(Some((span, begin))) => return self.close(span, begin, t),
+            Ok(None) => {}
         }
-    }
-
-    for r in &buf.records {
-        let (t, node) = (r.time, r.node);
-        match r.event {
-            TraceEvent::PhaseBegin { kind, index } => match kind {
-                PhaseKind::User => open_user[node] = Some(t),
-                PhaseKind::System => {
-                    open_sys[node] = Some((index, t));
-                    let row = rows.entry(index).or_insert_with(|| PhaseRow {
-                        phase: index,
-                        begin: Time::MAX,
-                        ..Default::default()
-                    });
-                    row.begin = row.begin.min(t);
-                }
-            },
-            TraceEvent::PhaseEnd { kind, .. } => match kind {
-                PhaseKind::User => {
-                    if let Some(b) = open_user[node].take() {
-                        rep.user_phase_us.push(t - b);
-                    }
-                }
-                PhaseKind::System => {
-                    if let Some((p, b)) = open_sys[node].take() {
-                        let row = rows.entry(p).or_default();
-                        row.span_us.push(t - b);
-                        row.end = row.end.max(t);
-                    }
-                }
-            },
-            TraceEvent::StageBegin { stage, phase } => {
-                open_stage[node][stage_slot(stage)] = Some((phase, t));
-            }
-            TraceEvent::StageEnd { stage, .. } => {
-                let slot = stage_slot(stage);
-                if let Some((p, b)) = open_stage[node][slot].take() {
-                    close_stage(&mut rep, &mut rows, slot, p, t - b);
-                }
-            }
+        match event {
             TraceEvent::TaskExec { hops, grain_us, .. } => {
-                rep.tasks += 1;
-                rep.task_grain_us.push(grain_us);
-                rep.task_hops.push(hops as u64);
+                self.tasks += 1;
+                self.task_grain_us.push(grain_us);
+                self.task_hops.push(hops.into());
                 if hops > 0 {
-                    rep.nonlocal_tasks += 1;
+                    self.nonlocal_tasks += 1;
                 }
             }
             TraceEvent::MigrateOut { count, .. } => {
-                rep.migrate_msgs += 1;
-                rep.migrated_tasks += count as u64;
-                if let Some((p, _)) = open_sys[node] {
-                    let row = rows.entry(p).or_default();
+                self.migrate_msgs += 1;
+                self.migrated_tasks += u64::from(count);
+                if let Some(p) = self.spans.system_phase(node) {
+                    let row = self.row(p);
                     row.migrate_msgs += 1;
-                    row.migrated_tasks += count as u64;
+                    row.migrated_tasks += u64::from(count);
                 }
             }
             TraceEvent::QueueDepth { depth } => {
-                rep.peak_queue_depth = rep.peak_queue_depth.max(depth);
+                self.peak_queue_depth = self.peak_queue_depth.max(depth);
             }
             TraceEvent::Barrier { round } | TraceEvent::RoundBegin { round } => {
-                rep.rounds = rep.rounds.max(round + 1);
+                self.rounds = self.rounds.max(round + 1);
             }
             _ => {}
         }
     }
 
-    // Close what the halt left open at end_time.
-    for node in 0..n {
-        for (slot, open) in open_stage[node].iter_mut().enumerate() {
-            if let Some((p, b)) = open.take() {
-                close_stage(&mut rep, &mut rows, slot, p, end_time.saturating_sub(b));
-            }
-        }
-        if let Some((p, b)) = open_sys[node].take() {
-            let row = rows.entry(p).or_default();
-            row.phase = p;
-            row.span_us.push(end_time.saturating_sub(b));
-            row.end = row.end.max(end_time);
-        }
-        if let Some(b) = open_user[node].take() {
-            rep.user_phase_us.push(end_time.saturating_sub(b));
-        }
+    /// The kinds the fold reads: spans, task executions, outbound
+    /// migrations, queue depth and round markers.
+    fn interest(&self) -> Interest {
+        Interest::of(&[
+            EventKind::UserPhase,
+            EventKind::SystemPhase,
+            EventKind::Stage,
+            EventKind::TaskExec,
+            EventKind::MigrateOut,
+            EventKind::QueueDepth,
+            EventKind::Barrier,
+            EventKind::RoundBegin,
+        ])
     }
-
-    rep.phases = rows
-        .into_values()
-        .map(|mut row| {
-            if row.begin == Time::MAX {
-                row.begin = 0;
-            }
-            row
-        })
-        .collect();
-    rep
-}
-
-fn hist3(h: &mut Hist) -> String {
-    format!("{}/{}/{}", h.p50(), h.p95(), h.max())
 }
 
 impl PhaseReport {
+    /// Closes every span still open at `end_time`, the run's end (RIPS
+    /// halts inside its final termination phase), and stamps the
+    /// report with it.
+    pub fn close_at(&mut self, end_time: Time) {
+        self.end_time = end_time;
+        for (_, span, begin) in std::mem::take(&mut self.spans).into_open() {
+            self.close(span, begin, end_time);
+        }
+        let unopened = self.phases.iter_mut().filter(|r| r.begin == Time::MAX);
+        unopened.for_each(|r| r.begin = 0);
+    }
+
+    /// The row of system phase `phase`, inserted in phase order on
+    /// first use; its `begin` stays `Time::MAX` until a node closes the
+    /// phase.
+    fn row(&mut self, phase: u32) -> &mut PhaseRow {
+        let i = self.phases.partition_point(|r| r.phase < phase);
+        if self.phases.get(i).is_none_or(|r| r.phase != phase) {
+            let mut row = PhaseRow::default();
+            (row.phase, row.begin) = (phase, Time::MAX);
+            self.phases.insert(i, row);
+        }
+        &mut self.phases[i]
+    }
+
+    /// Folds one span, open from `begin` to `end`, into its histograms.
+    fn close(&mut self, span: Span, begin: Time, end: Time) {
+        let dur = end.saturating_sub(begin);
+        match span {
+            Span::Phase(PhaseKind::User, _) => self.user_phase_us.push(dur),
+            Span::Phase(PhaseKind::System, p) => {
+                let row = self.row(p);
+                row.span_us.push(dur);
+                row.begin = row.begin.min(begin);
+                row.end = row.end.max(end);
+            }
+            Span::Stage(stage, p) => {
+                if stage == SysStage::IdleDetect {
+                    self.idle_detect_us.push(dur);
+                }
+                let row = self.row(p);
+                match stage {
+                    SysStage::IdleDetect => row.idle_detect_us.push(dur),
+                    SysStage::LoadCollect => row.load_collect_us.push(dur),
+                    SysStage::Plan => row.plan_us = dur,
+                    SysStage::Migrate => row.migrate_us.push(dur),
+                }
+            }
+        }
+    }
+
     /// Renders the report as an aligned text table (durations in
     /// virtual µs, labelled in the header, as `p50/p95/max` triplets).
     /// Takes `&mut self` because percentile queries sort the underlying
@@ -334,22 +301,25 @@ impl PhaseReport {
     }
 }
 
+fn hist3(h: &mut Hist) -> String {
+    format!("{}/{}/{}", h.p50(), h.p95(), h.max())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TraceSink;
 
     #[test]
     fn report_labels_time_units_per_clock() {
-        let mut b = TraceBuffer::new();
-        phase_events(&mut b, 0, 1, 0);
-        let mut virt = b.report(100);
-        assert!(virt.render().contains("time unit: virtual µs"));
-        assert!(virt.to_jsonl().contains("\"clock\":\"virtual\""));
+        let mut rep = PhaseReport::default();
+        phase_events(&mut rep, 0, 1, 0);
+        rep.close_at(100);
+        assert!(rep.render().contains("time unit: virtual µs"));
+        assert!(rep.to_jsonl().contains("\"clock\":\"virtual\""));
     }
 
-    fn phase_events(b: &mut TraceBuffer, node: usize, p: u32, t0: Time) {
-        b.record(
+    fn phase_events(rep: &mut PhaseReport, node: usize, p: u32, t0: Time) {
+        rep.record(
             t0,
             node,
             TraceEvent::StageBegin {
@@ -357,7 +327,7 @@ mod tests {
                 phase: p,
             },
         );
-        b.record(
+        rep.record(
             t0 + 10,
             node,
             TraceEvent::StageEnd {
@@ -365,7 +335,7 @@ mod tests {
                 phase: p,
             },
         );
-        b.record(
+        rep.record(
             t0 + 10,
             node,
             TraceEvent::PhaseBegin {
@@ -373,7 +343,7 @@ mod tests {
                 index: p,
             },
         );
-        b.record(
+        rep.record(
             t0 + 10,
             node,
             TraceEvent::StageBegin {
@@ -381,7 +351,7 @@ mod tests {
                 phase: p,
             },
         );
-        b.record(
+        rep.record(
             t0 + 30,
             node,
             TraceEvent::StageEnd {
@@ -389,8 +359,8 @@ mod tests {
                 phase: p,
             },
         );
-        b.record(t0 + 30, node, TraceEvent::LoadSample { load: 5 });
-        b.record(
+        rep.record(t0 + 30, node, TraceEvent::LoadSample { load: 5 });
+        rep.record(
             t0 + 60,
             node,
             TraceEvent::StageBegin {
@@ -398,8 +368,8 @@ mod tests {
                 phase: p,
             },
         );
-        b.record(t0 + 70, node, TraceEvent::MigrateOut { to: 1, count: 3 });
-        b.record(
+        rep.record(t0 + 70, node, TraceEvent::MigrateOut { to: 1, count: 3 });
+        rep.record(
             t0 + 80,
             node,
             TraceEvent::StageEnd {
@@ -407,7 +377,7 @@ mod tests {
                 phase: p,
             },
         );
-        b.record(
+        rep.record(
             t0 + 80,
             node,
             TraceEvent::PhaseEnd {
@@ -419,10 +389,10 @@ mod tests {
 
     #[test]
     fn aggregates_phase_and_stage_durations() {
-        let mut b = TraceBuffer::new();
-        phase_events(&mut b, 0, 1, 100);
-        phase_events(&mut b, 1, 1, 120);
-        let mut rep = b.report(1000);
+        let mut rep = PhaseReport::default();
+        phase_events(&mut rep, 0, 1, 100);
+        phase_events(&mut rep, 1, 1, 120);
+        rep.close_at(1000);
         assert_eq!(rep.phases.len(), 1);
         let row = &mut rep.phases[0];
         assert_eq!(row.phase, 1);
@@ -438,8 +408,8 @@ mod tests {
 
     #[test]
     fn open_phase_closed_at_end_time() {
-        let mut b = TraceBuffer::new();
-        b.record(
+        let mut rep = PhaseReport::default();
+        rep.record(
             900,
             0,
             TraceEvent::PhaseBegin {
@@ -447,7 +417,7 @@ mod tests {
                 index: 4,
             },
         );
-        let rep = b.report(1000);
+        rep.close_at(1000);
         assert_eq!(rep.phases.len(), 1);
         let mut row = rep.phases[0].clone();
         assert_eq!(row.span_us.max(), 100);
@@ -457,9 +427,9 @@ mod tests {
 
     #[test]
     fn task_and_queue_summary() {
-        let mut b = TraceBuffer::new();
+        let mut rep = PhaseReport::default();
         for (hops, grain) in [(0u32, 100u64), (2, 300), (0, 200)] {
-            b.record(
+            rep.record(
                 0,
                 0,
                 TraceEvent::TaskExec {
@@ -472,9 +442,9 @@ mod tests {
                 },
             );
         }
-        b.record(5, 0, TraceEvent::QueueDepth { depth: 9 });
-        b.record(6, 0, TraceEvent::Barrier { round: 1 });
-        let mut rep = b.report(10);
+        rep.record(5, 0, TraceEvent::QueueDepth { depth: 9 });
+        rep.record(6, 0, TraceEvent::Barrier { round: 1 });
+        rep.close_at(10);
         assert_eq!(rep.tasks, 3);
         assert_eq!(rep.nonlocal_tasks, 1);
         assert_eq!(rep.peak_queue_depth, 9);
@@ -489,14 +459,45 @@ mod tests {
 
     #[test]
     fn jsonl_has_one_line_per_phase_plus_summary() {
-        let mut b = TraceBuffer::new();
-        phase_events(&mut b, 0, 1, 0);
-        phase_events(&mut b, 0, 2, 500);
-        let mut rep = b.report(1000);
+        let mut rep = PhaseReport::default();
+        phase_events(&mut rep, 0, 1, 0);
+        phase_events(&mut rep, 0, 2, 500);
+        rep.close_at(1000);
         let jsonl = rep.to_jsonl();
         assert_eq!(jsonl.lines().count(), 3);
         assert!(jsonl.contains("\"type\":\"phase\",\"phase\":2"));
         let table = rep.render();
         assert!(table.contains("system phases (2)"));
+    }
+
+    #[test]
+    fn kinds_the_fold_never_reads_are_never_asked_for() {
+        let rep = PhaseReport::default();
+        for kind in [
+            EventKind::MsgSend,
+            EventKind::Spawn,
+            EventKind::MigrateIn,
+            EventKind::LoadSample,
+            EventKind::BatchSend,
+            EventKind::RingDepth,
+            EventKind::Job,
+            EventKind::NodeTotals,
+        ] {
+            assert!(!rep.interest().contains(kind), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn span_edges_breaking_the_nesting_are_skipped() {
+        let mut rep = PhaseReport::default();
+        let (kind, index) = (PhaseKind::System, 3);
+        // An end nothing opened, then an end stamped before its begin.
+        rep.record(10, 0, TraceEvent::PhaseEnd { kind, index });
+        rep.record(20, 0, TraceEvent::PhaseBegin { kind, index });
+        rep.record(5, 0, TraceEvent::PhaseEnd { kind, index });
+        rep.close_at(100);
+        let row = &mut rep.phases[0];
+        assert_eq!((row.span_us.count(), row.span_us.max()), (1, 80));
+        assert_eq!((row.begin, row.end), (20, 100));
     }
 }

@@ -58,7 +58,7 @@ use rips_repro::taskgraph::Workload;
 use rips_repro::topology::{Mesh2D, Topology};
 use rips_repro::trace::{
     metrics_rt, validate, with_metrics, with_metrics_clocked, with_sink, Clock, MetricsRegistry,
-    SharedFlight, Tee, TraceBuffer,
+    PhaseReport, SharedFlight, Tee, TraceBuffer, TraceSink,
 };
 
 /// One subcommand: the path before its own name (`""`, `"repro "`),
@@ -472,9 +472,9 @@ fn cmd_live(args: &Args) {
 }
 
 /// Shared front half of `trace` and `report`: run the `<scheduler>
-/// <app>` cell under a [`TraceBuffer`] sink, and hand back the buffer
-/// plus the run's end time.
-fn traced_run(args: &Args) -> (String, TraceBuffer, u64) {
+/// <app>` cell under `sink`, and hand back the sink plus the run's end
+/// time.
+fn traced_run<S: TraceSink + Send + 'static>(args: &Args, sink: S) -> (String, S, u64) {
     let [scheduler, app] = args.pos() else {
         unreachable!("Args::parse bounds the positional count")
     };
@@ -486,12 +486,12 @@ fn traced_run(args: &Args) -> (String, TraceBuffer, u64) {
     let spec = paper_spec(&workload, nodes, 0.4, seed);
 
     eprintln!("tracing {name} on {nodes} nodes (seed {seed}) ...");
-    let (buf, run) = rips_repro::trace::with_sink(TraceBuffer::new(), || reg.run(&name, &spec));
+    let (sink, run) = with_sink(sink, || reg.run(&name, &spec));
     run.outcome
         .verify_complete(&workload)
         .expect("scheduler lost tasks");
     let label = format!("{name} · {app} · {nodes} nodes · seed {seed}");
-    (label, buf, run.outcome.stats.end_time)
+    (label, sink, run.outcome.stats.end_time)
 }
 
 const TRACE: Spec = &[
@@ -505,7 +505,7 @@ const TRACE: Spec = &[
 
 fn cmd_trace(args: &Args) {
     let out_path = args.str("--out");
-    let (label, buf, end_time) = traced_run(args);
+    let (label, buf, end_time) = traced_run(args, TraceBuffer::new());
 
     if args.switch("--check") {
         match validate(&buf) {
@@ -538,8 +538,8 @@ const REPORT: Spec = &[
 ];
 
 fn cmd_report(args: &Args) {
-    let (label, buf, end_time) = traced_run(args);
-    let mut report = buf.report(end_time);
+    let (label, mut report, end_time) = traced_run(args, PhaseReport::default());
+    report.close_at(end_time);
     if args.switch("--jsonl") {
         print!("{}", report.to_jsonl());
     } else {
