@@ -276,11 +276,6 @@ impl GrainTable {
         self.rounds.len()
     }
 
-    /// Number of tasks in round `r`.
-    pub fn tasks_in(&self, r: usize) -> usize {
-        self.rounds[r].len()
-    }
-
     /// The spec for task `task` of round `round`.
     ///
     /// # Panics
@@ -325,7 +320,7 @@ mod tests {
         let (w, table) = nqueens_with_grains(cfg);
         assert_eq!(table.rounds(), w.rounds.len());
         for (r, forest) in w.rounds.iter().enumerate() {
-            assert_eq!(table.tasks_in(r), forest.len());
+            assert_eq!(table.rounds[r].len(), forest.len());
         }
         // Every complete placement lives in exactly one leaf subtree.
         assert_eq!(table.static_totals().solutions, solve(9).1);
@@ -376,7 +371,7 @@ mod tests {
         let (w, table) = puzzle_with_grains(cfg);
         assert_eq!(table.rounds(), w.rounds.len());
         for (r, forest) in w.rounds.iter().enumerate() {
-            assert_eq!(table.tasks_in(r), forest.len());
+            assert_eq!(table.rounds[r].len(), forest.len());
         }
         let totals = table.static_totals();
         // The final iteration finds the goal (possibly through several
@@ -391,7 +386,7 @@ mod tests {
         cfg.groups = 286;
         let (w, table) = gromos_with_grains(cfg);
         assert_eq!(table.rounds(), w.rounds.len());
-        assert_eq!(table.tasks_in(0), 286);
+        assert_eq!(table.rounds[0].len(), 286);
         let a = table.static_totals();
         let b = table.static_totals();
         assert_eq!(a, b);

@@ -84,11 +84,6 @@ fn sim_counters_agree_with_run_outcome() {
         "every broadcast opens a run"
     );
     assert!(snap.counter(Counter::StaleWakes) > 0, "stale wake markers");
-    assert_eq!(
-        snap.counter(Counter::TimersCancelled),
-        0,
-        "no roster scheduler cancels a timer"
-    );
     // Virtual time: the ns histograms must stay empty in the simulator.
     assert_eq!(snap.histo(Histo::DispatchRoundNs).count, 0);
     assert_eq!(snap.histo(Histo::TraceEmitNs).count, 0);
@@ -119,7 +114,6 @@ fn sim_snapshot_renders_valid_openmetrics_with_all_names() {
         "rips_msgs_sent_total",
         "rips_sim_events_total",
         "rips_stale_wakes_total",
-        "rips_timers_cancelled_total",
         "rips_broadcast_runs_total",
         "rips_dispatch_round_ns_bucket",
         "rips_queue_depth",

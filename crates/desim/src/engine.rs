@@ -8,10 +8,10 @@
 //! implementation (pinned by `crates/bench/tests/golden.rs`). The
 //! load-bearing pieces:
 //!
-//! * **Engine-owned effect buffers.** A handler's sends, timers and
-//!   cancels are buffered in vectors owned by the engine and lent to
-//!   [`Ctx`] for the duration of the call, so the steady state
-//!   allocates nothing per event.
+//! * **Engine-owned effect buffers.** A handler's sends and timers are
+//!   buffered in vectors owned by the engine and lent to [`Ctx`] for
+//!   the duration of the call, so the steady state allocates nothing
+//!   per event.
 //! * **Per-node deferral lanes.** An event arriving at a busy node is
 //!   parked in that node's lane (a min-heap on sequence number)
 //!   instead of being re-pushed into the global heap once per
@@ -26,12 +26,12 @@
 //!   topologies answer in closed form, so routing holds no per-pair
 //!   state at any machine size.
 //! * **Struct-of-arrays state.** Global event-queue state
-//!   ([`EventCore`]: heap, sequence counter, timer identity,
-//!   cancellations) and dense per-node vectors ([`NodeCore`]:
-//!   programs, ready times, stats, deferral lanes, wake markers) are
-//!   grouped dslab-style; every per-node entry is O(1) bytes, so an
-//!   idle node costs a few hundred bytes and a million-node machine
-//!   stays in the hundreds of megabytes. The engine draws no random
+//!   ([`EventCore`]: heap, sequence counter, broadcast runs) and dense
+//!   per-node vectors ([`NodeCore`]: programs, ready times, stats,
+//!   deferral lanes, wake markers) are grouped dslab-style; every
+//!   per-node entry is O(1) bytes, so an idle node costs a few hundred
+//!   bytes and a million-node machine stays in the hundreds of
+//!   megabytes. The engine draws no random
 //!   numbers: a program that does keeps its own stream, seeded from
 //!   [`Ctx::seed`].
 //! * **Broadcasts as sorted runs.** `send_all`/`signal_all` buffer one
@@ -49,17 +49,12 @@
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use rips_topology::{NodeId, Topology};
 use rips_trace::metrics_rt::Counter;
 
 use crate::{LatencyModel, MemStats, NetStats, NodeStats, RunStats, Time, WorkKind};
-
-/// Handle to a pending timer, used for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(u64);
 
 /// Behaviour of one simulated node (the SPMD "code image").
 ///
@@ -110,7 +105,6 @@ enum Effect<M> {
 }
 
 struct TimerReq {
-    id: u64,
     tag: u64,
     fire_offset: Time,
 }
@@ -129,10 +123,8 @@ pub struct Ctx<'a, M> {
     consumed_overhead: Time,
     effects: &'a mut Vec<Effect<M>>,
     timers: &'a mut Vec<TimerReq>,
-    cancels: &'a mut Vec<u64>,
     halt: bool,
     send_cpu_us: Time,
-    next_timer_id: &'a mut u64,
     seed: u64,
 }
 
@@ -232,21 +224,11 @@ impl<'a, M> Ctx<'a, M> {
     /// Arrange for [`Program::on_timer`] to be called with `tag` after
     /// `delay` µs of virtual time (measured from the current
     /// intra-handler time).
-    pub fn set_timer(&mut self, delay: Time, tag: u64) -> TimerId {
-        let id = *self.next_timer_id;
-        *self.next_timer_id += 1;
+    pub fn set_timer(&mut self, delay: Time, tag: u64) {
         self.timers.push(TimerReq {
-            id,
             tag,
             fire_offset: self.consumed_user + self.consumed_overhead + delay,
         });
-        TimerId(id)
-    }
-
-    /// Cancel a pending timer. Cancelling an already-fired timer is a
-    /// no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.cancels.push(id.0);
     }
 
     /// Stop the whole simulation once this handler returns. Used by a
@@ -263,7 +245,6 @@ enum EventKind<M> {
         msg: M,
     },
     Timer {
-        id: u64,
         tag: u64,
     },
     /// Contention mode: a message in flight, currently held at the
@@ -402,10 +383,10 @@ const UNARMED: (Time, u64) = (0, u64::MAX);
 
 /// The global event core, grouped after the dslab simulator idiom
 /// (SNIPPETS.md): the clock-ordered heap, the deterministic
-/// interleaving counter, timer identity, and the cancellation set
-/// travel together, separate from per-node state. The heap holds
-/// point-to-point events, wake markers and one head per open [`Run`];
-/// the outstanding events are those plus `run_tail`.
+/// interleaving counter and the open broadcast runs travel together,
+/// separate from per-node state. The heap holds point-to-point events,
+/// wake markers and one head per open [`Run`]; the outstanding events
+/// are those plus `run_tail`.
 struct EventCore<M> {
     queue: BinaryHeap<std::cmp::Reverse<Event<M>>>,
     /// Run slots, indexed by [`EventKind::Run`], and the idle ones.
@@ -418,19 +399,9 @@ struct EventCore<M> {
     seq: u64,
     /// Events dispatched so far (the run's event count).
     processed: u64,
-    next_timer_id: u64,
-    cancelled: HashSet<u64>,
 }
 
 impl<M> EventCore<M> {
-    /// Consumes timer `id`'s cancellation, if it has one. Most runs
-    /// never cancel a timer; checking for that first keeps every timer
-    /// pop from hashing its id into an empty set.
-    #[inline]
-    fn take_cancelled(&mut self, id: &u64) -> bool {
-        !self.cancelled.is_empty() && self.cancelled.remove(id)
-    }
-
     /// Pushes an event stamped with the next sequence number.
     #[inline]
     fn push_next(&mut self, time: Time, node: NodeId, kind: EventKind<M>) {
@@ -585,7 +556,6 @@ pub struct Engine<P: Program> {
     /// Reusable effect buffers lent to [`Ctx`] per handler call.
     effects_buf: Vec<Effect<P::Msg>>,
     timer_buf: Vec<TimerReq>,
-    cancel_buf: Vec<u64>,
     /// Safety valve against runaway protocols; `run` panics past this.
     pub max_events: u64,
 }
@@ -611,8 +581,6 @@ impl<P: Program> Engine<P> {
             run_tail: 0,
             seq: 0,
             processed: 0,
-            next_timer_id: 0,
-            cancelled: HashSet::new(),
         };
         // The `Start` wavefront is a run that needs no sorting: node
         // `k` at time 0 with seq `k + 1`, ahead of everything a handler
@@ -650,7 +618,6 @@ impl<P: Program> Engine<P> {
             tel: rips_trace::Telemetry::default(),
             effects_buf: Vec::new(),
             timer_buf: Vec::new(),
-            cancel_buf: Vec::new(),
             max_events: 500_000_000,
         }
     }
@@ -674,9 +641,8 @@ impl<P: Program> Engine<P> {
     /// and, under a registry, the event loop counts every processed
     /// event (`rips_sim_events`), timer dispatch (`rips_timer_fires`),
     /// outgoing message (`rips_msgs_sent`), broadcast run, and
-    /// discarded stale wake marker or cancelled timer into the per-node
-    /// shards. With the default disabled handle each tap is one
-    /// never-taken branch.
+    /// discarded stale wake marker into the per-node shards. With the
+    /// default disabled handle each tap is one never-taken branch.
     pub fn set_telemetry(&mut self, tel: rips_trace::Telemetry) {
         self.tel = tel;
     }
@@ -827,10 +793,8 @@ impl<P: Program> Engine<P> {
             consumed_overhead: 0,
             effects: &mut self.effects_buf,
             timers: &mut self.timer_buf,
-            cancels: &mut self.cancel_buf,
             halt: false,
             send_cpu_us: self.latency.send_cpu_us,
-            next_timer_id: &mut self.core.next_timer_id,
             seed: self.seed,
         };
         match kind {
@@ -839,7 +803,7 @@ impl<P: Program> Engine<P> {
                 ctx.consumed_overhead += self.latency.recv_cpu_us;
                 self.nodes.programs[node].on_message(&mut ctx, from, msg)
             }
-            EventKind::Timer { tag, .. } => self.nodes.programs[node].on_timer(&mut ctx, tag),
+            EventKind::Timer { tag } => self.nodes.programs[node].on_timer(&mut ctx, tag),
             EventKind::Forward { .. } | EventKind::Wake | EventKind::Run(_) => {
                 // rips-lint: allow(L003, routing events, wake markers and run heads are intercepted before dispatch)
                 unreachable!("router/marker events never dispatch to a program")
@@ -915,21 +879,10 @@ impl<P: Program> Engine<P> {
 
         let mut timers = std::mem::take(&mut self.timer_buf);
         for t in timers.drain(..) {
-            self.core.push_next(
-                start + t.fire_offset,
-                node,
-                EventKind::Timer {
-                    id: t.id,
-                    tag: t.tag,
-                },
-            );
+            self.core
+                .push_next(start + t.fire_offset, node, EventKind::Timer { tag: t.tag });
         }
         self.timer_buf = timers;
-
-        if !self.cancel_buf.is_empty() {
-            let cancelled = &mut self.core.cancelled;
-            cancelled.extend(self.cancel_buf.drain(..));
-        }
         halt
     }
 
@@ -981,13 +934,6 @@ impl<P: Program> Engine<P> {
                     debug_assert_eq!(head.seq, ev.seq);
                     self.parked -= 1;
                     self.nodes.armed[node] = UNARMED;
-                    if let EventKind::Timer { id, .. } = &head.kind {
-                        if self.core.take_cancelled(id) {
-                            self.tel.add_at(node, Counter::TimersCancelled, 1);
-                            self.arm(node);
-                            continue;
-                        }
-                    }
                     let halt = self.dispatch(ev.time, node, head.kind);
                     self.arm(node);
                     if halt {
@@ -1007,12 +953,6 @@ impl<P: Program> Engine<P> {
                             self.arm(node);
                         }
                         continue;
-                    }
-                    if let EventKind::Timer { id, .. } = &kind {
-                        if self.core.take_cancelled(id) {
-                            self.tel.add_at(node, Counter::TimersCancelled, 1);
-                            continue;
-                        }
                     }
                     let halt = self.dispatch(ev.time, node, kind);
                     self.arm(node);
@@ -1184,40 +1124,37 @@ mod tests {
         }
     }
 
-    /// A timer cancelled while the timer event sat parked behind a
-    /// busy node must still be suppressed when the lane replays.
-    struct CancelWhileBusy {
-        fired: Vec<u64>,
-        pending: Option<TimerId>,
+    /// A timer and a message parked behind a busy node: the lane
+    /// replays them in sequence order, not in arrival-time order.
+    struct ParkedTimer {
+        log: Vec<(&'static str, Time)>,
     }
 
-    impl Program for CancelWhileBusy {
+    impl Program for ParkedTimer {
         type Msg = u8;
 
         fn on_start(&mut self, ctx: &mut Ctx<'_, u8>) {
             if ctx.me() == 0 {
                 // Timer fires at t=10, mid-compute (busy until t=100).
-                self.pending = Some(ctx.set_timer(10, 7));
+                ctx.set_timer(10, 7);
                 ctx.compute(100, WorkKind::User);
-                // A nudge from node 1 arrives later and cancels it.
             } else {
+                // Lands at t=5, but is sent after the timer was set.
                 ctx.send(0, 1, 0);
             }
         }
 
         fn on_message(&mut self, ctx: &mut Ctx<'_, u8>, _from: NodeId, _msg: u8) {
-            if let Some(t) = self.pending.take() {
-                ctx.cancel_timer(t);
-            }
+            self.log.push(("message", ctx.now()));
         }
 
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_, u8>, tag: u64) {
-            self.fired.push(tag);
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, u8>, _tag: u64) {
+            self.log.push(("timer", ctx.now()));
         }
     }
 
     #[test]
-    fn timer_cancelled_while_parked_is_suppressed() {
+    fn parked_timer_replays_before_a_later_sent_message() {
         let lat = LatencyModel {
             alpha_us: 5,
             per_byte_ns: 0,
@@ -1225,20 +1162,16 @@ mod tests {
             send_cpu_us: 0,
             recv_cpu_us: 0,
         };
-        let eng = Engine::new(mesh(2), lat, 1, |_| CancelWhileBusy {
-            fired: vec![],
-            pending: None,
-        });
+        let eng = Engine::new(mesh(2), lat, 1, |_| ParkedTimer { log: vec![] });
         let (progs, _) = eng.run();
         // Both the timer (set during node 0's Start, so lower seq) and
-        // the cancel-carrying message park behind the 100 µs compute.
-        // The lane replays them in seq order: timer first — it fires
-        // before the cancel lands, and the late cancel is a no-op.
+        // the message park behind the 100 µs compute. The message pops
+        // first (t=5 < t=10), yet the lane replays the timer first.
         // This pins the old re-push scheme's exact ordering.
-        assert_eq!(progs[0].fired, vec![7]);
+        assert_eq!(progs[0].log, vec![("timer", 100), ("message", 100)]);
     }
 
-    /// Timers fire in order, and cancellation suppresses delivery.
+    /// Timers fire in deadline order, whatever order they were set in.
     struct Timers {
         fired: Vec<u64>,
     }
@@ -1250,8 +1183,7 @@ mod tests {
             if ctx.me() == 0 {
                 ctx.set_timer(30, 3);
                 ctx.set_timer(10, 1);
-                let victim = ctx.set_timer(20, 2);
-                ctx.cancel_timer(victim);
+                ctx.set_timer(20, 2);
             }
         }
 
@@ -1263,12 +1195,12 @@ mod tests {
     }
 
     #[test]
-    fn timer_order_and_cancellation() {
+    fn timers_fire_in_deadline_order() {
         let eng = Engine::new(mesh(1), LatencyModel::ideal(), 7, |_| Timers {
             fired: vec![],
         });
         let (progs, _) = eng.run();
-        assert_eq!(progs[0].fired, vec![1, 3]);
+        assert_eq!(progs[0].fired, vec![1, 2, 3]);
     }
 
     /// Halting stops the run even with events pending.
@@ -1649,9 +1581,9 @@ mod tests {
         assert!(stats.mem.peak_event_bytes < stats.peak_queue_depth * event);
     }
 
-    /// What the loop drops on the floor is counted: a cancelled timer,
-    /// the stale wake markers a re-armed lane leaves behind, and each
-    /// broadcast folded into a run.
+    /// What the loop drops on the floor is counted: the stale wake
+    /// markers a re-armed lane leaves behind, and each broadcast folded
+    /// into a run. A run that does neither counts nothing.
     #[test]
     fn discards_and_runs_are_counted() {
         use rips_trace::{with_metrics, MetricsRegistry, Telemetry};
@@ -1659,12 +1591,7 @@ mod tests {
             let reg = MetricsRegistry::new(9);
             with_metrics(&reg, || run(Telemetry::current()));
             let snap = reg.snapshot();
-            [
-                Counter::TimersCancelled,
-                Counter::StaleWakes,
-                Counter::BroadcastRuns,
-            ]
-            .map(|c| snap.counter(c))
+            [Counter::StaleWakes, Counter::BroadcastRuns].map(|c| snap.counter(c))
         };
         let timers = counts(&|tel| {
             let mut eng = Engine::new(mesh(1), LatencyModel::ideal(), 7, |_| Timers {
@@ -1673,7 +1600,7 @@ mod tests {
             eng.set_telemetry(tel);
             eng.run();
         });
-        assert_eq!(timers, [1, 0, 0]);
+        assert_eq!(timers, [0, 0]);
         let script = Script {
             folded: true,
             broadcasters: (0..9).collect(),
@@ -1690,8 +1617,7 @@ mod tests {
             eng.set_telemetry(tel);
             eng.run();
         });
-        assert_eq!(shouts[0], 0);
-        assert!(shouts[1] > 0, "lanes re-armed under a broadcast storm");
-        assert_eq!(shouts[2], 9);
+        assert!(shouts[0] > 0, "lanes re-armed under a broadcast storm");
+        assert_eq!(shouts[1], 9);
     }
 }

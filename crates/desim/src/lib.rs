@@ -21,15 +21,9 @@ mod engine;
 mod latency;
 mod stats;
 
-pub use engine::{Ctx, Engine, Program, TimerId};
+pub use engine::{Ctx, Engine, Program};
 pub use latency::LatencyModel;
 pub use stats::{BusySpan, MemStats, NetStats, NodeStats, RunStats, WorkKind};
 
 /// Virtual time in microseconds.
 pub type Time = u64;
-
-/// One millisecond in engine time units.
-pub const MS: Time = 1_000;
-
-/// One second in engine time units.
-pub const SEC: Time = 1_000_000;

@@ -134,11 +134,6 @@ impl RunStats {
         mean(self.nodes.iter().map(|n| n.idle_us(end)))
     }
 
-    /// Mean per-node user compute time (µs).
-    pub fn mean_user_us(&self) -> f64 {
-        mean(self.nodes.iter().map(|n| n.user_us))
-    }
-
     /// Total user compute over all nodes (µs) — the simulated `Ts` when
     /// the workload is fixed.
     pub fn total_user_us(&self) -> Time {

@@ -154,7 +154,7 @@ impl<M: Clone> ExecCtx<M> for Ctx<'_, M> {
         Ctx::signal_all(self, msg);
     }
     fn set_timer(&mut self, delay: Time, tag: u64) {
-        let _ = Ctx::set_timer(self, delay, tag);
+        Ctx::set_timer(self, delay, tag);
     }
     fn halt(&mut self) {
         Ctx::halt(self);

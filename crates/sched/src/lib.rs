@@ -34,19 +34,15 @@
 //! RIPS plans a phase with the centralized arithmetic above and
 //! charges it the closed-form step bound that sits beside each
 //! algorithm ([`mwa_steps`], [`TileGrid::hier_steps`], [`twa_steps`],
-//! [`dem_steps`]). The message-passing realisations
-//! ([`mwa_distributed`], [`twa_distributed`], [`dem_distributed`], over
-//! the lock-step [`bsp::BspMachine`]) are the references the tests
-//! hold both to: same per-link flows as the centralized plan, and a
-//! measured step count within the bound RIPS charges.
+//! [`dem_steps`]). The message-passing realisations of MWA, TWA and
+//! DEM, per-node programs on a lock-step BSP machine, are test
+//! oracles: they live in `tests/distributed/`, are compiled only into
+//! this crate's unit tests, and hold each centralized plan to the same
+//! per-link flows and a measured step count within the charged bound.
 
 #![forbid(unsafe_code)]
 
-pub mod bsp;
-mod ddem;
 mod dem;
-mod dmwa;
-mod dtwa;
 pub mod flow;
 mod mcmf;
 mod mwa;
@@ -55,11 +51,23 @@ mod rebalance;
 mod tiled;
 mod twa;
 
-pub use ddem::dem_distributed;
 pub use dem::{dem, dem_steps};
-pub use dmwa::mwa_distributed;
-pub use dtwa::twa_distributed;
 pub use mwa::{mwa, mwa_steps, MwaTrace};
 pub use plan::{min_nonlocal_tasks, Move, TransferPlan};
 pub use tiled::{tiled_mwa, TileGrid, TiledTrace};
 pub use twa::{twa, twa_steps};
+
+// The message-passing oracles (see the crate doc): test-only code,
+// kept out of `src/` and built as part of this crate's unit tests.
+#[cfg(test)]
+#[path = "../tests/distributed/bsp.rs"]
+mod bsp;
+#[cfg(test)]
+#[path = "../tests/distributed/ddem.rs"]
+mod ddem;
+#[cfg(test)]
+#[path = "../tests/distributed/dmwa.rs"]
+mod dmwa;
+#[cfg(test)]
+#[path = "../tests/distributed/dtwa.rs"]
+mod dtwa;

@@ -14,9 +14,9 @@
 //!          `z`/`v` vectors (forced, hence optimal, 1-D flows).
 //!
 //! The centralized implementation below performs the same arithmetic
-//! each SPMD node would; [`mwa_distributed`](crate::mwa_distributed)
-//! runs the five steps as messages and agrees with this code flow for
-//! flow, within [`mwa_steps`] (see `tests/properties.rs`).
+//! each SPMD node would; the message-passing oracle in
+//! `tests/distributed/dmwa.rs` runs the five steps as messages and
+//! agrees with this code flow for flow, within [`mwa_steps`].
 
 // Indexed loops below mirror the paper's per-column vector algebra;
 // iterator rewrites would obscure the correspondence.
@@ -44,8 +44,8 @@ pub struct MwaTrace {
 /// Communication steps of one full Mesh Walking Algorithm invocation on
 /// an `n1 × n2` mesh: `3(n1 + n2)` (paper §3: step 1 ≈ n2, step 2 ≈ n1,
 /// broadcast/spread ≈ n1 + n2, steps 4–5 ≤ n1 + n2). What RIPS charges
-/// a system phase on [`Mesh2D`], and the bound
-/// [`mwa_distributed`](crate::mwa_distributed) is held to.
+/// a system phase on [`Mesh2D`], and the bound the message-passing
+/// oracle's measured step count is held to.
 pub fn mwa_steps(mesh: &Mesh2D) -> usize {
     3 * (mesh.rows() + mesh.cols())
 }

@@ -19,8 +19,8 @@ use crate::plan::TransferPlan;
 /// forced flows travel first up and then down — four sweeps of at most
 /// `height` steps, plus two steps of slack (the message-passing
 /// reference measures `4·height` on full trees). What RIPS charges a
-/// system phase on a tree, and the bound
-/// [`twa_distributed`](crate::twa_distributed) is held to.
+/// system phase on a tree, and the bound the message-passing oracle's
+/// measured step count is held to.
 pub fn twa_steps(height: usize) -> usize {
     4 * height + 2
 }

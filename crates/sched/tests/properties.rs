@@ -3,9 +3,7 @@
 
 use proptest::prelude::*;
 use rips_sched::flow::{optimal_rebalance, quotas};
-use rips_sched::{
-    dem, dem_steps, min_nonlocal_tasks, mwa, mwa_steps, tiled_mwa, twa, twa_steps, TransferPlan,
-};
+use rips_sched::{dem, min_nonlocal_tasks, mwa, tiled_mwa, twa, TransferPlan};
 use rips_topology::{BinaryTree, Hypercube, Mesh2D, NodeId, Topology};
 
 /// Arbitrary mesh shape and loads: dims 1..=8, loads 0..=60.
@@ -246,76 +244,5 @@ proptest! {
         prop_assert!(opt.verify(&loads));
         let total: i64 = loads.iter().sum();
         prop_assert_eq!(&opt.final_loads, &quotas(total, mesh.len()));
-    }
-}
-
-proptest! {
-    /// The distributed SPMD realisation of MWA produces exactly the
-    /// same per-link flows as the centralized Figure 3 arithmetic, and
-    /// stays within the paper's 3(n1+n2) communication-step bound.
-    #[test]
-    fn distributed_mwa_agrees_with_centralized((mesh, loads) in mesh_and_loads()) {
-        use std::collections::BTreeMap;
-        let (central, _) = mwa(&mesh, &loads);
-        let (distributed, steps) = rips_sched::mwa_distributed(&mesh, &loads);
-        let flows = |p: &rips_sched::TransferPlan| {
-            let mut m: BTreeMap<(usize, usize), i64> = BTreeMap::new();
-            for mv in &p.moves {
-                *m.entry((mv.from, mv.to)).or_insert(0) += mv.count;
-            }
-            m
-        };
-        prop_assert_eq!(flows(&central), flows(&distributed));
-        prop_assert!(steps <= mwa_steps(&mesh));
-    }
-}
-
-proptest! {
-    /// The distributed TWA produces the same forced per-edge flows as
-    /// the centralized sweep, within the logarithmic step bound.
-    #[test]
-    fn distributed_twa_agrees_with_centralized(
-        n in 1usize..=24,
-        seed_loads in proptest::collection::vec(0i64..=60, 24),
-    ) {
-        use std::collections::BTreeMap;
-        let tree = BinaryTree::new(n);
-        let loads = &seed_loads[..n];
-        let central = twa(&tree, loads);
-        let (distributed, steps) = rips_sched::twa_distributed(&tree, loads);
-        let flows = |p: &rips_sched::TransferPlan| {
-            let mut m: BTreeMap<(usize, usize), i64> = BTreeMap::new();
-            for mv in &p.moves {
-                *m.entry((mv.from, mv.to)).or_insert(0) += mv.count;
-            }
-            m
-        };
-        prop_assert_eq!(flows(&central), flows(&distributed));
-        prop_assert!(steps <= twa_steps(tree.height()));
-    }
-}
-
-proptest! {
-    /// The distributed DEM is flow-identical to the centralized one and
-    /// uses exactly one communication step per hypercube dimension.
-    #[test]
-    fn distributed_dem_agrees_with_centralized(
-        dim in 0usize..=5,
-        seed_loads in proptest::collection::vec(0i64..=60, 32),
-    ) {
-        use std::collections::BTreeMap;
-        let cube = Hypercube::new(dim);
-        let loads = &seed_loads[..cube.len()];
-        let central = dem(&cube, loads);
-        let (distributed, steps) = rips_sched::dem_distributed(&cube, loads);
-        let flows = |p: &rips_sched::TransferPlan| {
-            let mut m: BTreeMap<(usize, usize), i64> = BTreeMap::new();
-            for mv in &p.moves {
-                *m.entry((mv.from, mv.to)).or_insert(0) += mv.count;
-            }
-            m
-        };
-        prop_assert_eq!(flows(&central), flows(&distributed));
-        prop_assert!(steps <= dem_steps(dim));
     }
 }

@@ -23,15 +23,6 @@ impl Hypercube {
         Hypercube { dim }
     }
 
-    /// Builds a hypercube with exactly `n = 2^d` nodes.
-    ///
-    /// # Panics
-    /// Panics if `n` is not a power of two.
-    pub fn with_nodes(n: usize) -> Self {
-        assert!(n.is_power_of_two(), "hypercube size must be a power of two");
-        Hypercube::new(n.trailing_zeros() as usize)
-    }
-
     /// Dimension `d`.
     pub fn dim(&self) -> usize {
         self.dim
@@ -84,13 +75,6 @@ mod tests {
     fn sizes() {
         assert_eq!(Hypercube::new(0).len(), 1);
         assert_eq!(Hypercube::new(5).len(), 32);
-        assert_eq!(Hypercube::with_nodes(64).dim(), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_power_of_two_rejected() {
-        Hypercube::with_nodes(12);
     }
 
     #[test]

@@ -78,33 +78,33 @@ pub fn route<T: Topology + ?Sized>(topo: &T, from: NodeId, to: NodeId) -> Vec<No
     path
 }
 
-/// Brute-force BFS distance, used by tests to validate the closed-form
-/// `distance` implementations.
-pub fn bfs_distance<T: Topology + ?Sized>(topo: &T, a: NodeId, b: NodeId) -> usize {
-    use std::collections::VecDeque;
-    if a == b {
-        return 0;
-    }
-    let mut dist = vec![usize::MAX; topo.len()];
-    dist[a] = 0;
-    let mut q = VecDeque::from([a]);
-    while let Some(n) = q.pop_front() {
-        for m in topo.neighbors(n) {
-            if dist[m] == usize::MAX {
-                dist[m] = dist[n] + 1;
-                if m == b {
-                    return dist[m];
-                }
-                q.push_back(m);
-            }
-        }
-    }
-    panic!("topology is disconnected: no path {a} -> {b}");
-}
-
 #[cfg(test)]
 mod trait_tests {
     use super::*;
+
+    /// Brute-force BFS distance: the reference the closed-form
+    /// `distance` implementations are held to.
+    fn bfs_distance<T: Topology + ?Sized>(topo: &T, a: NodeId, b: NodeId) -> usize {
+        use std::collections::VecDeque;
+        if a == b {
+            return 0;
+        }
+        let mut dist = vec![usize::MAX; topo.len()];
+        dist[a] = 0;
+        let mut q = VecDeque::from([a]);
+        while let Some(n) = q.pop_front() {
+            for m in topo.neighbors(n) {
+                if dist[m] == usize::MAX {
+                    dist[m] = dist[n] + 1;
+                    if m == b {
+                        return dist[m];
+                    }
+                    q.push_back(m);
+                }
+            }
+        }
+        panic!("topology is disconnected: no path {a} -> {b}");
+    }
 
     fn check_invariants(topo: &dyn Topology) {
         let n = topo.len();

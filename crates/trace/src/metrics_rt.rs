@@ -109,9 +109,6 @@ metric_enum! {
         /// Deferral-lane wake markers the simulator popped and dropped
         /// because the lane head or the node's free time had moved on.
         StaleWakes => ("rips_stale_wakes", "Stale deferral-lane wake markers discarded by the desim engine."),
-        /// Simulated timer events swallowed because the timer had been
-        /// cancelled before it fired.
-        TimersCancelled => ("rips_timers_cancelled", "Cancelled timers swallowed by the desim engine."),
         /// Broadcasts (`send_all`/`signal_all`) the simulator opened as
         /// one sorted run instead of one heap entry per recipient.
         BroadcastRuns => ("rips_broadcast_runs", "Broadcasts opened as sorted runs by the desim engine."),

@@ -136,18 +136,6 @@ impl Checker {
         c
     }
 
-    /// Set the preemption bound for DFS mode.
-    pub fn preemption_bound(mut self, bound: usize) -> Self {
-        self.bound = bound;
-        self
-    }
-
-    /// Cap the number of executions explored.
-    pub fn max_iterations(mut self, cap: usize) -> Self {
-        self.max_iterations = cap;
-        self
-    }
-
     /// Set the per-execution step budget (the livelock guard).
     pub fn max_steps(mut self, steps: usize) -> Self {
         self.max_steps = steps;
