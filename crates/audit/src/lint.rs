@@ -6,7 +6,7 @@
 //!
 //! | id | rule |
 //! |----|------|
-//! | RIPS-L001 | no `HashMap`/`HashSet` in the deterministic-path crates (`sched`, `balancers`, `runtime`, `core`): their iteration order is seeded per process and leaks into results |
+//! | RIPS-L001 | no `HashMap`/`HashSet` in the deterministic-path crates (`sched`, `runtime`, `core`): their iteration order is seeded per process and leaks into results |
 //! | RIPS-L002 | no `Instant`/`SystemTime`/`thread_rng` outside the reasoned [`TIMING_PATHS`] allowlist (`crates/bench`, `crates/live`, `benchmark`): simulated runs must not observe wall-clock time or ambient randomness |
 //! | RIPS-L003 | no `unwrap`/`expect`/`panic!`/`unreachable!` in the desim engine hot path (`crates/desim/src/engine.rs`) without a reasoned suppression |
 //! | RIPS-L004 | `unsafe` is forbidden outside the reasoned [`UNSAFE_ALLOWLIST`] (exactly one file: the live backend's SPSC ring) |
@@ -100,12 +100,7 @@ impl LintReport {
 
 /// Crates whose results must be bit-for-bit reproducible: RIPS-L001
 /// forbids seeded-order containers anywhere inside them.
-const DETERMINISTIC_CRATES: &[&str] = &[
-    "crates/sched/",
-    "crates/balancers/",
-    "crates/runtime/",
-    "crates/core/",
-];
+const DETERMINISTIC_CRATES: &[&str] = &["crates/sched/", "crates/runtime/", "crates/core/"];
 
 /// Paths allowed to observe wall-clock time / ambient randomness
 /// (RIPS-L002 does not apply). Every entry carries a mandatory reason,
@@ -935,6 +930,24 @@ mod tests {
         assert!(json.contains("\\\""));
         assert!(json.contains("\"count\":1"));
         assert!(json.ends_with("\"suppressed\":2}"));
+    }
+
+    #[test]
+    fn every_scope_path_names_a_real_path() {
+        // A stale entry silently scopes nothing.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let timing = TIMING_PATHS.iter().map(|(p, _)| *p);
+        let unsafe_ok = UNSAFE_ALLOWLIST.iter().map(|(p, _)| *p);
+        let all = DETERMINISTIC_CRATES
+            .iter()
+            .chain(VERIFY_SEAM_CRATES)
+            .copied()
+            .chain(timing)
+            .chain(unsafe_ok)
+            .chain([ENGINE_HOT_PATH]);
+        for path in all {
+            assert!(root.join(path).exists(), "{path} names nothing");
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! the binary) because the artifact and suite tables below it declare
 //! flags and read the parsed values.
 
-use std::fmt::Write as _;
+use std::fmt::{Debug, Display, Write as _};
+use std::ops::RangeBounds;
 use std::str::FromStr;
 
 /// One flag row: `--name [KIND[=default]]  help`. `KIND` is one of the
@@ -204,6 +205,21 @@ impl Args {
     pub fn num<T: FromStr>(&self, name: &str) -> T {
         let v = self.opt(name);
         v.unwrap_or_else(|| panic!("flag {name} has no value: declare a default or use opt()"))
+    }
+
+    /// A flag that has a default, parsed and checked against `range`.
+    /// A value outside it (a machine of zero nodes, say) is rejected
+    /// like a parse error instead of panicking inside the library.
+    pub fn num_in<T, R>(&self, name: &str, range: R) -> T
+    where
+        T: FromStr + PartialOrd + Display,
+        R: RangeBounds<T> + Debug,
+    {
+        let v: T = self.num(name);
+        if !range.contains(&v) {
+            self.fail(&format!("{name}: {v} is out of range {range:?}"));
+        }
+        v
     }
 
     /// An optional flag, parsed.

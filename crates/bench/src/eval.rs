@@ -15,11 +15,9 @@
 //! * [`utilization_chart`] — an ASCII Gantt view of a simulation's
 //!   per-node timelines: user work vs system overhead (Table I's `Th`)
 //!   vs idle (Table I's `Ti`).
-//! * [`Aggregate`] — mean/min/max/stddev across repeated trials.
 
 pub use crate::optimal::{optimal_efficiency, optimal_makespan};
 pub use crate::render::{Series, Table};
-pub use crate::stats::Aggregate;
 pub use crate::timeline::utilization_chart;
 
 /// Figure 5's normalized quality factor of scheduler `g`:

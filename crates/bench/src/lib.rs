@@ -17,7 +17,6 @@ mod render;
 pub mod repro;
 mod roster;
 pub mod scale;
-mod stats;
 mod timeline;
 
 use std::sync::Arc;
@@ -27,8 +26,7 @@ use rips_apps::{
     GrainTable, GromosConfig, NQueensConfig, PuzzleConfig,
 };
 use rips_audit::Auditor;
-use rips_balancers::{GradientParams, RidParams, SidParams};
-use rips_core::RipsConfig;
+use rips_core::{GradientParams, RidParams, RipsConfig, SidParams};
 use rips_desim::LatencyModel;
 use rips_runtime::{Costs, PhaseLog, RunOutcome, RunSpec, SchedulerRegistry};
 use rips_sched::TileGrid;

@@ -19,9 +19,7 @@ use rips_topology::{Mesh2D, Topology};
 use rips_trace::{with_sink, PhaseReport};
 
 use crate::args::{Args, Flag, Spec};
-use crate::eval::{
-    optimal_efficiency, quality_factor, speedup, utilization_chart, Aggregate, Series, Table,
-};
+use crate::eval::{optimal_efficiency, quality_factor, speedup, utilization_chart, Series, Table};
 use crate::{
     build_set, paper_spec, registry, run_cell, run_grid, run_rips_with, run_scheduler, run_spec,
     run_table, App, Row,
@@ -101,10 +99,9 @@ const FIG4: Spec = &[
 fn fig4(args: &Args) -> String {
     const WEIGHTS: [i64; 6] = [2, 5, 10, 20, 50, 100];
 
-    fn normalized_cost(mesh: &Mesh2D, weight: i64, trials: usize, seed: u64) -> Aggregate {
-        let mut agg = Aggregate::new();
+    fn normalized_cost(mesh: &Mesh2D, weight: i64, trials: usize, seed: u64) -> f64 {
         let mut rng = SmallRng::seed_from_u64(seed);
-        for _ in 0..trials {
+        running_mean((0..trials).map(|_| {
             // Uniform in [0, 2w]: mean w, matching the paper's setup.
             let loads: Vec<i64> = (0..mesh.len())
                 .map(|_| rng.random_range(0..=2 * weight))
@@ -113,13 +110,12 @@ fn fig4(args: &Args) -> String {
             let c_opt = optimal_rebalance(mesh, &loads).cost;
             debug_assert!(c_mwa >= c_opt);
             if c_opt > 0 {
-                agg.push((c_mwa - c_opt) as f64 / c_opt as f64);
+                (c_mwa - c_opt) as f64 / c_opt as f64
             } else {
                 debug_assert_eq!(c_mwa, 0);
-                agg.push(0.0);
+                0.0
             }
-        }
-        agg
+        }))
     }
 
     let panel = |title: &str, sizes: &[usize], trials: usize| {
@@ -133,7 +129,7 @@ fn fig4(args: &Args) -> String {
         let means = par_map(&cells, |&(wi, si)| {
             let mesh = Mesh2D::near_square(sizes[si]);
             let seed = 0xF1640 + (wi * 16 + si) as u64;
-            normalized_cost(&mesh, WEIGHTS[wi], trials, seed).mean()
+            normalized_cost(&mesh, WEIGHTS[wi], trials, seed)
         });
         for (weight, row) in WEIGHTS.iter().zip(means.chunks(sizes.len())) {
             series.point(weight.to_string(), row.to_vec());
@@ -148,6 +144,17 @@ fn fig4(args: &Args) -> String {
     format!("{head}\nmean over {trials} random load vectors per point\n\n{a}{b}")
 }
 
+/// The mean of `xs` (0 for none), updated per sample as
+/// `mean += (x − mean) / n`: Figure 4 prints it to four places, so the
+/// update order is part of the output.
+fn running_mean(xs: impl Iterator<Item = f64>) -> f64 {
+    let mut mean = 0.0;
+    for (i, x) in xs.enumerate() {
+        mean += (x - mean) / (i + 1) as f64;
+    }
+    mean
+}
+
 /// Table I. Columns as in the paper: number of tasks, non-local
 /// tasks, overhead time `Th`, idle time `Ti`, execution time `T` (all
 /// seconds of virtual machine time), and efficiency `µ`.
@@ -157,7 +164,7 @@ const TABLE1: Spec = &[
     "--verbose  append the RIPS per-phase log",
 ];
 fn table1(args: &Args) -> String {
-    let nodes: usize = args.num("--nodes");
+    let nodes: usize = args.num_in("--nodes", 1..);
     let results = run_table(&App::paper_set(), nodes, 1);
     let header = "workload|scheduler|# tasks|# nonlocal|Th (s)|Ti (s)|T (s)|mu";
     let mut table = Table::new(header.split('|').collect());
@@ -194,7 +201,7 @@ fn table1(args: &Args) -> String {
 /// task forest, with round barriers.
 const TABLE2: Spec = &["table2  Table II: optimal efficiencies", NODES];
 fn table2(args: &Args) -> String {
-    let nodes: usize = args.num("--nodes");
+    let nodes: usize = args.num_in("--nodes", 1..);
     let apps = App::paper_set();
     let mu_opt = par_map(&build_set(&apps), |w| optimal_efficiency(w, nodes));
     let mut table = Table::new(vec!["workload", "optimal efficiency"]);
@@ -210,7 +217,7 @@ fn table2(args: &Args) -> String {
 /// higher. One panel per application family, as in the paper.
 const FIG5: Spec = &["fig5  Figure 5 (a)-(c): normalized quality factors", NODES];
 fn fig5(args: &Args) -> String {
-    let nodes: usize = args.num("--nodes");
+    let nodes: usize = args.num_in("--nodes", 1..);
     let apps = App::paper_set();
     let workloads = build_set(&apps);
     let results = run_grid(&apps, &workloads, nodes, 1);
@@ -280,7 +287,7 @@ const ABLATION_POLICIES: Spec = &[
 ];
 fn ablation_policies(args: &Args) -> String {
     use {GlobalPolicy::*, LocalPolicy::*};
-    let nodes: usize = args.num("--nodes");
+    let nodes: usize = args.num_in("--nodes", 1..);
     let apps = [App::Queens(13), App::Ida(1), App::Gromos(8.0)];
     let combos = [
         ("ALL-Eager", Eager, All, false),
@@ -327,7 +334,7 @@ const ABLATION_INTERVAL: Spec = &[
     NODES,
 ];
 fn ablation_interval(args: &Args) -> String {
-    let nodes: usize = args.num("--nodes");
+    let nodes: usize = args.num_in("--nodes", 1..);
     let w = Arc::new(App::Queens(13).build());
     let periodic = [0.5f64, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0].map(|ms| {
         let us = (ms * 1000.0) as u64;
@@ -361,7 +368,7 @@ const ABLATION_WEIGHTED: Spec = &[
     NODES,
 ];
 fn ablation_weighted(args: &Args) -> String {
-    let nodes: usize = args.num("--nodes");
+    let nodes: usize = args.num_in("--nodes", 1..);
     let workloads = [
         ("13-Queens", App::Queens(13).build()),
         ("GROMOS (8 A)", App::Gromos(8.0).build()),
@@ -407,7 +414,7 @@ const ABLATION_CONTENTION: Spec = &[
     NODES,
 ];
 fn ablation_contention(args: &Args) -> String {
-    let nodes: usize = args.num("--nodes");
+    let nodes: usize = args.num_in("--nodes", 1..);
     let w = Arc::new(App::Queens(13).build());
     let reg = registry();
     let mut table = Table::new(vec!["scheduler", "network", "T (s)", "mu", "slowdown"]);
@@ -455,7 +462,7 @@ const SID_VS_RID: Spec = &[
     NODES,
 ];
 fn sid_vs_rid(args: &Args) -> String {
-    let nodes: usize = args.num("--nodes");
+    let nodes: usize = args.num_in("--nodes", 1..);
     let apps = [App::Queens(13), App::Ida(1), App::Ida(3), App::Gromos(8.0)];
     let header = "workload|strategy|nonlocal|Th (s)|Ti (s)|T (s)|mu";
     let mut table = Table::new(header.split('|').collect());
@@ -483,7 +490,7 @@ const SCALING: Spec = &[
     "--queens N=14  board size of the workload",
 ];
 fn scaling(args: &Args) -> String {
-    let app = App::Queens(args.num("--queens"));
+    let app = App::Queens(args.num_in("--queens", 1..=16));
     let workload = Arc::new(app.build());
     let stats = workload.stats();
     let ts = stats.total_work_us;
@@ -523,8 +530,8 @@ const TIMELINE: Spec = &[
     "--width N=100  chart columns",
 ];
 fn timeline(args: &Args) -> String {
-    let nodes: usize = args.num("--nodes");
-    let width = args.num("--width");
+    let nodes: usize = args.num_in("--nodes", 1..);
+    let width = args.num_in("--width", 1..);
     let w = Arc::new(App::Queens(13).build());
     let reg = registry();
     let costs = Costs {
@@ -563,7 +570,7 @@ const PHASE_ANATOMY: Spec = &[
     "--jsonl  machine-readable JSONL instead of the table",
 ];
 fn phase_anatomy(args: &Args) -> String {
-    let nodes: usize = args.num("--nodes");
+    let nodes: usize = args.num_in("--nodes", 1..);
     let w = Arc::new(App::Queens(15).build());
     let run = || run_scheduler("RIPS", &w, nodes, 0.4, 1);
     let (mut report, row) = with_sink(PhaseReport::default(), run);
@@ -611,5 +618,11 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 13);
+    }
+
+    #[test]
+    fn running_mean_of_one_to_four_is_two_and_a_half() {
+        let mean = running_mean([1.0, 2.0, 3.0, 4.0].into_iter());
+        assert!((mean - 2.5).abs() < 1e-12);
     }
 }

@@ -9,9 +9,10 @@
 
 use std::sync::Arc;
 
-use rips_balancers::{gradient, gradient_policy, random_policy, rid_policy, sid_policy};
-use rips_balancers::{GradientParams, RidParams};
-use rips_core::{rips, Machine, RipsConfig, RipsFleet};
+use rips_core::{
+    gradient, gradient_policy, random_policy, rid_policy, rips, sid_policy, GradientParams,
+    Machine, RidParams, RipsConfig, RipsFleet,
+};
 use rips_live::{run_live, LiveOpts, LiveOutcome};
 use rips_runtime::{run_policy, BalancerPolicy, Costs, RunSpec, ScheduledRun};
 use rips_taskgraph::Workload;

@@ -10,9 +10,8 @@
 use std::mem::size_of;
 use std::sync::Arc;
 
-use rips_balancers::{GradientPolicy, RandomPolicy, RidPolicy, SidPolicy};
 use rips_bench::{registry_with, run_cell, RegistryTuning};
-use rips_core::{RipsConfig, RipsPolicy};
+use rips_core::{GradientPolicy, RandomPolicy, RidPolicy, RipsConfig, RipsPolicy, SidPolicy};
 use rips_runtime::{Kernel, NodeDriver, TaskInstance};
 use rips_taskgraph::skewed_flat;
 

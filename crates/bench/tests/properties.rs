@@ -2,9 +2,9 @@
 //! registry executes every task of an arbitrary dynamic workload
 //! exactly once, deterministically, on arbitrary machine sizes.
 //!
-//! These used to be per-balancer copies in `rips-balancers`; running
-//! them off the registry means a newly registered scheduler is
-//! property-tested with zero new test code.
+//! These used to be per-balancer copies; running them off the
+//! registry means a newly registered scheduler is property-tested with
+//! zero new test code.
 
 use std::sync::Arc;
 

@@ -45,14 +45,14 @@ fn main() {
         let t0 = std::time::Instant::now();
         let topo: Arc<dyn rips_topology::Topology> = Arc::new(mesh.clone());
         let o = match f {
-            0 => rips_balancers::random(
+            0 => rips_core::random(
                 Arc::clone(&w),
                 topo,
                 LatencyModel::paragon(),
                 Costs::default(),
                 1,
             ),
-            1 => rips_balancers::gradient(
+            1 => rips_core::gradient(
                 Arc::clone(&w),
                 topo,
                 LatencyModel::paragon(),
@@ -60,7 +60,7 @@ fn main() {
                 1,
                 Default::default(),
             ),
-            _ => rips_balancers::rid(
+            _ => rips_core::rid(
                 Arc::clone(&w),
                 topo,
                 LatencyModel::paragon(),

@@ -1,5 +1,14 @@
-//! **RIPS — Runtime Incremental Parallel Scheduling**, the paper's
-//! primary contribution.
+//! Every scheduler of the paper's Table I, each a
+//! [`BalancerPolicy`](rips_runtime::BalancerPolicy) over the runtime's
+//! one [`NodeDriver`](rips_runtime::NodeDriver), so every row is
+//! measured the same way: RIPS, the paper's contribution (below), and
+//! the baselines it is measured against — [`random`] allocation, the
+//! [`gradient`] model and receiver-initiated diffusion ([`rid`]) — plus
+//! sender-initiated diffusion from the related work ([`sid`], measured
+//! by `rips repro sid-vs-rid`). A baseline is a message enum and its
+//! transfer decisions, ~100 lines.
+//!
+//! # RIPS — Runtime Incremental Parallel Scheduling
 //!
 //! Execution alternates between *user phases* (task execution and
 //! dynamic task generation) and *system phases* (all processors
@@ -29,10 +38,19 @@
 
 #![forbid(unsafe_code)]
 
+mod common;
+mod gradient;
 mod program;
+mod random;
+mod rid;
+mod sid;
 
+pub use gradient::{gradient, gradient_policy, GradientParams, GradientPolicy};
 pub use program::{
     rips, GlobalPolicy, LoadMetric, LocalPolicy, Machine, RipsConfig, RipsFleet, RipsOutcome,
     RipsPolicy,
 };
+pub use random::{random, random_policy, RandomPolicy};
+pub use rid::{rid, rid_policy, RidParams, RidPolicy};
 pub use rips_runtime::PhaseLog;
+pub use sid::{sid, sid_policy, SidParams, SidPolicy};

@@ -25,6 +25,8 @@ use rips_topology::{BinaryTree, Hypercube, Mesh2D, NodeId, Topology};
 use rips_trace::metrics_rt::Counter;
 use rips_trace::{EventKind, PhaseKind, SysStage, TraceEvent};
 
+use crate::common::take_newest;
+
 /// Local transfer policy (paper §2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LocalPolicy {
@@ -680,25 +682,11 @@ impl RipsPolicy {
         // The Arc keeps the plan alive for the loop; no per-node clone
         // of the outgoing slice is needed.
         for &(_, dst, amount) in plan.outgoing(k.me) {
-            // Under TaskCount `amount` is the exact batch size; under
-            // EstimatedWeight it is µs of work, so size the batch by
-            // the queue instead.
-            let cap = match self.shared.cfg.metric {
-                LoadMetric::TaskCount => amount as usize,
-                LoadMetric::EstimatedWeight => k.exec.queue.len().min(amount as usize),
-            };
-            let mut batch = Vec::with_capacity(cap);
-            match self.shared.cfg.metric {
-                LoadMetric::TaskCount => {
-                    for _ in 0..amount {
-                        batch.push(
-                            k.exec
-                                .queue
-                                .pop_back()
-                                .expect("plan cannot overdraw a reported queue"),
-                        );
-                    }
-                }
+            // Under TaskCount `amount` is the exact batch size (a plan
+            // cannot overdraw a reported queue); under EstimatedWeight
+            // it is µs of work.
+            let batch = match self.shared.cfg.metric {
+                LoadMetric::TaskCount => take_newest(k, amount as usize),
                 LoadMetric::EstimatedWeight => {
                     // Tasks are indivisible: pick tasks (newest first)
                     // whose grain brings the moved weight closer to the
@@ -706,6 +694,7 @@ impl RipsPolicy {
                     // so a whale is only shipped when the plan really
                     // asks for that much work. Whatever error remains
                     // is corrected by the next incremental phase.
+                    let mut batch = Vec::with_capacity(k.exec.queue.len().min(amount as usize));
                     let mut remaining = amount;
                     let mut idx = k.exec.queue.len();
                     while idx > 0 && remaining > 0 {
@@ -717,8 +706,9 @@ impl RipsPolicy {
                             remaining -= g;
                         }
                     }
+                    batch
                 }
-            }
+            };
             ctx.compute(
                 k.oracle.costs.spawn_us * batch.len() as Time,
                 WorkKind::Overhead,

@@ -681,7 +681,7 @@ mod tests {
             Costs::default(),
             3,
             id_opts(),
-            rips_balancers::random_policy,
+            rips_core::random_policy,
         );
         out.verify_complete(&w).expect("conservation");
         assert_eq!(out.total_executed(), 40);
@@ -702,7 +702,7 @@ mod tests {
             Costs::default(),
             0,
             LiveOpts::default(),
-            rips_balancers::random_policy,
+            rips_core::random_policy,
         );
         assert_eq!(out.total_executed(), 0);
         assert!(ps.is_empty());
@@ -722,7 +722,7 @@ mod tests {
             Costs::default(),
             5,
             id_opts(),
-            rips_balancers::random_policy,
+            rips_core::random_policy,
         );
         out.verify_complete(&w).expect("conservation over rounds");
         assert_eq!(out.total_executed(), 36);

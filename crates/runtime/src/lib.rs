@@ -1,9 +1,9 @@
 //! Shared harness for executing a [`rips_taskgraph::Workload`] on the
 //! simulated multicomputer.
 //!
-//! Every scheduler in this reproduction — the RIPS runtime
-//! (`rips-core`) and the three dynamic baselines (`rips-balancers`) —
-//! executes the same workloads under the same rules:
+//! Every scheduler in this reproduction — the RIPS runtime and the
+//! dynamic baselines, all in `rips-core` — executes the same workloads
+//! under the same rules:
 //!
 //! * root tasks of each round are **block-distributed** over the nodes
 //!   (the natural SPMD data decomposition; spatially correlated

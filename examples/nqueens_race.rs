@@ -13,8 +13,9 @@
 use std::sync::Arc;
 
 use rips_repro::apps::{nqueens, NQueensConfig};
-use rips_repro::balancers::{gradient, random, rid, GradientParams, RidParams};
-use rips_repro::core::{rips, Machine, RipsConfig};
+use rips_repro::core::{
+    gradient, random, rid, rips, GradientParams, Machine, RidParams, RipsConfig,
+};
 use rips_repro::desim::LatencyModel;
 use rips_repro::topology::{Mesh2D, Topology};
 use rips_runtime::{Costs, RunOutcome};

@@ -267,7 +267,7 @@ const RUN: Spec = &[
 fn cmd_run(args: &Args) {
     let app = args.str("--app");
     let scheduler = args.str("--scheduler");
-    let nodes: usize = args.num("--nodes");
+    let nodes: usize = args.num_in("--nodes", 1..);
     let seed = args.num("--seed");
 
     let (reg, name) = resolve_scheduler(args, scheduler);
@@ -337,7 +337,7 @@ const LIVE: Spec = &[
 
 fn cmd_live(args: &Args) {
     let (scheduler, app) = sched_app(args);
-    let threads: usize = args.num("--threads");
+    let threads: usize = args.num_in("--threads", 1..);
     let seed: u64 = args.num("--seed");
     let policy = args.str("--policy");
     let mode = match args.str("--mode") {
@@ -478,7 +478,7 @@ fn traced_run<S: TraceSink + Send + 'static>(args: &Args, sink: S) -> (String, S
     let [scheduler, app] = args.pos() else {
         unreachable!("Args::parse bounds the positional count")
     };
-    let nodes: usize = args.num("--nodes");
+    let nodes: usize = args.num_in("--nodes", 1..);
     let seed: u64 = args.num("--seed");
 
     let (reg, name) = resolve_scheduler(args, scheduler);
@@ -584,8 +584,9 @@ fn cmd_audit(args: &Args) {
         (false, [scheduler, app]) => (vec![scheduler_named(args, scheduler)], app.as_str()),
         _ => args.fail("give either <scheduler> <app> or --all"),
     };
+    let nodes = args.num_in("--nodes", 1..);
     let workload = build_app(args, app);
-    let spec = paper_spec(&workload, args.num("--nodes"), 0.4, args.num("--seed"));
+    let spec = paper_spec(&workload, nodes, 0.4, args.num("--seed"));
     let mut all_ok = true;
     for name in &schedulers {
         all_ok &= audit_one(&reg, name, &spec);
@@ -740,8 +741,8 @@ const PLAN: Spec = &[
 ];
 
 fn cmd_plan(args: &Args) {
-    let rows: usize = args.num("--rows");
-    let cols: usize = args.num("--cols");
+    let rows: usize = args.num_in("--rows", 1..);
+    let cols: usize = args.num_in("--cols", 1..);
     let mesh = Mesh2D::new(rows, cols);
     let loads: Vec<i64> = args
         .list("--loads")
@@ -835,8 +836,8 @@ fn cmd_serve(args: &Args) {
         Catalog::standard()
     };
     let mut backend: Box<dyn JobBackend> = match args.str("--backend") {
-        "sim" => Box::new(DesimBackend::new(args.num("--nodes"))),
-        "live" => Box::new(LiveBackend::new(args.num("--threads"))),
+        "sim" => Box::new(DesimBackend::new(args.num_in("--nodes", 1..))),
+        "live" => Box::new(LiveBackend::new(args.num_in("--threads", 1..))),
         other => args.fail(&format!("unknown --backend '{other}' (sim|live)")),
     };
     let nodes = backend.nodes();

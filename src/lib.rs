@@ -5,7 +5,6 @@
 
 pub use rips_apps as apps;
 pub use rips_audit as audit;
-pub use rips_balancers as balancers;
 pub use rips_bench as bench;
 pub use rips_bench::eval as metrics;
 pub use rips_core as core;

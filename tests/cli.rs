@@ -175,6 +175,29 @@ fn bad_input_exits_2_naming_the_offending_token() {
     }
 }
 
+#[test]
+fn out_of_range_sizes_exit_2_instead_of_panicking() {
+    let cases = [
+        ("run --app queens9 --nodes 0", "run"),
+        ("audit RIPS queens9 --nodes 0", "audit"),
+        ("serve --backend sim --tiny --nodes 0", "serve"),
+        ("live --threads 0 queens9", "live"),
+        ("plan --rows 0", "plan"),
+        ("repro timeline --width 0", "repro timeline"),
+        ("repro scaling --queens 0", "repro scaling"),
+    ];
+    for (line, path) in cases {
+        let out = rips(line);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{line}: {err}");
+        assert!(
+            err.contains(&format!("usage: rips {path}")),
+            "{line}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{line}: {err}");
+    }
+}
+
 /// A fresh scratch directory for one test.
 fn scratch(test: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("rips-{test}-{}", std::process::id()));

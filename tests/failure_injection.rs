@@ -5,8 +5,9 @@
 
 use std::sync::Arc;
 
-use rips_repro::balancers::{gradient, random, rid, sid, GradientParams, RidParams, SidParams};
-use rips_repro::core::{rips, Machine, RipsConfig};
+use rips_repro::core::{
+    gradient, random, rid, rips, sid, GradientParams, Machine, RidParams, RipsConfig, SidParams,
+};
 use rips_repro::desim::LatencyModel;
 use rips_repro::flow::optimal_rebalance;
 use rips_repro::sched::{mwa, twa};
