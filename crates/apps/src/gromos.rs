@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use crate::live::{GrainSpec, GrainTable, GromosCtx};
-use crate::{host_workers, WorkersFor};
+use crate::{grain_us, host_workers, WorkersFor};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use rips_taskgraph::{par_map_with, TaskForest, Workload};
@@ -219,13 +219,12 @@ pub(crate) fn build(cfg: GromosConfig, workers_for: WorkersFor) -> (Workload, Gr
         chunk.clone().map(|i| list.half_count(i)).sum::<u64>()
     });
 
-    let mut forest = TaskForest::new();
-    for pair_total in pair_totals {
-        // Every group costs at least its bookkeeping even with no
-        // neighbours in range.
-        let grain = (pair_total.max(1) * cfg.ns_per_pair).div_ceil(1000).max(1);
-        forest.add_root(grain);
-    }
+    // Every group costs at least its bookkeeping even with no
+    // neighbours in range.
+    let grains = pair_totals
+        .into_iter()
+        .map(|pairs| grain_us(pairs, cfg.ns_per_pair));
+    let forest = TaskForest::flat(grains.collect());
     let ctx = Arc::new(GromosCtx {
         atoms,
         cutoff: cfg.cutoff,

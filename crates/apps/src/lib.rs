@@ -45,3 +45,10 @@ pub(crate) fn host_workers(work: u64, min_work: u64) -> usize {
     }
     std::thread::available_parallelism().map_or(1, |p| p.get())
 }
+
+/// A task's grain: `work` units measured at `ns_per_unit` each, in
+/// whole µs, never zero (a subtree pruned at its root still cost one
+/// evaluation, a group with no pair in range its bookkeeping).
+pub(crate) fn grain_us(work: u64, ns_per_unit: u64) -> u64 {
+    (work.max(1) * ns_per_unit).div_ceil(1000).max(1)
+}

@@ -21,14 +21,20 @@
 //! whatever the thread interleaving was. That equality (plus task
 //! conservation) is the cross-backend validation contract.
 //!
-//! **One measurement per grain.** A builder sizes a task by running
-//! its computation, and that run already yields the task's
+//! **One search per distinct subtree.** A builder sizes a task by
+//! running its computation, and that run already yields the task's
 //! [`GrainOut`]: `GrainSpec::measure` returns both, and
 //! [`GrainSpec::run`] is its second half. The N-Queens and 15-puzzle
 //! builders fold the outputs they measured into the table, so their
 //! `static_totals()` is a field read; only GROMOS (whose builder
 //! counts pairs by cell list, a different computation from the
 //! grain's half-shell search) derives its ground truth on first use.
+//! Neither search builder runs a subtree twice: N-Queens enumerates
+//! one leaf of every mirror pair and gives the other the same counts
+//! (its output from its own masks, through the helper `measure` uses),
+//! and the 15-puzzle's split reads a subtree's children from the
+//! records of the one DFS that sized it. `run` still searches every
+//! grain in full, so a live run's totals re-check both shortcuts.
 
 use std::sync::{Arc, OnceLock};
 
@@ -135,6 +141,16 @@ fn mix(vals: &[u64]) -> u64 {
     h
 }
 
+/// The output of an N-Queens leaf whose subtree holds `nodes` nodes
+/// and `sols` solutions (shared by [`GrainSpec::measure`] and the
+/// builder, which counts a mirror leaf's subtree by its partner's).
+pub(crate) fn queens_leaf_out(nodes: u64, sols: u64, cols: u32, diag1: u32) -> GrainOut {
+    GrainOut {
+        checksum: mix(&[nodes, sols, u64::from(cols), u64::from(diag1)]),
+        solutions: sols,
+    }
+}
+
 /// The output of one 15-puzzle bounded DFS (shared by the builder,
 /// which keeps the measurement beside it, and [`GrainSpec::measure`]).
 pub(crate) fn puzzle_out(m: &puzzle::Measured) -> GrainOut {
@@ -186,11 +202,7 @@ impl GrainSpec {
                 diag2,
             } => {
                 let (nodes, sols) = nqueens::enumerate(n, row, cols, diag1, diag2);
-                let out = GrainOut {
-                    checksum: mix(&[nodes, sols, u64::from(cols), u64::from(diag1)]),
-                    solutions: sols,
-                };
-                (nodes, out)
+                (nodes, queens_leaf_out(nodes, sols, cols, diag1))
             }
             GrainSpec::PuzzleDfs {
                 ref board,
@@ -310,7 +322,8 @@ impl GrainTable {
 mod tests {
     use super::*;
     use crate::gromos::{gromos_with_grains, GromosConfig};
-    use crate::nqueens::{nqueens_with_grains, solve, NQueensConfig};
+    use crate::nqueens::{enumerate, nqueens_with_grains, solve, NQueensConfig};
+    use crate::puzzle::tests::DEEP_SPLIT;
     use crate::puzzle::{puzzle_with_grains, PuzzleConfig};
     use rips_taskgraph::Workload;
 
@@ -326,34 +339,71 @@ mod tests {
         assert_eq!(table.static_totals().solutions, solve(9).1);
     }
 
+    /// Every board up to `max_n` under every split depth up to 5 and
+    /// root depth up to 2, with grain µs == node count.
+    fn small_queens(max_n: u32) -> impl Iterator<Item = NQueensConfig> {
+        (1..=max_n).flat_map(|n| {
+            (1..=n.min(5)).flat_map(move |split_depth| {
+                (0..=split_depth.min(2)).map(move |root_depth| NQueensConfig {
+                    n,
+                    split_depth,
+                    root_depth,
+                    ns_per_node: 1000,
+                })
+            })
+        })
+    }
+
     #[test]
     fn queens_leaf_grains_do_the_measured_work() {
-        // A leaf's recorded grain is its subtree node count (scaled);
-        // re-running the spec must traverse that same subtree.
-        let cfg = NQueensConfig {
-            n: 8,
-            split_depth: 3,
-            root_depth: 2,
-            ns_per_node: 1000, // grain µs == node count
-        };
-        let (w, table) = nqueens_with_grains(cfg);
-        let f = &w.rounds[0];
-        for id in 0..f.len() as u32 {
-            if !f.children(id).is_empty() {
-                continue;
+        // A task's recorded grain is its spec's work (scaled):
+        // re-running the spec must traverse that same subtree, for the
+        // mirror leaves the builder never enumerates too, and the
+        // seeded totals are what running every grain adds up to.
+        for cfg in small_queens(12) {
+            let (w, table) = nqueens_with_grains(cfg);
+            let f = &w.rounds[0];
+            let mut folded = GrainOut::default();
+            for id in 0..f.len() as u32 {
+                let (nodes, _) = table.spec(0, id).measure();
+                assert_eq!(f.grain(id), nodes.max(1), "{cfg:?}: task {id}");
+                folded = folded.plus(table.run(0, id));
             }
-            if let GrainSpec::QueensLeaf {
-                n,
-                row,
-                cols,
-                diag1,
-                diag2,
-            } = *table.spec(0, id)
-            {
-                let (nodes, _) = crate::nqueens::enumerate(n, row, cols, diag1, diag2);
-                assert_eq!(f.grain(id), nodes.max(1));
-            } else {
-                panic!("childless task {id} is not a leaf spec");
+            assert_eq!(table.static_totals(), folded, "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn reflecting_the_board_reverses_the_queens_leaf_order() {
+        // The lemma the builder's mirror pairing rests on: of L leaves,
+        // leaf L-1-k is leaf k with columns c and n-1-c swapped, which
+        // swaps the two diagonal masks too, and counts the same.
+        for cfg in small_queens(10) {
+            let n = cfg.n;
+            let (w, table) = nqueens_with_grains(cfg);
+            let leaves: Vec<_> = (0..w.rounds[0].len() as u32)
+                .filter_map(|id| match *table.spec(0, id) {
+                    GrainSpec::QueensLeaf {
+                        row,
+                        cols,
+                        diag1,
+                        diag2,
+                        ..
+                    } => Some((row, cols, diag1, diag2)),
+                    _ => None,
+                })
+                .collect();
+            let full = (1u32 << n) - 1;
+            let rev = |mask: u32| mask.reverse_bits() >> (32 - n);
+            for (k, &(row, cols, diag1, diag2)) in leaves.iter().enumerate() {
+                let (r, c, d1, d2) = leaves[leaves.len() - 1 - k];
+                let reflected = (row, rev(cols), rev(diag2), rev(diag1 & full));
+                assert_eq!((r, c, d1 & full, d2), reflected, "{cfg:?}: leaf {k}");
+                assert_eq!(
+                    enumerate(n, row, cols, diag1, diag2),
+                    enumerate(n, r, c, d1, d2),
+                    "{cfg:?}: leaf {k}"
+                );
             }
         }
     }
@@ -404,17 +454,6 @@ mod tests {
         split_floor_nodes: 20_000,
     };
 
-    /// A 15-puzzle whose every iteration splits oversized subtrees
-    /// over several waves.
-    const IDA_SPLITTING: PuzzleConfig = PuzzleConfig {
-        scramble_len: 40,
-        seed: 9,
-        min_tasks: 16,
-        ns_per_node: 1000,
-        split_divisor: 64,
-        split_floor_nodes: 500,
-    };
-
     fn small_gromos() -> GromosConfig {
         GromosConfig {
             atoms: 400,
@@ -430,7 +469,7 @@ mod tests {
         let mut built: Vec<_> = (8..=12)
             .map(|n| crate::nqueens::build(NQueensConfig::paper(n), pool))
             .collect();
-        for cfg in [IDA_MINI, IDA_SPLITTING, PuzzleConfig::paper(1)] {
+        for cfg in [IDA_MINI, DEEP_SPLIT, PuzzleConfig::paper(1)] {
             built.push(crate::puzzle::build(cfg, pool));
         }
         built.push(crate::gromos::build(small_gromos(), pool));

@@ -7,8 +7,8 @@
 //! reschedules incrementally — and leaf tasks carry the exact node
 //! count of the subtree they enumerate, converted to virtual time.
 
-use crate::live::{GrainOut, GrainSpec, GrainTable};
-use crate::{host_workers, WorkersFor};
+use crate::live::{queens_leaf_out, GrainOut, GrainSpec, GrainTable};
+use crate::{grain_us, host_workers, WorkersFor};
 use rips_taskgraph::{par_map_with, TaskForest, TaskId, Workload};
 
 /// Parameters for the N-Queens workload.
@@ -78,18 +78,20 @@ pub fn solve(n: u32) -> (u64, u64) {
     enumerate(n, 0, 0, 0, 0)
 }
 
-/// Below this many leaf-rows (leaf tasks × rows each still has to
-/// fill) the sweep runs on the calling thread. The largest board the
-/// serving catalog and `live-fine` build, 10 queens split at depth 3,
-/// has 2 548 (35 k search nodes: done before a second thread has
+/// Below this many leaf-rows (enumerated leaf tasks × rows each still
+/// has to fill; the builder enumerates half the leaves, see [`build`])
+/// the sweep runs on the calling thread. The largest board the serving
+/// catalog and `live-fine` build, 10 queens split at depth 3, has
+/// 1 274 (18 k search nodes: done before a second thread has
 /// started); the smallest paper-split board that lasts milliseconds,
-/// 11 queens, has 17 276.
-const SPREAD_MIN_LEAF_ROWS: u64 = 10_000;
+/// 11 queens, has 8 638.
+const SPREAD_MIN_LEAF_ROWS: u64 = 5_000;
 
 /// Tasks measured per pool batch. The results of a batch are folded
 /// into the forest before the next is measured, so the builder's
 /// transient memory is a batch's worth whatever the board (15 queens:
-/// 8 batches of ~0.1 s each, against one thread start per batch).
+/// 8 batches; the 4 before the middle leaf take ~0.1 s each against
+/// one thread start per batch, the rest only copy mirror counts).
 const BATCH: usize = 2048;
 
 /// The prefix tree in task-id order (a task, then each child's
@@ -134,6 +136,10 @@ impl Prefixes {
             self.collect(Some(id), child);
         }
     }
+}
+
+fn is_leaf(spec: &GrainSpec) -> bool {
+    matches!(spec, GrainSpec::QueensLeaf { .. })
 }
 
 /// Builds the N-Queens workload: a single round whose roots are the
@@ -183,19 +189,49 @@ pub(crate) fn build(cfg: NQueensConfig, workers_for: WorkersFor) -> (Workload, G
     }
     let Prefixes { parents, specs, .. } = tree;
 
-    // Every task measured once, in task-id order: a leaf's exact
-    // subtree node count (and, from the same enumeration, its output),
-    // an interior task's one-row expansion.
-    let is_leaf = |spec: &&GrainSpec| matches!(spec, GrainSpec::QueensLeaf { .. });
-    let leaf_rows =
-        specs.iter().filter(is_leaf).count() as u64 * u64::from(cfg.n - cfg.split_depth);
-    let workers = workers_for(leaf_rows);
+    // Every task once, in task-id order: an interior task's one-row
+    // expansion, a leaf's exact subtree node count (and, from the same
+    // enumeration, its output). The leaves are the valid prefixes in
+    // lexicographic order, and reflecting the board (column c to
+    // n-1-c) reverses that order: of L leaves, leaf k's subtree is the
+    // mirror image of leaf L-1-k's, with the same nodes and solutions.
+    // So only leaves 0..⌈L/2⌉ are enumerated; each later one counts
+    // as its partner and computes its own output from its own masks.
+    let leaves = specs.iter().filter(|s| is_leaf(s)).count();
+    let enumerated = leaves.div_ceil(2);
+    let workers = workers_for(enumerated as u64 * u64::from(cfg.n - cfg.split_depth));
+    // Leaves from this task id on are mirrors.
+    let mirrors_from = (specs.iter().enumerate())
+        .filter(|(_, s)| is_leaf(s))
+        .nth(enumerated)
+        .map_or(specs.len(), |(id, _)| id);
+    // (nodes, solutions) of each leaf with a mirror, in leaf order:
+    // the mirrors, in theirs, pop their partners' off the end.
+    let mut counted = Vec::with_capacity(leaves / 2);
     let mut forest = TaskForest::new();
     let mut totals = GrainOut::default();
-    for (batch, parents) in specs.chunks(BATCH).zip(parents.chunks(BATCH)) {
-        let measured = par_map_with(workers, batch, GrainSpec::measure);
-        for (&parent, (nodes, out)) in parents.iter().zip(measured) {
-            let grain = (nodes.max(1) * cfg.ns_per_node).div_ceil(1000).max(1);
+    let ids = (0..specs.len()).step_by(BATCH);
+    for (start, (batch, parents)) in ids.zip(specs.chunks(BATCH).zip(parents.chunks(BATCH))) {
+        let is_mirror = |i: usize, spec: &GrainSpec| start + i >= mirrors_from && is_leaf(spec);
+        let todo: Vec<&GrainSpec> = (batch.iter().enumerate())
+            .filter_map(|(i, spec)| (!is_mirror(i, spec)).then_some(spec))
+            .collect();
+        let mut measured = par_map_with(workers, &todo, |spec| spec.measure()).into_iter();
+        for (i, (spec, &parent)) in batch.iter().zip(parents).enumerate() {
+            let (nodes, out) = match *spec {
+                GrainSpec::QueensLeaf { cols, diag1, .. } if is_mirror(i, spec) => {
+                    let (nodes, sols) = counted.pop().expect("a partner per mirror");
+                    (nodes, queens_leaf_out(nodes, sols, cols, diag1))
+                }
+                _ => {
+                    let (nodes, out) = measured.next().expect("a measurement per enumerated task");
+                    if is_leaf(spec) && counted.len() < leaves / 2 {
+                        counted.push((nodes, out.solutions));
+                    }
+                    (nodes, out)
+                }
+            };
+            let grain = grain_us(nodes, cfg.ns_per_node);
             match parent {
                 Some(p) => forest.add_child(p, grain),
                 None => forest.add_root(grain),
@@ -203,6 +239,7 @@ pub(crate) fn build(cfg: NQueensConfig, workers_for: WorkersFor) -> (Workload, G
             totals = totals.plus(out);
         }
     }
+    debug_assert!(counted.is_empty());
     let w = Workload::single(format!("{}-queens", cfg.n), forest);
     debug_assert!(w.validate().is_ok());
     debug_assert_eq!(specs.len(), w.rounds[0].len());

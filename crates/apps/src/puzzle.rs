@@ -10,7 +10,7 @@
 //! currently estimated cost."
 
 use crate::live::{puzzle_out, GrainOut, GrainSpec, GrainTable};
-use crate::{host_workers, WorkersFor};
+use crate::{grain_us, host_workers, WorkersFor};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use rips_taskgraph::{par_map_with, TaskForest, Workload};
@@ -215,42 +215,103 @@ pub fn successors(board: &Board) -> Vec<Board> {
     DIRS.iter().filter_map(|&d| board.slide(d)).collect()
 }
 
+/// What a recording DFS keeps of one child of a node it expanded:
+/// the child's node count and smallest exceeded `f`, and where the
+/// child's own children's records start in the arena ([`UNRECORDED`]
+/// if the child expanded too few nodes to be kept).
+#[derive(Debug, Clone, Copy, Default)]
+struct Kid {
+    nodes: u64,
+    exceed: u32,
+    at: u32,
+}
+
+/// The arena position of an expansion that was not recorded.
+const UNRECORDED: u32 = u32::MAX;
+
+/// A recording DFS's records: for every node whose subtree expanded
+/// more than `floor` nodes, its children's [`Kid`]s, in move order, as
+/// one contiguous run. A node's run follows its children's (post-order),
+/// and the run's length is the node's number of successors.
+struct Arena {
+    floor: u64,
+    kids: Vec<Kid>,
+}
+
+impl Arena {
+    fn new(floor: u64) -> Arena {
+        Arena {
+            floor,
+            kids: Vec::new(),
+        }
+    }
+
+    /// Appends one node's children, returning where they start.
+    fn push(&mut self, kids: &[Kid]) -> u32 {
+        let at = u32::try_from(self.kids.len()).expect("arena too large");
+        self.kids.extend_from_slice(kids);
+        at
+    }
+}
+
 /// Bounded DFS of one IDA\* iteration from `board` (whose Manhattan
 /// sum is `h`) at depth `g` with the given threshold. Returns
-/// `(min_exceeded_f, found)` and counts expanded nodes into `nodes`;
-/// stops early when the goal is found (like the sequential reference
-/// the paper compares against).
-fn bounded_dfs(
+/// `(min_exceeded_f, found, at)` and counts expanded nodes into
+/// `nodes`; stops early when the goal is found (like the sequential
+/// reference the paper compares against). With `RECORD`, a node that
+/// expanded more than `arena.floor` nodes without finding the goal
+/// appends its children's records and returns their position as
+/// `at`; without, nothing is kept and `at` is [`UNRECORDED`].
+fn bounded_dfs<const RECORD: bool>(
     board: &Board,
     g: u32,
     h: u32,
     threshold: u32,
     last: Option<Dir>,
     nodes: &mut u64,
-) -> (u32, bool) {
+    arena: &mut Arena,
+) -> (u32, bool, u32) {
     let f = g + h;
     if f > threshold {
-        return (f, false);
+        return (f, false, UNRECORDED);
     }
     // Every tile home puts the blank home too.
     if h == 0 {
-        return (f, true);
+        return (f, true, UNRECORDED);
     }
+    let before = *nodes;
     *nodes += 1;
+    let mut kids = [Kid::default(); 4];
+    let mut expanded = 0;
     let mut min_exceed = u32::MAX;
     for dir in DIRS {
         if Some(dir.opposite()) == last {
             continue;
         }
         if let Some((next, h)) = board.slide_h(dir, h) {
-            let (exceed, found) = bounded_dfs(&next, g + 1, h, threshold, Some(dir), nodes);
+            let under = *nodes;
+            let (exceed, found, at) =
+                bounded_dfs::<RECORD>(&next, g + 1, h, threshold, Some(dir), nodes, arena);
             if found {
-                return (exceed, true);
+                return (exceed, true, UNRECORDED);
+            }
+            if RECORD {
+                kids[expanded] = Kid {
+                    nodes: *nodes - under,
+                    exceed,
+                    at,
+                };
+                expanded += 1;
             }
             min_exceed = min_exceed.min(exceed);
         }
     }
-    (min_exceed, false)
+    let at = if RECORD && *nodes - before > arena.floor {
+        arena.push(&kids[..expanded])
+    } else {
+        UNRECORDED
+    };
+    (min_exceed, false, at)
 }
 
 /// What one threshold-bounded DFS measured.
@@ -265,15 +326,31 @@ pub(crate) struct Measured {
     pub found: bool,
 }
 
-/// One bounded DFS from `board` at depth `g`, arriving by `last`.
-fn measure(board: &Board, g: u32, threshold: u32, last: Option<Dir>) -> Measured {
+/// One bounded DFS from `board` at depth `g`, arriving by `last`;
+/// with `RECORD`, into `arena`, returning where the root's children's
+/// records start.
+fn search<const RECORD: bool>(
+    board: &Board,
+    g: u32,
+    threshold: u32,
+    last: Option<Dir>,
+    arena: &mut Arena,
+) -> (Measured, u32) {
     let mut nodes = 0u64;
-    let (exceed, found) = bounded_dfs(board, g, board.manhattan(), threshold, last, &mut nodes);
-    Measured {
+    let h = board.manhattan();
+    let (exceed, found, at) =
+        bounded_dfs::<RECORD>(board, g, h, threshold, last, &mut nodes, arena);
+    let m = Measured {
         nodes,
         exceed,
         found,
-    }
+    };
+    (m, at)
+}
+
+/// [`search`] with nothing to record.
+fn measure(board: &Board, g: u32, threshold: u32, last: Option<Dir>) -> Measured {
+    search::<false>(board, g, threshold, last, &mut Arena::new(u64::MAX)).0
 }
 
 /// Solves `board` by sequential IDA\*, returning `(optimal_length,
@@ -345,69 +422,12 @@ fn expand_frontier(start: &Board, min_tasks: usize) -> Vec<Frontier> {
     frontier
 }
 
-/// Below this many nodes a batch of subtrees is measured on the
-/// calling thread. The estimate is what the builder already holds:
-/// the previous iteration's node total for an iteration's base
-/// frontier (iterations grow roughly sixfold, so the first one, and
-/// every iteration of a catalog-sized scramble, stays inline), the
-/// parents' own node counts for a wave of split children. 50 000
-/// nodes are about two milliseconds of search.
+/// Below this many nodes an iteration's frontier is searched on the
+/// calling thread. The estimate is what the builder already holds: the
+/// previous iteration's node total (iterations grow roughly sixfold,
+/// so the first one, and every iteration of a catalog-sized scramble,
+/// stays inline). 50 000 nodes are about two milliseconds of search.
 const SPREAD_MIN_NODES: u64 = 50_000;
-
-/// One IDA\* iteration's measured subtrees: the base frontier first,
-/// then, wave by wave, the children of every subtree too large to be
-/// one task. `kids[i]` is where subtree `i`'s children sit in `subs`
-/// (empty unless it was split).
-struct Iteration {
-    subs: Vec<(Frontier, Measured)>,
-    kids: Vec<std::ops::Range<usize>>,
-    /// Node total over the base frontier.
-    base_nodes: u64,
-}
-
-impl Iteration {
-    /// Measures `frontier` at `threshold`, then splits: any subtree
-    /// whose node count exceeds `max(total / split_divisor,
-    /// split_floor_nodes)` is replaced by its children, recursively
-    /// (goal-carrying subtrees are kept whole — they end the search).
-    /// Each wave is one batch on the pool, in a fixed order.
-    fn sweep(
-        cfg: &PuzzleConfig,
-        frontier: &[Frontier],
-        threshold: u32,
-        prev_total: u64,
-        workers_for: WorkersFor,
-    ) -> Iteration {
-        let dfs = |f: &Frontier| measure(&f.board, f.g, threshold, f.last);
-        let base = par_map_with(workers_for(prev_total), frontier, dfs);
-        let base_nodes: u64 = base.iter().map(|m| m.nodes).sum();
-        let split_at = (base_nodes / cfg.split_divisor).max(cfg.split_floor_nodes);
-
-        let mut it = Iteration {
-            subs: frontier.iter().copied().zip(base).collect(),
-            kids: Vec::new(),
-            base_nodes,
-        };
-        let mut wave = 0..it.subs.len();
-        while !wave.is_empty() {
-            let mut children = Vec::new();
-            let mut parents_nodes = 0u64;
-            for i in wave {
-                let (f, m) = &it.subs[i];
-                let first = it.subs.len() + children.len();
-                if !m.found && m.nodes > split_at {
-                    children.extend(f.children());
-                    parents_nodes += m.nodes;
-                }
-                it.kids.push(first..it.subs.len() + children.len());
-            }
-            let measured = par_map_with(workers_for(parents_nodes), &children, dfs);
-            wave = it.subs.len()..it.subs.len() + children.len();
-            it.subs.extend(children.into_iter().zip(measured));
-        }
-        it
-    }
-}
 
 /// Builds the IDA\* workload: one round per iteration, flat tasks per
 /// frontier subtree (adaptively split so no subtree dominates the
@@ -422,8 +442,8 @@ pub fn puzzle_with_grains(cfg: PuzzleConfig) -> (Workload, GrainTable) {
     build(cfg, &|nodes| host_workers(nodes, SPREAD_MIN_NODES))
 }
 
-/// The builder proper; `workers_for` maps a batch's estimated nodes to
-/// the pool size it is measured on.
+/// The builder proper; `workers_for` maps an iteration's estimated
+/// nodes to the pool size its frontier is searched on.
 pub(crate) fn build(cfg: PuzzleConfig, workers_for: WorkersFor) -> (Workload, GrainTable) {
     assert!(cfg.split_divisor > 0, "zero split divisor");
     let start = Board::scrambled(cfg.scramble_len, cfg.seed);
@@ -434,39 +454,59 @@ pub(crate) fn build(cfg: PuzzleConfig, workers_for: WorkersFor) -> (Workload, Gr
     let mut threshold = start.manhattan();
     let mut prev_total = 0u64;
     loop {
-        let it = Iteration::sweep(&cfg, &frontier, threshold, prev_total, workers_for);
+        // One DFS per frontier subtree, on the pool. Any subtree whose
+        // node count exceeds `max(total / split_divisor,
+        // split_floor_nodes)` is then replaced by its children,
+        // recursively (goal-carrying subtrees are kept whole — they end
+        // the search). A split subtree expanded more than the floor,
+        // so its DFS recorded its children's counts: the split reads
+        // them and searches nothing again.
+        let floor = cfg.split_floor_nodes;
+        let base = par_map_with(workers_for(prev_total), &frontier, |f| {
+            let mut arena = Arena::new(floor);
+            let (m, at) = search::<true>(&f.board, f.g, threshold, f.last, &mut arena);
+            (m, arena.kids, at)
+        });
+        let base_nodes: u64 = base.iter().map(|(m, ..)| m.nodes).sum();
+        let split_at = (base_nodes / cfg.split_divisor).max(floor);
         // Task order: a stack seeded with the base frontier, a split
         // subtree replaced on the stack by its children.
-        let mut forest = TaskForest::new();
+        let mut grains = Vec::new();
         let mut specs = Vec::new();
         let mut next_threshold = u32::MAX;
         let mut found = false;
-        let mut stack: Vec<usize> = (0..frontier.len()).collect();
-        while let Some(i) = stack.pop() {
-            if !it.kids[i].is_empty() {
-                stack.extend(it.kids[i].clone());
+        let mut stack: Vec<_> = (frontier.iter().zip(&base))
+            .map(|(f, (m, arena, at))| (*f, *m, &arena[..], *at))
+            .collect();
+        while let Some((f, m, arena, at)) = stack.pop() {
+            if !m.found && m.nodes > split_at {
+                let kids = &arena[at as usize..];
+                stack.extend(f.children().into_iter().zip(kids).map(|(c, k)| {
+                    let m = Measured {
+                        nodes: k.nodes,
+                        exceed: k.exceed,
+                        found: false,
+                    };
+                    (c, m, arena, k.at)
+                }));
                 continue;
             }
-            let (f, m) = &it.subs[i];
-            // Even a pruned-at-the-root task costs one heuristic
-            // evaluation.
-            let grain = ((m.nodes.max(1)) * cfg.ns_per_node).div_ceil(1000).max(1);
-            forest.add_root(grain);
+            grains.push(grain_us(m.nodes, cfg.ns_per_node));
             specs.push(GrainSpec::PuzzleDfs {
                 board: f.board,
                 g: f.g,
                 last: f.last.map(Dir::index),
                 threshold,
             });
-            totals = totals.plus(puzzle_out(m));
+            totals = totals.plus(puzzle_out(&m));
             if m.found {
                 found = true;
             } else {
                 next_threshold = next_threshold.min(m.exceed);
             }
         }
-        prev_total = it.base_nodes;
-        rounds.push(forest);
+        prev_total = base_nodes;
+        rounds.push(TaskForest::flat(grains));
         spec_rounds.push(specs);
         if found {
             break;
@@ -486,7 +526,7 @@ pub(crate) fn build(cfg: PuzzleConfig, workers_for: WorkersFor) -> (Workload, Gr
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -602,14 +642,7 @@ mod tests {
         // With splitting enabled, no task's grain may exceed the split
         // threshold by more than one expansion level (a child can be at
         // most the whole parent).
-        let cfg = PuzzleConfig {
-            scramble_len: 40,
-            seed: 9,
-            min_tasks: 16,
-            ns_per_node: 1000, // grain µs == node count
-            split_divisor: 64,
-            split_floor_nodes: 500,
-        };
+        let cfg = DEEP_SPLIT;
         let w = puzzle(cfg);
         for (i, round) in w.rounds.iter().enumerate() {
             let total = round.total_work_us();
@@ -620,6 +653,45 @@ mod tests {
                 "round {i}: max grain {max} vs threshold {threshold}"
             );
         }
+    }
+
+    /// A scramble whose low split floor cuts subtrees up to five
+    /// waves below the base frontier.
+    pub(crate) const DEEP_SPLIT: PuzzleConfig = PuzzleConfig {
+        scramble_len: 30,
+        seed: 4,
+        min_tasks: 16,
+        ns_per_node: 1000, // grain µs == node count
+        split_divisor: 64,
+        split_floor_nodes: 500,
+    };
+
+    #[test]
+    fn every_split_grain_is_its_own_specs_dfs() {
+        // The builder never searches a split child; its spec, run here,
+        // must expand the nodes its parent's DFS recorded for it.
+        let cfg = DEEP_SPLIT;
+        let (w, table) = puzzle_with_grains(cfg);
+        let start = Board::scrambled(cfg.scramble_len, cfg.seed);
+        let base_depth = expand_frontier(&start, cfg.min_tasks)[0].g;
+        let mut waves = 0;
+        for (r, forest) in (0u32..).zip(&w.rounds) {
+            for id in 0..forest.len() as u32 {
+                let GrainSpec::PuzzleDfs {
+                    ref board,
+                    g,
+                    last,
+                    threshold,
+                } = *table.spec(r, id)
+                else {
+                    panic!("round {r} task {id} is not a 15-puzzle DFS");
+                };
+                let m = run_bounded(board, g, threshold, last);
+                assert_eq!(forest.grain(id), m.nodes.max(1), "round {r} task {id}");
+                waves = waves.max(g - base_depth);
+            }
+        }
+        assert!(waves >= 3, "split only {waves} waves deep");
     }
 
     #[test]

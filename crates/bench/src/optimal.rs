@@ -127,11 +127,7 @@ mod tests {
     use rips_taskgraph::{flat_uniform, geometric_tree};
 
     fn flat(grains: &[u64]) -> Workload {
-        let mut f = TaskForest::new();
-        for &g in grains {
-            f.add_root(g);
-        }
-        Workload::single("flat", f)
+        Workload::single("flat", TaskForest::flat(grains.to_vec()))
     }
 
     #[test]

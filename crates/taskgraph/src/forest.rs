@@ -40,6 +40,18 @@ impl TaskForest {
         TaskForest::default()
     }
 
+    /// A forest of independent root tasks with these grains, in id
+    /// order: the forest `add_root` builds from them one by one, its
+    /// vectors allocated once at their final size.
+    pub fn flat(grains: Vec<u64>) -> Self {
+        let len = u32::try_from(grains.len()).expect("forest too large");
+        TaskForest {
+            grains,
+            roots: (0..len).collect(),
+            children: Vec::new(),
+        }
+    }
+
     /// Adds a root task, returning its id.
     pub fn add_root(&mut self, grain_us: u64) -> TaskId {
         let id = self.push(grain_us);
@@ -293,6 +305,21 @@ mod tests {
         let parent = f.roots()[10];
         f.add_child(parent, 7);
         assert_eq!(f.children.len(), 11);
+    }
+
+    #[test]
+    fn a_flat_forest_is_the_one_add_root_builds() {
+        for len in [0, 1, 1_000] {
+            let grains: Vec<u64> = (0..len).map(|g| g * 7 % 13).collect();
+            let mut f = TaskForest::new();
+            for &g in &grains {
+                f.add_root(g);
+            }
+            let flat = TaskForest::flat(grains);
+            assert_eq!(flat, f);
+            assert_eq!(flat.roots.capacity(), len as usize);
+            assert_eq!(flat.children.capacity(), 0);
+        }
     }
 
     /// The layout the forest had before grains and child lists were

@@ -10,11 +10,8 @@ use crate::forest::{TaskForest, Workload};
 pub fn flat_uniform(n: usize, lo: u64, hi: u64, seed: u64) -> Workload {
     assert!(lo <= hi, "empty grain range");
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut f = TaskForest::new();
-    for _ in 0..n {
-        f.add_root(rng.random_range(lo..=hi));
-    }
-    Workload::single(format!("flat-uniform n={n}"), f)
+    let grains = (0..n).map(|_| rng.random_range(lo..=hi)).collect();
+    Workload::single(format!("flat-uniform n={n}"), TaskForest::flat(grains))
 }
 
 /// Flat forest with a heavy-tailed ("skewed") grain distribution: most
@@ -29,17 +26,17 @@ pub fn skewed_flat(
 ) -> Workload {
     assert!(heavy_every > 0);
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut f = TaskForest::new();
-    for i in 0..n {
-        let jitter = rng.random_range(0..=base / 2);
-        let grain = if i % heavy_every == 0 {
-            base * heavy_factor + jitter
-        } else {
-            base + jitter
-        };
-        f.add_root(grain);
-    }
-    Workload::single(format!("skewed-flat n={n}"), f)
+    let grains = (0..n)
+        .map(|i| {
+            let jitter = rng.random_range(0..=base / 2);
+            if i % heavy_every == 0 {
+                base * heavy_factor + jitter
+            } else {
+                base + jitter
+            }
+        })
+        .collect();
+    Workload::single(format!("skewed-flat n={n}"), TaskForest::flat(grains))
 }
 
 /// Random divide-and-conquer tree: `roots` root tasks, each task at
