@@ -11,7 +11,7 @@
 //!
 //! Tasks are atom groups (≈1.4 atoms each, giving the paper's 4 986
 //! tasks); a task's grain is its half-shell pair count within the
-//! cutoff, found by real cell-list neighbour search.
+//! cutoff, found by a real neighbour search over x–y columns.
 
 use std::sync::Arc;
 
@@ -56,7 +56,10 @@ impl GromosConfig {
 
 /// Synthetic SOD stand-in: `n` atoms uniformly filling a sphere whose
 /// radius gives protein-like density (~0.095 atoms/Å³), plus a little
-/// clustering noise. Deterministic under `seed`.
+/// clustering noise. Deterministic under `seed`. The atoms come back
+/// sorted by z, then y, then x, so index order is spatial and a run of
+/// consecutive atoms is a slab of the molecule, like a GROMOS charge
+/// group; [`half_pair_counts`] relies on the z order.
 pub fn synthetic_protein(n: usize, seed: u64) -> Vec<[f64; 3]> {
     // radius so that n / (4/3 π r³) ≈ 0.095 atoms/Å³.
     let radius = (3.0 * n as f64 / (4.0 * std::f64::consts::PI * 0.095)).cbrt();
@@ -72,80 +75,120 @@ pub fn synthetic_protein(n: usize, seed: u64) -> Vec<[f64; 3]> {
             atoms.push(p);
         }
     }
+    atoms.sort_by(|a, b| {
+        (a[2], a[1], a[0])
+            .partial_cmp(&(b[2], b[1], b[0]))
+            .expect("finite coordinates")
+    });
     atoms
 }
 
-/// A uniform grid of cubic cells of side `cutoff` over the atoms'
-/// bounding box: an atom's in-range neighbours all sit in its own cell
-/// or the 26 around it.
-struct CellList<'a> {
+/// How far past `cutoff` (relative) a z window reaches. A pair in
+/// range has `fl(dz²) ≤ d2 ≤ cut2`, since every term of `d2` is
+/// non-negative and rounding is monotone, so the window up to
+/// `z_i + cutoff` holds every hit except where `fl(dz²) == cut2` while
+/// `|dz|` is a hair over `cutoff` (0.7946 and 8.7946 at 8 Å). That
+/// hair is a few ulps; the slack is millions of them.
+const Z_SLACK: f64 = 1e-9;
+
+/// A cell list whose cells are x–y columns: square, of side `cutoff`,
+/// over the atoms' bounding box, unbounded in z. Stored CSR-style:
+/// column `c` owns slots `start[c]..start[c + 1]`, and each slot holds
+/// an atom's index and coordinates, in index order. An atom's in-range
+/// neighbours all sit in its own column or the 8 around it; since
+/// index order is z order, those with a higher index form one
+/// contiguous run per column.
+struct Columns<'a> {
     atoms: &'a [[f64; 3]],
     cutoff: f64,
-    min: [f64; 3],
-    dims: [usize; 3],
-    cells: Vec<Vec<usize>>,
+    min: [f64; 2],
+    dims: [usize; 2],
+    start: Vec<usize>,
+    ids: Vec<usize>,
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    zs: Vec<f64>,
 }
 
-impl<'a> CellList<'a> {
+impl<'a> Columns<'a> {
     fn new(atoms: &'a [[f64; 3]], cutoff: f64) -> Self {
         assert!(cutoff > 0.0, "cutoff must be positive");
-        let mut min = [f64::INFINITY; 3];
-        let mut max = [f64::NEG_INFINITY; 3];
+        assert!(
+            atoms.windows(2).all(|w| w[0][2] <= w[1][2]),
+            "atoms must be sorted by z"
+        );
+        let mut min = [f64::INFINITY; 2];
+        let mut max = [f64::NEG_INFINITY; 2];
         for a in atoms {
-            for d in 0..3 {
+            for d in 0..2 {
                 min[d] = min[d].min(a[d]);
                 max[d] = max[d].max(a[d]);
             }
         }
-        let dims = [0, 1, 2].map(|d| (((max[d] - min[d]) / cutoff).floor() as usize + 1).max(1));
-        let mut list = CellList {
+        let dims = [0, 1].map(|d| (((max[d] - min[d]) / cutoff).floor() as usize + 1).max(1));
+        let mut cols = Columns {
             atoms,
             cutoff,
             min,
             dims,
-            cells: vec![Vec::new(); dims[0] * dims[1] * dims[2]],
+            start: vec![0; dims[0] * dims[1] + 1],
+            ids: vec![0; atoms.len()],
+            xs: vec![0.0; atoms.len()],
+            ys: vec![0.0; atoms.len()],
+            zs: vec![0.0; atoms.len()],
         };
-        for (i, a) in atoms.iter().enumerate() {
-            let [ix, iy, iz] = list.cell_of(a);
-            list.cells[(ix * dims[1] + iy) * dims[2] + iz].push(i);
+        // Counting sort by column; stable, so each column keeps index
+        // (and so z) order.
+        let column: Vec<usize> = atoms
+            .iter()
+            .map(|a| {
+                let [ix, iy] = cols.column_of(a);
+                ix * dims[1] + iy
+            })
+            .collect();
+        for &c in &column {
+            cols.start[c + 1] += 1;
         }
-        list
+        for c in 1..cols.start.len() {
+            cols.start[c] += cols.start[c - 1];
+        }
+        let mut next = cols.start.clone();
+        for (i, (a, &c)) in atoms.iter().zip(&column).enumerate() {
+            let slot = next[c];
+            next[c] += 1;
+            cols.ids[slot] = i;
+            cols.xs[slot] = a[0];
+            cols.ys[slot] = a[1];
+            cols.zs[slot] = a[2];
+        }
+        cols
     }
 
-    /// Grid coordinates of the cell holding `a`.
-    fn cell_of(&self, a: &[f64; 3]) -> [usize; 3] {
-        [0, 1, 2].map(|d| (((a[d] - self.min[d]) / self.cutoff) as usize).min(self.dims[d] - 1))
+    /// Grid coordinates of the column holding `a`.
+    fn column_of(&self, a: &[f64; 3]) -> [usize; 2] {
+        [0, 1].map(|d| (((a[d] - self.min[d]) / self.cutoff) as usize).min(self.dims[d] - 1))
     }
 
     /// Number of *higher-indexed* atoms within the cutoff of atom `i`.
     fn half_count(&self, i: usize) -> u64 {
         let a = &self.atoms[i];
         let cut2 = self.cutoff * self.cutoff;
-        let [cx, cy, cz] = self.dims;
-        let [ix, iy, iz] = self.cell_of(a).map(|c| c as isize);
+        let z_max = a[2] + self.cutoff * (1.0 + Z_SLACK);
+        let [cx, cy] = self.dims;
+        let [ix, iy] = self.column_of(a);
         let mut count = 0u64;
-        for dx in -1..=1isize {
-            for dy in -1..=1isize {
-                for dz in -1..=1isize {
-                    let (jx, jy, jz) = (ix + dx, iy + dy, iz + dz);
-                    if jx < 0 || jy < 0 || jz < 0 {
-                        continue;
-                    }
-                    let (jx, jy, jz) = (jx as usize, jy as usize, jz as usize);
-                    if jx >= cx || jy >= cy || jz >= cz {
-                        continue;
-                    }
-                    for &j in &self.cells[(jx * cy + jy) * cz + jz] {
-                        if j <= i {
-                            continue;
-                        }
-                        let b = &self.atoms[j];
-                        let d2 =
-                            (a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2);
-                        if d2 <= cut2 {
-                            count += 1;
-                        }
-                    }
+        for jx in ix.saturating_sub(1)..=(ix + 1).min(cx - 1) {
+            for jy in iy.saturating_sub(1)..=(iy + 1).min(cy - 1) {
+                let (first, end) = (self.start[jx * cy + jy], self.start[jx * cy + jy + 1]);
+                let lo = first + self.ids[first..end].partition_point(|&j| j <= i);
+                let hi = lo + self.zs[lo..end].partition_point(|&z| z <= z_max);
+                let run = self.xs[lo..hi]
+                    .iter()
+                    .zip(&self.ys[lo..hi])
+                    .zip(&self.zs[lo..hi]);
+                for ((x, y), z) in run {
+                    let d2 = (a[0] - x).powi(2) + (a[1] - y).powi(2) + (a[2] - z).powi(2);
+                    count += u64::from(d2 <= cut2);
                 }
             }
         }
@@ -153,13 +196,14 @@ impl<'a> CellList<'a> {
     }
 }
 
-/// Cell-list half-shell pair counting: for each atom, the number of
-/// *higher-indexed* atoms within `cutoff`. Index order is spatial
-/// (z-sorted), so grains are spatially correlated like real charge
-/// groups.
+/// Half-shell pair counting over x–y columns: for each atom, the
+/// number of *higher-indexed* atoms within `cutoff`. The atoms must be
+/// sorted by z (non-decreasing), as [`synthetic_protein`] returns
+/// them; this panics otherwise. Index order is then spatial, so grains
+/// are spatially correlated like real charge groups.
 pub fn half_pair_counts(atoms: &[[f64; 3]], cutoff: f64) -> Vec<u64> {
-    let list = CellList::new(atoms, cutoff);
-    (0..atoms.len()).map(|i| list.half_count(i)).collect()
+    let cols = Columns::new(atoms, cutoff);
+    (0..atoms.len()).map(|i| cols.half_count(i)).collect()
 }
 
 /// Below this many atom × group products the pair search (and the
@@ -191,14 +235,8 @@ pub(crate) fn build(cfg: GromosConfig, workers_for: WorkersFor) -> (Workload, Gr
         "bad group count"
     );
     assert!(cfg.steps >= 1, "need at least one MD step");
-    let mut atoms = synthetic_protein(cfg.atoms, cfg.seed);
-    // Spatial index order (sort by z then y then x) so groups are
-    // contiguous in space, like GROMOS charge groups.
-    atoms.sort_by(|a, b| {
-        (a[2], a[1], a[0])
-            .partial_cmp(&(b[2], b[1], b[0]))
-            .expect("finite coordinates")
-    });
+    // Spatial index order, so groups are contiguous in space.
+    let atoms = synthetic_protein(cfg.atoms, cfg.seed);
 
     // Split `atoms` into `groups` contiguous chunks as evenly as
     // possible (sizes differ by at most one).
@@ -214,9 +252,9 @@ pub(crate) fn build(cfg: GromosConfig, workers_for: WorkersFor) -> (Workload, Gr
     debug_assert_eq!(idx, cfg.atoms);
 
     let workers = workers_for((cfg.atoms * cfg.groups) as u64);
-    let list = CellList::new(&atoms, cfg.cutoff);
+    let cols = Columns::new(&atoms, cfg.cutoff);
     let pair_totals = par_map_with(workers, &chunks, |chunk| {
-        chunk.clone().map(|i| list.half_count(i)).sum::<u64>()
+        chunk.clone().map(|i| cols.half_count(i)).sum::<u64>()
     });
 
     // Every group costs at least its bookkeeping even with no
@@ -241,7 +279,7 @@ pub(crate) fn build(cfg: GromosConfig, workers_for: WorkersFor) -> (Workload, Gr
         rounds: vec![forest; cfg.steps],
     };
     debug_assert!(w.validate().is_ok());
-    // The pair totals above come from the cell list, not from the
+    // The pair totals above come from the columns, not from the
     // grains' own half-shell search, so this table is not seeded.
     (w, GrainTable::lazy(vec![specs; cfg.steps], workers))
 }
@@ -270,14 +308,61 @@ mod tests {
 
     #[test]
     fn cell_list_matches_brute_force() {
-        let atoms = synthetic_protein(300, 17);
-        for cutoff in [4.0, 8.0, 13.5] {
+        for (n, seed, cutoffs) in [(300, 17, [4.0, 8.0, 13.5]), (2000, 5, [8.0, 12.0, 16.0])] {
+            let atoms = synthetic_protein(n, seed);
+            for cutoff in cutoffs {
+                assert_eq!(
+                    half_pair_counts(&atoms, cutoff),
+                    brute(&atoms, cutoff),
+                    "{n} atoms, cutoff {cutoff}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hand_placed_boundaries_match_brute_force() {
+        // Exactly `cutoff` apart along z, and the z window's hair: in
+        // floating point 8.7946 lies beyond 0.7946 + 8, yet the pair's
+        // computed d2 is exactly 64.
+        let along_z = vec![[0.0, 0.0, 0.0], [0.0, 0.0, 8.0], [0.0, 0.0, 16.0]];
+        let hair = vec![[0.0, 0.0, 0.7946], [0.0, 0.0, 8.7946]];
+        assert!(hair[1][2] > hair[0][2] + 8.0);
+        assert_eq!(half_pair_counts(&hair, 8.0), vec![1, 0]);
+        // Exactly `cutoff` apart along x, across column edges (columns
+        // start at the smallest x), at distinct and at equal z.
+        let across_x = vec![
+            [0.0, 0.0, 0.0],
+            [8.0, 0.0, 0.0],
+            [16.0, 0.0, 1.0],
+            [8.0, 8.0, 1.0],
+            [23.5, 0.0, 1.0],
+            [15.5, 0.5, 2.0],
+        ];
+        // Tied z inside one column and across neighbours: the run must
+        // start after the atom's own index, not at its z.
+        let tied_z = vec![
+            [1.0, 1.0, 3.0],
+            [2.0, 1.0, 3.0],
+            [9.5, 1.0, 3.0],
+            [1.0, 2.0, 3.0],
+            [1.0, 2.0, 3.0],
+            [4.0, 4.0, 3.0],
+            [1.0, 1.0, 11.0],
+        ];
+        for atoms in [along_z, hair, across_x, tied_z] {
             assert_eq!(
-                half_pair_counts(&atoms, cutoff),
-                brute(&atoms, cutoff),
-                "cutoff {cutoff}"
+                half_pair_counts(&atoms, 8.0),
+                brute(&atoms, 8.0),
+                "{atoms:?}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted by z")]
+    fn unsorted_atoms_panic() {
+        half_pair_counts(&[[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], 5.0);
     }
 
     #[test]

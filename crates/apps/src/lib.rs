@@ -17,7 +17,8 @@
 //! * [`gromos()`](gromos()) — a GROMOS-like molecular-dynamics force workload on a
 //!   synthetic 6968-atom SOD stand-in (see DESIGN.md §2): fixed task
 //!   count independent of the cutoff radius, spatially correlated
-//!   nonuniform grains from real cell-list neighbour counting.
+//!   nonuniform grains from a real neighbour search over z-sorted
+//!   x–y columns.
 
 pub mod gromos;
 pub mod live;

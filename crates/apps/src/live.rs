@@ -27,8 +27,9 @@
 //! [`GrainSpec::run`] is its second half. The N-Queens and 15-puzzle
 //! builders fold the outputs they measured into the table, so their
 //! `static_totals()` is a field read; only GROMOS (whose builder
-//! counts pairs by cell list, a different computation from the
-//! grain's half-shell search) derives its ground truth on first use.
+//! counts pairs over x–y columns, a different computation from the
+//! grain's all-pairs half-shell scan) derives its ground truth on
+//! first use.
 //! Neither search builder runs a subtree twice: N-Queens enumerates
 //! one leaf of every mirror pair and gives the other the same counts
 //! (its output from its own masks, through the helper `measure` uses),
@@ -499,7 +500,7 @@ mod tests {
                 let folded = specs.fold(GrainOut::default(), |acc, s| acc.plus(s.run()));
                 let seeded = table.totals.get().copied();
                 if w.name.starts_with("gromos") {
-                    assert_eq!(seeded, None, "{}: cell-list build cannot seed", w.name);
+                    assert_eq!(seeded, None, "{}: column-search build cannot seed", w.name);
                 } else {
                     assert_eq!(seeded, Some(folded), "{}", w.name);
                 }

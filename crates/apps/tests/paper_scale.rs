@@ -4,9 +4,10 @@
 //!
 //! The builders may get faster; what they build may not change. A
 //! builder change that alters any task, edge, grain or ground-truth
-//! total fails here. GROMOS is not built by search and serves as the
-//! control. queens15 and ida2 take seconds even in release, so the
-//! debug test run skips them; `cargo test --release` runs them.
+//! total fails here; for GROMOS that covers the pair search over
+//! z-sorted columns at all three of the paper's cutoffs. queens15 and
+//! ida2 take seconds even in release, so the debug test run skips
+//! them; `cargo test --release` runs them.
 
 use rips_apps::{
     gromos_with_grains, nqueens_with_grains, puzzle_with_grains, GrainTable, GromosConfig,
@@ -92,5 +93,21 @@ fn gromos16_is_pinned() {
     assert_eq!(
         digest(gromos_with_grains(GromosConfig::paper(16.0))),
         0x1ee9_8d32_01b2_1764
+    );
+}
+
+#[test]
+fn gromos8_is_pinned() {
+    assert_eq!(
+        digest(gromos_with_grains(GromosConfig::paper(8.0))),
+        0x824e_06d8_8942_d3d5
+    );
+}
+
+#[test]
+fn gromos12_is_pinned() {
+    assert_eq!(
+        digest(gromos_with_grains(GromosConfig::paper(12.0))),
+        0xec07_d729_5324_4bdb
     );
 }

@@ -117,7 +117,7 @@ impl OptimalPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rips_topology::{Mesh2D, Ring};
+    use rips_topology::Mesh2D;
 
     #[test]
     fn quota_remainder_goes_to_first_nodes() {
@@ -156,8 +156,9 @@ mod tests {
 
     #[test]
     fn ring_uses_both_directions() {
-        // On a 4-ring with one hot node, excess splits both ways.
-        let topo = Ring::new(4);
+        // A 2×2 mesh is a 4-ring: with one hot node, excess splits
+        // both ways.
+        let topo = Mesh2D::new(2, 2);
         let plan = optimal_rebalance(&topo, &[8, 0, 0, 0]);
         // Targets 2 each; send 2 to each neighbour (1 hop) and 2 to the
         // opposite node (2 hops): cost 2 + 2 + 4 = 8.

@@ -133,10 +133,11 @@ impl<'t, P: BspProgram> BspMachine<'t, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rips_topology::Ring;
+    use rips_topology::Mesh2D;
 
-    /// Token passing around a ring: node 0 emits a token that each node
-    /// forwards once; quiesces after n-1 steps.
+    /// Token passing along a line of 8 (a ring without its wrap link):
+    /// node 0 emits a token that each node forwards once; quiesces
+    /// after n-1 steps.
     struct Forward {
         seen: bool,
     }
@@ -168,7 +169,7 @@ mod tests {
 
     #[test]
     fn ring_forwarding_step_count() {
-        let topo = Ring::new(8);
+        let topo = Mesh2D::new(1, 8);
         let machine = BspMachine::new(&topo, |_| Forward { seen: false });
         let (nodes, out) = machine.run(100);
         assert!(nodes.iter().all(|n| n.seen));
@@ -189,7 +190,7 @@ mod tests {
             outbox: &mut Vec<(NodeId, ())>,
         ) {
             if me == 0 && round == 0 {
-                outbox.push((4, ())); // distance 4 on a ring of 8
+                outbox.push((4, ())); // distance 4 on a line of 8
             }
         }
     }
@@ -197,7 +198,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a neighbour")]
     fn non_neighbour_send_rejected() {
-        let topo = Ring::new(8);
+        let topo = Mesh2D::new(1, 8);
         BspMachine::new(&topo, |_| BadSender).run(10);
     }
 
@@ -222,7 +223,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "failed to quiesce")]
     fn livelock_detected() {
-        let topo = Ring::new(4);
+        let topo = Mesh2D::new(1, 4);
         BspMachine::new(&topo, |_| Chatterbox).run(16);
     }
 
@@ -243,7 +244,7 @@ mod tests {
 
     #[test]
     fn silent_machine_quiesces_immediately() {
-        let topo = Ring::new(4);
+        let topo = Mesh2D::new(1, 4);
         let (_, out) = BspMachine::new(&topo, |_| Silent).run(1);
         assert_eq!(out.comm_steps, 0);
         assert_eq!(out.messages, 0);

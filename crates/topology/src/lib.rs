@@ -15,12 +15,10 @@
 
 mod hypercube;
 mod mesh;
-mod ring;
 mod tree;
 
 pub use hypercube::Hypercube;
 pub use mesh::Mesh2D;
-pub use ring::Ring;
 pub use tree::BinaryTree;
 
 /// Dense node identifier, `0..Topology::len()`.
@@ -167,13 +165,6 @@ mod trait_tests {
         }
     }
 
-    #[test]
-    fn ring_invariants() {
-        for n in [1, 2, 3, 4, 9, 16] {
-            check_invariants(&Ring::new(n));
-        }
-    }
-
     /// SplitMix64 — enough randomness for pair sampling, no deps.
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -230,10 +221,10 @@ mod trait_tests {
     }
 
     #[test]
-    fn ring_sampled_at_scale() {
-        // Diameter 75_000 — far beyond u16; exercises the widened
-        // computed-distance path.
-        check_sampled(&Ring::new(150_000), 48, 0xB0B);
+    fn line_sampled_at_scale() {
+        // A 1 × 150_000 mesh: diameter 149_999 — far beyond u16;
+        // exercises the widened computed-distance path.
+        check_sampled(&Mesh2D::new(1, 150_000), 48, 0xB0B);
     }
 
     #[test]

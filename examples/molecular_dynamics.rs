@@ -19,6 +19,9 @@ use rips_runtime::Costs;
 
 fn main() {
     // The molecule: show the density profile the workload comes from.
+    // Atoms come back in z order and each counts only its
+    // higher-indexed partners, so "busiest atom" is the most pairs any
+    // atom owns in that order; the totals are the same in any order.
     let atoms = synthetic_protein(6968, 2206);
     println!("synthetic SOD stand-in: {} atoms", atoms.len());
     for cutoff in [8.0, 12.0, 16.0] {
