@@ -262,7 +262,7 @@ pub(crate) fn build(cfg: GromosConfig, workers_for: WorkersFor) -> (Workload, Gr
     let grains = pair_totals
         .into_iter()
         .map(|pairs| grain_us(pairs, cfg.ns_per_pair));
-    let forest = TaskForest::flat(grains.collect());
+    let forest = TaskForest::flat(grains);
     let ctx = Arc::new(GromosCtx {
         atoms,
         cutoff: cfg.cutoff,

@@ -479,7 +479,7 @@ pub(crate) fn build(cfg: PuzzleConfig, workers_for: WorkersFor) -> (Workload, Gr
         let split_at = (base_nodes / cfg.split_divisor).max(floor);
         // Task order: a stack seeded with the base frontier, a split
         // subtree replaced on the stack by its children.
-        let mut grains = Vec::new();
+        let mut forest = TaskForest::new();
         let mut specs = Vec::new();
         let mut next_threshold = u32::MAX;
         let mut found = false;
@@ -499,7 +499,7 @@ pub(crate) fn build(cfg: PuzzleConfig, workers_for: WorkersFor) -> (Workload, Gr
                 }));
                 continue;
             }
-            grains.push(grain_us(m.nodes, cfg.ns_per_node));
+            forest.add_root(grain_us(m.nodes, cfg.ns_per_node));
             specs.push(GrainSpec::PuzzleDfs {
                 board: f.board,
                 g: f.g,
@@ -514,7 +514,7 @@ pub(crate) fn build(cfg: PuzzleConfig, workers_for: WorkersFor) -> (Workload, Gr
             }
         }
         prev_total = base_nodes;
-        rounds.push(TaskForest::flat(grains));
+        rounds.push(forest);
         spec_rounds.push(specs);
         if found {
             break;

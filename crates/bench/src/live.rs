@@ -22,8 +22,8 @@ use crate::RegistryTuning;
 pub struct TableRunner(pub Arc<GrainTable>);
 
 impl GrainRunner for TableRunner {
-    fn run(&self, inst: &TaskInstance) -> GrainResult {
-        let out = self.0.run(inst.round, inst.task);
+    fn run(&self, round: u32, inst: &TaskInstance) -> GrainResult {
+        let out = self.0.run(round, inst.task);
         GrainResult {
             checksum: out.checksum,
             solutions: out.solutions,

@@ -127,7 +127,7 @@ mod tests {
     use rips_taskgraph::{flat_uniform, geometric_tree};
 
     fn flat(grains: &[u64]) -> Workload {
-        Workload::single("flat", TaskForest::flat(grains.to_vec()))
+        Workload::single("flat", TaskForest::flat(grains.iter().copied()))
     }
 
     #[test]

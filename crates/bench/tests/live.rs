@@ -25,6 +25,7 @@ use rips_bench::{registry, run_cell, RegistryTuning};
 use rips_core::{GlobalPolicy, RipsConfig};
 use rips_live::{GrainMode, LiveOpts};
 use rips_taskgraph::Workload;
+use rips_trace::{with_sink, TraceBuffer, TraceEvent};
 
 fn queens9() -> (Arc<Workload>, Arc<GrainTable>) {
     let (w, t) = nqueens_with_grains(NQueensConfig {
@@ -97,6 +98,72 @@ fn live_roster_passes_the_auditor_and_matches_ground_truth() {
             assert_eq!(out.solutions, truth.solutions, "{tag}: solutions");
             assert_eq!(out.checksum, truth.checksum, "{tag}: checksum");
         }
+    }
+}
+
+/// `(round, task)` of every `TaskExec` record in `buf`, sorted, after
+/// checking each record's grain is that task's in that round's forest.
+fn executed_tasks(buf: &TraceBuffer, w: &Workload, tag: &str) -> Vec<(u32, u64)> {
+    let mut seen: Vec<(u32, u64)> = buf
+        .records
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::TaskExec {
+                task,
+                round,
+                grain_us,
+                ..
+            } => {
+                let forest = &w.rounds[round as usize];
+                assert!(
+                    task < forest.len() as u64,
+                    "{tag}: task {task} of round {round}"
+                );
+                assert_eq!(grain_us, forest.grain(task as u32), "{tag}: grain");
+                Some((round, task))
+            }
+            _ => None,
+        })
+        .collect();
+    seen.sort_unstable();
+    seen
+}
+
+/// A task instance carries no round: the kernel takes it from the
+/// oracle. Over ida1's five IDA* iterations, every `TaskExec` record
+/// names its task's round — each `(round, task)` of the workload
+/// exactly once, with that task's grain — for the whole roster on the
+/// simulator and on 2 live threads, and the live grains (run by round)
+/// still match the ground truth.
+#[test]
+fn every_task_exec_carries_its_round() {
+    let (w, t) = puzzle_with_grains(PuzzleConfig::paper(1));
+    let (w, t) = (Arc::new(w), Arc::new(t));
+    assert_eq!(w.rounds.len(), 5, "ida1 is five IDA* iterations");
+    let all: Vec<(u32, u64)> = (0..w.rounds.len() as u32)
+        .flat_map(|r| (0..w.rounds[r as usize].len() as u64).map(move |task| (r, task)))
+        .collect();
+    let truth = t.static_totals();
+    let reg = registry();
+    for scheduler in reg.names() {
+        let (buf, _) = with_sink(TraceBuffer::new(), || {
+            run_cell(&reg, scheduler, &w, 8, 0.4, 3)
+        });
+        let tag = format!("{scheduler} on desim");
+        assert!(
+            executed_tasks(&buf, &w, &tag) == all,
+            "{tag}: (round, task) set"
+        );
+        let opts = live_opts(&t, GrainMode::Compute, 0.0);
+        let (buf, out) = with_sink(TraceBuffer::new(), || {
+            live_run(scheduler, &w, 2, 0.4, 3, opts)
+        });
+        let tag = format!("{scheduler} live at 2 threads");
+        assert!(
+            executed_tasks(&buf, &w, &tag) == all,
+            "{tag}: (round, task) set"
+        );
+        assert_eq!(out.checksum, truth.checksum, "{tag}: checksum");
     }
 }
 

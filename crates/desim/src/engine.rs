@@ -15,11 +15,13 @@
 //! * **Per-node deferral lanes.** An event arriving at a busy node is
 //!   parked in that node's lane (a min-heap on sequence number)
 //!   instead of being re-pushed into the global heap once per
-//!   deferral. A single *wake marker* per node — carrying the lane
-//!   minimum's sequence number so global (time, seq) interleaving is
-//!   exactly what the re-push scheme produced — is pushed at the
-//!   node's free time. Stale markers (the lane minimum changed, or
-//!   the node was re-busied first) are lazily discarded on pop.
+//!   deferral; the lane is allocated on the node's first park, so a
+//!   node that never parks pays one null pointer. A single *wake
+//!   marker* per node — carrying the lane minimum's sequence number so
+//!   global (time, seq) interleaving is exactly what the re-push scheme
+//!   produced — is pushed at the node's free time. Stale markers (the
+//!   lane minimum changed, or the node was re-busied first) are lazily
+//!   discarded on pop.
 //! * **Routing on the fly.** Every send asks the topology for its hop
 //!   distance ([`Topology::distance`]) and, under contention, every hop
 //!   for the next one ([`Topology::route_next_hop`]). The provided
@@ -38,8 +40,8 @@
 //!   request holding one payload. At apply time every recipient is
 //!   accounted as a point-to-point send would be and reserves the
 //!   sequence number its own heap entry would have had, but the `N - 1`
-//!   deliveries stay one [`Run`]: the payload plus a sorted 16-byte
-//!   `(time, rank)` entry per recipient. Only the run's *head* sits in
+//!   deliveries stay one [`Run`]: the payload plus a sorted 8-byte
+//!   [`RunEntry`] per recipient. Only the run's *head* sits in
 //!   the global heap; popping it materialises that recipient's message
 //!   and the next entry replaces it at the top in place. Global
 //!   `(time, seq)` order is what `N - 1` heap entries would give, but
@@ -269,6 +271,34 @@ enum EventKind<M> {
     Run(usize),
 }
 
+/// One recipient still owed by a [`Run`]: its event time as an offset
+/// from the run's base time, and its rank. Field order is sort order:
+/// `(time, rank)`, since every entry of a run shares its base.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct RunEntry {
+    offset: u32,
+    rank: u32,
+}
+
+impl RunEntry {
+    /// The entry for recipient `rank` at `time`, in a run based at
+    /// `base`.
+    ///
+    /// # Panics
+    /// Panics if the offset is past `u32::MAX`. A rank fits: ranks are
+    /// below the node count, which [`Engine::new`] bounds.
+    fn new(base: Time, time: Time, rank: usize) -> Self {
+        let offset = time - base;
+        RunEntry {
+            offset: u32::try_from(offset).unwrap_or_else(|_| {
+                // rips-lint: allow(L003, a delivery past u32::MAX µs after its broadcast cannot be stored; stopping beats delivering it at a wrapped time)
+                panic!("broadcast run entry {offset} µs after its base is past u32::MAX")
+            }),
+            rank: rank as u32,
+        }
+    }
+}
+
 /// A broadcast in flight (or the `Start` wavefront): one payload and
 /// an entry per recipient still owed, of which only the last — the
 /// *head* — is represented in the global heap.
@@ -285,8 +315,11 @@ struct Run<M> {
     /// Sequence number of rank 0; rank `k` replays `first_seq + k`,
     /// exactly what its own heap entry was stamped with.
     first_seq: u64,
-    /// `(event time, recipient rank)`, descending: delivering is a pop.
-    entries: Vec<(Time, usize)>,
+    /// The time every entry's offset counts from: the broadcast's
+    /// issue time, which no delivery precedes.
+    base: Time,
+    /// Recipients still owed, descending: delivering is a pop.
+    entries: Vec<RunEntry>,
 }
 
 impl<M> Run<M> {
@@ -296,10 +329,11 @@ impl<M> Run<M> {
 
     /// `(time, seq, node)` of the head entry, if any is left.
     fn head(&self) -> Option<(Time, u64, NodeId)> {
-        let &(time, rank) = self.entries.last()?;
-        let to = self.recipient(rank);
+        let &RunEntry { offset, rank } = self.entries.last()?;
+        let to = self.recipient(rank as usize);
         let node = if self.forward { self.from } else { to };
-        Some((time, self.first_seq + rank as u64, node))
+        let time = self.base + Time::from(offset);
+        Some((time, self.first_seq + u64::from(rank), node))
     }
 }
 
@@ -377,6 +411,9 @@ impl<M> Ord for LaneEvent<M> {
         self.seq.cmp(&other.seq)
     }
 }
+
+/// One node's deferral lane: a min-heap on original sequence number.
+type Lane<M> = BinaryHeap<std::cmp::Reverse<LaneEvent<M>>>;
 
 /// `armed[node]` sentinel: no wake marker outstanding.
 const UNARMED: (Time, u64) = (0, u64::MAX);
@@ -463,8 +500,8 @@ impl<M> EventCore<M> {
         let run = &mut self.runs[r];
         let (time, seq, node) = (top.0.time, top.0.seq, top.0.node);
         // rips-lint: allow(L003, a run whose head is in the heap has that head's entry)
-        let (_, rank) = run.entries.pop().expect("open run without entries");
-        let to = run.recipient(rank);
+        let RunEntry { rank, .. } = run.entries.pop().expect("open run without entries");
+        let to = run.recipient(rank as usize);
         let msg = if let Some(next) = run.head() {
             (top.0.time, top.0.seq, top.0.node) = next;
             self.run_tail -= 1;
@@ -497,8 +534,9 @@ struct NodeCore<P: Program> {
     ready_at: Vec<Time>,
     stats: Vec<NodeStats>,
     /// Per-node deferral lanes: events that arrived while the node was
-    /// busy, ordered by original sequence number.
-    lanes: Vec<BinaryHeap<std::cmp::Reverse<LaneEvent<P::Msg>>>>,
+    /// busy, ordered by original sequence number. `None` until the
+    /// node's first park; kept (with its capacity) once allocated.
+    lanes: Vec<Option<Box<Lane<P::Msg>>>>,
     /// The (time, seq) of each node's valid wake marker, or [`UNARMED`].
     armed: Vec<(Time, u64)>,
 }
@@ -514,7 +552,7 @@ impl<P: Program> NodeCore<P> {
         (std::mem::size_of::<P>()
             + std::mem::size_of::<Time>()
             + std::mem::size_of::<NodeStats>()
-            + std::mem::size_of::<BinaryHeap<std::cmp::Reverse<LaneEvent<P::Msg>>>>()
+            + std::mem::size_of::<Option<Box<Lane<P::Msg>>>>()
             + std::mem::size_of::<(Time, u64)>()) as u64
     }
 }
@@ -573,6 +611,10 @@ impl<P: Program> Engine<P> {
     ) -> Self {
         let n = topo.len();
         assert!(n > 0, "machine must have at least one node");
+        assert!(
+            n - 1 <= u32::MAX as usize,
+            "a machine of {n} nodes has broadcast ranks past u32::MAX"
+        );
         let programs: Vec<P> = (0..n).map(&mut make).collect();
         let mut core = EventCore {
             queue: BinaryHeap::new(),
@@ -591,7 +633,8 @@ impl<P: Program> Engine<P> {
             bytes: 0,
             msg: None,
             first_seq: 0,
-            entries: (0..n).map(|k| (0, k)).collect(),
+            base: 0,
+            entries: (0..n).map(|k| RunEntry::new(0, 0, k)).collect(),
         };
         core.open_run(run);
         Engine {
@@ -601,7 +644,7 @@ impl<P: Program> Engine<P> {
                 programs,
                 ready_at: vec![0; n],
                 stats: vec![NodeStats::default(); n],
-                lanes: (0..n).map(|_| BinaryHeap::new()).collect(),
+                lanes: (0..n).map(|_| None).collect(),
                 armed: vec![UNARMED; n],
             },
             core,
@@ -757,7 +800,7 @@ impl<P: Program> Engine<P> {
     /// the same (time, seq) is left alone; anything else outstanding
     /// becomes stale and is discarded when popped.
     fn arm(&mut self, node: NodeId) {
-        match self.nodes.lanes[node].peek() {
+        match self.nodes.lanes[node].as_deref().and_then(BinaryHeap::peek) {
             Some(std::cmp::Reverse(head)) => {
                 let mark = (self.nodes.ready_at[node], head.seq);
                 if self.nodes.armed[node] != mark {
@@ -854,13 +897,14 @@ impl<P: Program> Engine<P> {
                     signal,
                 } => {
                     let step = if signal { 0 } else { self.latency.send_cpu_us };
-                    let mut depart = start + base_offset;
+                    let base = start + base_offset;
+                    let mut depart = base;
                     let mut entries = Vec::with_capacity(self.nodes.len() - 1);
                     for to in (0..self.nodes.len()).filter(|&to| to != node) {
                         depart += step;
                         let (time, forward) = self.note_send(node, depart, to, bytes);
                         debug_assert_eq!(forward, self.contention, "distinct nodes at 0 hops");
-                        entries.push((time, entries.len()));
+                        entries.push(RunEntry::new(base, time, entries.len()));
                     }
                     let run = Run {
                         from: node,
@@ -868,6 +912,7 @@ impl<P: Program> Engine<P> {
                         bytes,
                         msg: Some(msg),
                         first_seq: 0,
+                        base,
                         entries,
                     };
                     self.core.open_run(run);
@@ -905,7 +950,7 @@ impl<P: Program> Engine<P> {
             self.peak_event_bytes = self.peak_event_bytes.max(
                 heap * size_of::<Event<P::Msg>>() as u64
                     + self.parked * size_of::<LaneEvent<P::Msg>>() as u64
-                    + tail * size_of::<(Time, usize)>() as u64,
+                    + tail * size_of::<RunEntry>() as u64,
             );
             let Some(ev) = self.core.pop() else { break };
             let node = ev.node;
@@ -927,7 +972,8 @@ impl<P: Program> Engine<P> {
                         continue; // stale marker
                     }
                     let head = self.nodes.lanes[node]
-                        .pop()
+                        .as_deref_mut()
+                        .and_then(BinaryHeap::pop)
                         // rips-lint: allow(L003, a node is armed only when its lane is non-empty; the pop cannot fail)
                         .expect("armed node with empty lane")
                         .0;
@@ -947,6 +993,7 @@ impl<P: Program> Engine<P> {
                     // the time the re-push scheme would have.
                     if self.nodes.ready_at[node] > ev.time {
                         self.nodes.lanes[node]
+                            .get_or_insert_default()
                             .push(std::cmp::Reverse(LaneEvent { seq: ev.seq, kind }));
                         self.parked += 1;
                         if ev.seq < self.nodes.armed[node].1 {
@@ -1367,6 +1414,35 @@ mod tests {
         // Sender was charged all three send costs.
         assert_eq!(stats.nodes[0].overhead_us, 21);
         assert_eq!(stats.net.msgs, 3);
+    }
+
+    /// A delivery the broadcast's latency puts exactly `u32::MAX` µs
+    /// after its issue time.
+    fn widest_offset_latency(extra: Time) -> LatencyModel {
+        LatencyModel {
+            alpha_us: Time::from(u32::MAX) - 1 + extra,
+            per_byte_ns: 0,
+            per_hop_us: 0,
+            send_cpu_us: 1,
+            recv_cpu_us: 0,
+        }
+    }
+
+    /// A run owes each recipient 8 bytes: a `u32` offset from the run's
+    /// base time and a `u32` rank. The widest offset reads back whole.
+    #[test]
+    fn a_run_entry_is_two_u32s() {
+        assert_eq!(std::mem::size_of::<RunEntry>(), 8);
+        let lat = widest_offset_latency(0);
+        let (progs, _) = Engine::new(mesh(2), lat, 1, |_| Shout { got_at: None }).run();
+        assert_eq!(progs[1].got_at, Some(Time::from(u32::MAX)));
+    }
+
+    #[test]
+    #[should_panic(expected = "broadcast run entry 4294967296 µs after its base is past u32::MAX")]
+    fn a_run_entry_past_u32_panics() {
+        let lat = widest_offset_latency(1);
+        Engine::new(mesh(2), lat, 1, |_| Shout { got_at: None }).run();
     }
 
     /// Differential harness for broadcast runs: the same script driven

@@ -126,13 +126,15 @@ pub struct GrainResult {
 
 /// Executes the real application work behind a [`TaskInstance`].
 ///
-/// The live backend calls this once per executed task. Implementations
-/// map `(round, task)` back to the app-level closure (a queens subtree,
+/// The live backend calls this once per executed task, with the round
+/// the kernel is in (an instance carries no round: see
+/// [`rips_runtime::TaskInstance`]). Implementations map `(round, task)`
+/// back to the app-level closure (a queens subtree,
 /// a puzzle bounded DFS, an MD interaction group) — `rips-apps` builds
 /// such tables alongside its workloads.
 pub trait GrainRunner: Send + Sync {
-    /// Runs the grain of `inst`.
-    fn run(&self, inst: &TaskInstance) -> GrainResult;
+    /// Runs the grain of `inst`, a task of round `round`.
+    fn run(&self, round: u32, inst: &TaskInstance) -> GrainResult;
 }
 
 /// Runner for synthetic workloads with no application behind them:
@@ -140,7 +142,7 @@ pub trait GrainRunner: Send + Sync {
 pub struct NullRunner;
 
 impl GrainRunner for NullRunner {
-    fn run(&self, _inst: &TaskInstance) -> GrainResult {
+    fn run(&self, _round: u32, _inst: &TaskInstance) -> GrainResult {
         GrainResult::default()
     }
 }
@@ -295,9 +297,9 @@ impl<M: Clone> ExecCtx<M> for LiveCtx<'_, M> {
     fn halt(&mut self) {
         *self.halted = true;
     }
-    fn execute_grain(&mut self, inst: &TaskInstance, grain_us: Time) {
+    fn execute_grain(&mut self, round: u32, inst: &TaskInstance, grain_us: Time) {
         let t0 = self.tel.now_ns();
-        let r = self.runner.run(inst);
+        let r = self.runner.run(round, inst);
         *self.checksum = self.checksum.wrapping_add(r.checksum);
         *self.solutions += r.solutions;
         *self.grain_us += grain_us;
@@ -535,9 +537,9 @@ fn node_loop<P: BalancerPolicy>(
         tx.broadcast_halt();
     }
     NodeReport {
-        spawned: kernel.exec.spawned,
-        executed: kernel.exec.executed,
-        nonlocal: kernel.exec.nonlocal_executed,
+        spawned: kernel.exec.spawned.into(),
+        executed: kernel.exec.executed.into(),
+        nonlocal: kernel.exec.nonlocal_executed.into(),
         checksum,
         solutions,
         grain_us,
@@ -643,7 +645,7 @@ mod tests {
     /// executions shift the sum.
     struct IdRunner;
     impl GrainRunner for IdRunner {
-        fn run(&self, inst: &TaskInstance) -> GrainResult {
+        fn run(&self, _round: u32, inst: &TaskInstance) -> GrainResult {
             GrainResult {
                 checksum: (inst.task as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 solutions: 1,

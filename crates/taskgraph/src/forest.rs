@@ -8,8 +8,12 @@ pub type TaskId = u32;
 ///
 /// A task is its id: its grain is one entry of a dense array, and its
 /// children ("newly generated" tasks) are a list kept only up to the
-/// highest id that has any. A roots-only forest therefore costs 8 B per
+/// highest id that has any. A roots-only forest therefore costs 4 B per
 /// task plus its root id, and no child list at all.
+///
+/// Grains are stored as `u32` µs (71 minutes; the largest grain any
+/// paper application builds is ida2's 1.15 s) and read back as `u64`.
+/// A grain past `u32::MAX` panics where it is added, never wraps.
 ///
 /// ```
 /// use rips_taskgraph::TaskForest;
@@ -27,7 +31,7 @@ pub type TaskId = u32;
 pub struct TaskForest {
     /// Execution time of each task on whichever node runs it (virtual
     /// µs), indexed by id.
-    grains: Vec<u64>,
+    grains: Vec<u32>,
     roots: Vec<TaskId>,
     /// Tasks released when task `id` completes, for every id up to the
     /// highest parent; ids past the end have none.
@@ -42,8 +46,13 @@ impl TaskForest {
 
     /// A forest of independent root tasks with these grains, in id
     /// order: the forest `add_root` builds from them one by one, its
-    /// vectors allocated once at their final size.
-    pub fn flat(grains: Vec<u64>) -> Self {
+    /// vectors allocated once at their final size. Each grain is
+    /// narrowed as it is collected, so no `u64` copy is ever held.
+    ///
+    /// # Panics
+    /// Panics if a grain is past `u32::MAX` µs.
+    pub fn flat(grains: impl IntoIterator<Item = u64>) -> Self {
+        let grains: Vec<u32> = grains.into_iter().map(narrow_grain).collect();
         let len = u32::try_from(grains.len()).expect("forest too large");
         TaskForest {
             grains,
@@ -53,6 +62,9 @@ impl TaskForest {
     }
 
     /// Adds a root task, returning its id.
+    ///
+    /// # Panics
+    /// Panics if `grain_us` is past `u32::MAX`.
     pub fn add_root(&mut self, grain_us: u64) -> TaskId {
         let id = self.push(grain_us);
         self.roots.push(id);
@@ -62,7 +74,8 @@ impl TaskForest {
     /// Adds a task released by `parent`'s completion.
     ///
     /// # Panics
-    /// Panics if `parent` does not exist.
+    /// Panics if `parent` does not exist or `grain_us` is past
+    /// `u32::MAX`.
     pub fn add_child(&mut self, parent: TaskId, grain_us: u64) -> TaskId {
         let parent = parent as usize;
         assert!(parent < self.grains.len(), "no such parent");
@@ -76,13 +89,13 @@ impl TaskForest {
 
     fn push(&mut self, grain_us: u64) -> TaskId {
         let id = u32::try_from(self.grains.len()).expect("forest too large");
-        self.grains.push(grain_us);
+        self.grains.push(narrow_grain(grain_us));
         id
     }
 
     /// Execution time of task `id` (virtual µs).
     pub fn grain(&self, id: TaskId) -> u64 {
-        self.grains[id as usize]
+        u64::from(self.grains[id as usize])
     }
 
     /// Tasks released when task `id` completes.
@@ -107,12 +120,12 @@ impl TaskForest {
 
     /// Total work (Σ grains) in µs.
     pub fn total_work_us(&self) -> u64 {
-        self.grains.iter().sum()
+        self.grains.iter().map(|&g| u64::from(g)).sum()
     }
 
     /// Largest single grain in µs.
     pub fn max_grain_us(&self) -> u64 {
-        self.grains.iter().copied().max().unwrap_or(0)
+        self.grains.iter().copied().max().map_or(0, u64::from)
     }
 
     /// Length (in µs) of the longest dependency chain: a lower bound on
@@ -170,6 +183,12 @@ impl TaskForest {
         }
         Ok(())
     }
+}
+
+/// A grain as the forest stores it.
+fn narrow_grain(grain_us: u64) -> u32 {
+    u32::try_from(grain_us)
+        .unwrap_or_else(|_| panic!("grain of {grain_us} µs is past the forest's u32::MAX µs"))
 }
 
 /// A complete application run: one forest per round, with a global
@@ -317,9 +336,33 @@ mod tests {
             }
             let flat = TaskForest::flat(grains);
             assert_eq!(flat, f);
+            assert_eq!(flat.grains.capacity(), len as usize);
             assert_eq!(flat.roots.capacity(), len as usize);
             assert_eq!(flat.children.capacity(), 0);
         }
+    }
+
+    #[test]
+    fn the_widest_grain_reads_back_whole() {
+        let max = u64::from(u32::MAX);
+        let mut f = TaskForest::flat([max, 1]);
+        let child = f.add_child(0, max);
+        assert_eq!(f.grain(0), max);
+        assert_eq!(f.grain(child), max);
+        assert_eq!(f.total_work_us(), 2 * max + 1);
+        assert_eq!(f.max_grain_us(), max);
+    }
+
+    #[test]
+    #[should_panic(expected = "grain of 4294967296 µs is past the forest's u32::MAX µs")]
+    fn add_root_refuses_a_grain_past_u32() {
+        TaskForest::new().add_root(u64::from(u32::MAX) + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "grain of 4294967296 µs is past the forest's u32::MAX µs")]
+    fn flat_refuses_a_grain_past_u32() {
+        TaskForest::flat([1, u64::from(u32::MAX) + 1]);
     }
 
     /// The layout the forest had before grains and child lists were

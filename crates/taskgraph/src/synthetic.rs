@@ -10,7 +10,7 @@ use crate::forest::{TaskForest, Workload};
 pub fn flat_uniform(n: usize, lo: u64, hi: u64, seed: u64) -> Workload {
     assert!(lo <= hi, "empty grain range");
     let mut rng = SmallRng::seed_from_u64(seed);
-    let grains = (0..n).map(|_| rng.random_range(lo..=hi)).collect();
+    let grains = (0..n).map(|_| rng.random_range(lo..=hi));
     Workload::single(format!("flat-uniform n={n}"), TaskForest::flat(grains))
 }
 
@@ -26,16 +26,14 @@ pub fn skewed_flat(
 ) -> Workload {
     assert!(heavy_every > 0);
     let mut rng = SmallRng::seed_from_u64(seed);
-    let grains = (0..n)
-        .map(|i| {
-            let jitter = rng.random_range(0..=base / 2);
-            if i % heavy_every == 0 {
-                base * heavy_factor + jitter
-            } else {
-                base + jitter
-            }
-        })
-        .collect();
+    let grains = (0..n).map(|i| {
+        let jitter = rng.random_range(0..=base / 2);
+        if i % heavy_every == 0 {
+            base * heavy_factor + jitter
+        } else {
+            base + jitter
+        }
+    });
     Workload::single(format!("skewed-flat n={n}"), TaskForest::flat(grains))
 }
 
