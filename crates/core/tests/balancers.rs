@@ -216,3 +216,55 @@ fn sid_handles_dynamic_generation_and_rounds() {
     );
     out.verify_complete(&w).unwrap();
 }
+
+/// A `RoundStart` can reach a node after the round it opens is over:
+/// the broadcast's last recipients on a large hypercube hear it later
+/// than the rest of the machine takes to finish a one-task round and
+/// open the next. Such a node owns no root of the finished round (a
+/// round of fewer roots than nodes leaves the high ids empty), so it
+/// must seed nothing for it — not its block of the round now open,
+/// which the next `RoundStart` seeds again.
+#[test]
+fn late_round_start_seeds_the_round_it_names() {
+    use rips_core::{sid, SidParams};
+    use rips_topology::Hypercube;
+    let dim = 7;
+    let nodes = 1 << dim;
+    let w = Arc::new(Workload {
+        name: "one-one-wide".into(),
+        rounds: vec![
+            flat_uniform(1, 5, 5, 1).rounds[0].clone(),
+            flat_uniform(1, 5, 5, 2).rounds[0].clone(),
+            flat_uniform(1, 5, 5, 3).rounds[0].clone(),
+            flat_uniform(nodes, 200, 900, 4).rounds[0].clone(),
+        ],
+    });
+    let cube = || -> Arc<dyn Topology> { Arc::new(Hypercube::new(dim)) };
+    let (lat, costs) = (LatencyModel::paragon(), Costs::default());
+    let runs = [
+        ("Random", random(Arc::clone(&w), cube(), lat, costs, 3)),
+        (
+            "Gradient",
+            gradient(
+                Arc::clone(&w),
+                cube(),
+                lat,
+                costs,
+                3,
+                GradientParams::default(),
+            ),
+        ),
+        (
+            "RID",
+            rid(Arc::clone(&w), cube(), lat, costs, 3, RidParams::default()),
+        ),
+        (
+            "SID",
+            sid(Arc::clone(&w), cube(), lat, costs, 3, SidParams::default()),
+        ),
+    ];
+    for (name, out) in runs {
+        out.verify_complete(&w)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+}
