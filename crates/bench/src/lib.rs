@@ -26,7 +26,7 @@ use rips_apps::{
     GrainTable, GromosConfig, NQueensConfig, PuzzleConfig,
 };
 use rips_audit::Auditor;
-use rips_core::{GradientParams, RidParams, RipsConfig, SidParams};
+use rips_core::{RipsConfig, RID_U};
 use rips_desim::LatencyModel;
 use rips_runtime::{Costs, PhaseLog, RunOutcome, RunSpec, SchedulerRegistry};
 use rips_sched::TileGrid;
@@ -129,11 +129,12 @@ impl App {
     }
 
     /// The RID load-update factor the paper uses for this app/machine
-    /// size: 0.4 everywhere except IDA\* on ≥ 64 processors (0.7).
+    /// size: [`RID_U`] (0.4) everywhere except IDA\* on ≥ 64
+    /// processors (0.7).
     pub fn rid_u(&self, nodes: usize) -> f64 {
         match self {
             App::Ida(_) if nodes >= 64 => 0.7,
-            _ => 0.4,
+            _ => RID_U,
         }
     }
 }
@@ -151,21 +152,14 @@ pub struct Row {
     pub phases: Vec<PhaseLog>,
 }
 
-/// Tuning knobs for the canonical registry — one field per registered
-/// scheduler. [`RegistryTuning::default`] reproduces the paper's
-/// settings; ablations override a single field and leave the rest.
+/// Tuning for the canonical registry. RIPS's configuration is the one
+/// the paper varies; the baselines run at the paper's constants (RID's
+/// update factor travels with the cell, [`RunSpec::rid_u`]).
+/// [`RegistryTuning::default`] reproduces the paper's settings.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RegistryTuning {
     /// RIPS policy configuration.
     pub rips: RipsConfig,
-    /// Gradient-model parameters.
-    pub gradient: GradientParams,
-    /// RID parameters. The update factor `u` is still overridden
-    /// per-cell by [`RunSpec::rid_u`] (the paper tunes it per
-    /// app/machine size).
-    pub rid: RidParams,
-    /// SID parameters.
-    pub sid: SidParams,
 }
 
 /// The canonical scheduler roster with paper-default tuning: the four
@@ -322,10 +316,7 @@ pub fn auditor_for(scheduler: &str, nodes: usize) -> Auditor {
 /// Runs RIPS with an explicit configuration (ablation support), via a
 /// registry tuned to that configuration.
 pub fn run_rips_with(workload: &Arc<Workload>, nodes: usize, cfg: RipsConfig, seed: u64) -> Row {
-    let reg = registry_with(RegistryTuning {
-        rips: cfg,
-        ..RegistryTuning::default()
-    });
+    let reg = registry_with(RegistryTuning { rips: cfg });
     run_cell(&reg, "RIPS", workload, nodes, 0.4, seed)
 }
 

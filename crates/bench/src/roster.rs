@@ -10,8 +10,8 @@
 use std::sync::Arc;
 
 use rips_core::{
-    gradient, gradient_policy, random_policy, rid_policy, rips, sid_policy, GradientParams,
-    Machine, RidParams, RipsConfig, RipsFleet,
+    gradient, gradient_policy, random_policy, rid_policy, rips, sid_policy, Machine, RipsConfig,
+    RipsFleet,
 };
 use rips_live::{run_live, LiveOpts, LiveOutcome};
 use rips_runtime::{run_policy, BalancerPolicy, Costs, RunSpec, ScheduledRun};
@@ -58,15 +58,10 @@ pub(crate) const ROSTER: &[Row] = &[
     ("Random", |c| {
         Box::new(Nodes(c.topo(), |_: &dyn Topology, me| random_policy(me)))
     }),
-    ("Gradient", |c| {
-        Box::new(Gradient(c.topo(), c.tuning.gradient))
-    }),
+    ("Gradient", |c| Box::new(Gradient(c.topo()))),
     ("RID", |c| {
-        let params = RidParams {
-            u: c.rid_u,
-            ..c.tuning.rid
-        };
-        let make = move |t: &dyn Topology, me| rid_policy(t, me, params);
+        let u = c.rid_u;
+        let make = move |t: &dyn Topology, me| rid_policy(t, me, u);
         Box::new(Nodes(c.topo(), make))
     }),
     ("RIPS", |c| {
@@ -75,11 +70,7 @@ pub(crate) const ROSTER: &[Row] = &[
     ("RIPS-H", |c| {
         Box::new(Rips(c.tuning.rips, Machine::MeshHier(c.mesh())))
     }),
-    ("SID", |c| {
-        let params = c.tuning.sid;
-        let make = move |t: &dyn Topology, me| sid_policy(t, me, params);
-        Box::new(Nodes(c.topo(), make))
-    }),
+    ("SID", |c| Box::new(Nodes(c.topo(), sid_policy))),
 ];
 
 /// Policies that share nothing between nodes: the topology and the
@@ -113,21 +104,19 @@ where
 /// The gradient model. On the simulator it goes through [`gradient`],
 /// which refuses a zero-latency network (the model does not converge
 /// on one); real threads cannot have one.
-struct Gradient(Arc<dyn Topology>, GradientParams);
+struct Gradient(Arc<dyn Topology>);
 
 impl Fleet for Gradient {
     fn on_desim(self: Box<Self>, s: &RunSpec) -> ScheduledRun {
         let workload = Arc::clone(&s.workload);
         ScheduledRun {
-            outcome: gradient(workload, self.0, s.latency, s.costs, s.seed, self.1),
+            outcome: gradient(workload, self.0, s.latency, s.costs, s.seed),
             phases: Vec::new(),
         }
     }
 
     fn on_live(self: Box<Self>, workload: Arc<Workload>, seed: u64, opts: LiveOpts) -> LiveOutcome {
-        let Gradient(topo, params) = *self;
-        let make = move |t: &dyn Topology, me| gradient_policy(t, me, params);
-        Box::new(Nodes(topo, make)).on_live(workload, seed, opts)
+        Box::new(Nodes(self.0, gradient_policy)).on_live(workload, seed, opts)
     }
 }
 

@@ -92,7 +92,6 @@ fn cell(nodes: usize, scheduler: &str, tasks_per_node: usize, seed: u64) -> Stri
             eureka: true,
             ..RipsConfig::default()
         },
-        ..RegistryTuning::default()
     });
     let t0 = Instant::now();
     let (auditor, row) = with_sink(auditor_for(scheduler, nodes), || {

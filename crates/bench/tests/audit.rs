@@ -1,4 +1,4 @@
-//! The invariant [`Auditor`] across the whole golden roster, plus the
+//! The invariant [`Auditor`](rips_audit::Auditor) across the whole golden roster, plus the
 //! workspace-wide rips-lint gate.
 //!
 //! Three guarantees ride here:
@@ -19,24 +19,10 @@
 use std::sync::Arc;
 
 use rips_apps::{nqueens, NQueensConfig};
-use rips_audit::{lint_workspace, Auditor};
-use rips_bench::{registry, run_cell, run_scheduler};
-use rips_sched::TileGrid;
+use rips_audit::lint_workspace;
+use rips_bench::{auditor_for, registry, run_cell, run_scheduler};
 use rips_taskgraph::{geometric_tree, Workload};
-use rips_topology::Mesh2D;
 use rips_trace::{with_sink, EventKind, Tee, TraceBuffer};
-
-/// The auditor matching a scheduler's planning mode: RIPS-H gets the
-/// tiling-aware auditor (per-tile Theorem 1, Lemma 1 as a lower
-/// bound), everything else the flat one.
-fn auditor_for(sched: &str, nodes: usize) -> Auditor {
-    if sched == "RIPS-H" {
-        let mesh = Mesh2D::near_square(nodes);
-        Auditor::with_tiles(nodes, TileGrid::new(&mesh).assignment())
-    } else {
-        Auditor::new(nodes)
-    }
-}
 
 /// Migration batches a recorded run sent.
 fn migration_batches(buf: &TraceBuffer) -> usize {
@@ -143,7 +129,6 @@ fn audit_records_do_not_grow_with_tasks() {
             eureka: true,
             ..Default::default()
         },
-        ..Default::default()
     });
     let w = Arc::new(rips_taskgraph::skewed_flat(4 * n, 2_000, 64, 20, 1));
     let (Tee(buf, auditor), row) =

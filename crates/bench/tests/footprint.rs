@@ -33,9 +33,9 @@ fn node_drivers_stay_within_their_byte_budgets() {
     // draws from: the engine keeps none per node.
     let roster = [
         ("Random", size_of::<NodeDriver<RandomPolicy>>(), 80 + 32 + 8),
-        ("Gradient", size_of::<NodeDriver<GradientPolicy>>(), 160 + 8),
-        ("RID", size_of::<NodeDriver<RidPolicy>>(), 176 + 8),
-        ("SID", size_of::<NodeDriver<SidPolicy>>(), 168 + 8),
+        ("Gradient", size_of::<NodeDriver<GradientPolicy>>(), 144 + 8),
+        ("RID", size_of::<NodeDriver<RidPolicy>>(), 152 + 8),
+        ("SID", size_of::<NodeDriver<SidPolicy>>(), 136 + 8),
         ("RIPS", size_of::<NodeDriver<RipsPolicy>>(), 120 + 8),
     ];
     for (name, bytes, budget) in roster {
@@ -55,7 +55,6 @@ fn rips_cell_node_state_stays_within_its_byte_budget() {
             eureka: true,
             ..RipsConfig::default()
         },
-        ..RegistryTuning::default()
     });
     let row = run_cell(&reg, "RIPS", &workload, n, 0.4, 1);
     // The driver plus the engine's own per-node arrays (ready time 8,

@@ -160,10 +160,7 @@ fn run_mode(
         global,
         ..RipsConfig::default()
     };
-    let reg = registry_with(RegistryTuning {
-        rips,
-        ..RegistryTuning::default()
-    });
+    let reg = registry_with(RegistryTuning { rips });
     [(queens9(), 8, 1), (tree(), 9, 3)]
         .into_iter()
         .map(move |(w, nodes, seed)| {

@@ -179,7 +179,6 @@ fn rips_h_runs_live_under_the_all_policy() {
             global: GlobalPolicy::All,
             ..RipsConfig::default()
         },
-        ..RegistryTuning::default()
     };
     let opts = live_opts(&t, GrainMode::Compute, 0.0);
     let out = live_run_with(tuning, "RIPS-H", &w, 4, 0.4, 42, opts);

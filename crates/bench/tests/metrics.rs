@@ -138,7 +138,6 @@ fn broadcasts_do_not_grow_the_event_heap() {
             eureka: true,
             ..Default::default()
         },
-        ..Default::default()
     });
     let metrics = MetricsRegistry::new(n);
     let row = with_metrics(&metrics, || run_cell(&reg, "RIPS", &w, n, 0.4, 1));

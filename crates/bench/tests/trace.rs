@@ -115,10 +115,7 @@ fn rips_mode(local: LocalPolicy, global: GlobalPolicy) -> rips_runtime::Schedule
         global,
         ..RipsConfig::default()
     };
-    registry_with(RegistryTuning {
-        rips,
-        ..RegistryTuning::default()
-    })
+    registry_with(RegistryTuning { rips })
 }
 
 /// The roster runs RIPS only as ANY-Lazy; the phase report relies on

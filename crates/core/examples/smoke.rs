@@ -58,7 +58,6 @@ fn main() {
                 LatencyModel::paragon(),
                 Costs::default(),
                 1,
-                Default::default(),
             ),
             _ => rips_core::rid(
                 Arc::clone(&w),
@@ -66,7 +65,7 @@ fn main() {
                 LatencyModel::paragon(),
                 Costs::default(),
                 1,
-                Default::default(),
+                rips_core::RID_U,
             ),
         };
         println!(

@@ -48,8 +48,7 @@ pub(crate) struct LoadTable {
 
 impl LoadTable {
     /// Node `me`'s table on `topo`, every neighbour presumed idle.
-    pub(crate) fn new(topo: &dyn Topology, me: NodeId, u: f64) -> Self {
-        assert!((0.0..1.0).contains(&u), "update factor must be in [0,1)");
+    pub(crate) fn new(topo: &dyn Topology, me: NodeId) -> Self {
         let neighbors = topo.neighbors(me);
         LoadTable {
             loads: vec![0; neighbors.len()],

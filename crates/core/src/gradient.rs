@@ -25,25 +25,13 @@ use crate::common::{keep_local, nb_index, take_newest};
 /// Timer tag for the coalesced proximity notification.
 const TAG_NOTIFY: u64 = TAG_POLICY_BASE;
 
-/// Tuning knobs for the gradient model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GradientParams {
-    /// A node pushes tasks away while its queue is longer than this.
-    pub high_mark: i64,
-    /// Proximity changes are batched and sent to neighbours at most
-    /// once per this interval (µs) — the gradient surface is always a
-    /// little stale, which is intrinsic to the model.
-    pub update_interval_us: u64,
-}
+/// A node pushes tasks away while its queue is longer than this.
+const HIGH_MARK: i64 = 1;
 
-impl Default for GradientParams {
-    fn default() -> Self {
-        GradientParams {
-            high_mark: 1,
-            update_interval_us: 150,
-        }
-    }
-}
+/// Proximity changes are batched and sent to neighbours at most once
+/// per this interval (µs) — the gradient surface is always a little
+/// stale, which is intrinsic to the model.
+const UPDATE_INTERVAL_US: u64 = 150;
 
 /// Gradient-model policy messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,7 +42,6 @@ pub enum GradientMsg {
 
 /// The gradient model as a [`BalancerPolicy`].
 pub struct GradientPolicy {
-    params: GradientParams,
     neighbors: Vec<NodeId>,
     nb_prox: Vec<u32>,
     /// Last proximity actually sent to neighbours.
@@ -88,10 +75,10 @@ impl GradientPolicy {
         ctx: &mut impl ExecCtx<KernelMsg<GradientMsg>>,
     ) {
         let must_advertise = self.advertised != Some(self.proximity(k));
-        let can_push = k.load() > self.params.high_mark && self.min_nb_prox() < self.cap;
+        let can_push = k.load() > HIGH_MARK && self.min_nb_prox() < self.cap;
         if (must_advertise || can_push) && !self.notify_pending {
             self.notify_pending = true;
-            ctx.set_timer(self.params.update_interval_us, TAG_NOTIFY);
+            ctx.set_timer(UPDATE_INTERVAL_US, TAG_NOTIFY);
         }
     }
 
@@ -118,7 +105,7 @@ impl GradientPolicy {
     /// Pushes one task downhill if overloaded and an idle node is
     /// known somewhere.
     fn push_one(&mut self, k: &mut Kernel, ctx: &mut impl ExecCtx<KernelMsg<GradientMsg>>) {
-        if k.load() <= self.params.high_mark || self.min_nb_prox() >= self.cap {
+        if k.load() <= HIGH_MARK || self.min_nb_prox() >= self.cap {
             return;
         }
         let target_idx = (0..self.neighbors.len())
@@ -207,23 +194,21 @@ pub fn gradient(
     latency: LatencyModel,
     costs: Costs,
     seed: u64,
-    params: GradientParams,
 ) -> RunOutcome {
     assert!(
         latency.alpha_us > 0 || latency.per_hop_us > 0,
         "gradient model needs nonzero message latency to converge"
     );
     let shared = Arc::clone(&topo);
-    let make = move |me| gradient_policy(shared.as_ref(), me, params);
+    let make = move |me| gradient_policy(shared.as_ref(), me);
     run_policy(workload, topo, latency, costs, seed, make).0
 }
 
 /// Node `me`'s gradient-model policy instance on `topo`.
-pub fn gradient_policy(topo: &dyn Topology, me: NodeId, params: GradientParams) -> GradientPolicy {
+pub fn gradient_policy(topo: &dyn Topology, me: NodeId) -> GradientPolicy {
     let cap = topo.diameter() as u32 + 1;
     let neighbors = topo.neighbors(me);
     GradientPolicy {
-        params,
         nb_prox: vec![cap; neighbors.len()],
         neighbors,
         advertised: None,

@@ -45,12 +45,12 @@ mod random;
 mod rid;
 mod sid;
 
-pub use gradient::{gradient, gradient_policy, GradientParams, GradientPolicy};
+pub use gradient::{gradient, gradient_policy, GradientPolicy};
 pub use program::{
     rips, GlobalPolicy, LoadMetric, LocalPolicy, Machine, RipsConfig, RipsFleet, RipsOutcome,
     RipsPolicy,
 };
 pub use random::{random, random_policy, RandomPolicy};
-pub use rid::{rid, rid_policy, RidParams, RidPolicy};
+pub use rid::{rid, rid_policy, RidPolicy, RID_U};
 pub use rips_runtime::PhaseLog;
-pub use sid::{sid, sid_policy, SidParams, SidPolicy};
+pub use sid::{sid, sid_policy, SidPolicy};

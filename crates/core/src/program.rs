@@ -77,9 +77,6 @@ pub struct RipsConfig {
     pub local: LocalPolicy,
     /// Global transfer policy.
     pub global: GlobalPolicy,
-    /// Per-node CPU charged per communication step of the parallel
-    /// scheduling algorithm (µs).
-    pub plan_cpu_per_step_us: Time,
     /// Use hardware or-barrier signalling ("the eureka mode in Cray
     /// T3D") for the ANY policy's init broadcast: the initiator pays no
     /// per-recipient CPU, the signal carries no payload, and re-asserts
@@ -110,7 +107,6 @@ impl Default for RipsConfig {
         RipsConfig {
             local: LocalPolicy::Lazy,
             global: GlobalPolicy::Any,
-            plan_cpu_per_step_us: 25,
             eureka: false,
             metric: LoadMetric::TaskCount,
             min_phase_gap_us: 0,
@@ -196,6 +192,10 @@ pub enum RipsCtl {
 const TAG_PLAN: u64 = TAG_POLICY_BASE;
 const TAG_POLL: u64 = TAG_POLICY_BASE + 2;
 const TAG_RECHECK: u64 = TAG_POLICY_BASE + 3;
+
+/// Per-node CPU charged per communication step of the parallel
+/// scheduling algorithm (µs).
+const PLAN_CPU_PER_STEP_US: Time = 25;
 
 /// What one engine's policies share: the run's RIPS constants, stored
 /// once, and the rendezvous state. Nothing here is written per task —
@@ -652,7 +652,7 @@ impl RipsPolicy {
         debug_assert_eq!(self.phase_index, p);
         // Per-node share of the collective algorithm's CPU.
         ctx.compute(
-            self.shared.machine.steps() as Time * self.shared.cfg.plan_cpu_per_step_us,
+            self.shared.machine.steps() as Time * PLAN_CPU_PER_STEP_US,
             WorkKind::Overhead,
         );
         if k.oracle.tel.wants(EventKind::Stage) {

@@ -22,36 +22,26 @@ use crate::common::{keep_local, take_newest, LoadTable};
 /// Timer tag for the outstanding-request timeout.
 const TAG_REQ_TIMEOUT: u64 = TAG_POLICY_BASE + 1;
 
-/// RID tuning parameters (paper §5).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RidParams {
-    /// Request threshold: ask for work when `load < l_low`.
-    pub l_low: i64,
-    /// Donation floor: donors keep at least this much.
-    pub l_threshold: i64,
-    /// Load-information update factor; larger ⇒ more frequent
-    /// broadcasts (the paper found 0.9 too chatty and settled on 0.4,
-    /// raising it to 0.7 for IDA\* on large machines).
-    pub u: f64,
-    /// How long a requester waits for donations before it may ask
-    /// again. Refusals are silent (a donor with nothing to spare sends
-    /// nothing), so a node begging stale-loaded neighbours simply idles
-    /// out the timeout — the lightly-loaded weakness of
-    /// receiver-initiated schemes the paper leans on for its IDA\*
-    /// comparison.
-    pub request_timeout_us: u64,
-}
+/// Request threshold `L_LOW` (paper §5): ask for work when
+/// `load < L_LOW`.
+const L_LOW: i64 = 2;
 
-impl Default for RidParams {
-    fn default() -> Self {
-        RidParams {
-            l_low: 2,
-            l_threshold: 1,
-            u: 0.4,
-            request_timeout_us: 10_000,
-        }
-    }
-}
+/// Donation floor `L_threshold` (paper §5): donors keep at least this
+/// much.
+const L_THRESHOLD: i64 = 1;
+
+/// How long a requester waits for donations before it may ask again
+/// (µs). Refusals are silent (a donor with nothing to spare sends
+/// nothing), so a node begging stale-loaded neighbours simply idles out
+/// the timeout — the lightly-loaded weakness of receiver-initiated
+/// schemes the paper leans on for its IDA\* comparison.
+const REQUEST_TIMEOUT_US: u64 = 10_000;
+
+/// The paper's load-information update factor `u`; larger ⇒ more
+/// frequent broadcasts. The paper found 0.9 too chatty and settled on
+/// 0.4, raising it to 0.7 for IDA\* on large machines — so `u` is the
+/// one RID setting a run passes in ([`rid`], [`rid_policy`]).
+pub const RID_U: f64 = 0.4;
 
 /// RID policy messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,7 +54,8 @@ pub enum RidMsg {
 
 /// Receiver-initiated diffusion as a [`BalancerPolicy`].
 pub struct RidPolicy {
-    params: RidParams,
+    /// Load-information update factor, see [`RID_U`].
+    u: f64,
     table: LoadTable,
     /// Outstanding request replies; wait for all of them (each reply
     /// is a `Tasks` message, possibly empty) before asking again.
@@ -73,8 +64,7 @@ pub struct RidPolicy {
 
 impl RidPolicy {
     fn maybe_broadcast(&mut self, k: &Kernel, ctx: &mut impl ExecCtx<KernelMsg<RidMsg>>) {
-        self.table
-            .maybe_broadcast(self.params.u, k, ctx, RidMsg::LoadInfo);
+        self.table.maybe_broadcast(self.u, k, ctx, RidMsg::LoadInfo);
     }
 
     /// Requests work when underloaded: the deficit to the neighbourhood
@@ -83,7 +73,7 @@ impl RidPolicy {
     /// & Reeves' RID.
     fn maybe_request(&mut self, k: &mut Kernel, ctx: &mut impl ExecCtx<KernelMsg<RidMsg>>) {
         let t = &self.table;
-        if self.pending_replies > 0 || k.load() >= self.params.l_low || t.neighbors.is_empty() {
+        if self.pending_replies > 0 || k.load() >= L_LOW || t.neighbors.is_empty() {
             return;
         }
         let load = k.load();
@@ -92,7 +82,7 @@ impl RidPolicy {
         let excess: Vec<i64> = t
             .loads
             .iter()
-            .map(|&l| (l - avg.max(self.params.l_threshold)).max(0))
+            .map(|&l| (l - avg.max(L_THRESHOLD)).max(0))
             .collect();
         let total_excess: i64 = excess.iter().sum();
         if total_excess == 0 {
@@ -111,11 +101,11 @@ impl RidPolicy {
             );
         }
         if self.pending_replies > 0 {
-            ctx.set_timer(self.params.request_timeout_us, TAG_REQ_TIMEOUT);
+            ctx.set_timer(REQUEST_TIMEOUT_US, TAG_REQ_TIMEOUT);
         }
     }
 
-    /// Donates up to `amount` tasks, keeping `l_threshold` for itself.
+    /// Donates up to `amount` tasks, keeping `L_THRESHOLD` for itself.
     /// A donor with nothing to spare stays silent — the requester finds
     /// out by timing out.
     fn donate(
@@ -125,7 +115,7 @@ impl RidPolicy {
         to: NodeId,
         amount: i64,
     ) {
-        let surplus = (k.load() - self.params.l_threshold).max(0);
+        let surplus = (k.load() - L_THRESHOLD).max(0);
         let give = surplus.min(amount).min(k.exec.queue.len() as i64);
         if give == 0 {
             return;
@@ -224,18 +214,20 @@ pub fn rid(
     latency: LatencyModel,
     costs: Costs,
     seed: u64,
-    params: RidParams,
+    u: f64,
 ) -> RunOutcome {
     let shared = Arc::clone(&topo);
-    let make = move |me| rid_policy(shared.as_ref(), me, params);
+    let make = move |me| rid_policy(shared.as_ref(), me, u);
     run_policy(workload, topo, latency, costs, seed, make).0
 }
 
-/// Node `me`'s receiver-initiated-diffusion policy instance on `topo`.
-pub fn rid_policy(topo: &dyn Topology, me: NodeId, params: RidParams) -> RidPolicy {
+/// Node `me`'s receiver-initiated-diffusion policy instance on `topo`,
+/// broadcasting its load by update factor `u`.
+pub fn rid_policy(topo: &dyn Topology, me: NodeId, u: f64) -> RidPolicy {
+    assert!((0.0..1.0).contains(&u), "update factor must be in [0,1)");
     RidPolicy {
-        params,
-        table: LoadTable::new(topo, me, params.u),
+        u,
+        table: LoadTable::new(topo, me),
         pending_replies: 0,
     }
 }

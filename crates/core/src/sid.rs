@@ -3,7 +3,8 @@
 //! algorithm and receiver-initiated algorithm", §4).
 //!
 //! Overloaded nodes push work to their least-loaded known neighbour;
-//! load information diffuses with the same update-factor rule as RID.
+//! load information diffuses with the same update-factor rule as RID,
+//! at the paper's `u` ([`RID_U`]).
 //! The classic result — senders win under light load (work spreads
 //! without anyone having to beg), receivers win under heavy load
 //! (pushes then chase moving targets) — is measured by the
@@ -19,32 +20,17 @@ use rips_taskgraph::Workload;
 use rips_topology::{NodeId, Topology};
 
 use crate::common::{keep_local, take_newest, LoadTable};
+use crate::rid::RID_U;
 
-/// SID tuning parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SidParams {
-    /// Push work away while `load > l_high`.
-    pub l_high: i64,
-    /// Never push below this floor of own load.
-    pub l_threshold: i64,
-    /// Minimum pairwise difference before a push fires — the
-    /// hysteresis that keeps stale load tables from causing task
-    /// hot-potato storms.
-    pub min_diff: i64,
-    /// Load-information update factor, as in RID.
-    pub u: f64,
-}
+/// Push work away while `load > L_HIGH`.
+const L_HIGH: i64 = 2;
 
-impl Default for SidParams {
-    fn default() -> Self {
-        SidParams {
-            l_high: 2,
-            l_threshold: 1,
-            min_diff: 4,
-            u: 0.4,
-        }
-    }
-}
+/// Never push below this floor of own load.
+const L_THRESHOLD: i64 = 1;
+
+/// Minimum pairwise difference before a push fires — the hysteresis
+/// that keeps stale load tables from causing task hot-potato storms.
+const MIN_DIFF: i64 = 4;
 
 /// SID policy messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,21 +41,19 @@ pub enum SidMsg {
 
 /// Sender-initiated diffusion as a [`BalancerPolicy`].
 pub struct SidPolicy {
-    params: SidParams,
     table: LoadTable,
 }
 
 impl SidPolicy {
     fn maybe_broadcast(&mut self, k: &Kernel, ctx: &mut impl ExecCtx<KernelMsg<SidMsg>>) {
-        self.table
-            .maybe_broadcast(self.params.u, k, ctx, SidMsg::LoadInfo);
+        self.table.maybe_broadcast(RID_U, k, ctx, SidMsg::LoadInfo);
     }
 
     /// Pushes surplus to the least-loaded known neighbour when
     /// overloaded: half the pairwise difference, keeping at least
-    /// `l_threshold` for ourselves.
+    /// `L_THRESHOLD` for ourselves.
     fn maybe_push(&mut self, k: &mut Kernel, ctx: &mut impl ExecCtx<KernelMsg<SidMsg>>) {
-        if k.load() <= self.params.l_high || self.table.neighbors.is_empty() {
+        if k.load() <= L_HIGH || self.table.neighbors.is_empty() {
             return;
         }
         let (idx, &least) = self
@@ -80,11 +64,11 @@ impl SidPolicy {
             .min_by_key(|&(i, &l)| (l, i))
             .expect("nonempty neighbours");
         let mine = k.load();
-        if mine - least < self.params.min_diff {
+        if mine - least < MIN_DIFF {
             return; // not worth moving on possibly-stale information
         }
         let give = ((mine - least) / 2)
-            .min(mine - self.params.l_threshold)
+            .min(mine - L_THRESHOLD)
             .min(k.exec.queue.len() as i64);
         if give <= 0 {
             return;
@@ -171,17 +155,15 @@ pub fn sid(
     latency: LatencyModel,
     costs: Costs,
     seed: u64,
-    params: SidParams,
 ) -> RunOutcome {
     let shared = Arc::clone(&topo);
-    let make = move |me| sid_policy(shared.as_ref(), me, params);
+    let make = move |me| sid_policy(shared.as_ref(), me);
     run_policy(workload, topo, latency, costs, seed, make).0
 }
 
 /// Node `me`'s sender-initiated-diffusion policy instance on `topo`.
-pub fn sid_policy(topo: &dyn Topology, me: NodeId, params: SidParams) -> SidPolicy {
+pub fn sid_policy(topo: &dyn Topology, me: NodeId) -> SidPolicy {
     SidPolicy {
-        params,
-        table: LoadTable::new(topo, me, params.u),
+        table: LoadTable::new(topo, me),
     }
 }

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use rips_core::{gradient, random, rid, GradientParams, RidParams};
+use rips_core::{gradient, random, rid, RID_U};
 use rips_desim::LatencyModel;
 use rips_runtime::{Costs, RunOutcome};
 use rips_taskgraph::{flat_uniform, geometric_tree, skewed_flat, Workload};
@@ -19,22 +19,8 @@ fn run_all(w: &Arc<Workload>, nodes: usize, seed: u64) -> [RunOutcome; 3] {
     let lat = LatencyModel::paragon();
     [
         random(Arc::clone(w), mesh(nodes), lat, costs, seed),
-        gradient(
-            Arc::clone(w),
-            mesh(nodes),
-            lat,
-            costs,
-            seed,
-            GradientParams::default(),
-        ),
-        rid(
-            Arc::clone(w),
-            mesh(nodes),
-            lat,
-            costs,
-            seed,
-            RidParams::default(),
-        ),
+        gradient(Arc::clone(w), mesh(nodes), lat, costs, seed),
+        rid(Arc::clone(w), mesh(nodes), lat, costs, seed, RID_U),
     ]
 }
 
@@ -154,7 +140,7 @@ fn rid_balances_imbalanced_load() {
         LatencyModel::paragon(),
         Costs::default(),
         3,
-        RidParams::default(),
+        RID_U,
     );
     out.verify_complete(&w).unwrap();
     assert!(out.nonlocal > 10, "RID moved too little: {}", out.nonlocal);
@@ -181,7 +167,7 @@ fn gradient_pays_control_traffic_per_task_moved() {
 
 #[test]
 fn sid_completes_and_balances() {
-    use rips_core::{sid, SidParams};
+    use rips_core::sid;
     let w = Arc::new(skewed_flat(400, 1000, 4, 10, 8));
     let out = sid(
         Arc::clone(&w),
@@ -189,7 +175,6 @@ fn sid_completes_and_balances() {
         LatencyModel::paragon(),
         Costs::default(),
         3,
-        SidParams::default(),
     );
     out.verify_complete(&w).unwrap();
     assert!(out.nonlocal > 0, "SID never moved a task");
@@ -198,7 +183,7 @@ fn sid_completes_and_balances() {
 
 #[test]
 fn sid_handles_dynamic_generation_and_rounds() {
-    use rips_core::{sid, SidParams};
+    use rips_core::sid;
     let w = Arc::new(Workload {
         name: "rounds".into(),
         rounds: vec![
@@ -212,7 +197,6 @@ fn sid_handles_dynamic_generation_and_rounds() {
         LatencyModel::paragon(),
         Costs::default(),
         5,
-        SidParams::default(),
     );
     out.verify_complete(&w).unwrap();
 }
@@ -226,7 +210,7 @@ fn sid_handles_dynamic_generation_and_rounds() {
 /// which the next `RoundStart` seeds again.
 #[test]
 fn late_round_start_seeds_the_round_it_names() {
-    use rips_core::{sid, SidParams};
+    use rips_core::sid;
     use rips_topology::Hypercube;
     let dim = 7;
     let nodes = 1 << dim;
@@ -243,25 +227,9 @@ fn late_round_start_seeds_the_round_it_names() {
     let (lat, costs) = (LatencyModel::paragon(), Costs::default());
     let runs = [
         ("Random", random(Arc::clone(&w), cube(), lat, costs, 3)),
-        (
-            "Gradient",
-            gradient(
-                Arc::clone(&w),
-                cube(),
-                lat,
-                costs,
-                3,
-                GradientParams::default(),
-            ),
-        ),
-        (
-            "RID",
-            rid(Arc::clone(&w), cube(), lat, costs, 3, RidParams::default()),
-        ),
-        (
-            "SID",
-            sid(Arc::clone(&w), cube(), lat, costs, 3, SidParams::default()),
-        ),
+        ("Gradient", gradient(Arc::clone(&w), cube(), lat, costs, 3)),
+        ("RID", rid(Arc::clone(&w), cube(), lat, costs, 3, RID_U)),
+        ("SID", sid(Arc::clone(&w), cube(), lat, costs, 3)),
     ];
     for (name, out) in runs {
         out.verify_complete(&w)

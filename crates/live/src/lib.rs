@@ -23,9 +23,8 @@
 //!   [`Packet`] per touched edge when the handler returns;
 //! * **sharded SPSC rings** ([`ring`]): each directed edge has its own
 //!   lock-free ring with park/unpark wakeups ([`transport`]);
-//! * **a hashed timer wheel** ([`wheel::TimerWheel`]) per node thread,
-//!   checked only at dispatch boundaries — delay-0 EXEC self-kicks
-//!   never touch the clock or a heap;
+//! * **per-node timers** ([`wheel::TimerWheel`], one `(deadline, seq)`
+//!   heap), looked at only when the node's fabric is empty;
 //! * **snapshot reads** for shared state: the grain table and hop
 //!   tables are immutable `Arc`s and the [`Oracle`]'s round counters
 //!   are plain atomics — no locks on the per-task path. (RIPS's load

@@ -1,170 +1,64 @@
-//! Hashed timer wheel for live node threads.
+//! Per-node timers for live node threads.
 //!
-//! The old live backend kept pending timers in a `BinaryHeap` and
-//! derived a `recv_timeout` for every blocking wait — which meant a
-//! heap peek plus a clock read plus a syscall-backed timed wait on
-//! *every* loop iteration, even when the node was saturated with work.
-//! The wheel inverts that cost model for the hot path:
-//!
-//! * **delay-0 timers** (the EXEC self-kick that drives every task
-//!   execution) never touch the wheel or the clock at all — they go
-//!   into a plain FIFO and are popped O(1) at the next dispatch
-//!   boundary;
-//! * **real delays** (round barriers, RIPS polling) hash into one of
-//!   [`WHEEL_SLOTS`] buckets by `deadline >> GRAN_SHIFT`; the wheel is
-//!   only advanced when the node actually reaches a dispatch boundary,
-//!   so an arbitrarily busy node pays nothing for pending timers;
-//! * the expensive full scan ([`TimerWheel::next_deadline`]) runs only
-//!   when the node is about to go idle and needs a park timeout.
-//!
-//! Entries whose deadline lands a full lap (or more) ahead stay in
-//! their bucket across intermediate visits: each entry carries its
-//! absolute deadline and is only released once the cursor's tick
-//! reaches it. Ties fire in arming order via a per-wheel sequence
-//! number, matching the old heap's `(deadline, seq)` order.
+//! A node loop looks at its timers only when its inbound fabric is
+//! empty, so a node busy with packets pays nothing for them. The
+//! timers a node holds at once are few (the delay-0 EXEC self-kick,
+//! a round barrier, a policy's poll or timeout), so they sit in one
+//! binary heap keyed by `(deadline, seq)`: ties fire in arming order,
+//! and a delay-0 timer is just an entry whose deadline is its arming
+//! time. [`TimerWheel::next_deadline`], the park timeout, is a peek.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use rips_desim::Time;
-use std::collections::VecDeque;
-
-/// Timer granularity as a power of two: 2^6 = 64 µs per tick.
-pub const GRAN_SHIFT: u32 = 6;
-/// Number of hash buckets; one lap covers 256 * 64 µs ≈ 16.4 ms.
-pub const WHEEL_SLOTS: usize = 256;
 
 type Entry = (Time, u64, u64); // (absolute deadline µs, seq, tag)
 
-/// Per-node timer wheel. Single-threaded; owned by the node loop.
+/// Per-node timers, fired in `(deadline, seq)` order. Single-threaded;
+/// owned by the node loop.
 pub struct TimerWheel {
-    /// Delay-0 timers, fired FIFO ahead of anything later.
-    immediate: VecDeque<Entry>,
-    /// Hash buckets keyed by `(deadline >> GRAN_SHIFT) % WHEEL_SLOTS`.
-    slots: Vec<Vec<Entry>>,
-    /// Entries already released from their bucket, sorted by
-    /// `(deadline, seq)`, waiting for `now` to catch up.
-    due: VecDeque<Entry>,
-    /// Last tick (`now >> GRAN_SHIFT`) the cursor has swept through.
-    tick: u64,
-    /// Number of entries still parked in `slots`.
-    in_slots: usize,
+    heap: BinaryHeap<Reverse<Entry>>,
     /// Arm-order tiebreaker.
     seq: u64,
 }
 
 impl TimerWheel {
-    /// Creates a wheel whose cursor starts at `now`.
-    pub fn new(now: Time) -> Self {
+    /// Creates an empty set of timers. Deadlines are absolute, so the
+    /// start time `_now` needs no recording.
+    pub fn new(_now: Time) -> Self {
         TimerWheel {
-            immediate: VecDeque::new(),
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            due: VecDeque::new(),
-            tick: now >> GRAN_SHIFT,
-            in_slots: 0,
+            heap: BinaryHeap::new(),
             seq: 0,
         }
     }
 
     /// Arms `tag` to fire `delay_us` after `now`.
     pub fn set(&mut self, now: Time, delay_us: u64, tag: u64) {
-        let seq = self.seq;
+        self.heap.push(Reverse((now + delay_us, self.seq, tag)));
         self.seq += 1;
-        if delay_us == 0 {
-            self.immediate.push_back((now, seq, tag));
-            return;
-        }
-        let deadline = now + delay_us;
-        let tick = deadline >> GRAN_SHIFT;
-        if tick <= self.tick {
-            // Lands in a tick the cursor already swept: straight to due.
-            self.insert_due((deadline, seq, tag));
-        } else {
-            self.slots[(tick % WHEEL_SLOTS as u64) as usize].push((deadline, seq, tag));
-            self.in_slots += 1;
-        }
     }
 
-    fn insert_due(&mut self, e: Entry) {
-        let at = self
-            .due
-            .binary_search_by_key(&(e.0, e.1), |d| (d.0, d.1))
-            .unwrap_or_else(|i| i);
-        self.due.insert(at, e);
-    }
-
-    /// Sweeps the cursor forward to `now`, releasing matured buckets.
-    fn advance(&mut self, now: Time) {
-        let target = now >> GRAN_SHIFT;
-        if target <= self.tick || self.in_slots == 0 {
-            self.tick = self.tick.max(target);
-            return;
-        }
-        // Jumping more than a lap visits every bucket exactly once.
-        let steps = (target - self.tick).min(WHEEL_SLOTS as u64);
-        for i in 1..=steps {
-            let slot = ((self.tick + i) % WHEEL_SLOTS as u64) as usize;
-            let mut kept = 0;
-            for j in 0..self.slots[slot].len() {
-                let e = self.slots[slot][j];
-                if e.0 >> GRAN_SHIFT <= target {
-                    self.in_slots -= 1;
-                    self.insert_due(e);
-                } else {
-                    self.slots[slot][kept] = e;
-                    kept += 1;
-                }
-            }
-            self.slots[slot].truncate(kept);
-        }
-        self.tick = target;
-    }
-
-    /// Pops the tag of the earliest timer due at `now`, if any.
-    ///
-    /// Ordering matches the old heap: strictly by `(deadline, seq)`,
-    /// where a delay-0 timer's deadline is its arming time.
+    /// Pops the tag of the earliest timer due at `now`, if any:
+    /// strictly by `(deadline, seq)`, where a delay-0 timer's deadline
+    /// is its arming time.
     pub fn pop_due(&mut self, now: Time) -> Option<u64> {
-        self.advance(now);
-        let imm = self.immediate.front().copied();
-        let due = self.due.front().copied().filter(|e| e.0 <= now);
-        match (imm, due) {
-            (Some(a), Some(b)) => {
-                if (a.0, a.1) <= (b.0, b.1) {
-                    self.immediate.pop_front().map(|e| e.2)
-                } else {
-                    self.due.pop_front().map(|e| e.2)
-                }
-            }
-            (Some(_), None) => self.immediate.pop_front().map(|e| e.2),
-            (None, Some(_)) => self.due.pop_front().map(|e| e.2),
-            (None, None) => None,
+        let &Reverse((deadline, _, _)) = self.heap.peek()?;
+        if deadline > now {
+            return None;
         }
+        self.heap.pop().map(|Reverse(e)| e.2)
     }
 
     /// Earliest absolute deadline across all pending timers, or `None`
-    /// if nothing is armed. Scans the buckets, so call it only when
-    /// about to go idle.
+    /// if nothing is armed.
     pub fn next_deadline(&self) -> Option<Time> {
-        let mut best: Option<Time> = self
-            .immediate
-            .front()
-            .map(|e| e.0)
-            .into_iter()
-            .chain(self.due.front().map(|e| e.0))
-            .min();
-        if self.in_slots > 0 {
-            for slot in &self.slots {
-                for e in slot {
-                    if best.is_none_or(|b| e.0 < b) {
-                        best = Some(e.0);
-                    }
-                }
-            }
-        }
-        best
+        self.heap.peek().map(|Reverse(e)| e.0)
     }
 
     /// Total number of armed timers (for tests and diagnostics).
     pub fn pending(&self) -> usize {
-        self.immediate.len() + self.due.len() + self.in_slots
+        self.heap.len()
     }
 }
 
@@ -196,8 +90,7 @@ mod tests {
     #[test]
     fn earlier_deadline_beats_later_immediate() {
         // An expired delayed timer (deadline 90) must fire before a
-        // delay-0 timer armed later (deadline = arm time 100), same as
-        // the old (deadline, seq) heap order.
+        // delay-0 timer armed later (deadline = arm time 100).
         let mut w = TimerWheel::new(0);
         w.set(0, 90, 1);
         w.set(100, 0, 2);
@@ -207,9 +100,9 @@ mod tests {
 
     #[test]
     fn full_lap_deadline_does_not_fire_early() {
-        let lap = (WHEEL_SLOTS as u64) << GRAN_SHIFT;
+        // A deadline 16 ms past a near one waits for its own time.
+        let lap = 1 << 14;
         let mut w = TimerWheel::new(0);
-        // Lands in the same bucket as a near deadline, one lap later.
         w.set(0, 64, 1);
         w.set(0, 64 + lap, 2);
         assert_eq!(w.pop_due(64), Some(1));
@@ -236,52 +129,6 @@ mod tests {
         w.set(0, 100, 8);
         assert_eq!(w.pop_due(100), Some(7));
         assert_eq!(w.pop_due(100), Some(8));
-    }
-
-    #[test]
-    fn lap_wrap_at_slot_255_releases_and_keeps_across_the_seam() {
-        // The adversarial bucket: slot 255, the last before the cursor
-        // wraps to slot 0. Three timers hash there — one due this lap,
-        // one a full lap later, one two laps later — plus one in slot 0
-        // just across the seam. Sweeping the cursor over the wrap must
-        // release exactly the matured entry each lap and never drop or
-        // early-fire the laggards sharing the bucket.
-        let lap = (WHEEL_SLOTS as u64) << GRAN_SHIFT;
-        let slot255 = 255u64 << GRAN_SHIFT; // tick 255 → slot 255
-        let mut w = TimerWheel::new(0);
-        w.set(0, slot255, 1);
-        w.set(0, slot255 + lap, 2);
-        w.set(0, slot255 + 2 * lap, 3);
-        w.set(0, slot255 + (1 << GRAN_SHIFT), 4); // tick 256 → slot 0
-        assert_eq!(w.pending(), 4);
-        // Stop the cursor exactly on slot 255: only timer 1 matures.
-        assert_eq!(w.pop_due(slot255), Some(1));
-        assert_eq!(w.pop_due(slot255), None);
-        // One tick across the wrap: slot 0 releases timer 4; the
-        // laggards in slot 255 stay parked.
-        assert_eq!(w.pop_due(slot255 + (1 << GRAN_SHIFT)), Some(4));
-        assert_eq!(w.pop_due(lap + slot255 - 1), None, "one µs early");
-        assert_eq!(w.pop_due(lap + slot255), Some(2));
-        // A jump of several laps still only releases what matured.
-        assert_eq!(w.pop_due(2 * lap + slot255), Some(3));
-        assert_eq!(w.pop_due(u64::MAX >> 8), None);
-        assert_eq!(w.pending(), 0);
-    }
-
-    #[test]
-    fn cursor_parked_on_slot_255_accepts_next_lap_arms() {
-        // Arm while the cursor itself sits on slot 255: a delay that
-        // hashes back into slot 255 one lap ahead must wait a full lap,
-        // and a one-tick delay must land in slot 0, not fire at once.
-        let lap = (WHEEL_SLOTS as u64) << GRAN_SHIFT;
-        let slot255 = 255u64 << GRAN_SHIFT;
-        let mut w = TimerWheel::new(slot255);
-        w.set(slot255, lap, 5); // same slot, next lap
-        w.set(slot255, 1 << GRAN_SHIFT, 6); // slot 0, next tick
-        assert_eq!(w.pop_due(slot255), None);
-        assert_eq!(w.pop_due(slot255 + (1 << GRAN_SHIFT)), Some(6));
-        assert_eq!(w.pop_due(slot255 + lap - 1), None);
-        assert_eq!(w.pop_due(slot255 + lap), Some(5));
     }
 
     #[test]

@@ -13,9 +13,7 @@
 use std::sync::Arc;
 
 use rips_repro::apps::{nqueens, NQueensConfig};
-use rips_repro::core::{
-    gradient, random, rid, rips, GradientParams, Machine, RidParams, RipsConfig,
-};
+use rips_repro::core::{gradient, random, rid, rips, Machine, RipsConfig, RID_U};
 use rips_repro::desim::LatencyModel;
 use rips_repro::topology::{Mesh2D, Topology};
 use rips_runtime::{Costs, RunOutcome};
@@ -59,25 +57,11 @@ fn main() {
     );
     report(
         "Gradient",
-        gradient(
-            Arc::clone(&workload),
-            topo(),
-            lat,
-            costs,
-            1,
-            GradientParams::default(),
-        ),
+        gradient(Arc::clone(&workload), topo(), lat, costs, 1),
     );
     report(
         "RID",
-        rid(
-            Arc::clone(&workload),
-            topo(),
-            lat,
-            costs,
-            1,
-            RidParams::default(),
-        ),
+        rid(Arc::clone(&workload), topo(), lat, costs, 1, RID_U),
     );
     let out = rips(
         Arc::clone(&workload),

@@ -208,7 +208,6 @@ fn policy_tuning(args: &Args) -> RegistryTuning {
             global,
             ..RipsConfig::default()
         },
-        ..RegistryTuning::default()
     }
 }
 
@@ -329,7 +328,7 @@ const LIVE: Spec = &[
     SEED,
     POLICY,
     "--mode S=compute         grain mode: compute|timed",
-    "--timed-scale F=1.0      timed mode: modelled-duration multiplier",
+    "--timed-scale F=1.0      timed mode: modelled-duration multiplier, 0 to 1000",
     "--audit                  stream the live trace through the invariant auditor",
     "--trace-out S            write a Chrome trace-event JSON file",
     METRICS_OUT,
@@ -345,7 +344,7 @@ fn cmd_live(args: &Args) {
         "timed" => GrainMode::Timed,
         other => args.fail(&format!("unknown --mode '{other}' (compute|timed)")),
     };
-    let timed_scale: f64 = args.num("--timed-scale");
+    let timed_scale: f64 = args.num_in("--timed-scale", 0.0..=1000.0);
     let audit = args.switch("--audit");
     let trace_out = args.get("--trace-out");
 
@@ -773,8 +772,7 @@ const SERVE: Spec = &[
     "--threads N=2            OS threads (live)",
     "--tenants N=4            simulated tenants",
     "--jobs N=8               jobs per tenant",
-    "--mean-interarrival-us N per-tenant mean gap (50000; wins over --rate)",
-    "--rate F                 aggregate offered rate, jobs/s over all tenants",
+    "--mean-interarrival-us N=50000 per-tenant mean gap (µs)",
     "--process S=poisson      arrivals: poisson|bursty[:N]",
     "--max-pending N=64       admission bound, all tenants",
     "--quota N=16             admission bound per tenant",
@@ -800,18 +798,7 @@ fn cmd_serve(args: &Args) {
     let tenants: u32 = args.num("--tenants");
     let jobs: u32 = args.num("--jobs");
     let seed: u64 = args.num("--seed");
-    // `--rate` is the aggregate offered rate (jobs/s across all
-    // tenants); `--mean-interarrival-us` sets the per-tenant gap
-    // directly and wins when both are given.
-    let from_rate = || {
-        let rate = args.opt::<f64>("--rate").filter(|r| *r > 0.0)?;
-        Some((tenants as f64 * 1e6 / rate) as u64)
-    };
-    let mean_interarrival_us: u64 = args
-        .opt("--mean-interarrival-us")
-        .or_else(from_rate)
-        .unwrap_or(50_000)
-        .max(1);
+    let mean_interarrival_us: u64 = args.num_in("--mean-interarrival-us", 1..);
     let process = ArrivalProcess::parse(args.str("--process"))
         .unwrap_or_else(|| args.fail("--process must be poisson or bursty[:N]"));
     let cfg = ServeConfig {

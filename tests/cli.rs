@@ -65,7 +65,7 @@ live: --threads --seed --policy --mode --timed-scale --audit --trace-out --metri
 trace: --nodes --seed --policy --out --check
 report: --nodes --seed --policy --jsonl
 audit: --all --app --nodes --seed --policy
-serve: --backend --scheduler --nodes --threads --tenants --jobs --mean-interarrival-us --rate \
+serve: --backend --scheduler --nodes --threads --tenants --jobs --mean-interarrival-us \
        --process --max-pending --quota --quantum --seed --tiny --audit --json --out --metrics-out
 plan: --rows --cols --loads
 lint: --root --format --out
@@ -182,6 +182,13 @@ fn out_of_range_sizes_exit_2_instead_of_panicking() {
         ("audit RIPS queens9 --nodes 0", "audit"),
         ("serve --backend sim --tiny --nodes 0", "serve"),
         ("live --threads 0 queens9", "live"),
+        ("live --mode timed --timed-scale -1 queens9", "live"),
+        ("live --mode timed --timed-scale nan queens9", "live"),
+        ("live --mode timed --timed-scale inf queens9", "live"),
+        (
+            "serve --backend sim --tiny --mean-interarrival-us 0",
+            "serve",
+        ),
         ("plan --rows 0", "plan"),
         ("repro timeline --width 0", "repro timeline"),
         ("repro scaling --queens 0", "repro scaling"),

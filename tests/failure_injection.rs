@@ -5,9 +5,7 @@
 
 use std::sync::Arc;
 
-use rips_repro::core::{
-    gradient, random, rid, rips, sid, GradientParams, Machine, RidParams, RipsConfig, SidParams,
-};
+use rips_repro::core::{gradient, random, rid, rips, sid, Machine, RipsConfig, RID_U};
 use rips_repro::desim::LatencyModel;
 use rips_repro::flow::optimal_rebalance;
 use rips_repro::sched::{mwa, twa};
@@ -27,25 +25,17 @@ fn run_everything(w: &Arc<Workload>, nodes: usize) {
         "random lost tasks"
     );
     assert_eq!(
-        gradient(
-            Arc::clone(w),
-            topo(),
-            lat,
-            costs,
-            3,
-            GradientParams::default()
-        )
-        .total_executed(),
+        gradient(Arc::clone(w), topo(), lat, costs, 3).total_executed(),
         total,
         "gradient lost tasks"
     );
     assert_eq!(
-        rid(Arc::clone(w), topo(), lat, costs, 3, RidParams::default()).total_executed(),
+        rid(Arc::clone(w), topo(), lat, costs, 3, RID_U).total_executed(),
         total,
         "RID lost tasks"
     );
     assert_eq!(
-        sid(Arc::clone(w), topo(), lat, costs, 3, SidParams::default()).total_executed(),
+        sid(Arc::clone(w), topo(), lat, costs, 3).total_executed(),
         total,
         "SID lost tasks"
     );
@@ -217,7 +207,7 @@ fn ideal_network_still_correct() {
         total
     );
     assert_eq!(
-        rid(Arc::clone(&w), topo(), lat, costs, 3, RidParams::default()).total_executed(),
+        rid(Arc::clone(&w), topo(), lat, costs, 3, RID_U).total_executed(),
         total
     );
     assert_eq!(
