@@ -35,7 +35,7 @@ fn digest((w, table): (Workload, GrainTable)) -> u64 {
     for f in &w.rounds {
         h.word(f.len() as u64);
         h.word(f.roots().len() as u64);
-        for &r in f.roots() {
+        for r in f.roots() {
             h.word(u64::from(r));
         }
         for id in 0..f.len() as u32 {

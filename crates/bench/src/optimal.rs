@@ -19,11 +19,8 @@ fn forest_makespan(forest: &TaskForest, n: usize) -> u64 {
     let mut procs: BinaryHeap<Reverse<u64>> = (0..n).map(|_| Reverse(0)).collect();
     // Tasks ready to run (LPT order, carrying their release times), and
     // tasks whose parent is still running (by release time).
-    let mut ready: BinaryHeap<(u64, u64, TaskId)> = forest
-        .roots()
-        .iter()
-        .map(|&r| (forest.grain(r), 0, r))
-        .collect();
+    let mut ready: BinaryHeap<(u64, u64, TaskId)> =
+        forest.roots().map(|r| (forest.grain(r), 0, r)).collect();
     let mut future: BinaryHeap<Reverse<(u64, TaskId)>> = BinaryHeap::new();
     // Completions not yet processed (children not yet released).
     let mut completions: BinaryHeap<Reverse<(u64, TaskId)>> = BinaryHeap::new();

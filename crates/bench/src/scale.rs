@@ -29,7 +29,7 @@ use rips_taskgraph::skewed_flat;
 use rips_trace::{with_sink, Json};
 
 use crate::args::{Args, Spec};
-use crate::{auditor_for, registry_with, run_cell, RegistryTuning};
+use crate::{auditor_for, registry_with, roster_name, run_cell, RegistryTuning};
 
 const SIZES: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
 const SCHEDULERS: [&str; 2] = ["RIPS", "RIPS-H"];
@@ -42,11 +42,11 @@ const LAYOUT_DEPTH: usize = 4;
 pub const SPEC: Spec = &[
     "scale  audited RIPS / RIPS-H from 1k to 1M nodes: events, wall, peak RSS",
     "--out S=BENCH_DESIM.scaling.json  where to write the JSON document",
-    "--max-n N=1000000        largest machine size swept",
+    "--max-n N=1000000        largest machine size swept, at least 1000",
     "--tasks-per-node N=4     workload scale",
     "--seed N=1  base seed",
-    "--one N                  subprocess mode: run this one size",
-    "--sched S=RIPS           subprocess mode: the scheduler",
+    "--one N                  subprocess mode: run this one size, at least 1",
+    "--sched S=RIPS           subprocess mode: the scheduler, RIPS or RIPS-H",
 ];
 
 /// `git rev-parse --short HEAD` of the working directory, or
@@ -128,14 +128,28 @@ fn cell(nodes: usize, scheduler: &str, tasks_per_node: usize, seed: u64) -> Stri
 }
 
 /// Runs the sweep and returns its document, or with `--one` prints
-/// that one cell and returns `None`.
+/// that one cell and returns `None`. A value no sweep can use (a
+/// machine of no nodes, a scheduler other than the two swept, a
+/// largest size below the smallest) exits 2 with the usage, before any
+/// cell runs or any document is written.
 pub fn run(args: &Args) -> Option<String> {
     let tasks_per_node: usize = args.num("--tasks-per-node");
     let seed: u64 = args.num("--seed");
-    if let Some(nodes) = args.opt("--one") {
-        println!("{}", cell(nodes, args.str("--sched"), tasks_per_node, seed));
+    let sched = args.str("--sched");
+    let sched = roster_name(sched)
+        .filter(|name| SCHEDULERS.contains(&name.as_str()))
+        .unwrap_or_else(|| {
+            args.fail(&format!(
+                "--sched: '{sched}' is not one of {}",
+                SCHEDULERS.join("|")
+            ))
+        });
+    if args.get("--one").is_some() {
+        let nodes = args.num_in("--one", 1..);
+        println!("{}", cell(nodes, &sched, tasks_per_node, seed));
         return None;
     }
+    let max_n: usize = args.num_in("--max-n", SIZES[0]..);
 
     let mut doc = Json::pretty(LAYOUT_DEPTH);
     doc.obj().key("bench").str("scale");
@@ -143,7 +157,6 @@ pub fn run(args: &Args) -> Option<String> {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     doc.key("host_parallelism").u64(cores as u64);
     doc.key("git_rev").str(&git_rev());
-    let max_n: usize = args.num("--max-n");
     let exe = std::env::current_exe().expect("own path");
     let workload = format!("skewed-flat {tasks_per_node} tasks/node");
     doc.key("workload").str(&workload).key("points").arr();

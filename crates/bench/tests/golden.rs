@@ -21,12 +21,38 @@
 use std::sync::Arc;
 
 use rips_apps::{nqueens, NQueensConfig};
-use rips_bench::{registry_with, run_cell, run_scheduler, RegistryTuning};
+use rips_bench::{registry_with, run_cell, run_scheduler, RegistryTuning, Row};
 use rips_core::{GlobalPolicy, LocalPolicy, RipsConfig};
+use rips_desim::Time;
 use rips_taskgraph::{geometric_tree, Workload};
+use rips_topology::NodeId;
+use rips_trace::{with_sink, EventKind, Interest, TraceEvent, TraceSink};
+
+/// Messages and payload bytes each node sent, counted from the
+/// engine's `MsgSend` events: its stats keep only the network totals.
+struct Sent(Vec<(u64, u64)>);
+
+impl TraceSink for Sent {
+    fn record(&mut self, _: Time, node: NodeId, event: TraceEvent) {
+        if let TraceEvent::MsgSend { bytes, .. } = event {
+            self.0[node].0 += 1;
+            self.0[node].1 += bytes;
+        }
+    }
+
+    fn interest(&self) -> Interest {
+        Interest::of(&[EventKind::MsgSend])
+    }
+}
+
+/// Runs `cell` on `nodes` nodes, counting what each node sent.
+fn counting_sends(nodes: usize, cell: impl FnOnce() -> Row) -> (Row, Sent) {
+    let (sent, row) = with_sink(Sent(vec![(0, 0); nodes]), cell);
+    (row, sent)
+}
 
 /// FNV-1a over every numeric field of the outcome, in a fixed order.
-fn digest(row: &rips_bench::Row) -> u64 {
+fn digest(row: &Row, sent: &Sent) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;
@@ -38,11 +64,11 @@ fn digest(row: &rips_bench::Row) -> u64 {
     };
     let out = &row.outcome;
     eat(out.stats.end_time);
-    for n in &out.stats.nodes {
+    for (n, &(msgs, bytes)) in out.stats.nodes.iter().zip(&sent.0) {
         eat(n.user_us);
         eat(n.overhead_us);
-        eat(n.msgs_sent);
-        eat(n.bytes_sent);
+        eat(msgs);
+        eat(bytes);
     }
     eat(out.stats.net.msgs);
     eat(out.stats.net.bytes);
@@ -64,7 +90,7 @@ fn digest(row: &rips_bench::Row) -> u64 {
 }
 
 /// Human-readable summary line; the digest catches the long tail.
-fn fingerprint(row: &rips_bench::Row) -> String {
+fn fingerprint((row, sent): &(Row, Sent)) -> String {
     let s = &row.outcome.stats;
     format!(
         "end={} events={} msgs={} bytes={} hops={} exec={:?} nonlocal={} fnv={:#018x}",
@@ -75,7 +101,7 @@ fn fingerprint(row: &rips_bench::Row) -> String {
         s.net.hops,
         row.outcome.executed,
         row.outcome.nonlocal,
-        digest(row),
+        digest(row, sent),
     )
 }
 
@@ -123,7 +149,7 @@ const GOLDEN: [&str; 9] = [
 #[test]
 fn fixed_seed_outcomes_are_bit_for_bit_stable() {
     for (i, (sched, w, nodes, seed)) in cells().into_iter().enumerate() {
-        let row = run_scheduler(sched, &w, nodes, 0.4, seed);
+        let row = counting_sends(nodes, || run_scheduler(sched, &w, nodes, 0.4, seed));
         let got = fingerprint(&row);
         assert_eq!(
             got, GOLDEN[i],
@@ -154,7 +180,7 @@ fn mode_cells() -> Vec<(&'static str, LocalPolicy, GlobalPolicy)> {
 fn run_mode(
     local: LocalPolicy,
     global: GlobalPolicy,
-) -> impl Iterator<Item = (String, rips_bench::Row)> {
+) -> impl Iterator<Item = (String, (Row, Sent))> {
     let rips = RipsConfig {
         local,
         global,
@@ -164,7 +190,7 @@ fn run_mode(
     [(queens9(), 8, 1), (tree(), 9, 3)]
         .into_iter()
         .map(move |(w, nodes, seed)| {
-            let row = run_cell(&reg, "RIPS", &w, nodes, 0.4, seed);
+            let row = counting_sends(nodes, || run_cell(&reg, "RIPS", &w, nodes, 0.4, seed));
             (format!("{} / {nodes} nodes", w.name), row)
         })
 }
@@ -214,7 +240,7 @@ fn every_registry_entry_has_a_golden_cell() {
 #[ignore = "generator: run with --ignored --nocapture to reprint goldens"]
 fn print_goldens() {
     for (sched, w, nodes, seed) in cells() {
-        let row = run_scheduler(sched, &w, nodes, 0.4, seed);
+        let row = counting_sends(nodes, || run_scheduler(sched, &w, nodes, 0.4, seed));
         println!("    \"{}\", // {sched}", fingerprint(&row));
     }
     for (mode, local, global) in mode_cells() {

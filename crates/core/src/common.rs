@@ -1,6 +1,5 @@
 //! What the policies share: neighbour lookup, the diffusion schemes'
-//! neighbour-load table, keep-local child placement, and cutting the
-//! newest tasks off the queue into a migration batch.
+//! neighbour-load table and keep-local child placement.
 
 use rips_desim::{Time, WorkKind};
 use rips_runtime::{ExecCtx, Kernel, KernelMsg, TaskInstance};
@@ -24,17 +23,6 @@ pub(crate) fn keep_local<M: Clone>(
     let spawn = children.len() as Time * k.oracle.costs.spawn_us;
     ctx.compute(spawn, WorkKind::Overhead);
     k.exec.queue.extend(children);
-}
-
-/// Pops the `n` newest tasks off the back of the queue, newest first:
-/// freshly spawned work is the cheapest to move.
-pub(crate) fn take_newest(k: &mut Kernel, n: usize) -> Vec<TaskInstance> {
-    let queue = &mut k.exec.queue;
-    let from = queue
-        .len()
-        .checked_sub(n)
-        .expect("cannot take more tasks than are queued");
-    queue.drain(from..).rev().collect()
 }
 
 /// Approximate neighbour loads, kept fresh by broadcasting one's own

@@ -20,7 +20,7 @@ use rips_runtime::{
 use rips_taskgraph::Workload;
 use rips_topology::{NodeId, Topology};
 
-use crate::common::{keep_local, nb_index, take_newest};
+use crate::common::{keep_local, nb_index};
 
 /// Timer tag for the coalesced proximity notification.
 const TAG_NOTIFY: u64 = TAG_POLICY_BASE;
@@ -111,7 +111,7 @@ impl GradientPolicy {
         let target_idx = (0..self.neighbors.len())
             .min_by_key(|&i| (self.nb_prox[i], self.neighbors[i]))
             .expect("push with no neighbours");
-        let task = take_newest(k, 1);
+        let task = k.exec.queue.take_newest(1);
         let load = k.load();
         k.send_tasks(ctx, self.neighbors[target_idx], task, load);
     }

@@ -25,8 +25,6 @@ use rips_topology::{BinaryTree, Hypercube, Mesh2D, NodeId, Topology};
 use rips_trace::metrics_rt::Counter;
 use rips_trace::{EventKind, PhaseKind, SysStage, TraceEvent};
 
-use crate::common::take_newest;
-
 /// Local transfer policy (paper §2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LocalPolicy {
@@ -361,7 +359,7 @@ impl RipsPolicy {
         let was_user = self.mode == Mode::User;
         let is_user = mode == Mode::User;
         if was_user != is_user {
-            let (me, p) = (k.me, self.phase_index);
+            let (me, p) = (k.me(), self.phase_index);
             let tel = &k.oracle.tel;
             if is_user {
                 tel.emit(EventKind::SystemPhase, now, me, || TraceEvent::PhaseEnd {
@@ -428,7 +426,7 @@ impl RipsPolicy {
             // idle-detect stage; it closes when the node actually
             // enters a system phase.
             self.trace_idle_open = next;
-            let (t, me) = (ctx.now(), k.me);
+            let (t, me) = (ctx.now(), k.me());
             k.oracle
                 .tel
                 .emit(EventKind::Stage, t, me, || TraceEvent::StageBegin {
@@ -495,12 +493,12 @@ impl RipsPolicy {
         if m.local_ready_for != Some(phase) || m.ready_sent_for == Some(phase) {
             return;
         }
-        let kids = self.shared.tree.children(k.me).len() as u32;
+        let kids = self.shared.tree.children(k.me()).len() as u32;
         if m.children_ready.get(&phase).copied().unwrap_or(0) < kids {
             return;
         }
         m.ready_sent_for = Some(phase);
-        match self.shared.tree.parent(k.me) {
+        match self.shared.tree.parent(k.me()) {
             Some(parent) => ctx.send(
                 parent,
                 KernelMsg::Policy(RipsCtl::Ready(phase)),
@@ -530,7 +528,7 @@ impl RipsPolicy {
             // Owed migrations: defer until they arrive.
             self.set_mode(k, now, Mode::WaitingEntry);
             if was_user {
-                let me = k.me;
+                let me = k.me();
                 k.oracle
                     .tel
                     .emit(EventKind::Stage, now, me, || TraceEvent::StageBegin {
@@ -542,7 +540,7 @@ impl RipsPolicy {
         }
         self.set_mode(k, now, Mode::Entered);
         if was_user {
-            let me = k.me;
+            let me = k.me();
             k.oracle
                 .tel
                 .emit(EventKind::Stage, now, me, || TraceEvent::StageBegin {
@@ -555,7 +553,7 @@ impl RipsPolicy {
         }
         let n = k.oracle.num_nodes();
         let load = self.load(k);
-        let (me, tel) = (k.me, &k.oracle.tel);
+        let (me, tel) = (k.me(), &k.oracle.tel);
         tel.emit(EventKind::Stage, now, me, || TraceEvent::StageEnd {
             stage: SysStage::LoadCollect,
             phase: p,
@@ -566,7 +564,7 @@ impl RipsPolicy {
         assert!(
             load >= 0,
             "node {} reports negative load {load} for phase {p}",
-            k.me
+            k.me()
         );
         let mut shared = self.shared.mu.lock().unwrap();
         if shared.collecting != p {
@@ -575,7 +573,7 @@ impl RipsPolicy {
             assert!(
                 shared.collecting < p && shared.entered == 0,
                 "node {} reports for phase {p} while phase {} has {} of {n} reports",
-                k.me,
+                k.me(),
                 shared.collecting,
                 shared.entered,
             );
@@ -584,12 +582,12 @@ impl RipsPolicy {
             shared.reported.resize(n, NOT_REPORTED);
         }
         assert!(
-            shared.reported[k.me] == NOT_REPORTED,
+            shared.reported[k.me()] == NOT_REPORTED,
             "node {} reports twice for phase {p} (collecting phase {})",
-            k.me,
+            k.me(),
             shared.collecting,
         );
-        shared.reported[k.me] = load;
+        shared.reported[k.me()] = load;
         shared.entered += 1;
         if shared.entered < n {
             return;
@@ -614,7 +612,7 @@ impl RipsPolicy {
         assert!(
             transfers.windows(2).all(|w| w[0].1 <= w[1].1),
             "node {} plans phase {p} with net transfers out of destination order",
-            k.me
+            k.me()
         );
         shared.logs.push(PhaseLog {
             phase: p,
@@ -631,7 +629,7 @@ impl RipsPolicy {
         if k.oracle.tel.wants(EventKind::Stage) {
             // The plan stage lives on the computing node only; it
             // closes when the TAG_PLAN timer fires.
-            let (t, me) = (ctx.now(), k.me);
+            let (t, me) = (ctx.now(), k.me());
             k.oracle
                 .tel
                 .emit(EventKind::Stage, t, me, || TraceEvent::StageBegin {
@@ -656,7 +654,7 @@ impl RipsPolicy {
             WorkKind::Overhead,
         );
         if k.oracle.tel.wants(EventKind::Stage) {
-            let (t, me) = (ctx.now(), k.me);
+            let (t, me) = (ctx.now(), k.me());
             k.oracle
                 .tel
                 .emit(EventKind::Stage, t, me, || TraceEvent::StageBegin {
@@ -674,19 +672,19 @@ impl RipsPolicy {
             Some((tag, plan)) if *tag == p => Arc::clone(plan),
             other => panic!(
                 "node {} applies phase {p}'s plan but the slot holds phase {:?}",
-                k.me,
+                k.me(),
                 other.as_ref().map(|(tag, _)| tag),
             ),
         };
-        let expected = plan.expected_in(k.me);
+        let expected = plan.expected_in(k.me());
         // The Arc keeps the plan alive for the loop; no per-node clone
         // of the outgoing slice is needed.
-        for &(_, dst, amount) in plan.outgoing(k.me) {
+        for &(_, dst, amount) in plan.outgoing(k.me()) {
             // Under TaskCount `amount` is the exact batch size (a plan
             // cannot overdraw a reported queue); under EstimatedWeight
             // it is µs of work.
             let batch = match self.shared.cfg.metric {
-                LoadMetric::TaskCount => take_newest(k, amount as usize),
+                LoadMetric::TaskCount => k.exec.queue.take_newest(amount as usize),
                 LoadMetric::EstimatedWeight => {
                     // Tasks are indivisible: pick tasks (newest first)
                     // whose grain brings the moved weight closer to the
@@ -717,7 +715,7 @@ impl RipsPolicy {
         }
         count_up(&mut k.expected_in, expected, "migrations expected");
         let now = ctx.now();
-        let me = k.me;
+        let me = k.me();
         k.oracle
             .tel
             .emit(EventKind::Stage, now, me, || TraceEvent::StageEnd {
@@ -768,7 +766,7 @@ impl BalancerPolicy for RipsPolicy {
         if k.oracle.tel.wants(EventKind::UserPhase) {
             // Every node boots inside user phase 0 (closed the moment
             // the round-opening system phase is entered).
-            let (t, me) = (ctx.now(), k.me);
+            let (t, me) = (ctx.now(), k.me());
             k.oracle
                 .tel
                 .emit(EventKind::UserPhase, t, me, || TraceEvent::PhaseBegin {
@@ -779,7 +777,7 @@ impl BalancerPolicy for RipsPolicy {
         if let GlobalPolicy::Periodic(interval) = self.shared.cfg.global {
             // Only node 0 polls; everyone else just flags its local
             // condition in the shared reduction state.
-            if k.me == 0 {
+            if k.me() == 0 {
                 ctx.set_timer(interval, TAG_POLL);
             }
         }
@@ -797,7 +795,7 @@ impl BalancerPolicy for RipsPolicy {
             RipsCtl::Init(p) => {
                 if p <= self.phase_index {
                     // Redundant initiator, dropped by phase index.
-                    k.oracle.tel.add_at(k.me, Counter::InitsSuppressed, 1);
+                    k.oracle.tel.add_at(k.me(), Counter::InitsSuppressed, 1);
                     return;
                 }
                 debug_assert_eq!(p, self.phase_index + 1, "init skipped a phase");
@@ -808,7 +806,7 @@ impl BalancerPolicy for RipsPolicy {
                 debug_assert!(
                     self.mode != Mode::WaitingEntry,
                     "node {} told to init phase {p} while its entry to phase {} is deferred",
-                    k.me,
+                    k.me(),
                     self.phase_index,
                 );
                 if self.mode == Mode::Entered {
@@ -822,7 +820,7 @@ impl BalancerPolicy for RipsPolicy {
             }
             RipsCtl::Ready(p) => {
                 debug_assert_eq!(self.shared.cfg.global, GlobalPolicy::All);
-                debug_assert!(self.shared.tree.children(k.me).contains(&from));
+                debug_assert!(self.shared.tree.children(k.me()).contains(&from));
                 *self.modal().children_ready.entry(p).or_insert(0) += 1;
                 self.try_send_ready(k, ctx, p);
             }
@@ -883,7 +881,7 @@ impl BalancerPolicy for RipsPolicy {
                 // and apply.
                 let p = self.phase_index;
                 if k.oracle.tel.wants(EventKind::Stage) {
-                    let (t, me) = (ctx.now(), k.me);
+                    let (t, me) = (ctx.now(), k.me());
                     k.oracle
                         .tel
                         .emit(EventKind::Stage, t, me, || TraceEvent::StageEnd {

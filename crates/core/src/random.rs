@@ -44,7 +44,7 @@ impl RandomPolicy {
     ) {
         let seeds = k.take_seeds(ctx, round);
         self.place_children(k, ctx, seeds);
-        if k.oracle.outstanding() == 0 && k.me == 0 {
+        if k.oracle.outstanding() == 0 && k.me() == 0 {
             k.announce_round(ctx);
             return;
         }
@@ -56,7 +56,7 @@ impl BalancerPolicy for RandomPolicy {
     type Msg = ();
 
     fn on_start(&mut self, k: &mut Kernel, ctx: &mut impl ExecCtx<KernelMsg<()>>) {
-        self.rng = stream(ctx.seed(), k.me);
+        self.rng = stream(ctx.seed(), k.me());
         self.seed_scattered(k, ctx, 0);
     }
 
@@ -88,7 +88,7 @@ impl BalancerPolicy for RandomPolicy {
             let dest = self.rng.random_range(0..n);
             per_dest[dest].push(child);
         }
-        let me = k.me;
+        let me = k.me();
         let load = k.load();
         for (dest, batch) in per_dest.into_iter().enumerate() {
             if batch.is_empty() {

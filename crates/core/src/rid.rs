@@ -17,7 +17,7 @@ use rips_runtime::{
 use rips_taskgraph::Workload;
 use rips_topology::{NodeId, Topology};
 
-use crate::common::{keep_local, take_newest, LoadTable};
+use crate::common::{keep_local, LoadTable};
 
 /// Timer tag for the outstanding-request timeout.
 const TAG_REQ_TIMEOUT: u64 = TAG_POLICY_BASE + 1;
@@ -120,7 +120,7 @@ impl RidPolicy {
         if give == 0 {
             return;
         }
-        let batch = take_newest(k, give as usize);
+        let batch = k.exec.queue.take_newest(give as usize);
         ctx.compute(
             k.oracle.costs.spawn_us * batch.len() as Time,
             WorkKind::Overhead,

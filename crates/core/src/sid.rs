@@ -19,7 +19,7 @@ use rips_runtime::{
 use rips_taskgraph::Workload;
 use rips_topology::{NodeId, Topology};
 
-use crate::common::{keep_local, take_newest, LoadTable};
+use crate::common::{keep_local, LoadTable};
 use crate::rid::RID_U;
 
 /// Push work away while `load > L_HIGH`.
@@ -73,7 +73,7 @@ impl SidPolicy {
         if give <= 0 {
             return;
         }
-        let batch = take_newest(k, give as usize);
+        let batch = k.exec.queue.take_newest(give as usize);
         ctx.compute(
             k.oracle.costs.spawn_us * batch.len() as Time,
             WorkKind::Overhead,

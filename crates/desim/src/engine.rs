@@ -262,7 +262,7 @@ enum EventKind<M> {
     /// Deferral-lane wake marker: when this pops (at the node's free
     /// time, carrying the lane minimum's original sequence number),
     /// the node runs the head of its deferral lane. Stale markers are
-    /// discarded via the per-node armed (time, seq) pair.
+    /// discarded via the per-node armed seq and free time.
     Wake,
     /// Head of the [`Run`] in this slot of [`EventCore::runs`]; the
     /// event's time, seq and node are those of the run's next
@@ -416,7 +416,7 @@ impl<M> Ord for LaneEvent<M> {
 type Lane<M> = BinaryHeap<std::cmp::Reverse<LaneEvent<M>>>;
 
 /// `armed[node]` sentinel: no wake marker outstanding.
-const UNARMED: (Time, u64) = (0, u64::MAX);
+const UNARMED: u64 = u64::MAX;
 
 /// The global event core, grouped after the dslab simulator idiom
 /// (SNIPPETS.md): the clock-ordered heap, the deterministic
@@ -537,8 +537,10 @@ struct NodeCore<P: Program> {
     /// busy, ordered by original sequence number. `None` until the
     /// node's first park; kept (with its capacity) once allocated.
     lanes: Vec<Option<Box<Lane<P::Msg>>>>,
-    /// The (time, seq) of each node's valid wake marker, or [`UNARMED`].
-    armed: Vec<(Time, u64)>,
+    /// The seq of each node's valid wake marker, or [`UNARMED`]. Its
+    /// time is the node's `ready_at`: a change of `ready_at` disarms
+    /// the node, leaving any marker outstanding stale.
+    armed: Vec<u64>,
 }
 
 impl<P: Program> NodeCore<P> {
@@ -553,7 +555,7 @@ impl<P: Program> NodeCore<P> {
             + std::mem::size_of::<Time>()
             + std::mem::size_of::<NodeStats>()
             + std::mem::size_of::<Option<Box<Lane<P::Msg>>>>()
-            + std::mem::size_of::<(Time, u64)>()) as u64
+            + std::mem::size_of::<u64>()) as u64
     }
 }
 
@@ -764,8 +766,6 @@ impl<P: Program> Engine<P> {
     /// the arrival at `to`.
     fn note_send(&mut self, from: NodeId, depart: Time, to: NodeId, bytes: usize) -> (Time, bool) {
         let hops = self.topo.distance(from, to);
-        self.nodes.stats[from].msgs_sent += 1;
-        self.nodes.stats[from].bytes_sent += bytes as u64;
         self.net.msgs += 1;
         self.net.bytes += bytes as u64;
         self.net.hops += hops as u64;
@@ -796,16 +796,16 @@ impl<P: Program> Engine<P> {
     }
 
     /// (Re)arms `node`'s wake marker to match its lane head, pushing a
-    /// marker event at the node's free time. A still-valid marker at
-    /// the same (time, seq) is left alone; anything else outstanding
-    /// becomes stale and is discarded when popped.
+    /// marker event at the node's free time. A still-valid marker for
+    /// the same seq is left alone; anything else outstanding becomes
+    /// stale and is discarded when popped.
     fn arm(&mut self, node: NodeId) {
         match self.nodes.lanes[node].as_deref().and_then(BinaryHeap::peek) {
             Some(std::cmp::Reverse(head)) => {
-                let mark = (self.nodes.ready_at[node], head.seq);
-                if self.nodes.armed[node] != mark {
-                    self.nodes.armed[node] = mark;
-                    self.core.push_at(mark.0, mark.1, node, EventKind::Wake);
+                if self.nodes.armed[node] != head.seq {
+                    self.nodes.armed[node] = head.seq;
+                    let ready = self.nodes.ready_at[node];
+                    self.core.push_at(ready, head.seq, node, EventKind::Wake);
                 }
             }
             None => self.nodes.armed[node] = UNARMED,
@@ -860,7 +860,11 @@ impl<P: Program> Engine<P> {
 
         self.nodes.stats[node].user_us += consumed_user;
         self.nodes.stats[node].overhead_us += consumed_overhead;
-        self.nodes.ready_at[node] = start + consumed;
+        if self.nodes.ready_at[node] != start + consumed {
+            // A marker stands at the old free time: now stale.
+            self.nodes.armed[node] = UNARMED;
+            self.nodes.ready_at[node] = start + consumed;
+        }
         self.last_activity = self.last_activity.max(start + consumed);
         if let Some(timelines) = &mut self.timelines {
             if consumed_overhead > 0 {
@@ -967,7 +971,15 @@ impl<P: Program> Engine<P> {
                     self.route_hop(ev.time, node, from, final_to, msg, bytes);
                 }
                 EventKind::Wake => {
-                    if self.nodes.armed[node] != (ev.time, ev.seq) {
+                    let ready = self.nodes.ready_at[node];
+                    // Every marker was pushed at the node's free time,
+                    // which never falls: a valid one is exactly on it.
+                    debug_assert!(
+                        ev.time <= ready,
+                        "node {node}: wake marker at {} after its free time {ready}",
+                        ev.time
+                    );
+                    if self.nodes.armed[node] != ev.seq || ev.time != ready {
                         self.tel.add_at(node, Counter::StaleWakes, 1);
                         continue; // stale marker
                     }
@@ -996,7 +1008,7 @@ impl<P: Program> Engine<P> {
                             .get_or_insert_default()
                             .push(std::cmp::Reverse(LaneEvent { seq: ev.seq, kind }));
                         self.parked += 1;
-                        if ev.seq < self.nodes.armed[node].1 {
+                        if ev.seq < self.nodes.armed[node] {
                             self.arm(node);
                         }
                         continue;
@@ -1629,8 +1641,11 @@ mod tests {
             for lat in diff_latencies() {
                 for script in diff_scripts(n) {
                     let stats = assert_folds(&script, n, lat, false);
-                    // One node broadcasts to nobody, and says so.
-                    assert!(n > 1 || stats.net.msgs == stats.nodes[0].msgs_sent);
+                    // One node broadcasts to nobody, and says so: all it
+                    // counts are its 8-byte sends to itself, no 16-byte
+                    // or payload-free broadcast copy.
+                    let net = stats.net;
+                    assert!(n > 1 || (net.msgs > 0 && net.bytes == 8 * net.msgs && net.hops == 0));
                 }
             }
         }

@@ -25,10 +25,6 @@ pub struct NodeStats {
     pub user_us: Time,
     /// Total system overhead time (µs).
     pub overhead_us: Time,
-    /// Messages sent by this node.
-    pub msgs_sent: u64,
-    /// Payload bytes sent by this node.
-    pub bytes_sent: u64,
 }
 
 impl NodeStats {
@@ -39,7 +35,8 @@ impl NodeStats {
     }
 }
 
-/// Network-wide counters.
+/// Network-wide counters. Per-node message counts are not kept: a
+/// sink that wants them counts `MsgSend` trace events by node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Total messages delivered.
@@ -63,8 +60,9 @@ pub struct MemStats {
     /// Bytes of per-directed-link contention state (`n²` link free
     /// times when store-and-forward contention is enabled, else 0).
     pub link_state_bytes: u64,
-    /// Fixed per-node engine state (programs, lanes, wake markers,
-    /// ready times, counters) — O(1) per node, summed over nodes.
+    /// Fixed per-node engine state (programs with their inline task
+    /// queues, lanes, wake markers, ready times, CPU counters) — O(1)
+    /// per node, summed over nodes.
     pub node_state_bytes: u64,
     /// High-water mark of the bytes outstanding events occupy: global
     /// heap entries at the event size, deferral-lane entries at the
@@ -173,7 +171,6 @@ mod tests {
         let n = NodeStats {
             user_us: 600,
             overhead_us: 150,
-            ..Default::default()
         };
         assert_eq!(n.idle_us(1000), 250);
         // Saturates rather than underflows if accounting slightly

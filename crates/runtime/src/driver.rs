@@ -176,8 +176,8 @@ impl<M: Clone> ExecCtx<M> for Ctx<'_, M> {
 /// exec-loop latch, and the cumulative migration counters. Policies
 /// receive `&mut Kernel` in every hook.
 pub struct Kernel {
-    /// This node's id.
-    pub me: NodeId,
+    /// This node's id, as a `u32` ([`Kernel::me`] widens it back).
+    me: u32,
     /// The run's shared oracle (rounds, task generation, costs).
     pub oracle: Oracle,
     /// Queue and execution counters.
@@ -199,7 +199,11 @@ pub struct Kernel {
 
 impl Kernel {
     /// Fresh kernel state for node `me`.
+    ///
+    /// # Panics
+    /// Panics if `me` is past `u32::MAX`.
     pub fn new(me: NodeId, oracle: Oracle) -> Self {
+        let me = u32::try_from(me).unwrap_or_else(|_| panic!("node {me} is past u32::MAX"));
         Kernel {
             me,
             oracle,
@@ -209,6 +213,12 @@ impl Kernel {
             received_in: 0,
             exec_scheduled: false,
         }
+    }
+
+    /// This node's id.
+    #[inline]
+    pub fn me(&self) -> NodeId {
+        self.me as NodeId
     }
 
     /// Current queue length — the default notion of "load".
@@ -241,7 +251,7 @@ impl Kernel {
             round <= self.oracle.round(),
             "seeding round {round} before it opens"
         );
-        let seeds = self.oracle.seed_for(self.me, round);
+        let seeds = self.oracle.seed_for(self.me(), round);
         ctx.compute(
             self.oracle.costs.spawn_us * seeds.len() as Time,
             WorkKind::Overhead,
@@ -249,12 +259,12 @@ impl Kernel {
         count_up(&mut self.exec.spawned, seeds.len(), "tasks spawned");
         self.oracle
             .tel
-            .add_at(self.me, Counter::TasksSpawned, seeds.len() as u64);
+            .add_at(self.me(), Counter::TasksSpawned, seeds.len() as u64);
         if self.oracle.tel.wants(EventKind::Spawn) && !seeds.is_empty() {
             let (t, count) = (ctx.now(), seeds.len() as u32);
             self.oracle
                 .tel
-                .emit(EventKind::Spawn, t, self.me, || TraceEvent::Spawn {
+                .emit(EventKind::Spawn, t, self.me(), || TraceEvent::Spawn {
                     round,
                     count,
                 });
@@ -267,7 +277,7 @@ impl Kernel {
     pub fn seed_round<M: Clone>(&mut self, ctx: &mut impl ExecCtx<KernelMsg<M>>, round: u32) {
         let seeds = self.take_seeds(ctx, round);
         self.exec.queue.extend(seeds);
-        if self.oracle.outstanding() == 0 && self.me == 0 {
+        if self.oracle.outstanding() == 0 && self.me() == 0 {
             self.announce_round(ctx);
             return;
         }
@@ -282,7 +292,7 @@ impl Kernel {
             let (t, round) = (ctx.now(), self.oracle.round());
             self.oracle
                 .tel
-                .emit(EventKind::Barrier, t, self.me, || TraceEvent::Barrier {
+                .emit(EventKind::Barrier, t, self.me(), || TraceEvent::Barrier {
                     round,
                 });
         }
@@ -302,9 +312,11 @@ impl Kernel {
     ) {
         if self.oracle.tel.wants(EventKind::MigrateOut) {
             let (t, count) = (ctx.now(), batch.len() as u32);
-            self.oracle.tel.emit(EventKind::MigrateOut, t, self.me, || {
-                TraceEvent::MigrateOut { to, count }
-            });
+            self.oracle
+                .tel
+                .emit(EventKind::MigrateOut, t, self.me(), || {
+                    TraceEvent::MigrateOut { to, count }
+                });
         }
         let bytes = self.oracle.costs.task_bytes * batch.len();
         ctx.send(to, KernelMsg::Tasks(batch, load), bytes);
@@ -318,13 +330,13 @@ impl Kernel {
         debug_assert!(
             self.received_in >= self.expected_in,
             "node {} starts round {round} owed {} migrations",
-            self.me,
+            self.me(),
             self.expected_in - self.received_in,
         );
         debug_assert!(
             !announcer || self.exec.queue.is_empty(),
             "node {} announces round {round} with {} tasks queued",
-            self.me,
+            self.me(),
             self.exec.queue.len(),
         );
     }
@@ -469,17 +481,17 @@ pub fn exec_step<P: BalancerPolicy>(
     let grain_us = k.oracle.grain(&inst);
     ctx.compute(k.oracle.costs.dispatch_us, WorkKind::Overhead);
     ctx.execute_grain(round, &inst, grain_us);
-    k.exec.record(&inst, k.me);
-    k.oracle.tel.add_at(k.me, Counter::TasksExecuted, 1);
+    k.exec.record(&inst, k.me());
+    k.oracle.tel.add_at(k.me(), Counter::TasksExecuted, 1);
     if trace_exec {
         // Stamped at the grain's start (dispatch already charged), so
         // exporters draw the execution as a span of `grain_us`.
         let dispatch_us = k.oracle.costs.dispatch_us;
         let origin = inst.origin();
-        let hops = k.oracle.hops(origin, k.me);
+        let hops = k.oracle.hops(origin, k.me());
         k.oracle
             .tel
-            .emit(EventKind::TaskExec, t0 + dispatch_us, k.me, || {
+            .emit(EventKind::TaskExec, t0 + dispatch_us, k.me(), || {
                 TraceEvent::TaskExec {
                     task: inst.task as u64,
                     round,
@@ -490,17 +502,17 @@ pub fn exec_step<P: BalancerPolicy>(
                 }
             });
     }
-    let children = k.oracle.children_of(&inst, k.me);
+    let children = k.oracle.children_of(&inst, k.me());
     if !children.is_empty() {
         count_up(&mut k.exec.spawned, children.len(), "tasks spawned");
         k.oracle
             .tel
-            .add_at(k.me, Counter::TasksSpawned, children.len() as u64);
+            .add_at(k.me(), Counter::TasksSpawned, children.len() as u64);
         if k.oracle.tel.wants(EventKind::Spawn) {
             let (t, count) = (ctx.now(), children.len() as u32);
             k.oracle
                 .tel
-                .emit(EventKind::Spawn, t, k.me, || TraceEvent::Spawn {
+                .emit(EventKind::Spawn, t, k.me(), || TraceEvent::Spawn {
                     round,
                     count,
                 });
@@ -514,14 +526,12 @@ pub fn exec_step<P: BalancerPolicy>(
     }
     k.oracle
         .tel
-        .set_gauge_at(k.me, Gauge::QueueDepth, k.exec.queue.len() as u64);
+        .set_gauge_at(k.me(), Gauge::QueueDepth, k.exec.queue.len() as u64);
     if k.oracle.tel.wants(EventKind::QueueDepth) {
         let (t, depth) = (ctx.now(), k.exec.queue.len() as u32);
-        k.oracle
-            .tel
-            .emit(EventKind::QueueDepth, t, k.me, || TraceEvent::QueueDepth {
-                depth,
-            });
+        k.oracle.tel.emit(EventKind::QueueDepth, t, k.me(), || {
+            TraceEvent::QueueDepth { depth }
+        });
     }
     k.kick(ctx);
     policy.after_task(k, ctx);
@@ -557,16 +567,16 @@ pub fn dispatch_message<P: BalancerPolicy>(
             );
             k.exec.queue.extend(tasks);
             let tel = &k.oracle.tel;
-            tel.add_at(k.me, Counter::TasksMigratedIn, count as u64);
-            tel.set_gauge_at(k.me, Gauge::QueueDepth, k.exec.queue.len() as u64);
+            tel.add_at(k.me(), Counter::TasksMigratedIn, count as u64);
+            tel.set_gauge_at(k.me(), Gauge::QueueDepth, k.exec.queue.len() as u64);
             if tel.wants(EventKind::MigrateIn) || tel.wants(EventKind::QueueDepth) {
                 let (t, depth) = (ctx.now(), k.exec.queue.len() as u32);
-                tel.emit(EventKind::MigrateIn, t, k.me, || TraceEvent::MigrateIn {
+                tel.emit(EventKind::MigrateIn, t, k.me(), || TraceEvent::MigrateIn {
                     from,
                     count,
                 });
-                tel.emit(EventKind::QueueDepth, t, k.me, || TraceEvent::QueueDepth {
-                    depth,
+                tel.emit(EventKind::QueueDepth, t, k.me(), || {
+                    TraceEvent::QueueDepth { depth }
                 });
             }
             k.kick(ctx);
@@ -576,11 +586,9 @@ pub fn dispatch_message<P: BalancerPolicy>(
             k.debug_assert_round_drained(round, false);
             if k.oracle.tel.wants(EventKind::RoundBegin) {
                 let t = ctx.now();
-                k.oracle
-                    .tel
-                    .emit(EventKind::RoundBegin, t, k.me, || TraceEvent::RoundBegin {
-                        round,
-                    });
+                k.oracle.tel.emit(EventKind::RoundBegin, t, k.me(), || {
+                    TraceEvent::RoundBegin { round }
+                });
             }
             policy.on_round_start(k, ctx, round, token);
         }
@@ -602,23 +610,21 @@ pub fn dispatch_timer<P: BalancerPolicy>(
             k.exec_scheduled = false;
             exec_step(policy, k, ctx);
         }
-        TAG_ROUND => {
-            match k.oracle.advance_round() {
-                Some(next) => {
-                    k.debug_assert_round_drained(next, true);
-                    let token = policy.round_token(k);
-                    ctx.send_all(KernelMsg::RoundStart(next, token), k.oracle.costs.ctl_bytes);
-                    if k.oracle.tel.wants(EventKind::RoundBegin) {
-                        let t = ctx.now();
-                        k.oracle.tel.emit(EventKind::RoundBegin, t, k.me, || {
-                            TraceEvent::RoundBegin { round: next }
-                        });
-                    }
-                    policy.on_round_announced(k, ctx, next, token);
+        TAG_ROUND => match k.oracle.advance_round() {
+            Some(next) => {
+                k.debug_assert_round_drained(next, true);
+                let token = policy.round_token(k);
+                ctx.send_all(KernelMsg::RoundStart(next, token), k.oracle.costs.ctl_bytes);
+                if k.oracle.tel.wants(EventKind::RoundBegin) {
+                    let t = ctx.now();
+                    k.oracle.tel.emit(EventKind::RoundBegin, t, k.me(), || {
+                        TraceEvent::RoundBegin { round: next }
+                    });
                 }
-                None => ctx.halt(),
+                policy.on_round_announced(k, ctx, next, token);
             }
-        }
+            None => ctx.halt(),
+        },
         tag => policy.on_timer(k, ctx, tag),
     }
 }
@@ -690,7 +696,7 @@ where
     // auditing sink proves conservation from.
     for d in &drivers {
         let exec = &d.kernel.exec;
-        tel.emit(EventKind::NodeTotals, stats.end_time, d.kernel.me, || {
+        tel.emit(EventKind::NodeTotals, stats.end_time, d.kernel.me(), || {
             TraceEvent::NodeTotals {
                 spawned: exec.spawned.into(),
                 executed: exec.executed.into(),

@@ -33,15 +33,16 @@
 #![forbid(unsafe_code)]
 
 pub mod driver;
+mod queue;
 pub mod registry;
 
 pub use driver::{
     dispatch_message, dispatch_start, dispatch_timer, exec_step, run_policy, BalancerPolicy,
     ExecCtx, Kernel, KernelMsg, NodeDriver, TAG_EXEC, TAG_POLICY_BASE, TAG_ROUND,
 };
+pub use queue::TaskQueue;
 pub use registry::{RunSpec, ScheduledRun, SchedulerCtor, SchedulerRegistry};
 
-use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -249,9 +250,10 @@ impl Oracle {
         let per = roots.len().div_ceil(self.n.max(1)).max(1);
         let lo = (node * per).min(roots.len());
         let hi = ((node + 1) * per).min(roots.len());
-        roots[lo..hi]
-            .iter()
-            .map(|&id| TaskInstance::new(id, node))
+        roots
+            .skip(lo)
+            .take(hi - lo)
+            .map(|id| TaskInstance::new(id, node))
             .collect()
     }
 
@@ -336,8 +338,8 @@ impl Oracle {
 /// pass `u32::MAX` panics ([`count_up`]) rather than wrap.
 #[derive(Debug, Default)]
 pub struct NodeExec {
-    /// Ready-to-execute queue.
-    pub queue: VecDeque<TaskInstance>,
+    /// Ready-to-execute queue; its first four tasks need no allocation.
+    pub queue: TaskQueue,
     /// Tasks created on this node (round roots it seeded, children of
     /// tasks it executed).
     pub spawned: u32,

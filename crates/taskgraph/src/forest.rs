@@ -8,8 +8,9 @@ pub type TaskId = u32;
 ///
 /// A task is its id: its grain is one entry of a dense array, and its
 /// children ("newly generated" tasks) are a list kept only up to the
-/// highest id that has any. A roots-only forest therefore costs 4 B per
-/// task plus its root id, and no child list at all.
+/// highest id that has any. The root ids are listed only once some task
+/// is not a root. A roots-only forest therefore costs 4 B per task and
+/// nothing else: no root list, no child list.
 ///
 /// Grains are stored as `u32` µs (71 minutes; the largest grain any
 /// paper application builds is ida2's 1.15 s) and read back as `u64`.
@@ -32,6 +33,8 @@ pub struct TaskForest {
     /// Execution time of each task on whichever node runs it (virtual
     /// µs), indexed by id.
     grains: Vec<u32>,
+    /// Root ids in the order they were added; empty while every task is
+    /// a root, whose ids are then `0..len`.
     roots: Vec<TaskId>,
     /// Tasks released when task `id` completes, for every id up to the
     /// highest parent; ids past the end have none.
@@ -46,17 +49,17 @@ impl TaskForest {
 
     /// A forest of independent root tasks with these grains, in id
     /// order: the forest `add_root` builds from them one by one, its
-    /// vectors allocated once at their final size. Each grain is
+    /// grains allocated once at their final size. Each grain is
     /// narrowed as it is collected, so no `u64` copy is ever held.
     ///
     /// # Panics
     /// Panics if a grain is past `u32::MAX` µs.
     pub fn flat(grains: impl IntoIterator<Item = u64>) -> Self {
         let grains: Vec<u32> = grains.into_iter().map(narrow_grain).collect();
-        let len = u32::try_from(grains.len()).expect("forest too large");
+        assert!(u32::try_from(grains.len()).is_ok(), "forest too large");
         TaskForest {
             grains,
-            roots: (0..len).collect(),
+            roots: Vec::new(),
             children: Vec::new(),
         }
     }
@@ -67,7 +70,9 @@ impl TaskForest {
     /// Panics if `grain_us` is past `u32::MAX`.
     pub fn add_root(&mut self, grain_us: u64) -> TaskId {
         let id = self.push(grain_us);
-        self.roots.push(id);
+        if !self.roots.is_empty() {
+            self.roots.push(id);
+        }
         id
     }
 
@@ -79,6 +84,10 @@ impl TaskForest {
     pub fn add_child(&mut self, parent: TaskId, grain_us: u64) -> TaskId {
         let parent = parent as usize;
         assert!(parent < self.grains.len(), "no such parent");
+        if self.roots.is_empty() {
+            // Every task so far is a root; from here on they are listed.
+            self.roots = self.ids().collect();
+        }
         let id = self.push(grain_us);
         if self.children.len() <= parent {
             self.children.resize_with(parent + 1, Vec::new);
@@ -103,9 +112,19 @@ impl TaskForest {
         self.children.get(id as usize).map_or(&[], Vec::as_slice)
     }
 
-    /// Root tasks available at round start.
-    pub fn roots(&self) -> &[TaskId] {
-        &self.roots
+    /// Root tasks available at round start, in the order they were
+    /// added. Skipping ahead (`nth`, `skip`) costs O(1).
+    pub fn roots(&self) -> impl ExactSizeIterator<Item = TaskId> + '_ {
+        if self.roots.is_empty() {
+            Roots::All(self.ids())
+        } else {
+            Roots::Listed(self.roots.iter())
+        }
+    }
+
+    /// Every task id, `0..len`.
+    fn ids(&self) -> std::ops::Range<TaskId> {
+        0..u32::try_from(self.len()).expect("forest too large")
     }
 
     /// Number of tasks in the forest.
@@ -145,9 +164,8 @@ impl TaskForest {
             memo[id as usize] = forest.grain(id) + below;
             memo[id as usize]
         }
-        self.roots
-            .iter()
-            .map(|&r| depth(self, r, &mut memo))
+        self.roots()
+            .map(|r| depth(self, r, &mut memo))
             .max()
             .unwrap_or(0)
     }
@@ -162,13 +180,13 @@ impl TaskForest {
             }
             indegree[c as usize] += 1;
         }
-        for &r in &self.roots {
+        for r in self.roots() {
             if indegree[r as usize] != 0 {
                 return Err(format!("root {r} has a parent"));
             }
         }
         let mut root_set = vec![false; self.len()];
-        for &r in &self.roots {
+        for r in self.roots() {
             if std::mem::replace(&mut root_set[r as usize], true) {
                 return Err(format!("duplicate root {r}"));
             }
@@ -184,6 +202,40 @@ impl TaskForest {
         Ok(())
     }
 }
+
+/// What [`TaskForest::roots`] walks: the implied `0..len` of a forest
+/// whose every task is a root, or its root list.
+enum Roots<'a> {
+    All(std::ops::Range<TaskId>),
+    Listed(std::slice::Iter<'a, TaskId>),
+}
+
+impl Iterator for Roots<'_> {
+    type Item = TaskId;
+
+    fn next(&mut self) -> Option<TaskId> {
+        match self {
+            Roots::All(ids) => ids.next(),
+            Roots::Listed(ids) => ids.next().copied(),
+        }
+    }
+
+    fn nth(&mut self, n: usize) -> Option<TaskId> {
+        match self {
+            Roots::All(ids) => ids.nth(n),
+            Roots::Listed(ids) => ids.nth(n).copied(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Roots::All(ids) => ids.size_hint(),
+            Roots::Listed(ids) => ids.size_hint(),
+        }
+    }
+}
+
+impl ExactSizeIterator for Roots<'_> {}
 
 /// A grain as the forest stores it.
 fn narrow_grain(grain_us: u64) -> u32 {
@@ -319,9 +371,9 @@ mod tests {
             f.add_root(g);
         }
         assert_eq!(f.children.capacity(), 0);
-        assert!(f.roots().iter().all(|&r| f.children(r).is_empty()));
+        assert!(f.roots().all(|r| f.children(r).is_empty()));
         // Child lists reach only as far as the highest parent.
-        let parent = f.roots()[10];
+        let parent = f.roots().nth(10).expect("1 000 roots");
         f.add_child(parent, 7);
         assert_eq!(f.children.len(), 11);
     }
@@ -337,9 +389,25 @@ mod tests {
             let flat = TaskForest::flat(grains);
             assert_eq!(flat, f);
             assert_eq!(flat.grains.capacity(), len as usize);
-            assert_eq!(flat.roots.capacity(), len as usize);
             assert_eq!(flat.children.capacity(), 0);
+            assert!(flat.roots().eq(0..len as TaskId));
         }
+    }
+
+    /// A forest whose every task is a root stores no root list: its
+    /// roots are `0..len`. The first child lists them.
+    #[test]
+    fn a_flat_forest_allocates_no_root_list() {
+        let mut f = TaskForest::flat([5, 6, 7]);
+        assert_eq!(f.roots.capacity(), 0);
+        assert_eq!(f.roots().len(), 3);
+        f.add_root(8);
+        assert_eq!(f.roots.capacity(), 0);
+        let child = f.add_child(2, 9);
+        f.add_root(10);
+        assert_eq!(f.roots, [0, 1, 2, 3, 5]);
+        assert!(f.roots().all(|r| r != child));
+        assert_eq!(f.validate(), Ok(()));
     }
 
     #[test]
@@ -477,13 +545,16 @@ mod tests {
                         r.tasks[parent as usize].children.push(child);
                     }
                     _ => {
+                        if f.roots.is_empty() {
+                            f.roots = (0..len).collect();
+                        }
                         f.roots.push(x % len);
                         r.roots.push(x % len);
                     }
                 }
             }
             prop_assert_eq!(f.len(), r.tasks.len());
-            prop_assert_eq!(f.roots(), &r.roots[..]);
+            prop_assert_eq!(f.roots().collect::<Vec<_>>(), r.roots.clone());
             for (id, t) in r.tasks.iter().enumerate() {
                 prop_assert_eq!(f.grain(id as TaskId), t.grain_us);
                 prop_assert_eq!(f.children(id as TaskId), &t.children[..]);

@@ -323,3 +323,36 @@ fn bench_writes_a_document_with_the_provenance_header() {
     assert!(doc.ends_with("}\n"));
     std::fs::remove_dir_all(&dir).expect("clean temp dir");
 }
+
+/// A `bench scale` value no sweep can use exits 2 with the usage and
+/// writes nothing over `--out`; scheduler names resolve as everywhere
+/// else, whatever their case.
+#[test]
+fn bench_scale_rejects_what_it_cannot_sweep() {
+    let dir = scratch("bench-bad");
+    let path = dir.join("scale.json");
+    let out_flag = format!("--out {}", path.display());
+    for flags in [
+        "--one 0",
+        "--one 1000 --sched nope",
+        "--one 1000 --sched random",
+        "--sched rips-hh",
+        "--max-n 999",
+        "--max-n 0",
+    ] {
+        let out = rips(&format!("bench scale {flags} {out_flag}"));
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{flags}: {err}");
+        assert!(err.contains("usage: rips bench scale"), "{flags}: {err}");
+        assert!(!err.contains("panicked"), "{flags}: {err}");
+        assert!(!path.exists(), "{flags} wrote {}", path.display());
+    }
+    let out = rips("bench scale --one 1000 --sched rips-h --tasks-per-node 1");
+    assert!(out.status.success(), "{}", stderr(&out));
+    let cell = stdout(&out);
+    assert!(
+        cell.starts_with("{\"scheduler\":\"RIPS-H\",\"nodes\":1000,"),
+        "{cell}"
+    );
+    std::fs::remove_dir_all(&dir).expect("clean temp dir");
+}
