@@ -1,37 +1,33 @@
-//! Correctness tooling for the RIPS reproduction.
+//! Correctness tooling for the RIPS reproduction: the runtime
+//! invariant auditors that check the paper's theorems against traced
+//! scheduler runs.
 //!
-//! Two cooperating halves keep the workspace honest about the
-//! guarantees the paper states as theorems:
+//! * [`auditor`] — the invariant [`Auditor`], a trace sink that checks
+//!   Theorem 1 (post-schedule load balance), Theorem 2 / Lemma 1
+//!   (non-local-task minimality), task and migration conservation,
+//!   barrier pairing, and phase monotonicity against any traced
+//!   scheduler run. Run it via `rips audit`; the golden and property
+//!   tests run it across the whole roster.
+//! * [`serve`] extends it to multi-job serve runs: each dispatch window
+//!   feeds a fresh inner auditor, plus job-lifecycle invariants
+//!   (per-job conservation, no overlapping windows, no work outside a
+//!   window, shed jobs never dispatch).
 //!
-//! * [`lint`] — **rips-lint**, a source-level static analysis pass
-//!   with repo-specific rules (RIPS-L001 … RIPS-L005) that keep
-//!   nondeterminism, wall-clock time, hot-path panics, `unsafe`, and
-//!   undocumented public API out of the deterministic core. Run it via
-//!   `rips lint`; CI gates on a clean report.
-//! * [`auditor`] — the runtime invariant [`Auditor`], a trace sink
-//!   that checks Theorem 1 (post-schedule load balance), Theorem 2 /
-//!   Lemma 1 (non-local-task minimality), task and migration
-//!   conservation, barrier pairing, and phase monotonicity against any
-//!   traced scheduler run. Run it via `rips audit`; the golden and
-//!   property tests run it across the whole roster. [`serve`] extends
-//!   it to multi-job serve runs: each dispatch window feeds a fresh
-//!   inner auditor, plus job-lifecycle invariants (per-job
-//!   conservation, no overlapping windows, no work outside a window,
-//!   shed jobs never dispatch).
-//!
-//! The crate is dependency-free apart from `rips-trace` (whose sink
-//! interface the auditor implements), in keeping with the offline
-//! vendored-shims policy: the linter carries its own minimal Rust
-//! tokenizer ([`lexer`]) instead of pulling in `syn`.
+//! The crate depends only on `rips-trace`, whose sink interface the
+//! auditors implement. The workspace's source-level rules (no seeded
+//! containers or wall-clock time in simulated code, no `unsafe`, and
+//! so on) are compiler and clippy lints, not code here: DESIGN §7
+//! lists each with where it is configured.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(
+    missing_docs,
+    unreachable_pub,
+    reason = "RIPS-L005: every public item is documented, and `pub` means reachable"
+)]
 
 pub mod auditor;
-pub mod lexer;
-pub mod lint;
 pub mod serve;
 
 pub use auditor::{min_nonlocal_lower_bound, quotas, AuditReport, Auditor};
-pub use lint::{lint_files, lint_source, lint_workspace, Finding, LintReport};
 pub use serve::{ServeAuditReport, ServeAuditor};

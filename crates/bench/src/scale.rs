@@ -17,8 +17,9 @@
 //! The document (checked in as `BENCH_DESIM.scaling.json`) opens with
 //! its provenance: which command, which seed, how many cores, which
 //! revision. The sweep lives under `crates/bench/` because it reads
-//! the wall clock (rips-lint RIPS-L002 allows `Instant` here and
-//! nowhere in the simulated crates).
+//! the wall clock: the root `clippy.toml` disallows `Instant` in the
+//! simulated crates (RIPS-L002), and `crates/bench/clippy.toml` leaves
+//! that entry out.
 
 use std::process::Command;
 use std::sync::Arc;

@@ -1,8 +1,10 @@
 //! ASCII utilization chart from recorded busy spans.
 
-// Indexed loops below mirror the paper's per-column vector algebra;
-// iterator rewrites would obscure the correspondence.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "indexed loops mirror the paper's per-column vector algebra; \
+              iterator rewrites would obscure the correspondence"
+)]
 use rips_desim::{BusySpan, RunStats, WorkKind};
 
 /// Renders the run as one row of `width` buckets per node:

@@ -9,10 +9,15 @@
 //! change that shifts a single microsecond or reorders one delivery
 //! shows up here.
 //!
+//! Three paper-scale Table I cells (13-Queens, IDA\* #2 and GROMOS
+//! 8 Å on 32 nodes) are pinned too. IDA\* #2 takes seconds in a debug
+//! build, so, like `crates/apps/tests/paper_scale.rs`'s slow pins, it
+//! runs only in release; CI's release test step runs it.
+//!
 //! To regenerate after an *intentional* semantic change:
 //!
 //! ```text
-//! cargo test -p rips-bench --test golden -- --ignored --nocapture
+//! cargo test --release -p rips-bench --test golden -- --ignored --nocapture print_goldens
 //! ```
 //!
 //! and paste the printed constants below, with a justification in the
@@ -21,7 +26,7 @@
 use std::sync::Arc;
 
 use rips_apps::{nqueens, NQueensConfig};
-use rips_bench::{registry_with, run_cell, run_scheduler, RegistryTuning, Row};
+use rips_bench::{registry, registry_with, run_cell, run_scheduler, App, RegistryTuning, Row};
 use rips_core::{GlobalPolicy, LocalPolicy, RipsConfig};
 use rips_desim::Time;
 use rips_taskgraph::{geometric_tree, Workload};
@@ -221,6 +226,68 @@ fn rips_policy_modes_are_bit_for_bit_stable() {
     }
 }
 
+/// Table I cells at paper scale, one app per family, as `rips repro
+/// table1` runs them: 32 nodes, seed 1, the app's RID factor. RIPS is
+/// the paper's subject and Random the baseline every other column is
+/// read against; a change that moves any of these numbers moves the
+/// published table.
+const PAPER_APPS: [App; 3] = [App::Queens(13), App::Ida(2), App::Gromos(8.0)];
+const PAPER_SCHEDULERS: [&str; 2] = ["RIPS", "Random"];
+
+/// `app`'s cells under [`PAPER_SCHEDULERS`], in that order.
+fn paper_cells(app: App) -> impl Iterator<Item = (&'static str, (Row, Sent))> {
+    let w = Arc::new(app.build());
+    let reg = registry();
+    PAPER_SCHEDULERS.into_iter().map(move |sched| {
+        let row = counting_sends(32, || run_cell(&reg, sched, &w, 32, app.rid_u(32), 1));
+        (sched, row)
+    })
+}
+
+#[rustfmt::skip]
+const PAPER_GOLDEN: [[&str; 2]; 3] = [
+    [
+        "end=416755 events=12483 msgs=4909 bytes=92240 hops=19540 exec=[291, 278, 288, 237, 285, 205, 258, 191, 237, 201, 225, 209, 214, 214, 216, 229, 218, 222, 215, 214, 239, 218, 286, 245, 299, 271, 263, 226, 213, 240, 205, 214] nonlocal=255 fnv=0xc1c7d7d180c74232", // RIPS
+        "end=456254 events=14295 msgs=6696 bytes=349776 hops=26967 exec=[280, 244, 259, 215, 244, 234, 229, 228, 209, 229, 249, 249, 245, 235, 208, 223, 216, 251, 229, 248, 228, 211, 248, 235, 243, 247, 226, 267, 237, 231, 217, 252] nonlocal=7287 fnv=0x9771d1cb36382925", // Random
+    ],
+    [
+        "end=4071389 events=39618 msgs=34399 bytes=570400 hops=137310 exec=[181, 178, 183, 186, 163, 165, 144, 159, 172, 169, 181, 171, 179, 178, 176, 175, 179, 177, 172, 171, 180, 179, 182, 167, 181, 167, 181, 183, 176, 164, 153, 156] nonlocal=470 fnv=0xc930b4cf32185653", // RIPS
+        "end=3893833 events=9478 msgs=3907 bytes=253696 hops=15377 exec=[192, 164, 179, 155, 173, 151, 167, 177, 152, 220, 196, 175, 188, 189, 156, 146, 146, 191, 158, 173, 176, 148, 175, 170, 174, 182, 166, 195, 182, 175, 151, 186] nonlocal=5182 fnv=0x5d9724d044aca625", // Random
+    ],
+    [
+        "end=2181470 events=25715 msgs=10855 bytes=276416 hops=43473 exec=[300, 299, 303, 304, 309, 310, 315, 305, 310, 326, 316, 327, 308, 540, 542, 544, 578, 543, 560, 552, 570, 565, 569, 567, 574, 566, 572, 585, 596, 602, 633, 668] nonlocal=2078 fnv=0xd0a921f711c62f93", // RIPS
+        "end=2873038 events=17948 msgs=2955 bytes=679760 hops=11818 exec=[494, 455, 465, 466, 463, 451, 456, 458, 433, 433, 456, 458, 464, 462, 435, 444, 440, 499, 454, 461, 435, 408, 459, 461, 506, 496, 460, 808, 429, 444, 439, 466] nonlocal=14141 fnv=0x193e57dc437e1c21", // Random
+    ],
+];
+
+/// Runs [`PAPER_APPS`]`[i]`'s cells against [`PAPER_GOLDEN`]`[i]`.
+fn paper_cells_are_pinned(i: usize) {
+    let app = PAPER_APPS[i];
+    for ((sched, row), want) in paper_cells(app).zip(PAPER_GOLDEN[i]) {
+        assert_eq!(
+            fingerprint(&row),
+            want,
+            "golden mismatch for {sched} on {app:?} / 32 nodes / seed 1"
+        );
+    }
+}
+
+#[test]
+fn queens13_on_32_nodes_is_pinned() {
+    paper_cells_are_pinned(0);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only: IDA* #2 on 32 nodes")]
+fn ida2_on_32_nodes_is_pinned() {
+    paper_cells_are_pinned(1);
+}
+
+#[test]
+fn gromos8_on_32_nodes_is_pinned() {
+    paper_cells_are_pinned(2);
+}
+
 /// Every scheduler in the canonical registry must be pinned by at
 /// least one golden cell — registering a scheduler without freezing
 /// its behaviour is how silent drift starts.
@@ -235,7 +302,9 @@ fn every_registry_entry_has_a_golden_cell() {
     }
 }
 
-/// Regeneration helper — prints the constants for `GOLDEN`.
+/// Regeneration helper — prints the constants for `GOLDEN`,
+/// `MODE_GOLDEN` and `PAPER_GOLDEN` (IDA\* #2's cells are quicker with
+/// `--release`).
 #[test]
 #[ignore = "generator: run with --ignored --nocapture to reprint goldens"]
 fn print_goldens() {
@@ -246,6 +315,12 @@ fn print_goldens() {
     for (mode, local, global) in mode_cells() {
         for (_, row) in run_mode(local, global) {
             println!("    \"{}\", // {mode}", fingerprint(&row));
+        }
+    }
+    for app in PAPER_APPS {
+        println!("{app:?}");
+        for (sched, row) in paper_cells(app) {
+            println!("    \"{}\", // {sched}", fingerprint(&row));
         }
     }
 }

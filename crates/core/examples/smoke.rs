@@ -13,7 +13,10 @@ fn main() {
         s.total_work_us as f64 / 1e6
     );
     let mesh = Mesh2D::new(8, 4);
-    // rips-lint: allow(L002, wall-clock timing of the demo binary itself, not of simulated work)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "wall-clock timing of the demo binary itself, not of simulated work"
+    )]
     let t0 = std::time::Instant::now();
     let out = rips(
         Arc::clone(&w),
@@ -41,7 +44,10 @@ fn main() {
         );
     }
     for (name, f) in [("Random", 0), ("Gradient", 1), ("RID", 2)] {
-        // rips-lint: allow(L002, wall-clock timing of the demo binary itself, not of simulated work)
+        #[expect(
+            clippy::disallowed_types,
+            reason = "wall-clock timing of the demo binary itself, not of simulated work"
+        )]
         let t0 = std::time::Instant::now();
         let topo: Arc<dyn rips_topology::Topology> = Arc::new(mesh.clone());
         let o = match f {

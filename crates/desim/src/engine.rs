@@ -49,6 +49,15 @@
 //!   a pop no longer sifts through tens of megabytes of cache misses.
 //!   The `N` `Start` events are the same thing: one run, born sorted.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "RIPS-L003: a panic in the engine hot path takes down the whole simulation; \
+              each remaining site names the invariant that rules it out"
+)]
+
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::Arc;
@@ -287,11 +296,15 @@ impl RunEntry {
     /// # Panics
     /// Panics if the offset is past `u32::MAX`. A rank fits: ranks are
     /// below the node count, which [`Engine::new`] bounds.
+    #[expect(
+        clippy::panic,
+        reason = "a delivery past u32::MAX µs after its broadcast cannot be stored; \
+                  stopping beats delivering it at a wrapped time"
+    )]
     fn new(base: Time, time: Time, rank: usize) -> Self {
         let offset = time - base;
         RunEntry {
             offset: u32::try_from(offset).unwrap_or_else(|_| {
-                // rips-lint: allow(L003, a delivery past u32::MAX µs after its broadcast cannot be stored; stopping beats delivering it at a wrapped time)
                 panic!("broadcast run entry {offset} µs after its base is past u32::MAX")
             }),
             rank: rank as u32,
@@ -499,7 +512,10 @@ impl<M> EventCore<M> {
         let mut top = self.queue.peek_mut()?;
         let run = &mut self.runs[r];
         let (time, seq, node) = (top.0.time, top.0.seq, top.0.node);
-        // rips-lint: allow(L003, a run whose head is in the heap has that head's entry)
+        #[expect(
+            clippy::expect_used,
+            reason = "a run whose head is in the heap has that head's entry"
+        )]
         let RunEntry { rank, .. } = run.entries.pop().expect("open run without entries");
         let to = run.recipient(rank as usize);
         let msg = if let Some(next) = run.head() {
@@ -738,10 +754,14 @@ impl<P: Program> Engine<P> {
         bytes: usize,
     ) {
         let n = self.nodes.len();
+        #[expect(
+            clippy::expect_used,
+            reason = "the topology is connected and a forward event is never at its \
+                      destination, so a route exists"
+        )]
         let next = self
             .topo
             .route_next_hop(at, final_to)
-            // rips-lint: allow(L003, the topology is connected and a forward event is never at its destination, so a route exists)
             .expect("no route between distinct nodes");
         let link = at * n + next;
         let transmit = self.latency.per_hop_us + (bytes as Time * self.latency.per_byte_ns) / 1000;
@@ -847,8 +867,11 @@ impl<P: Program> Engine<P> {
                 self.nodes.programs[node].on_message(&mut ctx, from, msg)
             }
             EventKind::Timer { tag } => self.nodes.programs[node].on_timer(&mut ctx, tag),
+            #[expect(
+                clippy::unreachable,
+                reason = "routing events, wake markers and run heads are intercepted before dispatch"
+            )]
             EventKind::Forward { .. } | EventKind::Wake | EventKind::Run(_) => {
-                // rips-lint: allow(L003, routing events, wake markers and run heads are intercepted before dispatch)
                 unreachable!("router/marker events never dispatch to a program")
             }
         }
@@ -983,10 +1006,13 @@ impl<P: Program> Engine<P> {
                         self.tel.add_at(node, Counter::StaleWakes, 1);
                         continue; // stale marker
                     }
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "a node is armed only when its lane is non-empty; the pop cannot fail"
+                    )]
                     let head = self.nodes.lanes[node]
                         .as_deref_mut()
                         .and_then(BinaryHeap::pop)
-                        // rips-lint: allow(L003, a node is armed only when its lane is non-empty; the pop cannot fail)
                         .expect("armed node with empty lane")
                         .0;
                     debug_assert_eq!(head.seq, ev.seq);

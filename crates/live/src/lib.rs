@@ -51,10 +51,18 @@
 //! audited trace invariants (barrier pairing, phase monotonicity) hold.
 //! Timings, migration patterns, and phase counts may differ run to run.
 
-#![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![deny(
+    missing_docs,
+    unreachable_pub,
+    reason = "RIPS-L005: every public item is documented, and `pub` means reachable"
+)]
 
-#[allow(unsafe_code)]
+#[allow(
+    unsafe_code,
+    reason = "RIPS-L004: SPSC ring slots are UnsafeCell<MaybeUninit>; non-Clone &mut \
+              handles plus the head/tail acquire/release protocol make every slot access \
+              data-race-free (safety argument in the module docs and on each block)"
+)]
 pub mod ring;
 pub mod transport;
 pub mod watchdog;
@@ -81,8 +89,8 @@ use transport::{NodeRx, NodeTx, Recv};
 
 /// Monotonic wall-clock time source, anchored at construction.
 ///
-/// The one legitimate use of `Instant` in this workspace (see
-/// RIPS-L002's allowlist): live runs measure real elapsed time. Pass
+/// It reads `Instant`, which `crates/live/clippy.toml` leaves out of
+/// RIPS-L002's ban: live runs measure real elapsed time. Pass
 /// the *same* instance to [`LiveOpts::clock`] and to
 /// [`rips_trace::with_metrics_clocked`] so trace timestamps, the
 /// backend's `now()` and the dispatch-profile histograms describe one
@@ -338,7 +346,10 @@ enum Step<M> {
     Halt,
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a node thread's whole start state arrives here once, moved in by the spawner"
+)]
 fn node_loop<P: BalancerPolicy>(
     me: NodeId,
     n: usize,

@@ -28,12 +28,13 @@
 //! so the aliasing story is Miri-clean.
 //!
 //! This module is the one place in the workspace that uses `unsafe`
-//! (slot storage is `UnsafeCellWrap<MaybeUninit<T>>`); the audit lint
-//! RIPS-L004 pins the allowlist to exactly this file, and the safety
-//! argument is spelled out on each `unsafe` block.
+//! (slot storage is `UnsafeCellWrap<MaybeUninit<T>>`). The workspace
+//! denies `unsafe_code` (RIPS-L004, `[workspace.lints]` in the root
+//! `Cargo.toml`); the one `#[allow(unsafe_code)]`, on `mod ring` in
+//! this crate's `lib.rs`, carries the safety argument below as its
+//! reason, and the safety argument is spelled out on each `unsafe`
+//! block.
 
-// rips-lint: allow(L004, SPSC slot access is proven exclusive by the
-// head/tail protocol; see module docs and per-block safety comments)
 use std::mem::MaybeUninit;
 use std::sync::Arc;
 

@@ -116,7 +116,7 @@ impl<M> NodeTx<M> {
     /// Delivers one packet to `to`, spin-yielding while its ring is
     /// full. Once the machine has halted or `to` has exited the packet
     /// is dropped instead (see module docs).
-    pub fn send(&mut self, to: NodeId, mut packet: Packet<M>) {
+    pub(crate) fn send(&mut self, to: NodeId, mut packet: Packet<M>) {
         while let Err(back) = self.txs[to].push(packet) {
             if self.ctl.halt.load(Ordering::Acquire)
                 || self.ctl.peers[to].exited.load(Ordering::Acquire)
@@ -136,7 +136,7 @@ impl<M> NodeTx<M> {
     }
 
     /// Announces global shutdown to every peer.
-    pub fn broadcast_halt(&mut self) {
+    pub(crate) fn broadcast_halt(&mut self) {
         self.ctl
             .halt
             .store(true, ord("transport.halt.publish", Ordering::SeqCst));
@@ -156,7 +156,7 @@ pub(crate) struct NodeRx<M> {
 impl<M> NodeRx<M> {
     /// Registers the calling thread for wakeups and arms the exit
     /// guard. Must be called on the node's own thread before its loop.
-    pub fn register(&self) -> ExitGuard {
+    pub(crate) fn register(&self) -> ExitGuard {
         *self.ctl.peers[self.me]
             .thread
             .lock()
@@ -173,7 +173,7 @@ impl<M> NodeRx<M> {
     }
 
     /// Non-blocking poll.
-    pub fn try_recv(&mut self) -> Recv<M> {
+    pub(crate) fn try_recv(&mut self) -> Recv<M> {
         if self.ctl.halt.load(Ordering::Acquire) {
             return Recv::Halt;
         }
@@ -191,7 +191,7 @@ impl<M> NodeRx<M> {
     /// Blocks until a message may be available or `deadline` (absolute
     /// µs on `clock`) passes. `Recv::Empty` means "re-poll and re-check
     /// timers" — the caller loops, so spurious wakeups are harmless.
-    pub fn recv_wait(&mut self, deadline: Option<Time>, clock: &dyn Clock) -> Recv<M> {
+    pub(crate) fn recv_wait(&mut self, deadline: Option<Time>, clock: &dyn Clock) -> Recv<M> {
         // Advertise the park, fence, re-poll, then really park.
         self.parked()
             .store(true, ord("transport.park.advertise", Ordering::SeqCst));
@@ -218,7 +218,7 @@ impl<M> NodeRx<M> {
 
     /// Total packets currently queued across this node's receive rings.
     /// Feeds the `RingDepth` trace counter.
-    pub fn occupancy(&self) -> u64 {
+    pub(crate) fn occupancy(&self) -> u64 {
         self.rxs.iter().map(|r| r.len() as u64).sum()
     }
 }

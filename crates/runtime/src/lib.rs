@@ -536,8 +536,8 @@ mod verify_model {
             // One result slot per worker, written before its retire;
             // the announcer reads both (the barrier's rendezvous). The
             // accesses carry no data — the checker races the *accesses*
-            // themselves, so no `unsafe` deref is needed and the L004
-            // allowlist stays pinned to ring.rs.
+            // themselves, so no `unsafe` deref is needed and RIPS-L004's
+            // one `unsafe_code` allow stays on rips-live's `mod ring`.
             let results = Arc::new([UnsafeCellWrap::new(0u64), UnsafeCellWrap::new(0u64)]);
             let wins = Arc::new(AtomicUsize::new(0));
             let worker = {

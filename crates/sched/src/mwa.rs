@@ -18,9 +18,11 @@
 //! `tests/distributed/dmwa.rs` runs the five steps as messages and
 //! agrees with this code flow for flow, within [`mwa_steps`].
 
-// Indexed loops below mirror the paper's per-column vector algebra;
-// iterator rewrites would obscure the correspondence.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "indexed loops mirror the paper's per-column vector algebra; \
+              iterator rewrites would obscure the correspondence"
+)]
 use rips_topology::{Mesh2D, Topology};
 
 use crate::plan::TransferPlan;

@@ -18,9 +18,11 @@
 //! below compare per-link flows move for move) and the measured
 //! communication-step count validates the paper's `3(n1+n2)` bound.
 
-// Indexed loops below mirror the paper's per-column vector algebra;
-// iterator rewrites would obscure the correspondence.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "indexed loops mirror the paper's per-column vector algebra; \
+              iterator rewrites would obscure the correspondence"
+)]
 use rips_topology::{Mesh2D, NodeId, Topology};
 
 use crate::bsp::{BspMachine, BspProgram};

@@ -22,9 +22,21 @@ enum Msg {
     /// Down sweep: `(w_avg, R)` from the root.
     Bcast(i64, i64),
     /// Forced flow upward (count recorded by the sender's move log).
-    TasksUp(#[allow(dead_code)] i64),
+    TasksUp(
+        #[allow(
+            dead_code,
+            reason = "the count is the message's payload on the wire; the receiver tallies from the sender's move log"
+        )]
+        i64,
+    ),
     /// Forced flow downward.
-    TasksDown(#[allow(dead_code)] i64),
+    TasksDown(
+        #[allow(
+            dead_code,
+            reason = "the count is the message's payload on the wire; the receiver tallies from the sender's move log"
+        )]
+        i64,
+    ),
 }
 
 struct Node {

@@ -27,7 +27,11 @@
 //! counters flow through [`metrics_rt`](rips_trace::metrics_rt).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(
+    missing_docs,
+    unreachable_pub,
+    reason = "RIPS-L005: every public item is documented, and `pub` means reachable"
+)]
 
 pub mod admission;
 pub mod backend;

@@ -60,8 +60,8 @@ pub struct TrafficConfig {
     /// Gap distribution.
     pub process: ArrivalProcess,
     /// Seed for the per-tenant interarrival/app-choice streams. This
-    /// is the *only* randomness in the serve layer (RIPS-L002: seeded
-    /// shim RNG, no ambient entropy).
+    /// is the *only* randomness in the serve layer (RIPS-L002 in the
+    /// root `clippy.toml`: seeded shim RNG, no ambient entropy).
     pub seed: u64,
 }
 

@@ -26,7 +26,7 @@ const PID: u64 = 1;
 /// loads painfully or not at all. Grouped tracks are an aggregate
 /// overview — spans from the nodes of a group interleave on one
 /// track — which is the only readable rendering at that scale anyway.
-pub const MAX_THREAD_TRACKS: usize = 512;
+pub(crate) const MAX_THREAD_TRACKS: usize = 512;
 
 /// Node → track mapping: identity below [`MAX_THREAD_TRACKS`] nodes,
 /// contiguous buckets above.

@@ -43,7 +43,11 @@
 //! node ids; both match the workspace-wide conventions.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(
+    missing_docs,
+    unreachable_pub,
+    reason = "RIPS-L005: every public item is documented, and `pub` means reachable"
+)]
 
 mod chrome;
 pub mod flight;
@@ -74,8 +78,9 @@ pub type NodeId = usize;
 /// travels with every event. The live backend paces execution and
 /// stamps its events with one, and [`with_metrics_clocked`] times the
 /// registry's duration histograms with it. The `Instant`-backed
-/// implementation lives in `rips-live`, the one crate allowed to read
-/// wall-clock time (RIPS-L002); tests use [`metrics_rt::ManualNs`].
+/// implementation lives in `rips-live`, whose `clippy.toml` leaves out
+/// the root one's RIPS-L002 ban on wall-clock time; tests use
+/// [`metrics_rt::ManualNs`].
 pub trait Clock: Send + Sync {
     /// Nanoseconds elapsed since this clock's epoch.
     fn now_ns(&self) -> u64;

@@ -31,8 +31,9 @@
 //!   ([`MetricsSnapshot::render_openmetrics`]).
 //!
 //! Wall-clock section timing needs a nanosecond [`Clock`](crate::Clock),
-//! and this crate is dependency-free and forbids `Instant` by repo lint
-//! (RIPS-L002), so the monotonic implementation lives in `rips-live`
+//! and this crate is dependency-free and may not name `Instant`
+//! (RIPS-L002, `disallowed-types` in the root `clippy.toml`), so the
+//! monotonic implementation lives in `rips-live`
 //! (the one crate allowed to read time). Install the registry with one
 //! through [`with_metrics_clocked`](crate::with_metrics_clocked) to
 //! light up the duration histograms; without a clock only counters and

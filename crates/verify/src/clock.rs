@@ -7,21 +7,21 @@
 /// A vector clock: `vc[t]` is the last epoch of thread `t` that the
 /// owner has synchronized with.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct VClock(Vec<u64>);
+pub(crate) struct VClock(Vec<u64>);
 
 impl VClock {
     /// The empty clock (synchronized with nothing).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         VClock(Vec::new())
     }
 
     /// Epoch of thread `tid` in this clock (0 when never observed).
-    pub fn get(&self, tid: usize) -> u64 {
+    pub(crate) fn get(&self, tid: usize) -> u64 {
         self.0.get(tid).copied().unwrap_or(0)
     }
 
     /// Set thread `tid`'s entry to `epoch`, growing the clock as needed.
-    pub fn set(&mut self, tid: usize, epoch: u64) {
+    pub(crate) fn set(&mut self, tid: usize, epoch: u64) {
         if self.0.len() <= tid {
             self.0.resize(tid + 1, 0);
         }
@@ -29,7 +29,7 @@ impl VClock {
     }
 
     /// Advance thread `tid`'s own entry by one and return the new epoch.
-    pub fn tick(&mut self, tid: usize) -> u64 {
+    pub(crate) fn tick(&mut self, tid: usize) -> u64 {
         let next = self.get(tid) + 1;
         self.set(tid, next);
         next
@@ -37,7 +37,7 @@ impl VClock {
 
     /// Pointwise maximum: after `self.join(other)`, everything
     /// happens-before `other` also happens-before `self`.
-    pub fn join(&mut self, other: &VClock) {
+    pub(crate) fn join(&mut self, other: &VClock) {
         if self.0.len() < other.0.len() {
             self.0.resize(other.0.len(), 0);
         }
@@ -50,12 +50,12 @@ impl VClock {
 
     /// True when the single epoch `(tid, epoch)` is covered by this
     /// clock, i.e. that access happens-before the owner's current point.
-    pub fn covers(&self, tid: usize, epoch: u64) -> bool {
+    pub(crate) fn covers(&self, tid: usize, epoch: u64) -> bool {
         self.get(tid) >= epoch
     }
 
     /// Drop all entries (used when a relaxed store breaks a release chain).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.0.clear();
     }
 }

@@ -63,7 +63,7 @@ impl std::fmt::Display for ViolationKind {
 
 /// Is the running thread about to read, write, or read-modify-write?
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Rw {
+pub(crate) enum Rw {
     /// Pure load.
     Load,
     /// Pure store.
@@ -74,7 +74,7 @@ pub enum Rw {
 
 /// One executed step, for replay rendering.
 #[derive(Clone, Debug)]
-pub struct TraceEntry {
+pub(crate) struct TraceEntry {
     /// Model thread that performed the step.
     pub tid: usize,
     /// Site label (from `sync::ord`/`fence_at`) when one was attached.
@@ -85,7 +85,7 @@ pub struct TraceEntry {
 
 /// One scheduling decision, for DFS backtracking.
 #[derive(Clone, Debug)]
-pub struct Decision {
+pub(crate) struct Decision {
     /// Position in `enabled` of the free (default) continuation: the
     /// previously-running thread, or its round-robin successor after a
     /// voluntary yield. Choosing anything else is a preemption.
@@ -245,7 +245,7 @@ pub(crate) struct Execution {
 
 impl Execution {
     /// Creates the shared execution state for one schedule run.
-    pub fn new(cfg: ExecCfg) -> Arc<Self> {
+    pub(crate) fn new(cfg: ExecCfg) -> Arc<Self> {
         Arc::new(Execution {
             inner: Mutex::new(ExecState {
                 current: 0,
@@ -291,7 +291,7 @@ impl Execution {
     }
 
     /// Register the root model thread (tid 0).
-    pub fn register_main(&self) -> usize {
+    pub(crate) fn register_main(&self) -> usize {
         let mut st = self.lock();
         debug_assert!(st.threads.is_empty());
         let mut slot = ThreadSlot::new(Some("main"));
@@ -303,7 +303,7 @@ impl Execution {
 
     /// Track the OS handle backing a model thread so the harness can
     /// join everything at the end of the execution.
-    pub fn add_handle(&self, h: std::thread::JoinHandle<()>) {
+    pub(crate) fn add_handle(&self, h: std::thread::JoinHandle<()>) {
         self.handles
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -313,7 +313,7 @@ impl Execution {
     /// Harness side: join every OS thread spawned for this execution.
     /// Handles for grandchildren are always pushed before their spawner
     /// can exit, so draining until empty is complete.
-    pub fn join_all(&self) {
+    pub(crate) fn join_all(&self) {
         loop {
             let h = self.handles.lock().unwrap_or_else(|e| e.into_inner()).pop();
             match h {
@@ -326,7 +326,7 @@ impl Execution {
     }
 
     /// Extract the result after `join_all`.
-    pub fn outcome(&self) -> ExecOutcome {
+    pub(crate) fn outcome(&self) -> ExecOutcome {
         let st = self.lock();
         ExecOutcome {
             violation: st.violation.clone(),
@@ -361,7 +361,7 @@ impl Execution {
     }
 
     /// First wait of a freshly spawned model thread.
-    pub fn first_wait(&self, tid: usize) {
+    pub(crate) fn first_wait(&self, tid: usize) {
         let st = self.lock();
         drop(self.wait_for_token(tid, st));
     }
@@ -451,7 +451,7 @@ impl Execution {
 
     /// A scheduling point with no trace entry (used right after spawn,
     /// where the creation instant is already recorded).
-    pub fn yield_silent(&self, tid: usize) {
+    pub(crate) fn yield_silent(&self, tid: usize) {
         let st = self.lock_checked();
         drop(self.yield_here(tid, st));
     }
@@ -520,8 +520,12 @@ impl Execution {
     /// `(shown, old, new)`: the value to display (old value for RMWs,
     /// the stored value for stores), the location's previous value, and
     /// the value the location holds afterwards.
-    #[allow(clippy::too_many_arguments)]
-    pub fn atomic_op(
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one instrumented access carries its whole identity: thread, address, \
+                  label, op, ordering and the closure that performs it"
+    )]
+    pub(crate) fn atomic_op(
         &self,
         tid: usize,
         addr: usize,
@@ -607,7 +611,7 @@ impl Execution {
     /// the weak-memory behaviors), synchronize with it, trace.
     /// `init` performs the real load, used only before any instrumented
     /// store has been recorded for the location.
-    pub fn atomic_load(
+    pub(crate) fn atomic_load(
         &self,
         tid: usize,
         addr: usize,
@@ -693,7 +697,7 @@ impl Execution {
     }
 
     /// An instrumented memory fence.
-    pub fn fence(&self, tid: usize, label: Option<&'static str>, ord: Ordering) {
+    pub(crate) fn fence(&self, tid: usize, label: Option<&'static str>, ord: Ordering) {
         let st = self.lock_checked();
         let mut st = self.yield_here(tid, st);
         let ExecState {
@@ -718,7 +722,13 @@ impl Execution {
     /// An access to the data protected by an `UnsafeCellWrap`. Reports a
     /// data race when the access is not ordered (by the tracked
     /// happens-before relation) after every conflicting prior access.
-    pub fn cell_access(&self, tid: usize, addr: usize, label: Option<&'static str>, write: bool) {
+    pub(crate) fn cell_access(
+        &self,
+        tid: usize,
+        addr: usize,
+        label: Option<&'static str>,
+        write: bool,
+    ) {
         let st = self.lock_checked();
         let mut st = self.yield_here(tid, st);
         let step = st.trace.len();
@@ -766,7 +776,7 @@ impl Execution {
 
     /// Forget a location when its owner is dropped (guards against
     /// address reuse within one execution).
-    pub fn retire(&self, addr: usize) {
+    pub(crate) fn retire(&self, addr: usize) {
         let mut st = self.lock();
         st.locs.remove(&addr);
         st.cells.remove(&addr);
@@ -774,7 +784,7 @@ impl Execution {
 
     /// Register a child thread slot; the spawn edge is a happens-before
     /// edge from parent to child.
-    pub fn spawn_slot(&self, parent: usize, name: Option<&'static str>) -> usize {
+    pub(crate) fn spawn_slot(&self, parent: usize, name: Option<&'static str>) -> usize {
         let mut st = self.lock_checked();
         let tid = st.threads.len();
         if tid >= MAX_MODEL_THREADS {
@@ -854,7 +864,7 @@ impl Execution {
     /// Model `std::thread::park`: consume the token or block until
     /// `unpark`. The unparker's clock is acquired on wake-up, matching
     /// the happens-before edge std guarantees.
-    pub fn park(&self, tid: usize) {
+    pub(crate) fn park(&self, tid: usize) {
         let st = self.lock_checked();
         let mut st = self.yield_here(tid, st);
         if st.threads[tid].park_token {
@@ -875,7 +885,7 @@ impl Execution {
     /// (the schedule where the timeout fires at once). Wake-up-by-timer
     /// interleavings are therefore always explored; the cost is that
     /// "parked until timeout" states are not.
-    pub fn park_timeout(&self, tid: usize) {
+    pub(crate) fn park_timeout(&self, tid: usize) {
         let st = self.lock_checked();
         let mut st = self.yield_here(tid, st);
         let op = if st.threads[tid].park_token {
@@ -893,7 +903,7 @@ impl Execution {
     /// Model `Thread::unpark`. Deliberately *not* a scheduling point:
     /// the live transport calls it while holding a std `Mutex`, and a
     /// context switch there would deadlock the harness, not the model.
-    pub fn unpark(&self, from: Option<usize>, target: usize) {
+    pub(crate) fn unpark(&self, from: Option<usize>, target: usize) {
         let mut st = self.lock();
         if st.aborting || target >= st.threads.len() {
             return;
@@ -912,7 +922,7 @@ impl Execution {
 
     /// Model `yield_now`/`spin_loop`: deprioritize this thread so the
     /// scheduler prefers anyone it might be waiting on.
-    pub fn yield_now(&self, tid: usize) {
+    pub(crate) fn yield_now(&self, tid: usize) {
         let st = self.lock_checked();
         let mut st = {
             let mut st = st;
@@ -923,7 +933,7 @@ impl Execution {
     }
 
     /// Model `JoinHandle::join`.
-    pub fn join_thread(&self, tid: usize, target: usize) {
+    pub(crate) fn join_thread(&self, tid: usize, target: usize) {
         let st = self.lock_checked();
         let mut st = self.yield_here(tid, st);
         if st.threads[target].state != TState::Finished {
@@ -936,7 +946,7 @@ impl Execution {
     }
 
     /// A model thread ran to completion (or unwound after an abort).
-    pub fn finish(&self, tid: usize) {
+    pub(crate) fn finish(&self, tid: usize) {
         let mut st = self.lock();
         st.threads[tid].state = TState::Finished;
         st.threads[tid].final_vc = st.threads[tid].vc.clone();
@@ -954,7 +964,7 @@ impl Execution {
     }
 
     /// A model thread panicked with a real (non-[`Abort`]) payload.
-    pub fn fail_assert(&self, tid: usize, msg: String) {
+    pub(crate) fn fail_assert(&self, tid: usize, msg: String) {
         let mut st = self.lock();
         if !st.aborting {
             let full = format!("t{tid} panicked: {msg}");

@@ -59,7 +59,11 @@
 //! proof for unbounded schedules.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(
+    missing_docs,
+    unreachable_pub,
+    reason = "RIPS-L005: every public item is documented, and `pub` means reachable"
+)]
 
 mod clock;
 mod exec;

@@ -98,7 +98,6 @@ fn retire_key(key: usize) {
 macro_rules! int_atomic {
     ($(#[$doc:meta])* $name:ident, $std:ty, $prim:ty) => {
         $(#[$doc])*
-        // rips-lint: allow(L005, every instantiation passes its doc comment through the macro's doc metavariable)
         pub struct $name {
             inner: $std,
         }

@@ -218,7 +218,7 @@ macro_rules! impl_tuple_strategy {
     ($($name:ident),+) => {
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
-            #[allow(non_snake_case)]
+            #[allow(non_snake_case, reason = "the tuple's type parameters name its elements")]
             fn generate(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.generate(rng),)+)
@@ -489,7 +489,7 @@ mod tests {
     #[should_panic(expected = "property `fails` failed")]
     fn failure_reports_case() {
         proptest! {
-            #[allow(unused)]
+            #[allow(unused, reason = "the property exists only to fail")]
             fn fails(x in 0u8..10) {
                 prop_assert!(x < 100); // passes
                 prop_assert!(x > 200, "x was {}", x); // always fails

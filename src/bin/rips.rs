@@ -16,9 +16,7 @@
 //! table (p50/p95/max durations per system phase) instead.
 //! `audit` runs with the invariant [`Auditor`] attached and fails if
 //! any paper invariant (Theorem 1/2, conservation, barrier pairing) is
-//! violated. `lint` runs the rips-lint static analysis pass over the
-//! workspace source (rules RIPS-L001…L006; see DESIGN §7). `verify`
-//! rebuilds the workspace with `--cfg rips_verify` and runs the
+//! violated. `verify` rebuilds the workspace with `--cfg rips_verify` and runs the
 //! bounded model checker over the lock-free live paths (DESIGN §11).
 //!
 //! `serve` runs the open-loop multi-tenant service (DESIGN §12): N
@@ -76,7 +74,7 @@ const METRICS_OUT: Flag = "--metrics-out S  write OpenMetrics text here (- = std
 /// library table.
 fn commands() -> Vec<Cmd> {
     type Handler = fn(&Args);
-    let fixed: [(Spec, Handler); 12] = [
+    let fixed: [(Spec, Handler); 11] = [
         (RUN, cmd_run),
         (LIVE, cmd_live),
         (TRACE, cmd_trace),
@@ -84,7 +82,6 @@ fn commands() -> Vec<Cmd> {
         (AUDIT, cmd_audit),
         (SERVE, cmd_serve),
         (PLAN, cmd_plan),
-        (LINT, cmd_lint),
         (VERIFY, cmd_verify),
         (APPS, |_| App::names().iter().for_each(|a| println!("{a}"))),
         (SCHEDULERS, |_| {
@@ -591,44 +588,6 @@ fn cmd_audit(args: &Args) {
         all_ok &= audit_one(&reg, name, &spec);
     }
     if !all_ok {
-        std::process::exit(1);
-    }
-}
-
-const LINT: Spec = &[
-    "lint  rips-lint static analysis over the workspace source",
-    "--root S=.               workspace root",
-    "--format S=human         human|json",
-    "--out S                  write the report here",
-];
-
-fn cmd_lint(args: &Args) {
-    let root = args.str("--root");
-    let report = match rips_repro::audit::lint_workspace(std::path::Path::new(root)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot walk {root}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let rendered = match args.str("--format") {
-        "json" => report.render_json(),
-        "human" => report.render_human(),
-        other => args.fail(&format!("unknown --format '{other}' (human|json)")),
-    };
-    match args.get("--out") {
-        Some(path) => {
-            write_file(path, &rendered);
-            eprintln!(
-                "wrote {path}: {} finding(s) in {} file(s), {} suppressed",
-                report.findings.len(),
-                report.files_checked,
-                report.suppressed
-            );
-        }
-        None => print!("{rendered}"),
-    }
-    if !report.is_clean() {
         std::process::exit(1);
     }
 }

@@ -68,7 +68,6 @@ audit: --all --app --nodes --seed --policy
 serve: --backend --scheduler --nodes --threads --tenants --jobs --mean-interarrival-us \
        --process --max-pending --quota --quantum --seed --tiny --audit --json --out --metrics-out
 plan: --rows --cols --loads
-lint: --root --format --out
 verify: --bound --max-iters --mode --seed --random-iters --out --filter
 apps:
 schedulers:
@@ -154,6 +153,8 @@ fn bad_input_exits_2_naming_the_offending_token() {
         ("repro", "missing name"),
         ("repro fig9", "unknown name 'fig9'"),
         ("bench transport", "\n  bench scale "),
+        // A command that is gone is an unknown command.
+        ("lint", "usage: rips <command>"),
         // Values only the command can judge.
         ("run --app queens8", "unknown app 'queens8'"),
         ("run --scheduler fifo", "unknown scheduler 'fifo'"),
