@@ -51,9 +51,11 @@ pub struct ServeAuditReport {
     /// Jobs completed.
     pub jobs_completed: u64,
     /// Dispatch windows that carried an inner fleet trace. Both
-    /// workspace backends trace every job they serve; a window lacks
-    /// one only when its backend serves the job without emitting fleet
-    /// events, as a hand-fed event stream does.
+    /// workspace backends run and trace every job they serve while a
+    /// sink is installed (the simulated fleet reuses seed-free runs
+    /// only without one); a window lacks a trace only when its backend
+    /// serves the job without emitting fleet events, as a hand-fed
+    /// event stream does.
     pub jobs_with_inner_trace: u64,
     /// Largest post-schedule load spread over every audited window
     /// (Theorem 1 requires ≤ 1).

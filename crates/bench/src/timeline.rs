@@ -86,6 +86,7 @@ mod tests {
             peak_heap_len: 0,
             mem: Default::default(),
             timelines: Some(spans),
+            seed_read: false,
         }
     }
 
@@ -187,6 +188,7 @@ mod tests {
             peak_heap_len: 0,
             mem: Default::default(),
             timelines: None,
+            seed_read: false,
         };
         assert!(utilization_chart(&stats, 5).contains("no timeline"));
     }

@@ -302,6 +302,25 @@ fn every_registry_entry_has_a_golden_cell() {
     }
 }
 
+/// The guarantee the simulated serve fleet's run reuse rests on: only
+/// Random reads its seed, and a run that never reads it is the same
+/// run, outcome and phase log, under another seed.
+#[test]
+fn only_random_reads_its_seed_and_a_seed_free_run_ignores_it() {
+    for name in registry().names() {
+        for (w, nodes) in [(queens9(), 8), (tree(), 9)] {
+            let [a, b] = [1, 0x5eed_0002].map(|seed| run_scheduler(name, &w, nodes, 0.4, seed));
+            let cell = format!("{name} on {} / {nodes} nodes", w.name);
+            assert_eq!(a.outcome.stats.seed_read, name == "Random", "{cell}");
+            assert_eq!(b.outcome.stats.seed_read, name == "Random", "{cell}");
+            if !a.outcome.stats.seed_read {
+                assert_eq!(a.outcome, b.outcome, "{cell}: the seed moved the outcome");
+                assert_eq!(a.phases, b.phases, "{cell}: the seed moved the phase log");
+            }
+        }
+    }
+}
+
 /// Regeneration helper — prints the constants for `GOLDEN`,
 /// `MODE_GOLDEN` and `PAPER_GOLDEN` (IDA\* #2's cells are quicker with
 /// `--release`).

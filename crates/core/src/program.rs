@@ -1014,8 +1014,10 @@ impl RipsFleet {
 }
 
 /// Runs `workload` under RIPS on `machine`. RIPS draws no random
-/// numbers, so `seed` does not change the run; it is taken for the same
-/// signature as every other scheduler.
+/// numbers and never reads `seed`, so the seed does not change the run
+/// (`crates/bench/tests/golden.rs`,
+/// `only_random_reads_its_seed_and_a_seed_free_run_ignores_it`); it is
+/// taken for the same signature as every other scheduler.
 pub fn rips(
     workload: Arc<Workload>,
     machine: Machine,

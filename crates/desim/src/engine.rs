@@ -58,6 +58,7 @@
               each remaining site names the invariant that rules it out"
 )]
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::Arc;
@@ -137,6 +138,9 @@ pub struct Ctx<'a, M> {
     halt: bool,
     send_cpu_us: Time,
     seed: u64,
+    /// Set by [`Ctx::seed`]; the engine folds it into
+    /// [`RunStats::seed_read`] when the handler returns.
+    seed_read: Cell<bool>,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -158,7 +162,12 @@ impl<'a, M> Ctx<'a, M> {
     /// The seed the engine was built with. The engine draws no random
     /// numbers itself; a program that does seeds its own stream from
     /// this (and its node id), so a run stays deterministic under it.
+    ///
+    /// This is the only way the seed reaches a program, and the run
+    /// records the call ([`RunStats::seed_read`]): a run that never
+    /// makes it is the same run under every seed.
     pub fn seed(&self) -> u64 {
+        self.seed_read.set(true);
         self.seed
     }
 
@@ -581,6 +590,8 @@ pub struct Engine<P: Program> {
     latency: LatencyModel,
     /// Handed to every handler through [`Ctx::seed`].
     seed: u64,
+    /// Whether any handler has called [`Ctx::seed`].
+    seed_read: bool,
     /// Per-node state, struct-of-arrays.
     nodes: NodeCore<P>,
     /// Global event-queue state.
@@ -658,6 +669,7 @@ impl<P: Program> Engine<P> {
         Engine {
             latency,
             seed,
+            seed_read: false,
             nodes: NodeCore {
                 programs,
                 ready_at: vec![0; n],
@@ -859,6 +871,7 @@ impl<P: Program> Engine<P> {
             halt: false,
             send_cpu_us: self.latency.send_cpu_us,
             seed: self.seed,
+            seed_read: Cell::new(false),
         };
         match kind {
             EventKind::Start => self.nodes.programs[node].on_start(&mut ctx),
@@ -880,6 +893,7 @@ impl<P: Program> Engine<P> {
         let consumed_overhead = ctx.consumed_overhead;
         let consumed = consumed_user + consumed_overhead;
         let halt = ctx.halt;
+        self.seed_read |= ctx.seed_read.get();
 
         self.nodes.stats[node].user_us += consumed_user;
         self.nodes.stats[node].overhead_us += consumed_overhead;
@@ -1062,6 +1076,7 @@ impl<P: Program> Engine<P> {
             peak_heap_len: self.peak_heap_len,
             mem,
             timelines: self.timelines,
+            seed_read: self.seed_read,
         };
         (self.nodes.programs, stats)
     }
@@ -1385,6 +1400,41 @@ mod tests {
             stats.mem.total_bytes() < 1024 * n,
             "{} B for {n} nodes",
             stats.mem.total_bytes()
+        );
+    }
+
+    /// A program that reads its seed in one handler of one node.
+    struct ReadsSeedOnTimer;
+
+    impl Program for ReadsSeedOnTimer {
+        type Msg = u8;
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u8>) {
+            if ctx.me() == 2 {
+                ctx.set_timer(50, 0);
+            }
+        }
+
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, u8>, _from: NodeId, _msg: u8) {}
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, u8>, _tag: u64) {
+            let _ = ctx.seed();
+        }
+    }
+
+    #[test]
+    fn a_run_records_whether_it_read_its_seed() {
+        let read = Engine::new(mesh(4), LatencyModel::paragon(), 5, |_| ReadsSeedOnTimer);
+        assert!(
+            read.run().1.seed_read,
+            "one call in one handler sets the flag"
+        );
+        let never = Engine::new(mesh(2), LatencyModel::paragon(), 5, |_| PingPong {
+            seen: vec![],
+        });
+        assert!(
+            !never.run().1.seed_read,
+            "a program that never asks leaves it false"
         );
     }
 

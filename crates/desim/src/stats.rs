@@ -118,6 +118,10 @@ pub struct RunStats {
     /// Per-node busy spans, present when the engine ran with
     /// `record_timeline` — the raw material for utilization charts.
     pub timelines: Option<Vec<Vec<BusySpan>>>,
+    /// Whether any handler called [`Ctx::seed`](crate::Ctx::seed),
+    /// the one place the seed reaches a program. A run that leaves it
+    /// `false` is the same run under every seed.
+    pub seed_read: bool,
 }
 
 impl RunStats {
@@ -195,6 +199,7 @@ mod tests {
             peak_heap_len: 0,
             mem: MemStats::default(),
             timelines: None,
+            seed_read: false,
         };
         assert!((stats.efficiency() - 1.0).abs() < 1e-12);
     }
@@ -216,6 +221,7 @@ mod tests {
             peak_heap_len: 0,
             mem: MemStats::default(),
             timelines: None,
+            seed_read: false,
         };
         assert!((stats.efficiency() - 0.5).abs() < 1e-12);
     }

@@ -111,6 +111,11 @@ pub trait ExecCtx<M: Clone> {
     /// The run's seed. A policy that draws random numbers seeds its own
     /// per-node stream from it, so the draws are the same on every
     /// backend.
+    ///
+    /// A policy draws randomness only through this call. The simulator
+    /// records it ([`rips_desim::RunStats::seed_read`]), and a run that
+    /// never makes it is taken to be the same run under every seed: the
+    /// simulated serve fleet then reuses its outcome for later jobs.
     fn seed(&self) -> u64;
     /// Consume `dur` µs of CPU classified as `kind`. The simulator
     /// advances virtual time; a live backend treats modelled overhead

@@ -431,7 +431,7 @@ impl std::error::Error for VerifyError {}
 
 /// Outcome of one scheduler run, aggregating the engine statistics with
 /// the scheduler-level counters — the columns of the paper's Table I.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOutcome {
     /// Raw engine statistics.
     pub stats: rips_desim::RunStats,
@@ -457,6 +457,7 @@ impl RunOutcome {
                 peak_heap_len: 0,
                 mem: Default::default(),
                 timelines: None,
+                seed_read: false,
             },
             executed: vec![0; n],
             nonlocal: 0,

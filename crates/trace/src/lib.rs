@@ -701,6 +701,12 @@ impl Telemetry {
         self.interest.contains(kind)
     }
 
+    /// Whether a trace sink is attached, whatever its interest.
+    #[inline(always)]
+    pub fn traced(&self) -> bool {
+        self.sink.is_some()
+    }
+
     /// Whether a metrics registry is attached.
     #[inline(always)]
     pub fn metered(&self) -> bool {

@@ -128,6 +128,10 @@ metric_enum! {
         JobsShed => ("rips_jobs_shed", "Jobs rejected by serve admission (bound or quota)."),
         /// Jobs the fleet finished serving.
         JobsCompleted => ("rips_jobs_completed", "Jobs completed by the serve fleet."),
+        /// Completed jobs the simulated fleet served from an earlier
+        /// identical run instead of simulating again (a seed-free
+        /// scheduler on an app it already ran).
+        JobsReused => ("rips_jobs_reused", "Completed jobs served by reusing an identical earlier simulated run."),
     }
 }
 
