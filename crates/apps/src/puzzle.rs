@@ -45,7 +45,7 @@ impl PuzzleConfig {
     /// difficulty (config #3 is by far the largest, as in Table I).
     pub fn paper(config: u32) -> Self {
         // Seeds selected in EXPERIMENTS.md. What they build, as
-        // `rips run --app ida{1,2,3}` prints it: #1 = 1 940 tasks,
+        // `rips run ida{1,2,3}` prints it: #1 = 1 940 tasks,
         // Ts 0.02 s; #2 = 5 528 tasks, Ts 67.35 s; #3 = 15 428 tasks,
         // Ts 0.25 s. So #3 has the paper's many-task shape (its
         // config #3 has 29 046) but only ≈ 16 µs of work per task,

@@ -210,7 +210,7 @@ impl AuditReport {
         self.errors.is_empty()
     }
 
-    /// Human-readable rendering for the `rips audit` subcommand.
+    /// Human-readable rendering, as `rips run|live --audit` print it.
     pub fn render_human(&self) -> String {
         let mut out = format!(
             "nodes            {}\n\

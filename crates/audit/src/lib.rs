@@ -6,8 +6,8 @@
 //!   Theorem 1 (post-schedule load balance), Theorem 2 / Lemma 1
 //!   (non-local-task minimality), task and migration conservation,
 //!   barrier pairing, and phase monotonicity against any traced
-//!   scheduler run. Run it via `rips audit`; the golden and property
-//!   tests run it across the whole roster.
+//!   scheduler run. Run it via `rips run --audit`; the golden and
+//!   property tests run it across the whole roster.
 //! * [`serve`] extends it to multi-job serve runs: each dispatch window
 //!   feeds a fresh inner auditor, plus job-lifecycle invariants
 //!   (per-job conservation, no overlapping windows, no work outside a

@@ -14,7 +14,7 @@
 //! * **Per-job invariants** — each dispatch window feeds a *fresh*
 //!   inner [`Auditor`], so Theorem 1 (post-schedule spread ≤ 1),
 //!   conservation, and barrier pairing are re-checked per job exactly
-//!   as `rips audit` checks a batch run.
+//!   as `rips run --audit` checks a batch run.
 //! * **Per-job conservation** — the tasks announced at dispatch must
 //!   equal the tasks the backend reports at completion, and (when the
 //!   window carries an inner trace) the tasks the inner auditor

@@ -30,6 +30,10 @@ fn node_drivers_stay_within_their_byte_budgets() {
     // the engine queues these by the hundred thousand: no slack.
     let instance = size_of::<TaskInstance>();
     assert!(instance <= 8, "TaskInstance: {instance}");
+    // RIPS's own per-node word count: the shared handle, the boxed
+    // Eager/ALL state, and the mode and phase words.
+    let rips = size_of::<RipsPolicy>();
+    assert!(rips <= 32, "RipsPolicy: {rips}");
     // One row per policy type behind the roster (RIPS and RIPS-H share
     // `RipsPolicy`, whose budget is its size: the 500x500 mesh runs
     // it). Random's includes the 32-byte random stream it draws from:
@@ -39,7 +43,7 @@ fn node_drivers_stay_within_their_byte_budgets() {
         ("Gradient", size_of::<NodeDriver<GradientPolicy>>(), 144 + 8),
         ("RID", size_of::<NodeDriver<RidPolicy>>(), 152 + 8),
         ("SID", size_of::<NodeDriver<SidPolicy>>(), 136 + 8),
-        ("RIPS", size_of::<NodeDriver<RipsPolicy>>(), 120),
+        ("RIPS", size_of::<NodeDriver<RipsPolicy>>(), 112),
     ];
     for (name, bytes, budget) in roster {
         assert!(
@@ -65,7 +69,7 @@ fn rips_cell_node_state_stays_within_its_byte_budget() {
     // marker seq 8: 40 B), with one word of slack.
     let per_node = row.outcome.stats.mem.node_state_bytes / n as u64;
     assert!(
-        per_node <= 120 + 40 + 8,
+        per_node <= 112 + 40 + 8,
         "{per_node} B of modelled state per node"
     );
 }

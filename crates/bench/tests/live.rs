@@ -13,8 +13,9 @@
 //!   the OS interleaved the threads.
 //!
 //! A separate test streams every roster scheduler's live trace through
-//! the invariant [`Auditor`], and one more runs RIPS-H under a
-//! non-default tuning through [`live_run_with`].
+//! the invariant [`Auditor`] and checks it is well-formed, and one
+//! more runs RIPS-H under a non-default tuning through
+//! [`live_run_with`].
 
 use std::sync::Arc;
 
@@ -25,7 +26,7 @@ use rips_bench::{registry, run_cell, RegistryTuning};
 use rips_core::{GlobalPolicy, RipsConfig};
 use rips_live::{GrainMode, LiveOpts};
 use rips_taskgraph::Workload;
-use rips_trace::{with_sink, TraceBuffer, TraceEvent};
+use rips_trace::{validate, with_sink, Tee, TraceBuffer, TraceEvent};
 
 fn queens9() -> (Arc<Workload>, Arc<GrainTable>) {
     let (w, t) = nqueens_with_grains(NQueensConfig {
@@ -79,8 +80,9 @@ fn cross_validate(workload: &Arc<Workload>, table: &Arc<GrainTable>, threads: us
 
 /// The only test that audits the live roster: for every roster
 /// scheduler at 2 and 4 threads, the live trace must satisfy every
-/// invariant the [`Auditor`] checks and the grains must compute what
-/// the sequential reference computes.
+/// invariant the [`Auditor`] checks, be well-formed (what `rips live
+/// --trace-out` checks before it writes the file), and the grains
+/// must compute what the sequential reference computes.
 #[test]
 fn live_roster_passes_the_auditor_and_matches_ground_truth() {
     let (w, t) = queens9();
@@ -89,12 +91,15 @@ fn live_roster_passes_the_auditor_and_matches_ground_truth() {
     for threads in [2usize, 4] {
         for scheduler in reg.names() {
             let opts = live_opts(&t, GrainMode::Compute, 0.0);
-            let (auditor, out) = rips_trace::with_sink(Auditor::new(threads), || {
-                live_run(scheduler, &w, threads, 0.4, 42, opts)
-            });
+            let sink = Tee(Auditor::new(threads), TraceBuffer::new());
+            let (Tee(auditor, buf), out) =
+                with_sink(sink, || live_run(scheduler, &w, threads, 0.4, 42, opts));
             let report = auditor.finish();
             let tag = format!("{scheduler} at {threads} threads");
             assert!(report.is_ok(), "{tag}: audit failed: {:?}", report.errors);
+            if let Err(e) = validate(&buf) {
+                panic!("{tag}: malformed trace: {e}");
+            }
             assert_eq!(out.solutions, truth.solutions, "{tag}: solutions");
             assert_eq!(out.checksum, truth.checksum, "{tag}: checksum");
         }

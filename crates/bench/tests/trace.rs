@@ -150,8 +150,8 @@ fn fnv(text: &str) -> u64 {
     })
 }
 
-/// Digests of `rips report <scheduler> queens9 --nodes 8 --jsonl`
-/// (RIPS also under `--policy any-eager|all-lazy|all-eager`), taken
+/// Digests of the JSONL `rips run <scheduler> queens9 --nodes 8
+/// --report jsonl` prints (RIPS also under `--policy any-eager|all-lazy|all-eager`), taken
 /// when the report still aggregated a full `TraceBuffer` after the
 /// run. The streaming report must print the same bytes.
 #[test]

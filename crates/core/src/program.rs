@@ -88,16 +88,9 @@ pub struct RipsConfig {
     /// Caution: under [`GlobalPolicy::Any`] with µs-granularity weights,
     /// a node whose weight quota is unfillable by indivisible tasks is
     /// permanently "idle enough" to initiate, which degenerates into
-    /// one system phase per executed task on large machines. Pair
-    /// [`LoadMetric::EstimatedWeight`] with [`GlobalPolicy::Periodic`]
-    /// or set [`RipsConfig::min_phase_gap_us`].
+    /// one system phase per executed task on large machines: pair
+    /// [`LoadMetric::EstimatedWeight`] with [`GlobalPolicy::Periodic`].
     pub metric: LoadMetric,
-    /// Minimum virtual time between an ANY-policy node returning to
-    /// its user phase and it initiating the next system phase (µs).
-    /// 0 (the paper's behaviour) lets an idle node initiate
-    /// immediately; a small gap suppresses phase storms when quotas
-    /// are unfillable (see [`RipsConfig::metric`]).
-    pub min_phase_gap_us: Time,
 }
 
 impl Default for RipsConfig {
@@ -107,7 +100,6 @@ impl Default for RipsConfig {
             global: GlobalPolicy::Any,
             eureka: false,
             metric: LoadMetric::TaskCount,
-            min_phase_gap_us: 0,
         }
     }
 }
@@ -189,7 +181,6 @@ pub enum RipsCtl {
 
 const TAG_PLAN: u64 = TAG_POLICY_BASE;
 const TAG_POLL: u64 = TAG_POLICY_BASE + 2;
-const TAG_RECHECK: u64 = TAG_POLICY_BASE + 3;
 
 /// Per-node CPU charged per communication step of the parallel
 /// scheduling algorithm (µs).
@@ -325,11 +316,6 @@ pub struct RipsPolicy {
     /// than the plan broadcast, e.g. under eureka); processed right
     /// after the plan is applied. [`NO_PHASE`] when there is none.
     pending_init: u32,
-    /// When this node last returned to the user phase (for the ANY
-    /// initiation gap).
-    user_phase_since: Time,
-    /// A deferred ANY-initiation check is already scheduled.
-    recheck_armed: bool,
     /// Tracing only (a sink that wants `Stage` records): the phase an
     /// open idle-detect stage was emitted for ([`NO_PHASE`] when no
     /// stage is open). Idle-detect latency runs from the local transfer
@@ -436,16 +422,6 @@ impl RipsPolicy {
         }
         match self.shared.cfg.global {
             GlobalPolicy::Any => {
-                // Respect the minimum gap since this node resumed its
-                // user phase (0 by default = the paper's behaviour).
-                let eligible_at = self.user_phase_since + self.shared.cfg.min_phase_gap_us;
-                if ctx.now() < eligible_at {
-                    if !self.recheck_armed {
-                        self.recheck_armed = true;
-                        ctx.set_timer(eligible_at - ctx.now(), TAG_RECHECK);
-                    }
-                    return;
-                }
                 // Become the initiator: broadcast init and enter.
                 self.phase_index = next;
                 if self.shared.cfg.eureka {
@@ -723,7 +699,6 @@ impl RipsPolicy {
                 phase: p,
             });
         self.set_mode(k, now, Mode::User);
-        self.user_phase_since = now;
         // Commit to the first task of the new user phase *within this
         // handler*: returning to the event loop first would let an
         // already-queued init/poll event preempt an all-idle machine
@@ -850,10 +825,6 @@ impl BalancerPolicy for RipsPolicy {
 
     fn on_timer(&mut self, k: &mut Kernel, ctx: &mut impl ExecCtx<KernelMsg<RipsCtl>>, tag: u64) {
         match tag {
-            TAG_RECHECK => {
-                self.recheck_armed = false;
-                self.check_transfer(k, ctx);
-            }
             TAG_POLL => {
                 let GlobalPolicy::Periodic(interval) = self.shared.cfg.global else {
                     unreachable!("poll timer without periodic policy");
@@ -994,8 +965,6 @@ impl RipsFleet {
             mode: Mode::User,
             phase_index: 0,
             pending_init: NO_PHASE,
-            user_phase_since: 0,
-            recheck_armed: false,
             trace_idle_open: NO_PHASE,
         }
     }

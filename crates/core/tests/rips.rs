@@ -386,31 +386,3 @@ fn weighted_metric_beats_counts_on_skewed_grains() {
         by_count.run.stats.end_time
     );
 }
-
-#[test]
-fn phase_gap_limits_storms_under_weighted_metric() {
-    use rips_core::LoadMetric;
-    // Many tiny tasks on many nodes: µs-scale weight quotas are
-    // unfillable, so ungated ANY initiation degenerates into one phase
-    // per task. The gap caps the phase rate and the run stays fast.
-    let w = Arc::new(flat_uniform(600, 50, 400, 2));
-    let gated = rips(
-        Arc::clone(&w),
-        mesh(32),
-        LatencyModel::paragon(),
-        Costs::default(),
-        1,
-        RipsConfig {
-            metric: LoadMetric::EstimatedWeight,
-            min_phase_gap_us: 2_000,
-            ..RipsConfig::default()
-        },
-    );
-    gated.run.verify_complete(&w).unwrap();
-    assert!(
-        (gated.run.system_phases as usize) < w.stats().tasks / 4,
-        "{} phases for {} tasks",
-        gated.run.system_phases,
-        w.stats().tasks
-    );
-}

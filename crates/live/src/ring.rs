@@ -276,8 +276,8 @@ mod tests {
 /// Bounded-model-checker suite: explores producer/consumer
 /// interleavings of the real `push`/`pop` code and proves each named
 /// ordering is load-bearing. Compiled only under
-/// `RUSTFLAGS="--cfg rips_verify"` (`cargo test -p rips-live` then runs
-/// it; see `rips verify`).
+/// `RUSTFLAGS="--cfg rips_verify"` (`cargo test -p rips-live --lib`
+/// then runs it; DESIGN §11 has CI's line).
 #[cfg(all(test, rips_verify))]
 mod verify_model {
     use super::*;

@@ -1,15 +1,10 @@
-//! Prints the two JSON documents whose strings come from outside the
-//! writer's control — a flight-recorder dump whose reason carries a
-//! control character, and a Chrome export whose label spans two lines
-//! — one per line, so CI can feed each to a real JSON parser.
+//! Prints a Chrome export whose label, a string from outside the
+//! writer's control, spans two lines and carries a quote and a
+//! backslash, so CI can feed it to a real JSON parser.
 
-use rips_trace::{FlightRecorder, TraceBuffer, TraceEvent, TraceSink};
+use rips_trace::{TraceBuffer, TraceEvent, TraceSink};
 
 fn main() {
-    let mut flight = FlightRecorder::new(1, 4);
-    flight.record(1, 0, TraceEvent::QueueDepth { depth: 2 });
-    println!("{}", flight.dump_json("stall\u{7}"));
-
     let mut buf = TraceBuffer::new();
     buf.record(1, 0, TraceEvent::QueueDepth { depth: 2 });
     println!(

@@ -5,9 +5,9 @@
 //! for post-run analysis, wrong for an always-on black box, whose
 //! memory must stay bounded over an arbitrarily long run. The
 //! [`FlightRecorder`] keeps only the last `cap` events per node,
-//! overwriting the oldest, and can dump them as text (stderr) or JSON
-//! when something goes wrong: a panic in a node thread, an audit
-//! failure, or a stall-watchdog trip.
+//! overwriting the oldest, and dumps them as text on stderr when
+//! something goes wrong: a panic in a node thread, an audit failure,
+//! or a stall-watchdog trip.
 //!
 //! The recorder is an ordinary [`TraceSink`], so it rides beside an
 //! auditor or a [`TraceBuffer`](crate::TraceBuffer) in a
@@ -16,7 +16,7 @@
 //! dumping while the install owns the sink position — the watchdog
 //! and panic paths dump through that retained handle.
 
-use crate::{Json, NodeId, Time, TraceEvent, TraceSink};
+use crate::{NodeId, Time, TraceEvent, TraceSink};
 use std::sync::{Arc, Mutex};
 
 /// One recent event as retained by the recorder.
@@ -130,32 +130,6 @@ impl FlightRecorder {
         out
     }
 
-    /// Renders the dump as a JSON object:
-    /// `{"reason": .., "nodes": [{"node": n, "events": [{"t_us": ..,
-    /// "event": ".."}]}]}`. Event payloads are the debug rendering —
-    /// the dump is for humans and log pipelines, not for replay (a
-    /// full [`TraceBuffer`](crate::TraceBuffer) capture serves that).
-    pub fn dump_json(&self, reason: &str) -> String {
-        let mut j = Json::new();
-        j.obj().key("reason").str(reason);
-        j.key("retained").u64(self.retained() as u64);
-        j.key("total").u64(self.total_recorded());
-        j.key("nodes").arr();
-        for (node, ring) in self.rings.iter().enumerate() {
-            if ring.events.is_empty() {
-                continue;
-            }
-            j.obj().key("node").u64(node as u64).key("events").arr();
-            for rec in ring.ordered() {
-                j.obj().key("t_us").u64(rec.time);
-                j.key("event").str(&format!("{:?}", rec.event)).end();
-            }
-            j.end().end();
-        }
-        j.end().end();
-        j.finish()
-    }
-
     fn push(&mut self, node: NodeId, rec: FlightRecord) {
         if node >= self.rings.len() {
             self.rings.resize_with(node + 1, NodeRing::default);
@@ -214,11 +188,6 @@ impl SharedFlight {
         self.lock().dump_text(reason)
     }
 
-    /// JSON dump (see [`FlightRecorder::dump_json`]).
-    pub fn dump_json(&self, reason: &str) -> String {
-        self.lock().dump_json(reason)
-    }
-
     /// Writes the text dump to stderr, headed by `reason`.
     pub fn dump_to_stderr(&self, reason: &str) {
         eprint!("{}", self.dump_text(reason));
@@ -266,20 +235,6 @@ mod tests {
         fr.record(7, 5, instant(1));
         assert_eq!(fr.recent(5).len(), 1);
         assert!(fr.recent(4).is_empty());
-    }
-
-    #[test]
-    fn json_dump_is_parseable_shape() {
-        let mut fr = FlightRecorder::new(1, 4);
-        fr.record(1, 0, instant(2));
-        let json = fr.dump_json("why");
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"reason\":\"why\""));
-        assert!(json.contains("\"node\":0"));
-        assert!(json.contains("\"t_us\":1"));
-        // A control character in the reason is escaped, not `{:?}`-quoted.
-        let json = fr.dump_json("stall\u{7}");
-        assert!(json.contains("\"reason\":\"stall\\u0007\""), "{json}");
     }
 
     #[test]

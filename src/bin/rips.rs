@@ -9,15 +9,13 @@
 //! no arguments lists the rows; `rips repro --list` lists the paper
 //! artifacts.
 //!
-//! `trace` runs one scheduler with the structured trace sink attached
-//! and writes a Chrome trace-event JSON file — open it at
-//! <https://ui.perfetto.dev> for per-node phase/task timelines.
-//! `report` runs the same way but prints the aggregated phase-anatomy
-//! table (p50/p95/max durations per system phase) instead.
-//! `audit` runs with the invariant [`Auditor`] attached and fails if
-//! any paper invariant (Theorem 1/2, conservation, barrier pairing) is
-//! violated. `verify` rebuilds the workspace with `--cfg rips_verify` and runs the
-//! bounded model checker over the lock-free live paths (DESIGN §11).
+//! `run` simulates one scheduler (or `--all` of the roster) on one
+//! workload. Its observers ride in one trace-sink install: `--audit`
+//! checks the paper's invariants (Theorems 1–2, conservation, barrier
+//! pairing) with the [`Auditor`] and fails the run on a violation,
+//! `--trace-out` writes a Chrome trace-event JSON file (open it at
+//! <https://ui.perfetto.dev>), and `--report` prints the phase
+//! anatomy (p50/p95/max per system-phase stage) as a table or JSONL.
 //!
 //! `serve` runs the open-loop multi-tenant service (DESIGN §12): N
 //! tenants submit seeded streams of catalog jobs through admission
@@ -29,8 +27,8 @@
 //! node, batched packets over sharded SPSC rings, wall-clock time —
 //! executing the real application grains, and checks the solution
 //! count and execution checksum against the sequential reference.
-//! `--audit` additionally streams the live trace through the same
-//! [`Auditor`] the simulator uses (DESIGN §8).
+//! `--audit` and `--trace-out` attach the same observers `run` does
+//! (DESIGN §8).
 //!
 //! Live runs carry always-on telemetry (DESIGN §10): a per-thread
 //! metrics registry, a flight recorder holding each node's recent
@@ -41,7 +39,7 @@
 use std::sync::Arc;
 
 use rips_repro::apps::GrainTable;
-use rips_repro::audit::Auditor;
+use rips_repro::audit::{AuditReport, Auditor};
 use rips_repro::bench::args::{synopsis, Args, Flag, Spec};
 use rips_repro::bench::live::{live_opts, live_run_with};
 use rips_repro::bench::repro::ARTIFACTS;
@@ -50,13 +48,12 @@ use rips_repro::bench::{auditor_for, paper_spec, registry_with, roster_name, App
 use rips_repro::core::{GlobalPolicy, LocalPolicy, RipsConfig};
 use rips_repro::live::{GrainMode, WallClock};
 use rips_repro::live::{Watchdog, WatchdogOpts};
-use rips_repro::runtime::{RunSpec, SchedulerRegistry};
 use rips_repro::sched::{min_nonlocal_tasks, mwa};
 use rips_repro::taskgraph::Workload;
 use rips_repro::topology::{Mesh2D, Topology};
 use rips_repro::trace::{
     metrics_rt, validate, with_metrics, with_metrics_clocked, with_sink, Clock, MetricsRegistry,
-    PhaseReport, SharedFlight, Tee, TraceBuffer, TraceSink,
+    PhaseReport, SharedFlight, Tee, TraceBuffer,
 };
 
 /// One subcommand: the path before its own name (`""`, `"repro "`),
@@ -68,21 +65,19 @@ const THREADS: Flag = "--threads N=4  OS threads, one per node";
 const SEED: Flag = "--seed N=1  seed of the run";
 const POLICY: Flag = "--policy S=any-lazy  RIPS transfer policy: {any,all}-{lazy,eager}";
 const METRICS_OUT: Flag = "--metrics-out S  write OpenMetrics text here (- = stdout)";
+const AUDIT: Flag = "--audit  check the paper's invariants on the run's trace";
+const TRACE_OUT: Flag = "--trace-out S  write the run's trace as Chrome trace-event JSON";
 
 /// The whole command table: the fixed rows (each spec sits above its
 /// handler), `bench scale`, then one row per paper artifact from the
 /// library table.
 fn commands() -> Vec<Cmd> {
     type Handler = fn(&Args);
-    let fixed: [(Spec, Handler); 11] = [
+    let fixed: [(Spec, Handler); 7] = [
         (RUN, cmd_run),
         (LIVE, cmd_live),
-        (TRACE, cmd_trace),
-        (REPORT, cmd_report),
-        (AUDIT, cmd_audit),
         (SERVE, cmd_serve),
         (PLAN, cmd_plan),
-        (VERIFY, cmd_verify),
         (APPS, |_| App::names().iter().for_each(|a| println!("{a}"))),
         (SCHEDULERS, |_| {
             let roster = rips_repro::bench::registry();
@@ -171,12 +166,6 @@ fn build_app_live(args: &Args, name: &str) -> (Arc<Workload>, Arc<GrainTable>) {
     (Arc::new(workload), Arc::new(table))
 }
 
-fn build_app(args: &Args, name: &str) -> Arc<Workload> {
-    let app = app_named(args, name);
-    eprintln!("building workload '{name}' ...");
-    Arc::new(app.build())
-}
-
 /// The `[<scheduler>] <app>` positionals; the scheduler defaults to
 /// RIPS.
 fn sched_app(args: &Args) -> (&str, &str) {
@@ -219,13 +208,6 @@ fn scheduler_named(args: &Args, scheduler: &str) -> String {
     })
 }
 
-/// Builds the registry for `--policy` and resolves the scheduler name
-/// against its roster.
-fn resolve_scheduler(args: &Args, scheduler: &str) -> (SchedulerRegistry, String) {
-    let name = scheduler_named(args, scheduler);
-    (registry_with(policy_tuning(args)), name)
-}
-
 fn write_file(path: &str, text: &str) {
     std::fs::write(path, text).unwrap_or_else(|e| {
         eprintln!("cannot write {path}: {e}");
@@ -250,23 +232,82 @@ fn write_metrics(reg: &MetricsRegistry, path: &str) {
     }
 }
 
+/// What `run` and `live` observe a run with, in one install: the
+/// invariant auditor (`--audit`) and the event buffer behind
+/// `--trace-out`, each only when asked for.
+type Observers = Tee<Option<Auditor>, Option<TraceBuffer>>;
+
+fn observers(args: &Args, auditor: impl FnOnce() -> Auditor) -> Observers {
+    Tee(
+        args.switch("--audit").then(auditor),
+        args.get("--trace-out").map(|_| TraceBuffer::new()),
+    )
+}
+
+/// Finishes the observers of a run that ended at `end_us`: writes the
+/// trace, labelled `label`, to `--trace-out` once it has passed
+/// [`validate`] (a malformed trace exits 1 and writes nothing), and
+/// hands back the audit report.
+fn finish_observers(
+    args: &Args,
+    observed: Observers,
+    label: &str,
+    end_us: u64,
+) -> Option<AuditReport> {
+    let Tee(auditor, buf) = observed;
+    if let (Some(path), Some(buf)) = (args.get("--trace-out"), buf) {
+        if let Err(e) = validate(&buf) {
+            eprintln!("malformed trace, {path} not written: {e}");
+            std::process::exit(1);
+        }
+        let json = buf.chrome_json(label, end_us);
+        write_file(path, &json);
+        eprintln!(
+            "wrote {path}: {} events ({} bytes)",
+            buf.records.len(),
+            json.len()
+        );
+    }
+    auditor.map(Auditor::finish)
+}
+
 const RUN: Spec = &[
-    "run  simulate one scheduler on one workload",
-    "--app S=queens13         workload (see `rips apps`)",
-    "--scheduler S=rips       see `rips schedulers`",
+    "run [<scheduler>] <app>  simulate one scheduler, or --all, on one workload",
+    "--all                    every roster scheduler in turn; no file sinks",
     NODES,
     SEED,
     POLICY,
+    AUDIT,
+    TRACE_OUT,
+    "--report S               print the phase anatomy: table|jsonl",
     METRICS_OUT,
 ];
 
 fn cmd_run(args: &Args) {
-    let app = args.str("--app");
-    let scheduler = args.str("--scheduler");
+    let (scheduler, app) = sched_app(args);
     let nodes: usize = args.num_in("--nodes", 1..);
-    let seed = args.num("--seed");
-
-    let (reg, name) = resolve_scheduler(args, scheduler);
+    let seed: u64 = args.num("--seed");
+    let jsonl = args.get("--report").map(|format| match format {
+        "table" => false,
+        "jsonl" => true,
+        other => args.fail(&format!("unknown --report '{other}' (table|jsonl)")),
+    });
+    let reg = registry_with(policy_tuning(args));
+    let schedulers = if args.switch("--all") {
+        if args.pos().len() > 1 {
+            args.fail("--all takes the <app> alone");
+        }
+        if args
+            .get("--trace-out")
+            .or(args.get("--metrics-out"))
+            .is_some()
+        {
+            args.fail("--all writes no file: drop --trace-out and --metrics-out");
+        }
+        reg.names().iter().map(|n| n.to_string()).collect()
+    } else {
+        vec![scheduler_named(args, scheduler)]
+    };
     let (build_s, (workload, table)) = timed(|| build_app_live(args, app));
     let stats = workload.stats();
     println!(
@@ -276,47 +317,80 @@ fn cmd_run(args: &Args) {
         workload.rounds.len(),
         stats.total_work_us as f64 / 1e6
     );
-
     let mesh = Mesh2D::near_square(nodes);
     println!("machine:  {} ({} nodes)", mesh.label(), nodes);
 
-    let spec = paper_spec(&workload, nodes, 0.4, seed);
-    // One registry shard per simulated node; the simulator's virtual
-    // clock means counters fill but the ns histograms stay empty.
-    let metrics = MetricsRegistry::new(nodes);
-    let (run_s, run) = timed(|| with_metrics(&metrics, || reg.run(&name, &spec)));
-    let outcome = run.outcome;
-    let phases = outcome.system_phases;
-    outcome
-        .verify_complete(&workload)
-        .expect("scheduler lost tasks");
-
-    println!("\nresults ({scheduler}):");
-    println!("  non-local tasks : {}", outcome.nonlocal);
-    println!("  overhead Th     : {:.3} s", outcome.overhead_s());
-    println!("  idle Ti         : {:.3} s", outcome.idle_s());
-    println!("  exec time T     : {:.3} s", outcome.exec_time_s());
-    println!(
-        "  speedup         : {:.1}",
-        outcome.stats.total_user_us() as f64 / outcome.stats.end_time as f64
-    );
-    println!("  efficiency      : {:.1}%", outcome.efficiency() * 100.0);
-    println!("  sim events      : {}", outcome.stats.events);
-    println!("  peak evt queue  : {}", outcome.stats.peak_queue_depth);
-    println!("  peak heap len   : {}", outcome.stats.peak_heap_len);
-    if phases > 0 {
-        println!("  system phases   : {phases}");
-    }
     // The simulator schedules grains without running them; the app's
     // answer comes from the sequential grain-table reference (what a
     // live run must reproduce — compare with `rips live`).
     let (truth_s, truth) = timed(|| table.static_totals());
-    println!("  solutions       : {}", truth.solutions);
-    println!("  grain checksum  : {:#018x}", truth.checksum);
+    let spec = paper_spec(&workload, nodes, 0.4, seed);
+    // One registry shard per simulated node; the simulator's virtual
+    // clock means counters fill but the ns histograms stay empty.
+    let metrics = MetricsRegistry::new(nodes);
+    let (mut run_s, mut audit_ok) = (0.0, true);
+    for name in &schedulers {
+        let sink = Tee(
+            observers(args, || auditor_for(name, nodes)),
+            jsonl.map(|_| PhaseReport::default()),
+        );
+        let (s, (Tee(observed, report), run)) =
+            timed(|| with_metrics(&metrics, || with_sink(sink, || reg.run(name, &spec))));
+        run_s += s;
+        let outcome = run.outcome;
+        outcome
+            .verify_complete(&workload)
+            .expect("scheduler lost tasks");
+
+        println!("\nresults ({name}):");
+        println!("  non-local tasks : {}", outcome.nonlocal);
+        println!("  overhead Th     : {:.3} s", outcome.overhead_s());
+        println!("  idle Ti         : {:.3} s", outcome.idle_s());
+        println!("  exec time T     : {:.3} s", outcome.exec_time_s());
+        println!(
+            "  speedup         : {:.1}",
+            outcome.stats.total_user_us() as f64 / outcome.stats.end_time as f64
+        );
+        println!("  efficiency      : {:.1}%", outcome.efficiency() * 100.0);
+        println!("  sim events      : {}", outcome.stats.events);
+        println!("  peak evt queue  : {}", outcome.stats.peak_queue_depth);
+        println!("  peak heap len   : {}", outcome.stats.peak_heap_len);
+        if outcome.system_phases > 0 {
+            println!("  system phases   : {}", outcome.system_phases);
+        }
+        println!("  solutions       : {}", truth.solutions);
+        println!("  grain checksum  : {:#018x}", truth.checksum);
+
+        let end = outcome.stats.end_time;
+        let label = format!("{name} · {app} · {nodes} nodes · seed {seed}");
+        if let Some(audit) = finish_observers(args, observed, &label, end) {
+            println!("── {name} · {nodes} nodes · seed {seed} ──");
+            print!("{}", audit.render_human());
+            println!(
+                "run              T = {:.3} s, {} non-local",
+                outcome.exec_time_s(),
+                outcome.nonlocal
+            );
+            audit_ok &= audit.is_ok();
+        }
+        if let (Some(jsonl), Some(mut report)) = (jsonl, report) {
+            report.close_at(end);
+            println!("{label}");
+            if jsonl {
+                print!("{}", report.to_jsonl());
+            } else {
+                print!("\n{}", report.render());
+            }
+        }
+    }
     if let Some(path) = args.get("--metrics-out") {
         write_metrics(&metrics, path);
     }
     report_wall(build_s, truth_s, run_s);
+    if !audit_ok {
+        eprintln!("audit FAILED");
+        std::process::exit(1);
+    }
 }
 
 const LIVE: Spec = &[
@@ -326,8 +400,8 @@ const LIVE: Spec = &[
     POLICY,
     "--mode S=compute         grain mode: compute|timed",
     "--timed-scale F=1.0      timed mode: modelled-duration multiplier, 0 to 1000",
-    "--audit                  stream the live trace through the invariant auditor",
-    "--trace-out S            write a Chrome trace-event JSON file",
+    AUDIT,
+    TRACE_OUT,
     METRICS_OUT,
 ];
 
@@ -342,8 +416,6 @@ fn cmd_live(args: &Args) {
         other => args.fail(&format!("unknown --mode '{other}' (compute|timed)")),
     };
     let timed_scale: f64 = args.num_in("--timed-scale", 0.0..=1000.0);
-    let audit = args.switch("--audit");
-    let trace_out = args.get("--trace-out");
 
     let name = scheduler_named(args, scheduler);
     let tuning = policy_tuning(args);
@@ -379,35 +451,20 @@ fn cmd_live(args: &Args) {
     let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
     let sink = Tee(
         flight.clone(),
-        Tee(
-            audit.then(|| Auditor::new(threads)),
-            trace_out.map(|_| TraceBuffer::new()),
-        ),
+        observers(args, || auditor_for(&name, threads)),
     );
-    let (Tee(_, Tee(auditor, buf)), out) =
-        with_metrics_clocked(&metrics, Arc::clone(&clock), || {
-            with_sink(sink, || {
-                let mut opts = live_opts(&table, mode, timed_scale);
-                opts.clock = Some(clock);
-                live_run_with(tuning, &name, &workload, threads, 0.4, seed, opts)
-            })
-        });
+    let (Tee(_, observed), out) = with_metrics_clocked(&metrics, Arc::clone(&clock), || {
+        with_sink(sink, || {
+            let mut opts = live_opts(&table, mode, timed_scale);
+            opts.clock = Some(clock);
+            live_run_with(tuning, &name, &workload, threads, 0.4, seed, opts)
+        })
+    });
     let trips = watchdog.stop();
-    let mut audit_ok = true;
-    if let Some(auditor) = auditor {
-        let report = auditor.finish();
-        print!("{}", report.render_human());
-        audit_ok = report.is_ok();
-    }
-    if let (Some(path), Some(buf)) = (trace_out, buf) {
-        let label = format!("{name} · {app} · {threads} threads (live) · seed {seed}");
-        let json = buf.chrome_json(&label, out.wall_us);
-        write_file(path, &json);
-        eprintln!(
-            "wrote {path}: {} events ({} bytes)",
-            buf.records.len(),
-            json.len()
-        );
+    let label = format!("{name} · {app} · {threads} threads (live) · seed {seed}");
+    let audit = finish_observers(args, observed, &label, out.wall_us);
+    if let Some(audit) = &audit {
+        print!("{}", audit.render_human());
     }
 
     println!("\nlive results ({name}, {threads} threads):");
@@ -460,235 +517,11 @@ fn cmd_live(args: &Args) {
         flight.dump_to_stderr("cross-validation mismatch");
         std::process::exit(1);
     }
-    if !audit_ok {
+    if audit.is_some_and(|a| !a.is_ok()) {
         eprintln!("audit FAILED on the live trace");
         flight.dump_to_stderr("audit failure");
         std::process::exit(1);
     }
-}
-
-/// Shared front half of `trace` and `report`: run the `<scheduler>
-/// <app>` cell under `sink`, and hand back the sink plus the run's end
-/// time.
-fn traced_run<S: TraceSink + Send + 'static>(args: &Args, sink: S) -> (String, S, u64) {
-    let [scheduler, app] = args.pos() else {
-        unreachable!("Args::parse bounds the positional count")
-    };
-    let nodes: usize = args.num_in("--nodes", 1..);
-    let seed: u64 = args.num("--seed");
-
-    let (reg, name) = resolve_scheduler(args, scheduler);
-    let workload = build_app(args, app);
-    let spec = paper_spec(&workload, nodes, 0.4, seed);
-
-    eprintln!("tracing {name} on {nodes} nodes (seed {seed}) ...");
-    let (sink, run) = with_sink(sink, || reg.run(&name, &spec));
-    run.outcome
-        .verify_complete(&workload)
-        .expect("scheduler lost tasks");
-    let label = format!("{name} · {app} · {nodes} nodes · seed {seed}");
-    (label, sink, run.outcome.stats.end_time)
-}
-
-const TRACE: Spec = &[
-    "trace <scheduler> <app>  simulate with the trace sink attached; write a Chrome trace file",
-    NODES,
-    SEED,
-    POLICY,
-    "--out S=trace.json       output file",
-    "--check                  validate span nesting before writing",
-];
-
-fn cmd_trace(args: &Args) {
-    let out_path = args.str("--out");
-    let (label, buf, end_time) = traced_run(args, TraceBuffer::new());
-
-    if args.switch("--check") {
-        match validate(&buf) {
-            Ok(check) => eprintln!(
-                "trace well-formed: {} phase spans, {} stage spans, {} task execs, {} open at halt",
-                check.closed_phases, check.closed_stages, check.task_execs, check.open_spans
-            ),
-            Err(e) => {
-                eprintln!("malformed trace: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    let json = buf.chrome_json(&label, end_time);
-    write_file(out_path, &json);
-    println!(
-        "wrote {out_path}: {} events, {} bytes — open at https://ui.perfetto.dev",
-        buf.records.len(),
-        json.len()
-    );
-}
-
-const REPORT: Spec = &[
-    "report <scheduler> <app>  simulate with the trace sink attached; print the phase anatomy",
-    NODES,
-    SEED,
-    POLICY,
-    "--jsonl                  JSONL instead of the table",
-];
-
-fn cmd_report(args: &Args) {
-    let (label, mut report, end_time) = traced_run(args, PhaseReport::default());
-    report.close_at(end_time);
-    if args.switch("--jsonl") {
-        print!("{}", report.to_jsonl());
-    } else {
-        println!("{label}\n");
-        print!("{}", report.render());
-    }
-}
-
-/// Runs one scheduler under the invariant [`Auditor`] and prints its
-/// report; returns whether every audited invariant held.
-fn audit_one(reg: &SchedulerRegistry, name: &str, spec: &RunSpec) -> bool {
-    let nodes = spec.nodes;
-    let auditor = auditor_for(name, nodes);
-    let (auditor, run) = rips_repro::trace::with_sink(auditor, || reg.run(name, spec));
-    let report = auditor.finish();
-    println!("── {name} · {nodes} nodes · seed {} ──", spec.seed);
-    print!("{}", report.render_human());
-    println!(
-        "run              T = {:.3} s, {} non-local",
-        run.outcome.exec_time_s(),
-        run.outcome.nonlocal
-    );
-    report.is_ok()
-}
-
-const AUDIT: Spec = &[
-    "audit [<scheduler> <app>]  check the paper's invariants on one scheduler, or --all",
-    "--all                    audit every roster scheduler on --app",
-    "--app S=queens9          workload for --all",
-    NODES,
-    SEED,
-    POLICY,
-];
-
-fn cmd_audit(args: &Args) {
-    let reg = registry_with(policy_tuning(args));
-    let (schedulers, app) = match (args.switch("--all"), args.pos()) {
-        (true, []) => {
-            let roster = reg.names().iter().map(|n| n.to_string()).collect();
-            (roster, args.str("--app"))
-        }
-        (false, [scheduler, app]) => (vec![scheduler_named(args, scheduler)], app.as_str()),
-        _ => args.fail("give either <scheduler> <app> or --all"),
-    };
-    let nodes = args.num_in("--nodes", 1..);
-    let workload = build_app(args, app);
-    let spec = paper_spec(&workload, nodes, 0.4, args.num("--seed"));
-    let mut all_ok = true;
-    for name in &schedulers {
-        all_ok &= audit_one(&reg, name, &spec);
-    }
-    if !all_ok {
-        std::process::exit(1);
-    }
-}
-
-/// `rips verify` flags that map 1:1 onto the `RIPS_VERIFY_*`
-/// environment knobs `Checker::from_env` reads, so CI and local runs
-/// can trade coverage for wall clock without editing any test. No
-/// defaults: an absent flag leaves the environment alone.
-const VERIFY_KNOBS: [(Flag, &str); 6] = [
-    ("--bound N         preemption bound", "RIPS_VERIFY_BOUND"),
-    (
-        "--max-iters N     cap on explored schedules",
-        "RIPS_VERIFY_MAX_ITERS",
-    ),
-    ("--mode S          dfs|random", "RIPS_VERIFY_MODE"),
-    ("--seed N          random-mode seed", "RIPS_VERIFY_SEED"),
-    (
-        "--random-iters N  random-mode schedules",
-        "RIPS_VERIFY_RANDOM_ITERS",
-    ),
-    (
-        "--out S           directory for failing replay schedules",
-        "RIPS_VERIFY_OUT",
-    ),
-];
-
-const VERIFY: Spec = &[
-    "verify  bounded model checking of the lock-free live paths",
-    VERIFY_KNOBS[0].0,
-    VERIFY_KNOBS[1].0,
-    VERIFY_KNOBS[2].0,
-    VERIFY_KNOBS[3].0,
-    VERIFY_KNOBS[4].0,
-    VERIFY_KNOBS[5].0,
-    "--filter S  run only the tests matching this",
-];
-
-/// `rips verify` — recompile the workspace with `--cfg rips_verify`
-/// (swapping the `rips_verify::sync` seam from std re-exports to the
-/// instrumented cells) and run the bounded model checker's test suites:
-/// the checker's own litmus selftests plus the `verify_model` modules
-/// embedded in `rips-live` (SPSC ring, transport wakeup/halt, watchdog)
-/// and `rips-runtime` (Oracle barrier counter).
-fn cmd_verify(args: &Args) {
-    let mut cargo =
-        std::process::Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string()));
-    cargo.args(["test", "-q"]);
-    for pkg in ["rips-verify", "rips-live", "rips-runtime"] {
-        cargo.args(["-p", pkg]);
-    }
-    cargo.arg("--lib");
-    if let Some(filter) = args.get("--filter") {
-        cargo.arg(filter);
-    }
-
-    // Merge the cfg into whatever RUSTFLAGS the caller already has so
-    // `rips verify` composes with sanitizer wrappers and custom flags.
-    let mut rustflags = std::env::var("RUSTFLAGS").unwrap_or_default();
-    if !rustflags.contains("--cfg rips_verify") {
-        if !rustflags.is_empty() {
-            rustflags.push(' ');
-        }
-        rustflags.push_str("--cfg rips_verify");
-    }
-    cargo.env("RUSTFLAGS", &rustflags);
-    // Instrumented builds land in their own target dir so they don't
-    // evict the normal build's cache (the cfg changes every crate).
-    if std::env::var_os("CARGO_TARGET_DIR").is_none() {
-        cargo.env("CARGO_TARGET_DIR", "target/verify");
-    }
-
-    for (flag, knob) in VERIFY_KNOBS {
-        let name = flag
-            .split(' ')
-            .next()
-            .expect("a flag row starts with its name");
-        if let Some(v) = args.get(name) {
-            cargo.env(knob, v);
-        }
-    }
-    let out_dir = args.get("--out").map(str::to_string);
-    if let Some(dir) = out_dir.or_else(|| std::env::var("RIPS_VERIFY_OUT").ok()) {
-        // Pre-create the replay directory so CI's artifact-upload step
-        // always has a path to point at, even on a clean run.
-        let _ = std::fs::create_dir_all(&dir);
-    }
-
-    eprintln!("rips verify: {cargo:?}");
-    let status = cargo.status().unwrap_or_else(|e| {
-        eprintln!("cannot spawn cargo: {e}");
-        std::process::exit(2);
-    });
-    if !status.success() {
-        eprintln!(
-            "rips verify: model checking FAILED — replay schedules (if any) are under \
-             the RIPS_VERIFY_OUT directory; re-run a single schedule with the printed \
-             RIPS_VERIFY_* knobs to reproduce deterministically"
-        );
-        std::process::exit(status.code().unwrap_or(1));
-    }
-    eprintln!("rips verify: all model suites clean");
 }
 
 const PLAN: Spec = &[

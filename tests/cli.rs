@@ -60,15 +60,11 @@ fn repro_list_is_the_library_table() {
 
 /// The fixed commands' flags, pinned: `path: flags`.
 const FIXED: &str = "\
-run: --app --scheduler --nodes --seed --policy --metrics-out
+run: --all --nodes --seed --policy --audit --trace-out --report --metrics-out
 live: --threads --seed --policy --mode --timed-scale --audit --trace-out --metrics-out
-trace: --nodes --seed --policy --out --check
-report: --nodes --seed --policy --jsonl
-audit: --all --app --nodes --seed --policy
 serve: --backend --scheduler --nodes --threads --tenants --jobs --mean-interarrival-us \
        --process --max-pending --quota --quantum --seed --tiny --audit --json --out --metrics-out
 plan: --rows --cols --loads
-verify: --bound --max-iters --mode --seed --random-iters --out --filter
 apps:
 schedulers:
 repro: --list";
@@ -129,7 +125,7 @@ fn top_level_overview_lists_the_commands() {
         let out = rips(line);
         assert_eq!(out.status.code(), Some(2));
         let err = stderr(&out);
-        for cmd in ["run", "live", "repro", "bench", "verify"] {
+        for cmd in ["run", "live", "repro", "bench", "serve"] {
             assert!(err.contains(&format!("\n  {cmd} ")), "{err}");
         }
     }
@@ -146,19 +142,32 @@ fn bad_input_exits_2_naming_the_offending_token() {
         ("run --nodes", "--nodes needs a value"),
         ("plan --rows 2 --cols 2 --loads 4,0,0,x", "'4,0,0,x'"),
         // Positionals.
-        ("trace rips", "missing <app>"),
+        ("run", "missing <app>"),
         ("live", "missing <app>"),
         ("live a b c", "'c'"),
-        ("audit rips", "<scheduler> <app> or --all"),
+        ("run --all rips queens9", "--all takes the <app> alone"),
         ("repro", "missing name"),
         ("repro fig9", "unknown name 'fig9'"),
         ("bench transport", "\n  bench scale "),
         // A command that is gone is an unknown command.
         ("lint", "usage: rips <command>"),
+        ("trace rips queens9", "usage: rips <command>"),
+        ("report rips queens9", "usage: rips <command>"),
+        ("audit --all", "usage: rips <command>"),
+        ("verify", "usage: rips <command>"),
         // Values only the command can judge.
-        ("run --app queens8", "unknown app 'queens8'"),
-        ("run --scheduler fifo", "unknown scheduler 'fifo'"),
-        ("run --policy some-lazy", "unknown policy 'some-lazy'"),
+        ("run queens8", "unknown app 'queens8'"),
+        ("run fifo queens9", "unknown scheduler 'fifo'"),
+        (
+            "run queens9 --policy some-lazy",
+            "unknown policy 'some-lazy'",
+        ),
+        ("run queens9 --report csv", "unknown --report 'csv'"),
+        (
+            "run --all queens9 --trace-out t.json",
+            "--all writes no file",
+        ),
+        ("run --all queens9 --metrics-out -", "--all writes no file"),
         ("live queens9 --mode fast", "unknown --mode 'fast'"),
         (
             "plan --rows 2 --cols 2 --loads 1,2",
@@ -179,8 +188,8 @@ fn bad_input_exits_2_naming_the_offending_token() {
 #[test]
 fn out_of_range_sizes_exit_2_instead_of_panicking() {
     let cases = [
-        ("run --app queens9 --nodes 0", "run"),
-        ("audit RIPS queens9 --nodes 0", "audit"),
+        ("run queens9 --nodes 0", "run"),
+        ("run --all queens9 --audit --nodes 0", "run"),
         ("serve --backend sim --tiny --nodes 0", "serve"),
         ("live --threads 0 queens9", "live"),
         ("live --mode timed --timed-scale -1 queens9", "live"),
@@ -216,21 +225,49 @@ fn scratch(test: &str) -> std::path::PathBuf {
 #[test]
 fn positionals_mix_with_flags_on_every_command() {
     // Flags-first used to work for `live` only.
-    let out = rips("report --nodes 8 rips --jsonl queens9");
+    let out = rips("run --nodes 8 rips --report jsonl queens9");
     assert!(out.status.success(), "{}", stderr(&out));
-    assert!(stdout(&out).starts_with("{\"type\":\"summary\""));
-    let out = rips("audit --nodes 8 rips queens9");
-    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("\n{\"type\":\"summary\""));
+}
 
-    let dir = scratch("trace");
+/// Whether `json` is one complete value by its brackets: they balance
+/// outside strings, as a truncated or half-written document's do not.
+fn balanced(json: &str) -> bool {
+    let (mut depth, mut in_str, mut escaped) = (0i64, false, false);
+    for c in json.trim_end().chars() {
+        match (in_str, escaped, c) {
+            (true, true, _) => escaped = false,
+            (true, false, '\\') => escaped = true,
+            (true, false, '"') => in_str = false,
+            (true, ..) => {}
+            (false, _, '"') => in_str = true,
+            (false, _, '{' | '[') => depth += 1,
+            (false, _, '}' | ']') if depth == 0 => return false,
+            (false, _, '}' | ']') => depth -= 1,
+            _ => {}
+        }
+    }
+    depth == 0 && !in_str
+}
+
+/// `run` attaches the auditor, the trace buffer and the phase report
+/// in one install and finishes each.
+#[test]
+fn run_audits_traces_and_reports_from_one_install() {
+    let dir = scratch("run-trace");
     let path = dir.join("trace.json");
     let out = rips(&format!(
-        "trace --nodes 8 --out {} rips queens9",
+        "run rips queens9 --nodes 8 --audit --trace-out {} --report jsonl",
         path.display()
     ));
     assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("audit            OK"), "{text}");
+    assert!(text.contains("\n{\"type\":\"summary\","), "{text}");
     let json = std::fs::read_to_string(path).expect("trace written");
     assert!(json.starts_with("{\"traceEvents\":["));
+    assert!(json.contains("\"ph\":\"X\""));
+    assert!(balanced(&json), "{json}");
     std::fs::remove_dir_all(&dir).expect("clean temp dir");
 }
 
@@ -243,7 +280,7 @@ fn smoke_commands_exit_0() {
             "plan --rows 2 --cols 2 --loads 4,0,0,0",
             "final loads: [1, 1, 1, 1]",
         ),
-        ("audit --all --app queens9 --nodes 8", "RIPS-H"),
+        ("run --all queens9 --nodes 8 --audit", "── RIPS-H · 8 nodes"),
         ("apps", "queens9\nqueens10\n"),
         ("schedulers", "rips-h\n"),
     ];
@@ -259,7 +296,7 @@ fn run_exports_valid_openmetrics() {
     let dir = scratch("metrics");
     let path = dir.join("metrics.txt");
     let out = rips(&format!(
-        "run --app queens9 --nodes 8 --metrics-out {}",
+        "run queens9 --nodes 8 --metrics-out {}",
         path.display()
     ));
     assert!(out.status.success(), "{}", stderr(&out));
@@ -301,6 +338,7 @@ fn live_audits_and_exports_its_trace_from_one_install() {
     let json = std::fs::read_to_string(path).expect("trace written");
     assert!(json.starts_with("{\"traceEvents\":["));
     assert!(json.contains("\"ph\":\"X\""));
+    assert!(balanced(&json), "{json}");
     std::fs::remove_dir_all(&dir).expect("clean temp dir");
 }
 
