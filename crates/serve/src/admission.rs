@@ -8,8 +8,6 @@
 //! is already full, and admitted otherwise. Both checks are against
 //! *admitted-but-not-yet-dispatched* jobs only.
 
-use std::collections::BTreeMap;
-
 /// Bounds for the admission controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
@@ -40,15 +38,18 @@ pub enum ShedReason {
 
 /// Pending-queue accountant. The fairness layer holds the actual job
 /// queues; this tracks only the counts the bounds are defined over.
+///
+/// Per-tenant counts are indexed by tenant id and grow to the largest
+/// id admitted, so ids should be dense (`0..tenants`).
 #[derive(Debug)]
 pub struct Admission {
     cfg: AdmissionConfig,
     pending: usize,
-    per_tenant: BTreeMap<u32, usize>,
+    per_tenant: Vec<usize>,
     /// High-water mark of the fleet-wide pending count.
     pub peak_pending: usize,
     /// High-water mark per tenant.
-    pub peak_tenant: BTreeMap<u32, usize>,
+    peak_per_tenant: Vec<usize>,
 }
 
 impl Admission {
@@ -57,9 +58,9 @@ impl Admission {
         Admission {
             cfg,
             pending: 0,
-            per_tenant: BTreeMap::new(),
+            per_tenant: Vec::new(),
             peak_pending: 0,
-            peak_tenant: BTreeMap::new(),
+            peak_per_tenant: Vec::new(),
         }
     }
 
@@ -69,14 +70,19 @@ impl Admission {
         if self.pending >= self.cfg.max_pending {
             return Err(ShedReason::QueueFull);
         }
-        let t = self.per_tenant.entry(tenant).or_insert(0);
+        let tenant = tenant as usize;
+        if tenant >= self.per_tenant.len() {
+            self.per_tenant.resize(tenant + 1, 0);
+            self.peak_per_tenant.resize(tenant + 1, 0);
+        }
+        let t = &mut self.per_tenant[tenant];
         if *t >= self.cfg.tenant_quota {
             return Err(ShedReason::QuotaExceeded);
         }
         *t += 1;
         self.pending += 1;
         self.peak_pending = self.peak_pending.max(self.pending);
-        let peak = self.peak_tenant.entry(tenant).or_insert(0);
+        let peak = &mut self.peak_per_tenant[tenant];
         *peak = (*peak).max(*t);
         Ok(())
     }
@@ -86,7 +92,10 @@ impl Admission {
     /// # Panics
     /// If the tenant has no admitted jobs — a serve-loop bug.
     pub fn release(&mut self, tenant: u32) {
-        let t = self.per_tenant.get_mut(&tenant).expect("tenant admitted");
+        let t = self
+            .per_tenant
+            .get_mut(tenant as usize)
+            .expect("tenant admitted");
         assert!(*t > 0 && self.pending > 0, "release without admit");
         *t -= 1;
         self.pending -= 1;
@@ -95,6 +104,15 @@ impl Admission {
     /// Admitted-but-undispatched jobs fleet-wide.
     pub fn pending(&self) -> usize {
         self.pending
+    }
+
+    /// High-water mark of `tenant`'s admitted-but-undispatched jobs (0
+    /// for a tenant never admitted).
+    pub fn peak_tenant(&self, tenant: u32) -> usize {
+        self.peak_per_tenant
+            .get(tenant as usize)
+            .copied()
+            .unwrap_or(0)
     }
 }
 

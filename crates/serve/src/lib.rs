@@ -185,7 +185,7 @@ pub fn run_serve(
     let mut submitted = vec![0u64; tenants];
     let mut shed = vec![0u64; tenants];
 
-    for a in &arrivals {
+    for a in arrivals {
         lp.pump(a.time);
         submitted[a.tenant as usize] += 1;
         lp.tel.add_at(0, Counter::JobsSubmitted, 1);
@@ -200,8 +200,8 @@ pub fn run_serve(
                     job: a.job,
                     tenant: a.tenant,
                     arrival: a.time,
-                    app: std::sync::Arc::clone(&a.app),
                     cost: a.app.tasks,
+                    app: a.app,
                 });
                 lp.set_pending_gauge();
             }
@@ -225,12 +225,7 @@ pub fn run_serve(
             submitted: submitted[t],
             shed: shed[t],
             completed: lp.completed[t],
-            peak_pending: lp
-                .admission
-                .peak_tenant
-                .get(&(t as u32))
-                .copied()
-                .unwrap_or(0) as u64,
+            peak_pending: lp.admission.peak_tenant(t as u32) as u64,
             latency: LatencySummary::from_hist(&mut lp.latency[t]),
         })
         .collect();

@@ -20,10 +20,11 @@ pub struct LatencySummary {
 impl LatencySummary {
     /// Summarizes a histogram of per-job latencies.
     pub fn from_hist(h: &mut Hist) -> LatencySummary {
+        let [p50_us, p95_us, p99_us] = h.percentiles([50, 95, 99]);
         LatencySummary {
-            p50_us: h.percentile(50),
-            p95_us: h.percentile(95),
-            p99_us: h.percentile(99),
+            p50_us,
+            p95_us,
+            p99_us,
             max_us: h.max(),
             mean_us: h.mean(),
         }

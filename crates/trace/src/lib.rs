@@ -831,6 +831,32 @@ impl Hist {
         self.samples[rank.saturating_sub(1)]
     }
 
+    /// Nearest-rank percentiles for ascending `qs`: what
+    /// [`percentile`](Self::percentile) gives for each, found by
+    /// selecting each rank among the samples above the last one
+    /// instead of sorting them all.
+    ///
+    /// # Panics
+    /// If `qs` descends.
+    pub fn percentiles<const N: usize>(&mut self, qs: [u32; N]) -> [u64; N] {
+        let len = self.samples.len();
+        // Every sample at or past `settled` is at least every sample
+        // selected so far.
+        let mut settled = 0;
+        qs.map(|q| {
+            if len == 0 {
+                return 0;
+            }
+            let rank = (len * q as usize).div_ceil(100).saturating_sub(1);
+            assert!(rank + 1 >= settled, "percentiles must ascend");
+            if !self.sorted && rank >= settled {
+                self.samples[settled..].select_nth_unstable(rank - settled);
+                settled = rank + 1;
+            }
+            self.samples[rank]
+        })
+    }
+
     /// Median shorthand.
     pub fn p50(&mut self) -> u64 {
         self.percentile(50)
@@ -1054,6 +1080,23 @@ mod tests {
         let mut empty = Hist::new();
         assert_eq!(empty.p50(), 0);
         assert_eq!(empty.max(), 0);
+    }
+
+    #[test]
+    fn hist_percentiles_by_selection_match_sorting() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for len in [0, 1, 2, 3, 7, 19, 100, 101, 999] {
+            let mut h = Hist::new();
+            for _ in 0..len {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                h.push((x >> 33) % 50); // plenty of ties
+            }
+            let qs = [0, 1, 50, 50, 95, 99, 100];
+            let mut sorted = h.clone();
+            let want = qs.map(|q| sorted.percentile(q));
+            assert_eq!(h.percentiles(qs), want, "{len} samples");
+            assert_eq!(sorted.percentiles(qs), want, "{len} sorted samples");
+        }
     }
 
     #[test]

@@ -151,11 +151,15 @@ fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
 
 /// Says where one `run`/`live` invocation's wall time went:
 /// building the workload (which runs the application to size its
-/// tasks), reading the sequential ground truth off the grain table,
-/// and the scheduler run itself. On stderr, after the result, so
-/// stdout stays what the tests and the byte-identity pins compare.
-fn report_wall(build_s: f64, truth_s: f64, run_s: f64) {
-    eprintln!("wall: build {build_s:.3} s · ground truth {truth_s:.3} s · run {run_s:.3} s");
+/// tasks), reading the sequential ground truth off the grain table
+/// (`live` only: the simulator runs no grain), and the scheduler run
+/// itself. On stderr, after the result, so stdout stays what the tests
+/// and the byte-identity pins compare.
+fn report_wall(build_s: f64, truth_s: Option<f64>, run_s: f64) {
+    let truth = truth_s
+        .map(|s| format!(" · ground truth {s:.3} s"))
+        .unwrap_or_default();
+    eprintln!("wall: build {build_s:.3} s{truth} · run {run_s:.3} s");
 }
 
 /// Builds the named workload and its grain table.
@@ -308,7 +312,11 @@ fn cmd_run(args: &Args) {
     } else {
         vec![scheduler_named(args, scheduler)]
     };
-    let (build_s, (workload, table)) = timed(|| build_app_live(args, app));
+    let (build_s, workload) = timed(|| {
+        let built = app_named(args, app);
+        eprintln!("building workload '{app}' ...");
+        Arc::new(built.build())
+    });
     let stats = workload.stats();
     println!(
         "workload: {} | {} tasks | {} rounds | Ts = {:.2} s",
@@ -320,10 +328,6 @@ fn cmd_run(args: &Args) {
     let mesh = Mesh2D::near_square(nodes);
     println!("machine:  {} ({} nodes)", mesh.label(), nodes);
 
-    // The simulator schedules grains without running them; the app's
-    // answer comes from the sequential grain-table reference (what a
-    // live run must reproduce — compare with `rips live`).
-    let (truth_s, truth) = timed(|| table.static_totals());
     let spec = paper_spec(&workload, nodes, 0.4, seed);
     // One registry shard per simulated node; the simulator's virtual
     // clock means counters fill but the ns histograms stay empty.
@@ -358,19 +362,12 @@ fn cmd_run(args: &Args) {
         if outcome.system_phases > 0 {
             println!("  system phases   : {}", outcome.system_phases);
         }
-        println!("  solutions       : {}", truth.solutions);
-        println!("  grain checksum  : {:#018x}", truth.checksum);
 
         let end = outcome.stats.end_time;
         let label = format!("{name} · {app} · {nodes} nodes · seed {seed}");
         if let Some(audit) = finish_observers(args, observed, &label, end) {
             println!("── {name} · {nodes} nodes · seed {seed} ──");
             print!("{}", audit.render_human());
-            println!(
-                "run              T = {:.3} s, {} non-local",
-                outcome.exec_time_s(),
-                outcome.nonlocal
-            );
             audit_ok &= audit.is_ok();
         }
         if let (Some(jsonl), Some(mut report)) = (jsonl, report) {
@@ -386,7 +383,7 @@ fn cmd_run(args: &Args) {
     if let Some(path) = args.get("--metrics-out") {
         write_metrics(&metrics, path);
     }
-    report_wall(build_s, truth_s, run_s);
+    report_wall(build_s, None, run_s);
     if !audit_ok {
         eprintln!("audit FAILED");
         std::process::exit(1);
@@ -508,7 +505,7 @@ fn cmd_live(args: &Args) {
     if let Some(path) = args.get("--metrics-out") {
         write_metrics(&metrics, path);
     }
-    report_wall(build_s, truth_s, out.wall_us as f64 / 1e6);
+    report_wall(build_s, Some(truth_s), out.wall_us as f64 / 1e6);
     if !matches {
         eprintln!(
             "cross-validation FAILED: expected {} solutions / {:#018x}",
