@@ -27,7 +27,7 @@ pub struct NQueensConfig {
     pub root_depth: u32,
     /// Nanoseconds of virtual time per search-tree node. Calibrated in
     /// EXPERIMENTS.md to the paper's i860-era speed: 13-queens ≈ 8.5 s
-    /// and 15-queens ≈ 330 s of sequential work, keeping the paper's
+    /// and 15-queens ≈ 310 s of sequential work, keeping the paper's
     /// task-grain-to-message-latency ratio.
     pub ns_per_node: u64,
 }

@@ -260,7 +260,7 @@ impl AuditReport {
 /// records at its phase boundaries and nothing per task; and it checks
 /// a phase the moment the machine's last node closes it, so it holds
 /// the accumulators of the phases in flight, not of the whole run.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Auditor {
     n: usize,
     nodes: Vec<NodeState>,

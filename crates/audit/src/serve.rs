@@ -12,9 +12,11 @@
 //!   windows must never overlap (the fleet serves one job at a time),
 //!   and every dispatched job must complete.
 //! * **Per-job invariants** — each dispatch window feeds a *fresh*
-//!   inner [`Auditor`], so Theorem 1 (post-schedule spread ≤ 1),
-//!   conservation, and barrier pairing are re-checked per job exactly
-//!   as `rips run --audit` checks a batch run.
+//!   copy of the scheduler's [`Auditor`] (flat, or tiled for RIPS-H;
+//!   [`ServeAuditor::per_job`]), so Theorem 1 (post-schedule spread
+//!   ≤ 1, per tile too when tiled), conservation, and barrier pairing
+//!   are re-checked per job exactly as `rips run --audit` checks a
+//!   batch run.
 //! * **Per-job conservation** — the tasks announced at dispatch must
 //!   equal the tasks the backend reports at completion, and (when the
 //!   window carries an inner trace) the tasks the inner auditor
@@ -117,18 +119,26 @@ struct OpenWindow {
 /// [`run_serve`]: ../../rips_serve/fn.run_serve.html
 #[derive(Debug)]
 pub struct ServeAuditor {
-    nodes: usize,
+    /// The unfed auditor each dispatch window starts from a copy of.
+    template: Auditor,
     state: BTreeMap<u64, JobState>,
     open: Option<OpenWindow>,
     report: ServeAuditReport,
 }
 
 impl ServeAuditor {
-    /// An auditor for a fleet of `nodes` processors (the inner
-    /// per-job auditors are sized to this).
+    /// An auditor for a fleet of `nodes` processors whose per-job
+    /// auditors are flat ([`Auditor::new`]).
     pub fn new(nodes: usize) -> Self {
+        Self::per_job(Auditor::new(nodes))
+    }
+
+    /// An auditor that checks each dispatch window with a fresh copy
+    /// of `template`, an auditor nothing has been fed yet: the one
+    /// `rips run --audit` would use for the serving scheduler.
+    pub fn per_job(template: Auditor) -> Self {
         ServeAuditor {
-            nodes,
+            template,
             state: BTreeMap::new(),
             open: None,
             report: ServeAuditReport::default(),
@@ -231,7 +241,7 @@ impl TraceSink for ServeAuditor {
                     job,
                     tenant,
                     tasks,
-                    inner: Auditor::new(self.nodes),
+                    inner: self.template.clone(),
                     saw_inner_events: false,
                 });
             }
@@ -434,6 +444,62 @@ mod tests {
             "{:?}",
             r.errors
         );
+    }
+
+    /// One dispatch window whose system phase leaves 4 nodes globally
+    /// balanced with the remainder in the wrong tile: loads [5,0,0,0],
+    /// tile quota shares [3, 2] under tiles {0,1} and {2,3}, but the
+    /// plan leaves tile 0 holding 2 and tile 1 holding 3.
+    fn cross_tile_quota_window(a: &mut ServeAuditor) {
+        use rips_trace::PhaseKind::System;
+        submit(a, 0);
+        let dispatch = TraceEvent::JobDispatch {
+            tenant: 0,
+            job: 0,
+            tasks: 5,
+        };
+        a.record(0, 0, dispatch);
+        let moves = [(0, 1, 1), (0, 2, 2), (0, 3, 1)];
+        for (node, load) in [5, 0, 0, 0].into_iter().enumerate() {
+            let begin = TraceEvent::PhaseBegin {
+                kind: System,
+                index: 1,
+            };
+            a.record(1, node, begin);
+            a.record(1, node, TraceEvent::LoadSample { load });
+        }
+        for (from, to, count) in moves {
+            a.record(2, from, TraceEvent::MigrateOut { to, count });
+        }
+        for node in 0..4 {
+            let end = TraceEvent::PhaseEnd {
+                kind: System,
+                index: 1,
+            };
+            a.record(3, node, end);
+        }
+        for (from, to, count) in moves {
+            a.record(4, to, TraceEvent::MigrateIn { from, count });
+        }
+        let complete = TraceEvent::JobComplete {
+            tenant: 0,
+            job: 0,
+            executed: 5,
+        };
+        a.record(5, 0, complete);
+    }
+
+    #[test]
+    fn windows_are_audited_with_the_template_auditor() {
+        let cross_tile = |r: &ServeAuditReport| r.errors.iter().any(|e| e.contains("cross-tile"));
+        let mut tiled = ServeAuditor::per_job(Auditor::with_tiles(4, vec![0, 0, 1, 1]));
+        cross_tile_quota_window(&mut tiled);
+        let r = tiled.finish();
+        assert!(cross_tile(&r), "{:?}", r.errors);
+        let mut flat = ServeAuditor::new(4);
+        cross_tile_quota_window(&mut flat);
+        let r = flat.finish();
+        assert!(!cross_tile(&r), "{:?}", r.errors);
     }
 
     #[test]

@@ -246,20 +246,6 @@ pub fn run_spec(reg: &SchedulerRegistry, scheduler: &str, spec: &RunSpec) -> Row
     }
 }
 
-/// Runs one scheduler from the default registry on `workload` over a
-/// near-square mesh of `nodes` processors. The workload is shared by
-/// reference count — no per-run deep copy — so one build serves the
-/// whole scheduler grid.
-pub fn run_scheduler(
-    scheduler: &str,
-    workload: &Arc<Workload>,
-    nodes: usize,
-    rid_u: f64,
-    seed: u64,
-) -> Row {
-    run_cell(&registry(), scheduler, workload, nodes, rid_u, seed)
-}
-
 /// Builds `apps` one after another (each build spreads over the host
 /// by itself), shared by reference count so one build serves a whole
 /// scheduler grid.
@@ -311,13 +297,6 @@ pub fn auditor_for(scheduler: &str, nodes: usize) -> Auditor {
     } else {
         Auditor::new(nodes)
     }
-}
-
-/// Runs RIPS with an explicit configuration (ablation support), via a
-/// registry tuned to that configuration.
-pub fn run_rips_with(workload: &Arc<Workload>, nodes: usize, cfg: RipsConfig, seed: u64) -> Row {
-    let reg = registry_with(RegistryTuning { rips: cfg });
-    run_cell(&reg, "RIPS", workload, nodes, 0.4, seed)
 }
 
 #[cfg(test)]

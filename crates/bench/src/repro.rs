@@ -21,8 +21,8 @@ use rips_trace::{with_sink, PhaseReport};
 use crate::args::{Args, Flag, Spec};
 use crate::eval::{optimal_efficiency, quality_factor, speedup, utilization_chart, Series, Table};
 use crate::{
-    build_set, paper_spec, registry, run_cell, run_grid, run_rips_with, run_scheduler, run_spec,
-    run_table, App, Row,
+    build_set, paper_spec, registry, registry_with, run_cell, run_grid, run_spec, run_table, App,
+    RegistryTuning, Row,
 };
 
 /// One regenerable paper artifact: its usage text (`rips repro
@@ -307,7 +307,8 @@ fn ablation_policies(args: &Args) -> String {
                 eureka,
                 ..RipsConfig::default()
             };
-            let row = run_rips_with(w, nodes, cfg, 1);
+            let reg = registry_with(RegistryTuning { rips: cfg });
+            let row = run_cell(&reg, "RIPS", w, nodes, 0.4, 1);
             outcome_row(
                 &[&app.label(), name],
                 &row,
@@ -349,7 +350,8 @@ fn ablation_interval(args: &Args) -> String {
             global,
             ..RipsConfig::default()
         };
-        let row = run_rips_with(&w, nodes, cfg, 1);
+        let reg = registry_with(RegistryTuning { rips: cfg });
+        let row = run_cell(&reg, "RIPS", &w, nodes, 0.4, 1);
         table.row(outcome_row(&[&label], &row, &[Phases, Th, Ti, T, Mu]));
     }
     let title = "Periodic transfer-test interval sweep, 13-Queens";
@@ -387,7 +389,8 @@ fn ablation_weighted(args: &Args) -> String {
                 metric,
                 ..RipsConfig::default()
             };
-            let row = run_rips_with(&w, nodes, cfg, 1);
+            let reg = registry_with(RegistryTuning { rips: cfg });
+            let row = run_cell(&reg, "RIPS", &w, nodes, 0.4, 1);
             table.row(outcome_row(
                 &[name, label],
                 &row,
@@ -496,9 +499,10 @@ fn scaling(args: &Args) -> String {
     let ts = stats.total_work_us;
     let header = "procs|RIPS speedup|RIPS mu|random speedup|random mu|RIPS phases";
     let mut table = Table::new(header.split('|').collect());
+    let reg = registry();
     let rows = par_map(&[8usize, 16, 32, 64, 128], |&nodes| {
-        let rips = run_scheduler("RIPS", &workload, nodes, 0.4, 1).outcome;
-        let rand = run_scheduler("Random", &workload, nodes, 0.4, 1).outcome;
+        let rips = run_cell(&reg, "RIPS", &workload, nodes, 0.4, 1).outcome;
+        let rand = run_cell(&reg, "Random", &workload, nodes, 0.4, 1).outcome;
         vec![
             nodes.to_string(),
             format!("{:.1}", speedup(ts, rips.stats.end_time)),
@@ -567,18 +571,14 @@ fn timeline(args: &Args) -> String {
 const PHASE_ANATOMY: Spec = &[
     "phase-anatomy  §5's 15-Queens system-phase breakdown, from the structured trace",
     NODES,
-    "--jsonl  machine-readable JSONL instead of the table",
 ];
 fn phase_anatomy(args: &Args) -> String {
     let nodes: usize = args.num_in("--nodes", 1..);
     let w = Arc::new(App::Queens(15).build());
-    let run = || run_scheduler("RIPS", &w, nodes, 0.4, 1);
+    let run = || run_cell(&registry(), "RIPS", &w, nodes, 0.4, 1);
     let (mut report, row) = with_sink(PhaseReport::default(), run);
     let o = &row.outcome;
     report.close_at(o.stats.end_time);
-    if args.switch("--jsonl") {
-        return report.to_jsonl();
-    }
     let mut out = format!("15-Queens under RIPS on {nodes} processors (8x4 mesh at 32)\n\n");
     out += &report.render();
     // The paper's headline numbers, from the aggregate counters the

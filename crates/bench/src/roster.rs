@@ -130,11 +130,7 @@ impl Fleet for Rips {
     fn on_desim(self: Box<Self>, s: &RunSpec) -> ScheduledRun {
         let Rips(cfg, machine) = *self;
         let workload = Arc::clone(&s.workload);
-        let out = rips(workload, machine, s.latency, s.costs, s.seed, cfg);
-        ScheduledRun {
-            outcome: out.run,
-            phases: out.phases,
-        }
+        rips(workload, machine, s.latency, s.costs, s.seed, cfg)
     }
 
     fn on_live(self: Box<Self>, workload: Arc<Workload>, seed: u64, opts: LiveOpts) -> LiveOutcome {

@@ -22,7 +22,7 @@ use std::process::Command;
 use std::sync::Arc;
 
 use rips_apps::{nqueens, NQueensConfig};
-use rips_bench::{auditor_for, registry, run_cell, run_scheduler};
+use rips_bench::{auditor_for, registry, run_cell};
 use rips_taskgraph::{geometric_tree, Workload};
 use rips_trace::{with_sink, EventKind, Tee, TraceBuffer};
 
@@ -68,7 +68,7 @@ fn every_golden_cell_upholds_the_paper_invariants() {
         // The buffer beside the auditor counts the migration batches.
         let (Tee(buf, auditor), row) =
             with_sink(Tee(TraceBuffer::new(), auditor_for(sched, nodes)), || {
-                run_scheduler(sched, &w, nodes, 0.4, seed)
+                run_cell(&registry(), sched, &w, nodes, 0.4, seed)
             });
         let report = auditor.finish();
         assert!(

@@ -26,7 +26,7 @@
 use std::sync::Arc;
 
 use rips_apps::{nqueens, NQueensConfig};
-use rips_bench::{registry, registry_with, run_cell, run_scheduler, App, RegistryTuning, Row};
+use rips_bench::{registry, registry_with, run_cell, App, RegistryTuning, Row};
 use rips_core::{GlobalPolicy, LocalPolicy, RipsConfig};
 use rips_desim::Time;
 use rips_taskgraph::{geometric_tree, Workload};
@@ -154,7 +154,7 @@ const GOLDEN: [&str; 9] = [
 #[test]
 fn fixed_seed_outcomes_are_bit_for_bit_stable() {
     for (i, (sched, w, nodes, seed)) in cells().into_iter().enumerate() {
-        let row = counting_sends(nodes, || run_scheduler(sched, &w, nodes, 0.4, seed));
+        let row = counting_sends(nodes, || run_cell(&registry(), sched, &w, nodes, 0.4, seed));
         let got = fingerprint(&row);
         assert_eq!(
             got, GOLDEN[i],
@@ -307,9 +307,10 @@ fn every_registry_entry_has_a_golden_cell() {
 /// run, outcome and phase log, under another seed.
 #[test]
 fn only_random_reads_its_seed_and_a_seed_free_run_ignores_it() {
-    for name in registry().names() {
+    let reg = registry();
+    for name in reg.names() {
         for (w, nodes) in [(queens9(), 8), (tree(), 9)] {
-            let [a, b] = [1, 0x5eed_0002].map(|seed| run_scheduler(name, &w, nodes, 0.4, seed));
+            let [a, b] = [1, 0x5eed_0002].map(|seed| run_cell(&reg, name, &w, nodes, 0.4, seed));
             let cell = format!("{name} on {} / {nodes} nodes", w.name);
             assert_eq!(a.outcome.stats.seed_read, name == "Random", "{cell}");
             assert_eq!(b.outcome.stats.seed_read, name == "Random", "{cell}");
@@ -328,7 +329,7 @@ fn only_random_reads_its_seed_and_a_seed_free_run_ignores_it() {
 #[ignore = "generator: run with --ignored --nocapture to reprint goldens"]
 fn print_goldens() {
     for (sched, w, nodes, seed) in cells() {
-        let row = counting_sends(nodes, || run_scheduler(sched, &w, nodes, 0.4, seed));
+        let row = counting_sends(nodes, || run_cell(&registry(), sched, &w, nodes, 0.4, seed));
         println!("    \"{}\", // {sched}", fingerprint(&row));
     }
     for (mode, local, global) in mode_cells() {

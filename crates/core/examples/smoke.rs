@@ -28,15 +28,15 @@ fn main() {
     );
     println!(
         "RIPS:  nonlocal={} Th={:.3} Ti={:.3} T={:.3} mu={:.1}% phases={} (wall {:?})",
-        out.run.nonlocal,
-        out.run.overhead_s(),
-        out.run.idle_s(),
-        out.run.exec_time_s(),
-        out.run.efficiency() * 100.0,
-        out.run.system_phases,
+        out.outcome.nonlocal,
+        out.outcome.overhead_s(),
+        out.outcome.idle_s(),
+        out.outcome.exec_time_s(),
+        out.outcome.efficiency() * 100.0,
+        out.outcome.system_phases,
         t0.elapsed()
     );
-    out.run.verify_complete(&w).unwrap();
+    out.outcome.verify_complete(&w).unwrap();
     for ph in &out.phases {
         println!(
             "  phase {:2} round {} total={:6} migrated={:5} cost={:6}",

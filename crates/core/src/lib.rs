@@ -47,8 +47,7 @@ mod sid;
 
 pub use gradient::{gradient, gradient_policy, GradientPolicy};
 pub use program::{
-    rips, GlobalPolicy, LoadMetric, LocalPolicy, Machine, RipsConfig, RipsFleet, RipsOutcome,
-    RipsPolicy,
+    rips, GlobalPolicy, LoadMetric, LocalPolicy, Machine, RipsConfig, RipsFleet, RipsPolicy,
 };
 pub use random::{random, random_policy, RandomPolicy};
 pub use rid::{rid, rid_policy, RidPolicy, RID_U};

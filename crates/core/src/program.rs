@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 use rips_desim::{LatencyModel, Time, WorkKind};
 use rips_runtime::{
     count_up, exec_step, run_policy, BalancerPolicy, Costs, ExecCtx, Kernel, KernelMsg, PhaseLog,
-    RunOutcome, TaskInstance, TAG_POLICY_BASE,
+    ScheduledRun, TaskInstance, TAG_POLICY_BASE,
 };
 use rips_sched::TransferPlan;
 use rips_taskgraph::Workload;
@@ -155,16 +155,6 @@ impl Machine {
             Machine::Cube(c) => rips_sched::dem_steps(c.dim().max(1)),
         }
     }
-}
-
-/// RIPS run result: the common outcome plus the per-phase log.
-#[derive(Debug, Clone)]
-pub struct RipsOutcome {
-    /// The Table I columns.
-    pub run: RunOutcome,
-    /// One entry per system phase that scheduled tasks (termination
-    /// phases with zero tasks are not logged).
-    pub phases: Vec<PhaseLog>,
 }
 
 /// RIPS control messages — everything that is not task migration or
@@ -994,12 +984,15 @@ pub fn rips(
     costs: Costs,
     seed: u64,
     cfg: RipsConfig,
-) -> RipsOutcome {
+) -> ScheduledRun {
     let fleet = RipsFleet::new(cfg, machine);
     let topo = fleet.topology();
     let (mut run, policies) = run_policy(workload, topo, latency, costs, seed, |me| fleet.make(me));
     drop(policies); // release the policies' handles on the shared state
     let (phases, logs) = fleet.finish();
     run.system_phases = phases;
-    RipsOutcome { run, phases: logs }
+    ScheduledRun {
+        outcome: run,
+        phases: logs,
+    }
 }

@@ -80,9 +80,9 @@ proptest! {
             seed,
             cfg,
         );
-        prop_assert_eq!(out.run.total_executed(), w.stats().tasks as u64);
+        prop_assert_eq!(out.outcome.total_executed(), w.stats().tasks as u64);
         // Executed user time equals the workload's total work.
-        prop_assert_eq!(out.run.stats.total_user_us(), w.stats().total_work_us);
+        prop_assert_eq!(out.outcome.stats.total_user_us(), w.stats().total_work_us);
     }
 
     /// Phase logs are internally consistent: migrations never exceed
@@ -108,6 +108,6 @@ proptest! {
         }
         // Non-local executions are bounded by total migrations.
         let migrated: i64 = out.phases.iter().map(|p| p.migrated).sum();
-        prop_assert!(out.run.nonlocal as i64 <= migrated);
+        prop_assert!(out.outcome.nonlocal as i64 <= migrated);
     }
 }

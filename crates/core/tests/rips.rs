@@ -4,9 +4,10 @@
 
 use std::sync::Arc;
 
-use rips_core::{rips, GlobalPolicy, LocalPolicy, Machine, RipsConfig, RipsOutcome};
+use rips_core::{rips, GlobalPolicy, LocalPolicy, Machine, RipsConfig};
 use rips_desim::LatencyModel;
 use rips_runtime::Costs;
+use rips_runtime::ScheduledRun;
 use rips_taskgraph::{flat_uniform, geometric_tree, skewed_flat, Workload};
 use rips_topology::{BinaryTree, Hypercube, Mesh2D};
 
@@ -15,7 +16,7 @@ fn run(
     machine: Machine,
     local: LocalPolicy,
     global: GlobalPolicy,
-) -> RipsOutcome {
+) -> ScheduledRun {
     rips(
         Arc::clone(w),
         machine,
@@ -40,10 +41,10 @@ fn policy_matrix_completes_flat_workload() {
     for local in [LocalPolicy::Eager, LocalPolicy::Lazy] {
         for global in [GlobalPolicy::Any, GlobalPolicy::All] {
             let out = run(&w, mesh(8), local, global);
-            out.run
+            out.outcome
                 .verify_complete(&w)
                 .unwrap_or_else(|e| panic!("{local:?}/{global:?}: {e}"));
-            assert!(out.run.system_phases >= 1, "{local:?}/{global:?}");
+            assert!(out.outcome.system_phases >= 1, "{local:?}/{global:?}");
         }
     }
 }
@@ -54,7 +55,7 @@ fn policy_matrix_completes_dynamic_tree() {
     for local in [LocalPolicy::Eager, LocalPolicy::Lazy] {
         for global in [GlobalPolicy::Any, GlobalPolicy::All] {
             let out = run(&w, mesh(9), local, global);
-            out.run
+            out.outcome
                 .verify_complete(&w)
                 .unwrap_or_else(|e| panic!("{local:?}/{global:?}: {e}"));
         }
@@ -72,9 +73,9 @@ fn multi_round_workload_completes() {
         ],
     });
     let out = run(&w, mesh(8), LocalPolicy::Lazy, GlobalPolicy::Any);
-    out.run.verify_complete(&w).unwrap();
+    out.outcome.verify_complete(&w).unwrap();
     // Each round opens with its own system phase.
-    assert!(out.run.system_phases >= 3);
+    assert!(out.outcome.system_phases >= 3);
 }
 
 #[test]
@@ -86,8 +87,8 @@ fn single_node_machine() {
         LocalPolicy::Lazy,
         GlobalPolicy::Any,
     );
-    out.run.verify_complete(&w).unwrap();
-    assert_eq!(out.run.nonlocal, 0);
+    out.outcome.verify_complete(&w).unwrap();
+    assert_eq!(out.outcome.nonlocal, 0);
 }
 
 #[test]
@@ -100,10 +101,10 @@ fn tree_and_hypercube_machines_work() {
         Machine::Cube(Hypercube::new(3)),
     ] {
         let out = run(&w, machine.clone(), LocalPolicy::Lazy, GlobalPolicy::Any);
-        out.run
+        out.outcome
             .verify_complete(&w)
             .unwrap_or_else(|e| panic!("{machine:?}: {e}"));
-        assert!(out.run.nonlocal > 0, "{machine:?} never balanced");
+        assert!(out.outcome.nonlocal > 0, "{machine:?} never balanced");
     }
 }
 
@@ -112,8 +113,8 @@ fn rips_is_deterministic() {
     let w = Arc::new(geometric_tree(6, 4, 3, 2000, 2));
     let a = run(&w, mesh(8), LocalPolicy::Lazy, GlobalPolicy::Any);
     let b = run(&w, mesh(8), LocalPolicy::Lazy, GlobalPolicy::Any);
-    assert_eq!(a.run.stats.end_time, b.run.stats.end_time);
-    assert_eq!(a.run.executed, b.run.executed);
+    assert_eq!(a.outcome.stats.end_time, b.outcome.stats.end_time);
+    assert_eq!(a.outcome.executed, b.outcome.executed);
     assert_eq!(a.phases, b.phases);
 }
 
@@ -123,13 +124,13 @@ fn initial_system_phase_balances_block_seeds() {
     // system phase every node should execute ~10 tasks.
     let w = Arc::new(flat_uniform(160, 2000, 2000, 4));
     let out = run(&w, mesh(16), LocalPolicy::Lazy, GlobalPolicy::Any);
-    out.run.verify_complete(&w).unwrap();
-    let max = *out.run.executed.iter().max().unwrap();
-    let min = *out.run.executed.iter().min().unwrap();
+    out.outcome.verify_complete(&w).unwrap();
+    let max = *out.outcome.executed.iter().max().unwrap();
+    let min = *out.outcome.executed.iter().min().unwrap();
     assert!(
         max - min <= 2,
         "uneven execution after MWA: {:?}",
-        out.run.executed
+        out.outcome.executed
     );
 }
 
@@ -145,14 +146,14 @@ fn hierarchical_mesh_machine_balances_block_seeds() {
         LocalPolicy::Lazy,
         GlobalPolicy::Any,
     );
-    out.run.verify_complete(&w).unwrap();
-    assert!(out.run.system_phases >= 1);
-    let max = *out.run.executed.iter().max().unwrap();
-    let min = *out.run.executed.iter().min().unwrap();
+    out.outcome.verify_complete(&w).unwrap();
+    assert!(out.outcome.system_phases >= 1);
+    let max = *out.outcome.executed.iter().max().unwrap();
+    let min = *out.outcome.executed.iter().min().unwrap();
     assert!(
         max - min <= 2,
         "uneven execution after tiled MWA: {:?}",
-        out.run.executed
+        out.outcome.executed
     );
 }
 
@@ -163,9 +164,9 @@ fn rips_locality_beats_random_by_far() {
     let out = run(&w, mesh(16), LocalPolicy::Lazy, GlobalPolicy::Any);
     let total = w.stats().tasks as u64;
     assert!(
-        out.run.nonlocal < total / 3,
+        out.outcome.nonlocal < total / 3,
         "RIPS moved {} of {} tasks",
-        out.run.nonlocal,
+        out.outcome.nonlocal,
         total
     );
 }
@@ -194,8 +195,8 @@ fn eager_passes_every_task_through_a_system_phase() {
     let w = Arc::new(geometric_tree(4, 5, 4, 2500, 17));
     let eager = run(&w, mesh(8), LocalPolicy::Eager, GlobalPolicy::Any);
     let lazy = run(&w, mesh(8), LocalPolicy::Lazy, GlobalPolicy::Any);
-    eager.run.verify_complete(&w).unwrap();
-    lazy.run.verify_complete(&w).unwrap();
+    eager.outcome.verify_complete(&w).unwrap();
+    lazy.outcome.verify_complete(&w).unwrap();
     let scheduled: i64 = eager.phases.iter().map(|p| p.total_tasks).sum();
     assert!(
         scheduled >= w.stats().tasks as i64,
@@ -215,13 +216,13 @@ fn any_is_more_responsive_than_all() {
     let w = Arc::new(skewed_flat(200, 1500, 5, 12, 3));
     let any = run(&w, mesh(16), LocalPolicy::Lazy, GlobalPolicy::Any);
     let all = run(&w, mesh(16), LocalPolicy::Lazy, GlobalPolicy::All);
-    any.run.verify_complete(&w).unwrap();
-    all.run.verify_complete(&w).unwrap();
+    any.outcome.verify_complete(&w).unwrap();
+    all.outcome.verify_complete(&w).unwrap();
     assert!(
-        any.run.system_phases >= all.run.system_phases,
+        any.outcome.system_phases >= all.outcome.system_phases,
         "ANY {} phases < ALL {} phases",
-        any.run.system_phases,
-        all.run.system_phases
+        any.outcome.system_phases,
+        all.outcome.system_phases
     );
 }
 
@@ -229,11 +230,11 @@ fn any_is_more_responsive_than_all() {
 fn efficiency_is_high_on_well_fed_machine() {
     let w = Arc::new(flat_uniform(2000, 2000, 6000, 6));
     let out = run(&w, mesh(16), LocalPolicy::Lazy, GlobalPolicy::Any);
-    out.run.verify_complete(&w).unwrap();
+    out.outcome.verify_complete(&w).unwrap();
     assert!(
-        out.run.efficiency() > 0.8,
+        out.outcome.efficiency() > 0.8,
         "efficiency {}",
-        out.run.efficiency()
+        out.outcome.efficiency()
     );
 }
 
@@ -249,7 +250,7 @@ fn periodic_policy_completes() {
             LocalPolicy::Lazy,
             GlobalPolicy::Periodic(interval),
         );
-        out.run
+        out.outcome
             .verify_complete(&w)
             .unwrap_or_else(|e| panic!("interval {interval}: {e}"));
     }
@@ -270,7 +271,7 @@ fn periodic_policy_multi_round() {
         LocalPolicy::Lazy,
         GlobalPolicy::Periodic(2_000),
     );
-    out.run.verify_complete(&w).unwrap();
+    out.outcome.verify_complete(&w).unwrap();
 }
 
 #[test]
@@ -286,8 +287,8 @@ fn redundant_initiators_are_counted_not_silently_dropped() {
     let out = with_metrics(&reg, || {
         run(&w, mesh(2), LocalPolicy::Lazy, GlobalPolicy::Any)
     });
-    out.run.verify_complete(&w).unwrap();
-    assert_eq!(out.run.system_phases, 2);
+    out.outcome.verify_complete(&w).unwrap();
+    assert_eq!(out.outcome.system_phases, 2);
     assert_eq!(reg.counter_total(Counter::InitsSuppressed), 2);
 }
 
@@ -311,15 +312,15 @@ fn eureka_signalling_completes_and_cuts_init_overhead() {
             ..RipsConfig::default()
         },
     );
-    plain.run.verify_complete(&w).unwrap();
-    eureka.run.verify_complete(&w).unwrap();
+    plain.outcome.verify_complete(&w).unwrap();
+    eureka.outcome.verify_complete(&w).unwrap();
     // Eureka moves strictly fewer payload bytes (init signals carry
     // none) for the same workload.
     assert!(
-        eureka.run.stats.net.bytes <= plain.run.stats.net.bytes,
+        eureka.outcome.stats.net.bytes <= plain.outcome.stats.net.bytes,
         "eureka {} bytes vs plain {}",
-        eureka.run.stats.net.bytes,
-        plain.run.stats.net.bytes
+        eureka.outcome.stats.net.bytes,
+        plain.outcome.stats.net.bytes
     );
     // The or-barrier absorbs re-asserts: one wavefront (≤ n - 1
     // deliveries) per phase no matter how many nodes go idle in the
@@ -328,10 +329,10 @@ fn eureka_signalling_completes_and_cuts_init_overhead() {
     // the init traffic is O(n²) per phase and dominates the event
     // count on large machines.
     assert!(
-        eureka.run.stats.events < plain.run.stats.events,
+        eureka.outcome.stats.events < plain.outcome.stats.events,
         "eureka {} events vs plain {} — wavefront dedup not visible",
-        eureka.run.stats.events,
-        plain.run.stats.events
+        eureka.outcome.stats.events,
+        plain.outcome.stats.events
     );
 }
 
@@ -351,7 +352,7 @@ fn weighted_metric_completes_everywhere() {
                 ..RipsConfig::default()
             },
         );
-        out.run.verify_complete(&w).unwrap();
+        out.outcome.verify_complete(&w).unwrap();
     }
 }
 
@@ -377,12 +378,12 @@ fn weighted_metric_beats_counts_on_skewed_grains() {
     };
     let by_count = run_with(LoadMetric::TaskCount);
     let by_weight = run_with(LoadMetric::EstimatedWeight);
-    by_count.run.verify_complete(&w).unwrap();
-    by_weight.run.verify_complete(&w).unwrap();
+    by_count.outcome.verify_complete(&w).unwrap();
+    by_weight.outcome.verify_complete(&w).unwrap();
     assert!(
-        by_weight.run.stats.end_time <= by_count.run.stats.end_time,
+        by_weight.outcome.stats.end_time <= by_count.outcome.stats.end_time,
         "weighted {} > count {}",
-        by_weight.run.stats.end_time,
-        by_count.run.stats.end_time
+        by_weight.outcome.stats.end_time,
+        by_count.outcome.stats.end_time
     );
 }

@@ -785,7 +785,6 @@ impl Telemetry {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Hist {
     samples: Vec<u64>,
-    sorted: bool,
 }
 
 impl Hist {
@@ -797,7 +796,6 @@ impl Hist {
     /// Adds one sample.
     pub fn push(&mut self, v: u64) {
         self.samples.push(v);
-        self.sorted = false;
     }
 
     /// Number of samples.
@@ -818,23 +816,9 @@ impl Hist {
         self.samples.iter().copied().max().unwrap_or(0)
     }
 
-    /// Nearest-rank percentile `q` in `[0, 100]` (0 when empty).
-    pub fn percentile(&mut self, q: u32) -> u64 {
-        if self.samples.is_empty() {
-            return 0;
-        }
-        if !self.sorted {
-            self.samples.sort_unstable();
-            self.sorted = true;
-        }
-        let rank = (self.samples.len() * q as usize).div_ceil(100);
-        self.samples[rank.saturating_sub(1)]
-    }
-
-    /// Nearest-rank percentiles for ascending `qs`: what
-    /// [`percentile`](Self::percentile) gives for each, found by
-    /// selecting each rank among the samples above the last one
-    /// instead of sorting them all.
+    /// Nearest-rank percentiles for ascending `qs`, each in `[0, 100]`
+    /// (0 when empty), found by selecting each rank among the samples
+    /// above the last one instead of sorting them all.
     ///
     /// # Panics
     /// If `qs` descends.
@@ -849,22 +833,12 @@ impl Hist {
             }
             let rank = (len * q as usize).div_ceil(100).saturating_sub(1);
             assert!(rank + 1 >= settled, "percentiles must ascend");
-            if !self.sorted && rank >= settled {
+            if rank >= settled {
                 self.samples[settled..].select_nth_unstable(rank - settled);
                 settled = rank + 1;
             }
             self.samples[rank]
         })
-    }
-
-    /// Median shorthand.
-    pub fn p50(&mut self) -> u64 {
-        self.percentile(50)
-    }
-
-    /// 95th-percentile shorthand.
-    pub fn p95(&mut self) -> u64 {
-        self.percentile(95)
     }
 }
 
@@ -1073,12 +1047,11 @@ mod tests {
             h.push(v);
         }
         assert_eq!(h.count(), 5);
-        assert_eq!(h.p50(), 30);
-        assert_eq!(h.p95(), 50);
+        assert_eq!(h.percentiles([50, 95]), [30, 50]);
         assert_eq!(h.max(), 50);
         assert!((h.mean() - 30.0).abs() < 1e-9);
         let mut empty = Hist::new();
-        assert_eq!(empty.p50(), 0);
+        assert_eq!(empty.percentiles([50]), [0]);
         assert_eq!(empty.max(), 0);
     }
 
@@ -1092,10 +1065,17 @@ mod tests {
                 h.push((x >> 33) % 50); // plenty of ties
             }
             let qs = [0, 1, 50, 50, 95, 99, 100];
-            let mut sorted = h.clone();
-            let want = qs.map(|q| sorted.percentile(q));
+            // The oracle: nearest rank in the fully sorted samples.
+            let mut sorted = h.samples.clone();
+            sorted.sort_unstable();
+            let want = qs.map(|q| match sorted.len() {
+                0 => 0,
+                n => sorted[(n * q as usize).div_ceil(100).saturating_sub(1)],
+            });
             assert_eq!(h.percentiles(qs), want, "{len} samples");
-            assert_eq!(sorted.percentiles(qs), want, "{len} sorted samples");
+            assert_eq!(h.percentiles(qs), want, "{len} samples, asked twice");
+            let mut pre_sorted = Hist { samples: sorted };
+            assert_eq!(pre_sorted.percentiles(qs), want, "{len} sorted samples");
         }
     }
 

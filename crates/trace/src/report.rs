@@ -259,10 +259,11 @@ impl PhaseReport {
     pub fn to_jsonl(&mut self) -> String {
         /// Writes `<name>_p50`, `<name>_p95` and (with `max`) `<name>_max`.
         fn quantiles(j: &mut Json, name: &str, h: &mut Hist, max: bool) {
-            j.key(&format!("{name}_p50")).u64(h.p50());
-            j.key(&format!("{name}_p95")).u64(h.p95());
+            let [p50, p95, p100] = h.percentiles([50, 95, 100]);
+            j.key(&format!("{name}_p50")).u64(p50);
+            j.key(&format!("{name}_p95")).u64(p95);
             if max {
-                j.key(&format!("{name}_max")).u64(h.max());
+                j.key(&format!("{name}_max")).u64(p100);
             }
         }
         let mut j = Json::new();
@@ -302,7 +303,8 @@ impl PhaseReport {
 }
 
 fn hist3(h: &mut Hist) -> String {
-    format!("{}/{}/{}", h.p50(), h.p95(), h.max())
+    let [p50, p95, max] = h.percentiles([50, 95, 100]);
+    format!("{p50}/{p95}/{max}")
 }
 
 #[cfg(test)]
@@ -399,8 +401,8 @@ mod tests {
         assert_eq!(row.begin, 110);
         assert_eq!(row.end, 200);
         assert_eq!(row.span_us.count(), 2);
-        assert_eq!(row.span_us.p50(), 70);
-        assert_eq!(row.load_collect_us.p50(), 20);
+        assert_eq!(row.span_us.percentiles([50]), [70]);
+        assert_eq!(row.load_collect_us.percentiles([50]), [20]);
         assert_eq!(row.migrated_tasks, 6);
         assert_eq!(row.migrate_msgs, 2);
         assert_eq!(rep.idle_detect_us.count(), 2);
@@ -422,7 +424,7 @@ mod tests {
         let mut row = rep.phases[0].clone();
         assert_eq!(row.span_us.max(), 100);
         assert_eq!(row.end, 1000);
-        let _ = row.span_us.p50();
+        assert_eq!(row.span_us.percentiles([50]), [100]);
     }
 
     #[test]
@@ -449,7 +451,7 @@ mod tests {
         assert_eq!(rep.nonlocal_tasks, 1);
         assert_eq!(rep.peak_queue_depth, 9);
         assert_eq!(rep.rounds, 2);
-        assert_eq!(rep.task_grain_us.p50(), 200);
+        assert_eq!(rep.task_grain_us.percentiles([50]), [200]);
         let text = rep.render();
         assert!(text.contains("3 tasks (1 non-local)"));
         assert!(text.contains("no system phases"));

@@ -4,9 +4,9 @@
 //! Exactly one model thread runs at a time. Every instrumented operation
 //! (atomic access, fence, cell access, park, spawn, join, yield) first
 //! reaches a *scheduling point*: the running thread consults the
-//! [`Execution`], which either follows the explorer's replay prefix,
-//! asks the PCT-style RNG, or defaults to running the current thread on
-//! (non-preemptive default — alternatives are what the DFS explores).
+//! [`Execution`], which either follows the explorer's replay prefix or
+//! defaults to running the current thread on (non-preemptive default —
+//! alternatives are what the DFS explores).
 //! Token hand-off is a `Mutex` + `Condvar`; the chosen thread performs
 //! its operation under the execution lock, so all happens-before
 //! bookkeeping is trivially race-free.
@@ -182,34 +182,12 @@ struct CellLoc {
     reads: Vec<(usize, u64, usize)>,
 }
 
-struct XorShift64(u64);
-
-impl XorShift64 {
-    fn new(seed: u64) -> Self {
-        XorShift64(seed | 1)
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
 /// Configuration for a single execution, set by the explorer.
 pub(crate) struct ExecCfg {
     /// Forced choice indices replayed from the DFS stack.
     pub prefix: Vec<usize>,
     /// Per-execution step budget (livelock guard).
     pub max_steps: usize,
-    /// When set, decisions beyond the prefix are drawn from this seed
-    /// (PCT-style random mode) instead of the non-preemptive default.
-    pub rng_seed: Option<u64>,
 }
 
 struct ExecState {
@@ -219,7 +197,6 @@ struct ExecState {
     decisions: Vec<Decision>,
     steps: usize,
     max_steps: usize,
-    rng: Option<XorShift64>,
     trace: Vec<TraceEntry>,
     violation: Option<(ViolationKind, String)>,
     aborting: bool,
@@ -254,7 +231,6 @@ impl Execution {
                 decisions: Vec::new(),
                 steps: 0,
                 max_steps: cfg.max_steps,
-                rng: cfg.rng_seed.map(XorShift64::new),
                 trace: Vec::new(),
                 violation: None,
                 aborting: false,
@@ -426,8 +402,6 @@ impl Execution {
                 abort_unwind();
             }
             p
-        } else if let Some(rng) = st.rng.as_mut() {
-            rng.below(enabled.len())
         } else {
             prev_pos.expect("current thread is always enabled (or rr successor picked)")
         };
@@ -592,8 +566,6 @@ impl Execution {
                 abort_unwind();
             }
             p
-        } else if let Some(rng) = st.rng.as_mut() {
-            rng.below(enabled.len())
         } else {
             enabled.len() - 1
         };

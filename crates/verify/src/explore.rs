@@ -1,19 +1,14 @@
 //! The interleaving explorer: drives many [`Execution`]s of one model
 //! closure under different schedules.
 //!
-//! Two modes:
+//! It runs a DFS with a preemption bound: it systematically enumerates
+//! every schedule reachable with at most `bound` preemptions (a switch
+//! away from a thread that could have kept running). Voluntary switches
+//! (yield, park, finish) are free. Most real synchronization bugs need
+//! very few preemptions, so bound 2–3 covers the interesting space at a
+//! tiny fraction of the full factorial cost.
 //!
-//! * **DFS with a preemption bound** — systematically enumerates every
-//!   schedule reachable with at most `bound` preemptions (a switch away
-//!   from a thread that could have kept running). Voluntary switches
-//!   (yield, park, finish) are free. Most real synchronization bugs
-//!   need very few preemptions, so bound 2–3 covers the interesting
-//!   space at a tiny fraction of the full factorial cost.
-//! * **PCT-style random** — a seeded RNG picks uniformly among enabled
-//!   threads for a fixed number of iterations; useful when the DFS
-//!   space is too large.
-//!
-//! Either way, a failing execution is reported as a [`Violation`]
+//! A failing execution is reported as a [`Violation`]
 //! carrying the full replay: the exact choice sequence plus a rendered
 //! step-by-step trace. Feeding the choice sequence back through
 //! [`Checker::replay`] reproduces the failure deterministically.
@@ -83,7 +78,6 @@ pub struct Stats {
 
 enum Mode {
     Dfs,
-    Random { iterations: usize, seed: u64 },
     Replay(Vec<usize>),
 }
 
@@ -91,11 +85,14 @@ enum Mode {
 pub struct Checker {
     name: String,
     bound: usize,
-    max_iterations: usize,
     max_steps: usize,
     mode: Mode,
     mutation: Option<Mutation>,
 }
+
+/// Exploration stops (reporting [`Stats::capped`]) after this many
+/// executions.
+const MAX_EXECUTIONS: usize = 200_000;
 
 fn env_usize(key: &str) -> Option<usize> {
     std::env::var(key).ok()?.trim().parse().ok()
@@ -108,30 +105,19 @@ impl Checker {
         Checker {
             name: name.to_string(),
             bound: 3,
-            max_iterations: 200_000,
             max_steps: 20_000,
             mode: Mode::Dfs,
             mutation: None,
         }
     }
 
-    /// Like [`Checker::new`], honoring the `RIPS_VERIFY_BOUND`,
-    /// `RIPS_VERIFY_MAX_ITERS` and (for random mode)
-    /// `RIPS_VERIFY_SEED`/`RIPS_VERIFY_RANDOM_ITERS` environment knobs
-    /// so CI can trade coverage for wall clock without recompiling.
+    /// Like [`Checker::new`], honoring the `RIPS_VERIFY_BOUND`
+    /// environment knob so CI can trade coverage for wall clock without
+    /// recompiling.
     pub fn from_env(name: &str) -> Self {
         let mut c = Checker::new(name);
         if let Some(b) = env_usize("RIPS_VERIFY_BOUND") {
             c.bound = b;
-        }
-        if let Some(m) = env_usize("RIPS_VERIFY_MAX_ITERS") {
-            c.max_iterations = m;
-        }
-        if std::env::var("RIPS_VERIFY_MODE").as_deref() == Ok("random") {
-            c = c.random(
-                env_usize("RIPS_VERIFY_RANDOM_ITERS").unwrap_or(2_000),
-                env_usize("RIPS_VERIFY_SEED").unwrap_or(0x5EED) as u64,
-            );
         }
         c
     }
@@ -139,12 +125,6 @@ impl Checker {
     /// Set the per-execution step budget (the livelock guard).
     pub fn max_steps(mut self, steps: usize) -> Self {
         self.max_steps = steps;
-        self
-    }
-
-    /// Switch to seeded-random (PCT-style) exploration.
-    pub fn random(mut self, iterations: usize, seed: u64) -> Self {
-        self.mode = Mode::Random { iterations, seed };
         self
     }
 
@@ -179,10 +159,9 @@ impl Checker {
         let f: Arc<dyn Fn() + Send + Sync> = Arc::new(f);
         match &self.mode {
             Mode::Dfs => self.run_dfs(&f),
-            Mode::Random { iterations, seed } => self.run_random(&f, *iterations, *seed),
             Mode::Replay(schedule) => {
                 let prefix = schedule.clone();
-                let outcome = self.run_one(prefix, None, &f);
+                let outcome = self.run_one(prefix, &f);
                 match outcome.violation.clone() {
                     Some(v) => Err(self.render(v, &outcome)),
                     None => Ok(Stats {
@@ -194,16 +173,10 @@ impl Checker {
         }
     }
 
-    fn run_one(
-        &self,
-        prefix: Vec<usize>,
-        rng_seed: Option<u64>,
-        f: &Arc<dyn Fn() + Send + Sync>,
-    ) -> ExecOutcome {
+    fn run_one(&self, prefix: Vec<usize>, f: &Arc<dyn Fn() + Send + Sync>) -> ExecOutcome {
         let exec = Execution::new(ExecCfg {
             prefix,
             max_steps: self.max_steps,
-            rng_seed,
         });
         let tid0 = exec.register_main();
         let f2 = Arc::clone(f);
@@ -251,7 +224,7 @@ impl Checker {
         let mut prefix: Vec<usize> = Vec::new();
         let mut executions = 0usize;
         loop {
-            let outcome = self.run_one(prefix.clone(), None, f);
+            let outcome = self.run_one(prefix.clone(), f);
             executions += 1;
             if let Some(v) = outcome.violation.clone() {
                 return Err(self.render(v, &outcome));
@@ -274,7 +247,7 @@ impl Checker {
                     preemptions_before: pb,
                 });
             }
-            if executions >= self.max_iterations {
+            if executions >= MAX_EXECUTIONS {
                 return Ok(Stats {
                     executions,
                     capped: true,
@@ -305,25 +278,6 @@ impl Checker {
                 }
             }
         }
-    }
-
-    fn run_random(
-        &self,
-        f: &Arc<dyn Fn() + Send + Sync>,
-        iterations: usize,
-        seed: u64,
-    ) -> Result<Stats, Violation> {
-        for i in 0..iterations {
-            let s = seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let outcome = self.run_one(Vec::new(), Some(s), f);
-            if let Some(v) = outcome.violation.clone() {
-                return Err(self.render(v, &outcome));
-            }
-        }
-        Ok(Stats {
-            executions: iterations,
-            capped: false,
-        })
     }
 
     fn render(&self, (kind, message): (ViolationKind, String), outcome: &ExecOutcome) -> Violation {

@@ -23,8 +23,7 @@
 //!
 //! [`Checker`] runs a model closure (2–4 threads spawned through
 //! [`vthread::spawn`]) under every schedule reachable within a
-//! *preemption bound* (DFS mode), or under seeded random schedules
-//! (PCT-style mode) when the bounded space is too large. It reports:
+//! *preemption bound*. It reports:
 //!
 //! * **data races** — conflicting accesses to an
 //!   [`UnsafeCellWrap`](sync::cell::UnsafeCellWrap) not ordered by the

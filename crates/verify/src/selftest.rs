@@ -146,15 +146,6 @@ fn unsynchronized_cell_writes_race() {
 }
 
 #[test]
-fn random_mode_finds_the_race_too() {
-    let v = Checker::new("selftest-bare-race-random")
-        .random(500, 42)
-        .check(bare_race_model())
-        .expect_err("seeded random exploration must also hit the race");
-    assert_eq!(v.kind, ViolationKind::DataRace);
-}
-
-#[test]
 fn park_without_unpark_is_deadlock() {
     let v = Checker::new("selftest-deadlock")
         .check(|| {

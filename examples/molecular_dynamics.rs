@@ -52,12 +52,12 @@ fn main() {
         1,
         RipsConfig::default(),
     );
-    out.run.verify_complete(&workload).expect("complete");
+    out.outcome.verify_complete(&workload).expect("complete");
     println!(
         "RIPS on 32 nodes: T = {:.2} s, efficiency {:.0}%, {} system phases\n",
-        out.run.exec_time_s(),
-        out.run.efficiency() * 100.0,
-        out.run.system_phases
+        out.outcome.exec_time_s(),
+        out.outcome.efficiency() * 100.0,
+        out.outcome.system_phases
     );
     println!("phase log (the load estimate is task *count*; grain-size error");
     println!("left over from one phase is corrected by the next):");

@@ -73,11 +73,11 @@ fn main() {
     );
     println!(
         "RIPS       nonlocal {:6}  Th {:.3}s  Ti {:.3}s  T {:.3}s  efficiency {:.0}%  ({} system phases)",
-        out.run.nonlocal,
-        out.run.overhead_s(),
-        out.run.idle_s(),
-        out.run.exec_time_s(),
-        out.run.efficiency() * 100.0,
-        out.run.system_phases
+        out.outcome.nonlocal,
+        out.outcome.overhead_s(),
+        out.outcome.idle_s(),
+        out.outcome.exec_time_s(),
+        out.outcome.efficiency() * 100.0,
+        out.outcome.system_phases
     );
 }

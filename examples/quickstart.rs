@@ -56,17 +56,17 @@ fn main() {
         7,
         RipsConfig::default(), // the paper's best policy: ANY-Lazy
     );
-    out.run
+    out.outcome
         .verify_complete(&workload)
         .expect("all tasks must run");
-    println!("  system phases   = {}", out.run.system_phases);
+    println!("  system phases   = {}", out.outcome.system_phases);
     println!(
         "  non-local tasks = {} of {}",
-        out.run.nonlocal, stats.tasks
+        out.outcome.nonlocal, stats.tasks
     );
     println!(
         "  efficiency      = {:.1}% (zero-overhead optimum {:.1}%)",
-        out.run.efficiency() * 100.0,
+        out.outcome.efficiency() * 100.0,
         optimal_efficiency(&workload, 16) * 100.0
     );
 }

@@ -42,14 +42,14 @@ fn main() {
             3,
             RipsConfig::default(),
         );
-        out.run.verify_complete(&workload).expect("complete");
+        out.outcome.verify_complete(&workload).expect("complete");
         let moved: i64 = out.phases.iter().map(|p| p.migrated).sum();
         let cost: i64 = out.phases.iter().map(|p| p.edge_cost).sum();
         println!(
             "{name:20} T {:.3}s  efficiency {:.0}%  phases {:2}  moved {:5}  Σe_k {:6}",
-            out.run.exec_time_s(),
-            out.run.efficiency() * 100.0,
-            out.run.system_phases,
+            out.outcome.exec_time_s(),
+            out.outcome.efficiency() * 100.0,
+            out.outcome.system_phases,
             moved,
             cost
         );

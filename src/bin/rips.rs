@@ -629,7 +629,8 @@ fn cmd_serve(args: &Args) {
     let metrics = MetricsRegistry::new(1);
     let (audit, rep) = with_metrics(&metrics, || {
         if args.switch("--audit") {
-            let (auditor, rep) = rips_repro::trace::with_sink(ServeAuditor::new(nodes), || {
+            let auditor = ServeAuditor::per_job(auditor_for(&cfg.scheduler, nodes));
+            let (auditor, rep) = rips_repro::trace::with_sink(auditor, || {
                 run_serve(&cfg, &catalog, backend.as_mut())
             });
             (Some(auditor.finish()), rep)

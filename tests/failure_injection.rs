@@ -48,7 +48,7 @@ fn run_everything(w: &Arc<Workload>, nodes: usize) {
             3,
             RipsConfig::default()
         )
-        .run
+        .outcome
         .total_executed(),
         total,
         "RIPS lost tasks"
@@ -219,7 +219,7 @@ fn ideal_network_still_correct() {
             3,
             RipsConfig::default()
         )
-        .run
+        .outcome
         .total_executed(),
         total
     );
