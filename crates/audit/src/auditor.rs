@@ -229,12 +229,7 @@ impl AuditReport {
             self.migrated_in,
             self.barriers
         );
-        if self.tiles > 0 {
-            out.push_str(&format!(
-                "tiled mode       {} tiles (per-tile Theorem 1; Lemma 1 as a lower bound)\n",
-                self.tiles
-            ));
-        }
+        push_tiled_mode(&mut out, self.tiles);
         if self.errors.is_empty() {
             out.push_str("audit            OK\n");
         } else {
@@ -243,6 +238,16 @@ impl AuditReport {
             }
         }
         out
+    }
+}
+
+/// Appends the "tiled mode" line a tiled audit renders; nothing when
+/// `tiles` is 0 (flat mode).
+pub(crate) fn push_tiled_mode(out: &mut String, tiles: usize) {
+    if tiles > 0 {
+        out.push_str(&format!(
+            "tiled mode       {tiles} tiles (per-tile Theorem 1; Lemma 1 as a lower bound)\n"
+        ));
     }
 }
 
@@ -322,6 +327,11 @@ impl Auditor {
         a.report.tiles = tile_of.iter().copied().max().map_or(0, |m| m + 1);
         a.tile_of = Some(tile_of);
         a
+    }
+
+    /// Tiles this auditor checks per phase (0 in flat mode).
+    pub(crate) fn tiles(&self) -> usize {
+        self.report.tiles
     }
 
     /// Phase accumulators currently held: the phases some node has

@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 
 use rips_trace::{EventKind, Interest, NodeId, Time, TraceEvent, TraceSink};
 
-use crate::auditor::Auditor;
+use crate::auditor::{push_tiled_mode, Auditor};
 
 /// Lifecycle position of one job id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,6 +64,9 @@ pub struct ServeAuditReport {
     pub max_spread: i64,
     /// System phases checked across all windows.
     pub phases_checked: usize,
+    /// Tiles of the per-window auditor (0 = flat; see
+    /// [`Auditor::with_tiles`]).
+    pub tiles: usize,
     /// Violations, in detection order. Empty ⇔ every invariant held.
     pub errors: Vec<String>,
 }
@@ -89,6 +92,7 @@ impl ServeAuditReport {
             self.phases_checked,
             self.max_spread,
         );
+        push_tiled_mode(&mut out, self.tiles);
         if self.errors.is_empty() {
             out.push_str("serve audit      OK\n");
         } else {
@@ -137,11 +141,15 @@ impl ServeAuditor {
     /// of `template`, an auditor nothing has been fed yet: the one
     /// `rips run --audit` would use for the serving scheduler.
     pub fn per_job(template: Auditor) -> Self {
+        let report = ServeAuditReport {
+            tiles: template.tiles(),
+            ..ServeAuditReport::default()
+        };
         ServeAuditor {
             template,
             state: BTreeMap::new(),
             open: None,
-            report: ServeAuditReport::default(),
+            report,
         }
     }
 
@@ -496,10 +504,14 @@ mod tests {
         cross_tile_quota_window(&mut tiled);
         let r = tiled.finish();
         assert!(cross_tile(&r), "{:?}", r.errors);
+        let text = r.render_human();
+        assert!(text.contains("tiled mode       2 tiles"), "{text}");
         let mut flat = ServeAuditor::new(4);
         cross_tile_quota_window(&mut flat);
         let r = flat.finish();
         assert!(!cross_tile(&r), "{:?}", r.errors);
+        let text = r.render_human();
+        assert!(!text.contains("tiled mode"), "{text}");
     }
 
     #[test]

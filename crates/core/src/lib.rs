@@ -31,10 +31,10 @@
 //!   root initiates. The paper finds **ANY-Lazy** best.
 //!
 //! The system phase runs a parallel scheduling algorithm from
-//! `rips-sched` — MWA on meshes (the paper's machine), TWA on trees,
-//! DEM on hypercubes — charging `comm_step × steps` of wall-clock time
-//! and per-node CPU overhead, then migrates tasks as real simulator
-//! messages packed per (source, destination) pair.
+//! `rips-sched` — flat or tiled MWA on the paper's 2-D mesh — charging
+//! `comm_step × steps` of wall-clock time and per-node CPU overhead,
+//! then migrates tasks as real simulator messages packed per (source,
+//! destination) pair.
 
 #![forbid(unsafe_code)]
 

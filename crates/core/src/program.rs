@@ -21,7 +21,7 @@ use rips_runtime::{
 };
 use rips_sched::TransferPlan;
 use rips_taskgraph::Workload;
-use rips_topology::{BinaryTree, Hypercube, Mesh2D, NodeId, Topology};
+use rips_topology::{Mesh2D, NodeId, Topology};
 use rips_trace::metrics_rt::Counter;
 use rips_trace::{EventKind, PhaseKind, SysStage, TraceEvent};
 
@@ -105,9 +105,10 @@ impl Default for RipsConfig {
 }
 
 /// The machine RIPS runs on, which fixes the parallel scheduling
-/// algorithm of the system phase: MWA on meshes (the paper's machine),
-/// TWA on trees, DEM on hypercubes — "RIPS is a general method and
-/// applies to different topologies" (§4).
+/// algorithm of the system phase. "RIPS is a general method and
+/// applies to different topologies, such as the tree, mesh, and
+/// hypercube" (§4); only the paper's own machine, the 2-D mesh, is
+/// implemented, with flat or tiled MWA as its planner.
 #[derive(Debug, Clone)]
 pub enum Machine {
     /// 2-D mesh scheduled by the Mesh Walking Algorithm.
@@ -118,10 +119,6 @@ pub enum Machine {
     /// (Theorem 1 exactly) in `O(n^(1/4))` instead of `O(√n)`
     /// communication steps, for meshes too large for the full walk.
     MeshHier(Mesh2D),
-    /// Binary tree scheduled by the Tree Walking Algorithm.
-    Tree(BinaryTree),
-    /// Hypercube scheduled by the Dimension Exchange Method.
-    Cube(Hypercube),
 }
 
 impl Machine {
@@ -129,8 +126,6 @@ impl Machine {
     pub fn topology(&self) -> Arc<dyn Topology> {
         match self {
             Machine::Mesh(m) | Machine::MeshHier(m) => Arc::new(m.clone()),
-            Machine::Tree(t) => Arc::new(t.clone()),
-            Machine::Cube(c) => Arc::new(c.clone()),
         }
     }
 
@@ -139,8 +134,6 @@ impl Machine {
         match self {
             Machine::Mesh(m) => rips_sched::mwa(m, loads).0,
             Machine::MeshHier(m) => rips_sched::tiled_mwa(m, loads).0,
-            Machine::Tree(t) => rips_sched::twa(t, loads),
-            Machine::Cube(c) => rips_sched::dem(c, loads),
         }
     }
 
@@ -151,10 +144,22 @@ impl Machine {
         match self {
             Machine::Mesh(m) => rips_sched::mwa_steps(m),
             Machine::MeshHier(m) => rips_sched::TileGrid::new(m).hier_steps(),
-            Machine::Tree(t) => rips_sched::twa_steps(t.height()),
-            Machine::Cube(c) => rips_sched::dem_steps(c.dim().max(1)),
         }
     }
+}
+
+/// ALL policy: `node`'s parent in the ready tree, heap order rooted at
+/// node 0, or `None` for the root.
+fn tree_parent(node: NodeId) -> Option<NodeId> {
+    (node > 0).then(|| (node - 1) / 2)
+}
+
+/// ALL policy: `node`'s children in the ready tree on `n` nodes,
+/// `2·node + 1` and `2·node + 2` where they are below `n`.
+fn tree_children(node: NodeId, n: usize) -> impl Iterator<Item = NodeId> {
+    [2 * node + 1, 2 * node + 2]
+        .into_iter()
+        .filter(move |&c| c < n)
 }
 
 /// RIPS control messages — everything that is not task migration or
@@ -182,8 +187,9 @@ const PLAN_CPU_PER_STEP_US: Time = 25;
 struct FleetShared {
     cfg: RipsConfig,
     machine: Machine,
-    /// ALL policy's logical spanning tree.
-    tree: BinaryTree,
+    /// Node count: the ALL policy's spanning tree is heap order over
+    /// `0..n` ([`tree_parent`], [`tree_children`]).
+    n: usize,
     /// The system phase's rendezvous: a node locks it twice per phase,
     /// once to report its load and once to pick up the plan.
     mu: Mutex<Shared>,
@@ -459,12 +465,12 @@ impl RipsPolicy {
         if m.local_ready_for != Some(phase) || m.ready_sent_for == Some(phase) {
             return;
         }
-        let kids = self.shared.tree.children(k.me()).len() as u32;
+        let kids = tree_children(k.me(), self.shared.n).count() as u32;
         if m.children_ready.get(&phase).copied().unwrap_or(0) < kids {
             return;
         }
         m.ready_sent_for = Some(phase);
-        match self.shared.tree.parent(k.me()) {
+        match tree_parent(k.me()) {
             Some(parent) => ctx.send(
                 parent,
                 KernelMsg::Policy(RipsCtl::Ready(phase)),
@@ -785,7 +791,7 @@ impl BalancerPolicy for RipsPolicy {
             }
             RipsCtl::Ready(p) => {
                 debug_assert_eq!(self.shared.cfg.global, GlobalPolicy::All);
-                debug_assert!(self.shared.tree.children(k.me()).contains(&from));
+                debug_assert!(tree_children(k.me(), self.shared.n).any(|c| c == from));
                 *self.modal().children_ready.entry(p).or_insert(0) += 1;
                 self.try_send_ready(k, ctx, p);
             }
@@ -929,12 +935,12 @@ pub struct RipsFleet {
 impl RipsFleet {
     /// A fleet for `machine` under `cfg`.
     pub fn new(cfg: RipsConfig, machine: Machine) -> Self {
-        let tree = BinaryTree::new(machine.topology().len());
+        let n = machine.topology().len();
         RipsFleet {
             shared: Arc::new(FleetShared {
                 cfg,
                 machine,
-                tree,
+                n,
                 mu: Mutex::default(),
                 want_phase: AtomicBool::new(false),
                 eureka_raised: AtomicU32::new(0),

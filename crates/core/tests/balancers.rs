@@ -202,18 +202,17 @@ fn sid_handles_dynamic_generation_and_rounds() {
 }
 
 /// A `RoundStart` can reach a node after the round it opens is over:
-/// the broadcast's last recipients on a large hypercube hear it later
-/// than the rest of the machine takes to finish a one-task round and
-/// open the next. Such a node owns no root of the finished round (a
+/// the broadcast's last recipients on a 16×16 mesh hear it later than
+/// the rest of the machine takes to finish a one-task round and open
+/// the next (16×8, 12×12 and 1×128 machines are too small or too
+/// narrow for that). Such a node owns no root of the finished round (a
 /// round of fewer roots than nodes leaves the high ids empty), so it
 /// must seed nothing for it — not its block of the round now open,
 /// which the next `RoundStart` seeds again.
 #[test]
 fn late_round_start_seeds_the_round_it_names() {
     use rips_core::sid;
-    use rips_topology::Hypercube;
-    let dim = 7;
-    let nodes = 1 << dim;
+    let nodes = 256;
     let w = Arc::new(Workload {
         name: "one-one-wide".into(),
         rounds: vec![
@@ -223,13 +222,13 @@ fn late_round_start_seeds_the_round_it_names() {
             flat_uniform(nodes, 200, 900, 4).rounds[0].clone(),
         ],
     });
-    let cube = || -> Arc<dyn Topology> { Arc::new(Hypercube::new(dim)) };
+    let topo = || -> Arc<dyn Topology> { Arc::new(Mesh2D::new(16, 16)) };
     let (lat, costs) = (LatencyModel::paragon(), Costs::default());
     let runs = [
-        ("Random", random(Arc::clone(&w), cube(), lat, costs, 3)),
-        ("Gradient", gradient(Arc::clone(&w), cube(), lat, costs, 3)),
-        ("RID", rid(Arc::clone(&w), cube(), lat, costs, 3, RID_U)),
-        ("SID", sid(Arc::clone(&w), cube(), lat, costs, 3)),
+        ("Random", random(Arc::clone(&w), topo(), lat, costs, 3)),
+        ("Gradient", gradient(Arc::clone(&w), topo(), lat, costs, 3)),
+        ("RID", rid(Arc::clone(&w), topo(), lat, costs, 3, RID_U)),
+        ("SID", sid(Arc::clone(&w), topo(), lat, costs, 3)),
     ];
     for (name, out) in runs {
         out.verify_complete(&w)

@@ -24,9 +24,9 @@
 //!   discarded on pop.
 //! * **Routing on the fly.** Every send asks the topology for its hop
 //!   distance ([`Topology::distance`]) and, under contention, every hop
-//!   for the next one ([`Topology::route_next_hop`]). The provided
-//!   topologies answer in closed form, so routing holds no per-pair
-//!   state at any machine size.
+//!   for the next one ([`Topology::route_next_hop`]). The mesh answers
+//!   in closed form, so routing holds no per-pair state at any machine
+//!   size.
 //! * **Struct-of-arrays state.** Global event-queue state
 //!   ([`EventCore`]: heap, sequence counter, broadcast runs) and dense
 //!   per-node vectors ([`NodeCore`]: programs, ready times, stats,

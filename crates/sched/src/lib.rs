@@ -23,51 +23,38 @@
 //!   unmodified walk inside each tile; same final loads as [`mwa`]
 //!   (Theorem 1 exactly) in `O(n^(1/4))` instead of `O(√n)` steps,
 //!   trading away Theorem 2's migration-minimality equality.
-//! * [`twa`] — the **Tree Walking Algorithm** (reference \[25\]): on a
-//!   tree every edge's net flow is forced, so the plan is optimal in
-//!   `Σ eₖ`; `4·height + 2` communication steps.
-//! * [`dem`] — the **Dimension Exchange Method** (Cybenko; the related
-//!   work the paper positions against): pairwise averaging across each
-//!   hypercube dimension; `d` steps but redundant communication and a
-//!   final imbalance of up to `d` tasks with integer loads.
+//!
+//! The paper's machine is a 2-D mesh, so these are the only planners:
+//! the tree and hypercube algorithms its §4 cites (TWA, Cybenko's
+//! DEM) are related work, not implemented here.
 //!
 //! RIPS plans a phase with the centralized arithmetic above and
 //! charges it the closed-form step bound that sits beside each
-//! algorithm ([`mwa_steps`], [`TileGrid::hier_steps`], [`twa_steps`],
-//! [`dem_steps`]). The message-passing realisations of MWA, TWA and
-//! DEM, per-node programs on a lock-step BSP machine, are test
-//! oracles: they live in `tests/distributed/`, are compiled only into
-//! this crate's unit tests, and hold each centralized plan to the same
-//! per-link flows and a measured step count within the charged bound.
+//! algorithm ([`mwa_steps`], [`TileGrid::hier_steps`]). The
+//! message-passing realisation of MWA, per-node programs on a
+//! lock-step BSP machine, is a test oracle: it lives in
+//! `tests/distributed/`, is compiled only into this crate's unit
+//! tests, and holds the centralized plan to the same per-link flows
+//! and a measured step count within the charged bound.
 
 #![forbid(unsafe_code)]
 
-mod dem;
 pub mod flow;
 mod mcmf;
 mod mwa;
 mod plan;
 mod rebalance;
 mod tiled;
-mod twa;
 
-pub use dem::{dem, dem_steps};
 pub use mwa::{mwa, mwa_steps, MwaTrace};
 pub use plan::{min_nonlocal_tasks, Move, TransferPlan};
 pub use tiled::{tiled_mwa, TileGrid, TiledTrace};
-pub use twa::{twa, twa_steps};
 
-// The message-passing oracles (see the crate doc): test-only code,
+// The message-passing oracle (see the crate doc): test-only code,
 // kept out of `src/` and built as part of this crate's unit tests.
 #[cfg(test)]
 #[path = "../tests/distributed/bsp.rs"]
 mod bsp;
 #[cfg(test)]
-#[path = "../tests/distributed/ddem.rs"]
-mod ddem;
-#[cfg(test)]
 #[path = "../tests/distributed/dmwa.rs"]
 mod dmwa;
-#[cfg(test)]
-#[path = "../tests/distributed/dtwa.rs"]
-mod dtwa;

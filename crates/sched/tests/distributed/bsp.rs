@@ -7,13 +7,11 @@
 //! every node may exchange one message with a direct neighbour.
 //! [`BspMachine`] runs per-node state machines under exactly that
 //! model and counts the rounds. RIPS does not plan with it: the
-//! message-passing oracles (`dmwa`, `dtwa`, `ddem`) run on it, so the
-//! tests can hold each closed-form step bound ([`mwa_steps`],
-//! [`twa_steps`], [`dem_steps`]) against a measured count.
+//! message-passing MWA oracle (`dmwa`) runs on it, so the tests can
+//! hold the closed-form step bound [`mwa_steps`] against a measured
+//! count.
 //!
 //! [`mwa_steps`]: crate::mwa_steps
-//! [`twa_steps`]: crate::twa_steps
-//! [`dem_steps`]: crate::dem_steps
 
 use std::collections::BTreeMap;
 

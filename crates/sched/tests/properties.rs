@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use rips_sched::flow::{optimal_rebalance, quotas};
-use rips_sched::{dem, min_nonlocal_tasks, mwa, tiled_mwa, twa, TransferPlan};
-use rips_topology::{BinaryTree, Hypercube, Mesh2D, NodeId, Topology};
+use rips_sched::{min_nonlocal_tasks, mwa, tiled_mwa, TransferPlan};
+use rips_topology::{Mesh2D, NodeId, Topology};
 
 /// Arbitrary mesh shape and loads: dims 1..=8, loads 0..=60.
 fn mesh_and_loads() -> impl Strategy<Value = (Mesh2D, Vec<i64>)> {
@@ -104,29 +104,6 @@ proptest! {
         tracking_matches_reference(&mwa(&mesh, &loads).0, &loads)?;
         tracking_matches_reference(&tiled_mwa(&mesh, &loads).0, &loads)?;
     }
-
-    #[test]
-    fn tree_tracking_matches_reference(
-        n in 1usize..=40,
-        uniform in proptest::collection::vec(0i64..=60, 40),
-        sparse in sparse_hot_spots(40),
-        hot in 0usize..2,
-    ) {
-        let loads = if hot == 1 { &sparse[..n] } else { &uniform[..n] };
-        tracking_matches_reference(&twa(&BinaryTree::new(n), loads), loads)?;
-    }
-
-    #[test]
-    fn cube_tracking_matches_reference(
-        dim in 0usize..=6,
-        uniform in proptest::collection::vec(0i64..=60, 64),
-        sparse in sparse_hot_spots(64),
-        hot in 0usize..2,
-    ) {
-        let cube = Hypercube::new(dim);
-        let loads = if hot == 1 { &sparse[..cube.len()] } else { &uniform[..cube.len()] };
-        tracking_matches_reference(&dem(&cube, loads), loads)?;
-    }
 }
 
 /// A 120×130 mesh with near-uniform loads: most nodes hand on a few
@@ -196,44 +173,6 @@ proptest! {
         let (plan, _) = mwa(&mesh, &loads);
         let finals = plan.apply(&loads);
         prop_assert_eq!(finals.iter().sum::<i64>(), loads.iter().sum::<i64>());
-    }
-
-    /// TWA on trees is optimal in Σe_k (forced flows) and balances to
-    /// quota.
-    #[test]
-    fn twa_is_optimal(
-        n in 1usize..=24,
-        seed_loads in proptest::collection::vec(0i64..=60, 24),
-    ) {
-        let tree = BinaryTree::new(n);
-        let loads = &seed_loads[..n];
-        let plan = twa(&tree, loads);
-        prop_assert!(plan.is_link_local(&tree));
-        let finals = plan.apply(loads);
-        let total: i64 = loads.iter().sum();
-        prop_assert_eq!(finals, quotas(total, n));
-        let opt = optimal_rebalance(&tree, loads);
-        prop_assert_eq!(plan.edge_cost(), opt.cost);
-        prop_assert_eq!(plan.nonlocal_tasks(loads), min_nonlocal_tasks(loads));
-    }
-
-    /// DEM conserves tasks, stays link-local, and lands within `dim`
-    /// tasks of balanced.
-    #[test]
-    fn dem_bounded_spread(
-        dim in 0usize..=5,
-        seed_loads in proptest::collection::vec(0i64..=60, 32),
-    ) {
-        let cube = Hypercube::new(dim);
-        let loads = &seed_loads[..cube.len()];
-        let plan = dem(&cube, loads);
-        prop_assert!(plan.is_link_local(&cube));
-        let finals = plan.apply(loads);
-        prop_assert_eq!(finals.iter().sum::<i64>(), loads.iter().sum::<i64>());
-        let mn = finals.iter().min().unwrap();
-        let mx = finals.iter().max().unwrap();
-        prop_assert!(mx - mn <= dim.max(1) as i64,
-            "spread {} exceeds dim {}", mx - mn, dim);
     }
 
     /// The MCMF reduction always lands on the quotas and its link flows

@@ -1,25 +1,20 @@
-//! Interconnect topologies for the simulated multicomputer.
+//! The interconnect of the simulated multicomputer.
 //!
-//! The paper evaluates RIPS on an Intel Paragon (a 2-D mesh machine) and
-//! discusses parallel scheduling algorithms for meshes, trees, and
-//! hypercubes. This crate provides those topologies behind a common
-//! [`Topology`] trait: node enumeration, neighbourhood, hop distance, and
-//! deterministic single-path routing (used by the simulator to charge
-//! per-hop message latency and by the schedulers to count communication
-//! steps).
+//! The paper evaluates RIPS on an Intel Paragon, a 2-D mesh machine,
+//! and that is the one topology here: [`Mesh2D`] behind the
+//! [`Topology`] trait, which gives node enumeration, neighbourhood, hop
+//! distance, and deterministic single-path routing (used by the
+//! simulator to charge per-hop message latency and by the schedulers to
+//! count communication steps).
 //!
-//! Node identifiers are dense `0..len()` integers. Each concrete topology
-//! documents its id ↔ coordinate mapping.
+//! Node identifiers are dense `0..len()` integers; [`Mesh2D`] documents
+//! its id ↔ coordinate mapping.
 
 #![forbid(unsafe_code)]
 
-mod hypercube;
 mod mesh;
-mod tree;
 
-pub use hypercube::Hypercube;
 pub use mesh::Mesh2D;
-pub use tree::BinaryTree;
 
 /// Dense node identifier, `0..Topology::len()`.
 pub type NodeId = usize;
@@ -32,9 +27,8 @@ pub type NodeId = usize;
 ///
 /// The simulator asks `distance` once per message and `route_next_hop`
 /// once per hop under link contention, at every machine size, so both
-/// must be cheap: the provided topologies answer in closed form
-/// (O(1), or O(log n) for the tree), cross-validated against BFS by the
-/// invariant tests below.
+/// must be cheap: [`Mesh2D`] answers both in closed form (O(1)),
+/// cross-validated against BFS by the invariant tests below.
 pub trait Topology: Send + Sync {
     /// Number of nodes in the machine.
     fn len(&self) -> usize;
@@ -65,8 +59,9 @@ pub trait Topology: Send + Sync {
 }
 
 /// Walks the full deterministic route `from → to` (excluding `from`,
-/// including `to`). Mainly used by tests and trace tooling.
-pub fn route<T: Topology + ?Sized>(topo: &T, from: NodeId, to: NodeId) -> Vec<NodeId> {
+/// including `to`).
+#[cfg(test)]
+fn route<T: Topology + ?Sized>(topo: &T, from: NodeId, to: NodeId) -> Vec<NodeId> {
     let mut path = Vec::with_capacity(topo.distance(from, to));
     let mut cur = from;
     while let Some(next) = topo.route_next_hop(cur, to) {
@@ -151,20 +146,6 @@ mod trait_tests {
         }
     }
 
-    #[test]
-    fn tree_invariants() {
-        for n in [1, 2, 3, 7, 12, 31] {
-            check_invariants(&BinaryTree::new(n));
-        }
-    }
-
-    #[test]
-    fn hypercube_invariants() {
-        for d in 0..=5 {
-            check_invariants(&Hypercube::new(d));
-        }
-    }
-
     /// SplitMix64 — enough randomness for pair sampling, no deps.
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -225,16 +206,5 @@ mod trait_tests {
         // A 1 × 150_000 mesh: diameter 149_999 — far beyond u16;
         // exercises the widened computed-distance path.
         check_sampled(&Mesh2D::new(1, 150_000), 48, 0xB0B);
-    }
-
-    #[test]
-    fn hypercube_sampled_at_scale() {
-        // 2^17 = 131_072 nodes.
-        check_sampled(&Hypercube::new(17), 64, 0xCAFE);
-    }
-
-    #[test]
-    fn tree_sampled_at_scale() {
-        check_sampled(&BinaryTree::new(120_000), 64, 0xD00D);
     }
 }

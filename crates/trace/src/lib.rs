@@ -122,8 +122,8 @@ pub enum SysStage {
     /// From entering the system phase to the node's load being
     /// reported into the collective.
     LoadCollect,
-    /// The parallel scheduling algorithm (MWA/TWA/DEM) computing the
-    /// transfer plan — recorded on the plan-computing node only.
+    /// The parallel scheduling algorithm (flat or tiled MWA) computing
+    /// the transfer plan — recorded on the plan-computing node only.
     Plan,
     /// Executing this node's share of the plan: draining the RTS queue
     /// and packing/sending migrated tasks.

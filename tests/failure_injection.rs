@@ -8,9 +8,9 @@ use std::sync::Arc;
 use rips_repro::core::{gradient, random, rid, rips, sid, Machine, RipsConfig, RID_U};
 use rips_repro::desim::LatencyModel;
 use rips_repro::flow::optimal_rebalance;
-use rips_repro::sched::{mwa, twa};
+use rips_repro::sched::mwa;
 use rips_repro::taskgraph::{TaskForest, Workload};
-use rips_repro::topology::{BinaryTree, Mesh2D, Topology};
+use rips_repro::topology::{Mesh2D, Topology};
 use rips_runtime::Costs;
 
 fn run_everything(w: &Arc<Workload>, nodes: usize) {
@@ -170,20 +170,6 @@ fn adversarial_load_vectors_for_mwa() {
             rips_repro::sched::min_nonlocal_tasks(&loads),
             "locality violated for {loads:?}"
         );
-    }
-}
-
-#[test]
-fn lopsided_tree_for_twa() {
-    // A 2-node "tree" and a left-spine-only tree.
-    for n in [2usize, 6] {
-        let tree = BinaryTree::new(n);
-        let mut loads = vec![0i64; n];
-        loads[n - 1] = 500;
-        let plan = twa(&tree, &loads);
-        let finals = plan.apply(&loads);
-        let total: i64 = loads.iter().sum();
-        assert_eq!(finals, rips_repro::flow::quotas(total, n));
     }
 }
 
