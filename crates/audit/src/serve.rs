@@ -21,8 +21,10 @@
 //!   equal the tasks the backend reports at completion, and (when the
 //!   window carries an inner trace) the tasks the inner auditor
 //!   counted.
-//! * **No cross-tenant leakage** — task work (migration batches,
-//!   barriers, a node's task totals) outside any dispatch window
+//! * **No cross-tenant leakage** — every fleet record (phase
+//!   boundaries, load samples, migration batches, rounds, barriers, a
+//!   node's task totals) is emitted while the backend serves one job,
+//!   inside that job's dispatch window. One outside every window
 //!   belongs to no job, hence to no tenant, and is flagged.
 
 use std::collections::BTreeMap;
@@ -269,26 +271,16 @@ impl TraceSink for ServeAuditor {
                 }
                 _ => self.err(format!("job {job}: completion without an open window")),
             },
-            other => {
-                let is_work = matches!(
-                    other,
-                    TraceEvent::NodeTotals { .. }
-                        | TraceEvent::MigrateOut { .. }
-                        | TraceEvent::MigrateIn { .. }
-                        | TraceEvent::Barrier { .. }
-                );
-                match &mut self.open {
-                    Some(w) => {
-                        w.saw_inner_events = true;
-                        w.inner.record(time_us, node, other);
-                    }
-                    None if is_work => self.err(format!(
-                        "task work outside any job window (cross-tenant leakage): \
-                         {other:?} on node {node}"
-                    )),
-                    None => {}
+            other => match &mut self.open {
+                Some(w) => {
+                    w.saw_inner_events = true;
+                    w.inner.record(time_us, node, other);
                 }
-            }
+                None => self.err(format!(
+                    "fleet record outside any job window (cross-tenant leakage): \
+                     {other:?} on node {node}"
+                )),
+            },
         }
     }
 }
@@ -444,14 +436,25 @@ mod tests {
                 executed: 1,
             },
         );
+        // A system phase between jobs: its boundary and load sample
+        // belong to no job either.
+        let begin = TraceEvent::PhaseBegin {
+            kind: rips_trace::PhaseKind::System,
+            index: 1,
+        };
+        a.record(2, 0, begin);
+        a.record(2, 0, TraceEvent::LoadSample { load: 3 });
         let r = a.finish();
-        assert!(
-            r.errors
-                .iter()
-                .any(|e| e.contains("cross-tenant leakage") && e.contains("on node 1")),
-            "{:?}",
-            r.errors
-        );
+        let leaks: Vec<&String> = r
+            .errors
+            .iter()
+            .filter(|e| e.contains("cross-tenant leakage"))
+            .collect();
+        assert_eq!(leaks.len(), 3, "{:?}", r.errors);
+        for (leak, what) in leaks.iter().zip(["NodeTotals", "PhaseBegin", "LoadSample"]) {
+            assert!(leak.contains(what), "{leak}");
+        }
+        assert!(leaks[0].contains("on node 1") && leaks[1].contains("on node 0"));
     }
 
     /// One dispatch window whose system phase leaves 4 nodes globally

@@ -15,7 +15,7 @@ use rips_runtime::{Costs, RunSpec};
 use rips_sched::flow::optimal_rebalance;
 use rips_sched::mwa;
 use rips_taskgraph::{par_map, skewed_flat};
-use rips_topology::{Mesh2D, Topology};
+use rips_topology::Mesh2D;
 use rips_trace::{with_sink, PhaseReport};
 
 use crate::args::{Args, Flag, Spec};
@@ -107,7 +107,7 @@ fn fig4(args: &Args) -> String {
                 .map(|_| rng.random_range(0..=2 * weight))
                 .collect();
             let c_mwa = mwa(mesh, &loads).0.edge_cost();
-            let c_opt = optimal_rebalance(mesh, &loads).cost;
+            let c_opt = optimal_rebalance(*mesh, &loads).cost;
             debug_assert!(c_mwa >= c_opt);
             if c_opt > 0 {
                 (c_mwa - c_opt) as f64 / c_opt as f64

@@ -16,7 +16,7 @@ use rips_core::{
 use rips_live::{run_live, LiveOpts, LiveOutcome};
 use rips_runtime::{run_policy, BalancerPolicy, Costs, RunSpec, ScheduledRun};
 use rips_taskgraph::Workload;
-use rips_topology::{Mesh2D, NodeId, Topology};
+use rips_topology::{Mesh2D, NodeId};
 
 use crate::RegistryTuning;
 
@@ -33,10 +33,6 @@ impl Cell {
     /// The near-square mesh every roster scheduler runs on.
     fn mesh(&self) -> Mesh2D {
         Mesh2D::near_square(self.nodes)
-    }
-
-    fn topo(&self) -> Arc<dyn Topology> {
-        Arc::new(self.mesh())
     }
 }
 
@@ -56,13 +52,12 @@ pub(crate) type Row = (&'static str, fn(&Cell) -> Box<dyn Fleet>);
 /// schedulers in paper order, then RIPS-H and SID.
 pub(crate) const ROSTER: &[Row] = &[
     ("Random", |c| {
-        Box::new(Nodes(c.topo(), |_: &dyn Topology, me| random_policy(me)))
+        Box::new(Nodes(c.mesh(), |_, me| random_policy(me)))
     }),
-    ("Gradient", |c| Box::new(Gradient(c.topo()))),
+    ("Gradient", |c| Box::new(Gradient(c.mesh()))),
     ("RID", |c| {
         let u = c.rid_u;
-        let make = move |t: &dyn Topology, me| rid_policy(t, me, u);
-        Box::new(Nodes(c.topo(), make))
+        Box::new(Nodes(c.mesh(), move |mesh, me| rid_policy(mesh, me, u)))
     }),
     ("RIPS", |c| {
         Box::new(Rips(c.tuning.rips, Machine::Mesh(c.mesh())))
@@ -70,41 +65,47 @@ pub(crate) const ROSTER: &[Row] = &[
     ("RIPS-H", |c| {
         Box::new(Rips(c.tuning.rips, Machine::MeshHier(c.mesh())))
     }),
-    ("SID", |c| Box::new(Nodes(c.topo(), sid_policy))),
+    ("SID", |c| Box::new(Nodes(c.mesh(), sid_policy))),
 ];
 
-/// Policies that share nothing between nodes: the topology and the
+/// Policies that share nothing between nodes: the mesh and the
 /// per-node constructor both backends call.
-struct Nodes<F>(Arc<dyn Topology>, F);
+struct Nodes<F>(Mesh2D, F);
 
 impl<P, F> Fleet for Nodes<F>
 where
     P: BalancerPolicy + Send,
     P::Msg: Send,
-    F: FnMut(&dyn Topology, NodeId) -> P,
+    F: FnMut(Mesh2D, NodeId) -> P,
 {
     fn on_desim(self: Box<Self>, s: &RunSpec) -> ScheduledRun {
-        let Nodes(topo, mut make) = *self;
-        let (workload, t) = (Arc::clone(&s.workload), Arc::clone(&topo));
-        let make = move |me| make(t.as_ref(), me);
+        let Nodes(mesh, mut make) = *self;
+        let make = move |me| make(mesh, me);
         ScheduledRun {
-            outcome: run_policy(workload, topo, s.latency, s.costs, s.seed, make).0,
+            outcome: run_policy(
+                Arc::clone(&s.workload),
+                mesh,
+                s.latency,
+                s.costs,
+                s.seed,
+                make,
+            )
+            .0,
             phases: Vec::new(),
         }
     }
 
     fn on_live(self: Box<Self>, workload: Arc<Workload>, seed: u64, opts: LiveOpts) -> LiveOutcome {
-        let Nodes(topo, mut make) = *self;
-        let t = Arc::clone(&topo);
-        let make = move |me| make(t.as_ref(), me);
-        run_live(workload, topo, Costs::default(), seed, opts, make).0
+        let Nodes(mesh, mut make) = *self;
+        let make = move |me| make(mesh, me);
+        run_live(workload, mesh, Costs::default(), seed, opts, make).0
     }
 }
 
 /// The gradient model. On the simulator it goes through [`gradient`],
 /// which refuses a zero-latency network (the model does not converge
 /// on one); real threads cannot have one.
-struct Gradient(Arc<dyn Topology>);
+struct Gradient(Mesh2D);
 
 impl Fleet for Gradient {
     fn on_desim(self: Box<Self>, s: &RunSpec) -> ScheduledRun {
@@ -135,10 +136,10 @@ impl Fleet for Rips {
 
     fn on_live(self: Box<Self>, workload: Arc<Workload>, seed: u64, opts: LiveOpts) -> LiveOutcome {
         let fleet = RipsFleet::new(self.0, self.1);
-        let topo = fleet.topology();
-        let (mut out, policies) = run_live(workload, topo, Costs::default(), seed, opts, |me| {
-            fleet.make(me)
-        });
+        let (mut out, policies) =
+            run_live(workload, fleet.mesh(), Costs::default(), seed, opts, |me| {
+                fleet.make(me)
+            });
         drop(policies);
         out.system_phases = fleet.finish().0;
         out

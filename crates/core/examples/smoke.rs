@@ -20,7 +20,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let out = rips(
         Arc::clone(&w),
-        Machine::Mesh(mesh.clone()),
+        Machine::Mesh(mesh),
         LatencyModel::paragon(),
         Costs::default(),
         1,
@@ -49,25 +49,24 @@ fn main() {
             reason = "wall-clock timing of the demo binary itself, not of simulated work"
         )]
         let t0 = std::time::Instant::now();
-        let topo: Arc<dyn rips_topology::Topology> = Arc::new(mesh.clone());
         let o = match f {
             0 => rips_core::random(
                 Arc::clone(&w),
-                topo,
+                mesh,
                 LatencyModel::paragon(),
                 Costs::default(),
                 1,
             ),
             1 => rips_core::gradient(
                 Arc::clone(&w),
-                topo,
+                mesh,
                 LatencyModel::paragon(),
                 Costs::default(),
                 1,
             ),
             _ => rips_core::rid(
                 Arc::clone(&w),
-                topo,
+                mesh,
                 LatencyModel::paragon(),
                 Costs::default(),
                 1,

@@ -3,7 +3,7 @@
 
 use rips_desim::{Time, WorkKind};
 use rips_runtime::{ExecCtx, Kernel, KernelMsg, TaskInstance};
-use rips_topology::{NodeId, Topology};
+use rips_topology::{Mesh2D, NodeId};
 
 /// Position of `nb` in `neighbors`; a message from anyone else is a
 /// protocol violation.
@@ -35,9 +35,9 @@ pub(crate) struct LoadTable {
 }
 
 impl LoadTable {
-    /// Node `me`'s table on `topo`, every neighbour presumed idle.
-    pub(crate) fn new(topo: &dyn Topology, me: NodeId) -> Self {
-        let neighbors = topo.neighbors(me);
+    /// Node `me`'s table on `mesh`, every neighbour presumed idle.
+    pub(crate) fn new(mesh: Mesh2D, me: NodeId) -> Self {
+        let neighbors = mesh.neighbors(me);
         LoadTable {
             loads: vec![0; neighbors.len()],
             neighbors,

@@ -18,7 +18,7 @@ use rips_runtime::{
     TAG_POLICY_BASE,
 };
 use rips_taskgraph::Workload;
-use rips_topology::{NodeId, Topology};
+use rips_topology::{Mesh2D, NodeId};
 
 use crate::common::{keep_local, nb_index};
 
@@ -190,7 +190,7 @@ impl BalancerPolicy for GradientPolicy {
 /// Runs `workload` under the gradient model.
 pub fn gradient(
     workload: Arc<Workload>,
-    topo: Arc<dyn Topology>,
+    mesh: Mesh2D,
     latency: LatencyModel,
     costs: Costs,
     seed: u64,
@@ -199,15 +199,14 @@ pub fn gradient(
         latency.alpha_us > 0 || latency.per_hop_us > 0,
         "gradient model needs nonzero message latency to converge"
     );
-    let shared = Arc::clone(&topo);
-    let make = move |me| gradient_policy(shared.as_ref(), me);
-    run_policy(workload, topo, latency, costs, seed, make).0
+    let make = move |me| gradient_policy(mesh, me);
+    run_policy(workload, mesh, latency, costs, seed, make).0
 }
 
-/// Node `me`'s gradient-model policy instance on `topo`.
-pub fn gradient_policy(topo: &dyn Topology, me: NodeId) -> GradientPolicy {
-    let cap = topo.diameter() as u32 + 1;
-    let neighbors = topo.neighbors(me);
+/// Node `me`'s gradient-model policy instance on `mesh`.
+pub fn gradient_policy(mesh: Mesh2D, me: NodeId) -> GradientPolicy {
+    let cap = mesh.diameter() as u32 + 1;
+    let neighbors = mesh.neighbors(me);
     GradientPolicy {
         nb_prox: vec![cap; neighbors.len()],
         neighbors,

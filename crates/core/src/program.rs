@@ -21,7 +21,7 @@ use rips_runtime::{
 };
 use rips_sched::TransferPlan;
 use rips_taskgraph::Workload;
-use rips_topology::{Mesh2D, NodeId, Topology};
+use rips_topology::{Mesh2D, NodeId};
 use rips_trace::metrics_rt::Counter;
 use rips_trace::{EventKind, PhaseKind, SysStage, TraceEvent};
 
@@ -122,10 +122,10 @@ pub enum Machine {
 }
 
 impl Machine {
-    /// The underlying topology.
-    pub fn topology(&self) -> Arc<dyn Topology> {
-        match self {
-            Machine::Mesh(m) | Machine::MeshHier(m) => Arc::new(m.clone()),
+    /// The mesh either planner runs on.
+    pub fn mesh(&self) -> Mesh2D {
+        match *self {
+            Machine::Mesh(m) | Machine::MeshHier(m) => m,
         }
     }
 
@@ -187,9 +187,6 @@ const PLAN_CPU_PER_STEP_US: Time = 25;
 struct FleetShared {
     cfg: RipsConfig,
     machine: Machine,
-    /// Node count: the ALL policy's spanning tree is heap order over
-    /// `0..n` ([`tree_parent`], [`tree_children`]).
-    n: usize,
     /// The system phase's rendezvous: a node locks it twice per phase,
     /// once to report its load and once to pick up the plan.
     mu: Mutex<Shared>,
@@ -465,7 +462,7 @@ impl RipsPolicy {
         if m.local_ready_for != Some(phase) || m.ready_sent_for == Some(phase) {
             return;
         }
-        let kids = tree_children(k.me(), self.shared.n).count() as u32;
+        let kids = tree_children(k.me(), k.oracle.num_nodes()).count() as u32;
         if m.children_ready.get(&phase).copied().unwrap_or(0) < kids {
             return;
         }
@@ -791,7 +788,7 @@ impl BalancerPolicy for RipsPolicy {
             }
             RipsCtl::Ready(p) => {
                 debug_assert_eq!(self.shared.cfg.global, GlobalPolicy::All);
-                debug_assert!(tree_children(k.me(), self.shared.n).any(|c| c == from));
+                debug_assert!(tree_children(k.me(), k.oracle.num_nodes()).any(|c| c == from));
                 *self.modal().children_ready.entry(p).or_insert(0) += 1;
                 self.try_send_ready(k, ctx, p);
             }
@@ -935,12 +932,10 @@ pub struct RipsFleet {
 impl RipsFleet {
     /// A fleet for `machine` under `cfg`.
     pub fn new(cfg: RipsConfig, machine: Machine) -> Self {
-        let n = machine.topology().len();
         RipsFleet {
             shared: Arc::new(FleetShared {
                 cfg,
                 machine,
-                n,
                 mu: Mutex::default(),
                 want_phase: AtomicBool::new(false),
                 eureka_raised: AtomicU32::new(0),
@@ -948,9 +943,9 @@ impl RipsFleet {
         }
     }
 
-    /// The machine's topology.
-    pub fn topology(&self) -> Arc<dyn Topology> {
-        self.shared.machine.topology()
+    /// The machine's mesh.
+    pub fn mesh(&self) -> Mesh2D {
+        self.shared.machine.mesh()
     }
 
     /// Builds node `_me`'s policy instance.
@@ -992,8 +987,8 @@ pub fn rips(
     cfg: RipsConfig,
 ) -> ScheduledRun {
     let fleet = RipsFleet::new(cfg, machine);
-    let topo = fleet.topology();
-    let (mut run, policies) = run_policy(workload, topo, latency, costs, seed, |me| fleet.make(me));
+    let mesh = fleet.mesh();
+    let (mut run, policies) = run_policy(workload, mesh, latency, costs, seed, |me| fleet.make(me));
     drop(policies); // release the policies' handles on the shared state
     let (phases, logs) = fleet.finish();
     run.system_phases = phases;

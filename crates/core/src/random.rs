@@ -10,7 +10,7 @@ use rips_runtime::{
     run_policy, BalancerPolicy, Costs, ExecCtx, Kernel, KernelMsg, RunOutcome, TaskInstance,
 };
 use rips_taskgraph::Workload;
-use rips_topology::{NodeId, Topology};
+use rips_topology::{Mesh2D, NodeId};
 
 /// Randomized allocation as a [`BalancerPolicy`]: every placement
 /// decision is a fresh draw from the node's own random stream.
@@ -117,19 +117,18 @@ impl BalancerPolicy for RandomPolicy {
 /// `seed`.
 pub fn random(
     workload: Arc<Workload>,
-    topo: Arc<dyn Topology>,
+    mesh: Mesh2D,
     latency: LatencyModel,
     costs: Costs,
     seed: u64,
 ) -> RunOutcome {
-    run_policy(workload, topo, latency, costs, seed, random_policy).0
+    run_policy(workload, mesh, latency, costs, seed, random_policy).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rips_taskgraph::flat_uniform;
-    use rips_topology::Mesh2D;
 
     /// Node `i` draws from `seed·K ^ i`. Pinned: Random's placements,
     /// and the goldens they feed, depend on exactly this stream, and
@@ -139,10 +138,10 @@ mod tests {
         let seed = 0xC0FFEE;
         // One root: node 0 places it (one draw); nodes 1–3 draw nothing.
         let w = Arc::new(flat_uniform(1, 5, 5, 0));
-        let topo = Arc::new(Mesh2D::new(2, 2));
+        let mesh = Mesh2D::new(2, 2);
         let latency = LatencyModel::paragon();
         let costs = Costs::default();
-        let (_, policies) = run_policy(w, topo, latency, costs, seed, random_policy);
+        let (_, policies) = run_policy(w, mesh, latency, costs, seed, random_policy);
         assert_eq!(policies.len(), 4);
         for (node, mut p) in policies.into_iter().enumerate() {
             let golden = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ node as u64;

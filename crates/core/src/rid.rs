@@ -15,7 +15,7 @@ use rips_runtime::{
     TAG_POLICY_BASE,
 };
 use rips_taskgraph::Workload;
-use rips_topology::{NodeId, Topology};
+use rips_topology::{Mesh2D, NodeId};
 
 use crate::common::{keep_local, LoadTable};
 
@@ -210,24 +210,23 @@ impl BalancerPolicy for RidPolicy {
 /// Runs `workload` under receiver-initiated diffusion.
 pub fn rid(
     workload: Arc<Workload>,
-    topo: Arc<dyn Topology>,
+    mesh: Mesh2D,
     latency: LatencyModel,
     costs: Costs,
     seed: u64,
     u: f64,
 ) -> RunOutcome {
-    let shared = Arc::clone(&topo);
-    let make = move |me| rid_policy(shared.as_ref(), me, u);
-    run_policy(workload, topo, latency, costs, seed, make).0
+    let make = move |me| rid_policy(mesh, me, u);
+    run_policy(workload, mesh, latency, costs, seed, make).0
 }
 
-/// Node `me`'s receiver-initiated-diffusion policy instance on `topo`,
+/// Node `me`'s receiver-initiated-diffusion policy instance on `mesh`,
 /// broadcasting its load by update factor `u`.
-pub fn rid_policy(topo: &dyn Topology, me: NodeId, u: f64) -> RidPolicy {
+pub fn rid_policy(mesh: Mesh2D, me: NodeId, u: f64) -> RidPolicy {
     assert!((0.0..1.0).contains(&u), "update factor must be in [0,1)");
     RidPolicy {
         u,
-        table: LoadTable::new(topo, me),
+        table: LoadTable::new(mesh, me),
         pending_replies: 0,
     }
 }

@@ -17,7 +17,7 @@ use rips_runtime::{
     run_policy, BalancerPolicy, Costs, ExecCtx, Kernel, KernelMsg, RunOutcome, TaskInstance,
 };
 use rips_taskgraph::Workload;
-use rips_topology::{NodeId, Topology};
+use rips_topology::{Mesh2D, NodeId};
 
 use crate::common::{keep_local, LoadTable};
 use crate::rid::RID_U;
@@ -151,19 +151,18 @@ impl BalancerPolicy for SidPolicy {
 /// Runs `workload` under sender-initiated diffusion.
 pub fn sid(
     workload: Arc<Workload>,
-    topo: Arc<dyn Topology>,
+    mesh: Mesh2D,
     latency: LatencyModel,
     costs: Costs,
     seed: u64,
 ) -> RunOutcome {
-    let shared = Arc::clone(&topo);
-    let make = move |me| sid_policy(shared.as_ref(), me);
-    run_policy(workload, topo, latency, costs, seed, make).0
+    let make = move |me| sid_policy(mesh, me);
+    run_policy(workload, mesh, latency, costs, seed, make).0
 }
 
-/// Node `me`'s sender-initiated-diffusion policy instance on `topo`.
-pub fn sid_policy(topo: &dyn Topology, me: NodeId) -> SidPolicy {
+/// Node `me`'s sender-initiated-diffusion policy instance on `mesh`.
+pub fn sid_policy(mesh: Mesh2D, me: NodeId) -> SidPolicy {
     SidPolicy {
-        table: LoadTable::new(topo, me),
+        table: LoadTable::new(mesh, me),
     }
 }

@@ -8,10 +8,10 @@ use rips_core::{gradient, random, rid, RID_U};
 use rips_desim::LatencyModel;
 use rips_runtime::{Costs, RunOutcome};
 use rips_taskgraph::{flat_uniform, geometric_tree, skewed_flat, Workload};
-use rips_topology::{Mesh2D, Topology};
+use rips_topology::Mesh2D;
 
-fn mesh(n: usize) -> Arc<dyn Topology> {
-    Arc::new(Mesh2D::near_square(n))
+fn mesh(n: usize) -> Mesh2D {
+    Mesh2D::near_square(n)
 }
 
 fn run_all(w: &Arc<Workload>, nodes: usize, seed: u64) -> [RunOutcome; 3] {
@@ -222,13 +222,13 @@ fn late_round_start_seeds_the_round_it_names() {
             flat_uniform(nodes, 200, 900, 4).rounds[0].clone(),
         ],
     });
-    let topo = || -> Arc<dyn Topology> { Arc::new(Mesh2D::new(16, 16)) };
+    let mesh = Mesh2D::new(16, 16);
     let (lat, costs) = (LatencyModel::paragon(), Costs::default());
     let runs = [
-        ("Random", random(Arc::clone(&w), topo(), lat, costs, 3)),
-        ("Gradient", gradient(Arc::clone(&w), topo(), lat, costs, 3)),
-        ("RID", rid(Arc::clone(&w), topo(), lat, costs, 3, RID_U)),
-        ("SID", sid(Arc::clone(&w), topo(), lat, costs, 3)),
+        ("Random", random(Arc::clone(&w), mesh, lat, costs, 3)),
+        ("Gradient", gradient(Arc::clone(&w), mesh, lat, costs, 3)),
+        ("RID", rid(Arc::clone(&w), mesh, lat, costs, 3, RID_U)),
+        ("SID", sid(Arc::clone(&w), mesh, lat, costs, 3)),
     ];
     for (name, out) in runs {
         out.verify_complete(&w)

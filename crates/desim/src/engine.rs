@@ -22,11 +22,11 @@
 //!   produced — is pushed at the node's free time. Stale markers (the
 //!   lane minimum changed, or the node was re-busied first) are lazily
 //!   discarded on pop.
-//! * **Routing on the fly.** Every send asks the topology for its hop
-//!   distance ([`Topology::distance`]) and, under contention, every hop
-//!   for the next one ([`Topology::route_next_hop`]). The mesh answers
-//!   in closed form, so routing holds no per-pair state at any machine
-//!   size.
+//! * **Routing on the fly.** The engine holds the mesh by value and
+//!   asks it, per send, for the hop distance ([`Mesh2D::distance`])
+//!   and, under contention, per hop for the next one
+//!   ([`Mesh2D::route_next_hop`]). Both are closed form, so routing
+//!   holds no per-pair state at any machine size.
 //! * **Struct-of-arrays state.** Global event-queue state
 //!   ([`EventCore`]: heap, sequence counter, broadcast runs) and dense
 //!   per-node vectors ([`NodeCore`]: programs, ready times, stats,
@@ -58,12 +58,12 @@
               each remaining site names the invariant that rules it out"
 )]
 
+use std::borrow::Borrow;
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
-use std::sync::Arc;
 
-use rips_topology::{NodeId, Topology};
+use rips_topology::{Mesh2D, NodeId};
 use rips_trace::metrics_rt::Counter;
 
 use crate::{LatencyModel, MemStats, NetStats, NodeStats, RunStats, Time, WorkKind};
@@ -597,7 +597,7 @@ pub struct Engine<P: Program> {
     /// Global event-queue state.
     core: EventCore<P::Msg>,
     /// The interconnect, asked for every hop distance and next hop.
-    topo: Arc<dyn Topology>,
+    mesh: Mesh2D,
     net: NetStats,
     last_activity: Time,
     timelines: Option<Vec<Vec<crate::BusySpan>>>,
@@ -628,17 +628,22 @@ pub struct Engine<P: Program> {
 }
 
 impl<P: Program> Engine<P> {
-    /// Builds an engine over `topo` with one program per node
+    /// Builds an engine over `mesh` with one program per node
     /// (`make(node_id)`). The engine itself is deterministic; `seed` is
     /// only passed on to the programs ([`Ctx::seed`]), whose random
     /// draws it fixes.
+    ///
+    /// `mesh` is anything that borrows as a [`Mesh2D`]: the value
+    /// itself, or the `Arc<Mesh2D>` the benchmark harness
+    /// (`benchmark/src/sim.rs`) passes.
     pub fn new(
-        topo: Arc<dyn Topology>,
+        mesh: impl Borrow<Mesh2D>,
         latency: LatencyModel,
         seed: u64,
         mut make: impl FnMut(NodeId) -> P,
     ) -> Self {
-        let n = topo.len();
+        let mesh = *mesh.borrow();
+        let n = mesh.len();
         assert!(n > 0, "machine must have at least one node");
         assert!(
             n - 1 <= u32::MAX as usize,
@@ -678,7 +683,7 @@ impl<P: Program> Engine<P> {
                 armed: vec![UNARMED; n],
             },
             core,
-            topo,
+            mesh,
             net: NetStats::default(),
             last_activity: 0,
             timelines: None,
@@ -743,11 +748,6 @@ impl<P: Program> Engine<P> {
         self.nodes.len() == 0
     }
 
-    /// The interconnect.
-    pub fn topology(&self) -> &Arc<dyn Topology> {
-        &self.topo
-    }
-
     /// Immutable access to a node's program (post-run inspection).
     pub fn program(&self, node: NodeId) -> &P {
         &self.nodes.programs[node]
@@ -772,7 +772,7 @@ impl<P: Program> Engine<P> {
                       destination, so a route exists"
         )]
         let next = self
-            .topo
+            .mesh
             .route_next_hop(at, final_to)
             .expect("no route between distinct nodes");
         let link = at * n + next;
@@ -797,7 +797,7 @@ impl<P: Program> Engine<P> {
     /// that event is a contention-mode injection at `from` rather than
     /// the arrival at `to`.
     fn note_send(&mut self, from: NodeId, depart: Time, to: NodeId, bytes: usize) -> (Time, bool) {
-        let hops = self.topo.distance(from, to);
+        let hops = self.mesh.distance(from, to);
         self.net.msgs += 1;
         self.net.bytes += bytes as u64;
         self.net.hops += hops as u64;
@@ -1087,7 +1087,7 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{RngExt, SeedableRng};
-    use rips_topology::Mesh2D;
+    use std::sync::Arc;
 
     /// Ping-pong program: node 0 sends a counter to node 1, which
     /// bounces it back, `ROUNDS` times.
@@ -1114,8 +1114,8 @@ mod tests {
         }
     }
 
-    fn mesh(n: usize) -> Arc<dyn Topology> {
-        Arc::new(Mesh2D::near_square(n))
+    fn mesh(n: usize) -> Mesh2D {
+        Mesh2D::near_square(n)
     }
 
     #[test]
@@ -1384,6 +1384,9 @@ mod tests {
     /// Routing holds no per-pair state: a 4 096-node machine models a
     /// few hundred bytes per node, where an `n × n` distance table
     /// alone would be 8 KiB per node.
+    ///
+    /// The mesh goes in as an `Arc<Mesh2D>`, the call shape of
+    /// `benchmark/src/sim.rs`, so tier-1 keeps it compiling.
     #[test]
     fn routing_costs_no_bytes_at_any_size() {
         let n = 64 * 64;

@@ -3,7 +3,7 @@
 //! The paper's experiments ran on an Intel Paragon; this crate is the
 //! substitute substrate (see DESIGN.md §2). It models:
 //!
-//! * `N` sequential nodes connected by a [`rips_topology::Topology`];
+//! * `N` sequential nodes connected by a [`rips_topology::Mesh2D`];
 //! * asynchronous point-to-point messages with a configurable
 //!   [`LatencyModel`] (`α + β·bytes + H·hops`, plus sender/receiver CPU
 //!   costs charged as *system overhead*);

@@ -1,9 +1,7 @@
 //! Tests for the store-and-forward link-contention mode.
 
-use std::sync::Arc;
-
 use rips_desim::{Ctx, Engine, LatencyModel, Program, Time};
-use rips_topology::{Mesh2D, NodeId, Topology};
+use rips_topology::{Mesh2D, NodeId};
 
 /// Node 0 fires `count` messages at a single destination in one
 /// handler; the receiver records arrival times.
@@ -40,8 +38,8 @@ fn lat() -> LatencyModel {
 }
 
 fn run_burst(contention: bool, count: u32, dest: NodeId) -> Vec<Time> {
-    let topo: Arc<dyn Topology> = Arc::new(Mesh2D::new(1, 4));
-    let mut engine = Engine::new(topo, lat(), 1, |_| Burst {
+    let mesh = Mesh2D::new(1, 4);
+    let mut engine = Engine::new(mesh, lat(), 1, |_| Burst {
         count,
         dest,
         arrivals: vec![],
@@ -82,7 +80,7 @@ fn multi_hop_store_and_forward_pays_per_hop() {
 
 #[test]
 fn self_and_adjacent_sends_still_work() {
-    let topo: Arc<dyn Topology> = Arc::new(Mesh2D::new(1, 2));
+    let mesh = Mesh2D::new(1, 2);
     struct SelfSend {
         got: bool,
     }
@@ -97,7 +95,7 @@ fn self_and_adjacent_sends_still_work() {
             self.got = true;
         }
     }
-    let mut engine = Engine::new(topo, lat(), 1, |_| SelfSend { got: false });
+    let mut engine = Engine::new(mesh, lat(), 1, |_| SelfSend { got: false });
     engine.enable_contention(true);
     let (progs, _) = engine.run();
     assert!(progs[0].got);
@@ -124,8 +122,8 @@ fn disjoint_routes_do_not_interfere() {
         }
     }
     let run = |contention| {
-        let topo: Arc<dyn Topology> = Arc::new(Mesh2D::new(1, 4));
-        let mut engine = Engine::new(topo, lat(), 1, |_| Pairs { arrivals: vec![] });
+        let mesh = Mesh2D::new(1, 4);
+        let mut engine = Engine::new(mesh, lat(), 1, |_| Pairs { arrivals: vec![] });
         engine.enable_contention(contention);
         let (progs, _) = engine.run();
         (progs[1].arrivals.clone(), progs[3].arrivals.clone())

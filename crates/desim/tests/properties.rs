@@ -2,11 +2,9 @@
 //! accounting consistency, and determinism under arbitrary traffic
 //! patterns.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
 use rips_desim::{Ctx, Engine, LatencyModel, Program, WorkKind};
-use rips_topology::{Mesh2D, NodeId, Topology};
+use rips_topology::{Mesh2D, NodeId};
 
 /// A node that forwards a token a fixed number of times along a
 /// scripted path, consuming scripted compute along the way.
@@ -71,7 +69,7 @@ proptest! {
         alpha in 0u64..500,
         per_hop in 0u64..100,
     ) {
-        let topo: Arc<dyn Topology> = Arc::new(Mesh2D::new(3, 4));
+        let mesh = Mesh2D::new(3, 4);
         let lat = LatencyModel {
             alpha_us: alpha,
             per_byte_ns: 10,
@@ -82,7 +80,7 @@ proptest! {
         let script2 = script.clone();
         // Every node shares the global script: the walk visits
         // whichever node currently holds the token.
-        let engine = Engine::new(topo, lat, 1, move |_| Scripted {
+        let engine = Engine::new(mesh, lat, 1, move |_| Scripted {
             hops: script2.clone(),
             received: 0,
         });
@@ -96,9 +94,9 @@ proptest! {
     /// end time covers every consumed microsecond.
     #[test]
     fn accounting_fits_inside_end_time(script in arb_script(9)) {
-        let topo: Arc<dyn Topology> = Arc::new(Mesh2D::new(3, 3));
+        let mesh = Mesh2D::new(3, 3);
         let script2 = script.clone();
-        let engine = Engine::new(topo, LatencyModel::paragon(), 2, move |_| Scripted {
+        let engine = Engine::new(mesh, LatencyModel::paragon(), 2, move |_| Scripted {
             hops: script2.clone(),
             received: 0,
         });
@@ -119,8 +117,8 @@ proptest! {
     #[test]
     fn runs_are_reproducible(script in arb_script(12), seed in 0u64..1000) {
         let run = |script: Vec<(usize, u64)>, seed| {
-            let topo: Arc<dyn Topology> = Arc::new(Mesh2D::new(4, 3));
-            let engine = Engine::new(topo, LatencyModel::paragon(), seed, move |_| Scripted {
+            let mesh = Mesh2D::new(4, 3);
+            let engine = Engine::new(mesh, LatencyModel::paragon(), seed, move |_| Scripted {
                 hops: script.clone(),
                 received: 0,
             });
@@ -151,9 +149,9 @@ proptest! {
             recv_cpu_us: 0,
         };
         let n = counts.len() + 1;
-        let topo: Arc<dyn Topology> = Arc::new(Mesh2D::new(1, n));
+        let mesh = Mesh2D::new(1, n);
         let counts2 = counts.clone();
-        let engine = Engine::new(topo, lat, 7, move |me| Flood {
+        let engine = Engine::new(mesh, lat, 7, move |me| Flood {
             burst: if me == 0 { 0 } else { counts2[me - 1] },
             grind,
             log: Vec::new(),
@@ -168,7 +166,7 @@ proptest! {
         prop_assert_eq!(&progs[0].log, &expected);
     }
 
-    /// Hop accounting matches the topology's distance metric.
+    /// Hop accounting matches the mesh's distance metric.
     #[test]
     fn hop_counting_matches_distance(script in arb_script(12)) {
         let mesh = Mesh2D::new(3, 4);
@@ -182,9 +180,8 @@ proptest! {
             }
             hops
         };
-        let topo: Arc<dyn Topology> = Arc::new(mesh);
         let script2 = script.clone();
-        let engine = Engine::new(topo, LatencyModel::ideal(), 3, move |_| Scripted {
+        let engine = Engine::new(mesh, LatencyModel::ideal(), 3, move |_| Scripted {
             hops: script2.clone(),
             received: 0,
         });

@@ -77,7 +77,7 @@ use rips_runtime::{
     ExecCtx, Kernel, KernelMsg, Oracle, TaskInstance, VerifyError,
 };
 use rips_taskgraph::Workload;
-use rips_topology::{NodeId, Topology};
+use rips_topology::{Mesh2D, NodeId};
 use rips_trace::metrics_rt::{Counter, Gauge, Histo};
 use rips_trace::{Clock, EventKind, Telemetry, TraceEvent};
 
@@ -557,7 +557,7 @@ fn node_loop<P: BalancerPolicy>(
     }
 }
 
-/// Runs `workload` on `topo.len()` OS threads under `policy` instances
+/// Runs `workload` on `mesh.len()` OS threads under `policy` instances
 /// built by `make` (one per node), returning the outcome and the final
 /// policy states — the live counterpart of `rips_runtime::run_policy`.
 ///
@@ -568,7 +568,7 @@ fn node_loop<P: BalancerPolicy>(
 /// each node's dispatch rounds on the events' timeline.
 pub fn run_live<P, F>(
     workload: Arc<Workload>,
-    topo: Arc<dyn Topology>,
+    mesh: Mesh2D,
     costs: Costs,
     seed: u64,
     opts: LiveOpts,
@@ -579,7 +579,7 @@ where
     P::Msg: Send,
     F: FnMut(NodeId) -> P,
 {
-    let n = topo.len();
+    let n = mesh.len();
     if workload.rounds.is_empty() {
         return (LiveOutcome::empty(n), Vec::new());
     }
@@ -587,7 +587,7 @@ where
         .clock
         .clone()
         .unwrap_or_else(|| Arc::new(WallClock::new()));
-    let oracle = Oracle::new(Arc::clone(&workload), Arc::clone(&topo), costs);
+    let oracle = Oracle::new(Arc::clone(&workload), mesh, costs);
     let mut make = make;
     let fabric = transport::build::<KernelMsg<P::Msg>>(n);
     let started = clock.now_us();
@@ -649,7 +649,6 @@ where
 mod tests {
     use super::*;
     use rips_taskgraph::flat_uniform;
-    use rips_topology::Mesh2D;
 
     /// Runner whose checksum encodes the task id, so double or missed
     /// executions shift the sum.
@@ -686,10 +685,9 @@ mod tests {
     #[test]
     fn random_policy_runs_live_and_conserves_tasks() {
         let w = Arc::new(flat_uniform(40, 5, 10, 7));
-        let topo: Arc<dyn Topology> = Arc::new(Mesh2D::near_square(4));
         let (out, _) = run_live(
             Arc::clone(&w),
-            topo,
+            Mesh2D::near_square(4),
             Costs::default(),
             3,
             id_opts(),
@@ -707,10 +705,9 @@ mod tests {
             name: "empty".into(),
             rounds: Vec::new(),
         });
-        let topo: Arc<dyn Topology> = Arc::new(Mesh2D::near_square(2));
         let (out, ps) = run_live(
             w,
-            topo,
+            Mesh2D::near_square(2),
             Costs::default(),
             0,
             LiveOpts::default(),
@@ -727,10 +724,9 @@ mod tests {
             name: "three-round".into(),
             rounds: vec![one.clone(), one.clone(), one],
         });
-        let topo: Arc<dyn Topology> = Arc::new(Mesh2D::near_square(4));
         let (out, _) = run_live(
             Arc::clone(&w),
-            topo,
+            Mesh2D::near_square(4),
             Costs::default(),
             5,
             id_opts(),
@@ -745,10 +741,9 @@ mod tests {
         use rips_core::{Machine, RipsConfig, RipsFleet};
         let w = Arc::new(flat_uniform(30, 5, 10, 2));
         let fleet = RipsFleet::new(RipsConfig::default(), Machine::Mesh(Mesh2D::near_square(4)));
-        let topo = fleet.topology();
         let (out, policies) = run_live(
             Arc::clone(&w),
-            topo,
+            fleet.mesh(),
             Costs::default(),
             1,
             LiveOpts::default(),

@@ -62,7 +62,7 @@ use std::sync::Arc;
 
 use rips_desim::{Ctx, Engine, LatencyModel, Time, WorkKind};
 use rips_taskgraph::Workload;
-use rips_topology::{NodeId, Topology};
+use rips_topology::{Mesh2D, NodeId};
 use rips_trace::metrics_rt::{Counter, Gauge};
 use rips_trace::{EventKind, TraceEvent};
 
@@ -659,7 +659,7 @@ impl<P: BalancerPolicy> rips_desim::Program for NodeDriver<P> {
     }
 }
 
-/// Runs `workload` on `topo` under `policy` instances built by `make`
+/// Runs `workload` on `mesh` under `policy` instances built by `make`
 /// (one per node), returning the outcome and the final policy states.
 ///
 /// This is the one place a scheduler meets the engine: it builds the
@@ -669,7 +669,7 @@ impl<P: BalancerPolicy> rips_desim::Program for NodeDriver<P> {
 /// [`RunOutcome::empty`].
 pub fn run_policy<P, F>(
     workload: Arc<Workload>,
-    topo: Arc<dyn Topology>,
+    mesh: Mesh2D,
     latency: LatencyModel,
     costs: Costs,
     seed: u64,
@@ -680,12 +680,12 @@ where
     F: FnMut(NodeId) -> P,
 {
     if workload.rounds.is_empty() {
-        return (RunOutcome::empty(topo.len()), Vec::new());
+        return (RunOutcome::empty(mesh.len()), Vec::new());
     }
-    let oracle = Oracle::new(Arc::clone(&workload), Arc::clone(&topo), costs);
+    let oracle = Oracle::new(Arc::clone(&workload), mesh, costs);
     let tel = oracle.tel.clone();
     let mut make = make;
-    let mut engine = Engine::new(topo, latency, seed, move |me| NodeDriver {
+    let mut engine = Engine::new(mesh, latency, seed, move |me| NodeDriver {
         kernel: Kernel::new(me, oracle.clone()),
         policy: make(me),
     });

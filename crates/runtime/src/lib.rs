@@ -51,7 +51,7 @@ use rips_verify::sync::{ord, swap_bool};
 
 use rips_desim::Time;
 use rips_taskgraph::{TaskForest, TaskId, Workload};
-use rips_topology::{NodeId, Topology};
+use rips_topology::{Mesh2D, NodeId};
 
 /// One schedulable task instance travelling through the system: which
 /// task of the current round, and where it was generated. 8 bytes.
@@ -158,11 +158,11 @@ pub struct OracleShared {
     /// branch per call) when absent. The kernel and policies emit
     /// through it and write their own node's metrics shard.
     pub tel: rips_trace::Telemetry,
-    /// The machine topology, for task-locality trace annotations. Its
-    /// [`Topology::distance`] is closed form, so it is asked on the fly.
-    topo: Arc<dyn Topology>,
-    n: usize,
-    diameter: usize,
+    /// The machine, held by value: the seed blocks divide by its size,
+    /// the barrier delay scales with its diameter, and task-locality
+    /// annotations ask its distance. All three are closed form, so
+    /// nothing is cached beside it.
+    mesh: Mesh2D,
     rounds: RoundCounters,
 }
 
@@ -185,7 +185,7 @@ struct RoundCounters {
 
 impl Oracle {
     /// Creates the oracle for one engine run.
-    pub fn new(workload: Arc<Workload>, topo: Arc<dyn Topology>, costs: Costs) -> Self {
+    pub fn new(workload: Arc<Workload>, mesh: Mesh2D, costs: Costs) -> Self {
         let first_round = workload.rounds.first().map_or(0, |r| r.len() as u64);
         Oracle(Arc::new(OracleShared {
             rounds: RoundCounters {
@@ -196,9 +196,7 @@ impl Oracle {
             workload,
             costs,
             tel: rips_trace::Telemetry::current(),
-            n: topo.len(),
-            diameter: topo.diameter(),
-            topo,
+            mesh,
         }))
     }
 
@@ -208,7 +206,7 @@ impl Oracle {
     /// untraced path bit for bit).
     pub fn hops(&self, from: NodeId, to: NodeId) -> u32 {
         if self.tel.wants(rips_trace::EventKind::TaskExec) {
-            self.topo.distance(from, to) as u32
+            self.mesh.distance(from, to) as u32
         } else {
             0
         }
@@ -216,7 +214,7 @@ impl Oracle {
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.n
+        self.mesh.len()
     }
 
     /// Current round index.
@@ -247,7 +245,7 @@ impl Oracle {
     /// and the oracle has moved on, and it must then seed nothing.
     pub fn seed_for(&self, node: NodeId, round: u32) -> Vec<TaskInstance> {
         let roots = self.workload.rounds[round as usize].roots();
-        let per = roots.len().div_ceil(self.n.max(1)).max(1);
+        let per = roots.len().div_ceil(self.mesh.len()).max(1);
         let lo = (node * per).min(roots.len());
         let hi = ((node + 1) * per).min(roots.len());
         roots
@@ -327,7 +325,7 @@ impl Oracle {
     /// Modelled latency of the inter-round barrier: a convergecast plus
     /// a broadcast across the topology.
     pub fn round_barrier_delay(&self) -> Time {
-        2 * self.diameter as Time * self.costs.comm_step_us
+        2 * self.mesh.diameter() as Time * self.costs.comm_step_us
     }
 }
 
@@ -521,7 +519,6 @@ pub fn check_conservation(workload: &Workload, executed: u64) -> Result<(), Veri
 mod verify_model {
     use super::*;
     use rips_taskgraph::flat_uniform;
-    use rips_topology::Mesh2D;
     use rips_verify::sync::atomic::AtomicUsize;
     use rips_verify::sync::cell::UnsafeCellWrap;
     use rips_verify::{vthread, Checker, Mutation, MutationKind, ViolationKind};
@@ -529,11 +526,7 @@ mod verify_model {
     fn barrier_model() -> impl Fn() + Send + Sync + 'static {
         || {
             let w = Arc::new(flat_uniform(2, 1, 1, 0));
-            let o = Arc::new(Oracle::new(
-                w,
-                Arc::new(Mesh2D::new(1, 2)),
-                Costs::default(),
-            ));
+            let o = Arc::new(Oracle::new(w, Mesh2D::new(1, 2), Costs::default()));
             // One result slot per worker, written before its retire;
             // the announcer reads both (the barrier's rendezvous). The
             // accesses carry no data — the checker races the *accesses*
@@ -611,12 +604,10 @@ mod verify_model {
 mod tests {
     use super::*;
     use rips_taskgraph::flat_uniform;
-    use rips_topology::Mesh2D;
 
     fn oracle(tasks: usize, nodes: usize) -> Oracle {
         let w = Arc::new(flat_uniform(tasks, 5, 10, 1));
-        let topo = Mesh2D::near_square(nodes);
-        Oracle::new(w, Arc::new(topo), Costs::default())
+        Oracle::new(w, Mesh2D::near_square(nodes), Costs::default())
     }
 
     #[test]
@@ -689,8 +680,7 @@ mod tests {
                 flat_uniform(3, 1, 1, 0).rounds[0].clone(),
             ],
         });
-        let topo = Mesh2D::new(1, 2);
-        let o = Oracle::new(w, Arc::new(topo), Costs::default());
+        let o = Oracle::new(w, Mesh2D::new(1, 2), Costs::default());
         o.task_done();
         o.task_done();
         assert_eq!(o.advance_round(), Some(1));
@@ -746,7 +736,7 @@ mod tests {
             name: "two-round".into(),
             rounds: vec![flat_uniform(1, 9, 9, 0).rounds[0].clone(), second],
         });
-        let o = Oracle::new(w, Arc::new(Mesh2D::new(1, 2)), Costs::default());
+        let o = Oracle::new(w, Mesh2D::new(1, 2), Costs::default());
         let inst = o.seed_for(0, 0).pop().expect("node 0 owns round 0's root");
         assert_eq!((inst.task, o.grain(&inst)), (0, 9));
         assert!(o.children_of(&inst, 1).is_empty());

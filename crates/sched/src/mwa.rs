@@ -23,7 +23,7 @@
     reason = "indexed loops mirror the paper's per-column vector algebra; \
               iterator rewrites would obscure the correspondence"
 )]
-use rips_topology::{Mesh2D, Topology};
+use rips_topology::Mesh2D;
 
 use crate::plan::TransferPlan;
 
@@ -221,7 +221,7 @@ mod tests {
 
     fn check(mesh: &Mesh2D, loads: &[i64]) -> TransferPlan {
         let (plan, trace) = mwa(mesh, loads);
-        assert!(plan.is_link_local(mesh), "non-neighbour move");
+        assert!(plan.is_link_local(*mesh), "non-neighbour move");
         let finals = plan.apply(loads);
         assert_eq!(finals, trace.quotas, "did not land on quotas");
         // Theorem 1: spread ≤ 1.
@@ -307,7 +307,7 @@ mod tests {
         let loads = [0, 0, 9, 9, 0, 0];
         let plan = check(&mesh, &loads);
         assert_eq!(plan.edge_cost(), 18);
-        let opt = crate::flow::optimal_rebalance(&mesh, &loads);
+        let opt = crate::flow::optimal_rebalance(mesh, &loads);
         assert_eq!(opt.cost, 12);
     }
 

@@ -1,6 +1,6 @@
 //! Transfer plans and their verification.
 
-use rips_topology::{NodeId, Topology};
+use rips_topology::{Mesh2D, NodeId};
 
 use crate::flow::quotas;
 
@@ -66,9 +66,9 @@ impl TransferPlan {
         w
     }
 
-    /// Checks every move is a single hop on `topo`.
-    pub fn is_link_local(&self, topo: &dyn Topology) -> bool {
-        self.moves.iter().all(|m| topo.distance(m.from, m.to) == 1)
+    /// Checks every move is a single hop on `mesh`.
+    pub fn is_link_local(&self, mesh: Mesh2D) -> bool {
+        self.moves.iter().all(|m| mesh.distance(m.from, m.to) == 1)
     }
 
     /// Number of *non-local* tasks: tasks whose final node differs from
@@ -390,9 +390,9 @@ mod tests {
         let mesh = Mesh2D::new(2, 2);
         let mut good = TransferPlan::default();
         good.push(0, 1, 1);
-        assert!(good.is_link_local(&mesh));
+        assert!(good.is_link_local(mesh));
         let mut bad = TransferPlan::default();
         bad.push(0, 3, 1); // diagonal
-        assert!(!bad.is_link_local(&mesh));
+        assert!(!bad.is_link_local(mesh));
     }
 }

@@ -1,6 +1,6 @@
 //! The paper's §3 reduction from load balancing to min-cost max-flow.
 
-use rips_topology::{NodeId, Topology};
+use rips_topology::{Mesh2D, NodeId};
 
 use crate::mcmf::{EdgeId, FlowNetwork};
 
@@ -31,7 +31,7 @@ pub struct OptimalPlan {
     pub final_loads: Vec<i64>,
 }
 
-/// Computes the optimal rebalancing of `loads` over `topo`: capacity ∞,
+/// Computes the optimal rebalancing of `loads` over `mesh`: capacity ∞,
 /// cost 1 on every link; source feeding each overloaded node by its
 /// excess, each underloaded node draining to the sink by its deficit.
 ///
@@ -40,7 +40,7 @@ pub struct OptimalPlan {
 /// use rips_topology::Mesh2D;
 ///
 /// // A line of three nodes: the optimum routes through the middle.
-/// let plan = optimal_rebalance(&Mesh2D::new(1, 3), &[9, 0, 0]);
+/// let plan = optimal_rebalance(Mesh2D::new(1, 3), &[9, 0, 0]);
 /// assert_eq!(plan.cost, 9); // 3 one-hop + 3 two-hop transfers
 /// assert_eq!(plan.final_loads, vec![3, 3, 3]);
 /// ```
@@ -49,9 +49,9 @@ pub struct OptimalPlan {
 /// the total is not divisible by N.
 ///
 /// # Panics
-/// Panics if `loads.len() != topo.len()` or any load is negative.
-pub fn optimal_rebalance(topo: &dyn Topology, loads: &[i64]) -> OptimalPlan {
-    let n = topo.len();
+/// Panics if `loads.len() != mesh.len()` or any load is negative.
+pub fn optimal_rebalance(mesh: Mesh2D, loads: &[i64]) -> OptimalPlan {
+    let n = mesh.len();
     assert_eq!(loads.len(), n, "one load per node required");
     assert!(loads.iter().all(|&w| w >= 0), "negative load");
     let total: i64 = loads.iter().sum();
@@ -64,7 +64,7 @@ pub fn optimal_rebalance(topo: &dyn Topology, loads: &[i64]) -> OptimalPlan {
     let inf = total.max(1);
     let mut link_edges: Vec<(NodeId, NodeId, EdgeId)> = Vec::new();
     for u in 0..n {
-        for v in topo.neighbors(u) {
+        for v in mesh.neighbors(u) {
             // Directed edge per ordered neighbour pair (the reverse
             // direction is added when iterating from `v`).
             let e = net.add_edge(u, v, inf, 1);
@@ -128,8 +128,8 @@ mod tests {
 
     #[test]
     fn two_node_transfer() {
-        let topo = Mesh2D::new(1, 2);
-        let plan = optimal_rebalance(&topo, &[10, 0]);
+        let mesh = Mesh2D::new(1, 2);
+        let plan = optimal_rebalance(mesh, &[10, 0]);
         assert_eq!(plan.cost, 5);
         assert_eq!(plan.link_flows, vec![(0, 1, 5)]);
         assert!(plan.verify(&[10, 0]));
@@ -137,8 +137,8 @@ mod tests {
 
     #[test]
     fn already_balanced_costs_nothing() {
-        let topo = Mesh2D::new(2, 2);
-        let plan = optimal_rebalance(&topo, &[7, 7, 7, 7]);
+        let mesh = Mesh2D::new(2, 2);
+        let plan = optimal_rebalance(mesh, &[7, 7, 7, 7]);
         assert_eq!(plan.cost, 0);
         assert!(plan.link_flows.is_empty());
     }
@@ -147,8 +147,8 @@ mod tests {
     fn line_of_three_routes_through_middle() {
         // Loads [9, 0, 0] on a line: node 0 sends 3 to node 1 and 3 to
         // node 2 (via 1): cost = 3 + 3*2 = 9.
-        let topo = Mesh2D::new(1, 3);
-        let plan = optimal_rebalance(&topo, &[9, 0, 0]);
+        let mesh = Mesh2D::new(1, 3);
+        let plan = optimal_rebalance(mesh, &[9, 0, 0]);
         assert_eq!(plan.cost, 9);
         assert!(plan.verify(&[9, 0, 0]));
         assert_eq!(plan.final_loads, vec![3, 3, 3]);
@@ -158,8 +158,8 @@ mod tests {
     fn ring_uses_both_directions() {
         // A 2×2 mesh is a 4-ring: with one hot node, excess splits
         // both ways.
-        let topo = Mesh2D::new(2, 2);
-        let plan = optimal_rebalance(&topo, &[8, 0, 0, 0]);
+        let mesh = Mesh2D::new(2, 2);
+        let plan = optimal_rebalance(mesh, &[8, 0, 0, 0]);
         // Targets 2 each; send 2 to each neighbour (1 hop) and 2 to the
         // opposite node (2 hops): cost 2 + 2 + 4 = 8.
         assert_eq!(plan.cost, 8);
@@ -168,8 +168,8 @@ mod tests {
 
     #[test]
     fn remainder_targets_are_met() {
-        let topo = Mesh2D::new(1, 3);
-        let plan = optimal_rebalance(&topo, &[7, 0, 0]);
+        let mesh = Mesh2D::new(1, 3);
+        let plan = optimal_rebalance(mesh, &[7, 0, 0]);
         assert_eq!(plan.final_loads, vec![3, 2, 2]);
         assert!(plan.verify(&[7, 0, 0]));
     }
@@ -177,7 +177,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "negative load")]
     fn negative_load_rejected() {
-        let topo = Mesh2D::new(1, 2);
-        optimal_rebalance(&topo, &[-1, 1]);
+        let mesh = Mesh2D::new(1, 2);
+        optimal_rebalance(mesh, &[-1, 1]);
     }
 }

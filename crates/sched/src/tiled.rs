@@ -40,7 +40,7 @@
 //! tile, each tile's post-schedule total equal to its quota total, and
 //! the Lemma-1 bound as an inequality.
 
-use rips_topology::{Mesh2D, NodeId, Topology};
+use rips_topology::{Mesh2D, NodeId};
 
 use crate::mwa::mwa;
 use crate::plan::TransferPlan;

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use rips_topology::{NodeId, Topology};
+use rips_topology::{Mesh2D, NodeId};
 
 use crate::plan::TransferPlan;
 
@@ -63,17 +63,17 @@ pub struct BspOutcome {
     pub messages: usize,
 }
 
-/// Deterministic synchronous executor over a topology.
-pub struct BspMachine<'t, P: BspProgram> {
-    topo: &'t dyn Topology,
+/// Deterministic synchronous executor over a mesh.
+pub struct BspMachine<P: BspProgram> {
+    mesh: Mesh2D,
     nodes: Vec<P>,
 }
 
-impl<'t, P: BspProgram> BspMachine<'t, P> {
+impl<P: BspProgram> BspMachine<P> {
     /// One program per node, created by `make(node_id)`.
-    pub fn new(topo: &'t dyn Topology, make: impl FnMut(NodeId) -> P) -> Self {
-        let nodes = (0..topo.len()).map(make).collect();
-        BspMachine { topo, nodes }
+    pub fn new(mesh: Mesh2D, make: impl FnMut(NodeId) -> P) -> Self {
+        let nodes = (0..mesh.len()).map(make).collect();
+        BspMachine { mesh, nodes }
     }
 
     /// Runs rounds until no messages were produced in a round, then
@@ -84,7 +84,7 @@ impl<'t, P: BspProgram> BspMachine<'t, P> {
     /// Panics if a program addresses a non-neighbour, or if the machine
     /// fails to quiesce within `max_rounds`.
     pub fn run(mut self, max_rounds: usize) -> (Vec<P>, BspOutcome) {
-        let n = self.topo.len();
+        let n = self.mesh.len();
         let mut inboxes: Vec<Vec<(NodeId, P::Msg)>> = (0..n).map(|_| Vec::new()).collect();
         let mut comm_steps = 0usize;
         let mut messages = 0usize;
@@ -98,9 +98,9 @@ impl<'t, P: BspProgram> BspMachine<'t, P> {
                 prog.round(me, round, inbox, &mut outbox);
                 for (to, msg) in outbox.drain(..) {
                     assert!(
-                        self.topo.distance(me, to) == 1,
+                        self.mesh.distance(me, to) == 1,
                         "BSP send {me} -> {to} is not a neighbour link on {}",
-                        self.topo.label()
+                        self.mesh.label()
                     );
                     sent += 1;
                     next[to].push((me, msg));
@@ -131,7 +131,6 @@ impl<'t, P: BspProgram> BspMachine<'t, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rips_topology::Mesh2D;
 
     /// Token passing along a line of 8 (a ring without its wrap link):
     /// node 0 emits a token that each node forwards once; quiesces
@@ -167,8 +166,7 @@ mod tests {
 
     #[test]
     fn ring_forwarding_step_count() {
-        let topo = Mesh2D::new(1, 8);
-        let machine = BspMachine::new(&topo, |_| Forward { seen: false });
+        let machine = BspMachine::new(Mesh2D::new(1, 8), |_| Forward { seen: false });
         let (nodes, out) = machine.run(100);
         assert!(nodes.iter().all(|n| n.seen));
         assert_eq!(out.comm_steps, 7);
@@ -196,8 +194,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a neighbour")]
     fn non_neighbour_send_rejected() {
-        let topo = Mesh2D::new(1, 8);
-        BspMachine::new(&topo, |_| BadSender).run(10);
+        BspMachine::new(Mesh2D::new(1, 8), |_| BadSender).run(10);
     }
 
     struct Chatterbox;
@@ -221,8 +218,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "failed to quiesce")]
     fn livelock_detected() {
-        let topo = Mesh2D::new(1, 4);
-        BspMachine::new(&topo, |_| Chatterbox).run(16);
+        BspMachine::new(Mesh2D::new(1, 4), |_| Chatterbox).run(16);
     }
 
     struct Silent;
@@ -242,8 +238,7 @@ mod tests {
 
     #[test]
     fn silent_machine_quiesces_immediately() {
-        let topo = Mesh2D::new(1, 4);
-        let (_, out) = BspMachine::new(&topo, |_| Silent).run(1);
+        let (_, out) = BspMachine::new(Mesh2D::new(1, 4), |_| Silent).run(1);
         assert_eq!(out.comm_steps, 0);
         assert_eq!(out.messages, 0);
     }

@@ -23,7 +23,7 @@
     reason = "indexed loops mirror the paper's per-column vector algebra; \
               iterator rewrites would obscure the correspondence"
 )]
-use rips_topology::{Mesh2D, NodeId, Topology};
+use rips_topology::{Mesh2D, NodeId};
 
 use crate::bsp::{BspMachine, BspProgram};
 use crate::mwa::mwa_steps;
@@ -361,7 +361,7 @@ pub fn mwa_distributed(mesh: &Mesh2D, loads: &[i64]) -> (TransferPlan, usize) {
     assert_eq!(loads.len(), mesh.len(), "one load per node required");
     assert!(loads.iter().all(|&w| w >= 0), "negative load");
 
-    let machine = BspMachine::new(mesh, |id| Node {
+    let machine = BspMachine::new(*mesh, |id| Node {
         i: id / n2,
         j: id % n2,
         n1,

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rips_sched::flow::{optimal_rebalance, quotas};
 use rips_sched::{min_nonlocal_tasks, mwa, tiled_mwa, TransferPlan};
-use rips_topology::{Mesh2D, NodeId, Topology};
+use rips_topology::{Mesh2D, NodeId};
 
 /// Arbitrary mesh shape and loads: dims 1..=8, loads 0..=60.
 fn mesh_and_loads() -> impl Strategy<Value = (Mesh2D, Vec<i64>)> {
@@ -150,7 +150,7 @@ proptest! {
     #[test]
     fn mwa_moves_are_link_local((mesh, loads) in mesh_and_loads()) {
         let (plan, _) = mwa(&mesh, &loads);
-        prop_assert!(plan.is_link_local(&mesh));
+        prop_assert!(plan.is_link_local(mesh));
         plan.apply(&loads); // panics on overdraw
     }
 
@@ -159,7 +159,7 @@ proptest! {
     #[test]
     fn mwa_cost_vs_optimal((mesh, loads) in mesh_and_loads()) {
         let (plan, _) = mwa(&mesh, &loads);
-        let opt = optimal_rebalance(&mesh, &loads);
+        let opt = optimal_rebalance(mesh, &loads);
         prop_assert!(plan.edge_cost() >= opt.cost,
             "MWA {} beat the optimum {}", plan.edge_cost(), opt.cost);
         if mesh.len() <= 4 {
@@ -179,7 +179,7 @@ proptest! {
     /// reproduce them.
     #[test]
     fn optimal_plan_is_consistent((mesh, loads) in mesh_and_loads()) {
-        let opt = optimal_rebalance(&mesh, &loads);
+        let opt = optimal_rebalance(mesh, &loads);
         prop_assert!(opt.verify(&loads));
         let total: i64 = loads.iter().sum();
         prop_assert_eq!(&opt.final_loads, &quotas(total, mesh.len()));

@@ -1,9 +1,9 @@
 //! The interconnect of the simulated multicomputer.
 //!
 //! The paper evaluates RIPS on an Intel Paragon, a 2-D mesh machine,
-//! and that is the one topology here: [`Mesh2D`] behind the
-//! [`Topology`] trait, which gives node enumeration, neighbourhood, hop
-//! distance, and deterministic single-path routing (used by the
+//! and that is the one machine here: [`Mesh2D`], a `Copy` value that
+//! every layer takes by value. It gives node enumeration, neighbourhood,
+//! hop distance, and deterministic single-path routing (used by the
 //! simulator to charge per-hop message latency and by the schedulers to
 //! count communication steps).
 //!
@@ -16,77 +16,32 @@ mod mesh;
 
 pub use mesh::Mesh2D;
 
-/// Dense node identifier, `0..Topology::len()`.
+/// Dense node identifier, `0..Mesh2D::len()`.
 pub type NodeId = usize;
 
-/// A static point-to-point interconnect.
+/// The machine under its older, trait-era name.
 ///
-/// All implementations are connected graphs with symmetric links:
-/// `b ∈ neighbors(a)` iff `a ∈ neighbors(b)`, and `distance` is the
-/// shortest-path hop metric induced by `neighbors`.
-///
-/// The simulator asks `distance` once per message and `route_next_hop`
-/// once per hop under link contention, at every machine size, so both
-/// must be cheap: [`Mesh2D`] answers both in closed form (O(1)),
-/// cross-validated against BFS by the invariant tests below.
-pub trait Topology: Send + Sync {
-    /// Number of nodes in the machine.
-    fn len(&self) -> usize;
-
-    /// `true` if the machine has no nodes (never the case for the
-    /// provided constructors, which reject `len == 0`).
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Direct neighbours of `node`.
-    fn neighbors(&self, node: NodeId) -> Vec<NodeId>;
-
-    /// Shortest-path hop distance between two nodes.
-    fn distance(&self, a: NodeId, b: NodeId) -> usize;
-
-    /// The next hop on a deterministic shortest path `from → to`.
-    ///
-    /// Returns `None` when `from == to`. Repeatedly following
-    /// `route_next_hop` reaches `to` in exactly `distance(from, to)` hops.
-    fn route_next_hop(&self, from: NodeId, to: NodeId) -> Option<NodeId>;
-
-    /// Maximum hop distance over all node pairs.
-    fn diameter(&self) -> usize;
-
-    /// Short human-readable name, e.g. `"mesh 8x4"`.
-    fn label(&self) -> String;
-}
-
-/// Walks the full deterministic route `from → to` (excluding `from`,
-/// including `to`).
-#[cfg(test)]
-fn route<T: Topology + ?Sized>(topo: &T, from: NodeId, to: NodeId) -> Vec<NodeId> {
-    let mut path = Vec::with_capacity(topo.distance(from, to));
-    let mut cur = from;
-    while let Some(next) = topo.route_next_hop(cur, to) {
-        path.push(next);
-        cur = next;
-    }
-    path
-}
+/// Kept only for the benchmark harness (`benchmark/src/sim.rs`), which
+/// imports it and may not change outside a benchmark PR; everything
+/// else names [`Mesh2D`].
+pub type Topology = Mesh2D;
 
 #[cfg(test)]
 mod trait_tests {
     use super::*;
 
     /// Brute-force BFS distance: the reference the closed-form
-    /// `distance` implementations are held to.
-    fn bfs_distance<T: Topology + ?Sized>(topo: &T, a: NodeId, b: NodeId) -> usize {
+    /// `distance` is held to.
+    fn bfs_distance(mesh: Mesh2D, a: NodeId, b: NodeId) -> usize {
         use std::collections::VecDeque;
         if a == b {
             return 0;
         }
-        let mut dist = vec![usize::MAX; topo.len()];
+        let mut dist = vec![usize::MAX; mesh.len()];
         dist[a] = 0;
         let mut q = VecDeque::from([a]);
         while let Some(n) = q.pop_front() {
-            for m in topo.neighbors(n) {
+            for m in mesh.neighbors(n) {
                 if dist[m] == usize::MAX {
                     dist[m] = dist[n] + 1;
                     if m == b {
@@ -96,54 +51,64 @@ mod trait_tests {
                 }
             }
         }
-        panic!("topology is disconnected: no path {a} -> {b}");
+        panic!("mesh is disconnected: no path {a} -> {b}");
     }
 
-    fn check_invariants(topo: &dyn Topology) {
-        let n = topo.len();
+    /// Links are symmetric, `distance` is the BFS hop metric, every
+    /// route is a shortest path, and `diameter` is the largest distance.
+    fn check_invariants(mesh: Mesh2D) {
+        let n = mesh.len();
         assert!(n > 0);
         for a in 0..n {
-            // Symmetric links.
-            for b in topo.neighbors(a) {
+            for b in mesh.neighbors(a) {
                 assert!(b < n);
                 assert_ne!(a, b, "self-loop at {a}");
                 assert!(
-                    topo.neighbors(b).contains(&a),
+                    mesh.neighbors(b).contains(&a),
                     "asymmetric link {a}->{b} in {}",
-                    topo.label()
+                    mesh.label()
                 );
-                assert_eq!(topo.distance(a, b), 1);
+                assert_eq!(mesh.distance(a, b), 1);
             }
-            assert_eq!(topo.distance(a, a), 0);
-            assert!(topo.route_next_hop(a, a).is_none());
+            assert_eq!(mesh.distance(a, a), 0);
+            assert!(mesh.route_next_hop(a, a).is_none());
         }
         let mut max_d = 0;
         for a in 0..n {
             for b in 0..n {
-                let d = topo.distance(a, b);
-                assert_eq!(d, topo.distance(b, a), "distance not symmetric");
-                assert_eq!(d, bfs_distance(topo, a, b), "closed-form != BFS");
-                assert_eq!(route(topo, a, b).len(), d, "route length != distance");
+                let d = mesh.distance(a, b);
+                assert_eq!(d, mesh.distance(b, a), "distance not symmetric");
+                assert_eq!(d, bfs_distance(mesh, a, b), "closed-form != BFS");
+                assert_eq!(mesh.route(a, b).len(), d, "route length != distance");
                 if d > 0 {
-                    let hop = topo.route_next_hop(a, b).unwrap();
-                    assert_eq!(topo.distance(hop, b), d - 1, "route does not progress");
+                    let hop = mesh.route_next_hop(a, b).unwrap();
+                    assert_eq!(mesh.distance(hop, b), d - 1, "route does not progress");
                 }
                 max_d = max_d.max(d);
             }
         }
         assert_eq!(
-            topo.diameter(),
+            mesh.diameter(),
             max_d,
             "diameter mismatch in {}",
-            topo.label()
+            mesh.label()
         );
     }
 
     #[test]
     fn mesh_invariants() {
         for (r, c) in [(1, 1), (1, 5), (5, 1), (2, 2), (3, 4), (4, 8)] {
-            check_invariants(&Mesh2D::new(r, c));
+            check_invariants(Mesh2D::new(r, c));
         }
+    }
+
+    /// The benchmark harness (`benchmark/src/sim.rs`) imports
+    /// `rips_topology::Topology`; tier-1 does not build that package,
+    /// so this keeps the name compiling here.
+    #[test]
+    fn topology_names_the_mesh() {
+        let mesh: Topology = Mesh2D::new(3, 4);
+        assert_eq!(mesh.label(), "mesh 3x4");
     }
 
     /// SplitMix64 — enough randomness for pair sampling, no deps.
@@ -159,31 +124,31 @@ mod trait_tests {
     /// sample instead. For each drawn pair: closed-form `distance` must
     /// equal BFS over `neighbors`, and the deterministic route must
     /// reach the destination in exactly `distance` hops.
-    fn check_sampled(topo: &dyn Topology, pairs: usize, seed: u64) {
-        let n = topo.len();
+    fn check_sampled(mesh: Mesh2D, pairs: usize, seed: u64) {
+        let n = mesh.len();
         let mut s = seed;
         for _ in 0..pairs {
             let a = (splitmix(&mut s) % n as u64) as NodeId;
             let b = (splitmix(&mut s) % n as u64) as NodeId;
-            let d = topo.distance(a, b);
-            assert_eq!(d, topo.distance(b, a), "distance not symmetric");
+            let d = mesh.distance(a, b);
+            assert_eq!(d, mesh.distance(b, a), "distance not symmetric");
             assert_eq!(
                 d,
-                bfs_distance(topo, a, b),
+                bfs_distance(mesh, a, b),
                 "closed-form != BFS for {a}->{b} in {}",
-                topo.label()
+                mesh.label()
             );
             // Walk the route, checking strict progress at every hop.
             let mut cur = a;
             let mut left = d;
-            while let Some(next) = topo.route_next_hop(cur, b) {
+            while let Some(next) = mesh.route_next_hop(cur, b) {
                 assert!(
-                    topo.neighbors(cur).contains(&next),
+                    mesh.neighbors(cur).contains(&next),
                     "route hop {cur}->{next} is not a link"
                 );
                 left -= 1;
                 assert_eq!(
-                    topo.distance(next, b),
+                    mesh.distance(next, b),
                     left,
                     "route does not progress at {cur}"
                 );
@@ -198,13 +163,13 @@ mod trait_tests {
     fn mesh_sampled_at_scale() {
         // 350 × 300 = 105_000 nodes: 1.1·10¹⁰ pairs, far past what
         // the exhaustive check can afford.
-        check_sampled(&Mesh2D::new(350, 300), 64, 0xA11CE);
+        check_sampled(Mesh2D::new(350, 300), 64, 0xA11CE);
     }
 
     #[test]
     fn line_sampled_at_scale() {
         // A 1 × 150_000 mesh: diameter 149_999 — far beyond u16;
         // exercises the widened computed-distance path.
-        check_sampled(&Mesh2D::new(1, 150_000), 48, 0xB0B);
+        check_sampled(Mesh2D::new(1, 150_000), 48, 0xB0B);
     }
 }

@@ -1,6 +1,6 @@
 //! 2-D mesh, the Paragon-style interconnect the paper's MWA targets.
 
-use crate::{NodeId, Topology};
+use crate::NodeId;
 
 /// An `n1 × n2` two-dimensional mesh (no wraparound links).
 ///
@@ -9,7 +9,12 @@ use crate::{NodeId, Topology};
 /// nodes. Routing is deterministic **XY routing**: correct the column
 /// first, then the row — the same discipline real mesh machines use,
 /// and the one MWA's row/column phases map onto.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The simulator asks `distance` once per message and `route_next_hop`
+/// once per hop under link contention, at every machine size, so both
+/// are closed form (O(1)), cross-validated against BFS by the invariant
+/// tests in the crate root.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mesh2D {
     rows: usize,
     cols: usize,
@@ -19,9 +24,14 @@ impl Mesh2D {
     /// Creates an `rows × cols` mesh.
     ///
     /// # Panics
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero, or if `rows × cols` does not
+    /// fit in a `usize`.
     pub fn new(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "mesh dimensions must be positive");
+        assert!(
+            rows.checked_mul(cols).is_some(),
+            "a {rows}x{cols} mesh has more nodes than a usize can count"
+        );
         Mesh2D { rows, cols }
     }
 
@@ -46,34 +56,39 @@ impl Mesh2D {
     }
 
     /// Number of rows (`n1`).
-    pub fn rows(&self) -> usize {
+    pub fn rows(self) -> usize {
         self.rows
     }
 
     /// Number of columns (`n2`).
-    pub fn cols(&self) -> usize {
+    pub fn cols(self) -> usize {
         self.cols
     }
 
     /// Coordinates `(row, col)` of a node id.
-    pub fn coords(&self, node: NodeId) -> (usize, usize) {
+    pub fn coords(self, node: NodeId) -> (usize, usize) {
         debug_assert!(node < self.len());
         (node / self.cols, node % self.cols)
     }
 
     /// Node id of coordinates `(row, col)`.
-    pub fn id(&self, row: usize, col: usize) -> NodeId {
+    pub fn id(self, row: usize, col: usize) -> NodeId {
         debug_assert!(row < self.rows && col < self.cols);
         row * self.cols + col
     }
-}
 
-impl Topology for Mesh2D {
-    fn len(&self) -> usize {
+    /// Number of nodes in the machine.
+    pub fn len(self) -> usize {
         self.rows * self.cols
     }
 
-    fn neighbors(&self, node: NodeId) -> Vec<NodeId> {
+    /// Always `false`: the constructor rejects a zero dimension.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Direct neighbours of `node`.
+    pub fn neighbors(self, node: NodeId) -> Vec<NodeId> {
         let (i, j) = self.coords(node);
         let mut out = Vec::with_capacity(4);
         if i > 0 {
@@ -91,13 +106,18 @@ impl Topology for Mesh2D {
         out
     }
 
-    fn distance(&self, a: NodeId, b: NodeId) -> usize {
+    /// Shortest-path hop distance between two nodes.
+    pub fn distance(self, a: NodeId, b: NodeId) -> usize {
         let (ai, aj) = self.coords(a);
         let (bi, bj) = self.coords(b);
         ai.abs_diff(bi) + aj.abs_diff(bj)
     }
 
-    fn route_next_hop(&self, from: NodeId, to: NodeId) -> Option<NodeId> {
+    /// The next hop on the XY route `from → to`.
+    ///
+    /// Returns `None` when `from == to`. Repeatedly following
+    /// `route_next_hop` reaches `to` in exactly `distance(from, to)` hops.
+    pub fn route_next_hop(self, from: NodeId, to: NodeId) -> Option<NodeId> {
         if from == to {
             return None;
         }
@@ -116,19 +136,33 @@ impl Topology for Mesh2D {
         Some(next)
     }
 
-    fn diameter(&self) -> usize {
+    /// Maximum hop distance over all node pairs.
+    pub fn diameter(self) -> usize {
         (self.rows - 1) + (self.cols - 1)
     }
 
-    fn label(&self) -> String {
+    /// Short human-readable name, e.g. `"mesh 8x4"`.
+    pub fn label(self) -> String {
         format!("mesh {}x{}", self.rows, self.cols)
+    }
+
+    /// Walks the full route `from → to` (excluding `from`, including
+    /// `to`).
+    #[cfg(test)]
+    pub(crate) fn route(self, from: NodeId, to: NodeId) -> Vec<NodeId> {
+        let mut path = Vec::with_capacity(self.distance(from, to));
+        let mut cur = from;
+        while let Some(next) = self.route_next_hop(cur, to) {
+            path.push(next);
+            cur = next;
+        }
+        path
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route;
 
     #[test]
     fn coords_roundtrip() {
@@ -151,7 +185,7 @@ mod tests {
     #[test]
     fn xy_routing_is_column_first() {
         let m = Mesh2D::new(4, 4);
-        let path = route(&m, m.id(0, 0), m.id(2, 3));
+        let path = m.route(m.id(0, 0), m.id(2, 3));
         assert_eq!(
             path,
             vec![m.id(0, 1), m.id(0, 2), m.id(0, 3), m.id(1, 3), m.id(2, 3)]
@@ -197,6 +231,12 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_dimension_rejected() {
         Mesh2D::new(0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "more nodes than a usize can count")]
+    fn overflowing_dimensions_rejected() {
+        Mesh2D::new(usize::MAX / 2 + 1, 2);
     }
 
     #[test]

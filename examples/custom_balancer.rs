@@ -17,7 +17,7 @@ use rips_repro::runtime::{
     run_policy, BalancerPolicy, ExecCtx, Kernel, KernelMsg, RunSpec, ScheduledRun, TaskInstance,
 };
 use rips_repro::taskgraph::geometric_tree;
-use rips_repro::topology::{Mesh2D, NodeId, Topology};
+use rips_repro::topology::{Mesh2D, NodeId};
 
 /// Round-robin handoff: children scatter over the neighbours in strict
 /// rotation. Blind (no load information, like randomized allocation)
@@ -63,16 +63,15 @@ fn main() {
     reg.register(
         "RoundRobin",
         Box::new(|spec: &RunSpec| {
-            let topo: Arc<dyn Topology> = Arc::new(Mesh2D::near_square(spec.nodes));
-            let topo2 = Arc::clone(&topo);
+            let mesh = Mesh2D::near_square(spec.nodes);
             let (outcome, _) = run_policy(
                 Arc::clone(&spec.workload),
-                topo,
+                mesh,
                 spec.latency,
                 spec.costs,
                 spec.seed,
                 move |me| RoundRobin {
-                    neighbors: topo2.neighbors(me),
+                    neighbors: mesh.neighbors(me),
                     next: 0,
                 },
             );

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use rips_repro::apps::{nqueens, NQueensConfig};
 use rips_repro::core::{gradient, random, rid, rips, Machine, RipsConfig, RID_U};
 use rips_repro::desim::LatencyModel;
-use rips_repro::topology::{Mesh2D, Topology};
+use rips_repro::topology::Mesh2D;
 use rips_runtime::{Costs, RunOutcome};
 
 fn main() {
@@ -50,18 +50,14 @@ fn main() {
         );
     };
 
-    let topo = || -> Arc<dyn Topology> { Arc::new(mesh.clone()) };
-    report(
-        "Random",
-        random(Arc::clone(&workload), topo(), lat, costs, 1),
-    );
+    report("Random", random(Arc::clone(&workload), mesh, lat, costs, 1));
     report(
         "Gradient",
-        gradient(Arc::clone(&workload), topo(), lat, costs, 1),
+        gradient(Arc::clone(&workload), mesh, lat, costs, 1),
     );
     report(
         "RID",
-        rid(Arc::clone(&workload), topo(), lat, costs, 1, RID_U),
+        rid(Arc::clone(&workload), mesh, lat, costs, 1, RID_U),
     );
     let out = rips(
         Arc::clone(&workload),

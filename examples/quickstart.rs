@@ -35,7 +35,7 @@ fn main() {
     println!(
         "  edge cost Σe_k       = {} (min-cost max-flow optimum {})",
         plan.edge_cost(),
-        optimal_rebalance(&mesh, &loads).cost
+        optimal_rebalance(mesh, &loads).cost
     );
 
     // --- Part 2: runtime incremental parallel scheduling -----------

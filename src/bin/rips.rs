@@ -50,7 +50,7 @@ use rips_repro::live::{GrainMode, WallClock};
 use rips_repro::live::{Watchdog, WatchdogOpts};
 use rips_repro::sched::{min_nonlocal_tasks, mwa};
 use rips_repro::taskgraph::Workload;
-use rips_repro::topology::{Mesh2D, Topology};
+use rips_repro::topology::Mesh2D;
 use rips_repro::trace::{
     metrics_rt, validate, with_metrics, with_metrics_clocked, with_sink, Clock, MetricsRegistry,
     PhaseReport, SharedFlight, Tee, TraceBuffer,
@@ -531,6 +531,11 @@ const PLAN: Spec = &[
 fn cmd_plan(args: &Args) {
     let rows: usize = args.num_in("--rows", 1..);
     let cols: usize = args.num_in("--cols", 1..);
+    if rows.checked_mul(cols).is_none() {
+        args.fail(&format!(
+            "--rows {rows} × --cols {cols} is more nodes than a usize holds"
+        ));
+    }
     let mesh = Mesh2D::new(rows, cols);
     let loads: Vec<i64> = args
         .list("--loads")

@@ -174,6 +174,12 @@ fn bad_input_exits_2_naming_the_offending_token() {
             "--loads needs 4 values",
         ),
         ("plan", "--loads needs 16 values"),
+        // rows × cols past usize: named as such, not as a wrapped
+        // `--loads needs 0 values`.
+        (
+            "plan --rows 4294967296 --cols 4294967296 --loads 1",
+            "--rows 4294967296 × --cols 4294967296 is more nodes",
+        ),
     ];
     for (line, needle) in cases {
         let out = rips(line);

@@ -10,32 +10,31 @@ use rips_repro::desim::LatencyModel;
 use rips_repro::flow::optimal_rebalance;
 use rips_repro::sched::mwa;
 use rips_repro::taskgraph::{TaskForest, Workload};
-use rips_repro::topology::{Mesh2D, Topology};
+use rips_repro::topology::Mesh2D;
 use rips_runtime::Costs;
 
 fn run_everything(w: &Arc<Workload>, nodes: usize) {
     let lat = LatencyModel::paragon();
     let costs = Costs::default();
     let mesh = Mesh2D::near_square(nodes);
-    let topo = || -> Arc<dyn Topology> { Arc::new(mesh.clone()) };
     let total: u64 = w.stats().tasks as u64;
     assert_eq!(
-        random(Arc::clone(w), topo(), lat, costs, 3).total_executed(),
+        random(Arc::clone(w), mesh, lat, costs, 3).total_executed(),
         total,
         "random lost tasks"
     );
     assert_eq!(
-        gradient(Arc::clone(w), topo(), lat, costs, 3).total_executed(),
+        gradient(Arc::clone(w), mesh, lat, costs, 3).total_executed(),
         total,
         "gradient lost tasks"
     );
     assert_eq!(
-        rid(Arc::clone(w), topo(), lat, costs, 3, RID_U).total_executed(),
+        rid(Arc::clone(w), mesh, lat, costs, 3, RID_U).total_executed(),
         total,
         "RID lost tasks"
     );
     assert_eq!(
-        sid(Arc::clone(w), topo(), lat, costs, 3).total_executed(),
+        sid(Arc::clone(w), mesh, lat, costs, 3).total_executed(),
         total,
         "SID lost tasks"
     );
@@ -145,7 +144,7 @@ fn degenerate_meshes_for_mwa() {
         let spread = finals.iter().max().unwrap() - finals.iter().min().unwrap();
         assert!(spread <= 1, "{r}x{c}: spread {spread}");
         // 1-D meshes have forced flows: MWA must match the optimum.
-        let opt = optimal_rebalance(&mesh, &worst);
+        let opt = optimal_rebalance(mesh, &worst);
         assert_eq!(plan.edge_cost(), opt.cost, "{r}x{c} not optimal");
     }
 }
@@ -187,13 +186,12 @@ fn ideal_network_still_correct() {
     let costs = Costs::default();
     let mesh = Mesh2D::near_square(8);
     let total = w.stats().tasks as u64;
-    let topo = || -> Arc<dyn Topology> { Arc::new(mesh.clone()) };
     assert_eq!(
-        random(Arc::clone(&w), topo(), lat, costs, 3).total_executed(),
+        random(Arc::clone(&w), mesh, lat, costs, 3).total_executed(),
         total
     );
     assert_eq!(
-        rid(Arc::clone(&w), topo(), lat, costs, 3, RID_U).total_executed(),
+        rid(Arc::clone(&w), mesh, lat, costs, 3, RID_U).total_executed(),
         total
     );
     assert_eq!(

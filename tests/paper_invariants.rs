@@ -10,7 +10,7 @@ use rips_repro::flow::optimal_rebalance;
 use rips_repro::metrics::{optimal_efficiency, quality_factor};
 use rips_repro::sched::mwa;
 use rips_repro::taskgraph::Workload;
-use rips_repro::topology::{Mesh2D, Topology};
+use rips_repro::topology::Mesh2D;
 use rips_runtime::Costs;
 
 fn small_queens() -> Workload {
@@ -42,7 +42,7 @@ fn rips_locality_dominates_random() {
     let rips_out = run_rips(&w, nodes);
     let rand_out = random(
         Arc::clone(&w),
-        Arc::new(Mesh2D::near_square(nodes)) as Arc<dyn Topology>,
+        Mesh2D::near_square(nodes),
         LatencyModel::paragon(),
         Costs::default(),
         1,
@@ -65,7 +65,7 @@ fn rips_overhead_is_comparable_to_random() {
     let rips_out = run_rips(&w, 16);
     let rand_out = random(
         Arc::clone(&w),
-        Arc::new(Mesh2D::near_square(16)) as Arc<dyn Topology>,
+        Mesh2D::near_square(16),
         LatencyModel::paragon(),
         Costs::default(),
         1,
@@ -108,7 +108,7 @@ fn mwa_cost_trend_with_machine_size() {
         for _ in 0..trials {
             let loads: Vec<i64> = (0..n).map(|_| rng.random_range(0..=40)).collect();
             let (plan, _) = mwa(&mesh, &loads);
-            let opt = optimal_rebalance(&mesh, &loads);
+            let opt = optimal_rebalance(mesh, &loads);
             if opt.cost > 0 {
                 total += (plan.edge_cost() - opt.cost) as f64 / opt.cost as f64;
             }
@@ -137,7 +137,7 @@ fn quality_factor_ranks_rips_over_random() {
     let mu_opt = optimal_efficiency(&w, nodes).min(1.0);
     let rand_mu = random(
         Arc::clone(&w),
-        Arc::new(Mesh2D::near_square(nodes)) as Arc<dyn Topology>,
+        Mesh2D::near_square(nodes),
         LatencyModel::paragon(),
         Costs::default(),
         1,
@@ -168,7 +168,7 @@ fn ida_star_rounds_are_scheduler_independent() {
     let a = run_rips(&w, nodes);
     let b = rid(
         Arc::clone(&w),
-        Arc::new(Mesh2D::near_square(nodes)) as Arc<dyn Topology>,
+        Mesh2D::near_square(nodes),
         LatencyModel::paragon(),
         Costs::default(),
         1,
